@@ -130,7 +130,7 @@ def trace_norm(marginal: MarginalDensity) -> float:
 
 
 def trace_distance(a: MarginalDensity, b: MarginalDensity) -> float:
-    if a.k != b.k or a.grid.n != b.grid.n:
+    if a.k != b.k or a.grid != b.grid:
         raise MarginalError("marginals are not comparable")
     diff = MarginalDensity(a.grid, a.k, a.kernel - b.kernel, a.omega)
     return trace_norm(diff)

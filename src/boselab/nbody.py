@@ -162,7 +162,8 @@ def evolve(system: NBodySystem, state: TensorState, dt: float, n_steps: int,
     """Strang-splitting propagation of psi(t) = exp(-i t H_N) psi(0).
 
     The per-step norm change is checked against norm_tol (the splitting is
-    exactly unitary, so violations indicate numerical trouble).  Snapshots
+    exactly unitary, so violations indicate numerical trouble), and a
+    non-finite norm aborts at once.  Snapshots
     are stored every store_every steps, including the initial state.
     """
     if state.n_particles != system.n_particles:
@@ -196,6 +197,8 @@ def evolve(system: NBodySystem, state: TensorState, dt: float, n_steps: int,
 
         cur = TensorState(system.grid, psi, system.omega)
         norm_now = cur.norm()
+        if not math.isfinite(norm_now):
+            raise NumericalAbort(f"norm is {norm_now} at step {step}")
         if abs(norm_now - norm_prev) > norm_tol:
             raise NumericalAbort(
                 f"norm drifted by {abs(norm_now - norm_prev):.3e} at step {step}"
@@ -279,9 +282,12 @@ def _system_key(system: NBodySystem):
 
 
 def dense_spectrum(system: NBodySystem):
-    """Cached eigendecomposition of the dense Hamiltonian."""
+    """Eigendecomposition of the dense Hamiltonian, cached for the last system."""
     key = _system_key(system)
     if key not in _EIG_CACHE:
+        # one entry only: an n^N = 4096 decomposition holds 268 MB, so the
+        # previous system's is freed before the next eigh allocates
+        _EIG_CACHE.clear()
         ham = dense_hamiltonian(system)
         _EIG_CACHE[key] = np.linalg.eigh(ham)
     return _EIG_CACHE[key]

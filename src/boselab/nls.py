@@ -126,7 +126,7 @@ def evolve_nls(problem: NLSProblem, phi0: np.ndarray, dt: float, n_steps: int,
 
     Propagation halts with BlowupDetected when max |phi|^2 crosses the
     density ceiling (the focusing equation can concentrate; the ceiling
-    marks where the grid stops resolving it).
+    marks where the grid stops resolving it) or is not finite.
     """
     grid = problem.grid
     phi = np.asarray(phi0, dtype=np.complex128).copy()
@@ -153,6 +153,8 @@ def evolve_nls(problem: NLSProblem, phi0: np.ndarray, dt: float, n_steps: int,
         t = t0 + (step + 1) * dt
 
         peak = float(np.max(np.abs(phi) ** 2))
+        if not math.isfinite(peak):
+            raise BlowupDetected(f"peak density is {peak} at t = {t:.6f}")
         if peak > density_ceiling:
             raise BlowupDetected(
                 f"peak density {peak:.3e} exceeded ceiling {density_ceiling:.3e} "

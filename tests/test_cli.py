@@ -124,6 +124,41 @@ def test_failed_check_exits_with_failure_code(tmp_path):
     assert any(line.startswith("FAIL ") for line in proc.stdout.splitlines())
 
 
+def _nan_amplitude_run(cfg, out, rhash):
+    from boselab.grid import Grid1D, random_state
+    from boselab.nbody import NBodySystem, evolve
+
+    g = Grid1D(16, 4.0)
+    state = random_state(g, 2, seed=0)
+    state.amplitudes[3, 5] = float("nan")
+    evolve(NBodySystem(g, 2), state, 1e-3, 5)
+    return []
+
+
+def _nan_orbital_run(cfg, out, rhash):
+    from boselab.grid import Grid1D
+    from boselab.nls import NLSProblem, evolve_nls, soliton
+
+    g = Grid1D(64, 8.0)
+    phi = soliton(g, 1.0)
+    phi[10] = float("nan")
+    evolve_nls(NLSProblem(g, b0=1.0), phi, 1e-3, 5)
+    return []
+
+
+@pytest.mark.parametrize("runner", [_nan_amplitude_run, _nan_orbital_run],
+                         ids=["nbody", "nls"])
+def test_nan_propagation_exits_with_abort_code(tmp_path, monkeypatch, runner):
+    from boselab import cli
+
+    monkeypatch.setitem(cli._RUNNERS, "nls_validate", runner)
+    code, report = cli.run_experiment({"experiment": "nls_validate"}, tmp_path)
+    assert code == cli.EXIT_NUMERICAL_ABORT == 3
+    assert report["passed"] is False
+    assert report["checks"][0]["name"] == "numerical_abort"
+    assert "nan" in report["checks"][0]["value"]
+
+
 def test_help_exits_cleanly():
     proc = run_cli("--help")
     assert proc.returncode == 0

@@ -57,6 +57,21 @@ def test_pair_positivity_reference_values():
                                                     rel=1e-10)
 
 
+@pytest.mark.parametrize("omega", [0.0, 1.0])
+@pytest.mark.parametrize("alpha_scale", [1.0, 0.0])
+def test_pair_positivity_matches_dense_oracle(omega, alpha_scale):
+    # a deep well, so that without alpha the pair binds below zero
+    g = Grid1D(32, 8.0)
+    deep = gaussian_well(4.0, 1.0)
+    res = check_pair_positivity(deep, 2, omega, g, alpha_scale=alpha_scale)
+    ref = np.linalg.eigvalsh(dense_pair_block(deep, 2, omega, g,
+                                              alpha_scale=alpha_scale))[0]
+    assert res["min_eigenvalue"] == pytest.approx(ref, rel=1e-10)
+    assert res["passes"] == (alpha_scale == 1.0)
+    again = check_pair_positivity(deep, 2, omega, g, alpha_scale=alpha_scale)
+    assert again["min_eigenvalue"] == res["min_eigenvalue"]
+
+
 def test_pair_block_matches_brute_force():
     # reassemble the block from elementary kron pieces as a cross-check
     g = Grid1D(8, 4.0)
@@ -155,6 +170,13 @@ def test_sobolev_operator_bound_dual_route():
         assert it["sigma_max"] <= it["bound"] + 1e-4
     trivial = check_sobolev_operator_bound(None, g)
     assert trivial["sigma_max"] == 0.0 and trivial["passes"]
+
+
+def test_sobolev_operator_bound_reruns_bit_identical():
+    g = Grid1D(32, 8.0)
+    first = check_sobolev_operator_bound(GAUSSIAN, g, n_particles=2)
+    second = check_sobolev_operator_bound(GAUSSIAN, g, n_particles=2)
+    assert first["sigma_max"] == second["sigma_max"]
 
 
 def test_commuting_product_monotonicity():

@@ -99,6 +99,13 @@ def test_trace_distance_requires_matching_shape():
         trace_distance(a, b)
 
 
+def test_trace_distance_requires_matching_length():
+    a = partial_trace(random_state(Grid1D(16, 8.0), 2, seed=0), 1)
+    b = partial_trace(random_state(Grid1D(16, 4.0), 2, seed=0), 1)
+    with pytest.raises(MarginalError):
+        trace_distance(a, b)
+
+
 def test_weighted_trace_equals_state_expectation():
     # Tr(W^2 gamma^(1)) = <psi, W_1^2 psi>: two routes through different code
     g = Grid1D(16, 4.0)

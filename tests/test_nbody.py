@@ -159,6 +159,28 @@ def test_evolve_validation_and_abort():
         evolve(system, state, 1e-3, 5, norm_tol=-1.0)
 
 
+def test_evolve_aborts_on_nan_amplitude():
+    # NaN fails every comparison, so only a finiteness test can catch it
+    g = Grid1D(16, 4.0)
+    system = NBodySystem(g, 2, potential=gaussian_well())
+    state = random_state(g, 2, seed=0)
+    state.amplitudes[3, 5] = np.nan
+    with pytest.raises(NumericalAbort, match="nan"):
+        evolve(system, state, 1e-3, 5)
+
+
+def test_dense_spectrum_cache_keeps_last_system():
+    import boselab.nbody as nbody
+
+    first = NBodySystem(Grid1D(8, 4.0), 2, potential=gaussian_well())
+    second = NBodySystem(Grid1D(4, 4.0), 2, potential=gaussian_well())
+    dense_spectrum(first)
+    evals, _ = dense_spectrum(second)
+    assert len(nbody._EIG_CACHE) <= 1
+    assert evals.shape == (second.dim,)
+    assert dense_spectrum(second)[0] is evals
+
+
 def test_cutoff_chi_profile():
     s = np.array([-3.0, 0.0, 1.0, 1.5, 2.0, 5.0])
     vals = cutoff_chi(s)

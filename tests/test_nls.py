@@ -140,6 +140,15 @@ def test_blowup_guard_triggers():
         evolve_nls(problem, soliton(g, 2.0), 1e-3, 10, density_ceiling=0.1)
 
 
+def test_blowup_guard_catches_nan_orbital():
+    # NaN fails every comparison with the ceiling, so it needs its own test
+    g = Grid1D(64, 8.0)
+    phi = soliton(g, 1.0)
+    phi[10] = np.nan
+    with pytest.raises(BlowupDetected, match="nan"):
+        evolve_nls(NLSProblem(g, b0=1.0), phi, 1e-3, 5)
+
+
 def test_evolve_validation():
     g = Grid1D(64, 8.0)
     problem = NLSProblem(g, b0=1.0)
