@@ -421,6 +421,14 @@ def run_collapse(cfg: dict, out: Path, report_hash: str) -> list[dict]:
 
     from . import collapse as clp
     from .grid import Grid1D
+    from .nbody import NumericalAbort
+
+    def finite_I(p, eta, x1):
+        val = clp.integral_I(p, eta, x1)["value"]
+        if not math.isfinite(val):
+            raise NumericalAbort(f"integral_I is {val} at (eta, xi1) = "
+                                 f"({eta:g}, {x1:g}), refine {p.refine}")
+        return val
 
     checks = []
     probe = clp.make_probe(cfg["epsilon"])
@@ -431,12 +439,12 @@ def run_collapse(cfg: dict, out: Path, report_hash: str) -> list[dict]:
     rows = []
     for eta in etas:
         for x1 in xi1s:
-            val = clp.integral_I(probe, float(eta), float(x1))["value"]
+            val = finite_I(probe, float(eta), float(x1))
             rows.append([eta, x1, val])
             if val > sup:
                 sup, arg = val, (float(eta), float(x1))
     write_csv(out / "integral_I.csv", ["eta", "xi1", "I"], rows, report_hash)
-    refined = clp.integral_I(probe.refined(), arg[0], arg[1])["value"]
+    refined = finite_I(probe.refined(), arg[0], arg[1])
     stability = abs(refined - sup) / abs(sup)
     checks.append({"name": "sup_integral_I", "value": sup,
                    "passed": bool(np.isfinite(sup))})

@@ -30,6 +30,12 @@ Two independent routes are implemented:
 All quadratures are built from explicit panel decompositions (graded at
 the singular/feature points) so that a refined probe (doubled rule
 orders, finer grading) gives an honest node-doubling stability gate.
+Each Gauss-Legendre order is built once per process and shared
+read-only.  The hot loops are batched: kernel_H integrates a block of u
+values per numpy pass (the graded windows of the whole block in one
+padded breakpoint table), and direct_operator_test evaluates separable
+members over blocks of tau samples.  The block sizes are fixed and
+bound the peak memory.
 """
 
 from __future__ import annotations
@@ -97,28 +103,68 @@ def theta_hat_quadrature(xi, order: int = 400) -> np.ndarray:
     FFT table, not inside the production quadratures.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = _gauss_legendre(order)
     vals = bump(nodes) * weights
     return np.cos(np.outer(xi, nodes)) @ vals
 
 
-def _gl_panels(edges: np.ndarray, order: int):
-    """Gauss-Legendre nodes/weights on each consecutive pair of edges."""
+@lru_cache(maxsize=None)
+def _gauss_legendre(order: int):
+    """Gauss-Legendre nodes/weights on [-1, 1], built once per order.
+
+    Every caller shares the cached arrays, so they are read-only.
+    """
     nodes, weights = np.polynomial.legendre.leggauss(order)
-    lo = edges[:-1][:, None]
-    hi = edges[1:][:, None]
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def _gl_nodes(lo: np.ndarray, hi: np.ndarray, order: int):
+    """Gauss-Legendre nodes/weights on the panels [lo, hi], one row each."""
+    nodes, weights = _gauss_legendre(order)
+    lo = lo[:, None]
+    hi = hi[:, None]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     return mid + half * nodes[None, :], half * weights[None, :]
 
 
+def _gl_panels(edges: np.ndarray, order: int):
+    """Gauss-Legendre nodes/weights on each consecutive pair of edges."""
+    return _gl_nodes(edges[:-1], edges[1:], order)
+
+
+def _keep_mask(values: np.ndarray, starts: np.ndarray,
+               rel: float = 1e-12) -> np.ndarray:
+    """The dedupe rule on ascending runs laid end to end.
+
+    starts marks the first value of each run (values[0] included).  A
+    value is kept when it exceeds the last kept value of its run by more
+    than rel * max(1, |value|).
+    """
+    thr = rel * np.maximum(1.0, np.abs(values))
+    keep = starts.copy()
+    keep[1:] |= values[1:] - values[:-1] > thr[1:]
+    # a value dropped against its neighbour can still clear the last kept
+    # value; walk the (rare) runs of close values one depth at a time
+    first = np.flatnonzero(keep)
+    chain = np.cumsum(keep) - 1
+    depth = np.arange(values.size) - first[chain]
+    last = values[first]
+    for d in range(2, int(depth.max(initial=0)) + 1):
+        at = np.flatnonzero(depth == d)
+        ok = values[at] - last[chain[at]] > thr[at]
+        keep[at] = ok
+        last[chain[at[ok]]] = values[at[ok]]
+    return keep
+
+
 def _dedupe(values: np.ndarray, rel: float = 1e-12) -> np.ndarray:
     values = np.sort(np.asarray(values, dtype=float))
-    keep = [values[0]]
-    for v in values[1:]:
-        if v - keep[-1] > rel * max(1.0, abs(v)):
-            keep.append(v)
-    return np.array(keep)
+    starts = np.zeros(values.size, dtype=bool)
+    starts[0] = True
+    return values[_keep_mask(values, starts, rel)]
 
 
 @dataclass
@@ -219,30 +265,91 @@ def _bracket_pair(s, u, us, epsilon):
     return ((1.0 + t1 * t1) * (1.0 + t2 * t2)) ** (-epsilon)
 
 
-def _window_edges(probe: CollapseProbe, u: float, us: float,
-                  lo: float, hi: float,
-                  base: np.ndarray) -> np.ndarray:
-    """Graded breakpoints inside [lo, hi] resolving the width-|u| features.
+# u values per pass of kernel_H; bounds the size of its node arrays
+_U_CHUNK = 32
 
-    The base-panel edges (sign changes of theta-hat) in the span are
-    kept, so |theta-hat| stays smooth inside every sub-panel.
+
+def _window_sums(probe: CollapseProbe, u: np.ndarray, us: np.ndarray,
+                 il: np.ndarray, ih: np.ndarray) -> np.ndarray:
+    """Window integrals over [edges[il], edges[ih]], one per u, in one pass.
+
+    Each window keeps its base-panel edges (sign changes of theta-hat),
+    so |theta-hat| stays smooth inside every sub-panel, and adds graded
+    breakpoints u/2 * ratio^k about both bracket centres us and
+    us + 2u^2 that lie inside it.  The breakpoints of all windows sit in
+    one padded array, sorted and deduped row by row; the sub-panel
+    nodes of every row are evaluated together and summed per u.
     """
-    au = abs(u)
-    pts = [lo, hi] + list(base)
+    edges = probe.panel_edges
+    au = np.abs(u)
+    lo, hi = edges[il], edges[ih]
+    span = hi - lo
+
+    width = int(np.max(ih - il)) + 1
+    idx = il[:, None] + np.arange(width)
+    cols = [np.where(idx <= ih[:, None],
+                     edges[np.minimum(idx, edges.size - 1)], np.inf)]
+
+    # steps 0.5|u| * ratio^k while below the span: the running product
+    # equals repeated `step *= ratio` bit for bit
+    ratio = 2.0 ** (1.0 / probe.refine)
+    n_steps = int(max(np.max(np.log(span / (0.5 * au))) / math.log(ratio),
+                      0.0)) + 3
+    table = np.full((u.size, n_steps), ratio)
+    table[:, 0] = 0.5 * au
+    steps = np.cumprod(table, axis=1)
+    below = steps < span[:, None]
     for center in (us, us + 2.0 * u * u):
-        if not lo < center < hi:
-            continue
-        pts.append(center)
-        step = 0.5 * au
-        ratio = 2.0 ** (1.0 / probe.refine)
-        span = hi - lo
-        while step < span:
-            for sgn in (-1.0, 1.0):
-                p = center + sgn * step
-                if lo < p < hi:
-                    pts.append(p)
-            step *= ratio
-    return _dedupe(np.array(pts))
+        inside = ((lo < center) & (center < hi))[:, None]
+        c = center[:, None]
+        pts = np.concatenate([c, c - steps, c + steps], axis=1)
+        ok = (inside & np.concatenate([inside, below, below], axis=1)
+              & (lo[:, None] < pts) & (pts < hi[:, None]))
+        cols.append(np.where(ok, pts, np.inf))
+    pts = np.sort(np.concatenate(cols, axis=1), axis=1)
+
+    valid = np.isfinite(pts)
+    counts = valid.sum(axis=1)
+    flat = pts[valid]
+    starts = np.zeros(flat.size, dtype=bool)
+    starts[np.cumsum(counts) - counts] = True
+    keep = _keep_mask(flat, starts)
+    bp = flat[keep]
+    row = np.repeat(np.arange(u.size), counts)[keep]
+
+    same = row[:-1] == row[1:]
+    prow = row[:-1][same]
+    wn, ww = _gl_nodes(bp[:-1][same], bp[1:][same], probe.window_order)
+    btw = _bracket_pair(wn, u[prow][:, None], us[prow][:, None],
+                        probe.epsilon)
+    panel = np.sum(ww * np.abs(probe.theta_hat(wn)) * btw, axis=1)
+    return np.bincount(prow, weights=panel, minlength=u.size)
+
+
+def _kernel_H_chunk(probe: CollapseProbe, u: np.ndarray,
+                    us: np.ndarray) -> np.ndarray:
+    """H on one block of u: smooth panels for all, windows where needed."""
+    edges = probe.panel_edges
+    n_panels = edges.size - 1
+    btil = _bracket_pair(probe.s_nodes[None, :, :], u[:, None, None],
+                         us[:, None, None], probe.epsilon)
+    panel_sums = np.sum(probe.s_weights[None, :, :] *
+                        probe.theta_abs[None, :, :] * btil, axis=2)
+    val = np.sum(panel_sums, axis=1)
+    cums = np.concatenate(
+        [np.zeros((u.size, 1)), np.cumsum(panel_sums, axis=1)], axis=1)
+
+    au = np.abs(u)
+    reach = 4.0 + 4.0 * au + 2.0 * u * u
+    w_lo, w_hi = us - reach, us + 2.0 * u * u + reach
+    il = np.maximum(np.searchsorted(edges, w_lo, side="right") - 1, 0)
+    ih = np.minimum(np.searchsorted(edges, w_hi, side="left"), n_panels)
+    rows = np.flatnonzero((au <= probe.window_reach) & (ih > il))
+    if rows.size:
+        il, ih = il[rows], ih[rows]
+        val[rows] -= cums[rows, ih] - cums[rows, il]
+        val[rows] += _window_sums(probe, u[rows], us[rows], il, ih)
+    return val / au
 
 
 def kernel_H(probe: CollapseProbe, eta: float, xi1: float, u):
@@ -250,52 +357,21 @@ def kernel_H(probe: CollapseProbe, eta: float, xi1: float, u):
 
     Evaluated in the scaled variable s = u w, where |theta-hat(s)| has
     fixed support: smooth panels between the transform's sign changes
-    carry precomputed nodes, and the width-|u| bracket features around
-    s = u*sigma are re-integrated on graded sub-panels.  u = 0 is
-    rejected (the change of variables degenerates there).
+    carry precomputed nodes, and for |u| <= probe.window_reach the
+    width-|u| bracket features around s = u*sigma are re-integrated on
+    graded sub-panels.  Both passes run on blocks of u at once (one
+    padded breakpoint table per block, no loop over single u).  u = 0
+    is rejected (the change of variables degenerates there).
     """
     scalar = np.isscalar(u) or getattr(u, "ndim", 1) == 0
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(u == 0.0):
         raise GridError("kernel_H is undefined at u = 0")
     us_all = eta - 2.0 * xi1 * u  # u * sigma, computed without cancellation
-    eps = probe.epsilon
-    edges = probe.panel_edges
-    n_panels = edges.size - 1
     out = np.empty_like(u)
-
-    chunk = 128
-    for start in range(0, u.size, chunk):
-        ui = u[start:start + chunk][:, None, None]
-        usi = us_all[start:start + chunk][:, None, None]
-        btil = _bracket_pair(probe.s_nodes[None, :, :], ui, usi, eps)
-        panel_sums = np.sum(probe.s_weights[None, :, :] *
-                            probe.theta_abs[None, :, :] * btil, axis=2)
-        totals = np.sum(panel_sums, axis=1)
-        cums = np.concatenate(
-            [np.zeros((panel_sums.shape[0], 1)), np.cumsum(panel_sums, axis=1)],
-            axis=1)
-        for j in range(panel_sums.shape[0]):
-            idx = start + j
-            uj = u[idx]
-            usj = us_all[idx]
-            val = totals[j]
-            if abs(uj) <= probe.window_reach:
-                reach = 4.0 + 4.0 * abs(uj) + 2.0 * uj * uj
-                w_lo, w_hi = usj - reach, usj + 2.0 * uj * uj + reach
-                il = np.searchsorted(edges, w_lo, side="right") - 1
-                ih = np.searchsorted(edges, w_hi, side="left")
-                il = max(il, 0)
-                ih = min(ih, n_panels)
-                if ih > il:
-                    val -= cums[j, ih] - cums[j, il]
-                    wedges = _window_edges(probe, uj, usj,
-                                           edges[il], edges[ih],
-                                           edges[il + 1:ih])
-                    wn, ww = _gl_panels(wedges, probe.window_order)
-                    btw = _bracket_pair(wn, uj, usj, eps)
-                    val += float(np.sum(ww * np.abs(probe.theta_hat(wn)) * btw))
-            out[idx] = val / abs(uj)
+    for start in range(0, u.size, _U_CHUNK):
+        sl = slice(start, start + _U_CHUNK)
+        out[sl] = _kernel_H_chunk(probe, u[sl], us_all[sl])
     return float(out[0]) if scalar else out
 
 
@@ -543,30 +619,40 @@ def _free_phase(grid: Grid1D, tau: float) -> np.ndarray:
     return np.exp(-1j * tau * grid.k ** 2)
 
 
-def _evolve(grid: Grid1D, f: np.ndarray, tau: float) -> np.ndarray:
-    return np.fft.ifft(_free_phase(grid, tau) * np.fft.fft(f))
+def _evolve(phase: np.ndarray, f: np.ndarray) -> np.ndarray:
+    return np.fft.ifft(phase * np.fft.fft(f))
 
 
 def _weight_sq(grid: Grid1D, eps: float) -> np.ndarray:
     return (1.0 + grid.k ** 2) ** eps
 
 
+def _gram_hat(grid: Grid1D, eps: float, xa: np.ndarray, xb: np.ndarray):
+    """<R fa, R fb> from the transforms xa, xb, along the last axis."""
+    w2 = _weight_sq(grid, eps)
+    return grid.h / grid.n * np.sum(w2 * np.conj(xa) * xb, axis=-1)
+
+
 def _gram(grid: Grid1D, eps: float, fa: np.ndarray, fb: np.ndarray) -> complex:
     """<R fa, R fb> with the grid quadrature weight."""
-    w2 = _weight_sq(grid, eps)
-    return complex(grid.h / grid.n * np.sum(w2 * np.conj(np.fft.fft(fa))
-                                            * np.fft.fft(fb)))
+    return complex(_gram_hat(grid, eps, np.fft.fft(fa), np.fft.fft(fb)))
 
 
-def _rank2_norm_sq(grid: Grid1D, eps: float, a1, b1, a2, b2) -> float:
-    ga11 = _gram(grid, eps, a1, a1).real
-    ga22 = _gram(grid, eps, a2, a2).real
-    ga12 = _gram(grid, eps, a1, a2)
-    gb11 = _gram(grid, eps, b1, b1).real
-    gb22 = _gram(grid, eps, b2, b2).real
-    gb12 = _gram(grid, eps, b1, b2)
+def _rank2_norm_sq(grid: Grid1D, eps: float, a1, b1, a2, b2):
+    """||R (a1 x b1 - a2 x b2)||^2 from 2x2 Grams, along the last axis."""
+    x1, y1, x2, y2 = (np.fft.fft(v, axis=-1) for v in (a1, b1, a2, b2))
+    ga11 = _gram_hat(grid, eps, x1, x1).real
+    ga22 = _gram_hat(grid, eps, x2, x2).real
+    ga12 = _gram_hat(grid, eps, x1, x2)
+    gb11 = _gram_hat(grid, eps, y1, y1).real
+    gb22 = _gram_hat(grid, eps, y2, y2).real
+    gb12 = _gram_hat(grid, eps, y1, y2)
     val = ga11 * gb11 + ga22 * gb22 - 2.0 * (ga12 * gb12).real
-    return max(val, 0.0)
+    return np.maximum(val, 0.0)
+
+
+# tau samples per batched pass of direct_operator_test; bounds its memory
+_TAU_BLOCK = 128
 
 
 @dataclass
@@ -580,15 +666,28 @@ class SeparableKernelMember:
     label: str = "separable"
 
     def contraction_pieces(self, grid: Grid1D, tau: float):
-        ft = _evolve(grid, self.f, tau)
-        gt = _evolve(grid, self.g, tau)
-        pt = _evolve(grid, self.p, tau)
-        qt = _evolve(grid, self.q, tau)
+        phase = _free_phase(grid, tau)
+        ft, gt, pt, qt = (_evolve(phase, v)
+                          for v in (self.f, self.g, self.p, self.q))
         a1 = ft * gt * np.conj(qt)
         b1 = np.conj(pt)
         a2 = ft
         b2 = gt * np.conj(pt) * np.conj(qt)
         return a1, b1, a2, b2
+
+    def contraction_norm_sq(self, grid: Grid1D, eps: float,
+                            taus: np.ndarray) -> np.ndarray:
+        """||R_eps^(1) B_tau||^2 at every tau, in blocks of tau at once.
+
+        contraction_pieces is elementwise in tau, so a column of taus
+        evolves the four factors of a whole block together.
+        """
+        out = np.empty(taus.size)
+        for start in range(0, taus.size, _TAU_BLOCK):
+            block = taus[start:start + _TAU_BLOCK, None]
+            out[start:start + _TAU_BLOCK] = _rank2_norm_sq(
+                grid, eps, *self.contraction_pieces(grid, block))
+        return out
 
     def weighted_input_norm(self, grid: Grid1D, eps: float) -> float:
         out = 1.0
@@ -612,17 +711,24 @@ class PairProfileMember:
     p: np.ndarray
     label: str = "pair-profile"
 
-    def _diag(self, grid: Grid1D, tau: float) -> np.ndarray:
-        phase = _free_phase(grid, tau)
+    def _diag(self, grid: Grid1D, phase: np.ndarray) -> np.ndarray:
         kh = phase[:, None] * self.khat * np.conj(phase)[None, :]
         full = np.fft.fft(np.fft.ifft(kh, axis=0), axis=1)
         return np.ascontiguousarray(np.diagonal(full)) / grid.n
 
     def contraction_pieces(self, grid: Grid1D, tau: float):
-        ft = _evolve(grid, self.f, tau)
-        pt = _evolve(grid, self.p, tau)
-        d = self._diag(grid, tau)
+        phase = _free_phase(grid, tau)
+        ft = _evolve(phase, self.f)
+        pt = _evolve(phase, self.p)
+        d = self._diag(grid, phase)
         return ft * d, np.conj(pt), ft, d * np.conj(pt)
+
+    def contraction_norm_sq(self, grid: Grid1D, eps: float,
+                            taus: np.ndarray) -> np.ndarray:
+        """||R_eps^(1) B_tau||^2 at every tau, one 2-D transform per tau."""
+        return np.array([
+            _rank2_norm_sq(grid, eps, *self.contraction_pieces(grid, float(t)))
+            for t in taus])
 
     def weighted_input_norm(self, grid: Grid1D, eps: float) -> float:
         w2 = _weight_sq(grid, eps)
@@ -640,6 +746,9 @@ def direct_operator_test(grid: Grid1D, members, epsilon: float,
     For each member: lhs^2 = int theta(tau/T)^2 ||R_eps^(1) B_tau||^2 dtau
     by Simpson on n_tau points over [-T, T], with the rank-two Gram
     shortcut for the weighted kernel norm; rhs = ||R_eps^(2) phi||.
+    Separable members evaluate the tau series in blocks of tau samples
+    (four evolutions, four transforms and six Grams as row sums per
+    block); pair-profile members go one tau at a time.
     """
     from scipy.integrate import simpson
 
@@ -652,10 +761,7 @@ def direct_operator_test(grid: Grid1D, members, epsilon: float,
         rhs = member.weighted_input_norm(grid, epsilon)
         if rhs <= 0:
             raise GridError(f"member {member.label!r} is not normalizable")
-        series = np.empty(n_tau)
-        for i, tau in enumerate(taus):
-            a1, b1, a2, b2 = member.contraction_pieces(grid, float(tau))
-            series[i] = _rank2_norm_sq(grid, epsilon, a1, b1, a2, b2)
+        series = member.contraction_norm_sq(grid, epsilon, taus)
         lhs = math.sqrt(max(float(simpson(win2 * series, x=taus)), 0.0))
         out.append({"label": member.label, "lhs": lhs, "rhs": rhs,
                     "ratio": lhs / rhs, "epsilon": epsilon})

@@ -161,9 +161,10 @@ def evolve(system: NBodySystem, state: TensorState, dt: float, n_steps: int,
            check_symmetry: bool = False, symmetry_tol: float = 1e-9) -> Trajectory:
     """Strang-splitting propagation of psi(t) = exp(-i t H_N) psi(0).
 
-    The per-step norm change is checked against norm_tol (the splitting is
-    exactly unitary, so violations indicate numerical trouble), and a
-    non-finite norm aborts at once.  Snapshots
+    The norm change per step and since step 0 are both checked against
+    norm_tol (the splitting is exactly unitary, so violations indicate
+    numerical trouble, and the step-0 check catches slow drift that no
+    single step shows), and a non-finite norm aborts at once.  Snapshots
     are stored every store_every steps, including the initial state.
     """
     if state.n_particles != system.n_particles:
@@ -178,7 +179,7 @@ def evolve(system: NBodySystem, state: TensorState, dt: float, n_steps: int,
     nn = system.n_particles
 
     psi = state.amplitudes.copy()
-    norm_prev = state.norm()
+    norm_prev = norm_start = state.norm()
 
     times = [0.0]
     states = [TensorState(system.grid, psi.copy(), system.omega)]
@@ -202,6 +203,11 @@ def evolve(system: NBodySystem, state: TensorState, dt: float, n_steps: int,
         if abs(norm_now - norm_prev) > norm_tol:
             raise NumericalAbort(
                 f"norm drifted by {abs(norm_now - norm_prev):.3e} at step {step}"
+            )
+        if abs(norm_now - norm_start) > norm_tol:
+            raise NumericalAbort(
+                f"norm drifted by {abs(norm_now - norm_start):.3e} since "
+                f"step 0 at step {step}"
             )
         norm_prev = norm_now
 

@@ -159,6 +159,27 @@ def test_nan_propagation_exits_with_abort_code(tmp_path, monkeypatch, runner):
     assert "nan" in report["checks"][0]["value"]
 
 
+@pytest.mark.parametrize("refine", [1, 2], ids=["scan", "node_doubling"])
+def test_nan_collapse_value_exits_with_abort_code(tmp_path, monkeypatch,
+                                                  refine):
+    # NaN never wins `val > sup`, so only a finiteness test can catch it;
+    # the fake peaks at (0, 45), where the node-doubling call is made
+    from boselab import cli, collapse
+
+    def fake_integral_I(probe, eta, xi1):
+        bad = probe.refine == refine and (eta, xi1) == (0.0, 45.0)
+        return {"value": float("nan") if bad else 100.0 - abs(eta) + xi1}
+
+    monkeypatch.setattr(collapse, "integral_I", fake_integral_I)
+    cfg = {"experiment": "collapse_suite", "grid_step": 45.0,
+           "grid_extent": 45.0}
+    code, report = cli.run_experiment(cfg, tmp_path)
+    assert code == cli.EXIT_NUMERICAL_ABORT == 3
+    assert report["passed"] is False
+    assert report["checks"][0]["name"] == "numerical_abort"
+    assert "nan" in report["checks"][0]["value"]
+
+
 def test_help_exits_cleanly():
     proc = run_cli("--help")
     assert proc.returncode == 0

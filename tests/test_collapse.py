@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from boselab.grid import Grid1D, GridError
@@ -95,6 +96,120 @@ class TestKernelH:
             hs = [C.kernel_H(C.make_probe(e), eta, xi1, u)
                   for e in (0.0, 0.05, 0.15, 0.25)]
             assert all(a >= b - 1e-12 for a, b in zip(hs, hs[1:]))
+
+
+def _dedupe_loop(values, rel=1e-12):
+    values = np.sort(np.asarray(values, dtype=float))
+    keep = [values[0]]
+    for v in values[1:]:
+        if v - keep[-1] > rel * max(1.0, abs(v)):
+            keep.append(v)
+    return np.array(keep)
+
+
+def _gl_loop(edges, order):
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    lo, hi = edges[:-1][:, None], edges[1:][:, None]
+    return (0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes[None, :],
+            0.5 * (hi - lo) * weights[None, :])
+
+
+def _kernel_H_loop(probe, eta, xi1, u):
+    """Oracle: H one u at a time, window breakpoints grown point by point."""
+    edges = probe.panel_edges
+    n_panels = edges.size - 1
+    eps = probe.epsilon
+    ratio = 2.0 ** (1.0 / probe.refine)
+    out = []
+    for uj in np.atleast_1d(np.asarray(u, dtype=float)):
+        usj = eta - 2.0 * xi1 * uj
+        sums = np.sum(probe.s_weights * probe.theta_abs * C._bracket_pair(
+            probe.s_nodes, uj, usj, eps), axis=1)
+        val = np.sum(sums)
+        cums = np.concatenate([[0.0], np.cumsum(sums)])
+        if abs(uj) <= probe.window_reach:
+            reach = 4.0 + 4.0 * abs(uj) + 2.0 * uj * uj
+            w_lo, w_hi = usj - reach, usj + 2.0 * uj * uj + reach
+            il = max(np.searchsorted(edges, w_lo, side="right") - 1, 0)
+            ih = min(np.searchsorted(edges, w_hi, side="left"), n_panels)
+            if ih > il:
+                val -= cums[ih] - cums[il]
+                lo, hi = edges[il], edges[ih]
+                pts = [lo, hi] + list(edges[il + 1:ih])
+                for center in (usj, usj + 2.0 * uj * uj):
+                    if not lo < center < hi:
+                        continue
+                    pts.append(center)
+                    step = 0.5 * abs(uj)
+                    while step < hi - lo:
+                        pts.extend(p for p in (center - step, center + step)
+                                   if lo < p < hi)
+                        step *= ratio
+                wn, ww = _gl_loop(_dedupe_loop(pts), probe.window_order)
+                val += float(np.sum(ww * np.abs(probe.theta_hat(wn))
+                                    * C._bracket_pair(wn, uj, usj, eps)))
+        out.append(val / abs(uj))
+    return np.array(out)
+
+
+_ORACLE_U = np.array([s * m for m in (1e-10, 1e-6, 1e-3, 0.5, 3.9, 4.5)
+                      for s in (1.0, -1.0)])
+
+
+class TestBatchedKernelH:
+    @pytest.mark.parametrize("refine", [1, 2])
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.25])
+    def test_matches_per_u_loop(self, eps, refine):
+        probe = C.make_probe(eps, refine=refine)
+        for eta, xi1 in [(0.0, 0.0), (7.0, 3.0), (12.5, 0.0), (-45.0, 45.0)]:
+            got = C.kernel_H(probe, eta, xi1, _ORACLE_U)
+            want = _kernel_H_loop(probe, eta, xi1, _ORACLE_U)
+            assert got == pytest.approx(want, rel=1e-13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(eta=st.floats(-60.0, 60.0), xi1=st.floats(-60.0, 60.0),
+           mag=st.floats(1e-8, 6.0), sign=st.sampled_from([1.0, -1.0]))
+    def test_matches_per_u_loop_property(self, eta, xi1, mag, sign):
+        probe = C.make_probe(0.25)
+        u = np.array([sign * mag])
+        assert C.kernel_H(probe, eta, xi1, u) == pytest.approx(
+            _kernel_H_loop(probe, eta, xi1, u), rel=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(base=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12),
+           jitter=st.lists(st.integers(0, 6), min_size=1, max_size=12))
+    def test_dedupe_matches_sequential_rule(self, base, jitter):
+        # clusters of values a fraction of the tolerance apart, so runs of
+        # close values are longer than two
+        vals = [b + j * 0.4e-12 * max(1.0, abs(b)) for b in base
+                for j in jitter]
+        assert np.array_equal(C._dedupe(np.array(vals)), _dedupe_loop(vals))
+
+    def test_gauss_legendre_rule_is_cached_read_only(self, monkeypatch):
+        calls = []
+        real = np.polynomial.legendre.leggauss
+
+        def counting(order):
+            calls.append(order)
+            return real(order)
+
+        C._gauss_legendre.cache_clear()
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        probe = C.make_probe(0.25)
+        C.integral_I(probe, 7.0, 3.0)
+        C.integral_I(probe, 0.0, 0.0)
+        xi = np.array([0.0, 0.5, 1.7, 5.0, 20.0, 100.0])
+        C.theta_hat_quadrature(xi, order=400)
+        C.theta_hat_quadrature(xi, order=400)
+        assert sorted(calls) == sorted(set(calls)) == [6, 8, 400]
+
+        nodes, weights = C._gauss_legendre(8)
+        assert C._gauss_legendre(8)[0] is nodes
+        for arr in (nodes, weights):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        diff = np.abs(probe.theta_hat(xi) - C.theta_hat_quadrature(xi, 400))
+        assert np.max(diff) < 1e-12
 
 
 class TestIntegralI:
@@ -333,6 +448,23 @@ class TestOperatorFamilies:
         assert decay < 0.7
         assert growth == pytest.approx(1.6549022129913726, rel=1e-8)
         assert growth > 1.3
+
+    @pytest.mark.parametrize("n_tau", [257, 1025])
+    @pytest.mark.parametrize("family,t_window", [
+        ("modulation", 2.0), ("counter_rotating", 0.1)])
+    def test_tau_batches_match_per_tau_series(self, family, t_window, n_tau):
+        # oracle: contraction pieces and Gram norm one tau at a time; 1025
+        # samples leave a partial last block
+        g = Grid1D(256, 8.0)
+        make = getattr(C, f"make_{family}_family")
+        taus = np.linspace(-t_window, t_window, n_tau)
+        for member in make(g, [4.0, 64.0]):
+            for eps in (0.05, 0.25):
+                got = member.contraction_norm_sq(g, eps, taus)
+                want = [C._rank2_norm_sq(
+                    g, eps, *member.contraction_pieces(g, float(t)))
+                    for t in taus]
+                assert got == pytest.approx(want, rel=1e-12)
 
     def test_rejects_zero_member(self):
         g = Grid1D(32, 4.0)

@@ -169,6 +169,20 @@ def test_evolve_aborts_on_nan_amplitude():
         evolve(system, state, 1e-3, 5)
 
 
+def test_evolve_aborts_on_slow_norm_creep():
+    # an imaginary potential part grows the norm by 0.6 norm_tol per step:
+    # no single step trips the per-step check, the step-0 check must
+    class Leaky(NBodySystem):
+        def potential_diagonal(self):
+            return super().potential_diagonal() + 0.6e-10j / 1e-3
+
+    g = Grid1D(16, 4.0)
+    state = random_state(g, 2, seed=0)
+    system = Leaky(g, 2, potential=gaussian_well())
+    with pytest.raises(NumericalAbort, match="since step 0 at step 2"):
+        evolve(system, state, 1e-3, 20, norm_tol=1e-10)
+
+
 def test_dense_spectrum_cache_keeps_last_system():
     import boselab.nbody as nbody
 
