@@ -196,14 +196,22 @@ def validate_config(cfg: dict) -> dict:
                     f"n_particles: N={nn} with n={n} exceeds the desk-scale "
                     "envelope (N <= 5 with n <= 16, or N <= 4 with n <= 32)")
     dt = merged.get("dt")
-    if dt is not None and merged.get("potential") is not None:
-        pot = merged["potential"]
+    if dt is not None:
+        from .potentials import PotentialError, PotentialSpec
+
         n_max = max(merged.get("n_particles", [1]))
-        strength = pot["a"] * n_max ** pot.get("beta", 0.5)
-        if strength * dt > 0.1:
-            raise ConfigError(
-                f"dt: {dt} violates the splitting stability budget "
-                f"N^beta * |V|_inf * dt <= 0.1 (got {strength * dt:.3g})")
+        for key in ("potential", "control_potential"):
+            spec = merged.get(key)
+            if spec is None:
+                continue
+            try:
+                budget = PotentialSpec(**spec).phase_rate(n_max) * dt
+            except PotentialError as err:
+                raise ConfigError(f"{key}: {err}") from None
+            if budget > 0.1:
+                raise ConfigError(
+                    f"{key}: dt {dt} violates the splitting stability budget "
+                    f"N^beta * |V|_inf * dt <= 0.1 (got {budget:.3g})")
     return merged
 
 

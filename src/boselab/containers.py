@@ -6,8 +6,8 @@ number, grid size and half-length, trap frequency, interaction shape and
 exponent, and the sign/direction conventions of the integrator), then
 the raw little-endian complex payload in C order.  Trajectories add a
 JSON sidecar with the conserved-quantity series (times, norms, energy
-expectations); marginal kernels export alongside a CSV of their leading
-occupation eigenvalues.
+expectations) and the largest norm drift over every step; marginal
+kernels export alongside a CSV of their leading occupation eigenvalues.
 """
 
 from __future__ import annotations
@@ -156,6 +156,7 @@ def save_trajectory(path, traj: Trajectory, dtype: str = "complex128") -> Path:
         "times": [float(t) for t in traj.times],
         "norms": [float(v) for v in traj.norms],
         "energies": [float(v) for v in traj.energies],
+        "norm_drift": traj.max_norm_drift(),
     }
     side_path = path.with_suffix(path.suffix + ".json")
     side_path.write_text(json.dumps(sidecar, sort_keys=True, indent=1))
@@ -177,7 +178,8 @@ def load_trajectory(path) -> Trajectory:
         system=system, dt=header["dt"], store_every=header["store_every"],
         times=np.array(sidecar["times"]), states=states,
         norms=np.array(sidecar["norms"]),
-        energies=np.array(sidecar["energies"]))
+        energies=np.array(sidecar["energies"]),
+        norm_drift=sidecar.get("norm_drift"))
 
 
 def save_marginal(path, marg: MarginalDensity, system: NBodySystem | None = None,

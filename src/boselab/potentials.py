@@ -121,6 +121,11 @@ class PotentialSpec:
         x = np.linspace(-6 * self.s, 6 * self.s, 20001)
         return float(np.max(np.abs(self(x))))
 
+    def phase_rate(self, n_particles: int) -> float:
+        """N^beta ||V||_inf = ||V_N||_inf; the splitting stays stable while
+        phase_rate * dt <= 0.1."""
+        return float(n_particles) ** self.beta * self.linf_norm()
+
     def constants(self) -> dict:
         """Summary of the coupling constants with the sign convention."""
         return {

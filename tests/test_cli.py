@@ -106,6 +106,33 @@ def test_bad_config_exits_with_usage_code(tmp_path, name, contents, fragment):
     assert fragment in proc.stderr
 
 
+def test_control_potential_obeys_the_dt_budget():
+    from boselab.cli import ConfigError, validate_config
+
+    strong = {"shape": "mixed_sign", "a": 200.0, "s": 1.0, "r": 0.5,
+              "beta": 0.3}
+    with pytest.raises(ConfigError, match="control_potential"):
+        validate_config({"experiment": "convergence",
+                         "control_potential": strong})
+
+
+def test_convergence_reruns_byte_identical(tmp_path):
+    cfg = tmp_path / "small.json"
+    cfg.write_text(json.dumps({"n": 16, "n_particles": [2, 3],
+                               "times": [0.0, 0.02]}))
+    outs = [tmp_path / "first", tmp_path / "second"]
+    for out in outs:
+        proc = run_cli("convergence", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+    first, second = outs
+    assert ((first / "summary.json").read_bytes()
+            == (second / "summary.json").read_bytes())
+    csv_files = sorted(first.glob("*.csv"))
+    assert len(csv_files) == 4
+    for path in csv_files:
+        assert (second / path.name).read_bytes() == path.read_bytes()
+
+
 def test_missing_config_exits_with_usage_code(tmp_path):
     proc = run_cli("nls-validate", "--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "out"))

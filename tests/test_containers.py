@@ -140,6 +140,8 @@ def test_trajectory_round_trip(tmp_path, setup):
     np.testing.assert_array_equal(back.times, traj.times)
     np.testing.assert_array_equal(back.norms, traj.norms)
     np.testing.assert_array_equal(back.energies, traj.energies)
+    assert back.norm_drift is not None
+    assert back.max_norm_drift() == traj.max_norm_drift()
     for a, b in zip(back.states, traj.states):
         np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
 

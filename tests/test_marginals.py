@@ -67,14 +67,29 @@ def test_tower_property():
 
 
 def test_trace_norm_against_eigendecomposition():
-    # for Hermitian kernels the trace norm is the sum of |eigenvalues|;
-    # trace_norm goes through the SVD, so this is an independent route
+    # trace_norm sums |eigenvalues| of the Hermitian kernel; the sum of
+    # singular values is the independent route to the same Tr|.|
     g = Grid1D(16, 4.0)
     a = partial_trace(random_state(g, 2, seed=0, k_filter=3.0), 1)
     b = partial_trace(random_state(g, 2, seed=1, k_filter=3.0), 1)
     diff = MarginalDensity(g, 1, a.kernel - b.kernel)
-    ref = float(np.sum(np.abs(np.linalg.eigvalsh(diff.matrix()))))
+    ref = float(np.sum(np.linalg.svd(diff.matrix(), compute_uv=False)))
     assert trace_distance(a, b) == pytest.approx(ref, rel=1e-12)
+
+
+def test_trace_norm_rejects_non_hermitian_kernel():
+    g = Grid1D(8, 4.0)
+    gamma = partial_trace(random_state(g, 2, seed=0, k_filter=3.0), 1)
+    skewed = gamma.kernel.copy()
+    skewed[0, 1] += 1e-9 * np.max(np.abs(skewed))
+    with pytest.raises(MarginalError, match="Hermitian"):
+        trace_norm(MarginalDensity(g, 1, skewed))
+    nan_kernel = gamma.kernel.copy()
+    nan_kernel[2, 3] = np.nan
+    with pytest.raises(MarginalError, match="Hermitian"):
+        trace_norm(MarginalDensity(g, 1, nan_kernel))
+    # rounding-level asymmetry of a true density is accepted
+    assert trace_norm(gamma) == pytest.approx(1.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from boselab.grid import Grid1D, GridError, TensorState, random_state, symmetry_residual
@@ -58,14 +59,18 @@ def test_suggest_dt_scaling():
 
 
 def test_apply_hamiltonian_matches_dense():
-    g = Grid1D(16, 4.0)
-    system = NBodySystem(g, 2, potential=gaussian_well(1.0, 1.0), omega=0.5)
-    state = random_state(g, 2, omega=0.5, seed=1, k_filter=3.0)
-    fast = apply_hamiltonian(system, state.amplitudes)
-    h = dense_hamiltonian(system)
-    assert np.max(np.abs(h - h.conj().T)) < 1e-12
-    ref = (h @ state.amplitudes.reshape(-1)).reshape(16, 16)
-    assert np.max(np.abs(fast - ref)) < 1e-12
+    # n = 8 at N = 3 keeps the dense matrix at 512^2
+    for nn, n in ((1, 16), (2, 16), (3, 8)):
+        g = Grid1D(n, 4.0)
+        for omega in (0.0, 0.5):
+            system = NBodySystem(g, nn, potential=gaussian_well(1.0, 1.0),
+                                 omega=omega)
+            state = random_state(g, nn, omega=omega, seed=1, k_filter=3.0)
+            fast = apply_hamiltonian(system, state.amplitudes)
+            h = dense_hamiltonian(system)
+            assert np.max(np.abs(h - h.conj().T)) < 1e-12
+            ref = (h @ state.amplitudes.reshape(-1)).reshape((n,) * nn)
+            assert np.max(np.abs(fast - ref)) < 1e-12, (nn, omega)
 
 
 def test_energy_expectation_and_moments():
@@ -142,6 +147,69 @@ def test_evolve_conservation_and_symmetry():
     assert traj.store_dt == pytest.approx(0.02)
     assert np.allclose(np.diff(traj.times), 0.02)
     assert len(traj.states) == len(traj.times) == 11
+
+
+def _per_axis_strang(system, psi, dt, n_steps):
+    """Reference loop: numpy FFTs and the kinetic phase axis by axis."""
+    half = np.exp(-0.5j * dt * system.potential_diagonal())
+    kin = np.exp(-1j * dt * system.kinetic_symbol())
+    nn, n = system.n_particles, system.grid.n
+    for _ in range(n_steps):
+        psi = np.fft.fftn(half * psi)
+        for ax in range(nn):
+            shape = [1] * nn
+            shape[ax] = n
+            psi = psi * kin.reshape(shape)
+        psi = half * np.fft.ifftn(psi)
+    return psi
+
+
+@settings(max_examples=30, deadline=None)
+@given(nn=st.sampled_from([1, 2, 3]), n=st.sampled_from([8, 16]),
+       omega=st.sampled_from([0.0, 1.0]), interacting=st.booleans(),
+       dt=st.floats(1e-4, 2e-2), seed=st.integers(0, 2 ** 16))
+def test_in_place_step_matches_per_axis_reference(nn, n, omega, interacting,
+                                                  dt, seed):
+    g = Grid1D(n, 4.0)
+    system = NBodySystem(g, nn, omega=omega,
+                         potential=gaussian_well(1.0, 1.0) if interacting
+                         else None)
+    state = random_state(g, nn, omega=omega, seed=seed, k_filter=3.0)
+    traj = evolve(system, state, dt, 6, store_every=6)
+    ref = _per_axis_strang(system, state.amplitudes, dt, 6)
+    got = traj.states[-1].amplitudes
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert abs(traj.states[-1].norm() - state.norm()) < 1e-12
+    assert traj.max_norm_drift() < 1e-12
+
+
+def test_stored_snapshots_do_not_alias_the_buffer():
+    g = Grid1D(16, 4.0)
+    system = NBodySystem(g, 2, potential=gaussian_well(), omega=1.0)
+    state = random_state(g, 2, omega=1.0, seed=2, k_filter=3.0)
+    traj = evolve(system, state, 1e-3, 6, store_every=1)
+    amps = [s.amplitudes for s in traj.states] + [state.amplitudes]
+    for i in range(len(amps)):
+        for j in range(i + 1, len(amps)):
+            assert not np.shares_memory(amps[i], amps[j])
+    fresh = evolve(system, state, 1e-3, 3, store_every=3)
+    np.testing.assert_array_equal(traj.states[3].amplitudes,
+                                  fresh.states[-1].amplitudes)
+
+
+def test_norm_drift_covers_unstored_steps():
+    g = Grid1D(16, 4.0)
+    system = NBodySystem(g, 3, potential=mixed_sign(1.0, 1.0, r=0.25),
+                         omega=1.0)
+    state = random_state(g, 3, omega=1.0, seed=4, k_filter=3.0)
+    # the rounding drift grows with the step count, so its largest value
+    # falls in steps 51..99, none of which the sparse run stores
+    sparse = evolve(system, state, 1e-3, 99, store_every=50)
+    dense = evolve(system, state, 1e-3, 99, store_every=1)
+    assert sparse.norms.size == 2
+    assert sparse.max_norm_drift() == dense.max_norm_drift()
+    assert dense.max_norm_drift() == float(
+        np.max(np.abs(dense.norms - dense.norms[0])))
 
 
 def test_evolve_validation_and_abort():
