@@ -217,6 +217,18 @@ def _normalize_axes(axes, ndim: int):
     return axes
 
 
+def symmetrize_leading(amplitudes: np.ndarray, k: int) -> np.ndarray:
+    """Average of a tensor over the k! permutations of its first k axes."""
+    rest = tuple(range(k, amplitudes.ndim))
+    perms = itertools.permutations(range(k))
+    next(perms)  # the identity
+    acc = amplitudes.copy()
+    for perm in perms:
+        acc += np.transpose(amplitudes, perm + rest)
+    acc /= math.factorial(k)
+    return acc
+
+
 def symmetrize(state: TensorState, renormalize: bool = True, tol: float = 1e-12) -> TensorState:
     """Project onto the bosonic (permutation-symmetric) sector.
 
@@ -227,12 +239,8 @@ def symmetrize(state: TensorState, renormalize: bool = True, tol: float = 1e-12)
     ndim = state.n_particles
     if ndim == 1:
         return state.copy() if not renormalize else state.normalized()
-    acc = np.zeros_like(state.amplitudes)
-    count = 0
-    for perm in itertools.permutations(range(ndim)):
-        acc += np.transpose(state.amplitudes, perm)
-        count += 1
-    out = TensorState(state.grid, acc / count, state.omega)
+    out = TensorState(state.grid, symmetrize_leading(state.amplitudes, ndim),
+                      state.omega)
     if not renormalize:
         return out
     nrm = out.norm()

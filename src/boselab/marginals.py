@@ -11,6 +11,12 @@ matrix h^k * kernel is the object whose plain trace is 1 and whose
 eigenvalues are occupation probabilities.  Hermiticity and positivity
 are structural (gamma = A A^dagger) and checked, not enforced.
 
+Chaos distances Tr|gamma^(k) - |phi><phi|^(tensor k)| of bosonic states
+are taken on the symmetric subspace Sym^k, of dimension C(n+k-1, k)
+(528 against n^2 = 1024 at n = 32, k = 2): both operators vanish off it,
+so their difference has the same nonzero spectrum there.  A state that
+is not symmetric in its first k particles to SECTOR_RTOL is rejected.
+
 The delta interaction of the limiting hierarchy is realized as diagonal
 pairing with weight 1/h, which is the convention under which the
 mollifier consistency test below converges as the mollifier width
@@ -19,25 +25,35 @@ shrinks (while staying above the grid resolution).
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid1D, GridError, TensorState, SobolevWeight, apply_symbol
+from .grid import (Grid1D, GridError, TensorState, SobolevWeight, apply_symbol,
+                   symmetrize_leading)
 
 
 class MarginalError(ValueError):
     """Raised for inconsistent marginal constructions or kernel sizes."""
 
 
-# Dense eigendecompositions of kernels (occupation spectra and the
-# Hermitian eigenvalue route of trace_norm) are capped at this matrix side.
+# Dense eigendecompositions (occupation spectra, and the Hermitian
+# eigenvalue route of trace_norm and chaos_distance) are capped at this
+# side of the matrix actually decomposed: n^k for a marginal, the sector
+# dimension C(n+k-1, k) for chaos_distance.
 KERNEL_SIDE_CAP = 4096
 
-# trace_norm reads one triangle of its input, so it rejects kernels whose
-# anti-Hermitian part exceeds this share of the largest entry.
+# The Hermitian eigensolver reads one triangle of its input, so kernels
+# whose anti-Hermitian part exceeds this share of the largest entry of the
+# operands they were formed from are rejected.
 HERMITIAN_RTOL = 1e-12
+
+# chaos_distance rejects states with ||psi - S_k psi|| / ||psi|| above this,
+# S_k the symmetrizer of the first k particles.
+SECTOR_RTOL = 1e-12
 
 
 @dataclass
@@ -70,20 +86,12 @@ class MarginalDensity:
         return self.weight * complex(np.trace(self.kernel))
 
     def hermiticity_defect(self) -> float:
-        """max |kernel - kernel^dagger|; NaN if the kernel holds NaN.
-
-        Taken over blocks of rows so that the transposed reads stay in
-        cache; one full conjugate transpose costs more than the rest.
-        """
-        kern = self.kernel
-        block = 64
-        return float(np.max([
-            np.max(np.abs(kern[i:i + block] - kern[:, i:i + block].conj().T))
-            for i in range(0, kern.shape[0], block)]))
+        """max |kernel - kernel^dagger|; NaN if the kernel holds NaN."""
+        return _hermiticity_defect(self.kernel)
 
     def eigenvalues(self) -> np.ndarray:
         """Occupation spectrum, ascending (Hermitian part of the kernel)."""
-        self._check_side()
+        _check_side(self.kernel.shape[0])
         return np.linalg.eigvalsh(self.matrix())
 
     def tensor(self) -> np.ndarray:
@@ -103,11 +111,46 @@ class MarginalDensity:
         side = self.grid.n ** target_k
         return MarginalDensity(self.grid, target_k, out.reshape(side, side), self.omega)
 
-    def _check_side(self):
-        if self.kernel.shape[0] > KERNEL_SIDE_CAP:
-            raise MarginalError(
-                f"dense spectral operation beyond kernel cap {KERNEL_SIDE_CAP}"
-            )
+
+def _check_side(side: int):
+    if side > KERNEL_SIDE_CAP:
+        raise MarginalError(
+            f"dense spectral operation of side {side} beyond kernel cap "
+            f"{KERNEL_SIDE_CAP}")
+
+
+def _hermiticity_defect(kern: np.ndarray) -> float:
+    """max |kern - kern^dagger|; NaN if kern holds NaN.
+
+    Taken over blocks of rows so that the transposed reads stay in cache;
+    one full conjugate transpose costs more than the rest.
+    """
+    block = 64
+    return float(np.max([
+        np.max(np.abs(kern[i:i + block] - kern[:, i:i + block].conj().T))
+        for i in range(0, kern.shape[0], block)]))
+
+
+def _hermitian_trace_norm(kern: np.ndarray, weight: float,
+                          scale: float | None = None) -> float:
+    """weight * sum |eigvalsh(kern)|, behind the side cap and Hermitian guard.
+
+    The solver reads one triangle only, so a kernel whose anti-Hermitian
+    part exceeds HERMITIAN_RTOL * scale (or that holds NaN) is rejected.
+    scale is the largest entry of the operands kern was formed from; the
+    default is kern's own.  A difference of two densities passes theirs,
+    since its rounding follows the operands, not the (possibly tiny)
+    difference.
+    """
+    _check_side(kern.shape[0])
+    defect = _hermiticity_defect(kern)
+    if scale is None:
+        scale = float(np.max(np.abs(kern)))
+    if not defect <= HERMITIAN_RTOL * scale:
+        raise MarginalError(
+            f"trace norm needs a Hermitian kernel; anti-Hermitian part "
+            f"{defect:.3e} against largest entry {scale:.3e}")
+    return weight * float(np.sum(np.abs(np.linalg.eigvalsh(kern))))
 
 
 def partial_trace(state: TensorState, k: int) -> MarginalDensity:
@@ -124,6 +167,12 @@ def partial_trace(state: TensorState, k: int) -> MarginalDensity:
 def product_projector(grid: Grid1D, phi: np.ndarray, k: int,
                       omega: float = 0.0) -> MarginalDensity:
     """Kernel of |phi><phi|^(tensor k) for a unit-norm one-particle phi."""
+    vec = _product_vector(grid, phi, k)
+    return MarginalDensity(grid, k, np.multiply.outer(vec, vec.conj()), omega)
+
+
+def _product_vector(grid: Grid1D, phi: np.ndarray, k: int) -> np.ndarray:
+    """phi^(tensor k) flattened to length n^k, for a unit-norm grid orbital."""
     phi = np.asarray(phi, dtype=np.complex128)
     if phi.shape != (grid.n,):
         raise MarginalError("phi must be a one-particle grid function")
@@ -133,8 +182,7 @@ def product_projector(grid: Grid1D, phi: np.ndarray, k: int,
     vec = phi
     for _ in range(k - 1):
         vec = np.multiply.outer(vec, phi)
-    vec = vec.reshape(-1)
-    return MarginalDensity(grid, k, np.multiply.outer(vec, vec.conj()), omega)
+    return vec.reshape(-1)
 
 
 def trace_norm(marginal: MarginalDensity) -> float:
@@ -145,29 +193,72 @@ def trace_norm(marginal: MarginalDensity) -> float:
     applies.  It reads one triangle only, so a kernel that is not Hermitian
     to HERMITIAN_RTOL of its largest entry (or holds NaN) is rejected.
     """
-    marginal._check_side()
-    defect = marginal.hermiticity_defect()
-    scale = float(np.max(np.abs(marginal.kernel)))
-    if not defect <= HERMITIAN_RTOL * scale:
-        raise MarginalError(
-            f"trace_norm needs a Hermitian kernel; anti-Hermitian part "
-            f"{defect:.3e} against largest entry {scale:.3e}")
-    evals = np.linalg.eigvalsh(marginal.kernel)
-    return marginal.weight * float(np.sum(np.abs(evals)))
+    return _hermitian_trace_norm(marginal.kernel, marginal.weight)
 
 
 def trace_distance(a: MarginalDensity, b: MarginalDensity) -> float:
+    """Tr|a - b| of two marginals on the same grid and particle count."""
     if a.k != b.k or a.grid != b.grid:
         raise MarginalError("marginals are not comparable")
-    diff = MarginalDensity(a.grid, a.k, a.kernel - b.kernel, a.omega)
-    return trace_norm(diff)
+    scale = max(float(np.max(np.abs(a.kernel))),
+                float(np.max(np.abs(b.kernel))))
+    return _hermitian_trace_norm(a.kernel - b.kernel, a.weight, scale)
+
+
+def _sector_basis(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted multi-indices i_1 <= ... <= i_k of Sym^k on n sites.
+
+    Returns their flat indices into C^(n^k) and sqrt(multiplicity), the
+    multiplicity being the number of distinct orderings of the index.
+    For a symmetric vector v the sector coordinates sqrt(mult) * v[flat]
+    are those in the orthonormal basis of normalized orbit sums.
+    """
+    idx = np.array(list(itertools.combinations_with_replacement(range(n), k)),
+                   dtype=np.intp)
+    flat = np.ravel_multi_index(idx.T, (n,) * k)
+    mult = [math.factorial(k) // math.prod(map(math.factorial,
+                                                Counter(row).values()))
+            for row in idx.tolist()]
+    return flat, np.sqrt(np.asarray(mult, dtype=float))
 
 
 def chaos_distance(state: TensorState, k: int, phi: np.ndarray) -> float:
-    """Tr | gamma^(k) - |phi><phi|^k |, the k-particle chaos defect."""
-    gam = partial_trace(state, k)
-    proj = product_projector(state.grid, phi, k, state.omega)
-    return trace_distance(gam, proj)
+    """Tr | gamma^(k) - |phi><phi|^k |, the k-particle chaos defect.
+
+    Evaluated on the symmetric sector Sym^k of dimension C(n+k-1, k): the
+    columns of the amplitude matrix (first k axes by the rest) and
+    phi^(tensor k) are mapped to sector coordinates, and the trace norm is
+    h^k * sum |eigvalsh| of h^(N-k) A A^dagger - v v^dagger on that side.
+    This equals the trace distance of partial_trace(state, k) to
+    product_projector(phi, k) whenever the state is symmetric in its first
+    k particles, so a state with ||psi - S_k psi|| / ||psi|| above
+    SECTOR_RTOL (or holding NaN) raises MarginalError.  At k = 1 the
+    sector is the whole one-particle space and every state is accepted.
+    """
+    n_particles = state.n_particles
+    if not 1 <= k <= n_particles:
+        raise MarginalError(f"k={k} out of range for N={n_particles}")
+    grid = state.grid
+    n, h = grid.n, grid.h
+    _check_side(math.comb(n + k - 1, k))
+    vec = _product_vector(grid, phi, k)
+    amps = state.amplitudes
+    coords = amps.reshape(n ** k, -1)
+    if k > 1:  # at k = 1 the sector map is the identity
+        sym = symmetrize_leading(amps, k)
+        defect = float(np.linalg.norm(amps - sym) / np.linalg.norm(amps))
+        if not defect <= SECTOR_RTOL:
+            raise MarginalError(
+                f"state is off the bosonic sector of its first {k} particles: "
+                f"||psi - S_k psi|| / ||psi|| = {defect:.3e} > {SECTOR_RTOL}")
+        flat, root_mult = _sector_basis(n, k)
+        coords = sym.reshape(n ** k, -1)[flat]
+        coords *= root_mult[:, None]
+        vec = vec[flat] * root_mult
+    kern = (coords @ coords.conj().T) * h ** (n_particles - k)
+    scale = max(float(np.max(np.abs(kern))), float(np.max(np.abs(vec))) ** 2)
+    kern -= np.multiply.outer(vec, vec.conj())
+    return _hermitian_trace_norm(kern, h ** k, scale)
 
 
 def weighted_trace(marginal: MarginalDensity, kind: str = "S") -> float:

@@ -116,10 +116,24 @@ def apply_hamiltonian(system: NBodySystem, amplitudes: np.ndarray,
 
 def energy_expectation(system: NBodySystem, state: TensorState,
                        potential_diag: np.ndarray | None = None) -> float:
-    """<psi, H_N psi> with the h^N quadrature weight (real by Hermiticity)."""
-    h_psi = apply_hamiltonian(system, state.amplitudes, potential_diag)
-    w = system.grid.h ** state.n_particles
-    return float((w * np.vdot(state.amplitudes, h_psi)).real)
+    """<psi, H_N psi> with the h^N quadrature weight.
+
+    The kinetic part is Parseval's sum (h^N / n^N) sum_j sum_m T(k_m)
+    rho_j(m), rho_j the marginal of |psi_hat|^2 on axis j, from one
+    forward transform: no inverse transform and no (n,)^N symbol.  The
+    potential part is h^N sum V |psi|^2.
+    """
+    if potential_diag is None:
+        potential_diag = system.potential_diagonal()
+    amps = state.amplitudes
+    nn = state.n_particles
+    spec = np.abs(scipy.fft.fftn(amps)) ** 2
+    symbol = system.kinetic_symbol()
+    axes = range(nn)
+    kin = sum(symbol @ spec.sum(axis=tuple(o for o in axes if o != ax))
+              for ax in axes) / amps.size
+    pot = np.vdot(np.abs(amps) ** 2, potential_diag)
+    return float(np.real(system.grid.h ** nn * (kin + pot)))
 
 
 def energy_moment(system: NBodySystem, state: TensorState, k: int = 1) -> float:

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import boselab.marginals as marginals
-from boselab.grid import Grid1D, TensorState, random_state, weighted_norm_squared
+from boselab.grid import (Grid1D, TensorState, random_state, symmetrize,
+                          weighted_norm_squared)
 from boselab.marginals import (
     MarginalDensity,
     MarginalError,
@@ -24,6 +26,25 @@ from boselab.marginals import (
 def unit_gaussian(grid, width=1.0, center=0.0):
     phi = np.exp(-((grid.x - center) / width) ** 2 / 2).astype(np.complex128)
     return phi / math.sqrt(grid.h * float(np.sum(np.abs(phi) ** 2)))
+
+
+def random_orbital(grid, rng):
+    phi = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+    return phi / math.sqrt(grid.h * float(np.sum(np.abs(phi) ** 2)))
+
+
+def product_tensor(phi, n_particles):
+    out = phi
+    for _ in range(n_particles - 1):
+        out = np.multiply.outer(out, phi)
+    return out
+
+
+def blended_boson_state(grid, n_particles, phi, blend, seed):
+    """Symmetrized phi^N + blend * (random state): near and far from chaos."""
+    noise = random_state(grid, n_particles, seed=seed).amplitudes
+    return symmetrize(TensorState(
+        grid, product_tensor(phi, n_particles) + blend * noise))
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -121,6 +142,19 @@ def test_trace_distance_requires_matching_length():
         trace_distance(a, b)
 
 
+def test_trace_distance_of_densities_equal_to_rounding():
+    # the symmetrized product differs from phi x phi by rounding only; the
+    # Hermitian guard must weigh that against the densities, not against
+    # their rounding-sized difference
+    g = Grid1D(8, 4.0)
+    phi = random_orbital(g, np.random.default_rng(0))
+    state = symmetrize(TensorState(g, np.multiply.outer(phi, phi)))
+    for k in (1, 2):
+        dist = trace_distance(partial_trace(state, k),
+                              product_projector(g, phi, k))
+        assert dist <= 1e-13
+
+
 def test_weighted_trace_equals_state_expectation():
     # Tr(W^2 gamma^(1)) = <psi, W_1^2 psi>: two routes through different code
     g = Grid1D(16, 4.0)
@@ -168,6 +202,85 @@ def test_dense_spectral_cap_guards_eigendecompositions(monkeypatch):
         gam.eigenvalues()
     with pytest.raises(MarginalError, match="cap"):
         trace_norm(gam)
+
+
+# (N, n, k) with an oracle kernel side n^k <= 512; the k = N cases at side
+# 4096 have their own closed-form test below
+SECTOR_CASES = [(nn, n, k) for nn, n in ((2, 8), (2, 16), (3, 8), (3, 16),
+                                         (4, 8))
+                for k in range(1, nn + 1) if n ** k <= 512]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(SECTOR_CASES), blend=st.sampled_from(
+    [0.0, 1e-3, 0.3, 10.0]), seed=st.integers(0, 2 ** 16))
+def test_chaos_distance_matches_full_space_oracle(case, blend, seed):
+    nn, n, k = case
+    g = Grid1D(n, 4.0)
+    rng = np.random.default_rng(seed)
+    phi = random_orbital(g, rng)
+    state = blended_boson_state(g, nn, random_orbital(g, rng), blend, seed)
+    ref = trace_distance(partial_trace(state, k),
+                         product_projector(g, phi, k))
+    assert chaos_distance(state, k, phi) == pytest.approx(ref, rel=1e-12,
+                                                          abs=1e-13)
+    # the product state of phi itself: the distance vanishes
+    same = blended_boson_state(g, nn, phi, 0.0, seed)
+    assert chaos_distance(same, k, phi) <= 1e-13
+
+
+@pytest.mark.parametrize("nn, n", [(2, 8), (2, 16), (3, 8), (3, 16), (4, 8)])
+def test_chaos_distance_of_all_particles_is_pure_state_distance(nn, n):
+    # k = N compares two pure states: Tr| |psi><psi| - |v><v| | equals
+    # 2 sqrt(1 - |<psi, v>|^2) for unit vectors
+    g = Grid1D(n, 4.0)
+    rng = np.random.default_rng(nn * n)
+    phi = random_orbital(g, rng)
+    state = blended_boson_state(g, nn, phi, 0.5, seed=nn)
+    overlap = abs(TensorState(g, product_tensor(phi, nn)).inner(state))
+    ref = 2.0 * math.sqrt(1.0 - overlap ** 2)
+    assert chaos_distance(state, nn, phi) == pytest.approx(ref, rel=1e-12)
+
+
+def test_chaos_distance_rejects_states_off_the_bosonic_sector():
+    g = Grid1D(8, 4.0)
+    phi = unit_gaussian(g)
+    state = random_state(g, 3, seed=4, k_filter=3.0, symmetric=False)
+    for k in (2, 3):
+        with pytest.raises(MarginalError, match="bosonic sector"):
+            chaos_distance(state, k, phi)
+    # every state is symmetric in one particle: k = 1 still evaluates
+    ref = trace_distance(partial_trace(state, 1), product_projector(g, phi, 1))
+    assert chaos_distance(state, 1, phi) == pytest.approx(ref, rel=1e-12)
+    # a symmetry defect just above the tolerance is caught
+    boson = random_state(g, 3, seed=4, k_filter=3.0, symmetric=True)
+    nudged = boson.amplitudes.copy()
+    nudged[0, 1, 2] += 1e-11 * np.linalg.norm(nudged)
+    with pytest.raises(MarginalError, match="bosonic sector"):
+        chaos_distance(TensorState(g, nudged), 2, phi)
+    # NaN fails every comparison: both guards must still fail closed
+    nudged[0, 1, 2] = np.nan
+    for k in (1, 2):
+        with pytest.raises(MarginalError):
+            chaos_distance(TensorState(g, nudged), k, phi)
+    with pytest.raises(MarginalError, match="out of range"):
+        chaos_distance(boson, 4, phi)
+    with pytest.raises(MarginalError, match="normalized"):
+        chaos_distance(boson, 1, 2.0 * phi)
+
+
+def test_kernel_cap_applies_to_the_sector_side(monkeypatch):
+    # n = 16, k = 2: the sector side is 136, the full side n^2 = 256
+    g = Grid1D(16, 4.0)
+    state = random_state(g, 2, seed=0, k_filter=3.0, symmetric=True)
+    phi = unit_gaussian(g)
+    monkeypatch.setattr(marginals, "KERNEL_SIDE_CAP", 200)
+    assert 0.0 <= chaos_distance(state, 2, phi) <= 2.0
+    with pytest.raises(MarginalError, match="cap"):
+        trace_norm(partial_trace(state, 2))
+    monkeypatch.setattr(marginals, "KERNEL_SIDE_CAP", 100)
+    with pytest.raises(MarginalError, match="cap"):
+        chaos_distance(state, 2, phi)
 
 
 def test_delta_pairing_diagonal_has_unit_mass_rows():

@@ -74,14 +74,24 @@ def test_apply_hamiltonian_matches_dense():
 
 
 def test_energy_expectation_and_moments():
-    g = Grid1D(16, 4.0)
-    system = NBodySystem(g, 2, potential=gaussian_well(1.0, 1.0), omega=0.5)
-    state = random_state(g, 2, omega=0.5, seed=1, k_filter=3.0)
-    e = energy_expectation(system, state)
-    assert isinstance(e, float)
-    assert energy_moment(system, state, 1) == pytest.approx(e, rel=1e-12)
-    # second moment dominates the squared first moment
-    assert energy_moment(system, state, 2) >= e ** 2
+    # the Parseval route against <psi, H psi> through the matrix-free H
+    for nn, n in ((1, 16), (2, 16), (3, 8)):
+        g = Grid1D(n, 4.0)
+        for omega in (0.0, 0.5):
+            system = NBodySystem(g, nn, potential=gaussian_well(1.0, 1.0),
+                                 omega=omega)
+            state = random_state(g, nn, omega=omega, seed=1, k_filter=3.0)
+            e = energy_expectation(system, state)
+            assert isinstance(e, float)
+            ref = g.h ** nn * np.vdot(
+                state.amplitudes, apply_hamiltonian(system, state.amplitudes))
+            assert e == pytest.approx(ref.real, rel=1e-12), (nn, omega)
+            assert e == energy_expectation(system, state,
+                                           system.potential_diagonal())
+            assert energy_moment(system, state, 1) == pytest.approx(
+                e, rel=1e-12)
+            # second moment dominates the squared first moment
+            assert energy_moment(system, state, 2) >= e ** 2
 
 
 def test_dense_hamiltonian_dimension_cap():
@@ -147,6 +157,26 @@ def test_evolve_conservation_and_symmetry():
     assert traj.store_dt == pytest.approx(0.02)
     assert np.allclose(np.diff(traj.times), 0.02)
     assert len(traj.states) == len(traj.times) == 11
+
+
+@settings(max_examples=30, deadline=None)
+@given(nn=st.sampled_from([2, 3]), n=st.sampled_from([8, 16]),
+       omega=st.sampled_from([0.0, 1.0]), interacting=st.booleans(),
+       dt=st.floats(1e-4, 2e-2), seed=st.integers(0, 2 ** 16))
+def test_evolution_keeps_bosonic_symmetry(nn, n, omega, interacting, dt,
+                                          seed):
+    # the chaos distance rejects states off the bosonic sector at 1e-12;
+    # propagation must keep symmetric data symmetric to rounding
+    g = Grid1D(n, 4.0)
+    system = NBodySystem(g, nn, omega=omega,
+                         potential=gaussian_well(1.0, 1.0) if interacting
+                         else None)
+    state = random_state(g, nn, omega=omega, seed=seed, k_filter=3.0,
+                         symmetric=True)
+    traj = evolve(system, state, dt, 100, store_every=20)
+    for snap in traj.states:
+        amps = snap.amplitudes
+        assert symmetry_residual(snap) <= 1e-13 * np.max(np.abs(amps))
 
 
 def _per_axis_strang(system, psi, dt, n_steps):
