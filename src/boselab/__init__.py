@@ -109,18 +109,8 @@ _EXPORTS = {
     "optimality_scan": "collapse",
     "theta_hat_quadrature": "collapse",
     "trace_lemma_check": "collapse",
-    # persistence
+    # output conventions
     "CONVENTIONS": "containers",
-    "ContainerError": "containers",
-    "export_eigenvalue_csv": "containers",
-    "load_marginal": "containers",
-    "load_state": "containers",
-    "load_trajectory": "containers",
-    "read_container": "containers",
-    "save_marginal": "containers",
-    "save_state": "containers",
-    "save_trajectory": "containers",
-    "write_container": "containers",
 }
 
 __all__ = ["__version__", *sorted(_EXPORTS)]

@@ -11,17 +11,26 @@ Subcommands map one-to-one onto the experiment kinds:
     bbgky          hierarchy residual order check
     nls-validate   one-particle solver validation
 
+Each experiment runs an ordered tuple of check functions (``_RUNNERS``),
+each behind one or more paper statements, e.g. ``energy_estimate`` or
+``collapse_modulation``.  Every check function has the signature
+``(cfg, out, report_hash) -> list[dict]`` and writes its own CSVs;
+``run_experiment`` concatenates their check dicts into ``summary.json``.
+The acceptance tests call the same functions, so each threshold and each
+input is defined once, here.
+
 Configs are JSON validated against CONFIG_SCHEMA; every output file
 embeds the config hash, the sign/direction conventions, and the package
 version, and identical config + seed gives byte-identical outputs.
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 config
-error, 3 numerical abort during propagation.
+error, 3 numerical abort (a non-finite value during propagation or in a
+check).
 
 Flags may also come from environment variables with the BOSELAB_ prefix
 (BOSELAB_CONFIG, BOSELAB_OUT, BOSELAB_SEED, BOSELAB_THREADS); explicit
 flags win.  --threads pins the BLAS/OpenMP pool sizes and must be set
 before heavy imports, which is why the numerical modules are imported
-lazily inside the runners.
+lazily inside the check functions.
 """
 
 from __future__ import annotations
@@ -134,7 +143,7 @@ DEFAULTS = {
     },
     "lens_suite": {
         "n": 256, "length": 12.0, "omega": 1.0, "t_run": 0.4,
-        "dt": 2e-4, "seed": 0,
+        "dt": 1e-3, "seed": 0,
     },
     "bbgky_residual": {
         "n": 16, "length": 8.0, "n_particles": [3], "omega": 0.0,
@@ -212,6 +221,18 @@ def validate_config(cfg: dict) -> dict:
                 raise ConfigError(
                     f"{key}: dt {dt} violates the splitting stability budget "
                     f"N^beta * |V|_inf * dt <= 0.1 (got {budget:.3g})")
+        times = merged.get("times")
+        if times is not None:
+            if len(times) < 2 or abs(times[0]) > 1e-15:
+                raise ConfigError(
+                    "times: need t = 0 plus at least one output time")
+            spacing = times[1] - times[0]
+            stride = int(round(spacing / dt))
+            uniform = all(abs(b - a - spacing) < 1e-12
+                          for a, b in zip(times, times[1:]))
+            if not uniform or stride < 1 or abs(stride * dt - spacing) > 1e-12:
+                raise ConfigError("times: must be uniformly spaced multiples "
+                                  "of dt starting at 0")
     return merged
 
 
@@ -261,21 +282,33 @@ def _gaussian_orbital(grid):
     return phi / math.sqrt(grid.h * float(np.sum(np.abs(phi) ** 2)))
 
 
+def _finite(name: str, values: list) -> list:
+    """The values of a list-valued check, unchanged if all are finite.
+
+    ``max`` and ``min`` skip a NaN that is not the first element, so a
+    check built on them would pass on it; a non-finite element aborts
+    the run instead (exit code 3).
+    """
+    if not all(math.isfinite(v) for v in values):
+        from .nbody import NumericalAbort
+
+        raise NumericalAbort(f"{name}: non-finite element in {values}")
+    return values
+
+
 # ----------------------------------------------------------------------
-# runners
+# check functions (see the module docstring)
 
 
-def run_convergence(cfg: dict, out: Path, report_hash: str) -> list[dict]:
-    """Mean-field convergence of the k-particle reduced densities.
+def _convergence_block(cfg: dict, out: Path, report_hash: str, tag: str,
+                       key: str):
+    """Chaos distances of one pair potential against the cubic NLS.
 
     Factorized initial data evolves under the N-body flow; the reference
     orbital evolves under the focusing cubic equation with the matched
-    coupling b0.  The trace distance to the k-fold product is tabulated
-    over time and particle number for k = 1, 2, for the attractive well
-    and for the zero-mean control (where the mean field vanishes).
+    coupling b0.  Writes the k = 1, 2 tables over time and particle
+    number; returns the t = 0 check and the final k = 1, 2 distances.
     """
-    import numpy as np
-
     from .grid import Grid1D
     from .marginals import chaos_distance
     from .nbody import NBodySystem, evolve
@@ -284,92 +317,88 @@ def run_convergence(cfg: dict, out: Path, report_hash: str) -> list[dict]:
 
     grid = Grid1D(cfg["n"], cfg["length"])
     phi0 = _gaussian_orbital(grid)
-    times = cfg["times"]
-    dt = cfg["dt"]
-    if len(times) < 2 or abs(times[0]) > 1e-15:
-        raise ConfigError("times: need t = 0 plus at least one output time")
-    spacing = times[1] - times[0]
-    stride = int(round(spacing / dt))
-    uniform = all(abs(times[i + 1] - times[i] - spacing) < 1e-12
-                  for i in range(len(times) - 1))
-    if not uniform or stride < 1 or abs(stride * dt - spacing) > 1e-12:
-        raise ConfigError("times: must be uniformly spaced multiples of dt "
-                          "starting at 0")
+    times, dt = cfg["times"], cfg["dt"]
+    stride = int(round((times[1] - times[0]) / dt))
     n_steps = stride * (len(times) - 1)
-
-    checks = []
-    for tag, key in (("mean_field", "potential"), ("control",
-                                                   "control_potential")):
-        spec = cfg.get(key)
-        if spec is None:
-            continue
-        pot = PotentialSpec(**spec)
-        problem = NLSProblem(grid, b0=pot.b0(), omega=cfg["omega"])
-        nls = evolve_nls(problem, phi0, dt, n_steps, store_every=stride)
-        tables = {k: [] for k in (1, 2)}
-        for nn in cfg["n_particles"]:
-            system = NBodySystem(grid, nn, potential=pot, omega=cfg["omega"])
-            traj = evolve(system, _product_state(grid, phi0, nn), dt,
-                          n_steps, store_every=stride)
-            for k in (1, 2):
-                col = [chaos_distance(traj.states[i], k, nls.fields[i])
-                       for i in range(len(times))]
-                tables[k].append(col)
+    pot = PotentialSpec(**cfg[key])
+    problem = NLSProblem(grid, b0=pot.b0(), omega=cfg["omega"])
+    nls = evolve_nls(problem, phi0, dt, n_steps, store_every=stride)
+    tables = {k: [] for k in (1, 2)}
+    for nn in cfg["n_particles"]:
+        system = NBodySystem(grid, nn, potential=pot, omega=cfg["omega"])
+        traj = evolve(system, _product_state(grid, phi0, nn), dt, n_steps,
+                      store_every=stride)
         for k in (1, 2):
-            cols = ["t"] + [f"N={nn}" for nn in cfg["n_particles"]]
-            rows = [[times[i]] + [tables[k][j][i]
-                                  for j in range(len(cfg["n_particles"]))]
-                    for i in range(len(times))]
-            write_csv(out / f"chaos_distance_{tag}_k{k}.csv", cols, rows,
-                      report_hash)
-        t0_max = max(tables[k][j][0] for k in (1, 2)
-                     for j in range(len(cfg["n_particles"])))
-        final_k1 = [tables[1][j][-1] for j in range(len(cfg["n_particles"]))]
-        final_k2 = [tables[2][j][-1] for j in range(len(cfg["n_particles"]))]
-        checks.append({"name": f"{tag}_t0_factorized", "value": t0_max,
-                       "passed": bool(t0_max <= 1e-12)})
-        if tag == "mean_field":
-            decreasing = all(final_k1[i + 1] < final_k1[i]
-                             for i in range(len(final_k1) - 1))
-            checks.append({"name": "mean_field_k1_decreasing_in_N",
-                           "values": final_k1, "passed": bool(decreasing)})
-            checks.append({"name": "mean_field_k2_final",
-                           "values": final_k2, "passed": None})
-        else:
-            spread = max(final_k1) / max(min(final_k1), 1e-300)
-            checks.append({"name": "control_small_and_stable",
-                           "values": final_k1,
-                           "passed": bool(max(final_k1) <= 0.1
-                                          and spread <= 2.0)})
-    return checks
+            col = [chaos_distance(traj.states[i], k, nls.fields[i])
+                   for i in range(len(times))]
+            tables[k].append(_finite(f"chaos_distance_{tag}_k{k}", col))
+    for k in (1, 2):
+        cols = ["t"] + [f"N={nn}" for nn in cfg["n_particles"]]
+        rows = [[t] + [col[i] for col in tables[k]]
+                for i, t in enumerate(times)]
+        write_csv(out / f"chaos_distance_{tag}_k{k}.csv", cols, rows,
+                  report_hash)
+    t0_max = max(col[0] for k in (1, 2) for col in tables[k])
+    t0 = {"name": f"{tag}_t0_factorized", "value": t0_max,
+          "passed": bool(t0_max <= 1e-12)}
+    return t0, [col[-1] for col in tables[1]], [col[-1] for col in tables[2]]
 
 
-def run_energy(cfg: dict, out: Path, report_hash: str) -> list[dict]:
-    """Operator-inequality suite at desk scale."""
-    import numpy as np
+def convergence_mean_field(cfg: dict, out: Path,
+                           report_hash: str) -> list[dict]:
+    """Attractive well: the k = 1 distance at the last time falls with N."""
+    t0, final_k1, final_k2 = _convergence_block(cfg, out, report_hash,
+                                                "mean_field", "potential")
+    decreasing = all(b < a for a, b in zip(final_k1, final_k1[1:]))
+    return [t0,
+            {"name": "mean_field_k1_decreasing_in_N", "values": final_k1,
+             "passed": bool(decreasing)},
+            {"name": "mean_field_k2_final", "values": final_k2,
+             "passed": None}]
 
-    from .energy_checks import (check_K_inequality, check_decomposition_identity,
-                                check_energy_estimate, check_pair_positivity,
-                                check_sobolev_operator_bound)
+
+def convergence_control(cfg: dict, out: Path,
+                        report_hash: str) -> list[dict]:
+    """Zero-mean control, where the mean field vanishes: distances stay
+    small and flat in N."""
+    t0, final_k1, _ = _convergence_block(cfg, out, report_hash, "control",
+                                         "control_potential")
+    spread = max(final_k1) / max(min(final_k1), 1e-300)
+    return [t0,
+            {"name": "control_small_and_stable", "values": final_k1,
+             "passed": bool(max(final_k1) <= 0.1 and spread <= 2.0)}]
+
+
+def energy_decomposition(cfg: dict, out: Path,
+                         report_hash: str) -> list[dict]:
+    """Matrix-free two-body decomposition of H_N, both potentials, N = 2..4."""
+    from .energy_checks import check_decomposition_identity
     from .grid import Grid1D, random_state
     from .nbody import NBodySystem
     from .potentials import PotentialSpec
 
-    pot = PotentialSpec(**cfg["potential"])
-    control = PotentialSpec(**cfg["control_potential"])
-    seed = cfg["seed"]
-    checks = []
-
     small = Grid1D(16, cfg["length"])
-    worst = 0.0
-    for nn in (2, 3, 4):
-        system = NBodySystem(small, nn, potential=pot, omega=1.0)
-        state = random_state(small, nn, omega=1.0, seed=seed + nn,
-                             symmetric=True)
-        worst = max(worst, check_decomposition_identity(system, state))
-    checks.append({"name": "decomposition_identity_defect", "value": worst,
-                   "passed": bool(worst <= 1e-10)})
+    defects = []
+    for key in ("potential", "control_potential"):
+        pot = PotentialSpec(**cfg[key])
+        for nn in (2, 3, 4):
+            system = NBodySystem(small, nn, potential=pot, omega=1.0)
+            state = random_state(small, nn, omega=1.0, seed=cfg["seed"] + nn,
+                                 symmetric=True)
+            defects.append(check_decomposition_identity(system, state))
+    worst = max(_finite("decomposition_identity_defect", defects))
+    return [{"name": "decomposition_identity_defect", "value": worst,
+             "passed": bool(worst <= 1e-10)}]
 
+
+def energy_pair_positivity(cfg: dict, out: Path,
+                           report_hash: str) -> list[dict]:
+    """The two-particle block stays nonnegative at every trap frequency."""
+    from .energy_checks import check_pair_positivity
+    from .grid import Grid1D
+    from .potentials import PotentialSpec
+
+    pot = PotentialSpec(**cfg["potential"])
     pair_grid = Grid1D(cfg["n"], cfg["length"])
     rows = []
     pair_ok = True
@@ -379,56 +408,86 @@ def run_energy(cfg: dict, out: Path, report_hash: str) -> list[dict]:
         pair_ok = pair_ok and res["passes"]
     write_csv(out / "pair_positivity.csv",
               ["omega", "min_eigenvalue", "alpha"], rows, report_hash)
-    checks.append({"name": "pair_positivity_min_eigenvalue",
-                   "values": [r[1] for r in rows], "passed": bool(pair_ok)})
+    return [{"name": "pair_positivity_min_eigenvalue",
+             "values": [r[1] for r in rows], "passed": bool(pair_ok)}]
 
-    kres = check_K_inequality(pot, 8, pair_grid)
-    checks.append({"name": "K_inequality_min_eigenvalue",
-                   "value": kres["min_eigenvalue"],
-                   "passed": bool(kres["min_eigenvalue"] >= -1e-6)})
 
+def energy_K_inequality(cfg: dict, out: Path, report_hash: str) -> list[dict]:
+    """One-particle K operator bounded below at N = 8."""
+    from .energy_checks import check_K_inequality
+    from .grid import Grid1D
+    from .potentials import PotentialSpec
+
+    kres = check_K_inequality(PotentialSpec(**cfg["potential"]), 8,
+                              Grid1D(cfg["n"], cfg["length"]))
+    return [{"name": "K_inequality_min_eigenvalue",
+             "value": kres["min_eigenvalue"],
+             "passed": bool(kres["min_eigenvalue"] >= -1e-6)}]
+
+
+def energy_estimate(cfg: dict, out: Path, report_hash: str) -> list[dict]:
+    """Energy estimate on random low-pass bosonic draws: the k = 1 margin
+    is asserted nonnegative, the k = 2 margin reported."""
+    from .energy_checks import check_energy_estimate
+    from .grid import Grid1D, random_state
+    from .nbody import NBodySystem
+    from .potentials import PotentialSpec
+
+    pot = PotentialSpec(**cfg["potential"])
     est_grid = Grid1D(16, cfg["length"])
     margins = {1: [], 2: []}
     for nn in cfg["n_particles"]:
         system = NBodySystem(est_grid, nn, potential=pot, omega=1.0)
         for d in range(cfg["draws"]):
             state = random_state(est_grid, nn, omega=1.0,
-                                 seed=seed + 1000 * nn + d, symmetric=True,
-                                 k_filter=4.0)
+                                 seed=cfg["seed"] + 1000 * nn + d,
+                                 symmetric=True, k_filter=4.0)
             for k in (1, 2):
                 if k < nn:
                     res = check_energy_estimate(system, state, k)
                     margins[k].append(res["margin"])
+    for k, v in margins.items():
+        _finite(f"energy_estimate_k{k}_margin", v)
     write_csv(out / "energy_estimate_margins.csv",
               ["k", "min_margin", "n_draws"],
               [[k, min(v), len(v)] for k, v in margins.items() if v],
               report_hash)
     worst1 = min(margins[1])
-    checks.append({"name": "energy_estimate_k1_margin", "value": worst1,
-                   "passed": bool(worst1 >= -1e-8)})
+    checks = [{"name": "energy_estimate_k1_margin", "value": worst1,
+               "passed": bool(worst1 >= -1e-8)}]
     if margins[2]:
         checks.append({"name": "energy_estimate_k2_margin",
                        "value": min(margins[2]), "passed": None})
+    return checks
 
+
+def energy_smoothing(cfg: dict, out: Path, report_hash: str) -> list[dict]:
+    """The weighted pair interaction is bounded by its L1 norm, both
+    potentials, on 64 points."""
+    from .energy_checks import check_sobolev_operator_bound
+    from .grid import Grid1D
+    from .potentials import PotentialSpec
+
+    grid = Grid1D(64, cfg["length"])
     sig_rows = []
     sig_ok = True
-    for spec in (pot, control):
-        res = check_sobolev_operator_bound(spec, Grid1D(32, cfg["length"]))
+    for key in ("potential", "control_potential"):
+        spec = PotentialSpec(**cfg[key])
+        res = check_sobolev_operator_bound(spec, grid)
         sig_rows.append([spec.shape, res["sigma_max"], res["bound"]])
         sig_ok = sig_ok and res["passes"]
     write_csv(out / "smoothing_bound.csv", ["shape", "sigma_max", "l1_bound"],
               sig_rows, report_hash)
-    checks.append({"name": "smoothing_bound", "passed": bool(sig_ok),
-                   "values": [r[1] for r in sig_rows]})
-    return checks
+    return [{"name": "smoothing_bound", "passed": bool(sig_ok),
+             "values": [r[1] for r in sig_rows]}]
 
 
-def run_collapse(cfg: dict, out: Path, report_hash: str) -> list[dict]:
-    """Collapsing-estimate suite: dual integrals, families, optimality."""
+def collapse_sup_I(cfg: dict, out: Path, report_hash: str) -> list[dict]:
+    """Sup of the dual integral I(eta, xi1) over the scan grid, stable
+    under node doubling at its argmax."""
     import numpy as np
 
     from . import collapse as clp
-    from .grid import Grid1D
     from .nbody import NumericalAbort
 
     def finite_I(p, eta, x1):
@@ -438,7 +497,6 @@ def run_collapse(cfg: dict, out: Path, report_hash: str) -> list[dict]:
                                  f"({eta:g}, {x1:g}), refine {p.refine}")
         return val
 
-    checks = []
     probe = clp.make_probe(cfg["epsilon"])
     step, extent = cfg["grid_step"], cfg["grid_extent"]
     etas = np.arange(-extent, extent + step / 2, step)
@@ -454,23 +512,36 @@ def run_collapse(cfg: dict, out: Path, report_hash: str) -> list[dict]:
     write_csv(out / "integral_I.csv", ["eta", "xi1", "I"], rows, report_hash)
     refined = finite_I(probe.refined(), arg[0], arg[1])
     stability = abs(refined - sup) / abs(sup)
-    checks.append({"name": "sup_integral_I", "value": sup,
-                   "passed": bool(np.isfinite(sup))})
-    checks.append({"name": "sup_I_node_doubling", "value": stability,
-                   "passed": bool(stability <= 1e-3)})
+    return [{"name": "sup_integral_I", "value": sup,
+             "passed": bool(np.isfinite(sup))},
+            {"name": "sup_I_node_doubling", "value": stability,
+             "passed": bool(stability <= 1e-3)}]
+
+
+def collapse_modulation(cfg: dict, out: Path, report_hash: str) -> list[dict]:
+    """Modulation family: the operator ratios stay flat across lambda."""
+    from . import collapse as clp
+    from .grid import Grid1D
 
     grid_m = Grid1D(512, 8.0)
     members = clp.make_modulation_family(grid_m, cfg["lambdas"])
     res = clp.direct_operator_test(grid_m, members, epsilon=cfg["epsilon"],
                                    t_window=2.0, n_tau=1025)
-    ratios = [r["ratio"] for r in res]
+    ratios = _finite("modulation_ratio_variation", [r["ratio"] for r in res])
     write_csv(out / "modulation_ratios.csv", ["label", "lhs", "rhs", "ratio"],
               [[r["label"], r["lhs"], r["rhs"], r["ratio"]] for r in res],
               report_hash)
     variation = max(ratios) / min(ratios)
-    checks.append({"name": "modulation_ratio_variation", "value": variation,
-                   "passed": bool(variation <= 2.0)})
+    return [{"name": "modulation_ratio_variation", "value": variation,
+             "passed": bool(variation <= 2.0)}]
 
+
+def collapse_staircase(cfg: dict, out: Path, report_hash: str) -> list[dict]:
+    """Counter-rotating pair: the ratio grows as epsilon drops."""
+    from . import collapse as clp
+    from .grid import Grid1D
+
+    grid_m = Grid1D(512, 8.0)
     cr = clp.make_counter_rotating_family(grid_m, [64.0])
     stair = []
     for eps in cfg["epsilons"]:
@@ -480,8 +551,14 @@ def run_collapse(cfg: dict, out: Path, report_hash: str) -> list[dict]:
     write_csv(out / "concentration_staircase.csv", ["epsilon", "ratio"],
               stair, report_hash)
     grows = all(stair[i + 1][1] > stair[i][1] for i in range(len(stair) - 1))
-    checks.append({"name": "concentration_ratio_grows_as_eps_drops",
-                   "values": [s[1] for s in stair], "passed": bool(grows)})
+    return [{"name": "concentration_ratio_grows_as_eps_drops",
+             "values": [s[1] for s in stair], "passed": bool(grows)}]
+
+
+def collapse_optimality(cfg: dict, out: Path, report_hash: str) -> list[dict]:
+    """Removing the window or the weight exponent brings back a
+    logarithmic divergence; keeping both leaves the cutoff scan flat."""
+    from . import collapse as clp
 
     scan_rows = []
     for mode, eps in (("epsilon_zero", 0.0), ("T_infinite", cfg["epsilon"]),
@@ -493,26 +570,36 @@ def run_collapse(cfg: dict, out: Path, report_hash: str) -> list[dict]:
               report_hash)
     ok = (scan_rows[0][2] > 0 and scan_rows[0][3] >= 0.99
           and scan_rows[1][2] > 0 and scan_rows[1][3] >= 0.99
-          and abs(scan_rows[2][2]) <= 0.1)
-    checks.append({"name": "optimality_slopes",
-                   "values": [r[2] for r in scan_rows], "passed": bool(ok)})
+          and abs(scan_rows[2][2]) < 0.1)
+    return [{"name": "optimality_slopes",
+             "values": [r[2] for r in scan_rows], "passed": bool(ok)}]
+
+
+def collapse_lemma_F(cfg: dict, out: Path, report_hash: str) -> list[dict]:
+    """The shift integral F(e) stays finite, positive and uniform once
+    the |e|^(-4 eps) scaling is divided out."""
+    from . import collapse as clp
 
     fp = clp.make_probe(0.1)
+    decay = 4.0 * fp.epsilon
     ref = clp.lemma_F_reference(fp)
     frows = []
     for e in (0.0, 1.0, -1.0, 10.0, -10.0, 1000.0, -1000.0):
         val = clp.lemma_F(fp, e)
-        frows.append([e, val, val * max(1.0, abs(e)) ** 0.4])
+        frows.append([e, val, val * max(1.0, abs(e)) ** decay])
     write_csv(out / "lemma_F.csv", ["e", "F", "F_compensated"], frows,
               report_hash)
+    values = {r[0]: r[1] for r in frows}
     comp = [r[2] for r in frows]
-    scaling_ok = all(r[1] <= abs(r[0]) ** (-0.4) * ref * 1.0001
+    positive = all(math.isfinite(v) and v > 0 for v in values.values())
+    slope = (math.log(values[10.0] / values[1000.0]) / math.log(10.0 / 1000.0)
+             if positive else math.nan)
+    scaling_ok = all(r[1] <= abs(r[0]) ** (-decay) * ref * 1.0001
                      for r in frows if abs(r[0]) >= 1.0)
-    checks.append({"name": "lemma_F_uniformity",
-                   "value": max(comp) / min(comp),
-                   "passed": bool(max(comp) / min(comp) <= 5.0
-                                  and scaling_ok)})
-    return checks
+    uniformity = max(comp) / min(comp)
+    return [{"name": "lemma_F_uniformity", "value": uniformity,
+             "passed": bool(positive and uniformity <= 5.0 and scaling_ok
+                            and abs(slope + decay) <= 0.05)}]
 
 
 def run_lens(cfg: dict, out: Path, report_hash: str) -> list[dict]:
@@ -637,12 +724,15 @@ def run_nls_validate(cfg: dict, out: Path, report_hash: str) -> list[dict]:
 
 
 _RUNNERS = {
-    "convergence": run_convergence,
-    "energy_suite": run_energy,
-    "collapse_suite": run_collapse,
-    "lens_suite": run_lens,
-    "bbgky_residual": run_bbgky,
-    "nls_validate": run_nls_validate,
+    "convergence": (convergence_mean_field, convergence_control),
+    "energy_suite": (energy_decomposition, energy_pair_positivity,
+                     energy_K_inequality, energy_estimate, energy_smoothing),
+    "collapse_suite": (collapse_sup_I, collapse_modulation,
+                       collapse_staircase, collapse_optimality,
+                       collapse_lemma_F),
+    "lens_suite": (run_lens,),
+    "bbgky_residual": (run_bbgky,),
+    "nls_validate": (run_nls_validate,),
 }
 
 
@@ -655,10 +745,9 @@ def run_experiment(cfg: dict, out_dir) -> tuple[int, dict]:
     out.mkdir(parents=True, exist_ok=True)
     rhash = config_hash(merged)
     try:
-        checks = _RUNNERS[merged["experiment"]](merged, out, rhash)
+        checks = [check for run in _RUNNERS[merged["experiment"]]
+                  for check in run(merged, out, rhash)]
         code = EXIT_PASS
-    except ConfigError:
-        raise
     except Exception as err:  # propagation / numerical failures -> abort code
         from .nbody import NumericalAbort
         from .nls import BlowupDetected

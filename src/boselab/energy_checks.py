@@ -34,8 +34,8 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .grid import (Grid1D, GridError, TensorState, apply_symbol,
-                   apply_weight_squared, dense_weight_squared,
-                   weighted_norm_squared)
+                   apply_weight_squared, dense_symbol_operator,
+                   dense_weight_squared, weighted_norm_squared)
 from .nbody import DENSE_DIM_CAP, NBodySystem, apply_hamiltonian
 from .potentials import PotentialSpec, scaled_potential
 
@@ -147,10 +147,7 @@ def check_K_inequality(spec: PotentialSpec | None, n_particles: int,
     (negative control: a deep well with a small potential's alpha binds
     below zero).
     """
-    sym = 0.5 * grid.k ** 2
-    f = np.fft.fft(np.eye(grid.n), axis=0)
-    finv = np.fft.ifft(np.eye(grid.n), axis=0)
-    mat = finv @ (sym[:, None] * f)
+    mat = dense_symbol_operator(grid, 0.5 * grid.k ** 2)
     alpha = spec.alpha() if spec is not None else 0.0
     if alpha_override is not None:
         alpha = alpha_override

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .grid import Grid1D, GridError, TensorState, apply_symbol, symmetry_residual
+from .grid import (Grid1D, GridError, TensorState, apply_symbol,
+                   dense_symbol_operator, symmetry_residual)
 from .marginals import partial_trace
 from .potentials import PotentialSpec, scaled_potential
 
@@ -258,11 +259,10 @@ def evolve(system: NBodySystem, state: TensorState, dt: float, n_steps: int,
 def dense_one_particle(system: NBodySystem) -> np.ndarray:
     """Dense kinetic-plus-trap one-particle matrix (Hermitized)."""
     grid = system.grid
-    # numpy's DFT matrices keep the dense oracle off the scipy.fft route
-    # that apply_hamiltonian and evolve take
-    f = np.fft.fft(np.eye(grid.n), axis=0)
-    finv = np.fft.ifft(np.eye(grid.n), axis=0)
-    k1 = finv @ (system.kinetic_symbol()[:, None] * f)
+    # dense_symbol_operator builds numpy's DFT matrices, which keeps the
+    # dense oracle off the scipy.fft route that apply_hamiltonian and
+    # evolve take
+    k1 = dense_symbol_operator(grid, system.kinetic_symbol())
     k1 = k1 + np.diag(0.5 * system.omega ** 2 * grid.x ** 2)
     return 0.5 * (k1 + k1.conj().T)
 

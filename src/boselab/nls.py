@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid1D, GridError
+from .grid import Grid1D, GridError, apply_symbol, dense_symbol_operator
 from .potentials import lens_damping
 
 
@@ -205,9 +205,8 @@ def soliton(grid: Grid1D, b0: float, t: float = 0.0) -> np.ndarray:
 
 def trap_ground_state(grid: Grid1D, omega: float) -> tuple[np.ndarray, float]:
     """Lowest eigenpair of the discrete -d^2/2 + omega^2 x^2/2."""
-    f = np.fft.fft(np.eye(grid.n), axis=0)
-    finv = np.fft.ifft(np.eye(grid.n), axis=0)
-    h1 = finv @ (0.5 * grid.k[:, None] ** 2 * f) + np.diag(0.5 * omega ** 2 * grid.x ** 2)
+    h1 = (dense_symbol_operator(grid, 0.5 * grid.k ** 2)
+          + np.diag(0.5 * omega ** 2 * grid.x ** 2))
     h1 = 0.5 * (h1 + h1.conj().T)
     evals, evecs = np.linalg.eigh(h1)
     phi = evecs[:, 0]
@@ -252,9 +251,7 @@ def gp_tensor_check(traj: NLSTrajectory, k: int = 1, index: int | None = None) -
         raise GridError("hierarchy check applies to lens-side trajectories")
     if k < 1:
         raise GridError("k must be >= 1")
-    grid = problem.grid
-    n = grid.n
-    if n ** (2 * k + 2) > 20_000_000:
+    if problem.grid.n ** (2 * k + 2) > 20_000_000:
         raise GridError("tensor-power hierarchy check too large for this grid")
     if index is None:
         index = len(traj.times) // 2
@@ -283,9 +280,9 @@ def gp_tensor_check(traj: NLSTrajectory, k: int = 1, index: int | None = None) -
     sym = problem.kinetic_symbol()
     com = np.zeros_like(u_0)
     for ax in range(k):
-        com += _apply_sym_axis(u_0, sym, ax, n)
+        com += apply_symbol(u_0, sym, ax)
     for ax in range(k, 2 * k):
-        com -= _apply_sym_axis(u_0, sym, ax, n)
+        com -= apply_symbol(u_0, sym, ax)
 
     u_next = tensor_kernel(phi_0, k + 1)
     g = float(lens_damping(problem.omega, traj.times[index]))
@@ -307,8 +304,3 @@ def gp_tensor_check(traj: NLSTrajectory, k: int = 1, index: int | None = None) -
         "time": float(traj.times[index]),
     }
 
-
-def _apply_sym_axis(a: np.ndarray, sym: np.ndarray, axis: int, n: int) -> np.ndarray:
-    shape = [1] * a.ndim
-    shape[axis] = n
-    return np.fft.ifft(sym.reshape(shape) * np.fft.fft(a, axis=axis), axis=axis)

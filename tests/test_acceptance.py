@@ -1,42 +1,26 @@
 """End-to-end acceptance checks.
 
-One test per headline guarantee, each pinned to an explicit tolerance and
-a wall-clock budget.  Run with ``pytest -v tests/test_acceptance.py`` to
-get one PASS/FAIL line per criterion.
+One test per headline guarantee, each with a wall-clock budget.  Run with
+``pytest -v tests/test_acceptance.py`` to get one PASS/FAIL line per
+criterion.
+
+Criteria 01-05 and 07-11 call the CLI check functions behind their
+statement (``boselab.cli``) on the default config of its experiment, so
+their inputs and thresholds are defined once, in the CLI.  Criteria 06,
+12 and 13 have no CLI counterpart and carry their own tolerances.
 """
 
 import contextlib
 import math
 import time
-from functools import reduce
 
 import numpy as np
-import pytest
 
+from boselab import cli, collapse
 from boselab.grid import Grid1D, TensorState, random_state, symmetry_residual
-from boselab.marginals import (
-    chaos_distance,
-    mollifier_delta_test,
-    partial_trace,
-    trace_norm,
-)
-from boselab.nbody import (
-    NBodySystem,
-    bbgky_residual,
-    energy_moment,
-    evolve,
-    spectral_cutoff,
-)
-from boselab.nls import NLSProblem, evolve_nls, trap_ground_state
-from boselab.lens import LensMap, intertwine_linear_check, lens_function, lens_kernel
-from boselab.potentials import gaussian_well, mixed_sign
-from boselab.energy_checks import (
-    check_decomposition_identity,
-    check_energy_estimate,
-    check_pair_positivity,
-    check_sobolev_operator_bound,
-)
-from boselab import collapse
+from boselab.marginals import mollifier_delta_test, partial_trace
+from boselab.nbody import NBodySystem, energy_moment, evolve, spectral_cutoff
+from boselab.potentials import gaussian_well
 
 
 @contextlib.contextmanager
@@ -47,104 +31,60 @@ def budget(seconds):
     assert elapsed < seconds, f"runtime {elapsed:.1f}s exceeds {seconds}s"
 
 
+def run_checks(tmp_path, experiment, seconds, *functions):
+    """Run CLI check functions on the experiment's default config.
+
+    Only the functions are timed.  Every asserted check must pass and
+    every reported value must be finite; returns the check dicts.
+    """
+    cfg = cli.validate_config({"experiment": experiment})
+    report_hash = cli.config_hash(cfg)
+    with budget(seconds):
+        checks = [check for run in functions
+                  for check in run(cfg, tmp_path, report_hash)]
+    assert checks
+    for check in checks:
+        if check["passed"] is None:
+            values = check.get("values", [check.get("value")])
+            assert all(math.isfinite(v) for v in values), check
+        else:
+            assert check["passed"], check
+    return checks
+
+
 def unit_gaussian(grid):
     phi = np.exp(-grid.x ** 2 / 2).astype(np.complex128)
     return phi / math.sqrt(grid.h * float(np.sum(np.abs(phi) ** 2)))
 
 
-def product_state(grid, phi, n_particles):
-    amps = reduce(np.multiply.outer, [phi] * n_particles)
-    return TensorState(grid, amps).normalized()
+def test_criterion_01_decomposition_identity(tmp_path):
+    # matrix-free two-body decomposition defect for both potentials and
+    # N in {2, 3, 4}
+    run_checks(tmp_path, "energy_suite", 10.0, cli.energy_decomposition)
 
 
-def test_criterion_01_decomposition_identity():
-    # matrix-free two-body decomposition defect below 1e-10 for every
-    # library potential and N in {2, 3, 4}
-    with budget(10.0):
-        grid = Grid1D(16, 8.0)
-        for spec in (gaussian_well(1.0, 1.0), mixed_sign(1.0, 1.0, r=0.25)):
-            for n_particles in (2, 3, 4):
-                system = NBodySystem(grid, n_particles, potential=spec,
-                                     omega=1.0)
-                state = random_state(grid, n_particles, omega=1.0,
-                                     seed=n_particles, k_filter=3.0,
-                                     symmetric=True)
-                assert check_decomposition_identity(system, state) <= 1e-10
+def test_criterion_02_pair_operator_positivity(tmp_path):
+    # two-particle block stays nonnegative with and without a trap
+    run_checks(tmp_path, "energy_suite", 30.0, cli.energy_pair_positivity)
 
 
-def test_criterion_02_pair_operator_positivity():
-    # dense two-particle block stays nonnegative with and without a trap
-    with budget(30.0):
-        grid = Grid1D(64, 8.0)
-        for omega in (0.0, 1.0):
-            res = check_pair_positivity(gaussian_well(1.0, 1.0), 2, omega,
-                                        grid)
-            assert res["min_eigenvalue"] >= -1e-6
-            assert res["passes"]
+def test_criterion_03_energy_moment_bounds(tmp_path):
+    # first-moment margin nonnegative on random symmetric draws;
+    # second-moment margin reported without assertion
+    checks = run_checks(tmp_path, "energy_suite", 120.0, cli.energy_estimate)
+    assert "energy_estimate_k2_margin" in [c["name"] for c in checks]
 
 
-def test_criterion_03_energy_moment_bounds():
-    # first-moment margin nonnegative on 100 random symmetric draws;
-    # second-moment margins reported without assertion
-    with budget(120.0):
-        grid = Grid1D(16, 8.0)
-        spec = gaussian_well(1.0, 1.0)
-        for n_particles in (2, 3):
-            system = NBodySystem(grid, n_particles, potential=spec,
-                                 omega=1.0)
-            for seed in range(50):
-                state = random_state(grid, n_particles, omega=1.0,
-                                     seed=seed, k_filter=3.0,
-                                     symmetric=True)
-                res = check_energy_estimate(system, state, 1)
-                assert res["margin"] >= -1e-8
-        system = NBodySystem(grid, 3, potential=spec, omega=1.0)
-        second = [check_energy_estimate(
-            system, random_state(grid, 3, omega=1.0, seed=seed,
-                                 k_filter=3.0, symmetric=True), 2)["margin"]
-            for seed in range(5)]
-        assert all(math.isfinite(m) for m in second)
-
-
-def test_criterion_04_pair_smoothing_bound():
+def test_criterion_04_pair_smoothing_bound(tmp_path):
     # weighted pair interaction is operator-bounded by the L1 norm
-    with budget(30.0):
-        grid = Grid1D(64, 8.0)
-        for spec in (gaussian_well(1.0, 1.0), mixed_sign(1.0, 1.0, r=0.5)):
-            res = check_sobolev_operator_bound(spec, grid)
-            assert res["sigma_max"] <= res["bound"] + 1e-4
-            assert res["passes"]
+    run_checks(tmp_path, "energy_suite", 30.0, cli.energy_smoothing)
 
 
-def test_criterion_05_lens_transform_suite():
-    with budget(60.0):
-        grid = Grid1D(256, 12.0)
-        packet, _ = trap_ground_state(grid, 1.0)
-
-        # identity at zero frequency, exact to near machine precision
-        flat = TensorState(grid, packet)
-        psi, t = lens_function(LensMap(0.0), flat, 0.7)
-        assert t == 0.7
-        assert np.max(np.abs(psi.amplitudes - packet)) <= 1e-14
-
-        # unitarity of the function map
-        lmap = LensMap(1.0)
-        state = TensorState(grid, packet, omega=1.0)
-        psi, _ = lens_function(lmap, state, math.tan(0.3))
-        assert abs(psi.norm() - state.norm()) <= 1e-7
-
-        # kernel map preserves the trace norm
-        marg = partial_trace(
-            TensorState(grid, np.multiply.outer(packet, packet),
-                        omega=1.0).normalized(), 1)
-        mapped, _ = lens_kernel(lmap, marg, math.tan(0.3))
-        assert abs(trace_norm(mapped) - trace_norm(marg)) <= 1e-7
-
-        # intertwining defect under the adopted half-kinetic convention,
-        # with the wrong-convention run as a negative control
-        res = intertwine_linear_check(lmap, grid, packet, 0.4, dt=1e-3)
-        assert res["defect"] <= 1e-5
-        assert res["defect_wrong_convention"] >= 1e-1
+def test_criterion_05_lens_transform_suite(tmp_path):
+    # identity at zero frequency, unitarity, trace norm and round trip of
+    # the kernel map, and the intertwining defect under the adopted
+    # half-kinetic convention with the wrong convention as a control
+    run_checks(tmp_path, "lens_suite", 60.0, cli.run_lens)
 
 
 def test_criterion_06_solver_invariants():
@@ -162,98 +102,33 @@ def test_criterion_06_solver_invariants():
         assert symmetry_residual(traj.states[-1]) <= 1e-9
 
 
-def test_criterion_07_bbgky_second_order_residual():
+def test_criterion_07_bbgky_second_order_residual(tmp_path):
     # hierarchy residual for the one-particle kernel decays at order two
-    with budget(180.0):
-        grid = Grid1D(16, 8.0)
-        system = NBodySystem(grid, 3, potential=gaussian_well(1.0, 1.0))
-        psi0 = random_state(grid, 3, seed=0, k_filter=3.0, symmetric=True)
-        errs = []
-        for dt in (2e-3, 1e-3):
-            traj = evolve(system, psi0, dt, int(round(0.2 / dt)),
-                          store_every=5)
-            errs.append(bbgky_residual(traj, 1)["hs_norm"])
-        ratio = errs[0] / errs[1]
-        assert 3.5 <= ratio <= 4.5
+    run_checks(tmp_path, "bbgky_residual", 180.0, cli.run_bbgky)
 
 
-def test_criterion_08_mean_field_convergence_trend():
+def test_criterion_08_mean_field_convergence_trend(tmp_path):
     # trace distance to the factorized mean-field evolution shrinks with N
-    with budget(900.0):
-        grid = Grid1D(32, 8.0)
-        phi = unit_gaussian(grid)
-        spec = gaussian_well(1.0, 1.0, beta=0.3)
-        dt, stride = 2e-3, 125  # outputs at t = 0, 0.25, 0.5
-        problem = NLSProblem(grid, b0=spec.b0(), omega=0.0)
-        nls = evolve_nls(problem, phi, dt, 2 * stride, store_every=stride)
-        finals = []
-        for n_particles in (2, 3, 4):
-            system = NBodySystem(grid, n_particles, potential=spec,
-                                 omega=0.0)
-            traj = evolve(system, product_state(grid, phi, n_particles),
-                          dt, 2 * stride, store_every=stride)
-            assert chaos_distance(traj.states[0], 1, nls.fields[0]) <= 1e-12
-            finals.append(
-                chaos_distance(traj.states[-1], 1, nls.fields[-1]))
-        assert finals[0] > finals[1] > finals[2]
+    run_checks(tmp_path, "convergence", 900.0, cli.convergence_mean_field)
 
 
-def test_criterion_09_collapsing_estimate_positive_side():
-    with budget(300.0):
-        probe = collapse.make_probe(0.25)
-
-        # the integral is even in the second argument, so scan a half grid
-        assert collapse.integral_I(probe, 7.0, 3.0)["value"] == pytest.approx(
-            collapse.integral_I(probe, 7.0, -3.0)["value"], rel=1e-12)
-        etas = np.arange(-50.0, 50.1, 5.0)
-        xi1s = np.arange(0.0, 50.1, 5.0)
-        values = np.array([[collapse.integral_I(probe, float(e),
-                                                float(x))["value"]
-                            for x in xi1s] for e in etas])
-        assert np.all(np.isfinite(values))
-        sup = float(values.max())
-        i, j = np.unravel_index(int(values.argmax()), values.shape)
-        refined = collapse.integral_I(probe.refined(), float(etas[i]),
-                                      float(xi1s[j]))["value"]
-        assert abs(refined - sup) / sup <= 1e-3
-
-        # modulation family: operator ratios stay flat across lambda
-        grid = Grid1D(256, 8.0)
-        family = collapse.make_modulation_family(grid, [4.0, 16.0, 64.0])
-        res = collapse.direct_operator_test(grid, family, epsilon=0.25,
-                                            t_window=2.0, n_tau=257)
-        ratios = [r["ratio"] for r in res]
-        assert max(ratios) / min(ratios) <= 2.0
+def test_criterion_09_collapsing_estimate_positive_side(tmp_path):
+    # the dual integral has a finite sup, stable under node doubling, and
+    # the modulation family's operator ratios stay flat across lambda
+    run_checks(tmp_path, "collapse_suite", 300.0, cli.collapse_sup_I,
+               cli.collapse_modulation)
 
 
-def test_criterion_10_collapsing_estimate_optimality():
+def test_criterion_10_collapsing_estimate_optimality(tmp_path):
     # removing the window or the weight exponent brings back a logarithmic
     # divergence; keeping both leaves the cutoff scan flat
-    with budget(120.0):
-        deltas = [1e-2, 1e-3, 1e-4, 1e-5]
-        for mode, probe in (("T_infinite", collapse.make_probe(0.25)),
-                            ("epsilon_zero", collapse.make_probe(0.0))):
-            res = collapse.optimality_scan(probe, mode, deltas)
-            assert res["slope"] > 0.0
-            assert res["r_squared"] >= 0.99
-        ctrl = collapse.optimality_scan(collapse.make_probe(0.25),
-                                        "control", deltas)
-        assert abs(ctrl["slope"]) < 0.1
+    run_checks(tmp_path, "collapse_suite", 120.0, cli.collapse_optimality)
 
 
-def test_criterion_11_shifted_weight_uniformity():
+def test_criterion_11_shifted_weight_uniformity(tmp_path):
     # the shift integral stays finite and uniform once the |e|^{-4 eps}
     # scaling step is divided out
-    with budget(60.0):
-        probe = collapse.make_probe(0.1)
-        points = [0.0, 1.0, -1.0, 10.0, -10.0, 1000.0, -1000.0]
-        vals = {e: collapse.lemma_F(probe, e) for e in points}
-        assert all(math.isfinite(v) and v > 0 for v in vals.values())
-        comp = [v * max(1.0, abs(e)) ** 0.4 for e, v in vals.items()]
-        assert max(comp) / min(comp) <= 5.0
-        slope = (math.log(vals[10.0] / vals[1000.0])
-                 / math.log(10.0 / 1000.0))
-        assert abs(slope + 0.4) <= 0.05
+    run_checks(tmp_path, "collapse_suite", 60.0, cli.collapse_lemma_F)
 
 
 def test_criterion_12_spectral_cutoff_moments():

@@ -95,6 +95,7 @@ def test_bbgky_reports_second_order_ratio(tmp_path):
     ("bad_r", '{"potential": {"shape": "mixed_sign", "a": 1.0, "s": 1.0,'
      ' "r": 0.6}}', "r <= 1/2"),
     ("mismatch", '{"experiment": "convergence"}', "subcommand asked"),
+    ("bad_times", '{"times": [0.0, 0.25, 0.4]}', "uniformly spaced"),
     ("not_json", "{oops", "config error"),
 ])
 def test_bad_config_exits_with_usage_code(tmp_path, name, contents, fragment):
@@ -116,21 +117,33 @@ def test_control_potential_obeys_the_dt_budget():
                          "control_potential": strong})
 
 
+def _run_twice(tmp_path, *args):
+    """Output directories of two identical CLI runs, after checking that
+    they hold the same files, byte for byte."""
+    outs = [tmp_path / "first", tmp_path / "second"]
+    for out in outs:
+        proc = run_cli(*args, "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+    first, second = outs
+    names = sorted(path.name for path in first.iterdir())
+    assert names == sorted(path.name for path in second.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+    return first
+
+
 def test_convergence_reruns_byte_identical(tmp_path):
     cfg = tmp_path / "small.json"
     cfg.write_text(json.dumps({"n": 16, "n_particles": [2, 3],
                                "times": [0.0, 0.02]}))
-    outs = [tmp_path / "first", tmp_path / "second"]
-    for out in outs:
-        proc = run_cli("convergence", "--config", str(cfg), "--out", str(out))
-        assert proc.returncode == 0, proc.stderr
-    first, second = outs
-    assert ((first / "summary.json").read_bytes()
-            == (second / "summary.json").read_bytes())
-    csv_files = sorted(first.glob("*.csv"))
-    assert len(csv_files) == 4
-    for path in csv_files:
-        assert (second / path.name).read_bytes() == path.read_bytes()
+    out = _run_twice(tmp_path, "convergence", "--config", str(cfg))
+    assert len(sorted(out.glob("*.csv"))) == 4
+
+
+@pytest.mark.parametrize("command", ["energy", "lens"])
+def test_default_run_reruns_byte_identical(tmp_path, command):
+    out = _run_twice(tmp_path, command)
+    assert (out / "summary.json").is_file()
 
 
 def test_missing_config_exits_with_usage_code(tmp_path):
@@ -178,7 +191,7 @@ def _nan_orbital_run(cfg, out, rhash):
 def test_nan_propagation_exits_with_abort_code(tmp_path, monkeypatch, runner):
     from boselab import cli
 
-    monkeypatch.setitem(cli._RUNNERS, "nls_validate", runner)
+    monkeypatch.setitem(cli._RUNNERS, "nls_validate", (runner,))
     code, report = cli.run_experiment({"experiment": "nls_validate"}, tmp_path)
     assert code == cli.EXIT_NUMERICAL_ABORT == 3
     assert report["passed"] is False
@@ -200,6 +213,53 @@ def test_nan_collapse_value_exits_with_abort_code(tmp_path, monkeypatch,
     monkeypatch.setattr(collapse, "integral_I", fake_integral_I)
     cfg = {"experiment": "collapse_suite", "grid_step": 45.0,
            "grid_extent": 45.0}
+    code, report = cli.run_experiment(cfg, tmp_path)
+    assert code == cli.EXIT_NUMERICAL_ABORT == 3
+    assert report["passed"] is False
+    assert report["checks"][0]["name"] == "numerical_abort"
+    assert "nan" in report["checks"][0]["value"]
+
+
+def _nan_middle_ratio(monkeypatch):
+    from boselab import collapse
+
+    def fake_direct_operator_test(grid, members, **kwargs):
+        return [{"label": f"m{i}", "lhs": r, "rhs": 1.0, "ratio": r}
+                for i, r in enumerate((1.0, float("nan"), 1.2))]
+
+    monkeypatch.setattr(collapse, "direct_operator_test",
+                        fake_direct_operator_test)
+    return {"experiment": "collapse_suite"}, "collapse_modulation"
+
+
+def _nan_middle_margin(monkeypatch):
+    from boselab import energy_checks
+
+    original = energy_checks.check_energy_estimate
+    calls = []
+
+    def fake_check_energy_estimate(system, state, k=1):
+        calls.append(k)
+        res = original(system, state, k)
+        return dict(res, margin=float("nan")) if len(calls) == 2 else res
+
+    monkeypatch.setattr(energy_checks, "check_energy_estimate",
+                        fake_check_energy_estimate)
+    return ({"experiment": "energy_suite", "n_particles": [2], "draws": 3},
+            "energy_estimate")
+
+
+@pytest.mark.parametrize("inject", [_nan_middle_ratio, _nan_middle_margin],
+                         ids=["modulation", "energy_estimate"])
+def test_nan_in_list_valued_check_exits_with_abort_code(tmp_path,
+                                                        monkeypatch, inject):
+    # max([1.0, nan, 1.2]) / min(...) is 1.2 and min([a, nan, b]) skips the
+    # NaN, so only a finiteness test can catch a NaN past the first element
+    from boselab import cli
+
+    cfg, check = inject(monkeypatch)
+    monkeypatch.setitem(cli._RUNNERS, cfg["experiment"],
+                        (getattr(cli, check),))
     code, report = cli.run_experiment(cfg, tmp_path)
     assert code == cli.EXIT_NUMERICAL_ABORT == 3
     assert report["passed"] is False

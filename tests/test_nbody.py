@@ -322,10 +322,12 @@ class TestSpectralCutoff:
                 assert energy_moment(self.system, cut, k) <= bound * (1 + 1e-12)
 
     def test_distance_shrinks_with_kappa(self):
+        h_n = self.GRID.h ** 2
+
         def dist(kappa):
             cut = spectral_cutoff(self.system, self.state, kappa)
-            return math.sqrt(max(
-                2.0 - 2.0 * float(cut.inner(self.state).real), 0.0))
+            return math.sqrt(h_n * float(np.sum(
+                np.abs(cut.amplitudes - self.state.amplitudes) ** 2)))
         d = [dist(k) for k in (0.4, 0.2, 0.1)]
         assert d[0] > d[1] > d[2]
         # far below the spectral floor the cutoff is the identity
@@ -352,6 +354,17 @@ class TestBBGKYResidual:
 
     def test_residual_is_second_order_in_dt(self):
         errs = [bbgky_residual(self.make(dt), 1)["max_abs"]
+                for dt in (2e-3, 1e-3)]
+        assert 3.5 <= errs[0] / errs[1] <= 4.5
+
+    def test_three_particle_random_state_is_second_order(self):
+        # random bosonic N = 3 data without a trap, where the CLI suite
+        # starts from a product state
+        g = Grid1D(16, 8.0)
+        system = NBodySystem(g, 3, potential=gaussian_well(1.0, 1.0))
+        psi0 = random_state(g, 3, seed=0, k_filter=3.0, symmetric=True)
+        errs = [bbgky_residual(evolve(system, psi0, dt, int(round(0.2 / dt)),
+                                      store_every=5), 1)["hs_norm"]
                 for dt in (2e-3, 1e-3)]
         assert 3.5 <= errs[0] / errs[1] <= 4.5
 
