@@ -75,7 +75,6 @@ _EXPORTS = {
     "NLSProblem": "nls",
     "NLSTrajectory": "nls",
     "evolve_nls": "nls",
-    "gp_tensor_check": "nls",
     "nls_energy": "nls",
     "nls_residual": "nls",
     "soliton": "nls",
@@ -87,9 +86,7 @@ _EXPORTS = {
     "intertwine_energy_check": "lens",
     "intertwine_linear_check": "lens",
     "lens_function": "lens",
-    "lens_function_inverse": "lens",
     "lens_kernel": "lens",
-    "lens_kernel_inverse": "lens",
     # energy-operator inequalities
     "check_K_inequality": "energy_checks",
     "check_decomposition_identity": "energy_checks",

@@ -24,8 +24,9 @@ Two independent routes are implemented:
     contraction of a separable or pair-profile kernel is a rank-two
     kernel whose weighted norms reduce to 2x2 Grams of one-dimensional
     FFTs, so left/right norm ratios are computed exactly (up to grid
-    resolution) and scanned over modulation, frequency-concentrating
-    shell, and dilation families.
+    resolution): the windowed space-time norm of separable members is
+    scanned over the modulation and counter-rotating families, and the
+    static trace bound over the dilation family of pair profiles.
 
 All quadratures are built from explicit panel decompositions (graded at
 the singular/feature points) so that a refined probe (doubled rule
@@ -56,8 +57,8 @@ __all__ = [
     "SeparableKernelMember", "PairProfileMember",
     "direct_operator_test", "trace_lemma_check",
     "make_baseline_member", "make_modulation_family",
-    "make_counter_rotating_family", "make_multiscale_family",
-    "make_dilation_family", "gaussian_packet",
+    "make_counter_rotating_family", "make_dilation_family",
+    "gaussian_packet",
 ]
 
 
@@ -712,8 +713,10 @@ class PairProfileMember:
     label: str = "pair-profile"
 
     def _diag(self, grid: Grid1D, phase: np.ndarray) -> np.ndarray:
-        kh = phase[:, None] * self.khat * np.conj(phase)[None, :]
-        full = np.fft.fft(np.fft.ifft(kh, axis=0), axis=1)
+        # at most two n x n temporaries are alive at once
+        half = np.fft.ifft(phase[:, None] * self.khat * np.conj(phase)[None, :],
+                           axis=0)
+        full = np.fft.fft(half, axis=1)
         return np.ascontiguousarray(np.diagonal(full)) / grid.n
 
     def contraction_pieces(self, grid: Grid1D, tau: float):
@@ -722,13 +725,6 @@ class PairProfileMember:
         pt = _evolve(phase, self.p)
         d = self._diag(grid, phase)
         return ft * d, np.conj(pt), ft, d * np.conj(pt)
-
-    def contraction_norm_sq(self, grid: Grid1D, eps: float,
-                            taus: np.ndarray) -> np.ndarray:
-        """||R_eps^(1) B_tau||^2 at every tau, one 2-D transform per tau."""
-        return np.array([
-            _rank2_norm_sq(grid, eps, *self.contraction_pieces(grid, float(t)))
-            for t in taus])
 
     def weighted_input_norm(self, grid: Grid1D, eps: float) -> float:
         w2 = _weight_sq(grid, eps)
@@ -746,9 +742,9 @@ def direct_operator_test(grid: Grid1D, members, epsilon: float,
     For each member: lhs^2 = int theta(tau/T)^2 ||R_eps^(1) B_tau||^2 dtau
     by Simpson on n_tau points over [-T, T], with the rank-two Gram
     shortcut for the weighted kernel norm; rhs = ||R_eps^(2) phi||.
-    Separable members evaluate the tau series in blocks of tau samples
-    (four evolutions, four transforms and six Grams as row sums per
-    block); pair-profile members go one tau at a time.
+    Members are separable; each evaluates the tau series in blocks of tau
+    samples (four evolutions, four transforms and six Grams as row sums
+    per block).
     """
     from scipy.integrate import simpson
 
@@ -836,46 +832,6 @@ def make_counter_rotating_family(grid: Grid1D, freqs) \
         members.append(SeparableKernelMember(
             f=base.f, g=base.g * phase, p=base.p, q=base.q * phase,
             label=f"counter-rotating V={v:g}"))
-    return members
-
-
-def make_multiscale_family(grid: Grid1D, scale_counts, v0: float = 0.5,
-                           block: int = 3) -> list[PairProfileMember]:
-    """Coherent accumulation across dyadic pair-frequency scales.
-
-    Member J populates near-diagonal cells (transfer frequency one grid
-    mode, so the contraction output is a single slow cosine) around the
-    dyadic shells |k| = v0 * 2^j, j < J, with equal L^2 mass per shell.
-    The shell outputs add coherently while the input norm at eps = 0
-    stays fixed, so ratios grow like sqrt(J) -- the operator face of the
-    log-divergent int du/|u|.  For eps = 1/4 the input weight <2^j>^{2 eps}
-    of the top shell absorbs the growth and the ratios stay bounded.
-    """
-    k = grid.k
-    dk = math.pi / grid.length
-    members = []
-    f = gaussian_packet(grid, width=4.0)
-    p = gaussian_packet(grid, width=5.0)
-    max_count = max(int(j) for j in scale_counts)
-    if v0 * 2.0 ** (max_count - 1) > 0.8 * grid.k_max:
-        raise GridError("top dyadic shell exceeds the resolved band")
-    for count in scale_counts:
-        count = int(count)
-        khat = np.zeros((grid.n, grid.n), dtype=np.complex128)
-        for j in range(count):
-            vj = v0 * 2.0 ** j
-            cells = np.zeros_like(khat)
-            for center in (vj, -vj):
-                m0 = int(np.argmin(np.abs(k - center)))
-                for dm in range(-(block // 2), block // 2 + 1):
-                    m = (m0 + dm) % grid.n
-                    m2 = (m - 1) % grid.n
-                    cells[m, m2] = 1.0
-                    cells[m2, m] = 1.0
-            mass = np.sum(np.abs(cells) ** 2)
-            khat += cells / math.sqrt(mass * count)
-        members.append(PairProfileMember(
-            f=f, khat=khat, p=p, label=f"multiscale J={count}"))
     return members
 
 

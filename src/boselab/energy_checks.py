@@ -14,28 +14,26 @@ here verifies this split and the positivity facts that power it:
   * the one-dimensional kernel inequality -d^2/2 + (1 - 1/N)V_N + 2 alpha >= 0;
   * the moment bound < (H_N + N alpha + N)^k > >= 2^{-k} N^k ||S_1...S_k psi||^2;
   * the smoothing bound ||L_1^{-1}L_2^{-1} V(x_1 - x_2) L_1^{-1}L_2^{-1}|| <=
-    ||V||_{L1} with L^2 = 1 - d^2;
-  * monotonicity of products of commuting positive operators.
+    ||V||_{L1} with L^2 = 1 - d^2.
 
 One-particle checks are dense eigensolves.  The pair block and the
 smoothing bound are solved matrix-free by Lanczos from a fixed start
 vector, so neither is capped at 4096 pair-grid points and reruns give the
 same bytes; the N-body identity applies the Hamiltonian matrix-free too.
 Each check returns a dict of margins so callers can assert or just log.
-Negative controls (weakened alpha, mismatched alpha) are provided to show
-the inequalities are not vacuously loose.
+Negative controls (alpha scaled down in the pair block, the alpha of a
+weaker potential in the K inequality) show the inequalities are not
+vacuously loose.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .grid import (Grid1D, GridError, TensorState, apply_symbol,
                    apply_weight_squared, dense_symbol_operator,
-                   dense_weight_squared, weighted_norm_squared)
+                   dense_weight_squared, on_axes, weighted_norm_squared)
 from .nbody import DENSE_DIM_CAP, NBodySystem, apply_hamiltonian
 from .potentials import PotentialSpec, scaled_potential
 
@@ -47,19 +45,14 @@ def _pair_cap(grid: Grid1D):
 
 
 def dense_pair_block(spec: PotentialSpec | None, n_particles: int, omega: float,
-                     grid: Grid1D, alpha_scale: float = 1.0,
-                     sobolev_half: bool = True) -> np.ndarray:
-    """Dense matrix of c(S_1^2+S_2^2) + (1-1/N)V_N + 2 alpha on the pair grid.
-
-    sobolev_half=True gives c = 1/2, the form whose nonnegativity is the
-    pair positivity statement; False gives the full block H_{+12}.
-    """
+                     grid: Grid1D, alpha_scale: float = 1.0) -> np.ndarray:
+    """Dense matrix of (S_1^2+S_2^2)/2 + (1-1/N)V_N + 2 alpha on the pair
+    grid, the form whose nonnegativity is the pair positivity statement."""
     _pair_cap(grid)
     n = grid.n
     s2 = dense_weight_squared(grid, "S", omega)
     eye = np.eye(n)
-    c = 0.5 if sobolev_half else 1.0
-    mat = c * (np.kron(s2, eye) + np.kron(eye, s2))
+    mat = 0.5 * (np.kron(s2, eye) + np.kron(eye, s2))
     alpha = spec.alpha() if spec is not None else 0.0
     if spec is not None:
         diff = grid.x[:, None] - grid.x[None, :]
@@ -116,31 +109,8 @@ def check_pair_positivity(spec: PotentialSpec | None, n_particles: int,
     }
 
 
-def pair_positivity_depth_scan(depths, n_particles: int, omega: float,
-                               grid: Grid1D, alpha_scale: float = 0.5,
-                               s: float = 1.0, beta: float = 0.5) -> list[dict]:
-    """Scan well depth with weakened alpha; reports where positivity fails.
-
-    With the full alpha the block is nonnegative at every depth; scaling
-    alpha down exposes the regime where the binding energy of the pair
-    well beats the weakened constant, demonstrating that alpha is doing
-    real work rather than being slack.
-    """
-    from .potentials import gaussian_well
-
-    out = []
-    for a in depths:
-        spec = gaussian_well(a=a, s=s, beta=beta)
-        res = check_pair_positivity(spec, n_particles, omega, grid,
-                                    alpha_scale=alpha_scale)
-        res["depth"] = a
-        out.append(res)
-    return out
-
-
 def check_K_inequality(spec: PotentialSpec | None, n_particles: int,
-                       grid: Grid1D, alpha_scale: float = 1.0,
-                       alpha_override: float | None = None) -> dict:
+                       grid: Grid1D, alpha_override: float | None = None) -> dict:
     """Minimum eigenvalue of -d^2/2 + (1 - 1/N)V_N + 2 alpha on one particle.
 
     alpha_override substitutes the constant of a different potential
@@ -154,15 +124,10 @@ def check_K_inequality(spec: PotentialSpec | None, n_particles: int,
     if spec is not None:
         vline = scaled_potential(spec, n_particles, grid.x)
         mat = mat + np.diag((1.0 - 1.0 / n_particles) * vline)
-    mat = mat + (2.0 * alpha * alpha_scale) * np.eye(grid.n)
+    mat = mat + (2.0 * alpha) * np.eye(grid.n)
     mat = 0.5 * (mat + mat.conj().T)
     lam = float(np.linalg.eigvalsh(mat)[0])
-    return {
-        "min_eigenvalue": lam,
-        "alpha": alpha,
-        "alpha_scale": alpha_scale,
-        "passes": lam >= -1e-6,
-    }
+    return {"min_eigenvalue": lam, "alpha": alpha, "passes": lam >= -1e-6}
 
 
 def check_decomposition_identity(system: NBodySystem, state: TensorState) -> float:
@@ -183,7 +148,6 @@ def check_decomposition_identity(system: NBodySystem, state: TensorState) -> flo
     psi = state.amplitudes
     lhs = apply_hamiltonian(system, psi) / nn + (1.0 + alpha) * psi
 
-    n = system.grid.n
     vpair = system.pair_potential_values()
     s2 = {}
     for j in range(nn):
@@ -195,10 +159,7 @@ def check_decomposition_identity(system: NBodySystem, state: TensorState) -> flo
                 continue
             term = s2[i] + s2[j] + (2.0 * alpha) * psi
             if system.potential is not None:
-                shape = [1] * nn
-                shape[i] = n
-                shape[j] = n
-                term = term + (1.0 - 1.0 / nn) * vpair.reshape(shape) * psi
+                term = term + (1.0 - 1.0 / nn) * on_axes(vpair, nn, i, j) * psi
             rhs = rhs + term
     rhs = rhs / (2.0 * nn * (nn - 1))
     return float(np.max(np.abs(lhs - rhs)))
@@ -285,48 +246,3 @@ def check_sobolev_operator_bound(spec: PotentialSpec | None, grid: Grid1D,
         sigma = float(np.max(np.abs(vals)))
     return {"sigma_max": sigma, "bound": bound,
             "passes": sigma <= bound + 1e-4}
-
-
-def check_commuting_product(a1: np.ndarray, a2: np.ndarray,
-                            b1: np.ndarray, b2: np.ndarray,
-                            tol: float = 1e-10) -> dict:
-    """Monotonicity A2 (x) B2 >= A1 (x) B1 for chains 0 <= A1 <= A2, 0 <= B1 <= B2.
-
-    The operators act on disjoint tensor factors, so each A commutes with
-    each B by construction.  Preconditions (positivity of A1, B1 and of
-    the gaps) are verified and violations rejected, since the statement
-    is false without them.
-    """
-    for name, mat in (("A1", a1), ("A2 - A1", a2 - a1),
-                      ("B1", b1), ("B2 - B1", b2 - b1)):
-        lam = float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[0])
-        if lam < -tol:
-            raise ValueError(f"precondition violated: {name} has eigenvalue {lam}")
-    prod = np.kron(a2, b2) - np.kron(a1, b1)
-    lam = float(np.linalg.eigvalsh(0.5 * (prod + prod.conj().T))[0])
-    return {"min_eigenvalue": lam, "passes": lam >= -tol}
-
-
-def sup_norm_ftc_check(grid: Grid1D, values: np.ndarray) -> dict:
-    """Grid form of ||f||_inf <= ||f'||_{L1} with discretization slack.
-
-    The derivative is spectral and the L1 norm is the grid quadrature;
-    the slack term 2h ||f''||_inf covers the quadrature error, so the
-    check is meaningful for smooth localized samples.
-    """
-    fhat = np.fft.fft(values)
-    d1 = np.fft.ifft(1j * grid.k * fhat)
-    d2 = np.fft.ifft(-(grid.k ** 2) * fhat)
-    sup = float(np.max(np.abs(values)))
-    bound = float(grid.h * np.sum(np.abs(d1)))
-    slack = float(2.0 * grid.h * np.max(np.abs(d2)))
-    return {"sup": sup, "bound": bound, "slack": slack,
-            "passes": sup <= bound + slack}
-
-
-def sobolev_embedding_constant(grid: Grid1D, values: np.ndarray,
-                               omega: float = 0.0) -> float:
-    """Measured ratio ||f||_inf / ||S f|| for one sample."""
-    state = TensorState(grid, np.asarray(values, dtype=np.complex128), omega)
-    denom = math.sqrt(weighted_norm_squared(state, [0], "S"))
-    return float(np.max(np.abs(values))) / denom

@@ -10,18 +10,17 @@ for an N-particle state, so continuum formulas transfer literally:
 
     <psi, phi> = h^N * sum conj(psi) * phi.
 
-The forward transform approximates the continuum Fourier integral,
-psi_hat(k_m) ~= h * sum_j psi(x_j) exp(-i k_m x_j), and the inverse
-reconstructs psi(x_j) = (1/2L) * sum_m psi_hat(k_m) exp(+i k_m x_j).
 Diagonal Fourier multipliers (kinetic phases, Sobolev symbols) are applied
-with raw fft/ifft pairs since the normalization cancels.
+with raw fft/ifft pairs since the normalization cancels.  Dense n x n
+forms (Fourier multipliers for small-grid oracles, the trigonometric
+interpolant used by the lens transform) share one DFT-matrix builder.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,32 +71,16 @@ class Grid1D:
         return Grid1D(self.n * factor, self.length)
 
 
-def dft_axis(a: np.ndarray, grid: Grid1D, axis: int, inverse: bool = False) -> np.ndarray:
-    """Semi-discrete Fourier transform along one axis.
-
-    Forward: values of h * sum_j a(x_j) exp(-i k_m x_j) in FFT ordering.
-    Inverse: reconstructs grid samples from such coefficients.  The pair
-    is unitary up to the h versus 1/(2L) quadrature weights:
-    sum |a_hat|^2 / (2L) == sum |a|^2 * h.
-    """
-    if a.shape[axis] != grid.n:
-        raise GridError("axis length does not match grid")
-    m = np.rint(np.fft.fftfreq(grid.n) * grid.n).astype(np.int64)
-    # exp(i k_m L) = (-1)^m regardless of the sign of m
-    phase = np.where(m % 2 == 0, 1.0, -1.0)
-    shape = [1] * a.ndim
-    shape[axis] = grid.n
-    phase = phase.reshape(shape)
-    if not inverse:
-        return grid.h * phase * np.fft.fft(a, axis=axis)
-    return np.fft.ifft(phase * a, axis=axis) / grid.h
+def on_axes(values: np.ndarray, ndim: int, *axes: int) -> np.ndarray:
+    """values viewed against an ndim tensor: its dimensions on the given
+    axes (in ascending order), size 1 on every other axis."""
+    return np.expand_dims(values, tuple(ax for ax in range(ndim)
+                                        if ax not in axes))
 
 
 def apply_symbol(a: np.ndarray, symbol: np.ndarray, axis: int) -> np.ndarray:
     """Apply a Fourier-diagonal operator along one axis (raw fft round trip)."""
-    shape = [1] * a.ndim
-    shape[axis] = symbol.size
-    sym = symbol.reshape(shape)
+    sym = on_axes(symbol, a.ndim, axis)
     return np.fft.ifft(sym * np.fft.fft(a, axis=axis), axis=axis)
 
 
@@ -191,9 +174,7 @@ def apply_weight_squared(state: TensorState, axes, kind: str = "S") -> TensorSta
     out = state.amplitudes
     for ax in axes:
         kin = apply_symbol(out, sym, ax)
-        shape = [1] * out.ndim
-        shape[ax] = state.grid.n
-        out = kin + pot.reshape(shape) * out
+        out = kin + on_axes(pot, out.ndim, ax) * out
     return TensorState(state.grid, out, state.omega)
 
 
@@ -262,11 +243,26 @@ def symmetry_residual(state: TensorState) -> float:
     return worst
 
 
+def _dft_matrix(grid: Grid1D, inverse: bool = False) -> np.ndarray:
+    """numpy's fft (or ifft) of grid samples as a dense n x n matrix."""
+    transform = np.fft.ifft if inverse else np.fft.fft
+    return transform(np.eye(grid.n), axis=0)
+
+
 def dense_symbol_operator(grid: Grid1D, symbol: np.ndarray) -> np.ndarray:
     """Dense n x n matrix of a Fourier multiplier (for small-grid oracles)."""
-    f = np.fft.fft(np.eye(grid.n), axis=0)
-    finv = np.fft.ifft(np.eye(grid.n), axis=0)
-    return finv @ (symbol[:, None] * f)
+    return (_dft_matrix(grid, inverse=True)
+            @ (symbol[:, None] * _dft_matrix(grid)))
+
+
+def interpolation_matrix(grid: Grid1D, targets: np.ndarray) -> np.ndarray:
+    """Matrix P with (P @ u)_j = trigonometric interpolant of the grid
+    samples u at targets[j] (zero-padded Fourier series)."""
+    m = np.rint(np.fft.fftfreq(grid.n) * grid.n).astype(np.int64)
+    k = np.pi * m / grid.length
+    targets = np.asarray(targets, dtype=float)
+    evaluation = np.exp(1j * np.outer(targets + grid.length, k)) / grid.n
+    return evaluation @ _dft_matrix(grid)
 
 
 def dense_weight_squared(grid: Grid1D, kind: str = "S", omega: float = 0.0) -> np.ndarray:

@@ -7,9 +7,9 @@ the flat time tau as
                     * cos(omega t)^(-N/2) * u(tan(omega t)/omega, x/cos(omega t)),
 
 with the time dictionary tau = tan(omega t)/omega, valid on the window
-|t| < pi/(2 omega).  The inverse evaluates at contracted points y*cos
-and removes the quadratic phase.  Kernels transform with the phase on
-both argument groups and the power cos^(-k).
+|t| < pi/(2 omega).  Kernels transform with the phase on both argument
+groups and the power cos^(-k); the inverse kernel map evaluates at
+contracted points y*cos and removes the quadratic phase.
 
 Spatial rescaling is done by evaluating the trigonometric interpolant
 (zero-padded Fourier series) at the stretched or contracted points.  The
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid1D, GridError, TensorState
+from .grid import Grid1D, GridError, TensorState, interpolation_matrix
 from .marginals import MarginalDensity
 from .nls import NLSProblem, evolve_nls
 
@@ -51,7 +51,7 @@ BOUNDARY_FRACTION = 0.9
 
 @dataclass(frozen=True)
 class LensMap:
-    """Time dictionary and per-axis transform matrices for one omega."""
+    """Time dictionary between flat time tau and trap time t for one omega."""
 
     omega: float
 
@@ -70,9 +70,6 @@ class LensMap:
             return tau
         return math.atan(self.omega * tau) / self.omega
 
-    def cos_factor(self, t: float) -> float:
-        return math.cos(self.omega * t)
-
     def _check_window(self, t: float):
         c = math.cos(self.omega * t)
         if abs(self.omega * t) >= 0.5 * math.pi or c < COS_GUARD:
@@ -81,32 +78,29 @@ class LensMap:
             )
 
 
-def evaluation_matrix(grid: Grid1D, targets: np.ndarray) -> np.ndarray:
-    """Matrix P with (P @ fft(u))_j = trig interpolant of u at targets[j]."""
-    m = np.rint(np.fft.fftfreq(grid.n) * grid.n).astype(np.int64)
-    k = np.pi * m / grid.length
-    targets = np.asarray(targets, dtype=float)
-    return np.exp(1j * np.outer(targets + grid.length, k)) / grid.n
-
-
-def boundary_mass_fraction(state: TensorState) -> float:
-    """Mass fraction outside |x| > BOUNDARY_FRACTION * L along any axis."""
-    grid = state.grid
-    outside = np.abs(grid.x) > BOUNDARY_FRACTION * grid.length
-    dens = np.abs(state.amplitudes) ** 2
-    total = float(np.sum(dens))
+def boundary_mass_fraction(density: np.ndarray, grid: Grid1D) -> float:
+    """Largest share of a density on (n,)*d that lies beyond
+    |x| > BOUNDARY_FRACTION * L along one axis."""
+    total = float(np.sum(density))
     if total == 0.0:
         return 0.0
-    worst = 0.0
-    for ax in range(state.n_particles):
-        sel = [slice(None)] * state.n_particles
-        sel[ax] = outside
-        worst = max(worst, float(np.sum(dens[tuple(sel)])) / total)
-    return worst
+    outside = np.abs(grid.x) > BOUNDARY_FRACTION * grid.length
+    return max(float(np.sum(np.compress(outside, density, axis=ax))) / total
+               for ax in range(density.ndim))
 
 
-def one_particle_matrices(grid: Grid1D, omega: float, t: float):
-    """Forward and inverse per-axis lens matrices at trap time t.
+def _check_boundary(density: np.ndarray, grid: Grid1D):
+    frac = boundary_mass_fraction(density, grid)
+    if frac > BOUNDARY_MASS_TOL:
+        raise LensResolutionError(
+            f"boundary mass fraction {frac:.2e} exceeds {BOUNDARY_MASS_TOL:.0e}; "
+            "the stretched support would wrap the box"
+        )
+
+
+def one_particle_matrix(grid: Grid1D, omega: float, t: float,
+                        inverse: bool = False) -> np.ndarray:
+    """Per-axis lens matrix at trap time t.
 
     Forward: samples of exp(-i omega tan(omega t) x^2/2) c^(-1/2) u(x/c).
     Inverse: samples of exp(+i omega tan(omega t) c^2 y^2/2) c^(1/2) psi(y c).
@@ -116,14 +110,13 @@ def one_particle_matrices(grid: Grid1D, omega: float, t: float):
         raise LensWindowError(f"cos(omega t) = {c:.3f} below guard {COS_GUARD}")
     tn = math.tan(omega * t)
     x = grid.x
-    fmat = np.fft.fft(np.eye(grid.n), axis=0)
-    fwd = (np.exp(-0.5j * omega * tn * x ** 2)[:, None] / math.sqrt(c)) * (
-        evaluation_matrix(grid, x / c) @ fmat
-    )
-    inv = (np.exp(0.5j * omega * tn * c ** 2 * x ** 2)[:, None] * math.sqrt(c)) * (
-        evaluation_matrix(grid, x * c) @ fmat
-    )
-    return fwd, inv
+    if inverse:
+        phase = np.exp(0.5j * omega * tn * c ** 2 * x ** 2) * math.sqrt(c)
+        targets = x * c
+    else:
+        phase = np.exp(-0.5j * omega * tn * x ** 2) / math.sqrt(c)
+        targets = x / c
+    return phase[:, None] * interpolation_matrix(grid, targets)
 
 
 def _apply_axis(a: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
@@ -140,84 +133,40 @@ def lens_function(lmap: LensMap, u: TensorState, tau: float):
     if lmap.omega == 0.0:
         return u.copy(), tau
     t = lmap.t_of_tau(tau)
-    frac = boundary_mass_fraction(u)
-    if frac > BOUNDARY_MASS_TOL:
-        raise LensResolutionError(
-            f"boundary mass fraction {frac:.2e} exceeds {BOUNDARY_MASS_TOL:.0e}; "
-            "the stretched support would wrap the box"
-        )
-    fwd, _ = one_particle_matrices(u.grid, lmap.omega, t)
+    _check_boundary(np.abs(u.amplitudes) ** 2, u.grid)
+    fwd = one_particle_matrix(u.grid, lmap.omega, t)
     out = u.amplitudes
     for ax in range(u.n_particles):
         out = _apply_axis(out, fwd, ax)
     return TensorState(u.grid, out, lmap.omega), t
 
 
-def lens_function_inverse(lmap: LensMap, psi: TensorState, t: float):
-    """Map a trapped-frame state psi(t) to the flat-time state at tau(t)."""
+def lens_kernel(lmap: LensMap, marginal: MarginalDensity, time: float,
+                inverse: bool = False):
+    """Kernel transport gamma -> M gamma M^dagger on k particles.
+
+    Forward: time is the flat time tau; returns (kernel at t(tau), t).
+    inverse=True: time is the trap time t; returns (flat kernel, tau(t)).
+    omega = 0 returns a copy (exact identity).
+    """
+    grid, k = marginal.grid, marginal.k
     if lmap.omega == 0.0:
-        return psi.copy(), t
-    tau = lmap.tau_of_t(t)
-    _, inv = one_particle_matrices(psi.grid, lmap.omega, t)
-    out = psi.amplitudes
-    for ax in range(psi.n_particles):
-        out = _apply_axis(out, inv, ax)
-    return TensorState(psi.grid, out, lmap.omega), tau
-
-
-def kernel_boundary_fraction(marginal: MarginalDensity) -> float:
-    """Diagonal-density fraction outside |x| > BOUNDARY_FRACTION * L."""
-    grid = marginal.grid
-    dens = np.abs(np.real(np.diagonal(marginal.kernel))).reshape((grid.n,) * marginal.k)
-    total = float(np.sum(dens))
-    if total == 0.0:
-        return 0.0
-    outside = np.abs(grid.x) > BOUNDARY_FRACTION * grid.length
-    worst = 0.0
-    for ax in range(marginal.k):
-        sel = [slice(None)] * marginal.k
-        sel[ax] = outside
-        worst = max(worst, float(np.sum(dens[tuple(sel)])) / total)
-    return worst
-
-
-def lens_kernel(lmap: LensMap, marginal: MarginalDensity, tau: float):
-    """Kernel transport: gamma -> M gamma M^dagger on k particles."""
-    if lmap.omega == 0.0:
-        return MarginalDensity(marginal.grid, marginal.k, marginal.kernel.copy(),
-                               lmap.omega), tau
-    frac = kernel_boundary_fraction(marginal)
-    if frac > BOUNDARY_MASS_TOL:
-        raise LensResolutionError(
-            f"kernel boundary density fraction {frac:.2e} exceeds "
-            f"{BOUNDARY_MASS_TOL:.0e}; the stretched support would wrap the box"
-        )
-    t = lmap.t_of_tau(tau)
-    fwd, _ = one_particle_matrices(marginal.grid, lmap.omega, t)
+        return MarginalDensity(grid, k, marginal.kernel.copy(), lmap.omega), time
+    if inverse:
+        t, image_time = time, lmap.tau_of_t(time)
+    else:
+        diagonal = np.abs(np.real(np.diagonal(marginal.kernel)))
+        _check_boundary(diagonal.reshape((grid.n,) * k), grid)
+        t = image_time = lmap.t_of_tau(time)
+    mat = one_particle_matrix(grid, lmap.omega, t, inverse)
     out = marginal.tensor()
-    for ax in range(marginal.k):
-        out = _apply_axis(out, fwd, ax)
-    for ax in range(marginal.k, 2 * marginal.k):
-        out = _apply_axis(out, fwd.conj(), ax)
-    side = marginal.grid.n ** marginal.k
-    return MarginalDensity(marginal.grid, marginal.k, out.reshape(side, side),
-                           lmap.omega), t
-
-
-def lens_kernel_inverse(lmap: LensMap, marginal: MarginalDensity, t: float):
-    if lmap.omega == 0.0:
-        return MarginalDensity(marginal.grid, marginal.k, marginal.kernel.copy(),
-                               lmap.omega), t
-    tau = lmap.tau_of_t(t)
-    _, inv = one_particle_matrices(marginal.grid, lmap.omega, t)
-    out = marginal.tensor()
-    for ax in range(marginal.k):
-        out = _apply_axis(out, inv, ax)
-    for ax in range(marginal.k, 2 * marginal.k):
-        out = _apply_axis(out, inv.conj(), ax)
-    side = marginal.grid.n ** marginal.k
-    return MarginalDensity(marginal.grid, marginal.k, out.reshape(side, side),
-                           lmap.omega), tau
+    for ax in range(k):
+        out = _apply_axis(out, mat, ax)
+    for ax in range(k, 2 * k):
+        out = _apply_axis(out, mat.conj(), ax)
+    side = grid.n ** k
+    return MarginalDensity(grid, k, out.reshape(side, side),
+                           lmap.omega), image_time
 
 
 def intertwine_linear_check(lmap: LensMap, grid: Grid1D, phi0: np.ndarray,

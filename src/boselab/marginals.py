@@ -32,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Grid1D, GridError, TensorState, SobolevWeight, apply_symbol,
-                   symmetrize_leading)
+from .grid import Grid1D, TensorState, symmetrize_leading
 
 
 class MarginalError(ValueError):
@@ -85,10 +84,6 @@ class MarginalDensity:
     def trace(self) -> complex:
         return self.weight * complex(np.trace(self.kernel))
 
-    def hermiticity_defect(self) -> float:
-        """max |kernel - kernel^dagger|; NaN if the kernel holds NaN."""
-        return _hermiticity_defect(self.kernel)
-
     def eigenvalues(self) -> np.ndarray:
         """Occupation spectrum, ascending (Hermitian part of the kernel)."""
         _check_side(self.kernel.shape[0])
@@ -98,18 +93,6 @@ class MarginalDensity:
         """Kernel reshaped to (n,)*2k: unprimed axes first, then primed."""
         n = self.grid.n
         return self.kernel.reshape((n,) * (2 * self.k))
-
-    def reduce(self, target_k: int) -> "MarginalDensity":
-        """Trace out the last k - target_k particles (tower property)."""
-        if not 1 <= target_k <= self.k:
-            raise MarginalError(f"cannot reduce k={self.k} marginal to k={target_k}")
-        out = self.tensor()
-        h = self.grid.h
-        for kk in range(self.k, target_k, -1):
-            # pair last unprimed axis (kk-1) with last primed axis (2kk-1)
-            out = np.trace(out, axis1=kk - 1, axis2=2 * kk - 1) * h
-        side = self.grid.n ** target_k
-        return MarginalDensity(self.grid, target_k, out.reshape(side, side), self.omega)
 
 
 def _check_side(side: int):
@@ -259,26 +242,6 @@ def chaos_distance(state: TensorState, k: int, phi: np.ndarray) -> float:
     scale = max(float(np.max(np.abs(kern))), float(np.max(np.abs(vec))) ** 2)
     kern -= np.multiply.outer(vec, vec.conj())
     return _hermitian_trace_norm(kern, h ** k, scale)
-
-
-def weighted_trace(marginal: MarginalDensity, kind: str = "S") -> float:
-    """Tr prod_j W_j gamma W_j for W in {S, L}; computed as Tr(W^2 gamma).
-
-    Both routes agree by cyclicity; this one needs no eigendecomposition.
-    The value is >= trace(gamma) since both squared weights are >= 1.
-    """
-    weight = SobolevWeight(kind, marginal.omega if kind == "S" else 0.0)
-    sym = weight.squared_symbol(marginal.grid)
-    pot = weight.squared_potential(marginal.grid)
-    n = marginal.grid.n
-    out = marginal.tensor()
-    for ax in range(marginal.k):
-        shape = [1] * out.ndim
-        shape[ax] = n
-        out = apply_symbol(out, sym, ax) + pot.reshape(shape) * out
-    side = n ** marginal.k
-    value = marginal.weight * complex(np.trace(out.reshape(side, side)))
-    return float(value.real)
 
 
 def delta_pairing_diagonal(grid: Grid1D) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.fft
 
 from .grid import (Grid1D, GridError, TensorState, apply_symbol,
-                   dense_symbol_operator, symmetry_residual)
+                   dense_symbol_operator, on_axes, symmetry_residual)
 from .marginals import partial_trace
 from .potentials import PotentialSpec, scaled_potential
 
@@ -68,16 +68,13 @@ class NBodySystem:
 
     def potential_diagonal(self) -> np.ndarray:
         """Trap plus interaction as a diagonal tensor of shape (n,)*N."""
-        n, nn = self.grid.n, self.n_particles
+        nn = self.n_particles
         out = _axis_sum(0.5 * self.omega ** 2 * self.grid.x ** 2, nn)
         if self.potential is not None and nn >= 2:
             vpair = self.pair_potential_values() / nn
             for i in range(nn):
                 for j in range(i + 1, nn):
-                    shape = [1] * nn
-                    shape[i] = n
-                    shape[j] = n
-                    out = out + vpair.reshape(shape)
+                    out = out + on_axes(vpair, nn, i, j)
         return out
 
     def kinetic_symbol(self) -> np.ndarray:
@@ -87,21 +84,12 @@ class NBodySystem:
         """sum_j k_j^2 / 2 as a Fourier-space tensor of shape (n,)*N."""
         return _axis_sum(self.kinetic_symbol(), self.n_particles)
 
-    def suggest_dt(self, budget: float = 0.1) -> float:
-        """Step with N^beta ||V||_inf * dt below the stability budget."""
-        if self.potential is None:
-            return budget
-        return budget / max(self.potential.phase_rate(self.n_particles), 1e-12)
-
 
 def _axis_sum(values: np.ndarray, ndim: int) -> np.ndarray:
     """sum_j values[i_j] as a tensor of shape (n,)*ndim."""
-    n = values.size
-    out = np.zeros((n,) * ndim)
+    out = np.zeros((values.size,) * ndim)
     for ax in range(ndim):
-        shape = [1] * ndim
-        shape[ax] = n
-        out = out + values.reshape(shape)
+        out = out + on_axes(values, ndim, ax)
     return out
 
 
@@ -161,16 +149,14 @@ class Trajectory:
     norms: np.ndarray
     energies: np.ndarray
     # largest |norm - norm at step 0| over every step, stored or not
-    norm_drift: float | None = None
+    norm_drift: float
 
     @property
     def store_dt(self) -> float:
         return self.dt * self.store_every
 
     def max_norm_drift(self) -> float:
-        if self.norm_drift is not None:
-            return float(self.norm_drift)
-        return float(np.max(np.abs(self.norms - self.norms[0])))
+        return float(self.norm_drift)
 
     def max_energy_drift(self) -> float:
         e0 = self.energies[0]
@@ -327,11 +313,11 @@ def dense_spectrum(system: NBodySystem):
     return _EIG_CACHE[key]
 
 
-def spectral_cutoff(system: NBodySystem, state: TensorState, kappa: float,
-                    chi=cutoff_chi) -> TensorState:
+def spectral_cutoff(system: NBodySystem, state: TensorState,
+                    kappa: float) -> TensorState:
     """Regularized state chi(kappa H_N / N) psi, renormalized.
 
-    chi is 1 below s = 1 and 0 above s = 2 (and 1 for negative arguments),
+    chi = cutoff_chi is 1 below s = 1 and 0 above s = 2 (and 1 for negative arguments),
     so the result has energy moments <H^k> <= (2N/kappa)^k while staying
     kappa^(1/2)-close to psi when psi has bounded energy per particle.
     """
@@ -341,7 +327,7 @@ def spectral_cutoff(system: NBodySystem, state: TensorState, kappa: float,
     w = system.grid.h ** state.n_particles
     # eigenvectors are Euclidean-unitary, so plain coefficients suffice
     coeffs = evecs.conj().T @ state.amplitudes.reshape(-1)
-    factors = chi(kappa * evals / system.n_particles)
+    factors = cutoff_chi(kappa * evals / system.n_particles)
     vec = evecs @ (factors * coeffs)
     nrm2 = float(np.vdot(vec, vec).real) * w
     if nrm2 <= 1e-28:
@@ -352,25 +338,22 @@ def spectral_cutoff(system: NBodySystem, state: TensorState, kappa: float,
 
 # -- BBGKY residual ----------------------------------------------------------
 
-def _commutator_one_body(marg_tensor: np.ndarray, grid: Grid1D, k: int,
-                         sym: np.ndarray, pot_diag: np.ndarray) -> np.ndarray:
+def _commutator_one_body(marg_tensor: np.ndarray, k: int, sym: np.ndarray,
+                         pot_diag: np.ndarray) -> np.ndarray:
     """[sum_j A_j, gamma] for A = Fourier symbol + diagonal potential.
 
     Unprimed axes are 0..k-1, primed axes k..2k-1; A has a symmetric
     kernel, so gamma A is A applied along the primed axes.
     """
     out = np.zeros_like(marg_tensor)
-    n = grid.n
     # the symbol operator has a symmetric real kernel, so gamma A is
     # the same apply_symbol call routed along the primed axis
     for ax in range(k):
-        shape = [1] * (2 * k)
-        shape[ax] = n
-        out += apply_symbol(marg_tensor, sym, ax) + pot_diag.reshape(shape) * marg_tensor
+        out += (apply_symbol(marg_tensor, sym, ax)
+                + on_axes(pot_diag, 2 * k, ax) * marg_tensor)
     for ax in range(k, 2 * k):
-        shape = [1] * (2 * k)
-        shape[ax] = n
-        out -= apply_symbol(marg_tensor, sym, ax) + pot_diag.reshape(shape) * marg_tensor
+        out -= (apply_symbol(marg_tensor, sym, ax)
+                + on_axes(pot_diag, 2 * k, ax) * marg_tensor)
     return out
 
 
@@ -384,12 +367,9 @@ def _collision_term(state: TensorState, k: int, vpair: np.ndarray) -> np.ndarray
     block_shape = (n,) * k
     out = np.zeros((n ** k, n ** k), dtype=np.complex128)
     for j in range(k):
-        shape = [1] * k
-        shape[j] = n
         # V(x_j - x_{k+1}) as an (n^k, n) array over (kept block, traced)
-        wj = np.broadcast_to(
-            vpair.reshape(tuple(shape) + (n,)), block_shape + (n,)
-        ).reshape(n ** k, n)
+        wj = np.broadcast_to(on_axes(vpair, k + 1, j, k),
+                             block_shape + (n,)).reshape(n ** k, n)
         d = np.einsum("acr,bcr->ab", wj[:, :, None] * a, a.conj()) * weight
         out += d - d.conj().T
     return out
@@ -427,22 +407,15 @@ def bbgky_residual(traj: Trajectory, k: int, index: int | None = None) -> dict:
     tens = g0.tensor()
     sym = system.kinetic_symbol()
     trap = 0.5 * system.omega ** 2 * grid.x ** 2
-    rhs = _commutator_one_body(tens, grid, k, sym, trap).reshape(n ** k, n ** k)
+    rhs = _commutator_one_body(tens, k, sym, trap).reshape(n ** k, n ** k)
 
     vpair = system.pair_potential_values()
     if k >= 2 and system.potential is not None:
         block = np.zeros((n,) * (2 * k), dtype=np.complex128)
         for i in range(k):
             for j in range(i + 1, k):
-                shape = [1] * (2 * k)
-                shape[i] = n
-                shape[j] = n
-                unprimed = np.broadcast_to(
-                    vpair.reshape([n if ax in (i, j) else 1 for ax in range(2 * k)]),
-                    (n,) * (2 * k),
-                )
-                shape_p = [n if ax in (k + i, k + j) else 1 for ax in range(2 * k)]
-                primed = np.broadcast_to(vpair.reshape(shape_p), (n,) * (2 * k))
+                unprimed = on_axes(vpair, 2 * k, i, j)
+                primed = on_axes(vpair, 2 * k, k + i, k + j)
                 block = block + (unprimed - primed) * tens
         rhs += (block / nn).reshape(n ** k, n ** k)
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid1D, GridError, apply_symbol, dense_symbol_operator
+from .grid import Grid1D, GridError, dense_symbol_operator
 from .potentials import lens_damping
 
 
@@ -215,92 +215,3 @@ def trap_ground_state(grid: Grid1D, omega: float) -> tuple[np.ndarray, float]:
     j = int(np.argmax(np.abs(phi)))
     phi = phi * (abs(phi[j]) / phi[j])
     return phi.astype(np.complex128), float(evals[0])
-
-
-def _delta_contraction_string(k: int, j: int, primed_side: bool = False) -> str:
-    """einsum spec extracting one side of Tr_{k+1} [delta_j, u^{(k+1)}].
-
-    The operator delta_j multiplies by delta(y_j - y_{k+1}); its kernel
-    commutator traces to the difference of two diagonal restrictions,
-    pairing the extra slot with y_j (unprimed side) or y'_j (primed).
-    """
-    letters = "abcdefghijlm"
-    unprimed = list(letters[:k])
-    primed = list(letters[k:2 * k])
-    rep = primed[j] if primed_side else unprimed[j]
-    labels = unprimed + [rep] + primed + [rep]
-    return "".join(labels) + "->" + "".join(unprimed + primed)
-
-
-def gp_tensor_check(traj: NLSTrajectory, k: int = 1, index: int | None = None) -> dict:
-    """Residual of the limiting hierarchy on tensor powers of a lens run.
-
-    For u^(k) built as tensor powers of the scalar field, the hierarchy
-
-        i d/dtau u^(k) = [-Lap/2, u^(k)]
-                         - g(tau) b0 sum_j Tr_{k+1}[delta_j, u^(k+1)]
-
-    reduces algebraically to the scalar equation, so its defect is
-    bounded by a small multiple of the scalar residual.  The delta
-    contraction is evaluated generically (diagonal pairing on the grid),
-    not through the algebraic shortcut, so this is a genuine consistency
-    check of the hierarchy realization.
-    """
-    problem = traj.problem
-    if problem.side != "lens":
-        raise GridError("hierarchy check applies to lens-side trajectories")
-    if k < 1:
-        raise GridError("k must be >= 1")
-    if problem.grid.n ** (2 * k + 2) > 20_000_000:
-        raise GridError("tensor-power hierarchy check too large for this grid")
-    if index is None:
-        index = len(traj.times) // 2
-    if not 1 <= index <= len(traj.times) - 2:
-        raise GridError("index must have stored neighbors on both sides")
-
-    def power(phi, kk):
-        out = phi
-        for _ in range(kk - 1):
-            out = np.multiply.outer(out, phi)
-        return out
-
-    def tensor_kernel(phi, kk):
-        vec = power(phi, kk)
-        return np.multiply.outer(vec, vec.conj())
-
-    phi_m = traj.fields[index - 1]
-    phi_0 = traj.fields[index]
-    phi_p = traj.fields[index + 1]
-
-    u_m = tensor_kernel(phi_m, k)
-    u_p = tensor_kernel(phi_p, k)
-    u_0 = tensor_kernel(phi_0, k)
-    lhs = 1j * (u_p - u_m) / (2.0 * traj.store_dt)
-
-    sym = problem.kinetic_symbol()
-    com = np.zeros_like(u_0)
-    for ax in range(k):
-        com += apply_symbol(u_0, sym, ax)
-    for ax in range(k, 2 * k):
-        com -= apply_symbol(u_0, sym, ax)
-
-    u_next = tensor_kernel(phi_0, k + 1)
-    g = float(lens_damping(problem.omega, traj.times[index]))
-    coll = np.zeros_like(u_0)
-    for j in range(k):
-        coll += np.einsum(_delta_contraction_string(k, j), u_next)
-        coll -= np.einsum(_delta_contraction_string(k, j, primed_side=True), u_next)
-    rhs = com - g * problem.b0 * coll
-
-    defect = lhs - rhs
-    scalar = nls_residual(traj, index)
-    defect_max = float(np.max(np.abs(defect)))
-    phi_sup = float(np.max(np.abs(phi_0)))
-    return {
-        "defect_max": defect_max,
-        "scalar_residual": scalar,
-        "bound": 2.0 * k * phi_sup ** (2 * k - 1) * scalar,
-        "k": k,
-        "time": float(traj.times[index]),
-    }
-

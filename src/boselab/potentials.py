@@ -14,9 +14,8 @@ The mean-field limit is controlled by two constants:
     b0    = |integral of V|      (focusing coupling of the cubic limit)
     alpha = (integral of |V|)^2  (L^1 norm squared; energy-estimate shift)
 
-The signed integral and the unsigned b0 are stored separately: the limit
-equation always uses the focusing sign -b0 |phi|^2 phi, and downstream
-metadata records both so the convention is auditable.
+The signed integral and the unsigned b0 are kept apart: the limit
+equation always uses the focusing sign -b0 |phi|^2 phi.
 
 The N-body interaction is V_N(x) = N^beta V(N^beta x) with beta in (0, 1);
 under the lens change of variables it picks up the damping factor
@@ -125,17 +124,6 @@ class PotentialSpec:
         """N^beta ||V||_inf = ||V_N||_inf; the splitting stays stable while
         phase_rate * dt <= 0.1."""
         return float(n_particles) ** self.beta * self.linf_norm()
-
-    def constants(self) -> dict:
-        """Summary of the coupling constants with the sign convention."""
-        return {
-            "integral": self.integral(),
-            "b0": self.b0(),
-            "l1_norm": self.l1_norm(),
-            "alpha": self.alpha(),
-            "beta": self.beta,
-            "focusing_sign": -1,
-        }
 
 
 def scaled_potential(spec: PotentialSpec, n_particles: int, x) -> np.ndarray:

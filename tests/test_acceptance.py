@@ -121,8 +121,10 @@ def test_criterion_09_collapsing_estimate_positive_side(tmp_path):
 
 def test_criterion_10_collapsing_estimate_optimality(tmp_path):
     # removing the window or the weight exponent brings back a logarithmic
-    # divergence; keeping both leaves the cutoff scan flat
-    run_checks(tmp_path, "collapse_suite", 120.0, cli.collapse_optimality)
+    # divergence; keeping both leaves the cutoff scan flat.  The static
+    # trace bound, by contrast, needs more than half a derivative.
+    run_checks(tmp_path, "collapse_suite", 120.0, cli.collapse_optimality,
+               cli.collapse_trace_lemma)
 
 
 def test_criterion_11_shifted_weight_uniformity(tmp_path):

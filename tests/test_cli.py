@@ -97,6 +97,8 @@ def test_bbgky_reports_second_order_ratio(tmp_path):
     ("mismatch", '{"experiment": "convergence"}', "subcommand asked"),
     ("bad_times", '{"times": [0.0, 0.25, 0.4]}', "uniformly spaced"),
     ("not_json", "{oops", "config error"),
+    ("kappas", '{"kappas": [0.1]}', "'kappas' was unexpected"),
+    ("alphas", '{"alphas": [0.5]}', "'alphas' was unexpected"),
 ])
 def test_bad_config_exits_with_usage_code(tmp_path, name, contents, fragment):
     cfg = tmp_path / f"{name}.json"
@@ -283,3 +285,12 @@ def test_package_import_stays_light():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "1.0.0"
+
+
+def test_every_export_resolves():
+    # each name in __all__ goes through the lazy module __getattr__
+    import boselab
+
+    for name in boselab.__all__:
+        if name != "__version__":
+            assert boselab.__getattr__(name) is getattr(boselab, name)

@@ -419,22 +419,6 @@ class TestOperatorFamilies:
         assert growth == pytest.approx(2.829465589106397, rel=1e-8)
         assert growth > 2.0
 
-    def test_multiscale_family_separates_epsilon(self):
-        # ratio grows like sqrt(J) with J dyadic shells at epsilon = 0 but
-        # stays bounded once the weight carries a positive exponent
-        g = Grid1D(1024, 64.0)
-        family = C.make_multiscale_family(g, [1, 4], v0=1.0)
-        flat = C.direct_operator_test(g, family, epsilon=0.0,
-                                      t_window=0.5, n_tau=65)
-        weighted = C.direct_operator_test(g, family, epsilon=0.25,
-                                          t_window=0.5, n_tau=65)
-        growth0 = flat[1]["ratio"] / flat[0]["ratio"]
-        growth25 = weighted[1]["ratio"] / weighted[0]["ratio"]
-        assert growth0 == pytest.approx(1.994415474291058, rel=1e-8)
-        assert abs(growth0 - 2.0) < 0.1
-        assert growth25 == pytest.approx(1.18764086294786, rel=1e-8)
-        assert growth25 < 1.4
-
     def test_dilation_family_crosses_alpha_half(self):
         # trace ratios scale like Lambda^{1/2 - alpha}
         g = Grid1D(512, 4.0)
@@ -473,7 +457,3 @@ class TestOperatorFamilies:
         with pytest.raises(GridError, match="not normalizable"):
             C.direct_operator_test(g, [member], epsilon=0.1,
                                    t_window=0.5, n_tau=17)
-
-    def test_rejects_unresolved_dyadic_band(self):
-        with pytest.raises(GridError, match="resolved band"):
-            C.make_multiscale_family(Grid1D(1024, 64.0), [6], v0=1.0)

@@ -5,20 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from boselab.grid import Grid1D, GridError, TensorState, random_state
+from boselab.grid import Grid1D, GridError, random_state
 from boselab.nbody import NBodySystem
 from boselab.potentials import gaussian_well, mixed_sign
 from boselab.energy_checks import (
     check_K_inequality,
-    check_commuting_product,
     check_decomposition_identity,
     check_energy_estimate,
     check_pair_positivity,
     check_sobolev_operator_bound,
     dense_pair_block,
-    pair_positivity_depth_scan,
-    sobolev_embedding_constant,
-    sup_norm_ftc_check,
 )
 
 GAUSSIAN = gaussian_well(1.0, 1.0)
@@ -88,23 +84,6 @@ def test_pair_block_matches_brute_force():
            + 2.0 * spec.alpha() * np.eye(n * n))
     got = dense_pair_block(spec, 2, omega, g)
     assert np.max(np.abs(got - ref.real)) < 1e-12
-
-
-def test_depth_scan_shows_alpha_doing_work():
-    # with the full constant the block stays nonnegative at every depth;
-    # removing it exposes binding once the well is deep enough
-    g = Grid1D(32, 8.0)
-    depths = [0.5, 1.0, 2.0, 4.0]
-    full = pair_positivity_depth_scan(depths, 2, 0.0, g, alpha_scale=1.0)
-    assert all(row["passes"] for row in full)
-    assert [row["depth"] for row in full] == depths
-    bare = pair_positivity_depth_scan(depths, 2, 0.0, g, alpha_scale=0.0)
-    assert bare[0]["passes"] and bare[1]["passes"]
-    assert not bare[-1]["passes"]
-    assert bare[-1]["min_eigenvalue"] == pytest.approx(-0.516718, rel=1e-4)
-    # eigenvalues decrease with depth once alpha is removed
-    mins = [row["min_eigenvalue"] for row in bare]
-    assert all(a > b for a, b in zip(mins, mins[1:]))
 
 
 def test_K_inequality_and_negative_control():
@@ -177,44 +156,3 @@ def test_sobolev_operator_bound_reruns_bit_identical():
     first = check_sobolev_operator_bound(GAUSSIAN, g, n_particles=2)
     second = check_sobolev_operator_bound(GAUSSIAN, g, n_particles=2)
     assert first["sigma_max"] == second["sigma_max"]
-
-
-def test_commuting_product_monotonicity():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        def psd():
-            c = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-            return c @ c.conj().T
-        a1, b1 = psd(), psd()
-        a2 = a1 + psd()
-        b2 = b1 + psd()
-        res = check_commuting_product(a1, a2, b1, b2)
-        assert res["passes"]
-
-
-def test_commuting_product_rejects_bad_chain():
-    rng = np.random.default_rng(6)
-    c = rng.standard_normal((8, 8))
-    a1 = c @ c.T
-    a2 = a1 - 0.5 * np.eye(8)  # gap not nonnegative
-    with pytest.raises(ValueError, match="precondition"):
-        check_commuting_product(a1, a2, a1, a1 + np.eye(8))
-
-
-def test_sup_norm_ftc_bound():
-    g = Grid1D(256, 10.0)
-    for seed in range(10):
-        state = random_state(g, 1, seed=seed, k_filter=2.0)
-        res = sup_norm_ftc_check(g, state.amplitudes)
-        assert res["passes"]
-        assert res["sup"] <= res["bound"] + res["slack"]
-
-
-def test_sobolev_embedding_constant_is_order_one():
-    g = Grid1D(256, 10.0)
-    worst = 0.0
-    for seed in range(10):
-        state = random_state(g, 1, seed=seed, k_filter=2.0)
-        worst = max(worst,
-                    sobolev_embedding_constant(g, state.amplitudes))
-    assert worst <= 1.1

@@ -13,7 +13,6 @@ from boselab.grid import (
     apply_symbol,
     apply_weight_squared,
     dense_weight_squared,
-    dft_axis,
     random_state,
     symmetrize,
     symmetry_residual,
@@ -52,29 +51,6 @@ def test_grid_rejects_bad_length():
         Grid1D(64, 0.0)
     with pytest.raises(GridError):
         Grid1D(64, -1.0)
-
-
-def test_dft_matches_continuum_gaussian_transform():
-    # integral f(x) e^{-ikx} dx of a unit gaussian is sqrt(2 pi) e^{-k^2/2};
-    # at L = 16 the periodization error is below machine precision
-    g = Grid1D(256, 16.0)
-    f = np.exp(-g.x ** 2 / 2).astype(np.complex128)
-    fhat = dft_axis(f, g, 0)
-    exact = math.sqrt(2 * math.pi) * np.exp(-g.k ** 2 / 2)
-    assert np.max(np.abs(fhat - exact)) < 1e-13
-
-
-@pytest.mark.parametrize("seed,axis", [(0, 0), (1, 1), (2, 0), (3, 1)])
-def test_dft_round_trip_and_unitarity(seed, axis):
-    g = Grid1D(32, 4.0)
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
-    ah = dft_axis(a, g, axis)
-    back = dft_axis(ah, g, axis, inverse=True)
-    assert np.max(np.abs(back - a)) < 1e-12
-    lhs = np.sum(np.abs(ah) ** 2) / (2 * g.length)
-    rhs = np.sum(np.abs(a) ** 2) * g.h
-    assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_apply_symbol_on_plane_wave():

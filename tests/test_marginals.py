@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import boselab.marginals as marginals
-from boselab.grid import (Grid1D, TensorState, random_state, symmetrize,
-                          weighted_norm_squared)
+from boselab.grid import (Grid1D, TensorState, dense_weight_squared,
+                          random_state, symmetrize, weighted_norm_squared)
 from boselab.marginals import (
     MarginalDensity,
     MarginalError,
@@ -19,7 +19,6 @@ from boselab.marginals import (
     product_projector,
     trace_distance,
     trace_norm,
-    weighted_trace,
 )
 
 
@@ -53,7 +52,7 @@ def test_unit_trace_hermitian_nonnegative(k):
     state = random_state(g, 3, seed=2, k_filter=3.0, symmetric=True)
     gam = partial_trace(state, k)
     assert gam.trace() == pytest.approx(1.0, rel=1e-12)
-    assert gam.hermiticity_defect() < 1e-13
+    assert np.max(np.abs(gam.kernel - gam.kernel.conj().T)) < 1e-13
     evals = gam.eigenvalues()
     assert evals.min() > -1e-12
     assert float(np.sum(evals)) == pytest.approx(1.0, rel=1e-12)
@@ -75,16 +74,17 @@ def test_product_state_marginal_is_projector():
     assert abs(evals[:-1]).max() < 1e-12
 
 
-def test_tower_property():
-    g = Grid1D(16, 4.0)
-    state = random_state(g, 3, seed=5, k_filter=3.0, symmetric=True)
-    via_two = partial_trace(state, 2).reduce(1)
-    direct = partial_trace(state, 1)
-    assert trace_distance(via_two, direct) < 1e-12
-    with pytest.raises(MarginalError):
-        partial_trace(state, 2).reduce(3)
-    with pytest.raises(MarginalError):
-        partial_trace(state, 2).reduce(0)
+@settings(max_examples=30, deadline=None)
+@given(n_particles=st.sampled_from([2, 3]), n=st.sampled_from([4, 8, 16]),
+       seed=st.integers(0, 2 ** 32 - 1), symmetric=st.booleans())
+def test_tower_property(n_particles, n, seed, symmetric):
+    # Tr_2 gamma^(2) = gamma^(1), the trace over particle 2 taken here
+    g = Grid1D(n, 4.0)
+    state = random_state(g, n_particles, seed=seed, symmetric=symmetric)
+    via_two = g.h * np.trace(partial_trace(state, 2).tensor(),
+                             axis1=1, axis2=3)
+    direct = partial_trace(state, 1).kernel
+    assert np.max(np.abs(via_two - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
 def test_trace_norm_against_eigendecomposition():
@@ -153,6 +153,15 @@ def test_trace_distance_of_densities_equal_to_rounding():
         dist = trace_distance(partial_trace(state, k),
                               product_projector(g, phi, k))
         assert dist <= 1e-13
+
+
+def weighted_trace(gam, kind):
+    """Tr(W^2 x ... x W^2 gamma^(k)) with dense one-particle weights."""
+    w2 = dense_weight_squared(gam.grid, kind, gam.omega if kind == "S" else 0.0)
+    op = w2
+    for _ in range(gam.k - 1):
+        op = np.kron(op, w2)
+    return float(np.trace(op @ gam.matrix()).real)
 
 
 def test_weighted_trace_equals_state_expectation():

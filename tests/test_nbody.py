@@ -50,14 +50,6 @@ def test_potential_diagonal_structure():
     assert np.allclose(free.pair_potential_values(), 0.0)
 
 
-def test_suggest_dt_scaling():
-    spec = gaussian_well(2.0, 1.0, beta=0.5)
-    g = Grid1D(8, 4.0)
-    assert NBodySystem(g, 4, potential=spec).suggest_dt(0.1) == pytest.approx(
-        0.1 / (2.0 * 2.0))
-    assert NBodySystem(g, 4).suggest_dt(0.1) == pytest.approx(0.1)
-
-
 def test_apply_hamiltonian_matches_dense():
     # n = 8 at N = 3 keeps the dense matrix at 512^2
     for nn, n in ((1, 16), (2, 16), (3, 8)):

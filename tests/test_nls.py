@@ -11,7 +11,6 @@ from boselab.nls import (
     BlowupDetected,
     NLSProblem,
     evolve_nls,
-    gp_tensor_check,
     mass,
     nls_energy,
     nls_residual,
@@ -170,40 +169,3 @@ def test_energy_functional_signs():
     quart = -0.5 * 2.0 * g.h * float(np.sum(np.abs(phi) ** 4))
     assert e == pytest.approx(kin + quart, rel=1e-12)
     assert quart < 0  # focusing sign
-
-
-class TestHierarchyTensorCheck:
-    GRID = Grid1D(16, 8.0)
-
-    def lens_run(self, b0=1.0):
-        problem = NLSProblem(self.GRID, b0=b0, omega=1.0, side="lens")
-        phi, _ = trap_ground_state(self.GRID, 1.0)
-        return evolve_nls(problem, phi, 1e-3, 100, store_every=1)
-
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_defect_bounded_by_scalar_residual(self, k):
-        out = gp_tensor_check(self.lens_run(), k=k)
-        assert out["k"] == k
-        assert out["defect_max"] <= out["bound"] * (1 + 1e-9)
-        assert out["defect_max"] < 1e-6
-        assert out["scalar_residual"] < 1e-6
-
-    def test_free_hierarchy_case(self):
-        out = gp_tensor_check(self.lens_run(b0=0.0), k=1)
-        assert out["defect_max"] < 1e-6
-
-    def test_rejections(self):
-        trapped = NLSProblem(self.GRID, b0=1.0, omega=1.0)
-        phi, _ = trap_ground_state(self.GRID, 1.0)
-        traj = evolve_nls(trapped, phi, 1e-3, 10, store_every=1)
-        with pytest.raises(GridError, match="lens"):
-            gp_tensor_check(traj, k=1)
-        big = NLSProblem(Grid1D(64, 8.0), b0=1.0, omega=1.0, side="lens")
-        phi64, _ = trap_ground_state(Grid1D(64, 8.0), 1.0)
-        traj64 = evolve_nls(big, phi64, 1e-3, 10, store_every=1)
-        with pytest.raises(GridError, match="too large"):
-            gp_tensor_check(traj64, k=2)
-        with pytest.raises(GridError):
-            gp_tensor_check(self.lens_run(), k=0)
-        with pytest.raises(GridError):
-            gp_tensor_check(self.lens_run(), k=1, index=0)

@@ -65,15 +65,6 @@ def test_mixed_sign_linf_norm_against_fine_sampling():
         float(np.max(np.abs(spec(x)))), rel=1e-6)
 
 
-def test_constants_dict():
-    spec = gaussian_well(1.0, 1.0, beta=0.4)
-    c = spec.constants()
-    assert c["focusing_sign"] == -1
-    assert c["beta"] == 0.4
-    assert c["b0"] == pytest.approx(abs(c["integral"]))
-    assert c["alpha"] == pytest.approx(c["l1_norm"] ** 2)
-
-
 def test_validation_errors():
     with pytest.raises(PotentialError):
         PotentialSpec("box", a=1.0, s=1.0)
@@ -99,6 +90,9 @@ def test_scaled_potential_pointwise():
     scale = 4.0 ** 0.5
     assert np.allclose(scaled_potential(spec, n_particles, x),
                        scale * spec(scale * x))
+    # the splitting budget reads the peak of V_N, reached at x = 0
+    assert spec.phase_rate(n_particles) == pytest.approx(
+        np.max(np.abs(scaled_potential(spec, n_particles, x))), rel=1e-14)
     with pytest.raises(PotentialError):
         scaled_potential(spec, 0, x)
 
