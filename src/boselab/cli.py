@@ -29,9 +29,11 @@ check).
 
 Flags may also come from environment variables with the BOSELAB_ prefix
 (BOSELAB_CONFIG, BOSELAB_OUT, BOSELAB_SEED, BOSELAB_THREADS); explicit
-flags win.  --threads pins the BLAS/OpenMP pool sizes and must be set
-before heavy imports, which is why the numerical modules are imported
-lazily inside the check functions.
+flags win.  --threads (an integer >= 1, else exit code 2) pins the
+BLAS/OpenMP pool sizes and the pool of the N-body Fourier transforms of
+tensors with at least 2^16 amplitudes.  It must be set before heavy
+imports, which is why the numerical modules are imported lazily inside
+the check functions.
 """
 
 from __future__ import annotations
@@ -611,12 +613,9 @@ def collapse_trace_lemma(cfg: dict, out: Path,
     grid = Grid1D(512, 4.0)
     ratios = {0.75: [], 0.25: []}
     rows = []
-    # one 512^2 profile at a time: all three at once would raise the
-    # suite's peak memory by about 10 %
-    for lam in (4.0, 16.0, 64.0):
-        member = clp.make_dilation_family(grid, (lam,))
+    for member in clp.make_dilation_family(grid, (4.0, 16.0, 64.0)):
         for alpha, series in ratios.items():
-            r = clp.trace_lemma_check(grid, member, alpha)[0]
+            r = clp.trace_lemma_check(grid, [member], alpha)[0]
             rows.append([alpha, r["label"], r["lhs"], r["rhs"], r["ratio"]])
             series.append(r["ratio"])
     growth = _finite("trace_lemma_needs_half_derivative",
@@ -830,15 +829,22 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int,
                        default=None if _env_default("seed") is None
                        else int(_env_default("seed")))
-        p.add_argument("--threads", type=int,
-                       default=None if _env_default("threads") is None
-                       else int(_env_default("threads")))
+        p.add_argument("--threads", default=_env_default("threads"),
+                       help="thread-pool size, an integer >= 1")
     args = parser.parse_args(argv)
 
     if args.threads is not None:
+        try:
+            threads = int(args.threads)
+        except ValueError:
+            threads = 0
+        if threads < 1:
+            print(f"config error: threads: {args.threads!r} is not an "
+                  "integer >= 1", file=sys.stderr)
+            return EXIT_CONFIG_ERROR
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
+            os.environ[var] = str(threads)
 
     kind = _SUBCOMMANDS[args.command]
     try:

@@ -699,25 +699,24 @@ class SeparableKernelMember:
 
 @dataclass
 class PairProfileMember:
-    """phi^(2) = f(y1) K(y2, y2') conj(p(y1')) with a 2-D profile K.
+    """phi^(2) = f(y1) K(y2, y2') conj(p(y1')) with a rank-one profile K.
 
-    khat holds the coefficients of K in the product basis
-    e^{ik(y+L)} conj(e^{ik'(y'+L)}) / n^2, so the kernel evolves by the
-    phases e^{-i tau k^2} e^{+i tau k'^2} and its diagonal comes from a
-    single 2-D transform.
+    K has the coefficients khat(k, k') = g(k) g(k') / lam in the product
+    basis e^{ik(y+L)} conj(e^{ik'(y'+L)}) / n^2, so the kernel evolves by
+    the phases e^{-i tau k^2} e^{+i tau k'^2} and its diagonal is the
+    product of two length-n transforms.
     """
 
     f: np.ndarray
-    khat: np.ndarray
+    g: np.ndarray
+    lam: float
     p: np.ndarray
     label: str = "pair-profile"
 
     def _diag(self, grid: Grid1D, phase: np.ndarray) -> np.ndarray:
-        # at most two n x n temporaries are alive at once
-        half = np.fft.ifft(phase[:, None] * self.khat * np.conj(phase)[None, :],
-                           axis=0)
-        full = np.fft.fft(half, axis=1)
-        return np.ascontiguousarray(np.diagonal(full)) / grid.n
+        left = np.fft.ifft(phase * self.g)
+        right = np.fft.fft(self.g * np.conj(phase))
+        return left * right / (self.lam * grid.n)
 
     def contraction_pieces(self, grid: Grid1D, tau: float):
         phase = _free_phase(grid, tau)
@@ -728,8 +727,8 @@ class PairProfileMember:
 
     def weighted_input_norm(self, grid: Grid1D, eps: float) -> float:
         w2 = _weight_sq(grid, eps)
-        kern = (grid.h / grid.n) ** 2 * np.sum(
-            w2[:, None] * w2[None, :] * np.abs(self.khat) ** 2)
+        kern = (grid.h / grid.n) ** 2 * (
+            np.sum(w2 * np.abs(self.g) ** 2) / self.lam) ** 2
         out = math.sqrt(_gram(grid, eps, self.f, self.f).real)
         out *= math.sqrt(_gram(grid, eps, self.p, self.p).real)
         return out * math.sqrt(kern)
@@ -848,8 +847,7 @@ def make_dilation_family(grid: Grid1D, lams) -> list[PairProfileMember]:
     p = gaussian_packet(grid, width=1.2)
     for lam in lams:
         lam = float(lam)
-        khat = np.exp(-((k[:, None] / lam) ** 2 + (k[None, :] / lam) ** 2)
-                      / 2.0).astype(np.complex128) / lam
+        g = np.exp(-(k / lam) ** 2 / 2.0).astype(np.complex128)
         members.append(PairProfileMember(
-            f=f, khat=khat, p=p, label=f"dilation Lambda={lam:g}"))
+            f=f, g=g, lam=lam, p=p, label=f"dilation Lambda={lam:g}"))
     return members

@@ -109,6 +109,22 @@ def test_bad_config_exits_with_usage_code(tmp_path, name, contents, fragment):
     assert fragment in proc.stderr
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("value", ["0", "-1", "two"])
+def test_bad_thread_count_exits_with_usage_code(tmp_path, source, value):
+    out = tmp_path / "out"
+    if source == "flag":
+        proc = run_cli("nls-validate", "--threads", value, "--out", str(out))
+    else:
+        proc = run_cli("nls-validate", "--out", str(out),
+                       env_extra={"BOSELAB_THREADS": value})
+    assert proc.returncode == 2
+    assert "config error:" in proc.stderr and "threads" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    # rejected before any suite ran
+    assert not out.exists()
+
+
 def test_control_potential_obeys_the_dt_budget():
     from boselab.cli import ConfigError, validate_config
 

@@ -357,9 +357,9 @@ class TestWeightedKernelNorm:
         g = Grid1D(32, 4.0)
         rng = np.random.default_rng(7)
         f, p = _band_limited(g, rng), _band_limited(g, rng)
-        khat = (rng.standard_normal((g.n, g.n))
-                + 1j * rng.standard_normal((g.n, g.n)))
-        member = C.PairProfileMember(f=f, khat=khat, p=p, label="probe")
+        prof = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+        khat = np.outer(prof, prof) / 3.0
+        member = C.PairProfileMember(f=f, g=prof, lam=3.0, p=p, label="probe")
         got = member.weighted_input_norm(g, 0.25)
         w2 = (1.0 + g.k ** 2) ** 0.25
         kern = (g.h / g.n) ** 2 * np.sum(
@@ -371,6 +371,22 @@ class TestWeightedKernelNorm:
 
         assert got == pytest.approx(hnorm(f) * hnorm(p) * np.sqrt(kern),
                                     rel=1e-12)
+
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_rank_one_diagonal_matches_dense_profile(self, n):
+        # oracle: the diagonal of the dense n x n profile after evolution,
+        # from one 2-D transform
+        g = Grid1D(n, 4.0)
+        member = C.make_dilation_family(g, [16.0])[0]
+        khat = np.outer(member.g, member.g) / member.lam
+        for tau in (0.0, 0.3):
+            phase = np.exp(-1j * tau * g.k ** 2)
+            full = np.fft.fft(np.fft.ifft(
+                phase[:, None] * khat * np.conj(phase)[None, :], axis=0),
+                axis=1)
+            dense = np.diagonal(full) / g.n
+            got = member._diag(g, phase)
+            assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 class TestOperatorFamilies:

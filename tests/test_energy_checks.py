@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from boselab.cli import DEFAULTS
 from boselab.grid import Grid1D, GridError, random_state
 from boselab.nbody import NBodySystem
-from boselab.potentials import gaussian_well, mixed_sign
+from boselab.potentials import PotentialSpec, gaussian_well, mixed_sign
 from boselab.energy_checks import (
     check_K_inequality,
     check_decomposition_identity,
@@ -29,6 +31,20 @@ def test_decomposition_identity(n_particles, spec):
     state = random_state(g, n_particles, omega=1.0, seed=0, k_filter=3.0,
                          symmetric=True)
     assert check_decomposition_identity(system, state) < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(nn=st.sampled_from([2, 3]), n=st.sampled_from([8, 16]),
+       omega=st.floats(0.0, 1.5),
+       key=st.sampled_from(["potential", "control_potential"]),
+       symmetric=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_decomposition_identity_property(nn, n, omega, key, symmetric, seed):
+    # the energy suite's two default pair potentials, any trap in range
+    g = Grid1D(n, 8.0)
+    spec = PotentialSpec(**DEFAULTS["energy_suite"][key])
+    system = NBodySystem(g, nn, potential=spec, omega=omega)
+    state = random_state(g, nn, omega=omega, seed=seed, symmetric=symmetric)
+    assert check_decomposition_identity(system, state) <= 1e-10
 
 
 def test_decomposition_identity_validation():

@@ -219,6 +219,57 @@ def test_stored_snapshots_do_not_alias_the_buffer():
                                   fresh.states[-1].amplitudes)
 
 
+def _threaded_run(monkeypatch, pool):
+    from boselab import nbody
+
+    monkeypatch.setattr(nbody, "_POOL_SIZE", pool)
+    g = Grid1D(16, 4.0)  # 16^4 = 65,536 amplitudes: at the thread floor
+    system = NBodySystem(g, 4, potential=gaussian_well(1.0, 1.0), omega=1.0)
+    state = random_state(g, 4, omega=1.0, seed=3, k_filter=3.0)
+    assert nbody._workers(state.amplitudes) == pool
+    traj = evolve(system, state, 1e-3, 3, store_every=1)
+    return (traj, apply_hamiltonian(system, state.amplitudes),
+            energy_expectation(system, state))
+
+
+def test_threaded_transforms_are_bit_identical(monkeypatch):
+    traj1, h1, e1 = _threaded_run(monkeypatch, 1)
+    traj2, h2, e2 = _threaded_run(monkeypatch, 2)
+    assert len(traj1.states) == len(traj2.states) == 4
+    for a, b in zip(traj1.states, traj2.states):
+        assert np.array_equal(a.amplitudes, b.amplitudes)
+    assert np.array_equal(traj1.norms, traj2.norms)
+    assert np.array_equal(traj1.energies, traj2.energies)
+    assert traj1.norm_drift == traj2.norm_drift
+    assert np.array_equal(h1, h2)
+    assert e1 == e2
+
+
+def test_small_tensors_transform_on_one_thread(monkeypatch):
+    from boselab import nbody
+
+    monkeypatch.setattr(nbody, "_POOL_SIZE", 2)
+    assert nbody._workers(np.zeros((16,) * 3, complex)) == 1
+    assert nbody._workers(np.zeros((32,) * 3, complex)) == 1
+
+
+@pytest.mark.parametrize("value", [None, "0", "-2", "two", "2.5", ""])
+def test_pool_size_falls_back_to_affinity(monkeypatch, value):
+    import os
+
+    from boselab import nbody
+
+    if value is None:
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OMP_NUM_THREADS", value)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+    assert nbody._pool_size() == cpus
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    assert nbody._pool_size() == 3
+
+
 def test_norm_drift_covers_unstored_steps():
     g = Grid1D(16, 4.0)
     system = NBodySystem(g, 3, potential=mixed_sign(1.0, 1.0, r=0.25),
