@@ -20,16 +20,19 @@ each behind one or more paper statements, e.g. ``energy_estimate`` or
 The acceptance tests call the same functions, so each threshold and each
 input is defined once, here.
 
-Configs are JSON validated against CONFIG_SCHEMA; every output file
-embeds the config hash, the sign/direction conventions, and the package
-version, and identical config + seed gives byte-identical outputs.
-Exit codes: 0 all checks pass, 1 at least one check failed, 2 config
-error, 3 numerical abort (a non-finite value during propagation or in a
-check).
+Configs are JSON validated against CONFIG_SCHEMA, whose numbers must be
+finite and whose integers must be ints, and then against what the
+runners need (step budgets, run lengths, the lens window); every output
+file embeds the config hash, the sign/direction conventions, and the
+package version, and identical config + seed gives byte-identical
+outputs.  Exit codes: 0 all checks pass, 1 at least one check failed,
+2 config error (a config that cannot run), 3 numerical abort (a
+non-finite value during propagation or in a check).
 
 Flags may also come from environment variables with the BOSELAB_ prefix
 (BOSELAB_CONFIG, BOSELAB_OUT, BOSELAB_SEED, BOSELAB_THREADS); explicit
-flags win.  --threads (an integer >= 1, else exit code 2) pins the
+flags win.  --seed must be an integer >= 0 and --threads an integer
+>= 1, else exit code 2.  --threads pins the
 BLAS/OpenMP pool sizes and the pool of the N-body Fourier transforms of
 tensors with at least 2^16 amplitudes.  It must be set before heavy
 imports, which is why the numerical modules are imported lazily inside
@@ -39,6 +42,7 @@ the check functions.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -177,15 +181,89 @@ def merge_defaults(cfg: dict) -> dict:
     return merged
 
 
+def _is_finite_number(checker, value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _is_int(checker, value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+@functools.lru_cache(maxsize=1)
+def _schema_validator():
+    """CONFIG_SCHEMA's validator, with finite numbers and int integers.
+
+    JSON's Infinity and NaN parse to floats that the standard "number"
+    type admits (NaN passes every bound), and it counts 16.0 as an
+    "integer"; neither can drive a run.
+    """
+    import jsonschema
+
+    base = jsonschema.Draft202012Validator
+    checker = base.TYPE_CHECKER.redefine_many(
+        {"number": _is_finite_number, "integer": _is_int})
+    return jsonschema.validators.extend(base, type_checker=checker)(
+        CONFIG_SCHEMA)
+
+
+def _n_steps(key: str, span: float, dt: float) -> int:
+    """round(span / dt), the step count a runner takes; a ConfigError when
+    it is not finite."""
+    steps = span / dt if dt > 0 else math.inf
+    if not math.isfinite(steps):
+        raise ConfigError(
+            f"{key}: {span} is not a finite number of steps of dt = {dt}")
+    return int(round(steps))
+
+
+def _check_run_length(merged: dict) -> None:
+    """Run lengths the runners can store enough snapshots for, and lens
+    times inside the lens window."""
+    kind = merged["experiment"]
+    if kind not in ("nls_validate", "bbgky_residual", "lens_suite"):
+        return
+    t_run, dt = merged["t_run"], merged["dt"]
+    if kind == "nls_validate":
+        # the residual run stores every 4th step and needs three fields
+        steps = _n_steps("t_run", t_run, dt)
+        if steps < 8:
+            raise ConfigError(
+                f"t_run: {t_run} is {steps} steps of dt = {dt}; the PDE "
+                "residual needs at least 8")
+    elif kind == "bbgky_residual":
+        # the central difference needs three stored snapshots at dt and dt/2
+        need = 2 * merged["store_every"]
+        for step in (dt, dt / 2):
+            steps = _n_steps("t_run", t_run, step)
+            if steps < need:
+                raise ConfigError(
+                    f"t_run: {t_run} is {steps} steps of dt = {step}; three "
+                    f"snapshots every {merged['store_every']} steps need "
+                    f"at least {need}")
+    else:
+        from .lens import LensMap, LensWindowError
+
+        _n_steps("t_run", t_run, dt)
+        try:
+            LensMap(merged["omega"]).tau_of_t(t_run)
+        except LensWindowError as err:
+            raise ConfigError(f"t_run: {err}") from None
+
+
 def validate_config(cfg: dict) -> dict:
     """Schema validation plus the module preconditions; returns merged."""
     import jsonschema
 
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as err:
+    err = jsonschema.exceptions.best_match(
+        _schema_validator().iter_errors(cfg))
+    if err is not None:
         path = "/".join(str(p) for p in err.absolute_path) or "<root>"
-        raise ConfigError(f"{path}: {err.message}") from None
+        raise ConfigError(f"{path}: {err.message}")
     merged = merge_defaults(cfg)
     n = merged.get("n")
     if n is not None and (n & (n - 1)) != 0:
@@ -207,16 +285,18 @@ def validate_config(cfg: dict) -> dict:
     if dt is not None:
         from .potentials import PotentialError, PotentialSpec
 
-        n_max = max(merged.get("n_particles", [1]))
+        # the budget of the N-body Strang step; other suites evolve no pair
+        n_body = merged["experiment"] in ("convergence", "bbgky_residual")
+        n_max = max(merged["n_particles"]) if n_body else 1
         for key in ("potential", "control_potential"):
             spec = merged.get(key)
-            if spec is None:
+            if spec is None or not n_body:
                 continue
             try:
                 budget = PotentialSpec(**spec).phase_rate(n_max) * dt
             except PotentialError as err:
                 raise ConfigError(f"{key}: {err}") from None
-            if budget > 0.1:
+            if not budget <= 0.1:  # a NaN budget fails too
                 raise ConfigError(
                     f"{key}: dt {dt} violates the splitting stability budget "
                     f"N^beta * |V|_inf * dt <= 0.1 (got {budget:.3g})")
@@ -226,12 +306,13 @@ def validate_config(cfg: dict) -> dict:
                 raise ConfigError(
                     "times: need t = 0 plus at least one output time")
             spacing = times[1] - times[0]
-            stride = int(round(spacing / dt))
+            stride = _n_steps("times", spacing, dt)
             uniform = all(abs(b - a - spacing) < 1e-12
                           for a, b in zip(times, times[1:]))
             if not uniform or stride < 1 or abs(stride * dt - spacing) > 1e-12:
                 raise ConfigError("times: must be uniformly spaced multiples "
                                   "of dt starting at 0")
+    _check_run_length(merged)
     return merged
 
 
@@ -317,7 +398,7 @@ def _convergence_block(cfg: dict, out: Path, report_hash: str, tag: str,
     grid = Grid1D(cfg["n"], cfg["length"])
     phi0 = _gaussian_orbital(grid)
     times, dt = cfg["times"], cfg["dt"]
-    stride = int(round((times[1] - times[0]) / dt))
+    stride = _n_steps("times", times[1] - times[0], dt)
     n_steps = stride * (len(times) - 1)
     pot = PotentialSpec(**cfg[key])
     problem = NLSProblem(grid, b0=pot.b0(), omega=cfg["omega"])
@@ -692,7 +773,7 @@ def run_bbgky(cfg: dict, out: Path, report_hash: str) -> list[dict]:
         state = _product_state(grid, phi0, nn)
         per_n = []
         for dt in (cfg["dt"], cfg["dt"] / 2):
-            n_steps = int(round(cfg["t_run"] / dt))
+            n_steps = _n_steps("t_run", cfg["t_run"], dt)
             traj = evolve(system, state, dt, n_steps,
                           store_every=cfg["store_every"])
             res = bbgky_residual(traj, k=1)
@@ -720,7 +801,7 @@ def run_nls_validate(cfg: dict, out: Path, report_hash: str) -> list[dict]:
     b0 = 2.0
     prob = NLSProblem(grid, b0=b0, omega=0.0)
     psi0 = soliton(grid, b0, 0.0)
-    n_steps = int(round(cfg["t_run"] / cfg["dt"]))
+    n_steps = _n_steps("t_run", cfg["t_run"], cfg["dt"])
     traj = evolve_nls(prob, psi0, cfg["dt"], n_steps, store_every=n_steps)
     exact = soliton(grid, b0, traj.times[-1])
     sol_err = float(np.max(np.abs(traj.fields[-1] - exact)))
@@ -814,6 +895,19 @@ def _env_default(name: str):
     return os.environ.get(ENV_PREFIX + name.upper())
 
 
+def _int_flag(name: str, raw: str | None, minimum: int) -> int | None:
+    """The integer value of a flag or its environment default."""
+    if raw is None:
+        return None
+    try:
+        value = int(raw)
+    except ValueError:
+        value = minimum - 1
+    if value < minimum:
+        raise ConfigError(f"{name}: {raw!r} is not an integer >= {minimum}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="boselab",
@@ -826,22 +920,19 @@ def main(argv=None) -> int:
                        help="JSON config path (defaults are built in)")
         p.add_argument("--out", default=_env_default("out"),
                        help="output directory (default runs/<experiment>)")
-        p.add_argument("--seed", type=int,
-                       default=None if _env_default("seed") is None
-                       else int(_env_default("seed")))
+        p.add_argument("--seed", default=_env_default("seed"),
+                       help="random seed, an integer >= 0")
         p.add_argument("--threads", default=_env_default("threads"),
                        help="thread-pool size, an integer >= 1")
     args = parser.parse_args(argv)
 
-    if args.threads is not None:
-        try:
-            threads = int(args.threads)
-        except ValueError:
-            threads = 0
-        if threads < 1:
-            print(f"config error: threads: {args.threads!r} is not an "
-                  "integer >= 1", file=sys.stderr)
-            return EXIT_CONFIG_ERROR
+    try:
+        seed = _int_flag("seed", args.seed, 0)
+        threads = _int_flag("threads", args.threads, 1)
+    except ConfigError as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    if threads is not None:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS"):
             os.environ[var] = str(threads)
@@ -850,6 +941,8 @@ def main(argv=None) -> int:
     try:
         if args.config is not None:
             cfg = json.loads(Path(args.config).read_text())
+            if not isinstance(cfg, dict):
+                raise ConfigError("<root>: the config must be a JSON object")
             if "experiment" not in cfg:
                 cfg["experiment"] = kind
             elif cfg["experiment"] != kind:
@@ -858,8 +951,8 @@ def main(argv=None) -> int:
                     f"subcommand asked for {kind!r}")
         else:
             cfg = {"experiment": kind}
-        if args.seed is not None:
-            cfg["seed"] = args.seed
+        if seed is not None:
+            cfg["seed"] = seed
         out_dir = args.out or cfg.get("output_dir") or f"runs/{kind}"
         code, report = run_experiment(cfg, out_dir)
     except (ConfigError, json.JSONDecodeError, FileNotFoundError) as err:

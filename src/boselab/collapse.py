@@ -136,6 +136,28 @@ def _gl_panels(edges: np.ndarray, order: int):
     return _gl_nodes(edges[:-1], edges[1:], order)
 
 
+def _ladder(start: float, stop: float, refine: int) -> list[float]:
+    """The grading rule of every panel set: start, then start * r^k for
+    k = 1, 2, ... by repeated multiplication, r = 2^(1/refine), while the
+    previous point is below stop; the last point is clamped to stop."""
+    ratio = 2.0 ** (1.0 / refine)
+    pts = [start]
+    s = start
+    while s < stop:
+        s *= ratio
+        pts.append(min(s, stop))
+    return pts
+
+
+def _graded_about(center: float, inner: float, outer: float,
+                  refine: int) -> list[float]:
+    """center -/+ every ladder step from inner that lies below outer."""
+    pts = []
+    for step in _ladder(inner, outer, refine)[:-1]:
+        pts += [center - step, center + step]
+    return pts
+
+
 def _keep_mask(values: np.ndarray, starts: np.ndarray,
                rel: float = 1e-12) -> np.ndarray:
     """The dedupe rule on ascending runs laid end to end.
@@ -168,6 +190,12 @@ def _dedupe(values: np.ndarray, rel: float = 1e-12) -> np.ndarray:
     return values[_keep_mask(values, starts, rel)]
 
 
+# outer radius of the u-integral of integral_I (its tail is estimated)
+_U_TAIL = 4096.0
+# |u| up to which kernel_H re-integrates the bracket features on windows
+_WINDOW_REACH = 4.0
+
+
 @dataclass
 class CollapseProbe:
     """Bump window, cached transform, and quadrature controls.
@@ -190,8 +218,6 @@ class CollapseProbe:
     theta_l1: float = 0.0
     theta_mass: float = 0.0
     u_min: float = 1e-6
-    u_tail: float = 4096.0
-    window_reach: float = 4.0
 
     def refined(self) -> "CollapseProbe":
         return make_probe(self.epsilon, refine=self.refine * 2)
@@ -345,7 +371,7 @@ def _kernel_H_chunk(probe: CollapseProbe, u: np.ndarray,
     w_lo, w_hi = us - reach, us + 2.0 * u * u + reach
     il = np.maximum(np.searchsorted(edges, w_lo, side="right") - 1, 0)
     ih = np.minimum(np.searchsorted(edges, w_hi, side="left"), n_panels)
-    rows = np.flatnonzero((au <= probe.window_reach) & (ih > il))
+    rows = np.flatnonzero((au <= _WINDOW_REACH) & (ih > il))
     if rows.size:
         il, ih = il[rows], ih[rows]
         val[rows] -= cums[rows, ih] - cums[rows, il]
@@ -358,7 +384,7 @@ def kernel_H(probe: CollapseProbe, eta: float, xi1: float, u):
 
     Evaluated in the scaled variable s = u w, where |theta-hat(s)| has
     fixed support: smooth panels between the transform's sign changes
-    carry precomputed nodes, and for |u| <= probe.window_reach the
+    carry precomputed nodes, and for |u| <= _WINDOW_REACH the
     width-|u| bracket features around s = u*sigma are re-integrated on
     graded sub-panels.  Both passes run on blocks of u at once (one
     padded breakpoint table per block, no loop over single u).  u = 0
@@ -391,46 +417,33 @@ def _feature_points(eta: float, xi1: float):
     return pts
 
 
-def _u_edges(probe: CollapseProbe, eta: float, xi1: float) -> np.ndarray:
+def _u_edges(probe: CollapseProbe) -> np.ndarray:
     """Panel breakpoints for the outer u-integral on one sign region."""
-    pts = [probe.u_min]
-    s = probe.u_min
-    while s < 1.0:
-        s *= 2.0 ** (1.0 / probe.refine)
-        pts.append(min(s, 1.0))
-    s = 1.0
-    while s < probe.u_tail:
-        s *= 2.0 ** (1.0 / probe.refine)
-        pts.append(min(s, probe.u_tail))
-    return np.array(pts)
+    return np.array(_ladder(probe.u_min, 1.0, probe.refine)
+                    + _ladder(1.0, _U_TAIL, probe.refine)[1:])
 
 
 def integral_I(probe: CollapseProbe, eta: float, xi1: float) -> dict:
     """The dual integral I(eta, xi1), split into |u| < 1 and |u| > 1.
 
     Panels: dyadic grading into u = 0 from probe.u_min, geometric tails
-    to probe.u_tail, with extra graded breakpoints at the quadratic-root
+    to _U_TAIL, with extra graded breakpoints at the quadratic-root
     features where the large-u envelope of H peaks.  Returns the value,
     the split parts, and an analytic tail estimate (flagging truncation).
     """
     eps = probe.epsilon
-    base = _u_edges(probe, eta, xi1)
-    features = _feature_points(eta, xi1)
+    base = _u_edges(probe)
     extra = []
-    for f in features:
+    for f in _feature_points(eta, xi1):
         af = abs(f)
-        if af <= probe.u_min or af >= probe.u_tail:
+        if af <= probe.u_min or af >= _U_TAIL:
             continue
         scale = max(1.0, af)
-        step = 1e-3 * scale
-        ratio = 2.0 ** (1.0 / probe.refine)
-        while step < 4.0 * scale:
-            extra.extend([af - step, af + step])
-            step *= ratio
+        extra += _graded_about(af, 1e-3 * scale, 4.0 * scale, probe.refine)
         extra.append(af)
     mags = _dedupe(np.concatenate([base, np.array(extra)])) if extra else base
-    mags = mags[(mags >= probe.u_min) & (mags <= probe.u_tail)]
-    mags = _dedupe(np.concatenate([mags, [probe.u_min, 1.0, probe.u_tail]]))
+    mags = mags[(mags >= probe.u_min) & (mags <= _U_TAIL)]
+    mags = _dedupe(np.concatenate([mags, [probe.u_min, 1.0, _U_TAIL]]))
 
     i1 = i2 = 0.0
     tail = 0.0
@@ -450,7 +463,7 @@ def integral_I(probe: CollapseProbe, eta: float, xi1: float) -> dict:
         edge_val = float(outer[-1 if sign > 0 else 0] *
                          hvals[-1 if sign > 0 else 0])
         if eps > 0:
-            tail += abs(edge_val) * probe.u_tail / (4.0 * eps)
+            tail += abs(edge_val) * _U_TAIL / (4.0 * eps)
     return {"value": i1 + i2, "I1": i1, "I2": i2,
             "tail_estimate": tail, "n_u_nodes": n_nodes}
 
@@ -459,15 +472,25 @@ def integral_I(probe: CollapseProbe, eta: float, xi1: float) -> dict:
 # the uniform one-variable bound F(e)
 
 
-def _graded_about(center: float, inner: float, outer: float,
-                  refine: int) -> list[float]:
-    pts = []
-    step = inner
-    ratio = 2.0 ** (1.0 / refine)
-    while step < outer:
-        pts.extend([center - step, center + step])
-        step *= ratio
-    return pts
+def _punctured_line(probe: CollapseProbe, pts: list, centers, r0: float,
+                    reach: float, big: float, integrand) -> tuple:
+    """Gauss-Legendre sum of integrand over [-big, big] outside the discs
+    |u - c| < r0, and the closed-form tails 2 big^(-4e)/(4e) of the
+    |u|^(-1-4e) decay beyond +-big.
+
+    pts are the breakpoints graded about the singular points; the panels
+    grow geometrically from +-reach out to +-big.
+    """
+    ladder = _ladder(reach, big, probe.refine)[1:]
+    pts = [*pts, -big, big, *ladder, *(-s for s in ladder)]
+    edges = _dedupe(np.array([p for p in pts if -big <= p <= big]))
+    nodes, weights = _gl_panels(edges, probe.gl_order)
+    un, wn = nodes.ravel(), weights.ravel()
+    keep = np.all([np.abs(un - c) >= r0 for c in centers], axis=0)
+    un, wn = un[keep], wn[keep]
+    eps = probe.epsilon
+    return (float(np.sum(wn * integrand(un))),
+            2.0 * big ** (-4.0 * eps) / (4.0 * eps))
 
 
 def lemma_F(probe: CollapseProbe, e: float) -> float:
@@ -488,27 +511,15 @@ def lemma_F(probe: CollapseProbe, e: float) -> float:
     inner = (1.0 + e * e) ** (-0.5 * (1.0 - 4.0 * eps)) \
         * 2.0 * r0 ** (1.0 - 8.0 * eps) / (1.0 - 8.0 * eps)
 
-    pts = [e - r0, e + r0, -big, big]
-    pts += _graded_about(e, r0, 8.0 * scale, probe.refine)
+    pts = _graded_about(e, r0, 8.0 * scale, probe.refine)
     if abs(e) > 1e-9:
         pts += _graded_about(0.0, 1e-3, 8.0, probe.refine)
         pts.append(0.0)
-    s = 8.0 * scale
-    while s < big:
-        s *= 2.0 ** (1.0 / probe.refine)
-        pts.extend([min(s, big), -min(s, big)])
-    edges = _dedupe(np.array([p for p in pts if -big <= p <= big]))
-    nodes, weights = _gl_panels(edges, probe.gl_order)
-    un = nodes.ravel()
-    wn = weights.ravel()
-    keep = np.abs(un - e) >= r0
-    un, wn = un[keep], wn[keep]
-    integrand = np.abs(un - e) ** (-8.0 * eps) * \
-        (1.0 + un * un) ** (-0.5 * (1.0 - 4.0 * eps))
-    outer_val = float(np.sum(wn * integrand))
-
-    tail = 2.0 * big ** (-4.0 * eps) / (4.0 * eps)
-    return inner + outer_val + tail
+    outer, tail = _punctured_line(
+        probe, pts, [e], r0, 8.0 * scale, big,
+        lambda u: np.abs(u - e) ** (-8.0 * eps)
+        * (1.0 + u * u) ** (-0.5 * (1.0 - 4.0 * eps)))
+    return inner + outer + tail
 
 
 def lemma_F_reference(probe: CollapseProbe) -> float:
@@ -521,22 +532,14 @@ def lemma_F_reference(probe: CollapseProbe) -> float:
     inner_zero = 2.0 * r0 ** (4.0 * eps) / (4.0 * eps)
     inner_one = 2.0 * r0 ** (1.0 - 8.0 * eps) / (1.0 - 8.0 * eps)
 
-    pts = [-big, big, 0.0, 1.0]
+    pts = [0.0, 1.0]
     pts += _graded_about(0.0, r0, 8.0, probe.refine)
     pts += _graded_about(1.0, r0, 8.0, probe.refine)
-    s = 8.0
-    while s < big:
-        s *= 2.0 ** (1.0 / probe.refine)
-        pts.extend([min(s, big), -min(s, big)])
-    edges = _dedupe(np.array([p for p in pts if -big <= p <= big]))
-    nodes, weights = _gl_panels(edges, probe.gl_order)
-    un = nodes.ravel()
-    wn = weights.ravel()
-    keep = (np.abs(un) >= r0) & (np.abs(un - 1.0) >= r0)
-    un, wn = un[keep], wn[keep]
-    integrand = np.abs(un - 1.0) ** (-8.0 * eps) * np.abs(un) ** (4.0 * eps - 1.0)
-    tail = 2.0 * big ** (-4.0 * eps) / (4.0 * eps)
-    return inner_zero + inner_one + float(np.sum(wn * integrand)) + tail
+    outer, tail = _punctured_line(
+        probe, pts, [0.0, 1.0], r0, 8.0, big,
+        lambda x: np.abs(x - 1.0) ** (-8.0 * eps)
+        * np.abs(x) ** (4.0 * eps - 1.0))
+    return inner_zero + inner_one + outer + tail
 
 
 # ----------------------------------------------------------------------
@@ -557,13 +560,7 @@ def linear_fit(x, y) -> dict:
 
 
 def _shell_quadrature(delta: float, order: int, refine: int):
-    pts = [delta]
-    s = delta
-    while s < 1.0:
-        s *= 2.0 ** (1.0 / refine)
-        pts.append(min(s, 1.0))
-    edges = np.array(pts)
-    nodes, weights = _gl_panels(edges, order)
+    nodes, weights = _gl_panels(np.array(_ladder(delta, 1.0, refine)), order)
     return nodes.ravel(), weights.ravel()
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .grid import (Grid1D, GridError, TensorState, apply_symbol,
-                   apply_weight_squared, dense_symbol_operator,
+                   apply_weight_squared, dense_operator,
                    dense_weight_squared, on_axes, weighted_norm_squared)
 from .nbody import DENSE_DIM_CAP, NBodySystem, apply_hamiltonian
 from .potentials import PotentialSpec, scaled_potential
@@ -117,15 +117,15 @@ def check_K_inequality(spec: PotentialSpec | None, n_particles: int,
     (negative control: a deep well with a small potential's alpha binds
     below zero).
     """
-    mat = dense_symbol_operator(grid, 0.5 * grid.k ** 2)
     alpha = spec.alpha() if spec is not None else 0.0
     if alpha_override is not None:
         alpha = alpha_override
+    vline = np.zeros(grid.n)
     if spec is not None:
-        vline = scaled_potential(spec, n_particles, grid.x)
-        mat = mat + np.diag((1.0 - 1.0 / n_particles) * vline)
+        vline = (1.0 - 1.0 / n_particles) * scaled_potential(
+            spec, n_particles, grid.x)
+    mat = dense_operator(grid, 0.5 * grid.k ** 2, vline)
     mat = mat + (2.0 * alpha) * np.eye(grid.n)
-    mat = 0.5 * (mat + mat.conj().T)
     lam = float(np.linalg.eigvalsh(mat)[0])
     return {"min_eigenvalue": lam, "alpha": alpha, "passes": lam >= -1e-6}
 

@@ -14,6 +14,11 @@ Diagonal Fourier multipliers (kinetic phases, Sobolev symbols) are applied
 with raw fft/ifft pairs since the normalization cancels.  Dense n x n
 forms (Fourier multipliers for small-grid oracles, the trigonometric
 interpolant used by the lens transform) share one DFT-matrix builder.
+
+The one-particle operator h = -d^2/2 + omega^2 x^2/2, in which every
+energy estimate is written (S^2 = 1 + h), is defined here once: its trap
+multiplier is trap_potential, and dense_operator builds the Hermitized
+dense form "Fourier symbol + multiplier" of h, S^2 and their relatives.
 """
 
 from __future__ import annotations
@@ -69,6 +74,13 @@ class Grid1D:
 
     def refine(self, factor: int = 2) -> "Grid1D":
         return Grid1D(self.n * factor, self.length)
+
+
+def trap_potential(grid: Grid1D, omega: float) -> np.ndarray:
+    """The trap multiplier omega^2 x^2 / 2 on the grid points; with the
+    kinetic symbol k^2 / 2 it makes the one-particle operator
+    h = -d^2/2 + omega^2 x^2/2, and S^2 = 1 + h."""
+    return 0.5 * omega ** 2 * grid.x ** 2
 
 
 def on_axes(values: np.ndarray, ndim: int, *axes: int) -> np.ndarray:
@@ -156,7 +168,7 @@ class SobolevWeight:
         """Multiplication part of the squared weight on grid points."""
         if self.kind == "L":
             return np.zeros(grid.n)
-        return 0.5 * self.omega ** 2 * grid.x ** 2
+        return trap_potential(grid, self.omega)
 
 
 def apply_weight_squared(state: TensorState, axes, kind: str = "S") -> TensorState:
@@ -249,12 +261,6 @@ def _dft_matrix(grid: Grid1D, inverse: bool = False) -> np.ndarray:
     return transform(np.eye(grid.n), axis=0)
 
 
-def dense_symbol_operator(grid: Grid1D, symbol: np.ndarray) -> np.ndarray:
-    """Dense n x n matrix of a Fourier multiplier (for small-grid oracles)."""
-    return (_dft_matrix(grid, inverse=True)
-            @ (symbol[:, None] * _dft_matrix(grid)))
-
-
 def interpolation_matrix(grid: Grid1D, targets: np.ndarray) -> np.ndarray:
     """Matrix P with (P @ u)_j = trigonometric interpolant of the grid
     samples u at targets[j] (zero-padded Fourier series)."""
@@ -265,12 +271,20 @@ def interpolation_matrix(grid: Grid1D, targets: np.ndarray) -> np.ndarray:
     return evaluation @ _dft_matrix(grid)
 
 
+def dense_operator(grid: Grid1D, symbol: np.ndarray,
+                   multiplier: np.ndarray) -> np.ndarray:
+    """Dense n x n matrix of a Fourier multiplier plus a multiplication
+    operator, Hermitized as (M + M^*)/2 (for small-grid oracles)."""
+    mat = (_dft_matrix(grid, inverse=True)
+           @ (symbol[:, None] * _dft_matrix(grid))) + np.diag(multiplier)
+    return 0.5 * (mat + mat.conj().T)
+
+
 def dense_weight_squared(grid: Grid1D, kind: str = "S", omega: float = 0.0) -> np.ndarray:
     """Dense one-particle matrix of S^2 or L^2 (Hermitian to rounding)."""
     weight = SobolevWeight(kind, omega)
-    mat = dense_symbol_operator(grid, weight.squared_symbol(grid))
-    mat = mat + np.diag(weight.squared_potential(grid))
-    return 0.5 * (mat + mat.conj().T)
+    return dense_operator(grid, weight.squared_symbol(grid),
+                          weight.squared_potential(grid))
 
 
 def random_state(grid: Grid1D, n_particles: int, omega: float = 0.0,

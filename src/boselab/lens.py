@@ -71,11 +71,11 @@ class LensMap:
         return math.atan(self.omega * tau) / self.omega
 
     def _check_window(self, t: float):
-        c = math.cos(self.omega * t)
-        if abs(self.omega * t) >= 0.5 * math.pi or c < COS_GUARD:
+        wt = self.omega * t
+        # an infinite omega t (overflow) has no cosine
+        if not abs(wt) < 0.5 * math.pi or math.cos(wt) < COS_GUARD:
             raise LensWindowError(
-                f"t = {t} outside the lens window (cos(omega t) = {c:.3f} < {COS_GUARD})"
-            )
+                f"t = {t} outside the lens window (cos(omega t) < {COS_GUARD})")
 
 
 def boundary_mass_fraction(density: np.ndarray, grid: Grid1D) -> float:

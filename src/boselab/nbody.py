@@ -34,13 +34,14 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.fft
 
 from .grid import (Grid1D, GridError, TensorState, apply_symbol,
-                   dense_symbol_operator, on_axes, symmetry_residual)
+                   dense_operator, on_axes, symmetry_residual,
+                   trap_potential)
 from .marginals import partial_trace
 from .potentials import PotentialSpec, scaled_potential
 
@@ -111,7 +112,7 @@ class NBodySystem:
     def potential_diagonal(self) -> np.ndarray:
         """Trap plus interaction as a diagonal tensor of shape (n,)*N."""
         nn = self.n_particles
-        out = _axis_sum(0.5 * self.omega ** 2 * self.grid.x ** 2, nn)
+        out = _axis_sum(trap_potential(self.grid, self.omega), nn)
         if self.potential is not None and nn >= 2:
             vpair = self.pair_potential_values() / nn
             for i in range(nn):
@@ -165,8 +166,10 @@ def energy_expectation(system: NBodySystem, state: TensorState,
     axes = range(nn)
     kin = sum(symbol @ spec.sum(axis=tuple(o for o in axes if o != ax))
               for ax in axes) / amps.size
-    pot = np.vdot(np.abs(amps) ** 2, potential_diag)
-    return float(np.real(system.grid.h ** nn * (kin + pot)))
+    # an einsum, not np.vdot, for the reason _norm_sq gives
+    pot = np.einsum("i,i->", (np.abs(amps) ** 2).reshape(-1),
+                    potential_diag.reshape(-1))
+    return float(system.grid.h ** nn * (kin + pot))
 
 
 def energy_moment(system: NBodySystem, state: TensorState, k: int = 1) -> float:
@@ -287,39 +290,27 @@ def evolve(system: NBodySystem, state: TensorState, dt: float, n_steps: int,
 
 # -- dense Hamiltonian and spectral cutoff ----------------------------------
 
-def dense_one_particle(system: NBodySystem) -> np.ndarray:
-    """Dense kinetic-plus-trap one-particle matrix (Hermitized)."""
-    grid = system.grid
-    # dense_symbol_operator builds numpy's DFT matrices, which keeps the
-    # dense oracle off the scipy.fft route that apply_hamiltonian and
-    # evolve take
-    k1 = dense_symbol_operator(grid, system.kinetic_symbol())
-    k1 = k1 + np.diag(0.5 * system.omega ** 2 * grid.x ** 2)
-    return 0.5 * (k1 + k1.conj().T)
-
-
 def dense_hamiltonian(system: NBodySystem) -> np.ndarray:
     """Full H_N as an (n^N, n^N) Hermitian matrix; capped at 4096."""
     if system.dim > DENSE_DIM_CAP:
         raise GridError(
             f"dense Hamiltonian dimension {system.dim} exceeds cap {DENSE_DIM_CAP}"
         )
-    n, nn = system.grid.n, system.n_particles
-    h1 = dense_one_particle(NBodySystem(system.grid, 1, None, system.omega))
+    grid, nn = system.grid, system.n_particles
+    # dense_operator builds numpy's DFT matrices, which keeps the dense
+    # oracle off the scipy.fft route that apply_hamiltonian and evolve take
+    h1 = dense_operator(grid, system.kinetic_symbol(),
+                        trap_potential(grid, system.omega))
     ham = np.zeros((system.dim, system.dim), dtype=np.complex128)
     for j in range(nn):
         op = np.eye(1)
         for ax in range(nn):
-            op = np.kron(op, h1 if ax == j else np.eye(n))
+            op = np.kron(op, h1 if ax == j else np.eye(grid.n))
         ham += op
-    diag = system.potential_diagonal() - _trap_only_diagonal(system)
-    ham += np.diag(diag.reshape(-1))
+    # the pair part alone: the same system without its trap
+    pair = replace(system, omega=0.0).potential_diagonal()
+    ham += np.diag(pair.reshape(-1))
     return 0.5 * (ham + ham.conj().T)
-
-
-def _trap_only_diagonal(system: NBodySystem) -> np.ndarray:
-    bare = NBodySystem(system.grid, system.n_particles, None, system.omega)
-    return bare.potential_diagonal()
 
 
 def cutoff_chi(s) -> np.ndarray:
@@ -336,26 +327,18 @@ def cutoff_chi(s) -> np.ndarray:
     return out
 
 
+# keyed by the frozen NBodySystem itself
 _EIG_CACHE: dict = {}
-
-
-def _system_key(system: NBodySystem):
-    pot = system.potential
-    pot_key = None if pot is None else (pot.shape, pot.a, pot.s, pot.r, pot.beta)
-    return (system.grid.n, system.grid.length, system.n_particles,
-            system.omega, pot_key)
 
 
 def dense_spectrum(system: NBodySystem):
     """Eigendecomposition of the dense Hamiltonian, cached for the last system."""
-    key = _system_key(system)
-    if key not in _EIG_CACHE:
+    if system not in _EIG_CACHE:
         # one entry only: an n^N = 4096 decomposition holds 268 MB, so the
         # previous system's is freed before the next eigh allocates
         _EIG_CACHE.clear()
-        ham = dense_hamiltonian(system)
-        _EIG_CACHE[key] = np.linalg.eigh(ham)
-    return _EIG_CACHE[key]
+        _EIG_CACHE[system] = np.linalg.eigh(dense_hamiltonian(system))
+    return _EIG_CACHE[system]
 
 
 def spectral_cutoff(system: NBodySystem, state: TensorState,
@@ -450,9 +433,9 @@ def bbgky_residual(traj: Trajectory, k: int, index: int | None = None) -> dict:
     lhs = 1j * (gp.kernel - gm.kernel) / (2.0 * dt_s)
 
     tens = g0.tensor()
-    sym = system.kinetic_symbol()
-    trap = 0.5 * system.omega ** 2 * grid.x ** 2
-    rhs = _commutator_one_body(tens, k, sym, trap).reshape(n ** k, n ** k)
+    rhs = _commutator_one_body(tens, k, system.kinetic_symbol(),
+                               trap_potential(grid, system.omega))
+    rhs = rhs.reshape(n ** k, n ** k)
 
     vpair = system.pair_potential_values()
     if k >= 2 and system.potential is not None:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid1D, GridError, dense_symbol_operator
+from .grid import Grid1D, GridError, dense_operator, trap_potential
 from .potentials import lens_damping
 
 
@@ -77,7 +77,7 @@ class NLSProblem:
 
     def trap_values(self) -> np.ndarray:
         if self.side == "trapped":
-            return 0.5 * self.omega ** 2 * self.grid.x ** 2
+            return trap_potential(self.grid, self.omega)
         return np.zeros(self.grid.n)
 
 
@@ -205,9 +205,7 @@ def soliton(grid: Grid1D, b0: float, t: float = 0.0) -> np.ndarray:
 
 def trap_ground_state(grid: Grid1D, omega: float) -> tuple[np.ndarray, float]:
     """Lowest eigenpair of the discrete -d^2/2 + omega^2 x^2/2."""
-    h1 = (dense_symbol_operator(grid, 0.5 * grid.k ** 2)
-          + np.diag(0.5 * omega ** 2 * grid.x ** 2))
-    h1 = 0.5 * (h1 + h1.conj().T)
+    h1 = dense_operator(grid, 0.5 * grid.k ** 2, trap_potential(grid, omega))
     evals, evecs = np.linalg.eigh(h1)
     phi = evecs[:, 0]
     phi = phi / math.sqrt(grid.h * float(np.sum(np.abs(phi) ** 2)))

@@ -117,7 +117,7 @@ class PotentialSpec:
     def linf_norm(self) -> float:
         if self.shape == "gaussian_well":
             return self.a
-        x = np.linspace(-6 * self.s, 6 * self.s, 20001)
+        x = np.linspace(-6.0 * self.s, 6.0 * self.s, 20001)
         return float(np.max(np.abs(self(x))))
 
     def phase_rate(self, n_particles: int) -> float:

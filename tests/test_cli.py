@@ -125,6 +125,112 @@ def test_bad_thread_count_exits_with_usage_code(tmp_path, source, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("value", ["-1", "x", "2.5"])
+def test_bad_seed_exits_with_usage_code(tmp_path, source, value):
+    out = tmp_path / "out"
+    if source == "flag":
+        proc = run_cli("nls-validate", "--seed", value, "--out", str(out))
+    else:
+        proc = run_cli("nls-validate", "--out", str(out),
+                       env_extra={"BOSELAB_SEED": value})
+    assert proc.returncode == 2
+    assert "config error:" in proc.stderr and "seed" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,contents,fragment", [
+    ("lens", '{"t_run": 1.5}', "outside the lens window"),
+    ("nls-validate", '{"t_run": 0.005}', "needs at least 8"),
+    ("bbgky", '{"t_run": 1e-9}', "three snapshots"),
+    ("convergence", '{"times": [0, 1e308, Infinity]}', "type 'number'"),
+    ("convergence", '{"times": [0, 1e308]}', "finite number of steps"),
+    ("energy", '{"omegas": [NaN]}', "type 'number'"),
+    ("nls-validate", '{"n": 256.0}', "type 'integer'"),
+])
+def test_config_that_cannot_run_exits_with_usage_code(tmp_path, command,
+                                                      contents, fragment):
+    # each of these used to end in a traceback with exit code 1 (a failed
+    # check) or to run on a NaN
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(contents)
+    out = tmp_path / "out"
+    proc = run_cli(command, "--config", str(cfg), "--out", str(out))
+    assert proc.returncode == 2
+    assert "config error:" in proc.stderr and fragment in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+_EDGE_NUMBERS = (0, 1, 2, 3, 16, -1, 0.0, 5e-324, 1e-300, 1e-9, 0.25, 0.5,
+                 1.5, 16.0, 1e308, -1e308, 2 ** 62, 10 ** 400, float("inf"),
+                 float("-inf"), float("nan"))
+
+
+def _edge_settings() -> list:
+    """(key, value) for every config key and edge number, in the key's
+    shape; evenly spaced lists reach the checks behind the schema."""
+    from boselab.cli import CONFIG_SCHEMA
+
+    out = []
+    for key, schema in CONFIG_SCHEMA["properties"].items():
+        if key in ("experiment", "output_dir"):
+            continue
+        for v in _EDGE_NUMBERS:
+            if schema.get("type") == "array":
+                out += [(key, [v]), (key, [0.0, v]), (key, [0.0, v, 2 * v])]
+            elif key.endswith("potential"):
+                out += [(key, {"shape": shape, "a": 1.0, "s": 1.0, field: v})
+                        for shape in ("gaussian_well", "mixed_sign")
+                        for field in ("a", "s", "r", "beta")]
+            else:
+                out.append((key, v))
+    return out
+
+
+def _validates_or_fails_closed(cfg: dict) -> None:
+    from boselab.cli import ConfigError, validate_config
+
+    try:
+        merged = validate_config(cfg)
+    except ConfigError:
+        return
+    assert merged["experiment"] == cfg["experiment"]
+
+
+# validate_config only validates: no experiment runs in these two tests
+
+def test_validator_fails_closed_on_every_edge_setting():
+    from boselab.cli import EXPERIMENTS
+
+    for kind in EXPERIMENTS:
+        for key, value in _edge_settings():
+            _validates_or_fails_closed({"experiment": kind, key: value})
+
+
+def test_validator_fails_closed_on_any_number():
+    from hypothesis import given, settings, strategies as st
+
+    from boselab.cli import EXPERIMENTS
+
+    number = st.one_of(st.sampled_from(_EDGE_NUMBERS),
+                       st.floats(allow_nan=True, allow_infinity=True),
+                       st.integers(-2, 2 ** 70))
+    keys = sorted({key for key, _ in _edge_settings()})
+    free = st.tuples(st.sampled_from(keys),
+                     number | st.lists(number, max_size=4))
+    setting = st.sampled_from(_edge_settings()) | free
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(EXPERIMENTS),
+           st.lists(setting, min_size=1, max_size=3))
+    def check(kind, settings_):
+        _validates_or_fails_closed(dict(settings_, experiment=kind))
+
+    check()
+
+
 def test_control_potential_obeys_the_dt_budget():
     from boselab.cli import ConfigError, validate_config
 
@@ -301,12 +407,3 @@ def test_package_import_stays_light():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "1.0.0"
-
-
-def test_every_export_resolves():
-    # each name in __all__ goes through the lazy module __getattr__
-    import boselab
-
-    for name in boselab.__all__:
-        if name != "__version__":
-            assert boselab.__getattr__(name) is getattr(boselab, name)

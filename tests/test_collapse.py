@@ -127,7 +127,7 @@ def _kernel_H_loop(probe, eta, xi1, u):
             probe.s_nodes, uj, usj, eps), axis=1)
         val = np.sum(sums)
         cums = np.concatenate([[0.0], np.cumsum(sums)])
-        if abs(uj) <= probe.window_reach:
+        if abs(uj) <= C._WINDOW_REACH:
             reach = 4.0 + 4.0 * abs(uj) + 2.0 * uj * uj
             w_lo, w_hi = usj - reach, usj + 2.0 * uj * uj + reach
             il = max(np.searchsorted(edges, w_lo, side="right") - 1, 0)
@@ -327,6 +327,95 @@ class TestOptimalityScan:
     def test_unknown_mode(self):
         with pytest.raises(GridError, match="unknown optimality mode"):
             C.optimality_scan(C.make_probe(0.25), "bogus", self.DELTAS)
+
+
+class TestFrozenQuadratureRules:
+    """Every graded quadrature rule, pinned to values of the rules as they
+    were first written (one loop per rule), so that sharing one grading
+    ladder changes no node.  The control scan is left out: it alone takes
+    seconds, and the CLI outputs cover it."""
+
+    REL = 1e-14
+
+    # size, sum, sum of logs, and the 2nd, middle and next-to-last edge
+    U_EDGES = {
+        1: [33, 8192.048575, -90.54676676922014, 2e-06, 0.065536, 2048.0],
+        2: [65, 13984.736021903991, -178.32094481620047,
+            1.4142135623730952e-06, 0.06553600000000002, 2896.3093757400993],
+    }
+    # size, sum and sum of logs of the nodes; sum of the weights; first moment
+    SHELL = {
+        1: [160, 24.36, -546.0108985243237, 0.999, 0.4999995],
+        2: [640, 95.01569517784571, -2198.4293444865543, 0.999,
+            0.49999949999999993],
+    }
+    # value, I1, I2, tail_estimate, n_u_nodes at eps = 0.25
+    INTEGRAL_I = {
+        (1, 0.0, 0.0): [20.554688452006182, 11.952771757751387,
+                        8.601916694254797, 0.0027190705620048733, 512],
+        (1, -15.0, 10.0): [6.86135424172684, 2.541205653576677,
+                           4.320148588150163, 0.0019262716951169193, 1984],
+        (2, 0.0, 0.0): [20.554703996012147, 11.952771759115494,
+                        8.601932236896653, 0.0026736448263966392, 2048],
+        (2, -15.0, 10.0): [6.861353915924241, 2.541205698813423,
+                           4.320148217110818, 0.0018940905271801565, 7808],
+    }
+    # (refine, e) -> F(e) at eps = 0.1; e = None is the reference integral
+    LEMMA_F = {
+        (1, 0.0): 14.599371490353407, (1, 10.0): 6.569658764187403,
+        (1, -1000.0): 1.114653810959188, (1, None): 17.90234000408156,
+        (2, 10.0): 6.569658941810377, (2, None): 17.90234002904592,
+    }
+    SCANS = {
+        ("epsilon_zero", 0.0): (2.0000000000000004, [
+            23.025850929940454, 18.42068074395236, 13.815510557964274,
+            9.210340371976182]),
+        ("T_infinite", 0.25): (1.999983662122224, [
+            22.33817983424791, 17.733009660634814, 13.127840712145275,
+            8.522794261630183]),
+    }
+
+    @pytest.mark.parametrize("refine", [1, 2])
+    def test_u_edges_and_shell_edges(self, refine):
+        edges = C._u_edges(C.make_probe(0.25, refine=refine))
+        size, *rest = self.U_EDGES[refine]
+        assert edges.size == size
+        got = [edges.sum(), np.log(edges).sum(), edges[1],
+               edges[size // 2], edges[-2]]
+        assert got == pytest.approx(rest, rel=self.REL)
+        assert edges[0] == 1e-6 and edges[-1] == 4096.0
+
+        un, wn = C._shell_quadrature(1e-3, 16 * refine, refine)
+        size, *rest = self.SHELL[refine]
+        assert un.size == size
+        got = [un.sum(), np.log(un).sum(), wn.sum(), (wn * un).sum()]
+        assert got == pytest.approx(rest, rel=self.REL)
+
+    @pytest.mark.parametrize("refine", [1, 2])
+    def test_integral_I(self, refine):
+        probe = C.make_probe(0.25, refine=refine)
+        for (r, eta, xi1), frozen in self.INTEGRAL_I.items():
+            if r != refine:
+                continue
+            res = C.integral_I(probe, eta, xi1)
+            got = [res["value"], res["I1"], res["I2"], res["tail_estimate"]]
+            assert got == pytest.approx(frozen[:4], rel=self.REL)
+            assert res["n_u_nodes"] == frozen[4]
+
+    def test_lemma_F(self):
+        probes = {r: C.make_probe(0.1, refine=r) for r in (1, 2)}
+        for (refine, e), frozen in self.LEMMA_F.items():
+            probe = probes[refine]
+            got = (C.lemma_F_reference(probe) if e is None
+                   else C.lemma_F(probe, e))
+            assert got == pytest.approx(frozen, rel=self.REL)
+
+    def test_failure_mode_scans(self):
+        for (mode, eps), (slope, values) in self.SCANS.items():
+            res = C.optimality_scan(C.make_probe(eps), mode,
+                                    TestOptimalityScan.DELTAS)
+            assert res["slope"] == pytest.approx(slope, rel=self.REL)
+            assert res["values"] == pytest.approx(values, rel=self.REL)
 
 
 def _band_limited(grid, rng):

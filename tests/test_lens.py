@@ -51,6 +51,12 @@ def test_window_rejections():
     assert abs(lmap.t_of_tau(1e6)) < math.pi / 2
 
 
+def test_window_rejects_an_overflowing_trap_time():
+    # omega t overflows to inf, whose cosine math.cos cannot take
+    with pytest.raises(LensWindowError):
+        LensMap(1e308).tau_of_t(1e308)
+
+
 def test_flat_frequency_is_identity():
     phi = ground_pair()
     u = TensorState(GRID, phi, omega=0.0)
