@@ -22,10 +22,10 @@ input is defined once, here.
 
 Configs are JSON validated against CONFIG_SCHEMA, whose numbers must be
 finite and whose integers must be ints, and then against what the
-runners need (step budgets, run lengths, the lens window); every output
-file embeds the config hash, the sign/direction conventions, and the
-package version, and identical config + seed gives byte-identical
-outputs.  Exit codes: 0 all checks pass, 1 at least one check failed,
+runners need (step budgets, run lengths, the lens window, each suite's
+size envelope); every output file embeds the config hash, the
+sign/direction conventions, and the package version, and identical
+config + seed gives byte-identical outputs.  Exit codes: 0 all checks pass, 1 at least one check failed,
 2 config error (a config that cannot run), 3 numerical abort (a
 non-finite value during propagation or in a check).
 
@@ -33,8 +33,8 @@ Flags may also come from environment variables with the BOSELAB_ prefix
 (BOSELAB_CONFIG, BOSELAB_OUT, BOSELAB_SEED, BOSELAB_THREADS); explicit
 flags win.  --seed must be an integer >= 0 and --threads an integer
 >= 1, else exit code 2.  --threads pins the
-BLAS/OpenMP pool sizes and the pool of the N-body Fourier transforms of
-tensors with at least 2^16 amplitudes.  It must be set before heavy
+BLAS/OpenMP pool sizes and the pool of the N-body Fourier transforms and
+Strang phase products of tensors with at least 2^16 amplitudes.  It must be set before heavy
 imports, which is why the numerical modules are imported lazily inside
 the check functions.
 """
@@ -221,6 +221,51 @@ def _n_steps(key: str, span: float, dt: float) -> int:
     return int(round(steps))
 
 
+# The size envelope of every suite: no tensor of more than 2^20 amplitudes
+# (32^4 = 16^5), no dense eigensolve of side above 4096, and no collapse
+# scan of more than 4096 dual integrals.
+_MAX_AMPLITUDES = 2 ** 20
+_MAX_DENSE_SIDE = 4096
+_MAX_SCAN_POINTS = 4096
+
+
+def _check_envelope(merged: dict) -> None:
+    """Configs whose arrays or work exceed the size envelope fail here,
+    before anything is built."""
+    kind, n = merged["experiment"], merged.get("n")
+    if kind in ("convergence", "bbgky_residual"):
+        for nn in merged["n_particles"]:
+            if not (nn <= 5 and n <= 16) and not (nn <= 4 and n <= 32):
+                raise ConfigError(
+                    f"n_particles: N={nn} with n={n} exceeds the desk-scale "
+                    "envelope (N <= 5 with n <= 16, or N <= 4 with n <= 32)")
+    elif kind == "energy_suite":
+        # the energy estimate draws 16^N states; pair positivity works on
+        # the n x n pair slice
+        worst = max(merged["n_particles"])
+        if worst > 5:
+            raise ConfigError(
+                f"n_particles: N={worst} draws 16^N amplitudes, beyond the "
+                f"envelope of {_MAX_AMPLITUDES} (N <= 5)")
+        if n * n > _MAX_AMPLITUDES:
+            raise ConfigError(
+                f"n: the {n} x {n} pair slice exceeds the envelope of "
+                f"{_MAX_AMPLITUDES} amplitudes (n <= 1024)")
+    elif kind in ("nls_validate", "lens_suite"):
+        # the trap ground state is a dense eigensolve of side n
+        if n > _MAX_DENSE_SIDE:
+            raise ConfigError(
+                f"n: {n} exceeds the dense eigensolve side {_MAX_DENSE_SIDE}")
+    elif kind == "collapse_suite":
+        # an upper bound on the (eta, xi1) points of collapse_sup_I's scan
+        ratio = merged["grid_extent"] / merged["grid_step"]
+        points = (2.0 * ratio + 1.5) * (ratio + 1.5)
+        if not points <= _MAX_SCAN_POINTS:
+            raise ConfigError(
+                f"grid_step: the scan would evaluate about {points:.3g} dual "
+                f"integrals, beyond the envelope of {_MAX_SCAN_POINTS}")
+
+
 def _check_run_length(merged: dict) -> None:
     """Run lengths the runners can store enough snapshots for, and lens
     times inside the lens window."""
@@ -275,14 +320,11 @@ def validate_config(cfg: dict) -> dict:
         if pot["shape"] == "mixed_sign" and pot.get("r", 0.0) > 0.5:
             raise ConfigError(f"{key}/r: mixed_sign needs r <= 1/2 "
                               "(nonpositive integral)")
-    if merged["experiment"] in ("convergence", "bbgky_residual"):
-        for nn in merged["n_particles"]:
-            if not (nn <= 5 and n <= 16) and not (nn <= 4 and n <= 32):
-                raise ConfigError(
-                    f"n_particles: N={nn} with n={n} exceeds the desk-scale "
-                    "envelope (N <= 5 with n <= 16, or N <= 4 with n <= 32)")
+    _check_envelope(merged)
     dt = merged.get("dt")
     if dt is not None:
+        import numpy as np
+
         from .potentials import PotentialError, PotentialSpec
 
         # the budget of the N-body Strang step; other suites evolve no pair
@@ -293,7 +335,9 @@ def validate_config(cfg: dict) -> dict:
             if spec is None or not n_body:
                 continue
             try:
-                budget = PotentialSpec(**spec).phase_rate(n_max) * dt
+                # extreme shapes sample to NaN, which fails the budget below
+                with np.errstate(all="ignore"):
+                    budget = PotentialSpec(**spec).phase_rate(n_max) * dt
             except PotentialError as err:
                 raise ConfigError(f"{key}: {err}") from None
             if not budget <= 0.1:  # a NaN budget fails too

@@ -16,6 +16,12 @@ are taken on the symmetric subspace Sym^k, of dimension C(n+k-1, k)
 (528 against n^2 = 1024 at n = 32, k = 2): both operators vanish off it,
 so their difference has the same nonzero spectrum there.  A state that
 is not symmetric in its first k particles to SECTOR_RTOL is rejected.
+On the sector the difference is B W B^dagger, with B = [A, v] the sector
+coordinates of the amplitude matrix and of phi^(tensor k), and W =
+diag(h^(N-k), ..., h^(N-k), -1); its rank is at most n^(N-k) + 1.  When B
+has more rows than columns it is replaced by the R factor of its QR
+decomposition, and R W R^dagger, of that smaller side (2 at N = 2 and 33
+at N = 3 for n = 32, k = 2), has the same nonzero spectrum.
 
 The delta interaction of the limiting hierarchy is realized as diagonal
 pairing with weight 1/h, which is the convention under which the
@@ -211,7 +217,9 @@ def chaos_distance(state: TensorState, k: int, phi: np.ndarray) -> float:
     Evaluated on the symmetric sector Sym^k of dimension C(n+k-1, k): the
     columns of the amplitude matrix (first k axes by the rest) and
     phi^(tensor k) are mapped to sector coordinates, and the trace norm is
-    h^k * sum |eigvalsh| of h^(N-k) A A^dagger - v v^dagger on that side.
+    h^k * sum |eigvalsh| of h^(N-k) A A^dagger - v v^dagger on that side,
+    or, when [A, v] has more rows than columns, of the same form in the
+    columns of its R factor.
     This equals the trace distance of partial_trace(state, k) to
     product_projector(phi, k) whenever the state is symmetric in its first
     k particles, so a state with ||psi - S_k psi|| / ||psi|| above
@@ -238,6 +246,11 @@ def chaos_distance(state: TensorState, k: int, phi: np.ndarray) -> float:
         coords = sym.reshape(n ** k, -1)[flat]
         coords *= root_mult[:, None]
         vec = vec[flat] * root_mult
+    if coords.shape[0] > coords.shape[1] + 1:
+        # the kernel is B W B^dagger with B = [coords, vec]; B = QR leaves
+        # R W R^dagger, whose nonzero spectrum is the same
+        r = np.linalg.qr(np.column_stack((coords, vec)), mode="r")
+        coords, vec = r[:, :-1], r[:, -1]
     kern = (coords @ coords.conj().T) * h ** (n_particles - k)
     scale = max(float(np.max(np.abs(kern))), float(np.max(np.abs(vec))) ** 2)
     kern -= np.multiply.outer(vec, vec.conj())

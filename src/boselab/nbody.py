@@ -20,9 +20,14 @@ THREAD_FLOOR = 2^16 amplitudes keep one worker, since below that the
 threads cost more than they save (on a 2-vCPU host a 16^3 transform takes
 57 us on one worker and 149 us on two; a 32^4 one 36 ms and 17.5 ms).
 pocketfft hands whole 1-D lines to each worker, so the result is
-bit-identical for any pool size.  The step loop makes no BLAS call: its
-per-step norm is an einsum, because a BLAS call there wakes OpenBLAS's
-own threads, which then spin on the cores the transforms need.
+bit-identical for any pool size.  The three in-place phase products of a
+Strang step share a pool of the same size and floor: each thread
+multiplies a block of leading-axis rows, so they too are bit-identical
+for any pool size.  The phases themselves are built once per call from
+the cosine and sine of their real angle, without complex exp.  The step
+loop makes no BLAS call: its per-step norm is an einsum, because a BLAS
+call there wakes OpenBLAS's own threads, which then spin on the cores
+the transforms need.
 
 Also here: the dense Hamiltonian for small tensor grids (oracle and
 spectral-cutoff backend), the smooth spectral cutoff used to regularize
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -66,9 +72,47 @@ def _pool_size() -> int:
 _POOL_SIZE = _pool_size()
 
 
+# the threads that share the in-place phase products of evolve
+_PRODUCT_POOL = ThreadPoolExecutor(max_workers=_POOL_SIZE)
+
+
 def _workers(a: np.ndarray) -> int:
     """scipy.fft workers for a transform of the tensor a."""
     return _POOL_SIZE if a.size >= THREAD_FLOOR else 1
+
+
+def _multiply(a: np.ndarray, b: np.ndarray) -> None:
+    """a *= b for two tensors of one shape, split over the pool.
+
+    Each worker takes a block of leading-axis rows; the product is
+    elementwise, so the result does not depend on the split.
+    """
+    parts = min(_workers(a), a.shape[0])
+    if parts == 1:
+        a *= b
+        return
+    rows = [slice(a.shape[0] * i // parts, a.shape[0] * (i + 1) // parts)
+            for i in range(parts)]
+    jobs = [_PRODUCT_POOL.submit(np.multiply, a[r], b[r], out=a[r])
+            for r in rows[1:]]
+    first = rows[0]  # the calling thread's block
+    np.multiply(a[first], b[first], out=a[first])
+    for job in jobs:
+        job.result()
+
+
+def _phase(theta: np.ndarray) -> np.ndarray:
+    """exp(i theta) from the cosine and sine of Re theta, without complex exp.
+
+    A complex theta (a potential with an imaginary part) adds the real
+    factor exp(-Im theta).
+    """
+    out = np.empty(theta.shape, dtype=np.complex128)
+    np.cos(theta.real, out=out.real)
+    np.sin(theta.real, out=out.imag)
+    if np.iscomplexobj(theta):
+        out *= np.exp(-theta.imag)
+    return out
 
 
 def _norm_sq(a: np.ndarray) -> float:
@@ -169,7 +213,9 @@ def energy_expectation(system: NBodySystem, state: TensorState,
     # an einsum, not np.vdot, for the reason _norm_sq gives
     pot = np.einsum("i,i->", (np.abs(amps) ** 2).reshape(-1),
                     potential_diag.reshape(-1))
-    return float(system.grid.h ** nn * (kin + pot))
+    # a complex diagonal (an absorbing potential) adds an imaginary part,
+    # the rate of norm loss, which is not energy; .real is a no-op otherwise
+    return float(system.grid.h ** nn * (kin + pot.real))
 
 
 def energy_moment(system: NBodySystem, state: TensorState, k: int = 1) -> float:
@@ -231,8 +277,8 @@ def evolve(system: NBodySystem, state: TensorState, dt: float, n_steps: int,
         raise GridError("dt, n_steps, store_every must be positive")
 
     pot = system.potential_diagonal()
-    half = np.exp(-0.5j * dt * pot)
-    kin_phase = np.exp(-1j * dt * system.total_kinetic_symbol())
+    half = _phase((-0.5 * dt) * pot)
+    kin_phase = _phase(-dt * system.total_kinetic_symbol())
     nn = system.n_particles
     weight = system.grid.h ** nn
 
@@ -250,11 +296,11 @@ def evolve(system: NBodySystem, state: TensorState, dt: float, n_steps: int,
     energies = [energy_expectation(system, states[0], pot)]
 
     for step in range(1, n_steps + 1):
-        psi *= half
+        _multiply(psi, half)
         psi = scipy.fft.fftn(psi, overwrite_x=True, workers=workers)
-        psi *= kin_phase
+        _multiply(psi, kin_phase)
         psi = scipy.fft.ifftn(psi, overwrite_x=True, workers=workers)
-        psi *= half
+        _multiply(psi, half)
 
         norm_now = math.sqrt(weight * _norm_sq(psi))
         if not math.isfinite(norm_now):

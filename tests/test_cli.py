@@ -241,6 +241,49 @@ def test_control_potential_obeys_the_dt_budget():
                          "control_potential": strong})
 
 
+def test_extreme_potential_is_rejected_without_warnings():
+    import warnings
+
+    from boselab.cli import ConfigError, validate_config
+
+    wide = {"shape": "mixed_sign", "a": 1.0, "s": 1e308}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="stability budget"):
+            validate_config({"experiment": "convergence", "potential": wide})
+
+
+@pytest.mark.parametrize("cfg,fragment", [
+    ({"experiment": "energy_suite", "n_particles": [40]}, "N <= 5"),
+    ({"experiment": "energy_suite", "n": 2048}, "pair slice"),
+    ({"experiment": "collapse_suite", "grid_step": 1e-9}, "dual integrals"),
+    ({"experiment": "collapse_suite", "grid_step": 5e-324,
+      "grid_extent": 1e308}, "dual integrals"),
+    ({"experiment": "nls_validate", "n": 2 ** 40}, "eigensolve side"),
+    ({"experiment": "lens_suite", "n": 8192}, "eigensolve side"),
+])
+def test_size_envelope_rejects_oversized_suites(cfg, fragment):
+    from boselab.cli import ConfigError, validate_config
+
+    with pytest.raises(ConfigError, match=fragment):
+        validate_config(cfg)
+
+
+def test_size_envelope_admits_defaults_and_benchmark_configs():
+    from boselab.cli import EXPERIMENTS, validate_config
+
+    for kind in EXPERIMENTS:
+        validate_config({"experiment": kind})
+    # the perfbench workloads' overrides
+    validate_config({"experiment": "convergence", "times": [0.0, 0.1]})
+    validate_config({"experiment": "collapse_suite", "grid_step": 15.0,
+                     "grid_extent": 45.0})
+    # the largest admitted sizes
+    validate_config({"experiment": "energy_suite", "n": 1024,
+                     "n_particles": [5]})
+    validate_config({"experiment": "nls_validate", "n": 4096})
+
+
 def _run_twice(tmp_path, *args):
     """Output directories of two identical CLI runs, after checking that
     they hold the same files, byte for byte."""

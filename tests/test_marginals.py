@@ -238,6 +238,30 @@ def test_chaos_distance_matches_full_space_oracle(case, blend, seed):
     assert chaos_distance(same, k, phi) <= 1e-13
 
 
+def _factor_is_tall(nn, n, k):
+    # chaos_distance's factor [coords, phi^k] has a sector row per sorted
+    # multi-index and a column per traced index, plus one
+    return math.comb(n + k - 1, k) > n ** (nn - k) + 1
+
+
+def test_sector_cases_cover_tall_and_wide_factors():
+    shapes = {_factor_is_tall(*case) for case in SECTOR_CASES}
+    assert shapes == {True, False}
+
+
+@pytest.mark.parametrize("nn", [2, 3])
+def test_chaos_distance_on_the_mean_field_grid(nn):
+    # n = 32, k = 2: a 528-row factor with 2 (N = 2) or 33 (N = 3) columns
+    g = Grid1D(32, 8.0)
+    assert _factor_is_tall(nn, g.n, 2)
+    rng = np.random.default_rng(nn)
+    phi = random_orbital(g, rng)
+    state = blended_boson_state(g, nn, random_orbital(g, rng), 0.3, seed=nn)
+    ref = trace_distance(partial_trace(state, 2),
+                         product_projector(g, phi, 2))
+    assert chaos_distance(state, 2, phi) == pytest.approx(ref, rel=1e-12)
+
+
 @pytest.mark.parametrize("nn, n", [(2, 8), (2, 16), (3, 8), (3, 16), (4, 8)])
 def test_chaos_distance_of_all_particles_is_pure_state_distance(nn, n):
     # k = N compares two pure states: Tr| |psi><psi| - |v><v| | equals

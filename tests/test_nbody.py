@@ -1,6 +1,8 @@
 """Exact N-body propagation, spectral cutoff, and hierarchy residual."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -243,6 +245,62 @@ def test_threaded_transforms_are_bit_identical(monkeypatch):
     assert traj1.norm_drift == traj2.norm_drift
     assert np.array_equal(h1, h2)
     assert e1 == e2
+
+
+class _CountingPool(ThreadPoolExecutor):
+    def __init__(self, workers):
+        super().__init__(max_workers=workers)
+        self.jobs = 0
+
+    def submit(self, *args, **kwargs):
+        self.jobs += 1
+        return super().submit(*args, **kwargs)
+
+
+def _split_run(monkeypatch, pool):
+    from boselab import nbody
+
+    monkeypatch.setattr(nbody, "_POOL_SIZE", pool)
+    g = Grid1D(16, 4.0)  # 16^4 = 65,536 amplitudes: at the thread floor
+    system = NBodySystem(g, 4, potential=mixed_sign(1.0, 1.0, r=0.25))
+    state = random_state(g, 4, seed=8, k_filter=3.0, symmetric=True)
+    with _CountingPool(pool) as executor:
+        monkeypatch.setattr(nbody, "_PRODUCT_POOL", executor)
+        traj = evolve(system, state, 2e-3, 10, store_every=1)
+    return traj, executor.jobs
+
+
+@pytest.mark.parametrize("stress", [False, True])
+def test_split_phase_products_are_bit_identical(monkeypatch, stress):
+    from boselab import nbody
+
+    single, no_jobs = _split_run(monkeypatch, 1)
+    # the stress case runs more threads than cores with a short switch
+    # interval, where a lost or misplaced block write would show
+    pool = 7 if stress else max(nbody._POOL_SIZE, 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6 if stress else interval)
+    try:
+        split, jobs = _split_run(monkeypatch, pool)
+    finally:
+        sys.setswitchinterval(interval)
+    # three products per step, each handing pool - 1 blocks to the pool
+    assert (jobs, no_jobs) == (3 * 10 * (pool - 1), 0)
+    for a, b in zip(split.states, single.states, strict=True):
+        assert np.array_equal(a.amplitudes, b.amplitudes)
+    assert np.array_equal(split.norms, single.norms)
+
+
+def test_phase_matches_complex_exponential():
+    from boselab.nbody import _phase
+
+    rng = np.random.default_rng(5)
+    theta = rng.uniform(-40.0, 40.0, (8, 8))
+    assert np.allclose(_phase(theta), np.exp(1j * theta), rtol=0,
+                       atol=1e-15)
+    leaky = theta + 1j * rng.uniform(-0.1, 0.1, (8, 8))
+    assert np.allclose(_phase(leaky), np.exp(1j * leaky), rtol=1e-15,
+                       atol=0)
 
 
 def test_small_tensors_transform_on_one_thread(monkeypatch):
