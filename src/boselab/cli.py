@@ -23,7 +23,7 @@ input is defined once, here.
 Configs are JSON validated against CONFIG_SCHEMA, whose numbers must be
 finite and whose integers must be ints, and then against what the
 runners need (step budgets, run lengths, the lens window, each suite's
-size envelope); every output file embeds the config hash, the
+size and run-length envelopes); every output file embeds the config hash, the
 sign/direction conventions, and the package version, and identical
 config + seed gives byte-identical outputs.  Exit codes: 0 all checks pass, 1 at least one check failed,
 2 config error (a config that cannot run), 3 numerical abort (a
@@ -33,8 +33,9 @@ Flags may also come from environment variables with the BOSELAB_ prefix
 (BOSELAB_CONFIG, BOSELAB_OUT, BOSELAB_SEED, BOSELAB_THREADS); explicit
 flags win.  --seed must be an integer >= 0 and --threads an integer
 >= 1, else exit code 2.  --threads pins the
-BLAS/OpenMP pool sizes and the pool of the N-body Fourier transforms and
-Strang phase products of tensors with at least 2^16 amplitudes.  It must be set before heavy
+BLAS/OpenMP pool sizes and the package's one thread pool, which runs the
+N-body Fourier transforms and Strang phase products of tensors with at
+least 2^16 amplitudes and the collapse kernel's u-blocks.  It must be set before heavy
 imports, which is why the numerical modules are imported lazily inside
 the check functions.
 """
@@ -266,20 +267,37 @@ def _check_envelope(merged: dict) -> None:
                 f"integrals, beyond the envelope of {_MAX_SCAN_POINTS}")
 
 
+# The run-length envelope: no suite takes more than 2^22 time steps in
+# all, nor more than 2^33 amplitude-steps (each step weighted by the
+# amplitudes it advances).  The default convergence suite takes 2,000
+# steps (eight runs of 250) and 5.4e8 amplitude-steps.
+_MAX_STEPS = 2 ** 22
+_MAX_AMPLITUDE_STEPS = 2 ** 33
+
+
 def _check_run_length(merged: dict) -> None:
-    """Run lengths the runners can store enough snapshots for, and lens
-    times inside the lens window."""
+    """Run lengths the runners can store enough snapshots for, lens times
+    inside the lens window, and the run-length envelope."""
     kind = merged["experiment"]
-    if kind not in ("nls_validate", "bbgky_residual", "lens_suite"):
+    if kind not in ("convergence", "nls_validate", "bbgky_residual",
+                    "lens_suite"):
         return
-    t_run, dt = merged["t_run"], merged["dt"]
-    if kind == "nls_validate":
+    n, dt, t_run = merged["n"], merged["dt"], merged.get("t_run")
+    key = "times" if kind == "convergence" else "t_run"
+    runs = []  # (steps, amplitudes per step) of every evolution
+    if kind == "convergence":
+        times = merged["times"]
+        steps = _n_steps("times", times[1] - times[0], dt) * (len(times) - 1)
+        # per potential: the NLS orbital and one N-body state per N
+        runs = 2 * [(steps, n ** nn) for nn in [1, *merged["n_particles"]]]
+    elif kind == "nls_validate":
         # the residual run stores every 4th step and needs three fields
         steps = _n_steps("t_run", t_run, dt)
         if steps < 8:
             raise ConfigError(
                 f"t_run: {t_run} is {steps} steps of dt = {dt}; the PDE "
                 "residual needs at least 8")
+        runs = 3 * [(steps, n)]
     elif kind == "bbgky_residual":
         # the central difference needs three stored snapshots at dt and dt/2
         need = 2 * merged["store_every"]
@@ -290,14 +308,25 @@ def _check_run_length(merged: dict) -> None:
                     f"t_run: {t_run} is {steps} steps of dt = {step}; three "
                     f"snapshots every {merged['store_every']} steps need "
                     f"at least {need}")
+            runs += [(steps, n ** nn) for nn in merged["n_particles"]]
     else:
         from .lens import LensMap, LensWindowError
 
-        _n_steps("t_run", t_run, dt)
+        steps = _n_steps("t_run", t_run, dt)
         try:
-            LensMap(merged["omega"]).tau_of_t(t_run)
+            tau = LensMap(merged["omega"]).tau_of_t(t_run)
         except LensWindowError as err:
             raise ConfigError(f"t_run: {err}") from None
+        # the trapped flow to t_run, two free flows to tau(t_run)
+        runs = [(steps, n), (2 * _n_steps("t_run", tau, dt), n)]
+    # floats, so that a count beyond the float range reads inf
+    total = sum(float(steps) for steps, _ in runs)
+    work = sum(float(steps) * amps for steps, amps in runs)
+    if not (total <= _MAX_STEPS and work <= _MAX_AMPLITUDE_STEPS):
+        raise ConfigError(
+            f"{key}: the suite would take {total:.3g} steps and {work:.3g} "
+            f"amplitude-steps, beyond the run-length envelope of "
+            f"{_MAX_STEPS} steps and {_MAX_AMPLITUDE_STEPS} amplitude-steps")
 
 
 def validate_config(cfg: dict) -> dict:

@@ -37,6 +37,14 @@ values per numpy pass (the graded windows of the whole block in one
 padded breakpoint table), and direct_operator_test evaluates separable
 members over blocks of tau samples.  The block sizes are fixed and
 bound the peak memory.
+
+Threading: kernel_H hands its u-blocks to the package's one thread pool
+(grid._in_blocks), a contiguous run of blocks per thread, each block
+writing its own slice of the output.  A block's value does not depend on
+the run it falls in, so H, I and the scans are bit-identical for every
+pool size.  The bracket's numpy passes release the GIL, which lets the
+(eta, xi1) scan, the node-doubling probe and the control scan use every
+core.  A pooled block calls no public function of the package.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .grid import Grid1D, GridError
+from .grid import Grid1D, GridError, _in_blocks
 
 __all__ = [
     "CollapseProbe", "make_probe", "bump", "theta_hat_quadrature",
@@ -286,10 +294,22 @@ def make_probe(epsilon: float, refine: int = 1) -> CollapseProbe:
 
 
 def _bracket_pair(s, u, us, epsilon):
-    """<(s - us)/u>^{-2e} <(s - us - 2u^2)/u>^{-2e} (vectorized)."""
-    t1 = (s - us) / u
-    t2 = (s - us - 2.0 * u * u) / u
-    return ((1.0 + t1 * t1) * (1.0 + t2 * t2)) ** (-epsilon)
+    """<(s - us)/u>^{-2e} <(s - us - 2u^2)/u>^{-2e} (vectorized).
+
+    Two full-size buffers, every later step in place; the operations and
+    their order are those of ((1 + t1^2)(1 + t2^2))^(-e), so the values
+    are the same bit for bit.
+    """
+    t1 = s - us
+    t2 = t1 - 2.0 * u * u
+    t1 /= u
+    t2 /= u
+    t1 *= t1
+    t1 += 1.0
+    t2 *= t2
+    t2 += 1.0
+    t1 *= t2
+    return np.power(t1, -epsilon, out=t1)
 
 
 # u values per pass of kernel_H; bounds the size of its node arrays
@@ -349,7 +369,8 @@ def _window_sums(probe: CollapseProbe, u: np.ndarray, us: np.ndarray,
     wn, ww = _gl_nodes(bp[:-1][same], bp[1:][same], probe.window_order)
     btw = _bracket_pair(wn, u[prow][:, None], us[prow][:, None],
                         probe.epsilon)
-    panel = np.sum(ww * np.abs(probe.theta_hat(wn)) * btw, axis=1)
+    btw *= ww * np.abs(probe.theta_hat(wn))
+    panel = np.sum(btw, axis=1)
     return np.bincount(prow, weights=panel, minlength=u.size)
 
 
@@ -360,8 +381,8 @@ def _kernel_H_chunk(probe: CollapseProbe, u: np.ndarray,
     n_panels = edges.size - 1
     btil = _bracket_pair(probe.s_nodes[None, :, :], u[:, None, None],
                          us[:, None, None], probe.epsilon)
-    panel_sums = np.sum(probe.s_weights[None, :, :] *
-                        probe.theta_abs[None, :, :] * btil, axis=2)
+    btil *= probe.s_weights * probe.theta_abs
+    panel_sums = np.sum(btil, axis=2)
     val = np.sum(panel_sums, axis=1)
     cums = np.concatenate(
         [np.zeros((u.size, 1)), np.cumsum(panel_sums, axis=1)], axis=1)
@@ -396,9 +417,14 @@ def kernel_H(probe: CollapseProbe, eta: float, xi1: float, u):
         raise GridError("kernel_H is undefined at u = 0")
     us_all = eta - 2.0 * xi1 * u  # u * sigma, computed without cancellation
     out = np.empty_like(u)
-    for start in range(0, u.size, _U_CHUNK):
-        sl = slice(start, start + _U_CHUNK)
-        out[sl] = _kernel_H_chunk(probe, u[sl], us_all[sl])
+    starts = range(0, u.size, _U_CHUNK)
+
+    def chunks(lo, hi):
+        for start in starts[lo:hi]:
+            sl = slice(start, start + _U_CHUNK)
+            out[sl] = _kernel_H_chunk(probe, u[sl], us_all[sl])
+
+    _in_blocks(chunks, len(starts))
     return float(out[0]) if scalar else out
 
 

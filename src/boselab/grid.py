@@ -19,12 +19,23 @@ The one-particle operator h = -d^2/2 + omega^2 x^2/2, in which every
 energy estimate is written (S^2 = 1 + h), is defined here once: its trap
 multiplier is trap_potential, and dense_operator builds the Hermitized
 dense form "Fourier symbol + multiplier" of h, S^2 and their relatives.
+
+The package has one thread pool, defined here: its size is read once at
+import from OMP_NUM_THREADS (which ``--threads`` sets) or else from the
+CPUs the process may run on.  nbody's Fourier transforms and Strang phase
+products and collapse's kernel_H blocks run on it.  _in_blocks splits
+range(n) into contiguous blocks, keeps the first block on the calling
+thread and hands the others to the pool; called from one of the pool's
+own tasks it runs inline, so no pooled task ever waits on the pool.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +43,55 @@ import numpy as np
 
 class GridError(ValueError):
     """Raised for inconsistent grid parameters or state payloads."""
+
+
+def _pool_size() -> int:
+    """OMP_NUM_THREADS when it is a positive integer, else the CPU count."""
+    try:
+        size = int(os.environ.get("OMP_NUM_THREADS", ""))
+    except ValueError:
+        size = 0
+    if size >= 1:
+        return size
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_POOL_SIZE = _pool_size()
+_POOL = ThreadPoolExecutor(max_workers=_POOL_SIZE)
+# set on a thread while it runs one of _in_blocks' pooled blocks
+_IN_POOL = threading.local()
+
+
+def _pooled(fn, lo: int, hi: int) -> None:
+    _IN_POOL.active = True
+    try:
+        fn(lo, hi)
+    finally:
+        _IN_POOL.active = False
+
+
+def _in_blocks(fn, n: int) -> None:
+    """fn(lo, hi) on min(pool size, n) contiguous blocks of range(n).
+
+    The calling thread takes the first block and the pool the others.
+    The blocks must write disjoint outputs; then the result does not
+    depend on the split.  Inside a pooled block it runs all of range(n)
+    inline.
+    """
+    parts = min(_POOL_SIZE, n)
+    if parts <= 1 or getattr(_IN_POOL, "active", False):
+        fn(0, n)
+        return
+    bounds = [n * i // parts for i in range(parts + 1)]
+    jobs = [_POOL.submit(_pooled, fn, lo, hi)
+            for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        fn(bounds[0], bounds[1])
+    finally:
+        for job in jobs:
+            job.result()
 
 
 def _is_power_of_two(n: int) -> bool:

@@ -13,21 +13,22 @@ every factor is applied in place on a single buffer.  Each factor is
 exactly unitary, so the discrete norm is conserved to rounding; the
 energy expectation oscillates within O(dt^2) without secular drift.
 
-Threading: every N-body transform here runs on the process's thread
-pool, sized once at import from OMP_NUM_THREADS (which ``--threads``
-sets) or else from the CPUs the process may run on.  Tensors below
-THREAD_FLOOR = 2^16 amplitudes keep one worker, since below that the
-threads cost more than they save (on a 2-vCPU host a 16^3 transform takes
-57 us on one worker and 149 us on two; a 32^4 one 36 ms and 17.5 ms).
-pocketfft hands whole 1-D lines to each worker, so the result is
-bit-identical for any pool size.  The three in-place phase products of a
-Strang step share a pool of the same size and floor: each thread
-multiplies a block of leading-axis rows, so they too are bit-identical
-for any pool size.  The phases themselves are built once per call from
-the cosine and sine of their real angle, without complex exp.  The step
-loop makes no BLAS call: its per-step norm is an einsum, because a BLAS
-call there wakes OpenBLAS's own threads, which then spin on the cores
-the transforms need.
+Threading: every N-body transform here runs on the package's one thread
+pool (grid._POOL_SIZE, shared with collapse's kernel_H), sized once at
+import from OMP_NUM_THREADS (which ``--threads`` sets) or else from the
+CPUs the process may run on.  Tensors below THREAD_FLOOR = 2^16
+amplitudes keep one worker, since below that the threads cost more than
+they save (on a 2-vCPU host a 16^3 transform takes 57 us on one worker
+and 149 us on two; a 32^4 one 36 ms and 17.5 ms).  pocketfft hands whole
+1-D lines to each worker, so the result is bit-identical for any pool
+size.  The three in-place phase products of a Strang step run on the
+same pool above the same floor (grid._in_blocks): each thread multiplies
+a block of leading-axis rows, so they too are bit-identical for any pool
+size.  The phases themselves are built once per call from the cosine and
+sine of their real angle, without complex exp.  The step loop makes no
+BLAS call: its per-step norm is an einsum, because a BLAS call there
+wakes OpenBLAS's own threads, which then spin on the cores the
+transforms need.
 
 Also here: the dense Hamiltonian for small tensor grids (oracle and
 spectral-cutoff backend), the smooth spectral cutoff used to regularize
@@ -38,13 +39,12 @@ evaluated on stored trajectories.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.fft
 
+from . import grid as _grid
 from .grid import (Grid1D, GridError, TensorState, apply_symbol,
                    dense_operator, on_axes, symmetry_residual,
                    trap_potential)
@@ -56,49 +56,23 @@ DENSE_DIM_CAP = 4096
 THREAD_FLOOR = 2 ** 16
 
 
-def _pool_size() -> int:
-    """OMP_NUM_THREADS when it is a positive integer, else the CPU count."""
-    try:
-        size = int(os.environ.get("OMP_NUM_THREADS", ""))
-    except ValueError:
-        size = 0
-    if size >= 1:
-        return size
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-_POOL_SIZE = _pool_size()
-
-
-# the threads that share the in-place phase products of evolve
-_PRODUCT_POOL = ThreadPoolExecutor(max_workers=_POOL_SIZE)
-
-
 def _workers(a: np.ndarray) -> int:
     """scipy.fft workers for a transform of the tensor a."""
-    return _POOL_SIZE if a.size >= THREAD_FLOOR else 1
+    return _grid._POOL_SIZE if a.size >= THREAD_FLOOR else 1
 
 
 def _multiply(a: np.ndarray, b: np.ndarray) -> None:
     """a *= b for two tensors of one shape, split over the pool.
 
-    Each worker takes a block of leading-axis rows; the product is
-    elementwise, so the result does not depend on the split.
+    Each block is a run of leading-axis rows; the product is elementwise,
+    so the result does not depend on the split.
     """
-    parts = min(_workers(a), a.shape[0])
-    if parts == 1:
+    if _workers(a) == 1:
         a *= b
         return
-    rows = [slice(a.shape[0] * i // parts, a.shape[0] * (i + 1) // parts)
-            for i in range(parts)]
-    jobs = [_PRODUCT_POOL.submit(np.multiply, a[r], b[r], out=a[r])
-            for r in rows[1:]]
-    first = rows[0]  # the calling thread's block
-    np.multiply(a[first], b[first], out=a[first])
-    for job in jobs:
-        job.result()
+    _grid._in_blocks(
+        lambda lo, hi: np.multiply(a[lo:hi], b[lo:hi], out=a[lo:hi]),
+        a.shape[0])
 
 
 def _phase(theta: np.ndarray) -> np.ndarray:

@@ -284,6 +284,20 @@ def test_size_envelope_admits_defaults_and_benchmark_configs():
     validate_config({"experiment": "nls_validate", "n": 4096})
 
 
+@pytest.mark.parametrize("cfg", [
+    # 5e6 Strang steps of the N=4 tensor per potential
+    {"experiment": "convergence", "times": [0.0, 1e4]},
+    {"experiment": "nls_validate", "t_run": 1e5, "dt": 1e-6},
+    {"experiment": "bbgky_residual", "t_run": 1e4},
+    {"experiment": "lens_suite", "dt": 1e-12},
+])
+def test_run_length_envelope_rejects_long_runs(cfg):
+    from boselab.cli import ConfigError, validate_config
+
+    with pytest.raises(ConfigError, match="run-length envelope"):
+        validate_config(cfg)
+
+
 def _run_twice(tmp_path, *args):
     """Output directories of two identical CLI runs, after checking that
     they hold the same files, byte for byte."""

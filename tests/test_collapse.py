@@ -1,6 +1,8 @@
 """Singular-window kernel: probe quadrature, envelopes, operator families."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -210,6 +212,102 @@ class TestBatchedKernelH:
                 arr[0] = 0.0
         diff = np.abs(probe.theta_hat(xi) - C.theta_hat_quadrature(xi, 400))
         assert np.max(diff) < 1e-12
+
+
+def _bracket_oracle(s, u, us, epsilon):
+    """The bracket pair as first written, one temporary per operation."""
+    t1 = (s - us) / u
+    t2 = (s - us - 2.0 * u * u) / u
+    return ((1.0 + t1 * t1) * (1.0 + t2 * t2)) ** (-epsilon)
+
+
+def _pooled_outputs():
+    """float.hex of I at two scan points, of the refined I at one, and of
+    the control scan: every kernel_H caller of the collapse suite."""
+    probe = C.make_probe(0.25)
+    values = []
+    for eta, xi1 in [(-15.0, 10.0), (30.0, -5.0)]:
+        res = C.integral_I(probe, eta, xi1)
+        values += [res["value"], res["I1"], res["I2"], res["tail_estimate"]]
+    values.append(C.integral_I(probe.refined(), 7.0, 3.0)["value"])
+    values += C.optimality_scan(probe, "control", [1e-2, 1e-3], 7.0,
+                                3.0)["values"]
+    return [float(v).hex() for v in values]
+
+
+class TestPooledKernelH:
+    @pytest.mark.parametrize("refine", [1, 2])
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.25])
+    def test_in_place_bracket_matches_old_expression(self, eps, refine):
+        probe = C.make_probe(eps, refine=refine)
+        rng = np.random.default_rng(11)
+        # negative and positive u over ten decades, |us| up to 1e6
+        u = rng.choice([-1.0, 1.0], C._U_CHUNK) * 10.0 ** rng.uniform(
+            -10.0, 0.7, C._U_CHUNK)
+        us = rng.choice([-1.0, 1.0], C._U_CHUNK) * 10.0 ** rng.uniform(
+            -3.0, 6.0, C._U_CHUNK)
+        shapes = [
+            # the smooth pass: every panel node against a block of u
+            (probe.s_nodes[None, :, :], u[:, None, None], us[:, None, None]),
+            # the window pass: one row of sub-panel nodes per u
+            (C._gl_nodes(us - 4.0, us + 4.0, probe.window_order)[0],
+             u[:, None], us[:, None]),
+        ]
+        for s, uu, uss in shapes:
+            got = C._bracket_pair(s, uu, uss, eps)
+            want = _bracket_oracle(s, uu, uss, eps)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_outputs_do_not_depend_on_the_pool(self, monkeypatch):
+        from concurrent.futures import ThreadPoolExecutor
+
+        from boselab import grid
+
+        as_is = _pooled_outputs()
+        monkeypatch.setattr(grid, "_POOL_SIZE", 1)
+        single = _pooled_outputs()
+        # more threads than cores with a short switch interval, where a
+        # lost or misplaced block write would show
+        monkeypatch.setattr(grid, "_POOL_SIZE", 7)
+        interval = sys.getswitchinterval()
+        with ThreadPoolExecutor(max_workers=7) as stress_pool:
+            monkeypatch.setattr(grid, "_POOL", stress_pool)
+            sys.setswitchinterval(1e-6)
+            try:
+                stressed = _pooled_outputs()
+            finally:
+                sys.setswitchinterval(interval)
+        assert as_is == single == stressed
+
+    def test_pooled_block_runs_kernel_H_inline(self, monkeypatch):
+        from concurrent.futures import ThreadPoolExecutor
+
+        from boselab import grid
+
+        probe = C.make_probe(0.25)
+        u = np.linspace(-3.0, 5.0, 4 * C._U_CHUNK)
+        want = C.kernel_H(probe, 7.0, 3.0, u)
+        # one worker behind a pool size of two: a pooled block that waited
+        # on the pool would wait on itself
+        monkeypatch.setattr(grid, "_POOL_SIZE", 2)
+        single = ThreadPoolExecutor(max_workers=1)
+        monkeypatch.setattr(grid, "_POOL", single)
+        got = {}
+
+        def block(lo, hi):
+            got[lo] = C.kernel_H(probe, 7.0, 3.0, u)
+
+        caller = threading.Thread(target=grid._in_blocks, args=(block, 2),
+                                  daemon=True)
+        caller.start()
+        caller.join(timeout=60.0)
+        # cancelling the queued blocks frees a worker that waits on them
+        single.shutdown(wait=not caller.is_alive(), cancel_futures=True)
+        assert not caller.is_alive()
+        assert sorted(got) == [0, 1]
+        for values in got.values():
+            assert np.array_equal(values, want)
 
 
 class TestIntegralI:

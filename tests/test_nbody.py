@@ -222,9 +222,9 @@ def test_stored_snapshots_do_not_alias_the_buffer():
 
 
 def _threaded_run(monkeypatch, pool):
-    from boselab import nbody
+    from boselab import grid, nbody
 
-    monkeypatch.setattr(nbody, "_POOL_SIZE", pool)
+    monkeypatch.setattr(grid, "_POOL_SIZE", pool)
     g = Grid1D(16, 4.0)  # 16^4 = 65,536 amplitudes: at the thread floor
     system = NBodySystem(g, 4, potential=gaussian_well(1.0, 1.0), omega=1.0)
     state = random_state(g, 4, omega=1.0, seed=3, k_filter=3.0)
@@ -258,26 +258,26 @@ class _CountingPool(ThreadPoolExecutor):
 
 
 def _split_run(monkeypatch, pool):
-    from boselab import nbody
+    from boselab import grid
 
-    monkeypatch.setattr(nbody, "_POOL_SIZE", pool)
+    monkeypatch.setattr(grid, "_POOL_SIZE", pool)
     g = Grid1D(16, 4.0)  # 16^4 = 65,536 amplitudes: at the thread floor
     system = NBodySystem(g, 4, potential=mixed_sign(1.0, 1.0, r=0.25))
     state = random_state(g, 4, seed=8, k_filter=3.0, symmetric=True)
     with _CountingPool(pool) as executor:
-        monkeypatch.setattr(nbody, "_PRODUCT_POOL", executor)
+        monkeypatch.setattr(grid, "_POOL", executor)
         traj = evolve(system, state, 2e-3, 10, store_every=1)
     return traj, executor.jobs
 
 
 @pytest.mark.parametrize("stress", [False, True])
 def test_split_phase_products_are_bit_identical(monkeypatch, stress):
-    from boselab import nbody
+    from boselab import grid
 
     single, no_jobs = _split_run(monkeypatch, 1)
     # the stress case runs more threads than cores with a short switch
     # interval, where a lost or misplaced block write would show
-    pool = 7 if stress else max(nbody._POOL_SIZE, 2)
+    pool = 7 if stress else max(grid._POOL_SIZE, 2)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6 if stress else interval)
     try:
@@ -304,9 +304,9 @@ def test_phase_matches_complex_exponential():
 
 
 def test_small_tensors_transform_on_one_thread(monkeypatch):
-    from boselab import nbody
+    from boselab import grid, nbody
 
-    monkeypatch.setattr(nbody, "_POOL_SIZE", 2)
+    monkeypatch.setattr(grid, "_POOL_SIZE", 2)
     assert nbody._workers(np.zeros((16,) * 3, complex)) == 1
     assert nbody._workers(np.zeros((32,) * 3, complex)) == 1
 
@@ -315,7 +315,7 @@ def test_small_tensors_transform_on_one_thread(monkeypatch):
 def test_pool_size_falls_back_to_affinity(monkeypatch, value):
     import os
 
-    from boselab import nbody
+    from boselab import grid
 
     if value is None:
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
@@ -323,9 +323,9 @@ def test_pool_size_falls_back_to_affinity(monkeypatch, value):
         monkeypatch.setenv("OMP_NUM_THREADS", value)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count())
-    assert nbody._pool_size() == cpus
+    assert grid._pool_size() == cpus
     monkeypatch.setenv("OMP_NUM_THREADS", "3")
-    assert nbody._pool_size() == 3
+    assert grid._pool_size() == 3
 
 
 def test_norm_drift_covers_unstored_steps():
