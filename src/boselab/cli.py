@@ -22,9 +22,11 @@ input is defined once, here.
 
 Configs are JSON validated against CONFIG_SCHEMA, whose numbers must be
 finite and whose integers must be ints, and then against what the
-runners need (step budgets, run lengths, the lens window, each suite's
-size and run-length envelopes); every output file embeds the config hash, the
-sign/direction conventions, and the package version, and identical
+runners need (only the keys of the experiment's DEFAULTS plus
+output_dir, at least two particles, strictly increasing particle numbers
+for convergence, step budgets, run lengths, the lens window, each
+suite's size and run-length envelopes); every output file embeds the
+config hash, the sign/direction conventions, and the package version, and identical
 config + seed gives byte-identical outputs.  Exit codes: 0 all checks pass, 1 at least one check failed,
 2 config error (a config that cannot run), 3 numerical abort (a
 non-finite value during propagation or in a check).
@@ -96,7 +98,7 @@ CONFIG_SCHEMA = {
         "n": {"type": "integer", "minimum": 2},
         "length": {"type": "number", "exclusiveMinimum": 0},
         "n_particles": {"type": "array", "minItems": 1,
-                        "items": {"type": "integer", "minimum": 1}},
+                        "items": {"type": "integer", "minimum": 2}},
         "omega": {"type": "number", "minimum": 0},
         "omegas": {"type": "array", "minItems": 1,
                    "items": {"type": "number", "minimum": 0}},
@@ -223,10 +225,9 @@ def _n_steps(key: str, span: float, dt: float) -> int:
 
 
 # The size envelope of every suite: no tensor of more than 2^20 amplitudes
-# (32^4 = 16^5), no dense eigensolve of side above 4096, and no collapse
-# scan of more than 4096 dual integrals.
+# (32^4 = 16^5), no dense eigensolve of side above grid.DENSE_SIDE_CAP
+# (4096), and no collapse scan of more than 4096 dual integrals.
 _MAX_AMPLITUDES = 2 ** 20
-_MAX_DENSE_SIDE = 4096
 _MAX_SCAN_POINTS = 4096
 
 
@@ -253,10 +254,12 @@ def _check_envelope(merged: dict) -> None:
                 f"n: the {n} x {n} pair slice exceeds the envelope of "
                 f"{_MAX_AMPLITUDES} amplitudes (n <= 1024)")
     elif kind in ("nls_validate", "lens_suite"):
+        from .grid import DENSE_SIDE_CAP
+
         # the trap ground state is a dense eigensolve of side n
-        if n > _MAX_DENSE_SIDE:
+        if n > DENSE_SIDE_CAP:
             raise ConfigError(
-                f"n: {n} exceeds the dense eigensolve side {_MAX_DENSE_SIDE}")
+                f"n: {n} exceeds the dense eigensolve side {DENSE_SIDE_CAP}")
     elif kind == "collapse_suite":
         # an upper bound on the (eta, xi1) points of collapse_sup_I's scan
         ratio = merged["grid_extent"] / merged["grid_step"]
@@ -338,7 +341,18 @@ def validate_config(cfg: dict) -> dict:
     if err is not None:
         path = "/".join(str(p) for p in err.absolute_path) or "<root>"
         raise ConfigError(f"{path}: {err.message}")
+    kind = cfg["experiment"]
+    for key in sorted(cfg):
+        if key not in DEFAULTS[kind] and key not in ("experiment",
+                                                     "output_dir"):
+            raise ConfigError(f"{key}: {kind} does not read this key")
     merged = merge_defaults(cfg)
+    if kind == "convergence":
+        nns = merged["n_particles"]
+        if any(b <= a for a, b in zip(nns, nns[1:])):
+            raise ConfigError(
+                f"n_particles: {nns} must be strictly increasing, the order "
+                "in which mean_field_k1_decreasing_in_N compares them")
     n = merged.get("n")
     if n is not None and (n & (n - 1)) != 0:
         raise ConfigError(f"n: {n} is not a power of two")
@@ -428,13 +442,6 @@ def _product_state(grid, phi, n_particles):
     return TensorState(grid, amps).normalized()
 
 
-def _gaussian_orbital(grid):
-    import numpy as np
-
-    phi = np.exp(-grid.x ** 2 / 2).astype(np.complex128)
-    return phi / math.sqrt(grid.h * float(np.sum(np.abs(phi) ** 2)))
-
-
 def _finite(name: str, values: list) -> list:
     """The values of a list-valued check, unchanged if all are finite.
 
@@ -462,14 +469,14 @@ def _convergence_block(cfg: dict, out: Path, report_hash: str, tag: str,
     coupling b0.  Writes the k = 1, 2 tables over time and particle
     number; returns the t = 0 check and the final k = 1, 2 distances.
     """
-    from .grid import Grid1D
+    from .grid import Grid1D, gaussian_packet
     from .marginals import chaos_distance
     from .nbody import NBodySystem, evolve
     from .nls import NLSProblem, evolve_nls
     from .potentials import PotentialSpec
 
     grid = Grid1D(cfg["n"], cfg["length"])
-    phi0 = _gaussian_orbital(grid)
+    phi0 = gaussian_packet(grid, 1.0)
     times, dt = cfg["times"], cfg["dt"]
     stride = _n_steps("times", times[1] - times[0], dt)
     n_steps = stride * (len(times) - 1)
@@ -784,14 +791,14 @@ def run_lens(cfg: dict, out: Path, report_hash: str) -> list[dict]:
     """Lens-transform suite: identity, unitarity, intertwining."""
     import numpy as np
 
-    from .grid import Grid1D, TensorState
+    from .grid import Grid1D, TensorState, gaussian_packet
     from .lens import (LensMap, intertwine_linear_check, lens_function,
                        lens_kernel)
     from .marginals import MarginalDensity, trace_norm
     from .nls import trap_ground_state
 
     grid = Grid1D(cfg["n"], cfg["length"])
-    phi0 = _gaussian_orbital(grid)
+    phi0 = gaussian_packet(grid, 1.0)
     checks = []
 
     flat, _ = lens_function(LensMap(0.0), TensorState(grid, phi0), 0.3)
@@ -832,13 +839,13 @@ def run_lens(cfg: dict, out: Path, report_hash: str) -> list[dict]:
 
 def run_bbgky(cfg: dict, out: Path, report_hash: str) -> list[dict]:
     """Hierarchy residual second-order decay under dt halving."""
-    from .grid import Grid1D
+    from .grid import Grid1D, gaussian_packet
     from .nbody import NBodySystem, bbgky_residual, evolve
     from .potentials import PotentialSpec
 
     grid = Grid1D(cfg["n"], cfg["length"])
     pot = PotentialSpec(**cfg["potential"])
-    phi0 = _gaussian_orbital(grid)
+    phi0 = gaussian_packet(grid, 1.0)
     rows = []
     residuals = []
     for nn in cfg["n_particles"]:

@@ -56,7 +56,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .grid import Grid1D, GridError, _in_blocks
+from .grid import (Grid1D, GridError, _in_blocks, bracket_squared,
+                   gaussian_packet)
 
 __all__ = [
     "CollapseProbe", "make_probe", "bump", "theta_hat_quadrature",
@@ -66,7 +67,6 @@ __all__ = [
     "direct_operator_test", "trace_lemma_check",
     "make_baseline_member", "make_modulation_family",
     "make_counter_rotating_family", "make_dilation_family",
-    "gaussian_packet",
 ]
 
 
@@ -648,7 +648,7 @@ def _evolve(phase: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def _weight_sq(grid: Grid1D, eps: float) -> np.ndarray:
-    return (1.0 + grid.k ** 2) ** eps
+    return bracket_squared(grid) ** eps
 
 
 def _gram_hat(grid: Grid1D, eps: float, xa: np.ndarray, xb: np.ndarray):
@@ -804,14 +804,6 @@ def trace_lemma_check(grid: Grid1D, members, alpha: float) -> list[dict]:
 # test families
 
 
-def gaussian_packet(grid: Grid1D, width: float = 1.5, center: float = 0.0,
-                    velocity: float = 0.0) -> np.ndarray:
-    prof = np.exp(-(grid.x - center) ** 2 / (2.0 * width ** 2)).astype(
-        np.complex128)
-    prof *= np.exp(1j * velocity * grid.x)
-    return prof / math.sqrt(grid.h * float(np.sum(np.abs(prof) ** 2)))
-
-
 def make_baseline_member(grid: Grid1D) -> SeparableKernelMember:
     return SeparableKernelMember(
         f=gaussian_packet(grid, 1.2), g=gaussian_packet(grid, 1.6),
@@ -866,8 +858,8 @@ def make_dilation_family(grid: Grid1D, lams) -> list[PairProfileMember]:
     """
     k = grid.k
     members = []
-    f = gaussian_packet(grid, width=1.0)
-    p = gaussian_packet(grid, width=1.2)
+    f = gaussian_packet(grid, 1.0)
+    p = gaussian_packet(grid, 1.2)
     for lam in lams:
         lam = float(lam)
         g = np.exp(-(k / lam) ** 2 / 2.0).astype(np.complex128)

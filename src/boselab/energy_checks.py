@@ -31,34 +31,39 @@ from __future__ import annotations
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
+from . import grid as _grid
 from .grid import (Grid1D, GridError, TensorState, apply_symbol,
-                   apply_weight_squared, dense_operator,
-                   dense_weight_squared, on_axes, weighted_norm_squared)
-from .nbody import DENSE_DIM_CAP, NBodySystem, apply_hamiltonian
+                   apply_weight_squared, bracket_squared, dense_operator,
+                   dense_weight_squared, kinetic_symbol, on_axes,
+                   pair_differences, weighted_norm_squared)
+from .nbody import NBodySystem, apply_hamiltonian
 from .potentials import PotentialSpec, scaled_potential
 
 
 def _pair_cap(grid: Grid1D):
-    if grid.n ** 2 > DENSE_DIM_CAP:
-        raise GridError(
-            f"two-particle dense form {grid.n}^2 exceeds the cap {DENSE_DIM_CAP}")
+    if grid.n ** 2 > _grid.DENSE_SIDE_CAP:
+        raise GridError(f"two-particle dense form {grid.n}^2 exceeds the cap "
+                        f"{_grid.DENSE_SIDE_CAP}")
 
 
-def dense_pair_block(spec: PotentialSpec | None, n_particles: int, omega: float,
+def _pair_diagonal(spec: PotentialSpec, n_particles: int, grid: Grid1D,
+                   alpha_scale: float) -> np.ndarray:
+    """2 alpha + (1-1/N)V_N on the pair grid, the multiplication part of
+    the pair block."""
+    vpair = scaled_potential(spec, n_particles, pair_differences(grid))
+    shift = np.full((grid.n, grid.n), 2.0 * spec.alpha() * alpha_scale)
+    return shift + (1.0 - 1.0 / n_particles) * vpair
+
+
+def dense_pair_block(spec: PotentialSpec, n_particles: int, omega: float,
                      grid: Grid1D, alpha_scale: float = 1.0) -> np.ndarray:
     """Dense matrix of (S_1^2+S_2^2)/2 + (1-1/N)V_N + 2 alpha on the pair
     grid, the form whose nonnegativity is the pair positivity statement."""
     _pair_cap(grid)
-    n = grid.n
     s2 = dense_weight_squared(grid, "S", omega)
-    eye = np.eye(n)
-    mat = 0.5 * (np.kron(s2, eye) + np.kron(eye, s2))
-    alpha = spec.alpha() if spec is not None else 0.0
-    if spec is not None:
-        diff = grid.x[:, None] - grid.x[None, :]
-        vpair = scaled_potential(spec, n_particles, diff)
-        mat = mat + np.diag(((1.0 - 1.0 / n_particles) * vpair).ravel())
-    mat = mat + (2.0 * alpha * alpha_scale) * np.eye(n * n)
+    eye = np.eye(grid.n)
+    mat = 0.5 * (np.kron(s2, eye) + np.kron(eye, s2)) + np.diag(
+        _pair_diagonal(spec, n_particles, grid, alpha_scale).ravel())
     mat = 0.5 * (mat + mat.conj().T)
     return np.ascontiguousarray(_real_part(mat, "pair block"))
 
@@ -70,7 +75,7 @@ def _real_part(mat: np.ndarray, name: str) -> np.ndarray:
     return mat.real
 
 
-def check_pair_positivity(spec: PotentialSpec | None, n_particles: int,
+def check_pair_positivity(spec: PotentialSpec, n_particles: int,
                           omega: float, grid: Grid1D,
                           alpha_scale: float = 1.0) -> dict:
     """Minimum eigenvalue of (S_1^2+S_2^2)/2 + (1-1/N)V_N + 2 alpha.
@@ -84,12 +89,7 @@ def check_pair_positivity(spec: PotentialSpec | None, n_particles: int,
     """
     n = grid.n
     s2 = _real_part(dense_weight_squared(grid, "S", omega), "S^2")
-    alpha = spec.alpha() if spec is not None else 0.0
-    diag = np.full((n, n), 2.0 * alpha * alpha_scale)
-    if spec is not None:
-        diff = grid.x[:, None] - grid.x[None, :]
-        diag = diag + (1.0 - 1.0 / n_particles) * scaled_potential(
-            spec, n_particles, diff)
+    diag = _pair_diagonal(spec, n_particles, grid, alpha_scale)
 
     def apply(vec: np.ndarray) -> np.ndarray:
         a = vec.reshape(n, n)
@@ -101,7 +101,7 @@ def check_pair_positivity(spec: PotentialSpec | None, n_particles: int,
     lam = float(vals[0])
     return {
         "min_eigenvalue": lam,
-        "alpha": alpha,
+        "alpha": spec.alpha(),
         "alpha_scale": alpha_scale,
         "omega": omega,
         "n_particles": n_particles,
@@ -109,7 +109,7 @@ def check_pair_positivity(spec: PotentialSpec | None, n_particles: int,
     }
 
 
-def check_K_inequality(spec: PotentialSpec | None, n_particles: int,
+def check_K_inequality(spec: PotentialSpec, n_particles: int,
                        grid: Grid1D, alpha_override: float | None = None) -> dict:
     """Minimum eigenvalue of -d^2/2 + (1 - 1/N)V_N + 2 alpha on one particle.
 
@@ -117,14 +117,10 @@ def check_K_inequality(spec: PotentialSpec | None, n_particles: int,
     (negative control: a deep well with a small potential's alpha binds
     below zero).
     """
-    alpha = spec.alpha() if spec is not None else 0.0
-    if alpha_override is not None:
-        alpha = alpha_override
-    vline = np.zeros(grid.n)
-    if spec is not None:
-        vline = (1.0 - 1.0 / n_particles) * scaled_potential(
-            spec, n_particles, grid.x)
-    mat = dense_operator(grid, 0.5 * grid.k ** 2, vline)
+    alpha = spec.alpha() if alpha_override is None else alpha_override
+    vline = (1.0 - 1.0 / n_particles) * scaled_potential(
+        spec, n_particles, grid.x)
+    mat = dense_operator(grid, kinetic_symbol(grid), vline)
     mat = mat + (2.0 * alpha) * np.eye(grid.n)
     lam = float(np.linalg.eigvalsh(mat)[0])
     return {"min_eigenvalue": lam, "alpha": alpha, "passes": lam >= -1e-6}
@@ -195,7 +191,7 @@ def check_energy_estimate(system: NBodySystem, state: TensorState, k: int = 1) -
 def _smoothed_pair_action(grid: Grid1D, vdiag: np.ndarray):
     """Closure applying L1^-1 L2^-1 V(x1-x2) L1^-1 L2^-1 to flat vectors."""
     n = grid.n
-    inv_sym = 1.0 / np.sqrt(1.0 + grid.k ** 2)
+    inv_sym = 1.0 / np.sqrt(bracket_squared(grid))
 
     def apply(vec: np.ndarray) -> np.ndarray:
         a = vec.reshape(n, n)
@@ -207,30 +203,16 @@ def _smoothed_pair_action(grid: Grid1D, vdiag: np.ndarray):
     return apply
 
 
-def check_sobolev_operator_bound(spec: PotentialSpec | None, grid: Grid1D,
-                                 n_particles: int | None = None,
+def check_sobolev_operator_bound(spec: PotentialSpec, grid: Grid1D,
                                  dense: bool = False) -> dict:
     """Largest singular value of L1^-1 L2^-1 V(x1-x2) L1^-1 L2^-1.
 
-    n_particles=None uses the unscaled potential; an integer applies the
-    mean-field rescaling (which preserves the L1 norm, hence the bound).
-    dense=True builds the full matrix and takes exact singular values
-    (small grids only); otherwise the extreme eigenvalue of the Hermitian
-    operator is found matrix-free.
+    The potential is unscaled; the mean-field rescaling preserves the L1
+    norm, hence the bound.  dense=True builds the full matrix and takes
+    exact singular values (small grids only); otherwise the extreme
+    eigenvalue of the Hermitian operator is found matrix-free.
     """
-    diff = grid.x[:, None] - grid.x[None, :]
-    if spec is None:
-        vdiag = np.zeros_like(diff)
-        bound = 0.0
-    elif n_particles is None:
-        vdiag = spec(diff)
-        bound = spec.l1_norm()
-    else:
-        vdiag = scaled_potential(spec, n_particles, diff)
-        bound = spec.l1_norm()
-    if not np.any(vdiag):
-        return {"sigma_max": 0.0, "bound": bound, "passes": True}
-    apply = _smoothed_pair_action(grid, vdiag)
+    apply = _smoothed_pair_action(grid, spec(pair_differences(grid)))
     dim = grid.n ** 2
     if dense:
         _pair_cap(grid)
@@ -244,5 +226,6 @@ def check_sobolev_operator_bound(spec: PotentialSpec | None, grid: Grid1D,
         vals = eigsh(op, k=1, which="LM", v0=np.ones(dim),
                      return_eigenvectors=False, tol=1e-10, maxiter=5000)
         sigma = float(np.max(np.abs(vals)))
+    bound = spec.l1_norm()
     return {"sigma_max": sigma, "bound": bound,
             "passes": sigma <= bound + 1e-4}

@@ -15,10 +15,16 @@ with raw fft/ifft pairs since the normalization cancels.  Dense n x n
 forms (Fourier multipliers for small-grid oracles, the trigonometric
 interpolant used by the lens transform) share one DFT-matrix builder.
 
-The one-particle operator h = -d^2/2 + omega^2 x^2/2, in which every
-energy estimate is written (S^2 = 1 + h), is defined here once: its trap
-multiplier is trap_potential, and dense_operator builds the Hermitized
-dense form "Fourier symbol + multiplier" of h, S^2 and their relatives.
+The one-particle pieces are defined here once.  The operator
+h = -d^2/2 + omega^2 x^2/2, in which every energy estimate is written
+(S^2 = 1 + h), has the kinetic symbol kinetic_symbol (k^2/2) and the trap
+multiplier trap_potential; dense_operator builds the Hermitized dense
+form "Fourier symbol + multiplier" of h, S^2 and their relatives.  The
+bracket <k>^2 = 1 + k^2 (bracket_squared) weights the flat Sobolev norms
+and the collapsing estimate; pair_differences is the x_i - x_j grid on
+which pair potentials are sampled; gaussian_packet is the normalized
+Gaussian orbital.  DENSE_SIDE_CAP is the one cap on the side of a dense
+matrix that is built or decomposed.
 
 The package has one thread pool, defined here: its size is read once at
 import from OMP_NUM_THREADS (which ``--threads`` sets) or else from the
@@ -43,6 +49,12 @@ import numpy as np
 
 class GridError(ValueError):
     """Raised for inconsistent grid parameters or state payloads."""
+
+
+# The largest side of a dense matrix built or decomposed anywhere: the
+# N-body Hamiltonian, the pair block, marginal and sector kernels, and
+# the trap ground state's eigensolve.
+DENSE_SIDE_CAP = 4096
 
 
 def _pool_size() -> int:
@@ -143,6 +155,28 @@ def trap_potential(grid: Grid1D, omega: float) -> np.ndarray:
     return 0.5 * omega ** 2 * grid.x ** 2
 
 
+def kinetic_symbol(grid: Grid1D) -> np.ndarray:
+    """The kinetic symbol k^2 / 2 of h, in FFT ordering."""
+    return 0.5 * grid.k ** 2
+
+
+def bracket_squared(grid: Grid1D) -> np.ndarray:
+    """The bracket <k>^2 = 1 + k^2, the symbol of L^2 = 1 - d^2."""
+    return 1.0 + grid.k ** 2
+
+
+def pair_differences(grid: Grid1D) -> np.ndarray:
+    """x_i - x_j on the pair grid, shape (n, n)."""
+    x = grid.x
+    return x[:, None] - x[None, :]
+
+
+def gaussian_packet(grid: Grid1D, width: float) -> np.ndarray:
+    """exp(-x^2 / (2 width^2)) normalized to unit L^2 norm on the grid."""
+    prof = np.exp(-grid.x ** 2 / (2.0 * width ** 2)).astype(np.complex128)
+    return prof / math.sqrt(grid.h * float(np.sum(np.abs(prof) ** 2)))
+
+
 def on_axes(values: np.ndarray, ndim: int, *axes: int) -> np.ndarray:
     """values viewed against an ndim tensor: its dimensions on the given
     axes (in ascending order), size 1 on every other axis."""
@@ -219,10 +253,9 @@ class SobolevWeight:
 
     def squared_symbol(self, grid: Grid1D) -> np.ndarray:
         """Kinetic part of the squared weight as a Fourier symbol."""
-        k2 = grid.k ** 2
         if self.kind == "L":
-            return 1.0 + k2
-        return 1.0 + 0.5 * k2
+            return bracket_squared(grid)
+        return 1.0 + kinetic_symbol(grid)
 
     def squared_potential(self, grid: Grid1D) -> np.ndarray:
         """Multiplication part of the squared weight on grid points."""
@@ -282,22 +315,20 @@ def symmetrize_leading(amplitudes: np.ndarray, k: int) -> np.ndarray:
     return acc
 
 
-def symmetrize(state: TensorState, renormalize: bool = True, tol: float = 1e-12) -> TensorState:
+def symmetrize(state: TensorState) -> TensorState:
     """Project onto the bosonic (permutation-symmetric) sector.
 
-    Averages over all N! axis permutations.  With renormalize=True the
-    result is rescaled to unit norm; a projection that annihilates the
-    state (norm below tol) is an error.
+    Averages over all N! axis permutations and rescales the result to
+    unit norm; a projection that annihilates the state (norm below
+    1e-12) is an error.
     """
     ndim = state.n_particles
     if ndim == 1:
-        return state.copy() if not renormalize else state.normalized()
+        return state.normalized()
     out = TensorState(state.grid, symmetrize_leading(state.amplitudes, ndim),
                       state.omega)
-    if not renormalize:
-        return out
     nrm = out.norm()
-    if nrm < tol:
+    if nrm < 1e-12:
         raise GridError("symmetrization annihilated the state")
     return TensorState(state.grid, out.amplitudes / nrm, state.omega)
 

@@ -38,18 +38,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid1D, TensorState, symmetrize_leading
+from . import grid as _grid
+from .grid import Grid1D, TensorState, pair_differences, symmetrize_leading
 
 
 class MarginalError(ValueError):
     """Raised for inconsistent marginal constructions or kernel sizes."""
 
-
-# Dense eigendecompositions (occupation spectra, and the Hermitian
-# eigenvalue route of trace_norm and chaos_distance) are capped at this
-# side of the matrix actually decomposed: n^k for a marginal, the sector
-# dimension C(n+k-1, k) for chaos_distance.
-KERNEL_SIDE_CAP = 4096
 
 # The Hermitian eigensolver reads one triangle of its input, so kernels
 # whose anti-Hermitian part exceeds this share of the largest entry of the
@@ -102,10 +97,14 @@ class MarginalDensity:
 
 
 def _check_side(side: int):
-    if side > KERNEL_SIDE_CAP:
+    """Dense eigendecompositions (occupation spectra, and the Hermitian
+    route of trace_norm and chaos_distance) are capped at the side of the
+    matrix actually decomposed: n^k for a marginal, the sector dimension
+    C(n+k-1, k) for chaos_distance."""
+    if side > _grid.DENSE_SIDE_CAP:
         raise MarginalError(
             f"dense spectral operation of side {side} beyond kernel cap "
-            f"{KERNEL_SIDE_CAP}")
+            f"{_grid.DENSE_SIDE_CAP}")
 
 
 def _hermiticity_defect(kern: np.ndarray) -> float:
@@ -300,8 +299,7 @@ def mollifier_delta_test(gamma2: MarginalDensity, j_op, rho, alphas,
         raise MarginalError("j_op must be a vector or an (n, n) matrix")
 
     g4 = gamma2.weight * gamma2.tensor()  # plain-matrix convention
-    x = grid.x
-    diff = x[:, None] - x[None, :]
+    diff = pair_differences(grid)
     d_delta = delta_pairing_diagonal(grid)
 
     def pairing(dvals: np.ndarray) -> complex:

@@ -30,10 +30,12 @@ BLAS call: its per-step norm is an einsum, because a BLAS call there
 wakes OpenBLAS's own threads, which then spin on the cores the
 transforms need.
 
-Also here: the dense Hamiltonian for small tensor grids (oracle and
-spectral-cutoff backend), the smooth spectral cutoff used to regularize
-rough initial data, and the residual of the trapped BBGKY hierarchy
-evaluated on stored trajectories.
+Also here: the dense Hamiltonian for small tensor grids (the oracle of
+the matrix-free routes), the smooth spectral cutoff used to regularize
+rough initial data, which diagonalizes that dense Hamiltonian afresh on
+every call (n^N = 256 in its uses, where eigh takes milliseconds), and
+the residual of the trapped BBGKY hierarchy evaluated on stored
+trajectories.
 """
 
 from __future__ import annotations
@@ -46,14 +48,17 @@ import scipy.fft
 
 from . import grid as _grid
 from .grid import (Grid1D, GridError, TensorState, apply_symbol,
-                   dense_operator, on_axes, symmetry_residual,
-                   trap_potential)
+                   dense_operator, kinetic_symbol, on_axes,
+                   pair_differences, trap_potential)
 from .marginals import partial_trace
 from .potentials import PotentialSpec, scaled_potential
 
-DENSE_DIM_CAP = 4096
 # tensors with fewer amplitudes transform on one thread
 THREAD_FLOOR = 2 ** 16
+
+# evolve aborts when the norm moves by more than this in one step or
+# since step 0; the splitting is exactly unitary
+NORM_TOL = 1e-10
 
 
 def _workers(a: np.ndarray) -> int:
@@ -121,8 +126,7 @@ class NBodySystem:
 
     def pair_potential_values(self) -> np.ndarray:
         """V_N on the (x_i - x_j) difference grid, shape (n, n)."""
-        x = self.grid.x
-        diff = x[:, None] - x[None, :]
+        diff = pair_differences(self.grid)
         if self.potential is None:
             return np.zeros_like(diff)
         return scaled_potential(self.potential, self.n_particles, diff)
@@ -138,12 +142,9 @@ class NBodySystem:
                     out = out + on_axes(vpair, nn, i, j)
         return out
 
-    def kinetic_symbol(self) -> np.ndarray:
-        return 0.5 * self.grid.k ** 2
-
     def total_kinetic_symbol(self) -> np.ndarray:
         """sum_j k_j^2 / 2 as a Fourier-space tensor of shape (n,)*N."""
-        return _axis_sum(self.kinetic_symbol(), self.n_particles)
+        return _axis_sum(kinetic_symbol(self.grid), self.n_particles)
 
 
 def _axis_sum(values: np.ndarray, ndim: int) -> np.ndarray:
@@ -180,7 +181,7 @@ def energy_expectation(system: NBodySystem, state: TensorState,
     amps = state.amplitudes
     nn = state.n_particles
     spec = np.abs(scipy.fft.fftn(amps, workers=_workers(amps))) ** 2
-    symbol = system.kinetic_symbol()
+    symbol = kinetic_symbol(system.grid)
     axes = range(nn)
     kin = sum(symbol @ spec.sum(axis=tuple(o for o in axes if o != ax))
               for ax in axes) / amps.size
@@ -232,12 +233,11 @@ class Trajectory:
 
 
 def evolve(system: NBodySystem, state: TensorState, dt: float, n_steps: int,
-           store_every: int = 1, norm_tol: float = 1e-10,
-           check_symmetry: bool = False, symmetry_tol: float = 1e-9) -> Trajectory:
+           store_every: int = 1) -> Trajectory:
     """Strang-splitting propagation of psi(t) = exp(-i t H_N) psi(0).
 
     The norm change per step and since step 0 are both checked against
-    norm_tol (the splitting is exactly unitary, so violations indicate
+    NORM_TOL (the splitting is exactly unitary, so violations indicate
     numerical trouble, and the step-0 check catches slow drift that no
     single step shows), and a non-finite norm aborts at once.  The largest
     drift since step 0 over every step is kept as the trajectory's
@@ -253,8 +253,7 @@ def evolve(system: NBodySystem, state: TensorState, dt: float, n_steps: int,
     pot = system.potential_diagonal()
     half = _phase((-0.5 * dt) * pot)
     kin_phase = _phase(-dt * system.total_kinetic_symbol())
-    nn = system.n_particles
-    weight = system.grid.h ** nn
+    weight = system.grid.h ** system.n_particles
 
     def snapshot(amplitudes):
         return TensorState(system.grid, amplitudes.copy(), system.omega)
@@ -279,12 +278,12 @@ def evolve(system: NBodySystem, state: TensorState, dt: float, n_steps: int,
         norm_now = math.sqrt(weight * _norm_sq(psi))
         if not math.isfinite(norm_now):
             raise NumericalAbort(f"norm is {norm_now} at step {step}")
-        if abs(norm_now - norm_prev) > norm_tol:
+        if abs(norm_now - norm_prev) > NORM_TOL:
             raise NumericalAbort(
                 f"norm drifted by {abs(norm_now - norm_prev):.3e} at step {step}"
             )
         since_start = abs(norm_now - norm_start)
-        if since_start > norm_tol:
+        if since_start > NORM_TOL:
             raise NumericalAbort(
                 f"norm drifted by {since_start:.3e} since step 0 at step {step}"
             )
@@ -292,17 +291,10 @@ def evolve(system: NBodySystem, state: TensorState, dt: float, n_steps: int,
         drift = max(drift, since_start)
 
         if step % store_every == 0:
-            snap = snapshot(psi)
-            if check_symmetry and nn > 1:
-                res = symmetry_residual(snap)
-                if res > symmetry_tol:
-                    raise NumericalAbort(
-                        f"bosonic symmetry residual {res:.3e} at step {step}"
-                    )
             times.append(step * dt)
-            states.append(snap)
+            states.append(snapshot(psi))
             norms.append(norm_now)
-            energies.append(energy_expectation(system, snap, pot))
+            energies.append(energy_expectation(system, states[-1], pot))
 
     return Trajectory(system, dt, store_every, np.asarray(times), states,
                       np.asarray(norms), np.asarray(energies), drift)
@@ -312,14 +304,13 @@ def evolve(system: NBodySystem, state: TensorState, dt: float, n_steps: int,
 
 def dense_hamiltonian(system: NBodySystem) -> np.ndarray:
     """Full H_N as an (n^N, n^N) Hermitian matrix; capped at 4096."""
-    if system.dim > DENSE_DIM_CAP:
-        raise GridError(
-            f"dense Hamiltonian dimension {system.dim} exceeds cap {DENSE_DIM_CAP}"
-        )
+    if system.dim > _grid.DENSE_SIDE_CAP:
+        raise GridError(f"dense Hamiltonian dimension {system.dim} exceeds "
+                        f"cap {_grid.DENSE_SIDE_CAP}")
     grid, nn = system.grid, system.n_particles
     # dense_operator builds numpy's DFT matrices, which keeps the dense
     # oracle off the scipy.fft route that apply_hamiltonian and evolve take
-    h1 = dense_operator(grid, system.kinetic_symbol(),
+    h1 = dense_operator(grid, kinetic_symbol(grid),
                         trap_potential(grid, system.omega))
     ham = np.zeros((system.dim, system.dim), dtype=np.complex128)
     for j in range(nn):
@@ -347,20 +338,6 @@ def cutoff_chi(s) -> np.ndarray:
     return out
 
 
-# keyed by the frozen NBodySystem itself
-_EIG_CACHE: dict = {}
-
-
-def dense_spectrum(system: NBodySystem):
-    """Eigendecomposition of the dense Hamiltonian, cached for the last system."""
-    if system not in _EIG_CACHE:
-        # one entry only: an n^N = 4096 decomposition holds 268 MB, so the
-        # previous system's is freed before the next eigh allocates
-        _EIG_CACHE.clear()
-        _EIG_CACHE[system] = np.linalg.eigh(dense_hamiltonian(system))
-    return _EIG_CACHE[system]
-
-
 def spectral_cutoff(system: NBodySystem, state: TensorState,
                     kappa: float) -> TensorState:
     """Regularized state chi(kappa H_N / N) psi, renormalized.
@@ -371,7 +348,7 @@ def spectral_cutoff(system: NBodySystem, state: TensorState,
     """
     if kappa <= 0:
         raise GridError("cutoff parameter kappa must be positive")
-    evals, evecs = dense_spectrum(system)
+    evals, evecs = np.linalg.eigh(dense_hamiltonian(system))
     w = system.grid.h ** state.n_particles
     # eigenvectors are Euclidean-unitary, so plain coefficients suffice
     coeffs = evecs.conj().T @ state.amplitudes.reshape(-1)
@@ -423,8 +400,9 @@ def _collision_term(state: TensorState, k: int, vpair: np.ndarray) -> np.ndarray
     return out
 
 
-def bbgky_residual(traj: Trajectory, k: int, index: int | None = None) -> dict:
-    """Central-difference residual of the trapped BBGKY hierarchy at level k.
+def bbgky_residual(traj: Trajectory, k: int) -> dict:
+    """Central-difference residual of the trapped BBGKY hierarchy at level k,
+    at the middle stored snapshot.
 
     Checks i d/dt gamma^(k) against the one-body commutator, the in-block
     pair term, and the (N-k)/N weighted collision contraction of
@@ -438,10 +416,7 @@ def bbgky_residual(traj: Trajectory, k: int, index: int | None = None) -> dict:
         raise GridError(f"hierarchy level k={k} needs k+1 <= N={nn}")
     if len(traj.states) < 3:
         raise GridError("need at least three stored snapshots")
-    if index is None:
-        index = len(traj.states) // 2
-    if not 1 <= index <= len(traj.states) - 2:
-        raise GridError("index must have stored neighbors on both sides")
+    index = len(traj.states) // 2
 
     n = system.grid.n
     grid = system.grid
@@ -453,7 +428,7 @@ def bbgky_residual(traj: Trajectory, k: int, index: int | None = None) -> dict:
     lhs = 1j * (gp.kernel - gm.kernel) / (2.0 * dt_s)
 
     tens = g0.tensor()
-    rhs = _commutator_one_body(tens, k, system.kinetic_symbol(),
+    rhs = _commutator_one_body(tens, k, kinetic_symbol(grid),
                                trap_potential(grid, system.omega))
     rhs = rhs.reshape(n ** k, n ** k)
 

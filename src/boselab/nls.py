@@ -15,10 +15,11 @@ which the lens change of variables exactly intertwines the two flows;
 the solver for the alternative full-Laplacian convention is provided as
 a negative control (see boselab.lens).
 
-Both solvers are Strang splitting.  The nonlinear/potential phase is
-exact within each substep because the modulus is invariant under a pure
-phase multiplication; the time-dependent coupling g is integrated in
-closed form (int g dtau = arcsinh(omega tau)/omega), which preserves the
+Both solvers are Strang splitting from time 0 (on the lens side tau = 0,
+where g = 1).  The nonlinear/potential phase is exact within each
+substep because the modulus is invariant under a pure phase
+multiplication; the time-dependent coupling g is integrated in closed
+form (int g dtau = arcsinh(omega tau)/omega), which preserves the
 second-order accuracy of the composition.
 
 For omega = 0 both sides reduce to i d/dt phi = -phi''/2 - b0 |phi|^2 phi
@@ -34,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid1D, GridError, dense_operator, trap_potential
+from .grid import (Grid1D, GridError, apply_symbol, dense_operator,
+                   kinetic_symbol, trap_potential)
 from .potentials import lens_damping
 
 
@@ -61,8 +63,9 @@ class NLSProblem:
             raise GridError(f"unknown side {self.side!r}")
 
     def kinetic_symbol(self) -> np.ndarray:
-        k2 = self.grid.k ** 2
-        return 0.5 * k2 if self.half_kinetic else k2
+        if self.half_kinetic:
+            return kinetic_symbol(self.grid)
+        return self.grid.k ** 2
 
     def coupling_integral(self, t0: float, t1: float) -> float:
         """Integral of the coupling weight over [t0, t1].
@@ -88,7 +91,7 @@ def mass(grid: Grid1D, phi: np.ndarray) -> float:
 def nls_energy(problem: NLSProblem, phi: np.ndarray, tau: float = 0.0) -> float:
     """Instantaneous energy functional (conserved on the trapped side)."""
     grid = problem.grid
-    dphi = np.fft.ifft(1j * grid.k * np.fft.fft(phi))
+    dphi = apply_symbol(phi, 1j * grid.k, 0)
     kin_weight = 0.5 if problem.half_kinetic else 1.0
     kin = kin_weight * grid.h * float(np.sum(np.abs(dphi) ** 2))
     pot = grid.h * float(np.sum(problem.trap_values() * np.abs(phi) ** 2))
@@ -120,9 +123,9 @@ class NLSTrajectory:
 
 
 def evolve_nls(problem: NLSProblem, phi0: np.ndarray, dt: float, n_steps: int,
-               store_every: int = 1, density_ceiling: float = 1e3,
-               t0: float = 0.0) -> NLSTrajectory:
-    """Strang propagation from time t0 over n_steps of size dt.
+               store_every: int = 1,
+               density_ceiling: float = 1e3) -> NLSTrajectory:
+    """Strang propagation from time 0 over n_steps of size dt.
 
     Propagation halts with BlowupDetected when max |phi|^2 crosses the
     density ceiling (the focusing equation can concentrate; the ceiling
@@ -138,19 +141,19 @@ def evolve_nls(problem: NLSProblem, phi0: np.ndarray, dt: float, n_steps: int,
     kin_phase = np.exp(-1j * dt * problem.kinetic_symbol())
     trap = problem.trap_values()
 
-    times = [t0]
+    times = [0.0]
     fields = [phi.copy()]
     masses = [mass(grid, phi)]
-    energies = [nls_energy(problem, phi, t0)]
+    energies = [nls_energy(problem, phi)]
 
-    t = t0
+    t = 0.0
     for step in range(n_steps):
         g_first = problem.coupling_integral(t, t + 0.5 * dt)
         phi = np.exp(-1j * (0.5 * dt * trap - problem.b0 * g_first * np.abs(phi) ** 2)) * phi
-        phi = np.fft.ifft(kin_phase * np.fft.fft(phi))
+        phi = apply_symbol(phi, kin_phase, 0)
         g_second = problem.coupling_integral(t + 0.5 * dt, t + dt)
         phi = np.exp(-1j * (0.5 * dt * trap - problem.b0 * g_second * np.abs(phi) ** 2)) * phi
-        t = t0 + (step + 1) * dt
+        t = (step + 1) * dt
 
         peak = float(np.max(np.abs(phi) ** 2))
         if not math.isfinite(peak):
@@ -186,7 +189,7 @@ def nls_residual(traj: NLSTrajectory, index: int | None = None) -> float:
             raise GridError("index must have stored neighbors on both sides")
         phi = traj.fields[m]
         dphi_dt = (traj.fields[m + 1] - traj.fields[m - 1]) / (2.0 * traj.store_dt)
-        kin = np.fft.ifft(sym * np.fft.fft(phi))
+        kin = apply_symbol(phi, sym, 0)
         g = 1.0 if problem.side == "trapped" else float(
             lens_damping(problem.omega, traj.times[m]))
         rhs = kin + trap * phi - g * problem.b0 * np.abs(phi) ** 2 * phi
@@ -205,7 +208,7 @@ def soliton(grid: Grid1D, b0: float, t: float = 0.0) -> np.ndarray:
 
 def trap_ground_state(grid: Grid1D, omega: float) -> tuple[np.ndarray, float]:
     """Lowest eigenpair of the discrete -d^2/2 + omega^2 x^2/2."""
-    h1 = dense_operator(grid, 0.5 * grid.k ** 2, trap_potential(grid, omega))
+    h1 = dense_operator(grid, kinetic_symbol(grid), trap_potential(grid, omega))
     evals, evecs = np.linalg.eigh(h1)
     phi = evecs[:, 0]
     phi = phi / math.sqrt(grid.h * float(np.sum(np.abs(phi) ** 2)))

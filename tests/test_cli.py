@@ -89,6 +89,11 @@ def test_bbgky_reports_second_order_ratio(tmp_path):
     assert all(3.5 <= r <= 4.5 for r in ratios)
 
 
+# the potential and times guards run under a suite that reads those keys;
+# nls_validate rejects both keys as unread
+_BAD_CONFIG_COMMAND = {"bad_r": "convergence", "bad_times": "convergence"}
+
+
 @pytest.mark.parametrize("name,contents,fragment", [
     ("bad_n", '{"n": 33}', "power of two"),
     ("bad_eps", '{"epsilon": 0.3}', "maximum of 0.25"),
@@ -103,8 +108,8 @@ def test_bbgky_reports_second_order_ratio(tmp_path):
 def test_bad_config_exits_with_usage_code(tmp_path, name, contents, fragment):
     cfg = tmp_path / f"{name}.json"
     cfg.write_text(contents)
-    proc = run_cli("nls-validate", "--config", str(cfg),
-                   "--out", str(tmp_path / "out"))
+    proc = run_cli(_BAD_CONFIG_COMMAND.get(name, "nls-validate"),
+                   "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert proc.returncode == 2
     assert fragment in proc.stderr
 
@@ -148,11 +153,21 @@ def test_bad_seed_exits_with_usage_code(tmp_path, source, value):
     ("convergence", '{"times": [0, 1e308]}', "finite number of steps"),
     ("energy", '{"omegas": [NaN]}', "type 'number'"),
     ("nls-validate", '{"n": 256.0}', "type 'integer'"),
+    # one particle: no k = 2 chaos distance, no hierarchy level, no margin
+    ("convergence", '{"n_particles": [1]}', "n_particles"),
+    ("bbgky", '{"n_particles": [1]}', "n_particles"),
+    ("energy", '{"n_particles": [1]}', "n_particles"),
+    # mean_field_k1_decreasing_in_N compares in list order
+    ("convergence", '{"n_particles": [4, 3, 2]}', "strictly increasing"),
+    ("convergence", '{"n_particles": [2, 2]}', "strictly increasing"),
+    # keys the experiment never reads
+    ("energy", '{"omega": 1.0}', "omega: energy_suite does not read"),
+    ("collapse", '{"dt": 1e-3, "n": 64}', "dt: collapse_suite does not read"),
 ])
 def test_config_that_cannot_run_exits_with_usage_code(tmp_path, command,
                                                       contents, fragment):
     # each of these used to end in a traceback with exit code 1 (a failed
-    # check) or to run on a NaN
+    # check), to run on a NaN, or to run on values the config did not set
     cfg = tmp_path / "cfg.json"
     cfg.write_text(contents)
     out = tmp_path / "out"
@@ -270,10 +285,13 @@ def test_size_envelope_rejects_oversized_suites(cfg, fragment):
 
 
 def test_size_envelope_admits_defaults_and_benchmark_configs():
-    from boselab.cli import EXPERIMENTS, validate_config
+    from boselab.cli import DEFAULTS, EXPERIMENTS, validate_config
 
     for kind in EXPERIMENTS:
         validate_config({"experiment": kind})
+        # every key of the defaults is one the experiment reads
+        validate_config(dict(DEFAULTS[kind], experiment=kind,
+                             output_dir="runs"))
     # the perfbench workloads' overrides
     validate_config({"experiment": "convergence", "times": [0.0, 0.1]})
     validate_config({"experiment": "collapse_suite", "grid_step": 15.0,

@@ -163,12 +163,10 @@ def test_sobolev_operator_bound_dual_route():
         assert it["sigma_max"] == pytest.approx(expected[spec.shape],
                                                 rel=1e-8)
         assert it["sigma_max"] <= it["bound"] + 1e-4
-    trivial = check_sobolev_operator_bound(None, g)
-    assert trivial["sigma_max"] == 0.0 and trivial["passes"]
 
 
 def test_sobolev_operator_bound_reruns_bit_identical():
     g = Grid1D(32, 8.0)
-    first = check_sobolev_operator_bound(GAUSSIAN, g, n_particles=2)
-    second = check_sobolev_operator_bound(GAUSSIAN, g, n_particles=2)
+    first = check_sobolev_operator_bound(GAUSSIAN, g)
+    second = check_sobolev_operator_bound(GAUSSIAN, g)
     assert first["sigma_max"] == second["sigma_max"]

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import boselab.marginals as marginals
 from boselab.grid import (Grid1D, TensorState, dense_weight_squared,
                           random_state, symmetrize, weighted_norm_squared)
 from boselab.marginals import (
@@ -206,7 +205,7 @@ def test_partial_trace_range_and_kernel_shape_validation():
 def test_dense_spectral_cap_guards_eigendecompositions(monkeypatch):
     g = Grid1D(16, 4.0)
     gam = partial_trace(random_state(g, 2, seed=0), 1)
-    monkeypatch.setattr(marginals, "KERNEL_SIDE_CAP", 8)
+    monkeypatch.setattr("boselab.grid.DENSE_SIDE_CAP", 8)
     with pytest.raises(MarginalError, match="cap"):
         gam.eigenvalues()
     with pytest.raises(MarginalError, match="cap"):
@@ -307,11 +306,11 @@ def test_kernel_cap_applies_to_the_sector_side(monkeypatch):
     g = Grid1D(16, 4.0)
     state = random_state(g, 2, seed=0, k_filter=3.0, symmetric=True)
     phi = unit_gaussian(g)
-    monkeypatch.setattr(marginals, "KERNEL_SIDE_CAP", 200)
+    monkeypatch.setattr("boselab.grid.DENSE_SIDE_CAP", 200)
     assert 0.0 <= chaos_distance(state, 2, phi) <= 2.0
     with pytest.raises(MarginalError, match="cap"):
         trace_norm(partial_trace(state, 2))
-    monkeypatch.setattr(marginals, "KERNEL_SIDE_CAP", 100)
+    monkeypatch.setattr("boselab.grid.DENSE_SIDE_CAP", 100)
     with pytest.raises(MarginalError, match="cap"):
         chaos_distance(state, 2, phi)
 

@@ -17,7 +17,6 @@ from boselab.nbody import (
     bbgky_residual,
     cutoff_chi,
     dense_hamiltonian,
-    dense_spectrum,
     energy_expectation,
     energy_moment,
     evolve,
@@ -143,11 +142,10 @@ def test_evolve_conservation_and_symmetry():
                          omega=1.0)
     state = random_state(g, 3, omega=1.0, seed=4, k_filter=3.0,
                          symmetric=True)
-    traj = evolve(system, state, 1e-3, 200, store_every=20,
-                  check_symmetry=True)
+    traj = evolve(system, state, 1e-3, 200, store_every=20)
     assert traj.max_norm_drift() < 1e-10
     assert traj.max_energy_drift() < 1e-6
-    assert symmetry_residual(traj.states[-1]) < 1e-9
+    assert all(symmetry_residual(s) < 1e-9 for s in traj.states)
     assert traj.store_dt == pytest.approx(0.02)
     assert np.allclose(np.diff(traj.times), 0.02)
     assert len(traj.states) == len(traj.times) == 11
@@ -176,7 +174,7 @@ def test_evolution_keeps_bosonic_symmetry(nn, n, omega, interacting, dt,
 def _per_axis_strang(system, psi, dt, n_steps):
     """Reference loop: numpy FFTs and the kinetic phase axis by axis."""
     half = np.exp(-0.5j * dt * system.potential_diagonal())
-    kin = np.exp(-1j * dt * system.kinetic_symbol())
+    kin = np.exp(-1j * dt * 0.5 * system.grid.k ** 2)
     nn, n = system.n_particles, system.grid.n
     for _ in range(n_steps):
         psi = np.fft.fftn(half * psi)
@@ -343,7 +341,9 @@ def test_norm_drift_covers_unstored_steps():
         np.max(np.abs(dense.norms - dense.norms[0])))
 
 
-def test_evolve_validation_and_abort():
+def test_evolve_validation_and_abort(monkeypatch):
+    import boselab.nbody as nbody
+
     g = Grid1D(16, 4.0)
     system = NBodySystem(g, 2, potential=gaussian_well())
     state = random_state(g, 2, seed=0)
@@ -354,8 +354,9 @@ def test_evolve_validation_and_abort():
     with pytest.raises(GridError):
         evolve(system, state, 1e-3, 0)
     # an impossible tolerance must abort rather than silently continue
+    monkeypatch.setattr(nbody, "NORM_TOL", -1.0)
     with pytest.raises(NumericalAbort, match="norm"):
-        evolve(system, state, 1e-3, 5, norm_tol=-1.0)
+        evolve(system, state, 1e-3, 5)
 
 
 def test_evolve_aborts_on_nan_amplitude():
@@ -369,7 +370,7 @@ def test_evolve_aborts_on_nan_amplitude():
 
 
 def test_evolve_aborts_on_slow_norm_creep():
-    # an imaginary potential part grows the norm by 0.6 norm_tol per step:
+    # an imaginary potential part grows the norm by 0.6 NORM_TOL per step:
     # no single step trips the per-step check, the step-0 check must
     class Leaky(NBodySystem):
         def potential_diagonal(self):
@@ -379,19 +380,7 @@ def test_evolve_aborts_on_slow_norm_creep():
     state = random_state(g, 2, seed=0)
     system = Leaky(g, 2, potential=gaussian_well())
     with pytest.raises(NumericalAbort, match="since step 0 at step 2"):
-        evolve(system, state, 1e-3, 20, norm_tol=1e-10)
-
-
-def test_dense_spectrum_cache_keeps_last_system():
-    import boselab.nbody as nbody
-
-    first = NBodySystem(Grid1D(8, 4.0), 2, potential=gaussian_well())
-    second = NBodySystem(Grid1D(4, 4.0), 2, potential=gaussian_well())
-    dense_spectrum(first)
-    evals, _ = dense_spectrum(second)
-    assert len(nbody._EIG_CACHE) <= 1
-    assert evals.shape == (second.dim,)
-    assert dense_spectrum(second)[0] is evals
+        evolve(system, state, 1e-3, 20)
 
 
 def test_cutoff_chi_profile():
@@ -432,7 +421,7 @@ class TestSpectralCutoff:
         d = [dist(k) for k in (0.4, 0.2, 0.1)]
         assert d[0] > d[1] > d[2]
         # far below the spectral floor the cutoff is the identity
-        evals, _ = dense_spectrum(self.system)
+        evals = np.linalg.eigvalsh(dense_hamiltonian(self.system))
         tiny = 0.5 * 2 / float(evals[-1])
         assert dist(tiny) < 1e-12
 
