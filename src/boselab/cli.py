@@ -35,9 +35,10 @@ Flags may also come from environment variables with the BOSELAB_ prefix
 (BOSELAB_CONFIG, BOSELAB_OUT, BOSELAB_SEED, BOSELAB_THREADS); explicit
 flags win.  --seed must be an integer >= 0 and --threads an integer
 >= 1, else exit code 2.  --threads pins the
-BLAS/OpenMP pool sizes and the package's one thread pool, which runs the
-N-body Fourier transforms and Strang phase products of tensors with at
-least 2^16 amplitudes and the collapse kernel's u-blocks.  It must be set before heavy
+BLAS/OpenMP pool sizes (BLAS runs the Strang step's kinetic products) and
+the package's one thread pool, which runs the N-body half-kick products
+and Fourier transforms of tensors with at least 2^16 amplitudes and the
+collapse kernel's u-blocks.  It must be set before heavy
 imports, which is why the numerical modules are imported lazily inside
 the check functions.
 """

@@ -114,8 +114,7 @@ def _is_power_of_two(n: int) -> bool:
 class Grid1D:
     """One-dimensional periodic grid on [-L, L) with n points.
 
-    n must be a power of two (keeps FFT lengths predictable and makes the
-    dyadic refinement studies exact).
+    n must be a power of two (keeps FFT lengths predictable).
     """
 
     n: int
@@ -143,9 +142,6 @@ class Grid1D:
     @property
     def k_max(self) -> float:
         return np.pi * (self.n // 2) / self.length
-
-    def refine(self, factor: int = 2) -> "Grid1D":
-        return Grid1D(self.n * factor, self.length)
 
 
 def trap_potential(grid: Grid1D, omega: float) -> np.ndarray:
@@ -264,7 +260,7 @@ class SobolevWeight:
         return trap_potential(grid, self.omega)
 
 
-def apply_weight_squared(state: TensorState, axes, kind: str = "S") -> TensorState:
+def apply_weight_squared(state: TensorState, axes, kind: str) -> TensorState:
     """Apply the product of squared Sobolev weights over the given axes.
 
     kind 'S' uses the state's trap frequency; kind 'L' is the flat-space
@@ -283,7 +279,7 @@ def apply_weight_squared(state: TensorState, axes, kind: str = "S") -> TensorSta
     return TensorState(state.grid, out, state.omega)
 
 
-def weighted_norm_squared(state: TensorState, axes, kind: str = "S") -> float:
+def weighted_norm_squared(state: TensorState, axes, kind: str) -> float:
     """<psi, prod_j W_j^2 psi> over the given axes; always real and >= ||psi||^2
     for kind 'S' or 'L' since both squared weights are >= 1."""
     weighted = apply_weight_squared(state, axes, kind)
@@ -371,7 +367,7 @@ def dense_operator(grid: Grid1D, symbol: np.ndarray,
     return 0.5 * (mat + mat.conj().T)
 
 
-def dense_weight_squared(grid: Grid1D, kind: str = "S", omega: float = 0.0) -> np.ndarray:
+def dense_weight_squared(grid: Grid1D, kind: str, omega: float) -> np.ndarray:
     """Dense one-particle matrix of S^2 or L^2 (Hermitian to rounding)."""
     weight = SobolevWeight(kind, omega)
     return dense_operator(grid, weight.squared_symbol(grid),

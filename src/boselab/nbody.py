@@ -7,28 +7,35 @@ The Hamiltonian on the periodic grid is
 
 with the time convention i d/dt psi = H_N psi, i.e. psi(t) = exp(-i t H_N)
 psi(0).  Propagation is Strang splitting: half potential phase, full
-kinetic phase in Fourier space, half potential phase.  The kinetic phase
-exp(-i dt sum_j k_j^2 / 2) is precomputed once as one (n,)*N tensor and
-every factor is applied in place on a single buffer.  Each factor is
+kinetic factor, half potential phase.  The kinetic factor
+exp(-i dt sum_j k_j^2 / 2) is a product of N copies of one n x n unitary
+U = F^-1 diag(exp(-i dt k^2 / 2)) F, built once per call, so a step
+applies it as N matrix products, one per axis, with no Fourier
+transform.  Tensors below SPLIT_FLOOR amplitudes apply each factor P as
+psi + (P - 1) psi, which keeps the norm free of rounding bias.  The step
+alternates between two buffers of the tensor's size.  Each factor is
 exactly unitary, so the discrete norm is conserved to rounding; the
 energy expectation oscillates within O(dt^2) without secular drift.
 
-Threading: every N-body transform here runs on the package's one thread
-pool (grid._POOL_SIZE, shared with collapse's kernel_H), sized once at
-import from OMP_NUM_THREADS (which ``--threads`` sets) or else from the
-CPUs the process may run on.  Tensors below THREAD_FLOOR = 2^16
-amplitudes keep one worker, since below that the threads cost more than
-they save (on a 2-vCPU host a 16^3 transform takes 57 us on one worker
-and 149 us on two; a 32^4 one 36 ms and 17.5 ms).  pocketfft hands whole
-1-D lines to each worker, so the result is bit-identical for any pool
-size.  The three in-place phase products of a Strang step run on the
-same pool above the same floor (grid._in_blocks): each thread multiplies
-a block of leading-axis rows, so they too are bit-identical for any pool
-size.  The phases themselves are built once per call from the cosine and
-sine of their real angle, without complex exp.  The step loop makes no
-BLAS call: its per-step norm is an einsum, because a BLAS call there
-wakes OpenBLAS's own threads, which then spin on the cores the
-transforms need.
+Threading: every N-body transform here (the energy's and the
+matrix-free H_N's) runs on the package's one thread pool
+(grid._POOL_SIZE, shared with collapse's kernel_H), sized once at import
+from OMP_NUM_THREADS (which ``--threads`` sets) or else from the CPUs the
+process may run on.  Tensors below THREAD_FLOOR = 2^16 amplitudes keep
+one worker, since below that the threads cost more than they save (on a
+2-vCPU host a 16^3 transform takes 57 us on one worker and 149 us on
+two; a 32^4 one 36 ms and 17.5 ms).  pocketfft hands whole 1-D lines to
+each worker, so the result is bit-identical for any pool size.  The two
+in-place half-kick products of a Strang step run on the same pool above
+the same floor (grid._in_blocks): each thread multiplies a block of
+leading-axis rows, so they too are bit-identical for any pool size.  The
+phases themselves are built once per call from sines of their real
+angle, without complex exp.  The kinetic products are BLAS
+calls.  From THREAD_FLOOR up OpenBLAS threads them (``--threads`` sets
+its size too); it splits a product by rows and columns, never along its
+length-n sums, so they too give the same bits for any thread count.
+Below the floor each call stays under the size that OpenBLAS threads,
+so those tensors stay on one thread here as well.
 
 Also here: the dense Hamiltonian for small tensor grids (the oracle of
 the matrix-free routes), the smooth spectral cutoff used to regularize
@@ -56,6 +63,30 @@ from .potentials import PotentialSpec, scaled_potential
 # tensors with fewer amplitudes transform on one thread
 THREAD_FLOOR = 2 ** 16
 
+# rows per matmul call of the kinetic factor on tensors from THREAD_FLOOR
+# up, which OpenBLAS threads: at 2 threads one unblocked 32^4 product
+# makes OpenBLAS touch a 16 MB per-thread buffer (RSS grows 16.1 MB against
+# 1.4 MB in blocks of this many rows, at the same speed)
+GEMM_ROWS = 2048
+
+# multiply-adds per matmul call on smaller tensors, which stay on one
+# thread: OpenBLAS runs a product of fewer than 2^16 on the calling thread
+# and wakes its own threads from there up.  With the cores busy elsewhere
+# that hand-off took 3-8 ms per call, against 5-20 us for the product.
+SERIAL_MADDS = 2 ** 15
+
+# Tensors with fewer amplitudes apply each Strang factor P as
+# psi + (P - 1) psi, from P - 1 held to full relative precision.  A unit
+# factor rounded to doubles is off modulus 1 by up to ~1e-16 at each entry,
+# the same every step, so the norm drifts by up to ~1e-16 per step with
+# one sign; the CLI's run-length envelope admits 2.8M steps below 2^15
+# amplitudes, and that could reach NORM_TOL.  The split form rounds only
+# the sum, which changes with the state every step, and drifts ~1e-19 per
+# step.  It costs one more pass per factor (as slow as the product at
+# 32^4); from 2^15 amplitudes up the envelope admits at most 175k steps,
+# and the factors are applied whole.
+SPLIT_FLOOR = 2 ** 15
+
 # evolve aborts when the norm moves by more than this in one step or
 # since step 0; the splitting is exactly unitary
 NORM_TOL = 1e-10
@@ -80,23 +111,85 @@ def _multiply(a: np.ndarray, b: np.ndarray) -> None:
         a.shape[0])
 
 
-def _phase(theta: np.ndarray) -> np.ndarray:
-    """exp(i theta) from the cosine and sine of Re theta, without complex exp.
+def _phase_minus_one(theta: np.ndarray) -> np.ndarray:
+    """exp(i theta) - 1 to full relative precision, without complex exp.
 
-    A complex theta (a potential with an imaginary part) adds the real
-    factor exp(-Im theta).
+    The real part of exp(i Re theta) - 1 is formed as -2 sin^2(theta/2),
+    without the cancellation of cos(theta) - 1; a complex theta (a
+    potential with an imaginary part) adds expm1(-Im theta) exp(i Re theta).
     """
     out = np.empty(theta.shape, dtype=np.complex128)
-    np.cos(theta.real, out=out.real)
+    # in place: the half-kick phase of a 32^4 tensor is 16 MB
+    np.multiply(theta.real, 0.5, out=out.real)
+    np.sin(out.real, out=out.real)
+    np.square(out.real, out=out.real)
+    out.real *= -2.0
     np.sin(theta.real, out=out.imag)
     if np.iscomplexobj(theta):
-        out *= np.exp(-theta.imag)
+        out += np.expm1(-theta.imag) * (out + 1.0)
     return out
+
+
+def _phase(theta: np.ndarray) -> np.ndarray:
+    """exp(i theta)."""
+    out = _phase_minus_one(theta)
+    out += 1.0
+    return out
+
+
+def _kinetic_factor(grid: Grid1D, dt: float, split: bool) -> np.ndarray:
+    """U^T for U = F^-1 diag(exp(-i dt k^2 / 2)) F, one particle's kinetic
+    factor; with split, (U - I)^T, which keeps U's small departure from
+    the identity to full relative precision."""
+    factor = (_grid._dft_matrix(grid, inverse=True)
+              @ (_phase_minus_one(-dt * kinetic_symbol(grid))[:, None]
+                 * _grid._dft_matrix(grid)))
+    if not split:
+        factor += np.eye(grid.n)
+    return np.ascontiguousarray(factor.T)
+
+
+def _kick(psi: np.ndarray, phase: np.ndarray, split: bool) -> None:
+    """psi *= exp(i theta) in place, given phase = exp(i theta), or
+    exp(i theta) - 1 with split."""
+    if split:
+        psi += psi * phase
+    else:
+        _multiply(psi, phase)
+
+
+def _apply_per_axis(psi: np.ndarray, factor_t: np.ndarray,
+                    spare: np.ndarray,
+                    split: bool) -> tuple[np.ndarray, np.ndarray]:
+    """U along every axis of psi; returns (result, free buffer).
+
+    factor_t is U^T, or (U - I)^T with split, which adds the input to each
+    product.  Each product applies U along axis 0 and writes that axis
+    last, so after one product per axis the axes are back in order.  A
+    product is issued in row blocks: GEMM_ROWS rows from THREAD_FLOOR up,
+    else SERIAL_MADDS multiply-adds.  The result alternates between psi
+    and spare, which must not alias.
+    """
+    n = factor_t.shape[0]
+    if psi.size < THREAD_FLOOR:
+        rows = max(1, SERIAL_MADDS // n ** 2)
+    else:
+        rows = GEMM_ROWS
+    for _ in range(psi.ndim):
+        src, dst = psi.reshape(n, -1).T, spare.reshape(-1, n)
+        for lo in range(0, src.shape[0], rows):
+            block = slice(lo, lo + rows)
+            np.matmul(src[block], factor_t, out=dst[block])
+            if split:
+                dst[block] += src[block]
+        psi, spare = spare, psi
+    return psi, spare
 
 
 def _norm_sq(a: np.ndarray) -> float:
     """Euclidean sum |a|^2 without BLAS."""
-    # np.vdot would wake OpenBLAS's threads, which spin on the FFT cores
+    # a threaded BLAS dot (np.vdot) splits its sum over OpenBLAS's
+    # threads, so its last bits would depend on the thread count
     flat = a.reshape(-1).view(np.float64)
     return float(np.einsum("i,i->", flat, flat))
 
@@ -243,7 +336,10 @@ def evolve(system: NBodySystem, state: TensorState, dt: float, n_steps: int,
     drift since step 0 over every step is kept as the trajectory's
     norm_drift.  Snapshots are stored every store_every steps, including
     the initial state; each is a copy, since the propagation overwrites
-    one buffer in place.
+    its two buffers in place.  A step is two half-kick phase products, N
+    BLAS products with the n x n kinetic factor (in row blocks) and the
+    norm, and makes no Fourier transform; below SPLIT_FLOOR each factor
+    P is applied as psi + (P - 1) psi.
     """
     if state.n_particles != system.n_particles:
         raise GridError("state does not match the system's particle number")
@@ -251,15 +347,16 @@ def evolve(system: NBodySystem, state: TensorState, dt: float, n_steps: int,
         raise GridError("dt, n_steps, store_every must be positive")
 
     pot = system.potential_diagonal()
-    half = _phase((-0.5 * dt) * pot)
-    kin_phase = _phase(-dt * system.total_kinetic_symbol())
+    split = state.amplitudes.size < SPLIT_FLOOR
+    half = (_phase_minus_one if split else _phase)((-0.5 * dt) * pot)
+    factor_t = _kinetic_factor(system.grid, dt, split)
     weight = system.grid.h ** system.n_particles
 
     def snapshot(amplitudes):
         return TensorState(system.grid, amplitudes.copy(), system.omega)
 
     psi = state.amplitudes.copy()
-    workers = _workers(psi)
+    spare = np.empty_like(psi)
     norm_prev = norm_start = math.sqrt(weight * _norm_sq(psi))
     drift = 0.0
 
@@ -269,11 +366,9 @@ def evolve(system: NBodySystem, state: TensorState, dt: float, n_steps: int,
     energies = [energy_expectation(system, states[0], pot)]
 
     for step in range(1, n_steps + 1):
-        _multiply(psi, half)
-        psi = scipy.fft.fftn(psi, overwrite_x=True, workers=workers)
-        _multiply(psi, kin_phase)
-        psi = scipy.fft.ifftn(psi, overwrite_x=True, workers=workers)
-        _multiply(psi, half)
+        _kick(psi, half, split)
+        psi, spare = _apply_per_axis(psi, factor_t, spare, split)
+        _kick(psi, half, split)
 
         norm_now = math.sqrt(weight * _norm_sq(psi))
         if not math.isfinite(norm_now):

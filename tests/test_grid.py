@@ -30,16 +30,6 @@ def test_grid_geometry():
     assert np.max(np.abs(g.k)) <= g.k_max
 
 
-def test_grid_refine_keeps_box():
-    g = Grid1D(32, 4.0)
-    fine = g.refine()
-    assert fine.n == 64
-    assert fine.length == g.length
-    assert fine.h == pytest.approx(g.h / 2)
-    # coarse points are a subset of the fine points
-    assert np.allclose(fine.x[::2], g.x)
-
-
 @pytest.mark.parametrize("n", [0, -4, 3, 33, 100])
 def test_grid_rejects_bad_sizes(n):
     with pytest.raises(GridError):

@@ -205,6 +205,110 @@ def test_in_place_step_matches_per_axis_reference(nn, n, omega, interacting,
     assert traj.max_norm_drift() < 1e-12
 
 
+@pytest.mark.parametrize("nn, n", [(3, 32), (4, 16)])
+def test_whole_propagator_matches_per_axis_reference(nn, n):
+    # tensors from SPLIT_FLOOR up apply U whole rather than I + D
+    from boselab import nbody
+
+    g = Grid1D(n, 8.0)
+    system = NBodySystem(g, nn, potential=gaussian_well(1.0, 1.0), omega=1.0)
+    state = random_state(g, nn, omega=1.0, seed=5, k_filter=3.0)
+    assert state.amplitudes.size >= nbody.SPLIT_FLOOR
+    traj = evolve(system, state, 2e-3, 4, store_every=4)
+    ref = _per_axis_strang(system, state.amplitudes, 2e-3, 4)
+    got = traj.states[-1].amplitudes
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_split_and_whole_propagators_agree(monkeypatch):
+    from boselab import nbody
+
+    g = Grid1D(16, 4.0)
+    system = NBodySystem(g, 2, potential=gaussian_well(1.0, 1.0), omega=1.0)
+    state = random_state(g, 2, omega=1.0, seed=6, k_filter=3.0)
+    split = evolve(system, state, 1e-3, 20, store_every=20)
+    monkeypatch.setattr(nbody, "SPLIT_FLOOR", 1)
+    whole = evolve(system, state, 1e-3, 20, store_every=20)
+    a, b = split.states[-1].amplitudes, whole.states[-1].amplitudes
+    assert not np.array_equal(a, b)
+    assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(a))
+
+
+@pytest.mark.parametrize("nn, n, potential", [
+    (2, 32, None), (3, 8, gaussian_well(1.0, 1.0))])
+def test_split_factors_keep_the_norm_unbiased(nn, n, potential):
+    # rounded unit factors would drift the norm by ~1e-17 to 1e-16 per
+    # step with one sign (1e-13 or more over this run); the split form
+    # only rounds sums, which random-walk
+    from boselab import nbody
+
+    g = Grid1D(n, 8.0)
+    state = random_state(g, nn, omega=0.5, seed=7, k_filter=3.0)
+    assert state.amplitudes.size < nbody.SPLIT_FLOOR
+    system = NBodySystem(g, nn, potential=potential, omega=0.5)
+    traj = evolve(system, state, 2e-3, 20000, store_every=20000)
+    assert traj.max_norm_drift() < 2e-14
+
+
+@pytest.mark.parametrize("nn, n", [(3, 32), (4, 16)])
+def test_kinetic_product_blocks(monkeypatch, nn, n):
+    # below THREAD_FLOOR every call stays under the size OpenBLAS threads;
+    # from the floor up the calls take GEMM_ROWS rows
+    from boselab import nbody
+
+    rows = []
+    matmul = np.matmul
+
+    def recording(a, b, out):
+        rows.append(a.shape[0])
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(nbody.np, "matmul", recording)
+    g = Grid1D(n, 4.0)
+    state = random_state(g, nn, seed=2, k_filter=3.0)
+    evolve(NBodySystem(g, nn), state, 1e-3, 1)
+    monkeypatch.undo()
+    assert sum(rows) == nn * n ** (nn - 1)
+    if state.amplitudes.size < nbody.THREAD_FLOOR:
+        assert max(rows) * n * n <= nbody.SERIAL_MADDS < 2 ** 16
+    else:
+        assert max(rows) == nbody.GEMM_ROWS
+
+
+_BLAS_RUN = """
+import hashlib
+from boselab.grid import Grid1D, random_state
+from boselab.nbody import NBodySystem, evolve
+from boselab.potentials import gaussian_well
+g = Grid1D(16, 4.0)
+system = NBodySystem(g, 4, potential=gaussian_well(1.0, 1.0), omega=1.0)
+state = random_state(g, 4, omega=1.0, seed=3, k_filter=3.0, symmetric=True)
+traj = evolve(system, state, 1e-3, 3, store_every=3)
+print(hashlib.sha256(traj.states[-1].amplitudes.tobytes()).hexdigest())
+"""
+
+
+def test_kinetic_products_are_bit_identical_across_blas_threads():
+    # 16^4 amplitudes: above THREAD_FLOOR, and 4096 rows per product, so
+    # two blocks of GEMM_ROWS
+    import os
+    import subprocess
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS="2",
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", _BLAS_RUN], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
+
+
 def test_stored_snapshots_do_not_alias_the_buffer():
     g = Grid1D(16, 4.0)
     system = NBodySystem(g, 2, potential=gaussian_well(), omega=1.0)
@@ -282,15 +386,16 @@ def test_split_phase_products_are_bit_identical(monkeypatch, stress):
         split, jobs = _split_run(monkeypatch, pool)
     finally:
         sys.setswitchinterval(interval)
-    # three products per step, each handing pool - 1 blocks to the pool
-    assert (jobs, no_jobs) == (3 * 10 * (pool - 1), 0)
+    # two half-kick products per step, each handing pool - 1 blocks to
+    # the pool
+    assert (jobs, no_jobs) == (2 * 10 * (pool - 1), 0)
     for a, b in zip(split.states, single.states, strict=True):
         assert np.array_equal(a.amplitudes, b.amplitudes)
     assert np.array_equal(split.norms, single.norms)
 
 
 def test_phase_matches_complex_exponential():
-    from boselab.nbody import _phase
+    from boselab.nbody import _phase, _phase_minus_one
 
     rng = np.random.default_rng(5)
     theta = rng.uniform(-40.0, 40.0, (8, 8))
@@ -299,6 +404,13 @@ def test_phase_matches_complex_exponential():
     leaky = theta + 1j * rng.uniform(-0.1, 0.1, (8, 8))
     assert np.allclose(_phase(leaky), np.exp(1j * leaky), rtol=1e-15,
                        atol=0)
+    # exp(i t) - 1 keeps full relative precision in both parts for small
+    # t, where cos(t) - 1 would lose the real part to cancellation
+    t = rng.uniform(-1e-3, 1e-3, 64)
+    taylor = 1j * t - t ** 2 / 2 - 1j * t ** 3 / 6 + t ** 4 / 24
+    small = _phase_minus_one(t)
+    assert np.allclose(small.real, taylor.real, rtol=1e-14, atol=0)
+    assert np.allclose(small.imag, taylor.imag, rtol=1e-14, atol=0)
 
 
 def test_small_tensors_transform_on_one_thread(monkeypatch):
