@@ -544,7 +544,7 @@ def energy_decomposition(cfg: dict, out: Path,
         pot = PotentialSpec(**cfg[key])
         for nn in (2, 3, 4):
             system = NBodySystem(small, nn, potential=pot, omega=1.0)
-            state = random_state(small, nn, omega=1.0, seed=cfg["seed"] + nn,
+            state = random_state(small, nn, seed=cfg["seed"] + nn,
                                  symmetric=True)
             defects.append(check_decomposition_identity(system, state))
     worst = max(_finite("decomposition_identity_defect", defects))
@@ -600,7 +600,7 @@ def energy_estimate(cfg: dict, out: Path, report_hash: str) -> list[dict]:
     for nn in cfg["n_particles"]:
         system = NBodySystem(est_grid, nn, potential=pot, omega=1.0)
         for d in range(cfg["draws"]):
-            state = random_state(est_grid, nn, omega=1.0,
+            state = random_state(est_grid, nn,
                                  seed=cfg["seed"] + 1000 * nn + d,
                                  symmetric=True, k_filter=4.0)
             for k in (1, 2):
@@ -809,14 +809,14 @@ def run_lens(cfg: dict, out: Path, report_hash: str) -> list[dict]:
 
     lmap = LensMap(cfg["omega"])
     tau = cfg["t_run"]
-    state = TensorState(grid, phi0, omega=cfg["omega"])
+    state = TensorState(grid, phi0)
     image, t_img = lens_function(lmap, state, tau)
     unit_err = abs(image.norm() - state.norm())
     checks.append({"name": "unitarity", "value": unit_err,
                    "passed": bool(unit_err <= 1e-7)})
 
     kern = np.outer(phi0, np.conj(phi0))
-    marg = MarginalDensity(grid, 1, kern, omega=cfg["omega"])
+    marg = MarginalDensity(grid, 1, kern)
     lensed, t_k = lens_kernel(lmap, marg, tau)
     back, _ = lens_kernel(lmap, lensed, t_k, inverse=True)
     tn_err = abs(trace_norm(lensed) - trace_norm(marg))

@@ -16,6 +16,8 @@ here verifies this split and the positivity facts that power it:
   * the smoothing bound ||L_1^{-1}L_2^{-1} V(x_1 - x_2) L_1^{-1}L_2^{-1}|| <=
     ||V||_{L1} with L^2 = 1 - d^2.
 
+The trap frequency is the system's (or, for the pair block, an argument):
+states carry none, and the S weights are built at system.omega.
 One-particle checks are dense eigensolves.  The pair block and the
 smoothing bound are solved matrix-free by Lanczos from a fixed start
 vector, so neither is capped at 4096 pair-grid points and reruns give the
@@ -138,8 +140,6 @@ def check_decomposition_identity(system: NBodySystem, state: TensorState) -> flo
     nn = system.n_particles
     if nn < 2:
         raise GridError("the decomposition needs at least two particles")
-    if state.omega != system.omega:
-        raise GridError("state and system trap frequencies disagree")
     alpha = system.potential.alpha() if system.potential is not None else 0.0
     psi = state.amplitudes
     lhs = apply_hamiltonian(system, psi) / nn + (1.0 + alpha) * psi
@@ -147,7 +147,7 @@ def check_decomposition_identity(system: NBodySystem, state: TensorState) -> flo
     vpair = system.pair_potential_values()
     s2 = {}
     for j in range(nn):
-        s2[j] = apply_weight_squared(state, [j], "S").amplitudes
+        s2[j] = apply_weight_squared(state, [j], "S", system.omega).amplitudes
     rhs = np.zeros_like(psi)
     for i in range(nn):
         for j in range(nn):
@@ -173,8 +173,6 @@ def check_energy_estimate(system: NBodySystem, state: TensorState, k: int = 1) -
     nn = system.n_particles
     if k >= nn:
         raise GridError("need k < N so that S_1..S_k acts on distinct particles")
-    if state.omega != system.omega:
-        raise GridError("state and system trap frequencies disagree")
     alpha = system.potential.alpha() if system.potential is not None else 0.0
     shift = nn * (1.0 + alpha)
     pot = system.potential_diagonal()
@@ -183,7 +181,8 @@ def check_energy_estimate(system: NBodySystem, state: TensorState, k: int = 1) -
         vec = apply_hamiltonian(system, vec, pot) + shift * vec
     w = system.grid.h ** nn
     lhs = float((w * np.vdot(state.amplitudes, vec)).real)
-    rhs = (nn ** k) * weighted_norm_squared(state, list(range(k)), "S") / (2.0 ** k)
+    rhs = (nn ** k) * weighted_norm_squared(
+        state, list(range(k)), "S", system.omega) / (2.0 ** k)
     return {"lhs": lhs, "rhs": rhs, "margin": lhs - rhs, "k": k,
             "n_particles": nn}
 

@@ -20,11 +20,14 @@ h = -d^2/2 + omega^2 x^2/2, in which every energy estimate is written
 (S^2 = 1 + h), has the kinetic symbol kinetic_symbol (k^2/2) and the trap
 multiplier trap_potential; dense_operator builds the Hermitized dense
 form "Fourier symbol + multiplier" of h, S^2 and their relatives.  The
-bracket <k>^2 = 1 + k^2 (bracket_squared) weights the flat Sobolev norms
-and the collapsing estimate; pair_differences is the x_i - x_j grid on
-which pair potentials are sampled; gaussian_packet is the normalized
-Gaussian orbital.  DENSE_SIDE_CAP is the one cap on the side of a dense
-matrix that is built or decomposed.
+trap frequency omega is a parameter of these operators, not of a state:
+the weight helpers (apply_weight_squared, weighted_norm_squared,
+dense_weight_squared) take it as an argument, as the system and the lens
+map do.  The bracket <k>^2 = 1 + k^2 (bracket_squared) weights the flat
+Sobolev norms and the collapsing estimate; pair_differences is the
+x_i - x_j grid on which pair potentials are sampled; gaussian_packet is
+the normalized Gaussian orbital.  DENSE_SIDE_CAP is the one cap on the
+side of a dense matrix that is built or decomposed.
 
 The package has one thread pool, defined here: its size is read once at
 import from OMP_NUM_THREADS (which ``--threads`` sets) or else from the
@@ -139,10 +142,6 @@ class Grid1D:
         """Wavenumbers k_m = pi*m/L in FFT ordering."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.h)
 
-    @property
-    def k_max(self) -> float:
-        return np.pi * (self.n // 2) / self.length
-
 
 def trap_potential(grid: Grid1D, omega: float) -> np.ndarray:
     """The trap multiplier omega^2 x^2 / 2 on the grid points; with the
@@ -190,14 +189,13 @@ def apply_symbol(a: np.ndarray, symbol: np.ndarray, axis: int) -> np.ndarray:
 class TensorState:
     """N-particle wavefunction as a complex tensor of shape (n,)*N.
 
-    Axis j holds the coordinate of particle j+1 (row-major).  omega is the
-    trap frequency the state is associated with; it feeds the S-type
-    Sobolev weights and the Hamiltonians built downstream.
+    Axis j holds the coordinate of particle j+1 (row-major).  A state
+    carries no trap frequency: omega belongs to the operators (the
+    system, the lens map, the S weight) and is passed to them.
     """
 
     grid: Grid1D
     amplitudes: np.ndarray
-    omega: float = 0.0
 
     def __post_init__(self):
         a = np.asarray(self.amplitudes, dtype=np.complex128)
@@ -205,8 +203,6 @@ class TensorState:
             raise GridError(
                 f"amplitudes of shape {a.shape} do not match grid size {self.grid.n}"
             )
-        if self.omega < 0:
-            raise GridError("trap frequency must be nonnegative")
         self.amplitudes = a
 
     @property
@@ -221,7 +217,7 @@ class TensorState:
         nrm = self.norm()
         if nrm == 0:
             raise GridError("cannot normalize the zero state")
-        return TensorState(self.grid, self.amplitudes / nrm, self.omega)
+        return TensorState(self.grid, self.amplitudes / nrm)
 
     def inner(self, other: "TensorState") -> complex:
         if other.amplitudes.shape != self.amplitudes.shape:
@@ -230,59 +226,47 @@ class TensorState:
         return w * complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def copy(self) -> "TensorState":
-        return TensorState(self.grid, self.amplitudes.copy(), self.omega)
+        return TensorState(self.grid, self.amplitudes.copy())
 
 
-@dataclass(frozen=True)
-class SobolevWeight:
-    """Square root weights S = (1 - d^2/2 + omega^2 x^2/2)^(1/2) (kind 'S')
-    or L = (1 - d^2)^(1/2) (kind 'L'), applied through their squares."""
-
-    kind: str
-    omega: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("S", "L"):
-            raise GridError(f"unknown weight kind {self.kind!r}")
-        if self.kind == "S" and self.omega < 0:
-            raise GridError("trap frequency must be nonnegative")
-
-    def squared_symbol(self, grid: Grid1D) -> np.ndarray:
-        """Kinetic part of the squared weight as a Fourier symbol."""
-        if self.kind == "L":
-            return bracket_squared(grid)
-        return 1.0 + kinetic_symbol(grid)
-
-    def squared_potential(self, grid: Grid1D) -> np.ndarray:
-        """Multiplication part of the squared weight on grid points."""
-        if self.kind == "L":
-            return np.zeros(grid.n)
-        return trap_potential(grid, self.omega)
+def _weight_parts(grid: Grid1D, kind: str,
+                  omega: float) -> tuple[np.ndarray, np.ndarray]:
+    """(Fourier symbol, multiplier) of the squared weight S^2 =
+    1 - d^2/2 + omega^2 x^2/2 (kind 'S') or L^2 = 1 - d^2 (kind 'L',
+    which ignores omega)."""
+    if kind == "L":
+        return bracket_squared(grid), np.zeros(grid.n)
+    if kind != "S":
+        raise GridError(f"unknown weight kind {kind!r}")
+    if omega < 0:
+        raise GridError("trap frequency must be nonnegative")
+    return 1.0 + kinetic_symbol(grid), trap_potential(grid, omega)
 
 
-def apply_weight_squared(state: TensorState, axes, kind: str) -> TensorState:
+def apply_weight_squared(state: TensorState, axes, kind: str,
+                         omega: float) -> TensorState:
     """Apply the product of squared Sobolev weights over the given axes.
 
-    kind 'S' uses the state's trap frequency; kind 'L' is the flat-space
-    weight 1 - d^2.  The squared operator is exactly Fourier-kinetic plus
-    position multiplication, so repeated application realizes integer
-    powers of S^2 without any eigendecomposition.
+    kind 'S' is 1 + h at trap frequency omega; kind 'L' is the flat-space
+    weight 1 - d^2 (callers pass omega = 0.0).  The squared operator is
+    exactly Fourier-kinetic plus position multiplication, so repeated
+    application realizes integer powers of S^2 without any
+    eigendecomposition.
     """
     axes = _normalize_axes(axes, state.n_particles)
-    weight = SobolevWeight(kind, state.omega if kind == "S" else 0.0)
-    sym = weight.squared_symbol(state.grid)
-    pot = weight.squared_potential(state.grid)
+    sym, pot = _weight_parts(state.grid, kind, omega)
     out = state.amplitudes
     for ax in axes:
         kin = apply_symbol(out, sym, ax)
         out = kin + on_axes(pot, out.ndim, ax) * out
-    return TensorState(state.grid, out, state.omega)
+    return TensorState(state.grid, out)
 
 
-def weighted_norm_squared(state: TensorState, axes, kind: str) -> float:
+def weighted_norm_squared(state: TensorState, axes, kind: str,
+                          omega: float) -> float:
     """<psi, prod_j W_j^2 psi> over the given axes; always real and >= ||psi||^2
     for kind 'S' or 'L' since both squared weights are >= 1."""
-    weighted = apply_weight_squared(state, axes, kind)
+    weighted = apply_weight_squared(state, axes, kind, omega)
     value = state.inner(weighted)
     return float(value.real)
 
@@ -321,12 +305,11 @@ def symmetrize(state: TensorState) -> TensorState:
     ndim = state.n_particles
     if ndim == 1:
         return state.normalized()
-    out = TensorState(state.grid, symmetrize_leading(state.amplitudes, ndim),
-                      state.omega)
+    out = TensorState(state.grid, symmetrize_leading(state.amplitudes, ndim))
     nrm = out.norm()
     if nrm < 1e-12:
         raise GridError("symmetrization annihilated the state")
-    return TensorState(state.grid, out.amplitudes / nrm, state.omega)
+    return TensorState(state.grid, out.amplitudes / nrm)
 
 
 def symmetry_residual(state: TensorState) -> float:
@@ -369,13 +352,11 @@ def dense_operator(grid: Grid1D, symbol: np.ndarray,
 
 def dense_weight_squared(grid: Grid1D, kind: str, omega: float) -> np.ndarray:
     """Dense one-particle matrix of S^2 or L^2 (Hermitian to rounding)."""
-    weight = SobolevWeight(kind, omega)
-    return dense_operator(grid, weight.squared_symbol(grid),
-                          weight.squared_potential(grid))
+    return dense_operator(grid, *_weight_parts(grid, kind, omega))
 
 
-def random_state(grid: Grid1D, n_particles: int, omega: float = 0.0,
-                 seed=None, k_filter: float | None = None,
+def random_state(grid: Grid1D, n_particles: int, seed=None,
+                 k_filter: float | None = None,
                  symmetric: bool = False) -> TensorState:
     """Random normalized state, optionally band-filtered and symmetrized.
 
@@ -389,7 +370,7 @@ def random_state(grid: Grid1D, n_particles: int, omega: float = 0.0,
         sym = np.exp(-grid.k ** 2 / (2.0 * k_filter ** 2))
         for ax in range(n_particles):
             a = apply_symbol(a, sym, ax)
-    state = TensorState(grid, a, omega)
+    state = TensorState(grid, a)
     if symmetric and n_particles > 1:
         return symmetrize(state)
     return state.normalized()

@@ -138,7 +138,7 @@ def lens_function(lmap: LensMap, u: TensorState, tau: float):
     out = u.amplitudes
     for ax in range(u.n_particles):
         out = _apply_axis(out, fwd, ax)
-    return TensorState(u.grid, out, lmap.omega), t
+    return TensorState(u.grid, out), t
 
 
 def lens_kernel(lmap: LensMap, marginal: MarginalDensity, time: float,
@@ -151,7 +151,7 @@ def lens_kernel(lmap: LensMap, marginal: MarginalDensity, time: float,
     """
     grid, k = marginal.grid, marginal.k
     if lmap.omega == 0.0:
-        return MarginalDensity(grid, k, marginal.kernel.copy(), lmap.omega), time
+        return MarginalDensity(grid, k, marginal.kernel.copy()), time
     if inverse:
         t, image_time = time, lmap.tau_of_t(time)
     else:
@@ -165,8 +165,7 @@ def lens_kernel(lmap: LensMap, marginal: MarginalDensity, time: float,
     for ax in range(k, 2 * k):
         out = _apply_axis(out, mat.conj(), ax)
     side = grid.n ** k
-    return MarginalDensity(grid, k, out.reshape(side, side),
-                           lmap.omega), image_time
+    return MarginalDensity(grid, k, out.reshape(side, side)), image_time
 
 
 def intertwine_linear_check(lmap: LensMap, grid: Grid1D, phi0: np.ndarray,
@@ -179,22 +178,24 @@ def intertwine_linear_check(lmap: LensMap, grid: Grid1D, phi0: np.ndarray,
     full-Laplacian free flow (wrong kinetic convention) is returned as a
     negative control; it should be order one.
     """
-    omega = lmap.omega
     tau_run = lmap.tau_of_t(t_run)
     if t_run == 0.0:
         return {"defect": 0.0, "defect_wrong_convention": 0.0}
 
-    trapped = NLSProblem(grid, b0=0.0, omega=omega, side="trapped")
+    trapped = NLSProblem(grid, b0=0.0, omega=lmap.omega, side="trapped")
     n_steps = max(2, int(round(t_run / dt)))
-    traj_t = evolve_nls(trapped, phi0, t_run / n_steps, n_steps)
+    # only the final field is read, so store just the first and the last
+    traj_t = evolve_nls(trapped, phi0, t_run / n_steps, n_steps,
+                        store_every=n_steps)
     psi_ref = traj_t.fields[-1]
 
     defects = {}
     for label, half in (("defect", True), ("defect_wrong_convention", False)):
         free = NLSProblem(grid, b0=0.0, omega=0.0, side="lens", half_kinetic=half)
         m_steps = max(2, int(round(tau_run / dt)))
-        traj_f = evolve_nls(free, phi0, tau_run / m_steps, m_steps)
-        u_state = TensorState(grid, traj_f.fields[-1], omega)
+        traj_f = evolve_nls(free, phi0, tau_run / m_steps, m_steps,
+                            store_every=m_steps)
+        u_state = TensorState(grid, traj_f.fields[-1])
         psi_pred, _ = lens_function(lmap, u_state, tau_run)
         diff = psi_pred.amplitudes - psi_ref
         defects[label] = float(math.sqrt(grid.h * np.sum(np.abs(diff) ** 2)))
@@ -211,7 +212,7 @@ def intertwine_energy_check(lmap: LensMap, u: TensorState, tau: float,
     from .grid import weighted_norm_squared
 
     axes = list(range(k))
-    lhs = weighted_norm_squared(u, axes, "L")
+    lhs = weighted_norm_squared(u, axes, "L", 0.0)
     psi, t = lens_function(lmap, u, tau)
-    rhs = weighted_norm_squared(psi, axes, "S")
+    rhs = weighted_norm_squared(psi, axes, "S", lmap.omega)
     return {"flat": lhs, "trapped": rhs, "ratio": lhs / rhs, "t": t}

@@ -9,7 +9,9 @@ realized on the grid by contracting the traced axes with quadrature
 weight h^(N-k).  Kernels are stored as continuum samples; the weighted
 matrix h^k * kernel is the object whose plain trace is 1 and whose
 eigenvalues are occupation probabilities.  Hermiticity and positivity
-are structural (gamma = A A^dagger) and checked, not enforced.
+are structural (gamma = A A^dagger) and checked, not enforced.  Like a
+state, a marginal carries no trap frequency; the operators that need one
+(the lens map, the S weight) take it.
 
 Chaos distances Tr|gamma^(k) - |phi><phi|^(tensor k)| of bosonic states
 are taken on the symmetric subspace Sym^k, of dimension C(n+k-1, k)
@@ -63,7 +65,6 @@ class MarginalDensity:
     grid: Grid1D
     k: int
     kernel: np.ndarray
-    omega: float = 0.0
 
     def __post_init__(self):
         side = self.grid.n ** self.k
@@ -149,14 +150,13 @@ def partial_trace(state: TensorState, k: int) -> MarginalDensity:
     n = state.grid.n
     a = state.amplitudes.reshape(n ** k, n ** (n_particles - k))
     kern = (a @ a.conj().T) * state.grid.h ** (n_particles - k)
-    return MarginalDensity(state.grid, k, kern, state.omega)
+    return MarginalDensity(state.grid, k, kern)
 
 
-def product_projector(grid: Grid1D, phi: np.ndarray, k: int,
-                      omega: float = 0.0) -> MarginalDensity:
+def product_projector(grid: Grid1D, phi: np.ndarray, k: int) -> MarginalDensity:
     """Kernel of |phi><phi|^(tensor k) for a unit-norm one-particle phi."""
     vec = _product_vector(grid, phi, k)
-    return MarginalDensity(grid, k, np.multiply.outer(vec, vec.conj()), omega)
+    return MarginalDensity(grid, k, np.multiply.outer(vec, vec.conj()))
 
 
 def _product_vector(grid: Grid1D, phi: np.ndarray, k: int) -> np.ndarray:

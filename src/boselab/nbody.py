@@ -316,9 +316,6 @@ class Trajectory:
     def store_dt(self) -> float:
         return self.dt * self.store_every
 
-    def max_norm_drift(self) -> float:
-        return float(self.norm_drift)
-
     def max_energy_drift(self) -> float:
         e0 = self.energies[0]
         scale = max(abs(e0), 1e-30)
@@ -353,7 +350,7 @@ def evolve(system: NBodySystem, state: TensorState, dt: float, n_steps: int,
     weight = system.grid.h ** system.n_particles
 
     def snapshot(amplitudes):
-        return TensorState(system.grid, amplitudes.copy(), system.omega)
+        return TensorState(system.grid, amplitudes.copy())
 
     psi = state.amplitudes.copy()
     spare = np.empty_like(psi)
@@ -453,7 +450,7 @@ def spectral_cutoff(system: NBodySystem, state: TensorState,
     if nrm2 <= 1e-28:
         raise NumericalAbort("spectral cutoff annihilated the state")
     vec = vec / math.sqrt(nrm2)
-    return TensorState(system.grid, vec.reshape(state.amplitudes.shape), system.omega)
+    return TensorState(system.grid, vec.reshape(state.amplitudes.shape))
 
 
 # -- BBGKY residual ----------------------------------------------------------

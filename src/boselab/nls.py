@@ -41,7 +41,12 @@ from .potentials import lens_damping
 
 
 class BlowupDetected(RuntimeError):
-    """Peak density crossed the configured collapse ceiling."""
+    """Peak density crossed the collapse ceiling DENSITY_CEILING."""
+
+
+# evolve_nls halts once max |phi|^2 exceeds this: the focusing equation
+# can concentrate, and the ceiling marks where the grid stops resolving it.
+DENSITY_CEILING = 1e3
 
 
 @dataclass(frozen=True)
@@ -123,13 +128,11 @@ class NLSTrajectory:
 
 
 def evolve_nls(problem: NLSProblem, phi0: np.ndarray, dt: float, n_steps: int,
-               store_every: int = 1,
-               density_ceiling: float = 1e3) -> NLSTrajectory:
+               store_every: int = 1) -> NLSTrajectory:
     """Strang propagation from time 0 over n_steps of size dt.
 
-    Propagation halts with BlowupDetected when max |phi|^2 crosses the
-    density ceiling (the focusing equation can concentrate; the ceiling
-    marks where the grid stops resolving it) or is not finite.
+    Propagation halts with BlowupDetected when max |phi|^2 crosses
+    DENSITY_CEILING or is not finite.
     """
     grid = problem.grid
     phi = np.asarray(phi0, dtype=np.complex128).copy()
@@ -158,9 +161,9 @@ def evolve_nls(problem: NLSProblem, phi0: np.ndarray, dt: float, n_steps: int,
         peak = float(np.max(np.abs(phi) ** 2))
         if not math.isfinite(peak):
             raise BlowupDetected(f"peak density is {peak} at t = {t:.6f}")
-        if peak > density_ceiling:
+        if peak > DENSITY_CEILING:
             raise BlowupDetected(
-                f"peak density {peak:.3e} exceeded ceiling {density_ceiling:.3e} "
+                f"peak density {peak:.3e} exceeded ceiling {DENSITY_CEILING:.3e} "
                 f"at t = {t:.6f}"
             )
         if (step + 1) % store_every == 0:
@@ -174,19 +177,17 @@ def evolve_nls(problem: NLSProblem, phi0: np.ndarray, dt: float, n_steps: int,
                          np.asarray(energies))
 
 
-def nls_residual(traj: NLSTrajectory, index: int | None = None) -> float:
-    """Max-abs residual of the equation by central time differences."""
+def nls_residual(traj: NLSTrajectory) -> float:
+    """Max-abs residual of the equation by central time differences, over
+    every stored field with stored neighbours on both sides."""
     if len(traj.times) < 3:
         raise GridError("need at least three stored fields")
     problem = traj.problem
     grid = problem.grid
     sym = problem.kinetic_symbol()
     trap = problem.trap_values()
-    indices = [index] if index is not None else range(1, len(traj.times) - 1)
     worst = 0.0
-    for m in indices:
-        if not 1 <= m <= len(traj.times) - 2:
-            raise GridError("index must have stored neighbors on both sides")
+    for m in range(1, len(traj.times) - 1):
         phi = traj.fields[m]
         dphi_dt = (traj.fields[m + 1] - traj.fields[m - 1]) / (2.0 * traj.store_dt)
         kin = apply_symbol(phi, sym, 0)

@@ -93,10 +93,10 @@ def test_criterion_06_solver_invariants():
         grid = Grid1D(32, 8.0)
         system = NBodySystem(grid, 3, potential=gaussian_well(1.0, 1.0),
                              omega=1.0)
-        psi0 = random_state(grid, 3, omega=1.0, seed=2, k_filter=2.0,
+        psi0 = random_state(grid, 3, seed=2, k_filter=2.0,
                             symmetric=True)
         traj = evolve(system, psi0, 1e-3, 1000, store_every=100)
-        assert traj.max_norm_drift() <= 1e-10
+        assert traj.norm_drift <= 1e-10
         assert traj.max_energy_drift() <= 1e-6
         assert all(symmetry_residual(s) <= 1e-9 for s in traj.states)
 
@@ -139,7 +139,7 @@ def test_criterion_12_spectral_cutoff_moments():
         grid = Grid1D(16, 8.0)
         system = NBodySystem(grid, 2, potential=gaussian_well(1.0, 1.0),
                              omega=1.0)
-        state = random_state(grid, 2, omega=1.0, seed=11, symmetric=True)
+        state = random_state(grid, 2, seed=11, symmetric=True)
         kappas = [0.4, 0.2, 0.1, 0.05]
         dists = []
         psi = state.normalized()

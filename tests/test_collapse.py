@@ -519,7 +519,7 @@ class TestFrozenQuadratureRules:
 def _band_limited(grid, rng):
     v = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
     vk = np.fft.fft(v)
-    vk[np.abs(grid.k) > 0.6 * grid.k_max] = 0.0
+    vk[np.abs(grid.k) > 0.6 * np.max(np.abs(grid.k))] = 0.0
     return np.fft.ifft(vk)
 
 

@@ -28,7 +28,7 @@ MIXED = mixed_sign(1.0, 1.0, r=0.25)
 def test_decomposition_identity(n_particles, spec):
     g = Grid1D(16, 8.0)
     system = NBodySystem(g, n_particles, potential=spec, omega=1.0)
-    state = random_state(g, n_particles, omega=1.0, seed=0, k_filter=3.0,
+    state = random_state(g, n_particles, seed=0, k_filter=3.0,
                          symmetric=True)
     assert check_decomposition_identity(system, state) < 1e-10
 
@@ -43,7 +43,7 @@ def test_decomposition_identity_property(nn, n, omega, key, symmetric, seed):
     g = Grid1D(n, 8.0)
     spec = PotentialSpec(**DEFAULTS["energy_suite"][key])
     system = NBodySystem(g, nn, potential=spec, omega=omega)
-    state = random_state(g, nn, omega=omega, seed=seed, symmetric=symmetric)
+    state = random_state(g, nn, seed=seed, symmetric=symmetric)
     assert check_decomposition_identity(system, state) <= 1e-10
 
 
@@ -52,9 +52,6 @@ def test_decomposition_identity_validation():
     with pytest.raises(GridError):
         check_decomposition_identity(NBodySystem(g, 1, potential=GAUSSIAN),
                                      random_state(g, 1, seed=0))
-    system = NBodySystem(g, 2, potential=GAUSSIAN, omega=1.0)
-    with pytest.raises(GridError, match="frequencies"):
-        check_decomposition_identity(system, random_state(g, 2, seed=0))
 
 
 def test_pair_positivity_reference_values():
@@ -123,7 +120,7 @@ def test_energy_estimate_first_moment(n_particles):
     g = Grid1D(16, 8.0)
     system = NBodySystem(g, n_particles, potential=GAUSSIAN, omega=1.0)
     for seed in range(10):
-        state = random_state(g, n_particles, omega=1.0, seed=seed,
+        state = random_state(g, n_particles, seed=seed,
                              k_filter=3.0, symmetric=True)
         res = check_energy_estimate(system, state, 1)
         assert res["margin"] >= -1e-8
@@ -133,7 +130,7 @@ def test_energy_estimate_first_moment(n_particles):
 def test_energy_estimate_second_moment_reported():
     g = Grid1D(16, 8.0)
     system = NBodySystem(g, 3, potential=GAUSSIAN, omega=1.0)
-    state = random_state(g, 3, omega=1.0, seed=0, k_filter=3.0,
+    state = random_state(g, 3, seed=0, k_filter=3.0,
                          symmetric=True)
     res = check_energy_estimate(system, state, 2)
     assert res["k"] == 2

@@ -8,10 +8,10 @@ import pytest
 from boselab.grid import (
     Grid1D,
     GridError,
-    SobolevWeight,
     TensorState,
     apply_symbol,
     apply_weight_squared,
+    dense_operator,
     dense_weight_squared,
     random_state,
     symmetrize,
@@ -26,8 +26,6 @@ def test_grid_geometry():
     assert g.x[0] == pytest.approx(-8.0)
     assert g.x[-1] == pytest.approx(8.0 - g.h)
     assert np.allclose(np.diff(g.x), g.h)
-    assert g.k_max == pytest.approx(math.pi * 64 / 16.0)
-    assert np.max(np.abs(g.k)) <= g.k_max
 
 
 @pytest.mark.parametrize("n", [0, -4, 3, 33, 100])
@@ -75,30 +73,28 @@ def test_tensor_state_copy_is_independent():
 
 def test_sobolev_weight_symbols():
     g = Grid1D(64, 8.0)
-    s = SobolevWeight("S", omega=2.0)
-    l = SobolevWeight("L")
-    assert np.allclose(s.squared_symbol(g), 1.0 + 0.5 * g.k ** 2)
-    assert np.allclose(l.squared_symbol(g), 1.0 + g.k ** 2)
-    assert np.allclose(s.squared_potential(g), 0.5 * 4.0 * g.x ** 2)
-    assert np.allclose(l.squared_potential(g), 0.0)
+    # S^2 = symbol 1 + k^2/2 plus multiplier omega^2 x^2/2; L^2 = 1 + k^2
+    s2 = dense_operator(g, 1.0 + 0.5 * g.k ** 2, 0.5 * 4.0 * g.x ** 2)
+    l2 = dense_operator(g, 1.0 + g.k ** 2, np.zeros(g.n))
+    assert np.allclose(dense_weight_squared(g, "S", 2.0), s2)
+    assert np.allclose(dense_weight_squared(g, "L", 0.0), l2)
     with pytest.raises(GridError):
-        SobolevWeight("Q")
+        dense_weight_squared(g, "Q", 0.0)
     with pytest.raises(GridError):
-        SobolevWeight("S", omega=-1.0)
+        dense_weight_squared(g, "S", -1.0)
 
 
 def test_weighted_norm_on_plane_wave():
     g = Grid1D(64, 8.0)
     k0 = g.k[3]
     amp = np.exp(1j * k0 * g.x) / math.sqrt(2 * g.length)
-    flat = TensorState(g, amp, omega=0.0)
-    assert weighted_norm_squared(flat, [0], "L") == pytest.approx(
+    state = TensorState(g, amp)
+    assert weighted_norm_squared(state, [0], "L", 0.0) == pytest.approx(
         1.0 + k0 ** 2, rel=1e-12)
-    assert weighted_norm_squared(flat, [0], "S") == pytest.approx(
+    assert weighted_norm_squared(state, [0], "S", 0.0) == pytest.approx(
         1.0 + 0.5 * k0 ** 2, rel=1e-12)
-    trapped = TensorState(g, amp, omega=1.0)
     x2_mean = float(g.h * np.sum(g.x ** 2 * np.abs(amp) ** 2))
-    assert weighted_norm_squared(trapped, [0], "S") == pytest.approx(
+    assert weighted_norm_squared(state, [0], "S", 1.0) == pytest.approx(
         1.0 + 0.5 * k0 ** 2 + 0.5 * x2_mean, rel=1e-12)
 
 
@@ -107,19 +103,19 @@ def test_weighted_norm_multi_axis_is_product_on_product_state():
     g = Grid1D(32, 6.0)
     phi = np.exp(-g.x ** 2).astype(np.complex128)
     phi /= math.sqrt(g.h * np.sum(np.abs(phi) ** 2))
-    pair = TensorState(g, np.multiply.outer(phi, phi), omega=1.0)
-    one = TensorState(g, phi, omega=1.0)
-    single = weighted_norm_squared(one, [0], "S")
-    both = weighted_norm_squared(pair, [0, 1], "S")
+    pair = TensorState(g, np.multiply.outer(phi, phi))
+    one = TensorState(g, phi)
+    single = weighted_norm_squared(one, [0], "S", 1.0)
+    both = weighted_norm_squared(pair, [0, 1], "S", 1.0)
     assert both == pytest.approx(single ** 2, rel=1e-12)
 
 
 def test_apply_weight_squared_matches_dense_operator():
     g = Grid1D(32, 4.0)
-    state = random_state(g, 1, omega=1.5, seed=4)
-    for kind in ("S", "L"):
-        dense = dense_weight_squared(g, kind, omega=1.5)
-        fast = apply_weight_squared(state, [0], kind).amplitudes
+    state = random_state(g, 1, seed=4)
+    for kind, omega in (("S", 1.5), ("L", 0.0)):
+        dense = dense_weight_squared(g, kind, omega)
+        fast = apply_weight_squared(state, [0], kind, omega).amplitudes
         ref = dense @ state.amplitudes
         assert np.max(np.abs(fast - ref)) < 1e-12
 
@@ -128,9 +124,9 @@ def test_weight_axis_validation():
     g = Grid1D(16, 4.0)
     state = random_state(g, 2, seed=0)
     with pytest.raises(GridError):
-        apply_weight_squared(state, [2], "S")
+        apply_weight_squared(state, [2], "S", 0.0)
     with pytest.raises(GridError):
-        apply_weight_squared(state, [0, 0], "S")
+        apply_weight_squared(state, [0, 0], "S", 0.0)
 
 
 def test_symmetrize_product_pair():
@@ -159,9 +155,9 @@ def test_symmetrize_rejects_antisymmetric_input():
 
 def test_random_state_seeding_and_symmetry():
     g = Grid1D(16, 4.0)
-    a = random_state(g, 3, omega=1.0, seed=7, k_filter=2.0, symmetric=True)
-    b = random_state(g, 3, omega=1.0, seed=7, k_filter=2.0, symmetric=True)
-    c = random_state(g, 3, omega=1.0, seed=8, k_filter=2.0, symmetric=True)
+    a = random_state(g, 3, seed=7, k_filter=2.0, symmetric=True)
+    b = random_state(g, 3, seed=7, k_filter=2.0, symmetric=True)
+    c = random_state(g, 3, seed=8, k_filter=2.0, symmetric=True)
     assert np.array_equal(a.amplitudes, b.amplitudes)
     assert not np.array_equal(a.amplitudes, c.amplitudes)
     assert a.norm() == pytest.approx(1.0, rel=1e-12)

@@ -59,7 +59,7 @@ def test_window_rejects_an_overflowing_trap_time():
 
 def test_flat_frequency_is_identity():
     phi = ground_pair()
-    u = TensorState(GRID, phi, omega=0.0)
+    u = TensorState(GRID, phi)
     psi, t = lens_function(LensMap(0.0), u, 0.7)
     assert t == 0.7
     assert np.max(np.abs(psi.amplitudes - u.amplitudes)) == 0.0
@@ -69,7 +69,7 @@ def test_flat_frequency_is_identity():
 def test_unitarity_and_round_trip(n_particles):
     phi = ground_pair()
     amp = phi if n_particles == 1 else np.multiply.outer(phi, phi)
-    u = TensorState(GRID, amp, omega=1.0)
+    u = TensorState(GRID, amp)
     lmap = LensMap(1.0)
     psi, t = lens_function(lmap, u, 0.3)
     assert t == pytest.approx(math.atan(0.3))
@@ -78,7 +78,7 @@ def test_unitarity_and_round_trip(n_particles):
 
 def test_kernel_transform_preserves_trace_norm():
     phi = ground_pair()
-    u = TensorState(GRID, np.multiply.outer(phi, phi), omega=1.0)
+    u = TensorState(GRID, np.multiply.outer(phi, phi))
     marg = partial_trace(u, 1)
     lmap = LensMap(1.0)
     lensed, t = lens_kernel(lmap, marg, 0.3)
@@ -95,8 +95,7 @@ def test_kernel_round_trip_property(omega, tau):
     # the inverse kernel map undoes the forward one across the window; the
     # interpolation error peaks near 5e-10 at omega = 1.5, |tau| = 0.5
     phi = ground_pair()
-    marg = partial_trace(TensorState(GRID, np.multiply.outer(phi, phi),
-                                     omega=omega), 1)
+    marg = partial_trace(TensorState(GRID, np.multiply.outer(phi, phi)), 1)
     lmap = LensMap(omega)
     lensed, t = lens_kernel(lmap, marg, tau)
     back, tau_back = lens_kernel(lmap, lensed, t, inverse=True)
@@ -107,7 +106,7 @@ def test_kernel_round_trip_property(omega, tau):
 def test_boundary_guard_rejects_underresolved_stretch():
     wide = np.exp(-GRID.x ** 2 / (2 * 4.0 ** 2)).astype(np.complex128)
     wide /= math.sqrt(GRID.h * float(np.sum(np.abs(wide) ** 2)))
-    state = TensorState(GRID, wide, omega=1.0)
+    state = TensorState(GRID, wide)
     assert boundary_mass_fraction(np.abs(wide) ** 2, GRID) > 1e-6
     with pytest.raises(LensResolutionError, match="boundary mass"):
         lens_function(LensMap(1.0), state, 4.0)
@@ -145,6 +144,6 @@ def test_intertwine_energy_comparability():
     assert 1.0 <= flat["ratio"] <= 2.0
     assert flat["t"] == 0.3
     trapped = intertwine_energy_check(
-        LensMap(1.0), TensorState(GRID, phi, omega=1.0), 0.3)
+        LensMap(1.0), TensorState(GRID, phi), 0.3)
     assert 0.5 <= trapped["ratio"] <= 2.0
     assert trapped["flat"] > 0 and trapped["trapped"] > 0

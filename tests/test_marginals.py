@@ -154,9 +154,9 @@ def test_trace_distance_of_densities_equal_to_rounding():
         assert dist <= 1e-13
 
 
-def weighted_trace(gam, kind):
+def weighted_trace(gam, kind, omega):
     """Tr(W^2 x ... x W^2 gamma^(k)) with dense one-particle weights."""
-    w2 = dense_weight_squared(gam.grid, kind, gam.omega if kind == "S" else 0.0)
+    w2 = dense_weight_squared(gam.grid, kind, omega)
     op = w2
     for _ in range(gam.k - 1):
         op = np.kron(op, w2)
@@ -166,20 +166,20 @@ def weighted_trace(gam, kind):
 def test_weighted_trace_equals_state_expectation():
     # Tr(W^2 gamma^(1)) = <psi, W_1^2 psi>: two routes through different code
     g = Grid1D(16, 4.0)
-    state = random_state(g, 3, omega=1.0, seed=9, k_filter=3.0, symmetric=True)
+    state = random_state(g, 3, seed=9, k_filter=3.0, symmetric=True)
     gam = partial_trace(state, 1)
-    for kind in ("S", "L"):
-        lhs = weighted_trace(gam, kind)
-        rhs = weighted_norm_squared(state, [0], kind)
+    for kind, omega in (("S", 1.0), ("L", 0.0)):
+        lhs = weighted_trace(gam, kind, omega)
+        rhs = weighted_norm_squared(state, [0], kind, omega)
         assert lhs == pytest.approx(rhs, rel=1e-12)
         assert lhs >= gam.trace().real - 1e-12
 
 
 def test_weighted_trace_two_particle():
     g = Grid1D(16, 4.0)
-    state = random_state(g, 3, omega=0.5, seed=3, k_filter=3.0, symmetric=True)
-    lhs = weighted_trace(partial_trace(state, 2), "S")
-    rhs = weighted_norm_squared(state, [0, 1], "S")
+    state = random_state(g, 3, seed=3, k_filter=3.0, symmetric=True)
+    lhs = weighted_trace(partial_trace(state, 2), "S", 0.5)
+    rhs = weighted_norm_squared(state, [0, 1], "S", 0.5)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 

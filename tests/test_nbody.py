@@ -58,7 +58,7 @@ def test_apply_hamiltonian_matches_dense():
         for omega in (0.0, 0.5):
             system = NBodySystem(g, nn, potential=gaussian_well(1.0, 1.0),
                                  omega=omega)
-            state = random_state(g, nn, omega=omega, seed=1, k_filter=3.0)
+            state = random_state(g, nn, seed=1, k_filter=3.0)
             fast = apply_hamiltonian(system, state.amplitudes)
             h = dense_hamiltonian(system)
             assert np.max(np.abs(h - h.conj().T)) < 1e-12
@@ -73,7 +73,7 @@ def test_energy_expectation_and_moments():
         for omega in (0.0, 0.5):
             system = NBodySystem(g, nn, potential=gaussian_well(1.0, 1.0),
                                  omega=omega)
-            state = random_state(g, nn, omega=omega, seed=1, k_filter=3.0)
+            state = random_state(g, nn, seed=1, k_filter=3.0)
             e = energy_expectation(system, state)
             assert isinstance(e, float)
             ref = g.h ** nn * np.vdot(
@@ -98,7 +98,7 @@ def test_propagator_against_dense_exponential():
     # Strang error at fixed horizon must shrink by ~4x when dt halves
     g = Grid1D(8, 4.0)
     system = NBodySystem(g, 2, potential=gaussian_well(1.0, 1.0), omega=1.0)
-    state = random_state(g, 2, omega=1.0, seed=3, k_filter=2.0, symmetric=True)
+    state = random_state(g, 2, seed=3, k_filter=2.0, symmetric=True)
     t_final = 0.2
     ref = expm(-1j * t_final * dense_hamiltonian(system)) \
         @ state.amplitudes.reshape(-1)
@@ -129,7 +129,7 @@ def test_free_dispersion_matches_analytic_variance():
 def test_trap_ground_state_is_stationary():
     g = Grid1D(64, 8.0)
     phi, _ = trap_ground_state(g, 1.0)
-    pair = TensorState(g, np.multiply.outer(phi, phi), omega=1.0)
+    pair = TensorState(g, np.multiply.outer(phi, phi))
     system = NBodySystem(g, 2, omega=1.0)
     traj = evolve(system, pair, 1e-3, 500, store_every=500)
     overlap = abs(traj.states[-1].inner(pair))
@@ -140,10 +140,10 @@ def test_evolve_conservation_and_symmetry():
     g = Grid1D(16, 4.0)
     system = NBodySystem(g, 3, potential=mixed_sign(1.0, 1.0, r=0.25),
                          omega=1.0)
-    state = random_state(g, 3, omega=1.0, seed=4, k_filter=3.0,
+    state = random_state(g, 3, seed=4, k_filter=3.0,
                          symmetric=True)
     traj = evolve(system, state, 1e-3, 200, store_every=20)
-    assert traj.max_norm_drift() < 1e-10
+    assert traj.norm_drift < 1e-10
     assert traj.max_energy_drift() < 1e-6
     assert all(symmetry_residual(s) < 1e-9 for s in traj.states)
     assert traj.store_dt == pytest.approx(0.02)
@@ -163,7 +163,7 @@ def test_evolution_keeps_bosonic_symmetry(nn, n, omega, interacting, dt,
     system = NBodySystem(g, nn, omega=omega,
                          potential=gaussian_well(1.0, 1.0) if interacting
                          else None)
-    state = random_state(g, nn, omega=omega, seed=seed, k_filter=3.0,
+    state = random_state(g, nn, seed=seed, k_filter=3.0,
                          symmetric=True)
     traj = evolve(system, state, dt, 100, store_every=20)
     for snap in traj.states:
@@ -196,13 +196,13 @@ def test_in_place_step_matches_per_axis_reference(nn, n, omega, interacting,
     system = NBodySystem(g, nn, omega=omega,
                          potential=gaussian_well(1.0, 1.0) if interacting
                          else None)
-    state = random_state(g, nn, omega=omega, seed=seed, k_filter=3.0)
+    state = random_state(g, nn, seed=seed, k_filter=3.0)
     traj = evolve(system, state, dt, 6, store_every=6)
     ref = _per_axis_strang(system, state.amplitudes, dt, 6)
     got = traj.states[-1].amplitudes
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert abs(traj.states[-1].norm() - state.norm()) < 1e-12
-    assert traj.max_norm_drift() < 1e-12
+    assert traj.norm_drift < 1e-12
 
 
 @pytest.mark.parametrize("nn, n", [(3, 32), (4, 16)])
@@ -212,7 +212,7 @@ def test_whole_propagator_matches_per_axis_reference(nn, n):
 
     g = Grid1D(n, 8.0)
     system = NBodySystem(g, nn, potential=gaussian_well(1.0, 1.0), omega=1.0)
-    state = random_state(g, nn, omega=1.0, seed=5, k_filter=3.0)
+    state = random_state(g, nn, seed=5, k_filter=3.0)
     assert state.amplitudes.size >= nbody.SPLIT_FLOOR
     traj = evolve(system, state, 2e-3, 4, store_every=4)
     ref = _per_axis_strang(system, state.amplitudes, 2e-3, 4)
@@ -225,7 +225,7 @@ def test_split_and_whole_propagators_agree(monkeypatch):
 
     g = Grid1D(16, 4.0)
     system = NBodySystem(g, 2, potential=gaussian_well(1.0, 1.0), omega=1.0)
-    state = random_state(g, 2, omega=1.0, seed=6, k_filter=3.0)
+    state = random_state(g, 2, seed=6, k_filter=3.0)
     split = evolve(system, state, 1e-3, 20, store_every=20)
     monkeypatch.setattr(nbody, "SPLIT_FLOOR", 1)
     whole = evolve(system, state, 1e-3, 20, store_every=20)
@@ -243,11 +243,11 @@ def test_split_factors_keep_the_norm_unbiased(nn, n, potential):
     from boselab import nbody
 
     g = Grid1D(n, 8.0)
-    state = random_state(g, nn, omega=0.5, seed=7, k_filter=3.0)
+    state = random_state(g, nn, seed=7, k_filter=3.0)
     assert state.amplitudes.size < nbody.SPLIT_FLOOR
     system = NBodySystem(g, nn, potential=potential, omega=0.5)
     traj = evolve(system, state, 2e-3, 20000, store_every=20000)
-    assert traj.max_norm_drift() < 2e-14
+    assert traj.norm_drift < 2e-14
 
 
 @pytest.mark.parametrize("nn, n", [(3, 32), (4, 16)])
@@ -282,7 +282,7 @@ from boselab.nbody import NBodySystem, evolve
 from boselab.potentials import gaussian_well
 g = Grid1D(16, 4.0)
 system = NBodySystem(g, 4, potential=gaussian_well(1.0, 1.0), omega=1.0)
-state = random_state(g, 4, omega=1.0, seed=3, k_filter=3.0, symmetric=True)
+state = random_state(g, 4, seed=3, k_filter=3.0, symmetric=True)
 traj = evolve(system, state, 1e-3, 3, store_every=3)
 print(hashlib.sha256(traj.states[-1].amplitudes.tobytes()).hexdigest())
 """
@@ -312,7 +312,7 @@ def test_kinetic_products_are_bit_identical_across_blas_threads():
 def test_stored_snapshots_do_not_alias_the_buffer():
     g = Grid1D(16, 4.0)
     system = NBodySystem(g, 2, potential=gaussian_well(), omega=1.0)
-    state = random_state(g, 2, omega=1.0, seed=2, k_filter=3.0)
+    state = random_state(g, 2, seed=2, k_filter=3.0)
     traj = evolve(system, state, 1e-3, 6, store_every=1)
     amps = [s.amplitudes for s in traj.states] + [state.amplitudes]
     for i in range(len(amps)):
@@ -329,7 +329,7 @@ def _threaded_run(monkeypatch, pool):
     monkeypatch.setattr(grid, "_POOL_SIZE", pool)
     g = Grid1D(16, 4.0)  # 16^4 = 65,536 amplitudes: at the thread floor
     system = NBodySystem(g, 4, potential=gaussian_well(1.0, 1.0), omega=1.0)
-    state = random_state(g, 4, omega=1.0, seed=3, k_filter=3.0)
+    state = random_state(g, 4, seed=3, k_filter=3.0)
     assert nbody._workers(state.amplitudes) == pool
     traj = evolve(system, state, 1e-3, 3, store_every=1)
     return (traj, apply_hamiltonian(system, state.amplitudes),
@@ -442,14 +442,14 @@ def test_norm_drift_covers_unstored_steps():
     g = Grid1D(16, 4.0)
     system = NBodySystem(g, 3, potential=mixed_sign(1.0, 1.0, r=0.25),
                          omega=1.0)
-    state = random_state(g, 3, omega=1.0, seed=4, k_filter=3.0)
+    state = random_state(g, 3, seed=4, k_filter=3.0)
     # the rounding drift grows with the step count, so its largest value
     # falls in steps 51..99, none of which the sparse run stores
     sparse = evolve(system, state, 1e-3, 99, store_every=50)
     dense = evolve(system, state, 1e-3, 99, store_every=1)
     assert sparse.norms.size == 2
-    assert sparse.max_norm_drift() == dense.max_norm_drift()
-    assert dense.max_norm_drift() == float(
+    assert sparse.norm_drift == dense.norm_drift
+    assert dense.norm_drift == float(
         np.max(np.abs(dense.norms - dense.norms[0])))
 
 
@@ -512,7 +512,7 @@ class TestSpectralCutoff:
         self.system = NBodySystem(self.GRID, 2,
                                   potential=gaussian_well(1.0, 1.0),
                                   omega=1.0)
-        self.state = random_state(self.GRID, 2, omega=1.0, seed=11,
+        self.state = random_state(self.GRID, 2, seed=11,
                                   symmetric=True)
 
     def test_moment_bounds(self):
@@ -549,7 +549,7 @@ class TestBBGKYResidual:
         g = Grid1D(n, 4.0)
         system = NBodySystem(g, 2, potential=gaussian_well(1.0, 1.0),
                              omega=0.5)
-        state = random_state(g, 2, omega=0.5, seed=1, k_filter=3.0,
+        state = random_state(g, 2, seed=1, k_filter=3.0,
                              symmetric=True)
         return evolve(system, state, dt, int(round(t_final / dt)),
                       store_every=store_every)
