@@ -39,12 +39,14 @@ members over blocks of tau samples.  The block sizes are fixed and
 bound the peak memory.
 
 Threading: kernel_H hands its u-blocks to the package's one thread pool
-(grid._in_blocks), a contiguous run of blocks per thread, each block
-writing its own slice of the output.  A block's value does not depend on
-the run it falls in, so H, I and the scans are bit-identical for every
-pool size.  The bracket's numpy passes release the GIL, which lets the
-(eta, xi1) scan, the node-doubling probe and the control scan use every
-core.  A pooled block calls no public function of the package.
+(grid._in_blocks), every pool-size-th block to one thread, so the
+window-heavy small-|u| blocks at one end of each sign's nodes are shared
+out; each block writes its own slice of the output.  A block's value
+does not depend on the thread it falls to, so H, I and the scans are
+bit-identical for every pool size.  The bracket's numpy passes release
+the GIL, which lets the (eta, xi1) scan, the node-doubling probe and the
+control scan use every core.  A pooled block calls no public function of
+the package.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from . import grid as _grid
 from .grid import (Grid1D, GridError, _in_blocks, bracket_squared,
                    gaussian_packet)
 
@@ -418,13 +421,18 @@ def kernel_H(probe: CollapseProbe, eta: float, xi1: float, u):
     us_all = eta - 2.0 * xi1 * u  # u * sigma, computed without cancellation
     out = np.empty_like(u)
     starts = range(0, u.size, _U_CHUNK)
+    # lane j takes every lanes-th chunk from chunk j: the chunks with
+    # |u| <= _WINDOW_REACH, which add the window sums, sit at one end of
+    # each sign's nodes, and contiguous runs would give them to one thread
+    lanes = min(_grid._POOL_SIZE, len(starts))
 
     def chunks(lo, hi):
-        for start in starts[lo:hi]:
-            sl = slice(start, start + _U_CHUNK)
-            out[sl] = _kernel_H_chunk(probe, u[sl], us_all[sl])
+        for lane in range(lo, hi):
+            for start in starts[lane::lanes]:
+                sl = slice(start, start + _U_CHUNK)
+                out[sl] = _kernel_H_chunk(probe, u[sl], us_all[sl])
 
-    _in_blocks(chunks, len(starts))
+    _in_blocks(chunks, lanes)
     return float(out[0]) if scalar else out
 
 

@@ -12,10 +12,14 @@ exp(-i dt sum_j k_j^2 / 2) is a product of N copies of one n x n unitary
 U = F^-1 diag(exp(-i dt k^2 / 2)) F, built once per call, so a step
 applies it as N matrix products, one per axis, with no Fourier
 transform.  Tensors below SPLIT_FLOOR amplitudes apply each factor P as
-psi + (P - 1) psi, which keeps the norm free of rounding bias.  The step
-alternates between two buffers of the tensor's size.  Each factor is
-exactly unitary, so the discrete norm is conserved to rounding; the
-energy expectation oscillates within O(dt^2) without secular drift.
+psi + (P - 1) psi, which keeps the norm free of rounding bias.  The
+products alternate between two buffers of the tensor's size; between
+them a step touches the tensor once, in one blocked pass that applies
+the closing half kick, sums the norm and applies the next step's opening
+half kick.  Each factor is exactly unitary, so the discrete norm is
+conserved to rounding; the energy expectation oscillates within O(dt^2)
+without secular drift.  A trajectory computes its energies from the
+stored states when they are first read, not while it propagates.
 
 Threading: every N-body transform here (the energy's and the
 matrix-free H_N's) runs on the package's one thread pool
@@ -25,15 +29,17 @@ process may run on.  Tensors below THREAD_FLOOR = 2^16 amplitudes keep
 one worker, since below that the threads cost more than they save (on a
 2-vCPU host a 16^3 transform takes 57 us on one worker and 149 us on
 two; a 32^4 one 36 ms and 17.5 ms).  pocketfft hands whole 1-D lines to
-each worker, so the result is bit-identical for any pool size.  The two
-in-place half-kick products of a Strang step run on the same pool above
-the same floor (grid._in_blocks): each thread multiplies a block of
-leading-axis rows, so they too are bit-identical for any pool size.  The
-phases themselves are built once per call from sines of their real
-angle, without complex exp.  The kinetic products are BLAS
-calls.  From THREAD_FLOOR up OpenBLAS threads them (``--threads`` sets
-its size too); it splits a product by rows and columns, never along its
-length-n sums, so they too give the same bits for any thread count.
+each worker, so the result is bit-identical for any pool size.  The
+Strang step's kick-and-norm pass runs on the same pool above the same
+floor (grid._in_blocks): it walks the flat tensor in fixed blocks of
+PASS_BLOCK amplitudes, a contiguous run of blocks per thread, and adds
+the blocks' norm sums in block order, so states and norms are
+bit-identical for any pool size.  The phases themselves are built once
+per call from sines of their real angle, without complex exp.  The
+kinetic products are BLAS calls.  From THREAD_FLOOR up OpenBLAS threads
+them (``--threads`` sets its size too); it splits a product by rows and
+columns, never along its length-n sums, so they too give the same bits
+for any thread count.
 Below the floor each call stays under the size that OpenBLAS threads,
 so those tensors stay on one thread here as well.
 
@@ -48,7 +54,7 @@ trajectories.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.fft
@@ -87,6 +93,12 @@ SERIAL_MADDS = 2 ** 15
 # and the factors are applied whole.
 SPLIT_FLOOR = 2 ** 15
 
+# amplitudes per block of evolve's kick-and-norm pass (128 KB each of psi
+# and phase, which stay in cache between the two kicks): 16^4 amplitudes,
+# the thread floor, make 8 blocks, so a pool of up to 8 threads gets at
+# least one each
+PASS_BLOCK = 2 ** 13
+
 # evolve aborts when the norm moves by more than this in one step or
 # since step 0; the splitting is exactly unitary
 NORM_TOL = 1e-10
@@ -95,20 +107,6 @@ NORM_TOL = 1e-10
 def _workers(a: np.ndarray) -> int:
     """scipy.fft workers for a transform of the tensor a."""
     return _grid._POOL_SIZE if a.size >= THREAD_FLOOR else 1
-
-
-def _multiply(a: np.ndarray, b: np.ndarray) -> None:
-    """a *= b for two tensors of one shape, split over the pool.
-
-    Each block is a run of leading-axis rows; the product is elementwise,
-    so the result does not depend on the split.
-    """
-    if _workers(a) == 1:
-        a *= b
-        return
-    _grid._in_blocks(
-        lambda lo, hi: np.multiply(a[lo:hi], b[lo:hi], out=a[lo:hi]),
-        a.shape[0])
 
 
 def _phase_minus_one(theta: np.ndarray) -> np.ndarray:
@@ -149,15 +147,6 @@ def _kinetic_factor(grid: Grid1D, dt: float, split: bool) -> np.ndarray:
     return np.ascontiguousarray(factor.T)
 
 
-def _kick(psi: np.ndarray, phase: np.ndarray, split: bool) -> None:
-    """psi *= exp(i theta) in place, given phase = exp(i theta), or
-    exp(i theta) - 1 with split."""
-    if split:
-        psi += psi * phase
-    else:
-        _multiply(psi, phase)
-
-
 def _apply_per_axis(psi: np.ndarray, factor_t: np.ndarray,
                     spare: np.ndarray,
                     split: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -192,6 +181,65 @@ def _norm_sq(a: np.ndarray) -> float:
     # threads, so its last bits would depend on the thread count
     flat = a.reshape(-1).view(np.float64)
     return float(np.einsum("i,i->", flat, flat))
+
+
+def _kick(src: np.ndarray, half: np.ndarray, split: bool,
+          out: np.ndarray) -> None:
+    """out = src exp(i theta), given half = exp(i theta), or
+    exp(i theta) - 1 with split; out may be src."""
+    if split:
+        np.add(src, src * half, out=out)
+    else:
+        np.multiply(src, half, out=out)
+
+
+def _kick_block(half: np.ndarray, split: bool, src: np.ndarray | None,
+                closed: np.ndarray, opened: np.ndarray | None) -> float:
+    """closed = src * half (unless src is None), then sum |closed|^2, then
+    opened = closed * half (unless opened is None); returns the sum."""
+    if src is not None:
+        _kick(src, half, split, closed)
+    total = _norm_sq(closed)
+    if opened is not None:
+        _kick(closed, half, split, opened)
+    return total
+
+
+def _kick_pass(half: np.ndarray, split: bool, src: np.ndarray | None,
+               closed: np.ndarray, opened: np.ndarray | None) -> float:
+    """_kick_block over the tensor in PASS_BLOCK blocks; returns sum |closed|^2.
+
+    Used as a Strang step's one pass between kinetic products: the
+    closing half kick from src into closed, the norm, and the next step's
+    opening half kick from closed into opened (with src None, closed is
+    read as it is).  Any two of the arrays may be one buffer.  From
+    THREAD_FLOOR up the blocks run on the pool, a contiguous run per
+    thread.  The block sums are added in block order, so the result, like
+    the kicked states, is the same for any pool size.
+    """
+    if closed.size <= PASS_BLOCK:
+        return _kick_block(half, split, src, closed, opened)
+    half_f = half.reshape(-1)
+    tensors = [None if a is None else a.reshape(-1)
+               for a in (src, closed, opened)]
+    n_blocks = -(-closed.size // PASS_BLOCK)
+    sums = [0.0] * n_blocks
+
+    def blocks(lo, hi):
+        for b in range(lo, hi):
+            cut = slice(b * PASS_BLOCK, (b + 1) * PASS_BLOCK)
+            sums[b] = _kick_block(
+                half_f[cut], split,
+                *(None if a is None else a[cut] for a in tensors))
+
+    if _workers(closed) == 1:
+        blocks(0, n_blocks)
+    else:
+        _grid._in_blocks(blocks, n_blocks)
+    total = 0.0
+    for part in sums:
+        total += part
+    return total
 
 
 class NumericalAbort(RuntimeError):
@@ -248,6 +296,12 @@ def _axis_sum(values: np.ndarray, ndim: int) -> np.ndarray:
     return out
 
 
+def _check_grid(system: NBodySystem, state: TensorState) -> None:
+    if state.grid != system.grid:
+        raise GridError(f"state grid {state.grid} differs from the "
+                        f"system grid {system.grid}")
+
+
 def apply_hamiltonian(system: NBodySystem, amplitudes: np.ndarray,
                       potential_diag: np.ndarray | None = None) -> np.ndarray:
     """Matrix-free H_N action on an amplitude tensor."""
@@ -269,6 +323,7 @@ def energy_expectation(system: NBodySystem, state: TensorState,
     forward transform: no inverse transform and no (n,)^N symbol.  The
     potential part is h^N sum V |psi|^2.
     """
+    _check_grid(system, state)
     if potential_diag is None:
         potential_diag = system.potential_diagonal()
     amps = state.amplitudes
@@ -300,7 +355,12 @@ def energy_moment(system: NBodySystem, state: TensorState, k: int = 1) -> float:
 
 @dataclass
 class Trajectory:
-    """Stored snapshots of an N-body propagation."""
+    """Stored snapshots of an N-body propagation.
+
+    energies, <psi, H_N psi> at each stored state, is computed from the
+    states the first time it is read and then kept, so a propagation
+    whose energies are never read does not compute them.
+    """
 
     system: NBodySystem
     dt: float
@@ -308,13 +368,22 @@ class Trajectory:
     times: np.ndarray
     states: list
     norms: np.ndarray
-    energies: np.ndarray
     # largest |norm - norm at step 0| over every step, stored or not
     norm_drift: float
+    _energies: np.ndarray | None = field(default=None, init=False,
+                                         repr=False, compare=False)
 
     @property
     def store_dt(self) -> float:
         return self.dt * self.store_every
+
+    @property
+    def energies(self) -> np.ndarray:
+        if self._energies is None:
+            pot = self.system.potential_diagonal()
+            self._energies = np.asarray(
+                [energy_expectation(self.system, s, pot) for s in self.states])
+        return self._energies
 
     def max_energy_drift(self) -> float:
         e0 = self.energies[0]
@@ -332,42 +401,56 @@ def evolve(system: NBodySystem, state: TensorState, dt: float, n_steps: int,
     single step shows), and a non-finite norm aborts at once.  The largest
     drift since step 0 over every step is kept as the trajectory's
     norm_drift.  Snapshots are stored every store_every steps, including
-    the initial state; each is a copy, since the propagation overwrites
-    its two buffers in place.  A step is two half-kick phase products, N
-    BLAS products with the n x n kinetic factor (in row blocks) and the
-    norm, and makes no Fourier transform; below SPLIT_FLOOR each factor
-    P is applied as psi + (P - 1) psi.
+    the initial state.
+
+    A step is N BLAS products with the n x n kinetic factor (in row
+    blocks), then one pass over the tensor (_kick_pass) that applies the
+    closing half kick, sums the norm, and applies the next step's opening
+    half kick, block by block; it makes no Fourier transform.  Below
+    SPLIT_FLOOR each factor P is applied as psi + (P - 1) psi.  A stored
+    step before the last writes its closed state into the spare buffer,
+    which becomes the snapshot, and a new spare is made; the last step
+    closes psi in place, and the spare left free then takes a copy of the
+    initial state.  So the loop holds the caller's input, psi, the spare
+    and the half-kick phase, plus the snapshots stored so far: the
+    potential diagonal is dropped once the phase is built, and no energy
+    is computed here (Trajectory.energies computes them when read).
     """
     if state.n_particles != system.n_particles:
         raise GridError("state does not match the system's particle number")
+    _check_grid(system, state)
     if dt <= 0 or n_steps < 1 or store_every < 1:
         raise GridError("dt, n_steps, store_every must be positive")
 
-    pot = system.potential_diagonal()
     split = state.amplitudes.size < SPLIT_FLOOR
-    half = (_phase_minus_one if split else _phase)((-0.5 * dt) * pot)
+    # the potential diagonal is a temporary, dropped once half is built
+    half = (_phase_minus_one if split else _phase)(
+        (-0.5 * dt) * system.potential_diagonal())
     factor_t = _kinetic_factor(system.grid, dt, split)
     weight = system.grid.h ** system.n_particles
 
-    def snapshot(amplitudes):
-        return TensorState(system.grid, amplitudes.copy())
-
-    psi = state.amplitudes.copy()
+    amps = state.amplitudes
+    psi = np.empty(amps.shape, dtype=np.complex128)
     spare = np.empty_like(psi)
-    norm_prev = norm_start = math.sqrt(weight * _norm_sq(psi))
+    # step 0's norm, and step 1's opening half kick into psi
+    norm_prev = norm_start = math.sqrt(
+        weight * _kick_pass(half, split, None, amps, psi))
     drift = 0.0
 
     times = [0.0]
-    states = [snapshot(psi)]
+    states = []
     norms = [norm_prev]
-    energies = [energy_expectation(system, states[0], pot)]
 
     for step in range(1, n_steps + 1):
-        _kick(psi, half, split)
         psi, spare = _apply_per_axis(psi, factor_t, spare, split)
-        _kick(psi, half, split)
+        last = step == n_steps
+        stored = step % store_every == 0
+        # a stored step before the last closes into the spare, which
+        # becomes its snapshot; the last step closes psi in place
+        closed = spare if stored and not last else psi
+        norm_now = math.sqrt(weight * _kick_pass(
+            half, split, psi, closed, None if last else psi))
 
-        norm_now = math.sqrt(weight * _norm_sq(psi))
         if not math.isfinite(norm_now):
             raise NumericalAbort(f"norm is {norm_now} at step {step}")
         if abs(norm_now - norm_prev) > NORM_TOL:
@@ -382,14 +465,18 @@ def evolve(system: NBodySystem, state: TensorState, dt: float, n_steps: int,
         norm_prev = norm_now
         drift = max(drift, since_start)
 
-        if step % store_every == 0:
+        if stored:
             times.append(step * dt)
-            states.append(snapshot(psi))
+            states.append(TensorState(system.grid, closed))
             norms.append(norm_now)
-            energies.append(energy_expectation(system, states[-1], pot))
+            if not last:
+                spare = np.empty_like(psi)
 
+    # the spare is free once the loop ends: it takes the initial snapshot
+    np.copyto(spare, amps)
+    states.insert(0, TensorState(system.grid, spare))
     return Trajectory(system, dt, store_every, np.asarray(times), states,
-                      np.asarray(norms), np.asarray(energies), drift)
+                      np.asarray(norms), drift)
 
 
 # -- dense Hamiltonian and spectral cutoff ----------------------------------

@@ -374,7 +374,7 @@ def _split_run(monkeypatch, pool):
 
 @pytest.mark.parametrize("stress", [False, True])
 def test_split_phase_products_are_bit_identical(monkeypatch, stress):
-    from boselab import grid
+    from boselab import grid, nbody
 
     single, no_jobs = _split_run(monkeypatch, 1)
     # the stress case runs more threads than cores with a short switch
@@ -386,9 +386,11 @@ def test_split_phase_products_are_bit_identical(monkeypatch, stress):
         split, jobs = _split_run(monkeypatch, pool)
     finally:
         sys.setswitchinterval(interval)
-    # two half-kick products per step, each handing pool - 1 blocks to
-    # the pool
-    assert (jobs, no_jobs) == (2 * 10 * (pool - 1), 0)
+    # one kick-and-norm pass before step 1 and one per step, each over the
+    # 16^4 / PASS_BLOCK = 8 blocks, split into min(pool, 8) runs of which
+    # the pool takes all but the first
+    runs = min(pool, 16 ** 4 // nbody.PASS_BLOCK)
+    assert (jobs, no_jobs) == (11 * (runs - 1), 0)
     for a, b in zip(split.states, single.states, strict=True):
         assert np.array_equal(a.amplitudes, b.amplitudes)
     assert np.array_equal(split.norms, single.norms)
@@ -451,6 +453,115 @@ def test_norm_drift_covers_unstored_steps():
     assert sparse.norm_drift == dense.norm_drift
     assert dense.norm_drift == float(
         np.max(np.abs(dense.norms - dense.norms[0])))
+
+
+def _three_pass_loop(system, state, dt, n_steps, store_every):
+    """Strang loop with a whole-tensor half kick, the per-axis products,
+    a second half kick and the norm, one pass each; returns the stored
+    states and norms."""
+    from boselab import nbody
+
+    split = state.amplitudes.size < nbody.SPLIT_FLOOR
+    half = (nbody._phase_minus_one if split else nbody._phase)(
+        (-0.5 * dt) * system.potential_diagonal())
+    factor_t = nbody._kinetic_factor(system.grid, dt, split)
+    weight = system.grid.h ** system.n_particles
+
+    def kick(psi):
+        if split:
+            psi += psi * half
+        else:
+            psi *= half
+
+    def norm(psi):
+        return math.sqrt(weight * np.vdot(psi, psi).real)
+
+    psi = state.amplitudes.copy()
+    spare = np.empty_like(psi)
+    states, norms = [psi.copy()], [norm(psi)]
+    for step in range(1, n_steps + 1):
+        kick(psi)
+        psi, spare = nbody._apply_per_axis(psi, factor_t, spare, split)
+        kick(psi)
+        if step % store_every == 0:
+            states.append(psi.copy())
+            norms.append(norm(psi))
+    return states, norms
+
+
+@pytest.mark.parametrize("nn", [2, 4])
+@pytest.mark.parametrize("store_every", [1, 3])
+def test_fused_pass_matches_the_three_pass_loop(nn, store_every):
+    from boselab import nbody
+
+    # 16^2 amplitudes take the split route, 16^4 the whole one on the pool
+    g = Grid1D(16, 4.0)
+    system = NBodySystem(g, nn, potential=mixed_sign(1.0, 1.0, r=0.25),
+                         omega=1.0)
+    state = random_state(g, nn, seed=6, k_filter=3.0, symmetric=True)
+    assert (state.amplitudes.size < nbody.SPLIT_FLOOR) == (nn == 2)
+    traj = evolve(system, state, 2e-3, 7, store_every=store_every)
+    states, norms = _three_pass_loop(system, state, 2e-3, 7, store_every)
+    assert len(traj.states) == len(states) == 7 // store_every + 1
+    for got, want in zip(traj.states, states, strict=True):
+        assert np.array_equal(got.amplitudes, want)
+    assert np.allclose(traj.norms, norms, rtol=0, atol=1e-15)
+
+
+def test_evolve_holds_four_tensors():
+    import tracemalloc
+
+    g = Grid1D(16, 4.0)
+    system = NBodySystem(g, 4, potential=gaussian_well(1.0, 1.0), omega=1.0)
+    state = random_state(g, 4, seed=3, k_filter=3.0)
+    tensor = state.amplitudes.nbytes
+    tracemalloc.start()
+    try:
+        # step 4 is stored with a step left, so a new spare is made then
+        traj = evolve(system, state, 1e-3, 5, store_every=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj.states) == 3
+    # the caller's input is allocated before tracing starts; evolve holds
+    # psi, the spare and the half-kick phase, plus the snapshots of steps
+    # 2 and 4 (the spare takes the initial snapshot once the loop ends):
+    # no potential diagonal and no energy temporaries
+    assert peak <= (3 + len(traj.states) - 1) * tensor + tensor // 8
+
+
+def test_energies_are_computed_when_read(monkeypatch):
+    from boselab import nbody
+
+    g = Grid1D(16, 4.0)
+    system = NBodySystem(g, 3, potential=gaussian_well(1.0, 1.0), omega=1.0)
+    state = random_state(g, 3, seed=5, k_filter=3.0)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return energy_expectation(*args, **kwargs)
+
+    monkeypatch.setattr(nbody, "energy_expectation", counted)
+    traj = evolve(system, state, 1e-3, 10, store_every=4)
+    assert calls == []
+    energies = traj.energies
+    assert len(calls) == len(traj.states) == 3
+    assert all(a is b for a, b in zip(calls, traj.states))
+    assert traj.energies is energies
+    assert len(calls) == 3
+    pot = system.potential_diagonal()
+    eager = [energy_expectation(system, s, pot) for s in traj.states]
+    assert np.array_equal(energies, np.asarray(eager))
+
+
+def test_grid_mismatch_is_rejected():
+    state = random_state(Grid1D(16, 4.0), 2, seed=0)
+    system = NBodySystem(Grid1D(16, 8.0), 2, potential=gaussian_well())
+    with pytest.raises(GridError, match="grid"):
+        evolve(system, state, 1e-3, 2)
+    with pytest.raises(GridError, match="grid"):
+        energy_expectation(system, state)
 
 
 def test_evolve_validation_and_abort(monkeypatch):
