@@ -22,23 +22,27 @@ input is defined once, here.
 
 Configs are JSON validated against CONFIG_SCHEMA, whose numbers must be
 finite and whose integers must be ints, and then against what the
-runners need (only the keys of the experiment's DEFAULTS plus
+runners need: only the keys of the experiment's DEFAULTS plus
 output_dir, at least two particles, strictly increasing particle numbers
-for convergence, step budgets, run lengths, the lens window, each
-suite's size and run-length envelopes); every output file embeds the
-config hash, the sign/direction conventions, and the package version, and identical
-config + seed gives byte-identical outputs.  Exit codes: 0 all checks pass, 1 at least one check failed,
-2 config error (a config that cannot run), 3 numerical abort (a
-non-finite value during propagation or in a check).
+for convergence, the Strang step budget and each suite's size envelope.
+A suite's run plan (``_plan``) lists its evolutions with their dt, step
+counts and strides and rejects run lengths the runners cannot use; the
+runners evolve exactly those runs, and the validator sums the plan for
+the run-length envelope.  Every output file embeds the config hash, the
+sign/direction conventions, and the package version, and identical
+config + seed gives byte-identical outputs.  Exit codes: 0 all checks
+pass, 1 at least one check failed, 2 config error (a config that cannot
+run), 3 numerical abort (a non-finite value during propagation or in a
+check).
 
 Flags may also come from environment variables with the BOSELAB_ prefix
 (BOSELAB_CONFIG, BOSELAB_OUT, BOSELAB_SEED, BOSELAB_THREADS); explicit
 flags win.  --seed must be an integer >= 0 and --threads an integer
->= 1, else exit code 2.  --threads pins the
-BLAS/OpenMP pool sizes (BLAS runs the Strang step's kinetic products) and
-the package's one thread pool, which runs the N-body half-kick products
-and Fourier transforms of tensors with at least 2^16 amplitudes and the
-collapse kernel's u-blocks.  It must be set before heavy
+>= 1, else exit code 2.  --threads pins the BLAS/OpenMP pool sizes
+(BLAS runs the Strang step's kinetic products) and the package's one
+thread pool, which runs the Strang step's fused kick-and-norm pass and
+the N-body Fourier transforms on tensors with at least 2^16 amplitudes,
+and the collapse kernel's u-blocks.  It must be set before heavy
 imports, which is why the numerical modules are imported lazily inside
 the check functions.
 """
@@ -46,6 +50,7 @@ the check functions.
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import hashlib
 import json
@@ -180,9 +185,7 @@ def merge_defaults(cfg: dict) -> dict:
     kind = cfg.get("experiment")
     if kind not in EXPERIMENTS:
         raise ConfigError(f"experiment: unknown kind {kind!r}")
-    merged = dict(DEFAULTS[kind])
-    merged.update(cfg)
-    return merged
+    return {**DEFAULTS[kind], **cfg}
 
 
 def _is_finite_number(checker, value) -> bool:
@@ -216,13 +219,76 @@ def _schema_validator():
 
 
 def _n_steps(key: str, span: float, dt: float) -> int:
-    """round(span / dt), the step count a runner takes; a ConfigError when
-    it is not finite."""
+    """round(span / dt); a ConfigError when it is not finite."""
     steps = span / dt if dt > 0 else math.inf
     if not math.isfinite(steps):
         raise ConfigError(
             f"{key}: {span} is not a finite number of steps of dt = {dt}")
     return int(round(steps))
+
+
+_Run = collections.namedtuple("_Run", "label particles dt steps store_every")
+
+
+def _plan(merged: dict) -> list[_Run]:
+    """Every evolution of the suite, in the order its runners take them:
+    the one place a step count or a stride (store_every) is worked out.
+    particles = 1 is an NLS orbital.  Run lengths the runners cannot use
+    raise ConfigError."""
+    kind, dt, t_run = (merged["experiment"], merged.get("dt"),
+                       merged.get("t_run"))
+    if kind == "convergence":
+        times = merged["times"]
+        if len(times) < 2 or abs(times[0]) > 1e-15:
+            raise ConfigError(
+                "times: need t = 0 plus at least one output time")
+        spacing = times[1] - times[0]
+        stride = _n_steps("times", spacing, dt)
+        uniform = all(abs(b - a - spacing) < 1e-12
+                      for a, b in zip(times, times[1:]))
+        if not uniform or stride < 1 or abs(stride * dt - spacing) > 1e-12:
+            raise ConfigError("times: must be uniformly spaced multiples "
+                              "of dt starting at 0")
+        # per potential: the NLS orbital, then one N-body state per N
+        return [_Run(tag, nn, dt, stride * (len(times) - 1), stride)
+                for tag in ("mean_field", "control")
+                for nn in [1, *merged["n_particles"]]]
+    if kind == "nls_validate":
+        steps = _n_steps("t_run", t_run, dt)
+        if steps < 8:
+            raise ConfigError(
+                f"t_run: {t_run} is {steps} steps of dt = {dt}; the PDE "
+                "residual needs at least 8")
+        # the residual run stores every 4th step and needs three fields
+        return [_Run("soliton", 1, dt, steps, steps),
+                _Run("ground_state", 1, dt, steps, steps),
+                _Run("pde_residual", 1, dt, steps, 4)]
+    if kind == "bbgky_residual":
+        # the central difference needs three stored snapshots at dt, and
+        # dt/2 takes at least as many steps
+        every = merged["store_every"]
+        steps = _n_steps("t_run", t_run, dt)
+        if steps < 2 * every:
+            raise ConfigError(
+                f"t_run: {t_run} is {steps} steps of dt = {dt}; three "
+                f"snapshots every {every} steps need at least {2 * every}")
+        pair = ((dt, steps), (dt / 2, _n_steps("t_run", t_run, dt / 2)))
+        return [_Run("bbgky", nn, step, count, every)
+                for nn in merged["n_particles"] for step, count in pair]
+    if kind == "lens_suite":
+        from .lens import LensMap, LensWindowError
+
+        # the trapped flow to t_run, then the free flows to tau(t_run) with
+        # the half and the full Laplacian; each in at least two steps
+        steps = max(2, _n_steps("t_run", t_run, dt))
+        try:
+            tau = LensMap(merged["omega"]).tau_of_t(t_run)
+        except LensWindowError as err:
+            raise ConfigError(f"t_run: {err}") from None
+        free = max(2, _n_steps("t_run", tau, dt))
+        return ([_Run("trapped", 1, t_run / steps, steps, steps)]
+                + 2 * [_Run("free", 1, tau / free, free, free)])
+    return []
 
 
 # The size envelope of every suite: no tensor of more than 2^20 amplitudes
@@ -279,60 +345,6 @@ _MAX_STEPS = 2 ** 22
 _MAX_AMPLITUDE_STEPS = 2 ** 33
 
 
-def _check_run_length(merged: dict) -> None:
-    """Run lengths the runners can store enough snapshots for, lens times
-    inside the lens window, and the run-length envelope."""
-    kind = merged["experiment"]
-    if kind not in ("convergence", "nls_validate", "bbgky_residual",
-                    "lens_suite"):
-        return
-    n, dt, t_run = merged["n"], merged["dt"], merged.get("t_run")
-    key = "times" if kind == "convergence" else "t_run"
-    runs = []  # (steps, amplitudes per step) of every evolution
-    if kind == "convergence":
-        times = merged["times"]
-        steps = _n_steps("times", times[1] - times[0], dt) * (len(times) - 1)
-        # per potential: the NLS orbital and one N-body state per N
-        runs = 2 * [(steps, n ** nn) for nn in [1, *merged["n_particles"]]]
-    elif kind == "nls_validate":
-        # the residual run stores every 4th step and needs three fields
-        steps = _n_steps("t_run", t_run, dt)
-        if steps < 8:
-            raise ConfigError(
-                f"t_run: {t_run} is {steps} steps of dt = {dt}; the PDE "
-                "residual needs at least 8")
-        runs = 3 * [(steps, n)]
-    elif kind == "bbgky_residual":
-        # the central difference needs three stored snapshots at dt and dt/2
-        need = 2 * merged["store_every"]
-        for step in (dt, dt / 2):
-            steps = _n_steps("t_run", t_run, step)
-            if steps < need:
-                raise ConfigError(
-                    f"t_run: {t_run} is {steps} steps of dt = {step}; three "
-                    f"snapshots every {merged['store_every']} steps need "
-                    f"at least {need}")
-            runs += [(steps, n ** nn) for nn in merged["n_particles"]]
-    else:
-        from .lens import LensMap, LensWindowError
-
-        steps = _n_steps("t_run", t_run, dt)
-        try:
-            tau = LensMap(merged["omega"]).tau_of_t(t_run)
-        except LensWindowError as err:
-            raise ConfigError(f"t_run: {err}") from None
-        # the trapped flow to t_run, two free flows to tau(t_run)
-        runs = [(steps, n), (2 * _n_steps("t_run", tau, dt), n)]
-    # floats, so that a count beyond the float range reads inf
-    total = sum(float(steps) for steps, _ in runs)
-    work = sum(float(steps) * amps for steps, amps in runs)
-    if not (total <= _MAX_STEPS and work <= _MAX_AMPLITUDE_STEPS):
-        raise ConfigError(
-            f"{key}: the suite would take {total:.3g} steps and {work:.3g} "
-            f"amplitude-steps, beyond the run-length envelope of "
-            f"{_MAX_STEPS} steps and {_MAX_AMPLITUDE_STEPS} amplitude-steps")
-
-
 def validate_config(cfg: dict) -> dict:
     """Schema validation plus the module preconditions; returns merged."""
     import jsonschema
@@ -358,49 +370,41 @@ def validate_config(cfg: dict) -> dict:
     if n is not None and (n & (n - 1)) != 0:
         raise ConfigError(f"n: {n} is not a power of two")
     for key in ("potential", "control_potential"):
-        pot = merged.get(key)
-        if pot is None:
-            continue
-        if pot["shape"] == "mixed_sign" and pot.get("r", 0.0) > 0.5:
+        pot = merged.get(key, {})
+        if pot.get("shape") == "mixed_sign" and pot.get("r", 0.0) > 0.5:
             raise ConfigError(f"{key}/r: mixed_sign needs r <= 1/2 "
                               "(nonpositive integral)")
     _check_envelope(merged)
-    dt = merged.get("dt")
-    if dt is not None:
+    if kind in ("convergence", "bbgky_residual"):
         import numpy as np
 
         from .potentials import PotentialError, PotentialSpec
 
         # the budget of the N-body Strang step; other suites evolve no pair
-        n_body = merged["experiment"] in ("convergence", "bbgky_residual")
-        n_max = max(merged["n_particles"]) if n_body else 1
-        for key in ("potential", "control_potential"):
-            spec = merged.get(key)
-            if spec is None or not n_body:
-                continue
+        dt, n_max = merged["dt"], max(merged["n_particles"])
+        for key in [k for k in ("potential", "control_potential")
+                    if k in merged]:
             try:
                 # extreme shapes sample to NaN, which fails the budget below
                 with np.errstate(all="ignore"):
-                    budget = PotentialSpec(**spec).phase_rate(n_max) * dt
+                    budget = dt * PotentialSpec(**merged[key]).phase_rate(n_max)
             except PotentialError as err:
                 raise ConfigError(f"{key}: {err}") from None
             if not budget <= 0.1:  # a NaN budget fails too
                 raise ConfigError(
                     f"{key}: dt {dt} violates the splitting stability budget "
                     f"N^beta * |V|_inf * dt <= 0.1 (got {budget:.3g})")
-        times = merged.get("times")
-        if times is not None:
-            if len(times) < 2 or abs(times[0]) > 1e-15:
-                raise ConfigError(
-                    "times: need t = 0 plus at least one output time")
-            spacing = times[1] - times[0]
-            stride = _n_steps("times", spacing, dt)
-            uniform = all(abs(b - a - spacing) < 1e-12
-                          for a, b in zip(times, times[1:]))
-            if not uniform or stride < 1 or abs(stride * dt - spacing) > 1e-12:
-                raise ConfigError("times: must be uniformly spaced multiples "
-                                  "of dt starting at 0")
-    _check_run_length(merged)
+    runs = _plan(merged)
+    # floats, so that a count beyond the float range reads inf
+    total = sum(float(run.steps) for run in runs)
+    work = sum(float(run.steps) * merged["n"] ** run.particles
+               for run in runs)
+    if not (total <= _MAX_STEPS and work <= _MAX_AMPLITUDE_STEPS):
+        key = "times" if kind == "convergence" else "t_run"
+        raise ConfigError(
+            f"{key}: the suite would take {total:.3g} steps and {work:.3g} "
+            f"amplitude-steps, beyond the run-length envelope of "
+            f"{_MAX_STEPS} steps and {_MAX_AMPLITUDE_STEPS} amplitude-steps")
     return merged
 
 
@@ -414,32 +418,21 @@ def _fmt(x) -> str:
     return f"{float(x):.16e}"
 
 
-def _meta_lines(report_hash: str) -> list[str]:
+def write_csv(path: Path, columns: list[str], rows, report_hash: str) -> None:
     from .containers import CONVENTIONS
 
-    lines = [f"# config_hash={report_hash}",
-             f"# version={PACKAGE_VERSION}"]
-    for key, val in sorted(CONVENTIONS.items()):
-        lines.append(f"# {key}={val}")
-    return lines
-
-
-def write_csv(path: Path, columns: list[str], rows, report_hash: str) -> None:
-    lines = _meta_lines(report_hash)
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [f"# config_hash={report_hash}", f"# version={PACKAGE_VERSION}",
+             *(f"# {key}={val}" for key, val in sorted(CONVENTIONS.items())),
+             ",".join(columns), *(",".join(map(_fmt, row)) for row in rows)]
     path.write_text("\n".join(lines) + "\n")
 
 
 def _product_state(grid, phi, n_particles):
-    from functools import reduce
-
     import numpy as np
 
     from .grid import TensorState
 
-    amps = reduce(np.multiply.outer, [phi] * n_particles)
+    amps = functools.reduce(np.multiply.outer, [phi] * n_particles)
     return TensorState(grid, amps).normalized()
 
 
@@ -478,17 +471,18 @@ def _convergence_block(cfg: dict, out: Path, report_hash: str, tag: str,
 
     grid = Grid1D(cfg["n"], cfg["length"])
     phi0 = gaussian_packet(grid, 1.0)
-    times, dt = cfg["times"], cfg["dt"]
-    stride = _n_steps("times", times[1] - times[0], dt)
-    n_steps = stride * (len(times) - 1)
+    times = cfg["times"]
+    orbital, *bodies = [run for run in _plan(cfg) if run.label == tag]
     pot = PotentialSpec(**cfg[key])
     problem = NLSProblem(grid, b0=pot.b0(), omega=cfg["omega"])
-    nls = evolve_nls(problem, phi0, dt, n_steps, store_every=stride)
+    nls = evolve_nls(problem, phi0, orbital.dt, orbital.steps,
+                     store_every=orbital.store_every)
     tables = {k: [] for k in (1, 2)}
-    for nn in cfg["n_particles"]:
+    for run in bodies:
+        nn = run.particles
         system = NBodySystem(grid, nn, potential=pot, omega=cfg["omega"])
-        traj = evolve(system, _product_state(grid, phi0, nn), dt, n_steps,
-                      store_every=stride)
+        traj = evolve(system, _product_state(grid, phi0, nn), run.dt,
+                      run.steps, store_every=run.store_every)
         for k in (1, 2):
             col = [chaos_distance(traj.states[i], k, nls.fields[i])
                    for i in range(len(times))]
@@ -827,7 +821,9 @@ def run_lens(cfg: dict, out: Path, report_hash: str) -> list[dict]:
                    "passed": bool(round_err <= 1e-7)})
 
     gs, _ = trap_ground_state(grid, cfg["omega"])
-    res = intertwine_linear_check(lmap, grid, gs, tau, dt=cfg["dt"])
+    trapped, free, _ = _plan(cfg)
+    res = intertwine_linear_check(lmap, grid, gs, tau, trapped.steps,
+                                  free.steps)
     checks.append({"name": "intertwine_defect", "value": res["defect"],
                    "passed": bool(res["defect"] <= 1e-5)})
     checks.append({"name": "wrong_convention_control",
@@ -849,17 +845,19 @@ def run_bbgky(cfg: dict, out: Path, report_hash: str) -> list[dict]:
     phi0 = gaussian_packet(grid, 1.0)
     rows = []
     residuals = []
-    for nn in cfg["n_particles"]:
+    runs = _plan(cfg)
+    # a run at dt, then one at dt/2, per particle number
+    for pair in zip(runs[::2], runs[1::2]):
+        nn = pair[0].particles
         system = NBodySystem(grid, nn, potential=pot, omega=cfg["omega"])
         state = _product_state(grid, phi0, nn)
         per_n = []
-        for dt in (cfg["dt"], cfg["dt"] / 2):
-            n_steps = _n_steps("t_run", cfg["t_run"], dt)
-            traj = evolve(system, state, dt, n_steps,
-                          store_every=cfg["store_every"])
+        for run in pair:
+            traj = evolve(system, state, run.dt, run.steps,
+                          store_every=run.store_every)
             res = bbgky_residual(traj, k=1)
             per_n.append(res["hs_norm"])
-            rows.append([nn, dt, res["hs_norm"], res["max_abs"]])
+            rows.append([nn, run.dt, res["hs_norm"], res["max_abs"]])
         residuals.append(per_n[0] / per_n[1])
     write_csv(out / "bbgky_residuals.csv",
               ["N", "dt", "hs_norm", "max_abs"], rows, report_hash)
@@ -882,8 +880,9 @@ def run_nls_validate(cfg: dict, out: Path, report_hash: str) -> list[dict]:
     b0 = 2.0
     prob = NLSProblem(grid, b0=b0, omega=0.0)
     psi0 = soliton(grid, b0, 0.0)
-    n_steps = _n_steps("t_run", cfg["t_run"], cfg["dt"])
-    traj = evolve_nls(prob, psi0, cfg["dt"], n_steps, store_every=n_steps)
+    sol, ground, residual = _plan(cfg)
+    traj = evolve_nls(prob, psi0, sol.dt, sol.steps,
+                      store_every=sol.store_every)
     exact = soliton(grid, b0, traj.times[-1])
     sol_err = float(np.max(np.abs(traj.fields[-1] - exact)))
     checks.append({"name": "soliton_profile_error", "value": sol_err,
@@ -895,13 +894,15 @@ def run_nls_validate(cfg: dict, out: Path, report_hash: str) -> list[dict]:
 
     trap = NLSProblem(grid, b0=0.0, omega=cfg["omega"])
     gs, _ = trap_ground_state(grid, cfg["omega"])
-    traj_gs = evolve_nls(trap, gs, cfg["dt"], n_steps, store_every=n_steps)
+    traj_gs = evolve_nls(trap, gs, ground.dt, ground.steps,
+                         store_every=ground.store_every)
     dens_err = float(np.max(np.abs(np.abs(traj_gs.fields[-1]) ** 2
                                    - np.abs(gs) ** 2)))
     checks.append({"name": "ground_state_density_drift", "value": dens_err,
                    "passed": bool(dens_err <= 1e-7)})
 
-    fine = evolve_nls(prob, psi0, cfg["dt"], n_steps, store_every=4)
+    fine = evolve_nls(prob, psi0, residual.dt, residual.steps,
+                      store_every=residual.store_every)
     resid = nls_residual(fine)
     checks.append({"name": "pde_residual", "value": resid, "passed": None})
     write_csv(out / "nls_checks.csv", ["check", "value"],
@@ -972,10 +973,6 @@ _SUBCOMMANDS = {
 }
 
 
-def _env_default(name: str):
-    return os.environ.get(ENV_PREFIX + name.upper())
-
-
 def _int_flag(name: str, raw: str | None, minimum: int) -> int | None:
     """The integer value of a flag or its environment default."""
     if raw is None:
@@ -997,14 +994,13 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _SUBCOMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--config", default=_env_default("config"),
-                       help="JSON config path (defaults are built in)")
-        p.add_argument("--out", default=_env_default("out"),
-                       help="output directory (default runs/<experiment>)")
-        p.add_argument("--seed", default=_env_default("seed"),
-                       help="random seed, an integer >= 0")
-        p.add_argument("--threads", default=_env_default("threads"),
-                       help="thread-pool size, an integer >= 1")
+        for flag, text in (
+                ("config", "JSON config path (defaults are built in)"),
+                ("out", "output directory (default runs/<experiment>)"),
+                ("seed", "random seed, an integer >= 0"),
+                ("threads", "thread-pool size, an integer >= 1")):
+            p.add_argument(f"--{flag}", help=text,
+                           default=os.environ.get(ENV_PREFIX + flag.upper()))
     args = parser.parse_args(argv)
 
     try:

@@ -169,21 +169,21 @@ def lens_kernel(lmap: LensMap, marginal: MarginalDensity, time: float,
 
 
 def intertwine_linear_check(lmap: LensMap, grid: Grid1D, phi0: np.ndarray,
-                            t_run: float, dt: float = 1e-4) -> dict:
+                            t_run: float, n_steps: int, m_steps: int) -> dict:
     """Lens intertwining of the linear flows, with a convention control.
 
-    Evolves phi0 under the trapped linear equation to t_run, and under
-    the free half-Laplacian flow to tau(t_run), then compares the lensed
-    free solution against the trapped one.  The same comparison with the
-    full-Laplacian free flow (wrong kinetic convention) is returned as a
-    negative control; it should be order one.
+    Evolves phi0 under the trapped linear equation to t_run in n_steps
+    equal steps, and under the free half-Laplacian flow to tau(t_run) in
+    m_steps, then compares the lensed free solution against the trapped
+    one.  The same comparison with the full-Laplacian free flow (wrong
+    kinetic convention, also m_steps) is returned as a negative control;
+    it should be order one.
     """
     tau_run = lmap.tau_of_t(t_run)
     if t_run == 0.0:
         return {"defect": 0.0, "defect_wrong_convention": 0.0}
 
     trapped = NLSProblem(grid, b0=0.0, omega=lmap.omega, side="trapped")
-    n_steps = max(2, int(round(t_run / dt)))
     # only the final field is read, so store just the first and the last
     traj_t = evolve_nls(trapped, phi0, t_run / n_steps, n_steps,
                         store_every=n_steps)
@@ -192,7 +192,6 @@ def intertwine_linear_check(lmap: LensMap, grid: Grid1D, phi0: np.ndarray,
     defects = {}
     for label, half in (("defect", True), ("defect_wrong_convention", False)):
         free = NLSProblem(grid, b0=0.0, omega=0.0, side="lens", half_kinetic=half)
-        m_steps = max(2, int(round(tau_run / dt)))
         traj_f = evolve_nls(free, phi0, tau_run / m_steps, m_steps,
                             store_every=m_steps)
         u_state = TensorState(grid, traj_f.fields[-1])

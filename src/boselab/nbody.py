@@ -297,6 +297,8 @@ def _axis_sum(values: np.ndarray, ndim: int) -> np.ndarray:
 
 
 def _check_grid(system: NBodySystem, state: TensorState) -> None:
+    if state.n_particles != system.n_particles:
+        raise GridError("state does not match the system's particle number")
     if state.grid != system.grid:
         raise GridError(f"state grid {state.grid} differs from the "
                         f"system grid {system.grid}")
@@ -343,6 +345,7 @@ def energy_expectation(system: NBodySystem, state: TensorState,
 
 def energy_moment(system: NBodySystem, state: TensorState, k: int = 1) -> float:
     """<psi, H_N^k psi> by repeated matrix-free application."""
+    _check_grid(system, state)
     if k < 1:
         raise GridError("moment order must be >= 1")
     pot = system.potential_diagonal()
@@ -416,8 +419,6 @@ def evolve(system: NBodySystem, state: TensorState, dt: float, n_steps: int,
     potential diagonal is dropped once the phase is built, and no energy
     is computed here (Trajectory.energies computes them when read).
     """
-    if state.n_particles != system.n_particles:
-        raise GridError("state does not match the system's particle number")
     _check_grid(system, state)
     if dt <= 0 or n_steps < 1 or store_every < 1:
         raise GridError("dt, n_steps, store_every must be positive")
@@ -488,7 +489,8 @@ def dense_hamiltonian(system: NBodySystem) -> np.ndarray:
                         f"cap {_grid.DENSE_SIDE_CAP}")
     grid, nn = system.grid, system.n_particles
     # dense_operator builds numpy's DFT matrices, which keeps the dense
-    # oracle off the scipy.fft route that apply_hamiltonian and evolve take
+    # oracle off the scipy.fft route that apply_hamiltonian and
+    # energy_expectation take (evolve makes no transform)
     h1 = dense_operator(grid, kinetic_symbol(grid),
                         trap_potential(grid, system.omega))
     ham = np.zeros((system.dim, system.dim), dtype=np.complex128)
@@ -525,6 +527,7 @@ def spectral_cutoff(system: NBodySystem, state: TensorState,
     so the result has energy moments <H^k> <= (2N/kappa)^k while staying
     kappa^(1/2)-close to psi when psi has bounded energy per particle.
     """
+    _check_grid(system, state)
     if kappa <= 0:
         raise GridError("cutoff parameter kappa must be positive")
     evals, evecs = np.linalg.eigh(dense_hamiltonian(system))

@@ -316,6 +316,71 @@ def test_run_length_envelope_rejects_long_runs(cfg):
         validate_config(cfg)
 
 
+def _evolutions(monkeypatch, tmp_path, cfg):
+    """(dt, n_steps, store_every) of every evolve and evolve_nls call a
+    suite makes and of every run of its plan, in order; and the suite's
+    exit code."""
+    from boselab import cli, lens, nbody, nls
+
+    calls = []
+
+    def recorder(original):
+        def recorded(model, start, dt, n_steps, *, store_every):
+            calls.append((dt, n_steps, store_every))
+            return original(model, start, dt, n_steps,
+                            store_every=store_every)
+        return recorded
+
+    monkeypatch.setattr(nbody, "evolve", recorder(nbody.evolve))
+    # lens binds evolve_nls at import
+    monkeypatch.setattr(nls, "evolve_nls", recorder(nls.evolve_nls))
+    monkeypatch.setattr(lens, "evolve_nls", nls.evolve_nls)
+    planned = [(run.dt, run.steps, run.store_every)
+               for run in cli._plan(cli.validate_config(cfg))]
+    code, _ = cli.run_experiment(cfg, tmp_path)
+    return calls, planned, code
+
+
+@pytest.mark.parametrize("cfg,runs", [
+    # per potential: the orbital and N = 2, 3
+    ({"experiment": "convergence", "n": 16, "n_particles": [2, 3],
+      "times": [0.0, 0.02]}, 6),
+    # per N: dt and dt/2
+    ({"experiment": "bbgky_residual", "n_particles": [2, 3], "t_run": 0.04},
+     4),
+    ({"experiment": "nls_validate", "n": 128, "t_run": 0.02}, 3),
+    ({"experiment": "lens_suite", "n": 64}, 3),
+], ids=["convergence", "bbgky", "nls-validate", "lens"])
+def test_runners_evolve_the_planned_runs(monkeypatch, tmp_path, cfg, runs):
+    calls, planned, code = _evolutions(monkeypatch, tmp_path, cfg)
+    assert code == 0
+    assert len(planned) == runs
+    assert calls == planned
+
+
+def test_plan_counts_the_lens_runs_shorter_than_two_steps(monkeypatch,
+                                                          tmp_path):
+    # round(t_run / dt) = 1, but each lens flow takes at least two steps;
+    # so short a run leaves the wrong-convention control below its bound
+    cfg = {"experiment": "lens_suite", "n": 64, "t_run": 1e-3}
+    assert round(cfg["t_run"] / 1e-3) < 2
+    calls, planned, code = _evolutions(monkeypatch, tmp_path, cfg)
+    assert code == 1
+    assert calls == planned
+    assert [steps for _, steps, _ in planned] == [2, 2, 2]
+
+
+def test_default_convergence_plan_totals():
+    # the totals the README and the run-length envelope's comment state
+    from boselab.cli import _plan, validate_config
+
+    merged = validate_config({"experiment": "convergence"})
+    runs = _plan(merged)
+    assert sum(run.steps for run in runs) == 2000
+    assert sum(run.steps * merged["n"] ** run.particles
+               for run in runs) == 541_200_000
+
+
 def _run_twice(tmp_path, *args):
     """Output directories of two identical CLI runs, after checking that
     they hold the same files, byte for byte."""
@@ -472,6 +537,23 @@ def test_help_exits_cleanly():
     for sub in ("convergence", "energy", "collapse", "lens", "bbgky",
                 "nls-validate"):
         assert sub in proc.stdout
+
+
+def test_benchmark_imports_every_package_module():
+    # the benchmark worker imports the package's modules by name, so a
+    # renamed, added or deleted module must be named there too
+    import ast
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    tree = ast.parse((root / "perfbench" / "worker.py").read_text())
+    listed = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "PACKAGE_MODULES"
+                          for t in node.targets))
+    modules = {path.stem for path in (root / "src" / "boselab").glob("*.py")}
+    assert len(listed) == len(set(listed))
+    assert set(listed) == modules - {"__init__", "__main__"}
 
 
 def test_package_import_stays_light():

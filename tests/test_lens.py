@@ -116,7 +116,8 @@ def test_boundary_guard_rejects_underresolved_stretch():
 
 def test_intertwine_linear_flows():
     phi = ground_pair()
-    res = intertwine_linear_check(LensMap(1.0), GRID, phi, 0.4, dt=1e-3)
+    # dt = 1e-3: 400 trapped steps to t = 0.4, 423 free ones to tan(0.4)
+    res = intertwine_linear_check(LensMap(1.0), GRID, phi, 0.4, 400, 423)
     # correct half-kinetic convention intertwines to splitting accuracy;
     # the full-Laplacian control misses by an order-one margin
     assert res["defect"] < 1e-5
@@ -124,7 +125,8 @@ def test_intertwine_linear_flows():
 
 
 def test_intertwine_zero_run_is_exact():
-    res = intertwine_linear_check(LensMap(1.0), GRID, ground_pair(), 0.0)
+    res = intertwine_linear_check(LensMap(1.0), GRID, ground_pair(), 0.0,
+                                  2, 2)
     assert res == {"defect": 0.0, "defect_wrong_convention": 0.0}
 
 
@@ -132,7 +134,7 @@ def test_intertwine_small_frequency_limit():
     # as omega -> 0 the lens degenerates to the identity and both flows
     # coincide: the defect must vanish far below the generic tolerance
     res = intertwine_linear_check(LensMap(1e-3), GRID, ground_pair(),
-                                  0.2, dt=1e-3)
+                                  0.2, 200, 200)
     assert res["defect"] < 1e-6
     assert res["defect_wrong_convention"] > 1e-3
 

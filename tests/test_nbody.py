@@ -564,6 +564,31 @@ def test_grid_mismatch_is_rejected():
         energy_expectation(system, state)
 
 
+def _mismatched_states():
+    """A 16-point L = 8, N = 2 system with a state on L = 4 and one of
+    N = 3 on its own grid."""
+    g = Grid1D(16, 8.0)
+    system = NBodySystem(g, 2, potential=gaussian_well())
+    return system, [random_state(Grid1D(16, 4.0), 2, seed=0),
+                    random_state(g, 3, seed=0)]
+
+
+def test_energy_moment_rejects_a_foreign_state():
+    # the L = 4 state used to give a moment of 13.31 with no error
+    system, states = _mismatched_states()
+    for state, match in zip(states, ("grid", "particle number")):
+        with pytest.raises(GridError, match=match):
+            energy_moment(system, state)
+
+
+def test_spectral_cutoff_rejects_a_foreign_state():
+    # the L = 4 state used to come back relabelled L = 8
+    system, states = _mismatched_states()
+    for state, match in zip(states, ("grid", "particle number")):
+        with pytest.raises(GridError, match=match):
+            spectral_cutoff(system, state, 0.2)
+
+
 def test_evolve_validation_and_abort(monkeypatch):
     import boselab.nbody as nbody
 
