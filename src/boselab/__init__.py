@@ -16,8 +16,8 @@ Conventions used throughout:
 
 The names live in the submodules (``from boselab import nbody``); the
 package itself defines only ``__version__``.  ``import boselab`` loads no
-numerical library, so ``--help`` and the thread-pool pinning of
-``--threads`` run before BLAS loads.
+numerical library, so ``--help`` and the CLI's thread settings run before
+BLAS loads.
 """
 
 __version__ = "1.0.0"

@@ -38,13 +38,13 @@ check).
 Flags may also come from environment variables with the BOSELAB_ prefix
 (BOSELAB_CONFIG, BOSELAB_OUT, BOSELAB_SEED, BOSELAB_THREADS); explicit
 flags win.  --seed must be an integer >= 0 and --threads an integer
->= 1, else exit code 2.  --threads pins the BLAS/OpenMP pool sizes
-(BLAS runs the Strang step's kinetic products) and the package's one
-thread pool, which runs the Strang step's fused kick-and-norm pass and
-the N-body Fourier transforms on tensors with at least 2^16 amplitudes,
-and the collapse kernel's u-blocks.  It must be set before heavy
-imports, which is why the numerical modules are imported lazily inside
-the check functions.
+>= 1, else exit code 2.  main runs BLAS and LAPACK on one thread, and
+--threads sizes the package's one thread pool (through OMP_NUM_THREADS),
+which runs the Strang step's kinetic products and fused kick-and-norm
+pass, the N-body Fourier transforms on tensors with at least 2^16
+amplitudes, and the collapse kernel's u-blocks; every output is the same
+at any --threads.  Both must be set before heavy imports, which is why
+the numerical modules are imported lazily inside the check functions.
 """
 
 from __future__ import annotations
@@ -1009,10 +1009,11 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    # LAPACK and BLAS sum in a thread-dependent order, so they get one
+    # thread and the package pool is the only thread layer
+    os.environ["OPENBLAS_NUM_THREADS"] = os.environ["MKL_NUM_THREADS"] = "1"
     if threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
+        os.environ["OMP_NUM_THREADS"] = str(threads)
 
     kind = _SUBCOMMANDS[args.command]
     try:

@@ -21,27 +21,25 @@ conserved to rounding; the energy expectation oscillates within O(dt^2)
 without secular drift.  A trajectory computes its energies from the
 stored states when they are first read, not while it propagates.
 
-Threading: every N-body transform here (the energy's and the
-matrix-free H_N's) runs on the package's one thread pool
-(grid._POOL_SIZE, shared with collapse's kernel_H), sized once at import
-from OMP_NUM_THREADS (which ``--threads`` sets) or else from the CPUs the
-process may run on.  Tensors below THREAD_FLOOR = 2^16 amplitudes keep
-one worker, since below that the threads cost more than they save (on a
-2-vCPU host a 16^3 transform takes 57 us on one worker and 149 us on
-two; a 32^4 one 36 ms and 17.5 ms).  pocketfft hands whole 1-D lines to
-each worker, so the result is bit-identical for any pool size.  The
-Strang step's kick-and-norm pass runs on the same pool above the same
-floor (grid._in_blocks): it walks the flat tensor in fixed blocks of
-PASS_BLOCK amplitudes, a contiguous run of blocks per thread, and adds
-the blocks' norm sums in block order, so states and norms are
-bit-identical for any pool size.  The phases themselves are built once
-per call from sines of their real angle, without complex exp.  The
-kinetic products are BLAS calls.  From THREAD_FLOOR up OpenBLAS threads
-them (``--threads`` sets its size too); it splits a product by rows and
-columns, never along its length-n sums, so they too give the same bits
-for any thread count.
-Below the floor each call stays under the size that OpenBLAS threads,
-so those tensors stay on one thread here as well.
+Threading: the package has one thread layer, its pool (grid._POOL_SIZE,
+shared with collapse's kernel_H), sized once at import from
+OMP_NUM_THREADS (which ``--threads`` sets) or else from the CPUs the
+process may run on; the CLI runs BLAS and LAPACK on one thread.  Every
+N-body transform here (the energy's and the matrix-free H_N's) runs on
+the pool.  Tensors below THREAD_FLOOR = 2^16 amplitudes keep one worker,
+since below that the threads cost more than they save (on a 2-vCPU host
+a 16^3 transform takes 57 us on one worker and 149 us on two; a 32^4 one
+36 ms and 17.5 ms).  pocketfft hands whole 1-D lines to each worker, so
+the result is bit-identical for any pool size.  The Strang step's
+kinetic products go to the pool in blocks of GEMM_ROWS rows
+(grid._in_blocks); each row is one product of length n whatever the
+split, so they too give the same bits for any pool size.  Its
+kick-and-norm pass runs on the same pool from THREAD_FLOOR up: it walks
+the flat tensor in fixed blocks of PASS_BLOCK amplitudes, a contiguous
+run of blocks per thread, and adds the blocks' norm sums in block order,
+so states and norms are bit-identical for any pool size.  The phases
+themselves are built once per call from sines of their real angle,
+without complex exp.
 
 Also here: the dense Hamiltonian for small tensor grids (the oracle of
 the matrix-free routes), the smooth spectral cutoff used to regularize
@@ -69,17 +67,12 @@ from .potentials import PotentialSpec, scaled_potential
 # tensors with fewer amplitudes transform on one thread
 THREAD_FLOOR = 2 ** 16
 
-# rows per matmul call of the kinetic factor on tensors from THREAD_FLOOR
-# up, which OpenBLAS threads: at 2 threads one unblocked 32^4 product
-# makes OpenBLAS touch a 16 MB per-thread buffer (RSS grows 16.1 MB against
-# 1.4 MB in blocks of this many rows, at the same speed)
+# rows per matmul call of the kinetic factor, the unit of work that
+# _apply_per_axis hands to the pool: a product of fewer rows is one call
+# on the calling thread.  Under a threaded BLAS the blocks also keep its
+# per-thread buffer small (an unblocked 32^4 product at 2 OpenBLAS
+# threads grew RSS by 16.1 MB, against 1.4 MB in blocks of this size).
 GEMM_ROWS = 2048
-
-# multiply-adds per matmul call on smaller tensors, which stay on one
-# thread: OpenBLAS runs a product of fewer than 2^16 on the calling thread
-# and wakes its own threads from there up.  With the cores busy elsewhere
-# that hand-off took 3-8 ms per call, against 5-20 us for the product.
-SERIAL_MADDS = 2 ** 15
 
 # Tensors with fewer amplitudes apply each Strang factor P as
 # psi + (P - 1) psi, from P - 1 held to full relative precision.  A unit
@@ -155,22 +148,22 @@ def _apply_per_axis(psi: np.ndarray, factor_t: np.ndarray,
     factor_t is U^T, or (U - I)^T with split, which adds the input to each
     product.  Each product applies U along axis 0 and writes that axis
     last, so after one product per axis the axes are back in order.  A
-    product is issued in row blocks: GEMM_ROWS rows from THREAD_FLOOR up,
-    else SERIAL_MADDS multiply-adds.  The result alternates between psi
-    and spare, which must not alias.
+    product is issued in blocks of GEMM_ROWS rows, which run on the pool
+    (grid._in_blocks).  The result alternates between psi and spare,
+    which must not alias.
     """
     n = factor_t.shape[0]
-    if psi.size < THREAD_FLOOR:
-        rows = max(1, SERIAL_MADDS // n ** 2)
-    else:
-        rows = GEMM_ROWS
     for _ in range(psi.ndim):
         src, dst = psi.reshape(n, -1).T, spare.reshape(-1, n)
-        for lo in range(0, src.shape[0], rows):
-            block = slice(lo, lo + rows)
-            np.matmul(src[block], factor_t, out=dst[block])
-            if split:
-                dst[block] += src[block]
+
+        def blocks(lo, hi):
+            for b in range(lo, hi):
+                rows = slice(b * GEMM_ROWS, (b + 1) * GEMM_ROWS)
+                np.matmul(src[rows], factor_t, out=dst[rows])
+                if split:
+                    dst[rows] += src[rows]
+
+        _grid._in_blocks(blocks, -(-src.shape[0] // GEMM_ROWS))
         psi, spare = spare, psi
     return psi, spare
 
@@ -407,9 +400,10 @@ def evolve(system: NBodySystem, state: TensorState, dt: float, n_steps: int,
     the initial state.
 
     A step is N BLAS products with the n x n kinetic factor (in row
-    blocks), then one pass over the tensor (_kick_pass) that applies the
-    closing half kick, sums the norm, and applies the next step's opening
-    half kick, block by block; it makes no Fourier transform.  Below
+    blocks on the pool), then one pass over the tensor (_kick_pass) that
+    applies the closing half kick, sums the norm, and applies the next
+    step's opening half kick, block by block; it makes no Fourier
+    transform.  Below
     SPLIT_FLOOR each factor P is applied as psi + (P - 1) psi.  A stored
     step before the last writes its closed state into the spare buffer,
     which becomes the snapshot, and a new spare is made; the last step

@@ -382,11 +382,11 @@ def test_default_convergence_plan_totals():
 
 
 def _run_twice(tmp_path, *args):
-    """Output directories of two identical CLI runs, after checking that
-    they hold the same files, byte for byte."""
+    """Output directories of two CLI runs, at --threads 1 and 2, after
+    checking that they hold the same files, byte for byte."""
     outs = [tmp_path / "first", tmp_path / "second"]
-    for out in outs:
-        proc = run_cli(*args, "--out", str(out))
+    for threads, out in zip(("1", "2"), outs):
+        proc = run_cli(*args, "--threads", threads, "--out", str(out))
         assert proc.returncode == 0, proc.stderr
     first, second = outs
     names = sorted(path.name for path in first.iterdir())
@@ -397,14 +397,20 @@ def _run_twice(tmp_path, *args):
 
 
 def test_convergence_reruns_byte_identical(tmp_path):
-    cfg = tmp_path / "small.json"
-    cfg.write_text(json.dumps({"n": 16, "n_particles": [2, 3],
-                               "times": [0.0, 0.02]}))
-    out = _run_twice(tmp_path, "convergence", "--config", str(cfg))
-    assert len(sorted(out.glob("*.csv"))) == 4
+    # the one-step config's k=2 chaos distances at N = 3, 4 come from
+    # LAPACK calls, whose last digits would move with a threaded BLAS
+    for name, cfg in (("small", {"n": 16, "n_particles": [2, 3],
+                                 "times": [0.0, 0.02]}),
+                      ("one_step", {"n_particles": [3, 4],
+                                    "times": [0.0, 0.01]})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        out = _run_twice(tmp_path / name, "convergence", "--config", str(path))
+        assert len(sorted(out.glob("*.csv"))) == 4
 
 
-@pytest.mark.parametrize("command", ["energy", "lens"])
+@pytest.mark.parametrize("command", ["energy", "lens", "bbgky",
+                                     "nls-validate"])
 def test_default_run_reruns_byte_identical(tmp_path, command):
     out = _run_twice(tmp_path, command)
     assert (out / "summary.json").is_file()

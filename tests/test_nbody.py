@@ -1,5 +1,6 @@
 """Exact N-body propagation, spectral cutoff, and hierarchy residual."""
 
+import itertools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -252,8 +253,8 @@ def test_split_factors_keep_the_norm_unbiased(nn, n, potential):
 
 @pytest.mark.parametrize("nn, n", [(3, 32), (4, 16)])
 def test_kinetic_product_blocks(monkeypatch, nn, n):
-    # below THREAD_FLOOR every call stays under the size OpenBLAS threads;
-    # from the floor up the calls take GEMM_ROWS rows
+    # every product is cut into calls of GEMM_ROWS rows, the last one
+    # shorter, so a product of fewer rows is one call
     from boselab import nbody
 
     rows = []
@@ -269,10 +270,8 @@ def test_kinetic_product_blocks(monkeypatch, nn, n):
     evolve(NBodySystem(g, nn), state, 1e-3, 1)
     monkeypatch.undo()
     assert sum(rows) == nn * n ** (nn - 1)
-    if state.amplitudes.size < nbody.THREAD_FLOOR:
-        assert max(rows) * n * n <= nbody.SERIAL_MADDS < 2 ** 16
-    else:
-        assert max(rows) == nbody.GEMM_ROWS
+    assert max(rows) <= nbody.GEMM_ROWS
+    assert len(rows) == nn * -(-n ** (nn - 1) // nbody.GEMM_ROWS)
 
 
 _BLAS_RUN = """
@@ -290,23 +289,24 @@ print(hashlib.sha256(traj.states[-1].amplitudes.tobytes()).hexdigest())
 
 def test_kinetic_products_are_bit_identical_across_blas_threads():
     # 16^4 amplitudes: above THREAD_FLOOR, and 4096 rows per product, so
-    # two blocks of GEMM_ROWS
+    # two blocks of GEMM_ROWS; a library caller may load a threaded BLAS,
+    # so every split of a product over the pool and BLAS is compared
     import os
     import subprocess
     from pathlib import Path
 
     src = str(Path(__file__).resolve().parents[1] / "src")
     digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS="2",
+    for pool, blas in itertools.product(("1", "2"), repeat=2):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
+                   OMP_NUM_THREADS=pool,
                    PYTHONPATH=os.pathsep.join(
                        [src, os.environ.get("PYTHONPATH", "")]))
         out = subprocess.run([sys.executable, "-c", _BLAS_RUN], env=env,
                              capture_output=True, text=True, check=True)
         digests.append(out.stdout.strip())
     assert len(digests[0]) == 64
-    assert digests[0] == digests[1]
+    assert digests == digests[:1] * 4
 
 
 def test_stored_snapshots_do_not_alias_the_buffer():
@@ -388,9 +388,12 @@ def test_split_phase_products_are_bit_identical(monkeypatch, stress):
         sys.setswitchinterval(interval)
     # one kick-and-norm pass before step 1 and one per step, each over the
     # 16^4 / PASS_BLOCK = 8 blocks, split into min(pool, 8) runs of which
-    # the pool takes all but the first
+    # the pool takes all but the first; and per step 4 kinetic products,
+    # each of 16^3 / GEMM_ROWS = 2 blocks, of which the pool takes the
+    # second
     runs = min(pool, 16 ** 4 // nbody.PASS_BLOCK)
-    assert (jobs, no_jobs) == (11 * (runs - 1), 0)
+    products = min(pool, 16 ** 3 // nbody.GEMM_ROWS)
+    assert (jobs, no_jobs) == (11 * (runs - 1) + 10 * 4 * (products - 1), 0)
     for a, b in zip(split.states, single.states, strict=True):
         assert np.array_equal(a.amplitudes, b.amplitudes)
     assert np.array_equal(split.norms, single.norms)
