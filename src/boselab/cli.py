@@ -33,7 +33,7 @@ sign/direction conventions, and the package version, and identical
 config + seed gives byte-identical outputs.  Exit codes: 0 all checks
 pass, 1 at least one check failed, 2 config error (a config that cannot
 run), 3 numerical abort (a non-finite value during propagation or in a
-check).
+check, a resolution guard, a float overflow).
 
 Flags may also come from environment variables with the BOSELAB_ prefix
 (BOSELAB_CONFIG, BOSELAB_OUT, BOSELAB_SEED, BOSELAB_THREADS); explicit
@@ -41,9 +41,8 @@ flags win.  --seed must be an integer >= 0 and --threads an integer
 >= 1, else exit code 2.  main runs BLAS and LAPACK on one thread, and
 --threads sizes the package's one thread pool (through OMP_NUM_THREADS),
 which runs the Strang step's kinetic products and fused kick-and-norm
-pass, the N-body Fourier transforms on tensors with at least 2^16
-amplitudes, and the collapse kernel's u-blocks; every output is the same
-at any --threads.  Both must be set before heavy imports, which is why
+pass and the collapse kernel's u-blocks; every output is the same at any
+--threads.  Both must be set before heavy imports, which is why
 the numerical modules are imported lazily inside the check functions.
 """
 
@@ -936,10 +935,14 @@ def run_experiment(cfg: dict, out_dir) -> tuple[int, dict]:
                   for check in run(merged, out, rhash)]
         code = EXIT_PASS
     except Exception as err:  # propagation / numerical failures -> abort code
+        from .lens import LensResolutionError
         from .nbody import NumericalAbort
         from .nls import BlowupDetected
 
-        if isinstance(err, (NumericalAbort, BlowupDetected, FloatingPointError)):
+        # a resolution guard (blow-up, lens boundary mass) or a float
+        # overflow stops a run the validator could not foresee
+        if isinstance(err, (NumericalAbort, BlowupDetected, FloatingPointError,
+                            LensResolutionError, OverflowError)):
             checks = [{"name": "numerical_abort", "value": str(err),
                        "passed": False}]
             code = EXIT_NUMERICAL_ABORT

@@ -135,7 +135,8 @@ def check_decomposition_identity(system: NBodySystem, state: TensorState) -> flo
     matrix-free Hamiltonian.  Right side: the literal sum over ordered
     pairs of H_{+ij} psi / (2N(N-1)), assembled from per-axis Sobolev
     weights and pair-potential multiplications.  The two routes share no
-    code beyond the FFT, so agreement is a genuine identity check.
+    code (a dense kinetic matrix per axis on the left, FFT round trips on
+    the right), so agreement is a genuine identity check.
     """
     nn = system.n_particles
     if nn < 2:

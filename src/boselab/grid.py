@@ -31,12 +31,12 @@ side of a dense matrix that is built or decomposed.
 
 The package has one thread pool, defined here: its size is read once at
 import from OMP_NUM_THREADS (which ``--threads`` sets) or else from the
-CPUs the process may run on.  nbody's Fourier transforms, Strang kinetic
-products and kick-and-norm pass and collapse's kernel_H blocks run on
-it.  _in_blocks splits range(n) into contiguous blocks, keeps the first
-block on the calling thread and hands the others to the pool; called
-from one of the pool's own tasks it runs inline, so no pooled task ever
-waits on the pool.
+CPUs the process may run on.  nbody's Strang kinetic products and
+kick-and-norm pass and collapse's kernel_H blocks run on it.  _in_blocks
+splits range(n) into contiguous blocks, keeps the first block on the
+calling thread and hands the others to the pool; called from one of the
+pool's own tasks it runs inline, so no pooled task ever waits on the
+pool.
 """
 
 from __future__ import annotations

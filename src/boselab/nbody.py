@@ -24,22 +24,22 @@ stored states when they are first read, not while it propagates.
 Threading: the package has one thread layer, its pool (grid._POOL_SIZE,
 shared with collapse's kernel_H), sized once at import from
 OMP_NUM_THREADS (which ``--threads`` sets) or else from the CPUs the
-process may run on; the CLI runs BLAS and LAPACK on one thread.  Every
-N-body transform here (the energy's and the matrix-free H_N's) runs on
-the pool.  Tensors below THREAD_FLOOR = 2^16 amplitudes keep one worker,
-since below that the threads cost more than they save (on a 2-vCPU host
-a 16^3 transform takes 57 us on one worker and 149 us on two; a 32^4 one
-36 ms and 17.5 ms).  pocketfft hands whole 1-D lines to each worker, so
-the result is bit-identical for any pool size.  The Strang step's
-kinetic products go to the pool in blocks of GEMM_ROWS rows
-(grid._in_blocks); each row is one product of length n whatever the
-split, so they too give the same bits for any pool size.  Its
-kick-and-norm pass runs on the same pool from THREAD_FLOOR up: it walks
-the flat tensor in fixed blocks of PASS_BLOCK amplitudes, a contiguous
-run of blocks per thread, and adds the blocks' norm sums in block order,
-so states and norms are bit-identical for any pool size.  The phases
-themselves are built once per call from sines of their real angle,
-without complex exp.
+process may run on; the CLI runs BLAS and LAPACK on one thread.  The
+Strang step's kinetic products go to the pool in blocks of GEMM_ROWS
+rows (grid._in_blocks); each row is one product of length n whatever
+the split, so they give the same bits for any pool size.  Its
+kick-and-norm pass runs on the same pool from THREAD_FLOOR = 2^16
+amplitudes up: it walks the flat tensor in fixed blocks of PASS_BLOCK
+amplitudes, a contiguous run of blocks per thread, and adds the blocks'
+norm sums in block order, so states and norms are bit-identical for any
+pool size.  The phases themselves are built once per call from sines of
+their real angle, without complex exp.
+
+The matrix-free H_N (apply_hamiltonian) applies the kinetic part as the
+real symmetric n x n matrix of k^2/2 along every axis, the same dense
+form the dense Hamiltonian is built from, and makes no Fourier
+transform either; <psi, H_N^k psi> (energy_moment) is built on it, and
+k = 1 is the energy.
 
 Also here: the dense Hamiltonian for small tensor grids (the oracle of
 the matrix-free routes), the smooth spectral cutoff used to regularize
@@ -55,7 +55,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.fft
 
 from . import grid as _grid
 from .grid import (Grid1D, GridError, TensorState, apply_symbol,
@@ -64,7 +63,8 @@ from .grid import (Grid1D, GridError, TensorState, apply_symbol,
 from .marginals import partial_trace
 from .potentials import PotentialSpec, scaled_potential
 
-# tensors with fewer amplitudes transform on one thread
+# tensors with fewer amplitudes make evolve's kick-and-norm pass on the
+# calling thread, since below that the pool costs more than it saves
 THREAD_FLOOR = 2 ** 16
 
 # rows per matmul call of the kinetic factor, the unit of work that
@@ -95,11 +95,6 @@ PASS_BLOCK = 2 ** 13
 # evolve aborts when the norm moves by more than this in one step or
 # since step 0; the splitting is exactly unitary
 NORM_TOL = 1e-10
-
-
-def _workers(a: np.ndarray) -> int:
-    """scipy.fft workers for a transform of the tensor a."""
-    return _grid._POOL_SIZE if a.size >= THREAD_FLOOR else 1
 
 
 def _phase_minus_one(theta: np.ndarray) -> np.ndarray:
@@ -225,7 +220,7 @@ def _kick_pass(half: np.ndarray, split: bool, src: np.ndarray | None,
                 half_f[cut], split,
                 *(None if a is None else a[cut] for a in tensors))
 
-    if _workers(closed) == 1:
+    if closed.size < THREAD_FLOOR:
         blocks(0, n_blocks)
     else:
         _grid._in_blocks(blocks, n_blocks)
@@ -268,25 +263,16 @@ class NBodySystem:
     def potential_diagonal(self) -> np.ndarray:
         """Trap plus interaction as a diagonal tensor of shape (n,)*N."""
         nn = self.n_particles
-        out = _axis_sum(trap_potential(self.grid, self.omega), nn)
+        trap = trap_potential(self.grid, self.omega)
+        out = np.zeros((self.grid.n,) * nn)
+        for ax in range(nn):
+            out = out + on_axes(trap, nn, ax)
         if self.potential is not None and nn >= 2:
             vpair = self.pair_potential_values() / nn
             for i in range(nn):
                 for j in range(i + 1, nn):
                     out = out + on_axes(vpair, nn, i, j)
         return out
-
-    def total_kinetic_symbol(self) -> np.ndarray:
-        """sum_j k_j^2 / 2 as a Fourier-space tensor of shape (n,)*N."""
-        return _axis_sum(kinetic_symbol(self.grid), self.n_particles)
-
-
-def _axis_sum(values: np.ndarray, ndim: int) -> np.ndarray:
-    """sum_j values[i_j] as a tensor of shape (n,)*ndim."""
-    out = np.zeros((values.size,) * ndim)
-    for ax in range(ndim):
-        out = out + on_axes(values, ndim, ax)
-    return out
 
 
 def _check_grid(system: NBodySystem, state: TensorState) -> None:
@@ -299,54 +285,44 @@ def _check_grid(system: NBodySystem, state: TensorState) -> None:
 
 def apply_hamiltonian(system: NBodySystem, amplitudes: np.ndarray,
                       potential_diag: np.ndarray | None = None) -> np.ndarray:
-    """Matrix-free H_N action on an amplitude tensor."""
-    if potential_diag is None:
-        potential_diag = system.potential_diagonal()
-    workers = _workers(amplitudes)
-    kin = scipy.fft.fftn(amplitudes, workers=workers)
-    kin *= system.total_kinetic_symbol()
-    return potential_diag * amplitudes + scipy.fft.ifftn(
-        kin, overwrite_x=True, workers=workers)
+    """Matrix-free H_N action on an amplitude tensor.
 
-
-def energy_expectation(system: NBodySystem, state: TensorState,
-                       potential_diag: np.ndarray | None = None) -> float:
-    """<psi, H_N psi> with the h^N quadrature weight.
-
-    The kinetic part is Parseval's sum (h^N / n^N) sum_j sum_m T(k_m)
-    rho_j(m), rho_j the marginal of |psi_hat|^2 on axis j, from one
-    forward transform: no inverse transform and no (n,)^N symbol.  The
-    potential part is h^N sum V |psi|^2.
+    The kinetic part is the n x n matrix K of k^2/2 (dense_operator)
+    applied along every axis as one matrix product each, without axis
+    copies; the potential part multiplies by the diagonal.
     """
-    _check_grid(system, state)
     if potential_diag is None:
         potential_diag = system.potential_diagonal()
-    amps = state.amplitudes
-    nn = state.n_particles
-    spec = np.abs(scipy.fft.fftn(amps, workers=_workers(amps))) ** 2
-    symbol = kinetic_symbol(system.grid)
-    axes = range(nn)
-    kin = sum(symbol @ spec.sum(axis=tuple(o for o in axes if o != ax))
-              for ax in axes) / amps.size
-    # an einsum, not np.vdot, for the reason _norm_sq gives
-    pot = np.einsum("i,i->", (np.abs(amps) ** 2).reshape(-1),
-                    potential_diag.reshape(-1))
-    # a complex diagonal (an absorbing potential) adds an imaginary part,
-    # the rate of norm loss, which is not energy; .real is a no-op otherwise
-    return float(system.grid.h ** nn * (kin + pot.real))
+    grid = system.grid
+    n = grid.n
+    kin = dense_operator(grid, kinetic_symbol(grid), np.zeros(n))
+    a = np.asarray(amplitudes)
+    out = potential_diag * a
+    for ax in range(a.ndim - 1):
+        out += np.matmul(kin, a.reshape(n ** ax, n, -1)).reshape(a.shape)
+    out += (a.reshape(-1, n) @ kin.T).reshape(a.shape)
+    return out
 
 
-def energy_moment(system: NBodySystem, state: TensorState, k: int = 1) -> float:
-    """<psi, H_N^k psi> by repeated matrix-free application."""
+def energy_moment(system: NBodySystem, state: TensorState, k: int = 1,
+                  potential_diag: np.ndarray | None = None) -> float:
+    """<psi, H_N^k psi> with the h^N quadrature weight, by repeated
+    matrix-free application; k = 1 is the energy."""
     _check_grid(system, state)
     if k < 1:
         raise GridError("moment order must be >= 1")
-    pot = system.potential_diagonal()
-    vec = state.amplitudes
+    if potential_diag is None:
+        potential_diag = system.potential_diagonal()
+    amps = state.amplitudes
+    vec = amps
     for _ in range(k):
-        vec = apply_hamiltonian(system, vec, pot)
-    w = system.grid.h ** state.n_particles
-    return float((w * np.vdot(state.amplitudes, vec)).real)
+        vec = apply_hamiltonian(system, vec, potential_diag)
+    # an einsum, not np.vdot, for the reason _norm_sq gives
+    total = np.einsum("i,i->", amps.reshape(-1).conj(), vec.reshape(-1))
+    # a complex diagonal (an absorbing potential) adds an imaginary part,
+    # the rate of norm loss, which is not energy; .real drops it, and the
+    # rounding of a Hermitian H_N otherwise
+    return float(system.grid.h ** state.n_particles * total.real)
 
 
 @dataclass
@@ -378,7 +354,8 @@ class Trajectory:
         if self._energies is None:
             pot = self.system.potential_diagonal()
             self._energies = np.asarray(
-                [energy_expectation(self.system, s, pot) for s in self.states])
+                [energy_moment(self.system, s, potential_diag=pot)
+                 for s in self.states])
         return self._energies
 
     def max_energy_drift(self) -> float:
@@ -482,9 +459,6 @@ def dense_hamiltonian(system: NBodySystem) -> np.ndarray:
         raise GridError(f"dense Hamiltonian dimension {system.dim} exceeds "
                         f"cap {_grid.DENSE_SIDE_CAP}")
     grid, nn = system.grid, system.n_particles
-    # dense_operator builds numpy's DFT matrices, which keeps the dense
-    # oracle off the scipy.fft route that apply_hamiltonian and
-    # energy_expectation take (evolve makes no transform)
     h1 = dense_operator(grid, kinetic_symbol(grid),
                         trap_potential(grid, system.omega))
     ham = np.zeros((system.dim, system.dim), dtype=np.complex128)

@@ -409,11 +409,35 @@ def test_convergence_reruns_byte_identical(tmp_path):
         assert len(sorted(out.glob("*.csv"))) == 4
 
 
+# sha256 over each default output directory's files, sorted by name;
+# a change that moves printed digits updates its value here and lists the
+# moved numbers in CHANGES.md
+_DEFAULT_DIGESTS = {
+    "energy": "995919ef7def94fd089b9b573cb67ced094c8c6ebd1d8877ca80d5510e812cef",
+    "lens": "b543d56e9af038570b355f4d5ecf515712d7521d6769e67cf08c84096a4ac3b7",
+    "bbgky": "ea1fb80a17e5c3320ff6f0e88acc8216b0a23ec05a354d7bfa6540cca8a93912",
+    "nls-validate":
+        "79f23fb9c079e32e9c7bc2c3f5de1b2291eb6cc5ba30ac1fecb5fa9bee19c7f7",
+}
+
+
+def _directory_digest(directory):
+    import hashlib
+
+    digest = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        data = path.read_bytes()
+        digest.update(f"{path.name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 @pytest.mark.parametrize("command", ["energy", "lens", "bbgky",
                                      "nls-validate"])
 def test_default_run_reruns_byte_identical(tmp_path, command):
     out = _run_twice(tmp_path, command)
     assert (out / "summary.json").is_file()
+    assert _directory_digest(out) == _DEFAULT_DIGESTS[command]
 
 
 def test_missing_config_exits_with_usage_code(tmp_path):
@@ -467,6 +491,29 @@ def test_nan_propagation_exits_with_abort_code(tmp_path, monkeypatch, runner):
     assert report["passed"] is False
     assert report["checks"][0]["name"] == "numerical_abort"
     assert "nan" in report["checks"][0]["value"]
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("lens", {"length": 5.0}, "boundary mass fraction"),
+    ("energy", {"length": 1e300, "draws": 2, "n_particles": [2]},
+     "out of range"),
+    ("energy", {"potential": {"shape": "gaussian_well", "a": 1e300,
+                              "s": 1.0, "r": 0.0}}, "out of range"),
+], ids=["lens_boundary_mass", "energy_huge_box", "energy_huge_well"])
+def test_valid_config_that_breaks_down_exits_with_abort_code(
+        tmp_path, command, cfg, message):
+    # configs the validator admits, which stop on the lens resolution
+    # guard or on a float overflow (h ** N, the potential's alpha)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    proc = run_cli(command, "--config", str(path), "--out", str(out))
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["passed"] is False
+    assert summary["checks"][0]["name"] == "numerical_abort"
+    assert message in summary["checks"][0]["value"]
 
 
 @pytest.mark.parametrize("refine", [1, 2], ids=["scan", "node_doubling"])

@@ -18,7 +18,6 @@ from boselab.nbody import (
     bbgky_residual,
     cutoff_chi,
     dense_hamiltonian,
-    energy_expectation,
     energy_moment,
     evolve,
     spectral_cutoff,
@@ -67,23 +66,35 @@ def test_apply_hamiltonian_matches_dense():
             assert np.max(np.abs(fast - ref)) < 1e-12, (nn, omega)
 
 
-def test_energy_expectation_and_moments():
-    # the Parseval route against <psi, H psi> through the matrix-free H
+def _fft_hamiltonian(system, psi):
+    """ifftn(sum_j k_j^2/2 fftn psi) + V psi: H_N by numpy's transforms,
+    an oracle that shares no code with the kinetic matrix."""
+    nn = system.n_particles
+    k2 = 0.5 * system.grid.k ** 2
+    symbol = sum(k2.reshape([-1 if ax == j else 1 for ax in range(nn)])
+                 for j in range(nn))
+    return (np.fft.ifftn(symbol * np.fft.fftn(psi))
+            + system.potential_diagonal() * psi)
+
+
+def test_hamiltonian_and_energy_match_fft_reference():
+    # the cases of test_apply_hamiltonian_matches_dense, whose dense
+    # matrix comes from the same dense_operator as apply_hamiltonian's
     for nn, n in ((1, 16), (2, 16), (3, 8)):
         g = Grid1D(n, 4.0)
         for omega in (0.0, 0.5):
             system = NBodySystem(g, nn, potential=gaussian_well(1.0, 1.0),
                                  omega=omega)
             state = random_state(g, nn, seed=1, k_filter=3.0)
-            e = energy_expectation(system, state)
+            ref = _fft_hamiltonian(system, state.amplitudes)
+            fast = apply_hamiltonian(system, state.amplitudes)
+            assert np.max(np.abs(fast - ref)) < 1e-12, (nn, omega)
+            e = energy_moment(system, state)
             assert isinstance(e, float)
-            ref = g.h ** nn * np.vdot(
-                state.amplitudes, apply_hamiltonian(system, state.amplitudes))
-            assert e == pytest.approx(ref.real, rel=1e-12), (nn, omega)
-            assert e == energy_expectation(system, state,
-                                           system.potential_diagonal())
-            assert energy_moment(system, state, 1) == pytest.approx(
-                e, rel=1e-12)
+            e_ref = g.h ** nn * np.vdot(state.amplitudes, ref)
+            assert e == pytest.approx(e_ref.real, rel=1e-12), (nn, omega)
+            assert e == energy_moment(system, state,
+                                      potential_diag=system.potential_diagonal())
             # second moment dominates the squared first moment
             assert energy_moment(system, state, 2) >= e ** 2
 
@@ -324,16 +335,15 @@ def test_stored_snapshots_do_not_alias_the_buffer():
 
 
 def _threaded_run(monkeypatch, pool):
-    from boselab import grid, nbody
+    from boselab import grid
 
     monkeypatch.setattr(grid, "_POOL_SIZE", pool)
     g = Grid1D(16, 4.0)  # 16^4 = 65,536 amplitudes: at the thread floor
     system = NBodySystem(g, 4, potential=gaussian_well(1.0, 1.0), omega=1.0)
     state = random_state(g, 4, seed=3, k_filter=3.0)
-    assert nbody._workers(state.amplitudes) == pool
     traj = evolve(system, state, 1e-3, 3, store_every=1)
     return (traj, apply_hamiltonian(system, state.amplitudes),
-            energy_expectation(system, state))
+            energy_moment(system, state))
 
 
 def test_threaded_transforms_are_bit_identical(monkeypatch):
@@ -418,12 +428,21 @@ def test_phase_matches_complex_exponential():
     assert np.allclose(small.imag, taylor.imag, rtol=1e-14, atol=0)
 
 
-def test_small_tensors_transform_on_one_thread(monkeypatch):
+def test_small_tensors_pass_on_one_thread(monkeypatch):
+    # 32^3 amplitudes: 4 kick-and-norm blocks, below THREAD_FLOOR, and
+    # 32^2 rows per kinetic product, one GEMM_ROWS block; so a pool of
+    # two is handed no job
     from boselab import grid, nbody
 
+    g = Grid1D(32, 4.0)
+    state = random_state(g, 3, seed=1, k_filter=3.0)
+    assert state.amplitudes.size // nbody.PASS_BLOCK == 4
+    assert state.amplitudes.size < nbody.THREAD_FLOOR
     monkeypatch.setattr(grid, "_POOL_SIZE", 2)
-    assert nbody._workers(np.zeros((16,) * 3, complex)) == 1
-    assert nbody._workers(np.zeros((32,) * 3, complex)) == 1
+    with _CountingPool(2) as executor:
+        monkeypatch.setattr(grid, "_POOL", executor)
+        evolve(NBodySystem(g, 3, potential=gaussian_well()), state, 1e-3, 3)
+    assert executor.jobs == 0
 
 
 @pytest.mark.parametrize("value", [None, "0", "-2", "two", "2.5", ""])
@@ -543,9 +562,9 @@ def test_energies_are_computed_when_read(monkeypatch):
 
     def counted(*args, **kwargs):
         calls.append(args[1])
-        return energy_expectation(*args, **kwargs)
+        return energy_moment(*args, **kwargs)
 
-    monkeypatch.setattr(nbody, "energy_expectation", counted)
+    monkeypatch.setattr(nbody, "energy_moment", counted)
     traj = evolve(system, state, 1e-3, 10, store_every=4)
     assert calls == []
     energies = traj.energies
@@ -554,7 +573,8 @@ def test_energies_are_computed_when_read(monkeypatch):
     assert traj.energies is energies
     assert len(calls) == 3
     pot = system.potential_diagonal()
-    eager = [energy_expectation(system, s, pot) for s in traj.states]
+    eager = [energy_moment(system, s, potential_diag=pot)
+             for s in traj.states]
     assert np.array_equal(energies, np.asarray(eager))
 
 
@@ -563,8 +583,6 @@ def test_grid_mismatch_is_rejected():
     system = NBodySystem(Grid1D(16, 8.0), 2, potential=gaussian_well())
     with pytest.raises(GridError, match="grid"):
         evolve(system, state, 1e-3, 2)
-    with pytest.raises(GridError, match="grid"):
-        energy_expectation(system, state)
 
 
 def _mismatched_states():
