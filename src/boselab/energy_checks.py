@@ -21,7 +21,8 @@ states carry none, and the S weights are built at system.omega.
 One-particle checks are dense eigensolves.  The pair block and the
 smoothing bound are solved matrix-free by Lanczos from a fixed start
 vector, so neither is capped at 4096 pair-grid points and reruns give the
-same bytes; the N-body identity applies the Hamiltonian matrix-free too.
+same bytes; the N-body identity and the moment bound apply the
+Hamiltonian matrix-free too (nbody.hamiltonian and nbody.energy_moment).
 Each check returns a dict of margins so callers can assert or just log.
 Negative controls (alpha scaled down in the pair block, the alpha of a
 weaker potential in the K inequality) show the inequalities are not
@@ -38,7 +39,7 @@ from .grid import (Grid1D, GridError, TensorState, apply_symbol,
                    apply_weight_squared, bracket_squared, dense_operator,
                    dense_weight_squared, kinetic_symbol, on_axes,
                    pair_differences, weighted_norm_squared)
-from .nbody import NBodySystem, apply_hamiltonian
+from .nbody import NBodySystem, energy_moment, hamiltonian
 from .potentials import PotentialSpec, scaled_potential
 
 
@@ -143,7 +144,7 @@ def check_decomposition_identity(system: NBodySystem, state: TensorState) -> flo
         raise GridError("the decomposition needs at least two particles")
     alpha = system.potential.alpha() if system.potential is not None else 0.0
     psi = state.amplitudes
-    lhs = apply_hamiltonian(system, psi) / nn + (1.0 + alpha) * psi
+    lhs = hamiltonian(system)(psi) / nn + (1.0 + alpha) * psi
 
     vpair = system.pair_potential_values()
     s2 = {}
@@ -165,9 +166,10 @@ def check_decomposition_identity(system: NBodySystem, state: TensorState) -> flo
 def check_energy_estimate(system: NBodySystem, state: TensorState, k: int = 1) -> dict:
     """Moment bound <(H_N + N alpha + N)^k> >= 2^{-k} N^k ||S_1...S_k psi||^2.
 
-    Returns lhs, rhs and margin = lhs - rhs.  k = 1 holds for every
-    N >= 2; the k = 2 version carries an unquantified particle-number
-    threshold, so callers should treat its margin as a measurement.
+    Returns lhs, rhs and margin = lhs - rhs; lhs is nbody.energy_moment
+    at shift N(1 + alpha).  k = 1 holds for every N >= 2; the k = 2
+    version carries an unquantified particle-number threshold, so callers
+    should treat its margin as a measurement.
     """
     if k < 1 or k > 2:
         raise GridError("moment order limited to k in {1, 2}")
@@ -175,13 +177,7 @@ def check_energy_estimate(system: NBodySystem, state: TensorState, k: int = 1) -
     if k >= nn:
         raise GridError("need k < N so that S_1..S_k acts on distinct particles")
     alpha = system.potential.alpha() if system.potential is not None else 0.0
-    shift = nn * (1.0 + alpha)
-    pot = system.potential_diagonal()
-    vec = state.amplitudes
-    for _ in range(k):
-        vec = apply_hamiltonian(system, vec, pot) + shift * vec
-    w = system.grid.h ** nn
-    lhs = float((w * np.vdot(state.amplitudes, vec)).real)
+    lhs = energy_moment(system, state, k, shift=nn * (1.0 + alpha))
     rhs = (nn ** k) * weighted_norm_squared(
         state, list(range(k)), "S", system.omega) / (2.0 ** k)
     return {"lhs": lhs, "rhs": rhs, "margin": lhs - rhs, "k": k,

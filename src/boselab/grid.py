@@ -12,8 +12,8 @@ for an N-particle state, so continuum formulas transfer literally:
 
 Diagonal Fourier multipliers (kinetic phases, Sobolev symbols) are applied
 with raw fft/ifft pairs since the normalization cancels.  Dense n x n
-forms (Fourier multipliers for small-grid oracles, the trigonometric
-interpolant used by the lens transform) share one DFT-matrix builder.
+forms (fourier_matrix, F^-1 diag(symbol) F, and the lens transform's
+trigonometric interpolant) are applied along one axis by apply_matrix.
 
 The one-particle pieces are defined here once.  The operator
 h = -d^2/2 + omega^2 x^2/2, in which every energy estimate is written
@@ -186,6 +186,18 @@ def apply_symbol(a: np.ndarray, symbol: np.ndarray, axis: int) -> np.ndarray:
     return np.fft.ifft(sym * np.fft.fft(a, axis=axis), axis=axis)
 
 
+def apply_matrix(a: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
+    """Apply an n x n matrix along one axis as one matrix product: the
+    rows of a times mat^T on the last axis, else mat times the (before,
+    n, after) view of a, batched; no axis is moved or copied."""
+    n = a.shape[axis]
+    if axis == a.ndim - 1:
+        out = a.reshape(-1, n) @ mat.T
+    else:
+        out = np.matmul(mat, a.reshape(math.prod(a.shape[:axis]), n, -1))
+    return out.reshape(a.shape)
+
+
 @dataclass
 class TensorState:
     """N-particle wavefunction as a complex tensor of shape (n,)*N.
@@ -221,7 +233,7 @@ class TensorState:
         return TensorState(self.grid, self.amplitudes / nrm)
 
     def inner(self, other: "TensorState") -> complex:
-        if other.amplitudes.shape != self.amplitudes.shape:
+        if other.grid != self.grid or other.n_particles != self.n_particles:
             raise GridError("states live on different tensor grids")
         w = self.grid.h ** self.n_particles
         return w * complex(np.vdot(self.amplitudes, other.amplitudes))
@@ -342,12 +354,17 @@ def interpolation_matrix(grid: Grid1D, targets: np.ndarray) -> np.ndarray:
     return evaluation @ _dft_matrix(grid)
 
 
+def fourier_matrix(grid: Grid1D, symbol: np.ndarray) -> np.ndarray:
+    """Dense n x n matrix F^-1 diag(symbol) F of a Fourier multiplier."""
+    return (_dft_matrix(grid, inverse=True)
+            @ (symbol[:, None] * _dft_matrix(grid)))
+
+
 def dense_operator(grid: Grid1D, symbol: np.ndarray,
                    multiplier: np.ndarray) -> np.ndarray:
     """Dense n x n matrix of a Fourier multiplier plus a multiplication
     operator, Hermitized as (M + M^*)/2 (for small-grid oracles)."""
-    mat = (_dft_matrix(grid, inverse=True)
-           @ (symbol[:, None] * _dft_matrix(grid))) + np.diag(multiplier)
+    mat = fourier_matrix(grid, symbol) + np.diag(multiplier)
     return 0.5 * (mat + mat.conj().T)
 
 

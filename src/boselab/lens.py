@@ -12,7 +12,9 @@ groups and the power cos^(-k); the inverse kernel map evaluates at
 contracted points y*cos and removes the quadratic phase.
 
 Spatial rescaling is done by evaluating the trigonometric interpolant
-(zero-padded Fourier series) at the stretched or contracted points.  The
+(zero-padded Fourier series) at the stretched or contracted points, one
+n x n matrix per time, applied along each particle axis with
+grid.apply_matrix (its conjugate along the primed axes of a kernel).  The
 outward stretch samples the periodic continuation beyond the box, which
 is only meaningful when the state carries negligible mass near the
 boundary; that is guarded explicitly.  omega = 0 is the identity map.
@@ -31,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid1D, GridError, TensorState, interpolation_matrix
+from .grid import (Grid1D, GridError, TensorState, apply_matrix,
+                   interpolation_matrix, weighted_norm_squared)
 from .marginals import MarginalDensity
 from .nls import NLSProblem, evolve_nls
 
@@ -119,12 +122,6 @@ def one_particle_matrix(grid: Grid1D, omega: float, t: float,
     return phase[:, None] * interpolation_matrix(grid, targets)
 
 
-def _apply_axis(a: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    moved = np.moveaxis(a, axis, 0)
-    out = np.tensordot(mat, moved, axes=(1, 0))
-    return np.moveaxis(out, 0, axis)
-
-
 def lens_function(lmap: LensMap, u: TensorState, tau: float):
     """Map a flat-time state u(tau) to the trapped-frame state at t(tau).
 
@@ -137,7 +134,7 @@ def lens_function(lmap: LensMap, u: TensorState, tau: float):
     fwd = one_particle_matrix(u.grid, lmap.omega, t)
     out = u.amplitudes
     for ax in range(u.n_particles):
-        out = _apply_axis(out, fwd, ax)
+        out = apply_matrix(out, fwd, ax)
     return TensorState(u.grid, out), t
 
 
@@ -161,9 +158,9 @@ def lens_kernel(lmap: LensMap, marginal: MarginalDensity, time: float,
     mat = one_particle_matrix(grid, lmap.omega, t, inverse)
     out = marginal.tensor()
     for ax in range(k):
-        out = _apply_axis(out, mat, ax)
+        out = apply_matrix(out, mat, ax)
     for ax in range(k, 2 * k):
-        out = _apply_axis(out, mat.conj(), ax)
+        out = apply_matrix(out, mat.conj(), ax)
     side = grid.n ** k
     return MarginalDensity(grid, k, out.reshape(side, side)), image_time
 
@@ -208,8 +205,6 @@ def intertwine_energy_check(lmap: LensMap, u: TensorState, tau: float,
     Returns both quadratic forms and their ratio; the comparison constant
     of the continuum statement is the departure of the ratio from 1.
     """
-    from .grid import weighted_norm_squared
-
     axes = list(range(k))
     lhs = weighted_norm_squared(u, axes, "L", 0.0)
     psi, t = lens_function(lmap, u, tau)

@@ -35,18 +35,19 @@ norm sums in block order, so states and norms are bit-identical for any
 pool size.  The phases themselves are built once per call from sines of
 their real angle, without complex exp.
 
-The matrix-free H_N (apply_hamiltonian) applies the kinetic part as the
-real symmetric n x n matrix of k^2/2 along every axis, the same dense
-form the dense Hamiltonian is built from, and makes no Fourier
-transform either; <psi, H_N^k psi> (energy_moment) is built on it, and
-k = 1 is the energy.
+The matrix-free H_N (hamiltonian) builds the n x n matrix K of k^2/2
+and the potential diagonal once and returns the action psi -> H_N psi,
+which applies K along every axis (grid.apply_matrix).  energy_moment,
+<psi, (H_N + shift)^k psi>, is the one moment sum built on it; k = 1
+with no shift is the energy.
 
 Also here: the dense Hamiltonian for small tensor grids (the oracle of
 the matrix-free routes), the smooth spectral cutoff used to regularize
 rough initial data, which diagonalizes that dense Hamiltonian afresh on
 every call (n^N = 256 in its uses, where eigh takes milliseconds), and
 the residual of the trapped BBGKY hierarchy evaluated on stored
-trajectories.
+trajectories, whose one-body commutator applies the dense one-particle
+h along the kernel's axes.  No state is Fourier transformed here.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import grid as _grid
-from .grid import (Grid1D, GridError, TensorState, apply_symbol,
-                   dense_operator, kinetic_symbol, on_axes,
+from .grid import (Grid1D, GridError, TensorState, apply_matrix,
+                   dense_operator, fourier_matrix, kinetic_symbol, on_axes,
                    pair_differences, trap_potential)
 from .marginals import partial_trace
 from .potentials import PotentialSpec, scaled_potential
@@ -127,9 +128,8 @@ def _kinetic_factor(grid: Grid1D, dt: float, split: bool) -> np.ndarray:
     """U^T for U = F^-1 diag(exp(-i dt k^2 / 2)) F, one particle's kinetic
     factor; with split, (U - I)^T, which keeps U's small departure from
     the identity to full relative precision."""
-    factor = (_grid._dft_matrix(grid, inverse=True)
-              @ (_phase_minus_one(-dt * kinetic_symbol(grid))[:, None]
-                 * _grid._dft_matrix(grid)))
+    factor = fourier_matrix(grid,
+                            _phase_minus_one(-dt * kinetic_symbol(grid)))
     if not split:
         factor += np.eye(grid.n)
     return np.ascontiguousarray(factor.T)
@@ -283,40 +283,37 @@ def _check_grid(system: NBodySystem, state: TensorState) -> None:
                         f"system grid {system.grid}")
 
 
-def apply_hamiltonian(system: NBodySystem, amplitudes: np.ndarray,
-                      potential_diag: np.ndarray | None = None) -> np.ndarray:
-    """Matrix-free H_N action on an amplitude tensor.
-
-    The kinetic part is the n x n matrix K of k^2/2 (dense_operator)
-    applied along every axis as one matrix product each, without axis
-    copies; the potential part multiplies by the diagonal.
-    """
-    if potential_diag is None:
-        potential_diag = system.potential_diagonal()
+def hamiltonian(system: NBodySystem):
+    """The matrix-free action psi -> H_N psi on amplitude tensors; K, the
+    n x n matrix of k^2/2, and the potential diagonal are built once."""
     grid = system.grid
-    n = grid.n
-    kin = dense_operator(grid, kinetic_symbol(grid), np.zeros(n))
-    a = np.asarray(amplitudes)
-    out = potential_diag * a
-    for ax in range(a.ndim - 1):
-        out += np.matmul(kin, a.reshape(n ** ax, n, -1)).reshape(a.shape)
-    out += (a.reshape(-1, n) @ kin.T).reshape(a.shape)
-    return out
+    kin = dense_operator(grid, kinetic_symbol(grid), np.zeros(grid.n))
+    pot = system.potential_diagonal()
+
+    def apply(amplitudes: np.ndarray) -> np.ndarray:
+        if amplitudes.shape != pot.shape:
+            raise GridError(f"amplitudes of shape {amplitudes.shape} do "
+                            f"not match the system's {pot.shape}")
+        out = pot * amplitudes
+        for ax in range(amplitudes.ndim):
+            out += apply_matrix(amplitudes, kin, ax)
+        return out
+
+    return apply
 
 
 def energy_moment(system: NBodySystem, state: TensorState, k: int = 1,
-                  potential_diag: np.ndarray | None = None) -> float:
-    """<psi, H_N^k psi> with the h^N quadrature weight, by repeated
-    matrix-free application; k = 1 is the energy."""
+                  shift: float = 0.0) -> float:
+    """<psi, (H_N + shift)^k psi> with the h^N quadrature weight, by
+    repeated matrix-free application; k = 1 with no shift is the energy."""
     _check_grid(system, state)
     if k < 1:
         raise GridError("moment order must be >= 1")
-    if potential_diag is None:
-        potential_diag = system.potential_diagonal()
+    ham = hamiltonian(system)
     amps = state.amplitudes
     vec = amps
     for _ in range(k):
-        vec = apply_hamiltonian(system, vec, potential_diag)
+        vec = ham(vec) + shift * vec
     # an einsum, not np.vdot, for the reason _norm_sq gives
     total = np.einsum("i,i->", amps.reshape(-1).conj(), vec.reshape(-1))
     # a complex diagonal (an absorbing potential) adds an imaginary part,
@@ -352,10 +349,8 @@ class Trajectory:
     @property
     def energies(self) -> np.ndarray:
         if self._energies is None:
-            pot = self.system.potential_diagonal()
             self._energies = np.asarray(
-                [energy_moment(self.system, s, potential_diag=pot)
-                 for s in self.states])
+                [energy_moment(self.system, s) for s in self.states])
         return self._energies
 
     def max_energy_drift(self) -> float:
@@ -513,22 +508,18 @@ def spectral_cutoff(system: NBodySystem, state: TensorState,
 
 # -- BBGKY residual ----------------------------------------------------------
 
-def _commutator_one_body(marg_tensor: np.ndarray, k: int, sym: np.ndarray,
-                         pot_diag: np.ndarray) -> np.ndarray:
-    """[sum_j A_j, gamma] for A = Fourier symbol + diagonal potential.
+def _commutator_one_body(marg_tensor: np.ndarray, k: int,
+                         h1: np.ndarray) -> np.ndarray:
+    """[sum_j h1_j, gamma] for a dense one-particle matrix h1.
 
-    Unprimed axes are 0..k-1, primed axes k..2k-1; A has a symmetric
-    kernel, so gamma A is A applied along the primed axes.
+    Unprimed axes are 0..k-1, primed axes k..2k-1: h1 gamma is h1 along
+    an unprimed axis, and gamma h1 is h1^T along a primed one.
     """
     out = np.zeros_like(marg_tensor)
-    # the symbol operator has a symmetric real kernel, so gamma A is
-    # the same apply_symbol call routed along the primed axis
     for ax in range(k):
-        out += (apply_symbol(marg_tensor, sym, ax)
-                + on_axes(pot_diag, 2 * k, ax) * marg_tensor)
+        out += apply_matrix(marg_tensor, h1, ax)
     for ax in range(k, 2 * k):
-        out -= (apply_symbol(marg_tensor, sym, ax)
-                + on_axes(pot_diag, 2 * k, ax) * marg_tensor)
+        out -= apply_matrix(marg_tensor, h1.T, ax)
     return out
 
 
@@ -578,8 +569,8 @@ def bbgky_residual(traj: Trajectory, k: int) -> dict:
     lhs = 1j * (gp.kernel - gm.kernel) / (2.0 * dt_s)
 
     tens = g0.tensor()
-    rhs = _commutator_one_body(tens, k, kinetic_symbol(grid),
-                               trap_potential(grid, system.omega))
+    rhs = _commutator_one_body(tens, k, dense_operator(
+        grid, kinetic_symbol(grid), trap_potential(grid, system.omega)))
     rhs = rhs.reshape(n ** k, n ** k)
 
     vpair = system.pair_potential_values()

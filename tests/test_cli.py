@@ -91,7 +91,8 @@ def test_bbgky_reports_second_order_ratio(tmp_path):
 
 # the potential and times guards run under a suite that reads those keys;
 # nls_validate rejects both keys as unread
-_BAD_CONFIG_COMMAND = {"bad_r": "convergence", "bad_times": "convergence"}
+_BAD_CONFIG_COMMAND = {"bad_r": "convergence", "bad_control_r": "energy",
+                       "bad_times": "convergence"}
 
 
 @pytest.mark.parametrize("name,contents,fragment", [
@@ -99,6 +100,8 @@ _BAD_CONFIG_COMMAND = {"bad_r": "convergence", "bad_times": "convergence"}
     ("bad_eps", '{"epsilon": 0.3}', "maximum of 0.25"),
     ("bad_r", '{"potential": {"shape": "mixed_sign", "a": 1.0, "s": 1.0,'
      ' "r": 0.6}}', "r <= 1/2"),
+    ("bad_control_r", '{"control_potential": {"shape": "mixed_sign",'
+     ' "a": 1.0, "s": 1.0, "r": 0.6}}', "control_potential: "),
     ("mismatch", '{"experiment": "convergence"}', "subcommand asked"),
     ("bad_times", '{"times": [0.0, 0.25, 0.4]}', "uniformly spaced"),
     ("not_json", "{oops", "config error"),
@@ -413,9 +416,9 @@ def test_convergence_reruns_byte_identical(tmp_path):
 # a change that moves printed digits updates its value here and lists the
 # moved numbers in CHANGES.md
 _DEFAULT_DIGESTS = {
-    "energy": "995919ef7def94fd089b9b573cb67ced094c8c6ebd1d8877ca80d5510e812cef",
+    "energy": "6b7d050385259e6dba5942bb46a92d6d308f7a190c7db33763d1a1f5ed68d7df",
     "lens": "b543d56e9af038570b355f4d5ecf515712d7521d6769e67cf08c84096a4ac3b7",
-    "bbgky": "ea1fb80a17e5c3320ff6f0e88acc8216b0a23ec05a354d7bfa6540cca8a93912",
+    "bbgky": "09a1927bf762cf8a36147194a9167035f746c171648143f5967cb7e55080c1ad",
     "nls-validate":
         "79f23fb9c079e32e9c7bc2c3f5de1b2291eb6cc5ba30ac1fecb5fa9bee19c7f7",
 }

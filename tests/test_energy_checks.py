@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from boselab.cli import DEFAULTS
 from boselab.grid import Grid1D, GridError, random_state
-from boselab.nbody import NBodySystem
+from boselab.nbody import NBodySystem, energy_moment
 from boselab.potentials import PotentialSpec, gaussian_well, mixed_sign
 from boselab.energy_checks import (
     check_K_inequality,
@@ -136,6 +136,23 @@ def test_energy_estimate_second_moment_reported():
     assert res["k"] == 2
     assert math.isfinite(res["margin"])
     assert res["lhs"] == pytest.approx(2726.8496021873807, rel=1e-8)
+
+
+@pytest.mark.parametrize("n_particles,k", [(2, 1), (3, 1), (3, 2)])
+def test_energy_estimate_lhs_is_the_shifted_moment(n_particles, k):
+    g = Grid1D(16, 8.0)
+    system = NBodySystem(g, n_particles, potential=GAUSSIAN, omega=1.0)
+    state = random_state(g, n_particles, seed=4, k_filter=3.0,
+                         symmetric=True)
+    shift = n_particles * (1.0 + GAUSSIAN.alpha())
+    lhs = check_energy_estimate(system, state, k)["lhs"]
+    assert lhs == energy_moment(system, state, k, shift=shift)
+    # <(H + s)^k> = sum_j C(k, j) s^(k-j) <H^j>, with <H^0> = ||psi||^2
+    moments = [state.norm() ** 2] + [energy_moment(system, state, j)
+                                     for j in range(1, k + 1)]
+    expansion = sum(math.comb(k, j) * shift ** (k - j) * moments[j]
+                    for j in range(k + 1))
+    assert lhs == pytest.approx(expansion, rel=1e-12)
 
 
 def test_energy_estimate_validation():

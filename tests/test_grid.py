@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boselab.grid import (
     Grid1D,
     GridError,
     TensorState,
+    apply_matrix,
     apply_symbol,
     apply_weight_squared,
     dense_operator,
@@ -61,6 +63,32 @@ def test_tensor_state_norm_and_inner():
     assert val == pytest.approx(1j, rel=1e-12)
     unit = state.normalized()
     assert unit.norm() == pytest.approx(1.0, rel=1e-14)
+
+
+def test_inner_rejects_a_state_on_another_grid():
+    # same shape, different box: the sum used to run with self's weight
+    a = random_state(Grid1D(16, 4.0), 2, seed=0)
+    b = random_state(Grid1D(16, 8.0), 2, seed=0)
+    for left, right in ((a, b), (b, a)):
+        with pytest.raises(GridError, match="different tensor grids"):
+            left.inner(right)
+    with pytest.raises(GridError, match="different tensor grids"):
+        a.inner(random_state(Grid1D(16, 4.0), 3, seed=0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(ndim=st.integers(1, 4), n=st.sampled_from([2, 4, 8]),
+       data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_apply_matrix_matches_tensordot(ndim, n, data, seed):
+    axis = data.draw(st.integers(0, ndim - 1), label="axis")
+    rng = np.random.default_rng(seed)
+    shape = (n,) * ndim
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    mat = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    ref = np.moveaxis(np.tensordot(mat, a, axes=(1, axis)), 0, axis)
+    out = apply_matrix(a, mat, axis)
+    assert out.shape == a.shape
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_tensor_state_copy_is_independent():

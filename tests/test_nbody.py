@@ -10,16 +10,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from boselab.grid import Grid1D, GridError, TensorState, random_state, symmetry_residual
+from boselab.grid import (Grid1D, GridError, TensorState, dense_operator,
+                          kinetic_symbol, random_state, symmetry_residual,
+                          trap_potential)
 from boselab.nbody import (
     NBodySystem,
     NumericalAbort,
-    apply_hamiltonian,
+    _commutator_one_body,
     bbgky_residual,
     cutoff_chi,
     dense_hamiltonian,
     energy_moment,
     evolve,
+    hamiltonian,
     spectral_cutoff,
 )
 from boselab.nls import trap_ground_state
@@ -59,7 +62,7 @@ def test_apply_hamiltonian_matches_dense():
             system = NBodySystem(g, nn, potential=gaussian_well(1.0, 1.0),
                                  omega=omega)
             state = random_state(g, nn, seed=1, k_filter=3.0)
-            fast = apply_hamiltonian(system, state.amplitudes)
+            fast = hamiltonian(system)(state.amplitudes)
             h = dense_hamiltonian(system)
             assert np.max(np.abs(h - h.conj().T)) < 1e-12
             ref = (h @ state.amplitudes.reshape(-1)).reshape((n,) * nn)
@@ -79,7 +82,7 @@ def _fft_hamiltonian(system, psi):
 
 def test_hamiltonian_and_energy_match_fft_reference():
     # the cases of test_apply_hamiltonian_matches_dense, whose dense
-    # matrix comes from the same dense_operator as apply_hamiltonian's
+    # matrix comes from the same dense_operator as hamiltonian's
     for nn, n in ((1, 16), (2, 16), (3, 8)):
         g = Grid1D(n, 4.0)
         for omega in (0.0, 0.5):
@@ -87,16 +90,38 @@ def test_hamiltonian_and_energy_match_fft_reference():
                                  omega=omega)
             state = random_state(g, nn, seed=1, k_filter=3.0)
             ref = _fft_hamiltonian(system, state.amplitudes)
-            fast = apply_hamiltonian(system, state.amplitudes)
+            fast = hamiltonian(system)(state.amplitudes)
             assert np.max(np.abs(fast - ref)) < 1e-12, (nn, omega)
             e = energy_moment(system, state)
             assert isinstance(e, float)
             e_ref = g.h ** nn * np.vdot(state.amplitudes, ref)
             assert e == pytest.approx(e_ref.real, rel=1e-12), (nn, omega)
-            assert e == energy_moment(system, state,
-                                      potential_diag=system.potential_diagonal())
+            # a shift s adds s ||psi||^2 to the energy
+            assert energy_moment(system, state, shift=2.5) == pytest.approx(
+                e + 2.5 * state.norm() ** 2, rel=1e-12), (nn, omega)
             # second moment dominates the squared first moment
             assert energy_moment(system, state, 2) >= e ** 2
+
+
+def test_hamiltonian_builds_the_potential_diagonal_once(monkeypatch):
+    g = Grid1D(16, 4.0)
+    system = NBodySystem(g, 3, potential=gaussian_well(1.0, 1.0), omega=1.0)
+    state = random_state(g, 3, seed=2, k_filter=3.0)
+    calls = []
+    built = NBodySystem.potential_diagonal
+
+    def counted(self):
+        calls.append(self)
+        return built(self)
+
+    monkeypatch.setattr(NBodySystem, "potential_diagonal", counted)
+    ham = hamiltonian(system)
+    vec = state.amplitudes
+    for _ in range(5):
+        vec = ham(vec)
+    assert calls == [system]
+    energy_moment(system, state, 3)
+    assert len(calls) == 2
 
 
 def test_dense_hamiltonian_dimension_cap():
@@ -342,7 +367,7 @@ def _threaded_run(monkeypatch, pool):
     system = NBodySystem(g, 4, potential=gaussian_well(1.0, 1.0), omega=1.0)
     state = random_state(g, 4, seed=3, k_filter=3.0)
     traj = evolve(system, state, 1e-3, 3, store_every=1)
-    return (traj, apply_hamiltonian(system, state.amplitudes),
+    return (traj, hamiltonian(system)(state.amplitudes),
             energy_moment(system, state))
 
 
@@ -572,9 +597,7 @@ def test_energies_are_computed_when_read(monkeypatch):
     assert all(a is b for a, b in zip(calls, traj.states))
     assert traj.energies is energies
     assert len(calls) == 3
-    pot = system.potential_diagonal()
-    eager = [energy_moment(system, s, potential_diag=pot)
-             for s in traj.states]
+    eager = [energy_moment(system, s) for s in traj.states]
     assert np.array_equal(energies, np.asarray(eager))
 
 
@@ -600,6 +623,15 @@ def test_energy_moment_rejects_a_foreign_state():
     for state, match in zip(states, ("grid", "particle number")):
         with pytest.raises(GridError, match=match):
             energy_moment(system, state)
+
+
+def test_hamiltonian_rejects_a_foreign_tensor():
+    # an N = 2 tensor against the N = 3 diagonal used to broadcast into
+    # an (n,)^3 result with no error
+    g = Grid1D(8, 4.0)
+    ham = hamiltonian(NBodySystem(g, 3, potential=gaussian_well()))
+    with pytest.raises(GridError, match="do not match"):
+        ham(random_state(g, 2, seed=0).amplitudes)
 
 
 def test_spectral_cutoff_rejects_a_foreign_state():
@@ -726,6 +758,27 @@ class TestBBGKYResidual:
                                       store_every=5), 1)["hs_norm"]
                 for dt in (2e-3, 1e-3)]
         assert 3.5 <= errs[0] / errs[1] <= 4.5
+
+    @pytest.mark.parametrize("k,n,omega", [(1, 16, 0.0), (1, 16, 0.5),
+                                           (2, 8, 0.5)])
+    def test_commutator_matches_the_fft_formula(self, k, n, omega):
+        # the former route, kept as the oracle: the kinetic symbol by an
+        # fft round trip and the trap as a multiplier, on each axis
+        g = Grid1D(n, 4.0)
+        rng = np.random.default_rng(7)
+        shape = (n,) * (2 * k)
+        tens = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        sym, trap = 0.5 * g.k ** 2, 0.5 * omega ** 2 * g.x ** 2
+        ref = np.zeros_like(tens)
+        for ax in range(2 * k):
+            line = [n if a == ax else 1 for a in range(2 * k)]
+            term = (np.fft.ifft(sym.reshape(line)
+                                * np.fft.fft(tens, axis=ax), axis=ax)
+                    + trap.reshape(line) * tens)
+            ref += term if ax < k else -term
+        h1 = dense_operator(g, kinetic_symbol(g), trap_potential(g, omega))
+        got = _commutator_one_body(tens, k, h1)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_result_fields(self):
         res = bbgky_residual(self.make(2e-3), 1)
