@@ -40,10 +40,10 @@ Flags may also come from environment variables with the BOSELAB_ prefix
 flags win.  --seed must be an integer >= 0 and --threads an integer
 >= 1, else exit code 2.  main runs BLAS and LAPACK on one thread, and
 --threads sizes the package's one thread pool (through OMP_NUM_THREADS),
-which runs the Strang step's kinetic products and fused kick-and-norm
-pass and the collapse kernel's u-blocks; every output is the same at any
---threads.  Both must be set before heavy imports, which is why
-the numerical modules are imported lazily inside the check functions.
+which runs the Strang step's kinetic levels and the collapse kernel's
+u-blocks; every output is the same at any --threads.  Both must be set
+before heavy imports, which is why the numerical modules are imported
+lazily inside the check functions.
 """
 
 from __future__ import annotations
@@ -337,9 +337,10 @@ def _check_envelope(merged: dict) -> None:
 
 
 # The run-length envelope: no suite takes more than 2^22 time steps in
-# all, nor more than 2^33 amplitude-steps (each step weighted by the
-# amplitudes it advances).  The default convergence suite takes 2,000
-# steps (eight runs of 250) and 5.4e8 amplitude-steps.
+# all, nor more than 2^33 amplitude-steps (each step weighted by the n^N
+# amplitudes of its tensor, which bound the sector values it advances).
+# The default convergence suite takes 2,000 steps (eight runs of 250) and
+# 5.4e8 amplitude-steps.
 _MAX_STEPS = 2 ** 22
 _MAX_AMPLITUDE_STEPS = 2 ** 33
 

@@ -39,7 +39,7 @@ from .grid import (Grid1D, GridError, TensorState, apply_symbol,
                    apply_weight_squared, bracket_squared, dense_operator,
                    dense_weight_squared, kinetic_symbol, on_axes,
                    pair_differences, weighted_norm_squared)
-from .nbody import NBodySystem, energy_moment, hamiltonian
+from .nbody import NBodySystem, _check_grid, energy_moment, hamiltonian
 from .potentials import PotentialSpec, scaled_potential
 
 
@@ -137,8 +137,10 @@ def check_decomposition_identity(system: NBodySystem, state: TensorState) -> flo
     pairs of H_{+ij} psi / (2N(N-1)), assembled from per-axis Sobolev
     weights and pair-potential multiplications.  The two routes share no
     code (a dense kinetic matrix per axis on the left, FFT round trips on
-    the right), so agreement is a genuine identity check.
+    the right), so agreement is a genuine identity check.  A state on
+    another grid, or with another particle number, raises GridError.
     """
+    _check_grid(system, state)
     nn = system.n_particles
     if nn < 2:
         raise GridError("the decomposition needs at least two particles")

@@ -10,30 +10,44 @@ psi(0).  Propagation is Strang splitting: half potential phase, full
 kinetic factor, half potential phase.  The kinetic factor
 exp(-i dt sum_j k_j^2 / 2) is a product of N copies of one n x n unitary
 U = F^-1 diag(exp(-i dt k^2 / 2)) F, built once per call, so a step
-applies it as N matrix products, one per axis, with no Fourier
+applies it as matrix products, one level per axis, with no Fourier
 transform.  Tensors below SPLIT_FLOOR amplitudes apply each factor P as
-psi + (P - 1) psi, which keeps the norm free of rounding bias.  The
-products alternate between two buffers of the tensor's size; between
-them a step touches the tensor once, in one blocked pass that applies
-the closing half kick, sums the norm and applies the next step's opening
-half kick.  Each factor is exactly unitary, so the discrete norm is
-conserved to rounding; the energy expectation oscillates within O(dt^2)
-without secular drift.  A trajectory computes its energies from the
-stored states when they are first read, not while it propagates.
+psi + (P - 1) psi, which keeps the norm free of rounding bias.  Each
+factor is exactly unitary, so the discrete norm is conserved to
+rounding; the energy expectation oscillates within O(dt^2) without
+secular drift.  A trajectory computes its energies from the stored
+states when they are first read, not while it propagates, with one H_N
+built for all of them.
+
+Storage: the state is bosonic, so evolve holds it as its values at the
+sorted index tuples i_1 <= ... <= i_N (grid.sorted_tuples), C(n+N-1, N)
+numbers (52,360 at N = 4, n = 32, against n^N = 1,048,576).  The input
+is projected onto that sector once, and a state the projection would
+move by more than marginals.SECTOR_RTOL (relative) is rejected.  The
+half kicks, the multiplicity-weighted norm and the norm guards act on
+the sector values.  The kinetic factor goes in N levels: after k of
+them the tensor is symmetric in its k transformed axes and in its N - k
+others, so level k is one gather into rows (sorted (N-k-1)-tuple,
+sorted k-tuple) and one matrix product with U^T along the axis it
+transforms (_SectorPlan.level_tables).  The index tables of the gathers
+are built once per call.  Besides the caller's state, evolve holds
+three level buffers, two outputs and one gathered input (at N = 4,
+n = 32: 16,896 x 32 entries, 8.7 MB each), the gather tables (11.7 MB
+there), the sector state, its half-kick phase and the sector values of
+the stored steps; once the loop ends and the tables and buffers are
+free, it expands those to full TensorStates, and the first snapshot is
+a copy of the caller's state.
 
 Threading: the package has one thread layer, its pool (grid._POOL_SIZE,
 shared with collapse's kernel_H), sized once at import from
 OMP_NUM_THREADS (which ``--threads`` sets) or else from the CPUs the
-process may run on; the CLI runs BLAS and LAPACK on one thread.  The
-Strang step's kinetic products go to the pool in blocks of GEMM_ROWS
-rows (grid._in_blocks); each row is one product of length n whatever
-the split, so they give the same bits for any pool size.  Its
-kick-and-norm pass runs on the same pool from THREAD_FLOOR = 2^16
-amplitudes up: it walks the flat tensor in fixed blocks of PASS_BLOCK
-amplitudes, a contiguous run of blocks per thread, and adds the blocks'
-norm sums in block order, so states and norms are bit-identical for any
-pool size.  The phases themselves are built once per call from sines of
-their real angle, without complex exp.
+process may run on; the CLI runs BLAS and LAPACK on one thread.  Each
+level's gather and product go to the pool in blocks of GEMM_ROWS rows
+(grid._in_blocks); each row is one gather and one product of length n
+whatever the split, so they give the same bits for any pool size.  The
+kicks and the norm act on the sector on the calling thread.  The phases
+themselves are built once per call from sines of their real angle,
+without complex exp.
 
 The matrix-free H_N (hamiltonian) builds the n x n matrix K of k^2/2
 and the potential diagonal once and returns the action psi -> H_N psi,
@@ -60,18 +74,14 @@ import numpy as np
 from . import grid as _grid
 from .grid import (Grid1D, GridError, TensorState, apply_matrix,
                    dense_operator, fourier_matrix, kinetic_symbol, on_axes,
-                   pair_differences, trap_potential)
-from .marginals import partial_trace
+                   pair_differences, sorted_tuples, trap_potential)
+from .marginals import SECTOR_RTOL, partial_trace
 from .potentials import PotentialSpec, scaled_potential
 
-# tensors with fewer amplitudes make evolve's kick-and-norm pass on the
-# calling thread, since below that the pool costs more than it saves
-THREAD_FLOOR = 2 ** 16
-
-# rows per matmul call of the kinetic factor, the unit of work that
-# _apply_per_axis hands to the pool: a product of fewer rows is one call
-# on the calling thread.  Under a threaded BLAS the blocks also keep its
-# per-thread buffer small (an unblocked 32^4 product at 2 OpenBLAS
+# rows per call of a kinetic level's gather and matmul, the unit of work
+# that _kinetic_levels hands to the pool: a level of fewer rows is one
+# call on the calling thread.  Under a threaded BLAS the blocks also keep
+# its per-thread buffer small (an unblocked 32^4 product at 2 OpenBLAS
 # threads grew RSS by 16.1 MB, against 1.4 MB in blocks of this size).
 GEMM_ROWS = 2048
 
@@ -82,16 +92,9 @@ GEMM_ROWS = 2048
 # one sign; the CLI's run-length envelope admits 2.8M steps below 2^15
 # amplitudes, and that could reach NORM_TOL.  The split form rounds only
 # the sum, which changes with the state every step, and drifts ~1e-19 per
-# step.  It costs one more pass per factor (as slow as the product at
-# 32^4); from 2^15 amplitudes up the envelope admits at most 175k steps,
-# and the factors are applied whole.
+# step.  It costs one more pass per factor; from 2^15 amplitudes up the
+# envelope admits at most 175k steps, and the factors are applied whole.
 SPLIT_FLOOR = 2 ** 15
-
-# amplitudes per block of evolve's kick-and-norm pass (128 KB each of psi
-# and phase, which stay in cache between the two kicks): 16^4 amplitudes,
-# the thread floor, make 8 blocks, so a pool of up to 8 threads gets at
-# least one each
-PASS_BLOCK = 2 ** 13
 
 # evolve aborts when the norm moves by more than this in one step or
 # since step 0; the splitting is exactly unitary
@@ -106,7 +109,6 @@ def _phase_minus_one(theta: np.ndarray) -> np.ndarray:
     potential with an imaginary part) adds expm1(-Im theta) exp(i Re theta).
     """
     out = np.empty(theta.shape, dtype=np.complex128)
-    # in place: the half-kick phase of a 32^4 tensor is 16 MB
     np.multiply(theta.real, 0.5, out=out.real)
     np.sin(out.real, out=out.real)
     np.square(out.real, out=out.real)
@@ -135,40 +137,134 @@ def _kinetic_factor(grid: Grid1D, dt: float, split: bool) -> np.ndarray:
     return np.ascontiguousarray(factor.T)
 
 
-def _apply_per_axis(psi: np.ndarray, factor_t: np.ndarray,
-                    spare: np.ndarray,
-                    split: bool) -> tuple[np.ndarray, np.ndarray]:
-    """U along every axis of psi; returns (result, free buffer).
+@dataclass(frozen=True)
+class _SectorPlan:
+    """The symmetric sector of N particles on n sites, stored as the
+    values at the sorted index tuples; C_m = C(n+m-1, m) counts the
+    sorted m-tuples.
 
-    factor_t is U^T, or (U - I)^T with split, which adds the input to each
-    product.  Each product applies U along axis 0 and writes that axis
-    last, so after one product per axis the axes are back in order.  A
-    product is issued in blocks of GEMM_ROWS rows, which run on the pool
-    (grid._in_blocks).  The result alternates between psi and spare,
-    which must not alias.
+    flat locates the sorted N-tuples in the full tensor, multiplicity
+    weights the norm, and ranks[expand] is the rank of every index tuple,
+    which projects a tensor onto the sector and expands it back.
+    level_tables gives the index tables of the kinetic levels.
     """
-    n = factor_t.shape[0]
-    for _ in range(psi.ndim):
-        src, dst = psi.reshape(n, -1).T, spare.reshape(-1, n)
 
-        def blocks(lo, hi):
+    n: int
+    tables: tuple
+    flat: np.ndarray
+    ranks: np.ndarray
+    multiplicity: np.ndarray
+    expand: np.ndarray
+
+    @classmethod
+    def build(cls, n: int, nn: int) -> "_SectorPlan":
+        tables = tuple(sorted_tuples(n, m) for m in range(1, nn + 1))
+        tuples, ranks, multiplicity = tables[-1]
+        expand = np.zeros((), dtype=np.intp)
+        for t in tables[:-1]:
+            expand = t[1][expand]
+        return cls(n, tables, np.ravel_multi_index(tuples.T, (n,) * nn),
+                   ranks, multiplicity, expand)
+
+    def level_tables(self) -> tuple[list, np.ndarray]:
+        """(gathers, final): the index tables of one kinetic step.
+
+        Level k (k = 0..N-1) applies U along one more axis.  Its input
+        rows are (b, c), b a sorted (N-k-1)-tuple of untransformed indices
+        and c a sorted k-tuple of transformed ones, and its columns the
+        index j of the axis it transforms.  gathers[k], shape
+        (C_{N-k-1} C_k, n), indexes the flat sector state (k = 0) or the
+        flat output of level k-1, shape (C_{N-k}, C_{k-1}, n), at (the
+        rank of b with j, c without its last index, c's last index).  The
+        product with U^T gives level k's output (C_{N-k-1}, C_k, n), whose
+        last index is the newly transformed one, and final indexes the
+        last output at the sorted N-tuples.  Consecutive rows read
+        neighbouring entries, so the gathers stream.
+        """
+        n, tables = self.n, self.tables
+        nn = len(tables)
+        dims = [1] + [len(t[0]) for t in tables]
+
+        def prefix_last(m):
+            # lexicographic order lists the m-tuples by their (m-1)-prefix
+            # and then by a last index from the prefix's last up
+            before = tables[m - 2][0][:, -1] if m > 1 else np.zeros(1, int)
+            return (np.repeat(np.arange(dims[m - 1]), n - before),
+                    tables[m - 1][0][:, -1])
+
+        gathers = [tables[nn - 1][1]]
+        for k in range(1, nn):
+            prefix, last = prefix_last(k)
+            index = ((tables[nn - k - 1][1][:, None, :] * dims[k - 1]
+                      + prefix[:, None]) * n + last[:, None])
+            gathers.append(index.reshape(-1, n))
+        prefix, last = prefix_last(nn)
+        return gathers, prefix * n + last
+
+    def project(self, amplitudes: np.ndarray) -> np.ndarray:
+        """Sector values of a tensor, the mean over each orbit of index
+        permutations; GridError if that moves it by more than SECTOR_RTOL
+        relative.  A NaN passes here and trips evolve's norm guard."""
+        rank = self.ranks[self.expand].reshape(-1)
+        values = amplitudes.reshape(-1)
+        size = len(self.multiplicity)
+        sector = np.empty(size, dtype=np.complex128)
+        sector.real = np.bincount(rank, values.real, size)
+        sector.imag = np.bincount(rank, values.imag, size)
+        sector /= self.multiplicity
+        off = sector[rank]
+        off -= values
+        off_sq, total_sq = _norm_sq(off), _norm_sq(values)
+        if off_sq > SECTOR_RTOL ** 2 * total_sq:
+            raise GridError(
+                f"state is off the bosonic sector: ||psi - S psi|| / ||psi||"
+                f" = {math.sqrt(off_sq / total_sq):.3e} > {SECTOR_RTOL}")
+        return sector
+
+    def expanded(self, sector: np.ndarray) -> np.ndarray:
+        """The full tensor of sector values, shape (n,)*N."""
+        return np.take(np.take(sector, self.ranks), self.expand, axis=0)
+
+
+def _kinetic_levels(psi: np.ndarray, gathers: list, factor_t: np.ndarray,
+                    split: bool, buffers: tuple) -> np.ndarray:
+    """U along every axis of the sector state psi, level by level
+    (_SectorPlan.level_tables); returns the flat last level output.
+
+    factor_t is U^T, or (U - I)^T with split, which adds the gathered
+    input to each product.  A level gathers into buffers[2] and
+    multiplies into buffers[0] or buffers[1], in turn, in blocks of
+    GEMM_ROWS rows on the pool (grid._in_blocks).  The buffers are
+    allocated once per evolve call, so the pool threads allocate nothing.
+    """
+    src = psi
+    for level, index in enumerate(gathers):
+        dst = buffers[level % 2][:len(index)]
+        gathered = buffers[2][:len(index)]
+
+        def blocks(lo, hi, src=src, index=index, dst=dst, into=gathered):
             for b in range(lo, hi):
                 rows = slice(b * GEMM_ROWS, (b + 1) * GEMM_ROWS)
-                np.matmul(src[rows], factor_t, out=dst[rows])
+                np.take(src, index[rows], out=into[rows], mode="clip")
+                np.matmul(into[rows], factor_t, out=dst[rows])
                 if split:
-                    dst[rows] += src[rows]
+                    dst[rows] += into[rows]
 
-        _grid._in_blocks(blocks, -(-src.shape[0] // GEMM_ROWS))
-        psi, spare = spare, psi
-    return psi, spare
+        _grid._in_blocks(blocks, -(-len(index) // GEMM_ROWS))
+        src = dst.reshape(-1)
+    return src
 
 
-def _norm_sq(a: np.ndarray) -> float:
-    """Euclidean sum |a|^2 without BLAS."""
+def _norm_sq(a: np.ndarray, weights: np.ndarray | None = None) -> float:
+    """Euclidean sum |a|^2, or sum weights |a|^2, without BLAS."""
     # a threaded BLAS dot (np.vdot) splits its sum over OpenBLAS's
     # threads, so its last bits would depend on the thread count
-    flat = a.reshape(-1).view(np.float64)
-    return float(np.einsum("i,i->", flat, flat))
+    if weights is None:
+        flat = a.reshape(-1).view(np.float64)
+        return float(np.einsum("i,i->", flat, flat))
+    sq = np.square(a.real)
+    sq += np.square(a.imag)
+    return float(np.einsum("i,i->", weights, sq))
 
 
 def _kick(src: np.ndarray, half: np.ndarray, split: bool,
@@ -179,55 +275,6 @@ def _kick(src: np.ndarray, half: np.ndarray, split: bool,
         np.add(src, src * half, out=out)
     else:
         np.multiply(src, half, out=out)
-
-
-def _kick_block(half: np.ndarray, split: bool, src: np.ndarray | None,
-                closed: np.ndarray, opened: np.ndarray | None) -> float:
-    """closed = src * half (unless src is None), then sum |closed|^2, then
-    opened = closed * half (unless opened is None); returns the sum."""
-    if src is not None:
-        _kick(src, half, split, closed)
-    total = _norm_sq(closed)
-    if opened is not None:
-        _kick(closed, half, split, opened)
-    return total
-
-
-def _kick_pass(half: np.ndarray, split: bool, src: np.ndarray | None,
-               closed: np.ndarray, opened: np.ndarray | None) -> float:
-    """_kick_block over the tensor in PASS_BLOCK blocks; returns sum |closed|^2.
-
-    Used as a Strang step's one pass between kinetic products: the
-    closing half kick from src into closed, the norm, and the next step's
-    opening half kick from closed into opened (with src None, closed is
-    read as it is).  Any two of the arrays may be one buffer.  From
-    THREAD_FLOOR up the blocks run on the pool, a contiguous run per
-    thread.  The block sums are added in block order, so the result, like
-    the kicked states, is the same for any pool size.
-    """
-    if closed.size <= PASS_BLOCK:
-        return _kick_block(half, split, src, closed, opened)
-    half_f = half.reshape(-1)
-    tensors = [None if a is None else a.reshape(-1)
-               for a in (src, closed, opened)]
-    n_blocks = -(-closed.size // PASS_BLOCK)
-    sums = [0.0] * n_blocks
-
-    def blocks(lo, hi):
-        for b in range(lo, hi):
-            cut = slice(b * PASS_BLOCK, (b + 1) * PASS_BLOCK)
-            sums[b] = _kick_block(
-                half_f[cut], split,
-                *(None if a is None else a[cut] for a in tensors))
-
-    if closed.size < THREAD_FLOOR:
-        blocks(0, n_blocks)
-    else:
-        _grid._in_blocks(blocks, n_blocks)
-    total = 0.0
-    for part in sums:
-        total += part
-    return total
 
 
 class NumericalAbort(RuntimeError):
@@ -309,7 +356,12 @@ def energy_moment(system: NBodySystem, state: TensorState, k: int = 1,
     _check_grid(system, state)
     if k < 1:
         raise GridError("moment order must be >= 1")
-    ham = hamiltonian(system)
+    return _moment(system, hamiltonian(system), state, k, shift)
+
+
+def _moment(system: NBodySystem, ham, state: TensorState, k: int = 1,
+            shift: float = 0.0) -> float:
+    """energy_moment's sum, given ham = hamiltonian(system)."""
     amps = state.amplitudes
     vec = amps
     for _ in range(k):
@@ -328,7 +380,8 @@ class Trajectory:
 
     energies, <psi, H_N psi> at each stored state, is computed from the
     states the first time it is read and then kept, so a propagation
-    whose energies are never read does not compute them.
+    whose energies are never read does not compute them; one H_N is built
+    for all of them.
     """
 
     system: NBodySystem
@@ -349,8 +402,9 @@ class Trajectory:
     @property
     def energies(self) -> np.ndarray:
         if self._energies is None:
+            ham = hamiltonian(self.system)
             self._energies = np.asarray(
-                [energy_moment(self.system, s) for s in self.states])
+                [_moment(self.system, ham, s) for s in self.states])
         return self._energies
 
     def max_energy_drift(self) -> float:
@@ -363,60 +417,57 @@ def evolve(system: NBodySystem, state: TensorState, dt: float, n_steps: int,
            store_every: int = 1) -> Trajectory:
     """Strang-splitting propagation of psi(t) = exp(-i t H_N) psi(0).
 
-    The norm change per step and since step 0 are both checked against
-    NORM_TOL (the splitting is exactly unitary, so violations indicate
-    numerical trouble, and the step-0 check catches slow drift that no
-    single step shows), and a non-finite norm aborts at once.  The largest
-    drift since step 0 over every step is kept as the trajectory's
-    norm_drift.  Snapshots are stored every store_every steps, including
-    the initial state.
+    The state must be bosonic: it is projected onto the symmetric sector
+    once, and GridError is raised when that moves it by more than
+    SECTOR_RTOL relative.  The norm change per step and since step 0 are
+    both checked against NORM_TOL (the splitting is exactly unitary, so
+    violations indicate numerical trouble, and the step-0 check catches
+    slow drift that no single step shows), and a non-finite norm aborts
+    at once.  The largest drift since step 0 over every step is kept as
+    the trajectory's norm_drift.  Snapshots are stored every store_every
+    steps; the first is a copy of the initial state as given, and its
+    norm that of the projection.
 
-    A step is N BLAS products with the n x n kinetic factor (in row
-    blocks on the pool), then one pass over the tensor (_kick_pass) that
-    applies the closing half kick, sums the norm, and applies the next
-    step's opening half kick, block by block; it makes no Fourier
-    transform.  Below
-    SPLIT_FLOOR each factor P is applied as psi + (P - 1) psi.  A stored
-    step before the last writes its closed state into the spare buffer,
-    which becomes the snapshot, and a new spare is made; the last step
-    closes psi in place, and the spare left free then takes a copy of the
-    initial state.  So the loop holds the caller's input, psi, the spare
-    and the half-kick phase, plus the snapshots stored so far: the
-    potential diagonal is dropped once the phase is built, and no energy
-    is computed here (Trajectory.energies computes them when read).
+    A step is N levels of gather and BLAS product with the n x n kinetic
+    factor (in row blocks on the pool, _kinetic_levels), one gather of
+    their result at the sorted tuples, the closing half kick, the
+    multiplicity-weighted norm, and the next step's opening half kick;
+    it makes no Fourier transform.  Below SPLIT_FLOOR amplitudes (n^N)
+    each factor P is applied as psi + (P - 1) psi.  No energy is computed
+    here (Trajectory.energies computes them when read).
     """
     _check_grid(system, state)
     if dt <= 0 or n_steps < 1 or store_every < 1:
         raise GridError("dt, n_steps, store_every must be positive")
 
-    split = state.amplitudes.size < SPLIT_FLOOR
-    # the potential diagonal is a temporary, dropped once half is built
+    grid, nn = system.grid, system.n_particles
+    plan = _SectorPlan.build(grid.n, nn)
+    closed = plan.project(state.amplitudes)
+    split = system.dim < SPLIT_FLOOR
+    # the full potential diagonal is a temporary, dropped once read
     half = (_phase_minus_one if split else _phase)(
-        (-0.5 * dt) * system.potential_diagonal())
-    factor_t = _kinetic_factor(system.grid, dt, split)
-    weight = system.grid.h ** system.n_particles
+        (-0.5 * dt) * system.potential_diagonal().reshape(-1)[plan.flat])
+    factor_t = _kinetic_factor(grid, dt, split)
+    weight = grid.h ** nn
+    gathers, final = plan.level_tables()
+    rows = max(len(index) for index in gathers)
+    buffers = tuple(np.empty((rows, grid.n), dtype=np.complex128)
+                    for _ in range(3))
 
-    amps = state.amplitudes
-    psi = np.empty(amps.shape, dtype=np.complex128)
-    spare = np.empty_like(psi)
-    # step 0's norm, and step 1's opening half kick into psi
     norm_prev = norm_start = math.sqrt(
-        weight * _kick_pass(half, split, None, amps, psi))
+        weight * _norm_sq(closed, plan.multiplicity))
     drift = 0.0
-
     times = [0.0]
-    states = []
+    stored = []
     norms = [norm_prev]
+    psi = np.empty_like(closed)
+    _kick(closed, half, split, psi)
 
     for step in range(1, n_steps + 1):
-        psi, spare = _apply_per_axis(psi, factor_t, spare, split)
-        last = step == n_steps
-        stored = step % store_every == 0
-        # a stored step before the last closes into the spare, which
-        # becomes its snapshot; the last step closes psi in place
-        closed = spare if stored and not last else psi
-        norm_now = math.sqrt(weight * _kick_pass(
-            half, split, psi, closed, None if last else psi))
+        levels = _kinetic_levels(psi, gathers, factor_t, split, buffers)
+        np.take(levels, final, out=closed, mode="clip")
+        _kick(closed, half, split, closed)
+        norm_now = math.sqrt(weight * _norm_sq(closed, plan.multiplicity))
 
         if not math.isfinite(norm_now):
             raise NumericalAbort(f"norm is {norm_now} at step {step}")
@@ -432,16 +483,18 @@ def evolve(system: NBodySystem, state: TensorState, dt: float, n_steps: int,
         norm_prev = norm_now
         drift = max(drift, since_start)
 
-        if stored:
+        if step % store_every == 0:
             times.append(step * dt)
-            states.append(TensorState(system.grid, closed))
+            stored.append(closed.copy())
             norms.append(norm_now)
-            if not last:
-                spare = np.empty_like(psi)
+        if step < n_steps:
+            _kick(closed, half, split, psi)
 
-    # the spare is free once the loop ends: it takes the initial snapshot
-    np.copyto(spare, amps)
-    states.insert(0, TensorState(system.grid, spare))
+    # snapshots are expanded once the level tables and buffers are free;
+    # the first is the caller's state as given
+    del gathers, buffers, levels
+    states = [TensorState(grid, state.amplitudes.copy())]
+    states += [TensorState(grid, plan.expanded(s)) for s in stored]
     return Trajectory(system, dt, store_every, np.asarray(times), states,
                       np.asarray(norms), drift)
 

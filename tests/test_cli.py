@@ -399,6 +399,16 @@ def _run_twice(tmp_path, *args):
     return first
 
 
+# sha256 of the two configs' output directories (see _DEFAULT_DIGESTS);
+# they pin the symmetric-sector Strang route at N = 2..4
+_CONVERGENCE_DIGESTS = {
+    "small":
+        "14b38240643adde993ebf894d0117866eb3fba93464e3628fd171b5f5e47723e",
+    "one_step":
+        "d048b4ea4110b2e8e29d07a8b308517e5380172b9cc0e6ea563b97bcd8c34588",
+}
+
+
 def test_convergence_reruns_byte_identical(tmp_path):
     # the one-step config's k=2 chaos distances at N = 3, 4 come from
     # LAPACK calls, whose last digits would move with a threaded BLAS
@@ -410,6 +420,7 @@ def test_convergence_reruns_byte_identical(tmp_path):
         path.write_text(json.dumps(cfg))
         out = _run_twice(tmp_path / name, "convergence", "--config", str(path))
         assert len(sorted(out.glob("*.csv"))) == 4
+        assert _directory_digest(out) == _CONVERGENCE_DIGESTS[name]
 
 
 # sha256 over each default output directory's files, sorted by name;
@@ -418,7 +429,7 @@ def test_convergence_reruns_byte_identical(tmp_path):
 _DEFAULT_DIGESTS = {
     "energy": "6b7d050385259e6dba5942bb46a92d6d308f7a190c7db33763d1a1f5ed68d7df",
     "lens": "b543d56e9af038570b355f4d5ecf515712d7521d6769e67cf08c84096a4ac3b7",
-    "bbgky": "09a1927bf762cf8a36147194a9167035f746c171648143f5967cb7e55080c1ad",
+    "bbgky": "b3c6439ff877e8b5543460db69aada1860a1a28ca81dc087581b84ea66cba2a9",
     "nls-validate":
         "79f23fb9c079e32e9c7bc2c3f5de1b2291eb6cc5ba30ac1fecb5fa9bee19c7f7",
 }
@@ -466,7 +477,7 @@ def _nan_amplitude_run(cfg, out, rhash):
     from boselab.nbody import NBodySystem, evolve
 
     g = Grid1D(16, 4.0)
-    state = random_state(g, 2, seed=0)
+    state = random_state(g, 2, seed=0, symmetric=True)
     state.amplitudes[3, 5] = float("nan")
     evolve(NBodySystem(g, 2), state, 1e-3, 5)
     return []

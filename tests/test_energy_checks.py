@@ -54,6 +54,18 @@ def test_decomposition_identity_validation():
                                      random_state(g, 1, seed=0))
 
 
+def test_decomposition_identity_rejects_a_foreign_state():
+    # the L = 4 state used to give a defect of 2.57 with no error
+    g = Grid1D(16, 8.0)
+    system = NBodySystem(g, 2, potential=GAUSSIAN)
+    assert check_decomposition_identity(
+        system, random_state(g, 2, seed=0)) < 1e-12
+    for state, match in ((random_state(Grid1D(16, 4.0), 2, seed=0), "grid"),
+                         (random_state(g, 3, seed=0), "particle number")):
+        with pytest.raises(GridError, match=match):
+            check_decomposition_identity(system, state)
+
+
 def test_pair_positivity_reference_values():
     g = Grid1D(32, 8.0)
     res = check_pair_positivity(GAUSSIAN, 2, 0.0, g)

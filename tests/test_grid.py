@@ -1,6 +1,8 @@
 """Grid, transform, state, and weight behavior."""
 
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from boselab.grid import (
     dense_operator,
     dense_weight_squared,
     random_state,
+    sorted_tuples,
     symmetrize,
     symmetry_residual,
     weighted_norm_squared,
@@ -192,3 +195,36 @@ def test_random_state_seeding_and_symmetry():
     assert symmetry_residual(a) < 1e-12
     loose = random_state(g, 2, seed=1)
     assert loose.norm() == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, k", [(1, 3), (2, 1), (3, 4), (5, 2), (8, 3),
+                                  (16, 4)])
+def test_sorted_tuples_enumerate_rank_and_count_the_sector(n, k):
+    tuples, ranks, multiplicity = sorted_tuples(n, k)
+    ref = list(itertools.combinations_with_replacement(range(n), k))
+    assert tuples.tolist() == [list(t) for t in ref]
+    assert len(ref) == math.comb(n + k - 1, k)
+    assert multiplicity.tolist() == [
+        math.factorial(k) / math.prod(map(math.factorial,
+                                          Counter(t).values()))
+        for t in ref]
+    assert multiplicity.sum() == n ** k
+    # ranks adds one index to a (k-1)-tuple; chained from the empty tuple
+    # it ranks every index tuple, in any order, as its sorted form
+    rank = {t: r for r, t in enumerate(ref)}
+    prev = list(itertools.combinations_with_replacement(range(n), k - 1))
+    assert ranks.shape == (len(prev), n)
+    for r, b in enumerate(prev):
+        for j in range(n):
+            assert ranks[r, j] == rank[tuple(sorted(b + (j,)))]
+    chained = np.zeros((), dtype=np.intp)
+    for m in range(1, k + 1):
+        chained = sorted_tuples(n, m)[1][chained]
+    assert chained.shape == (n,) * k
+    for t in itertools.product(range(min(n, 3)), repeat=k):
+        assert chained[t] == rank[tuple(sorted(t))]
+
+
+def test_sorted_tuples_reject_empty_widths():
+    with pytest.raises(GridError):
+        sorted_tuples(4, 0)

@@ -224,7 +224,7 @@ def _per_axis_strang(system, psi, dt, n_steps):
 
 
 @settings(max_examples=30, deadline=None)
-@given(nn=st.sampled_from([1, 2, 3]), n=st.sampled_from([8, 16]),
+@given(nn=st.sampled_from([1, 2, 3, 4]), n=st.sampled_from([8, 16]),
        omega=st.sampled_from([0.0, 1.0]), interacting=st.booleans(),
        dt=st.floats(1e-4, 2e-2), seed=st.integers(0, 2 ** 16))
 def test_in_place_step_matches_per_axis_reference(nn, n, omega, interacting,
@@ -233,7 +233,7 @@ def test_in_place_step_matches_per_axis_reference(nn, n, omega, interacting,
     system = NBodySystem(g, nn, omega=omega,
                          potential=gaussian_well(1.0, 1.0) if interacting
                          else None)
-    state = random_state(g, nn, seed=seed, k_filter=3.0)
+    state = random_state(g, nn, seed=seed, k_filter=3.0, symmetric=True)
     traj = evolve(system, state, dt, 6, store_every=6)
     ref = _per_axis_strang(system, state.amplitudes, dt, 6)
     got = traj.states[-1].amplitudes
@@ -249,7 +249,7 @@ def test_whole_propagator_matches_per_axis_reference(nn, n):
 
     g = Grid1D(n, 8.0)
     system = NBodySystem(g, nn, potential=gaussian_well(1.0, 1.0), omega=1.0)
-    state = random_state(g, nn, seed=5, k_filter=3.0)
+    state = random_state(g, nn, seed=5, k_filter=3.0, symmetric=True)
     assert state.amplitudes.size >= nbody.SPLIT_FLOOR
     traj = evolve(system, state, 2e-3, 4, store_every=4)
     ref = _per_axis_strang(system, state.amplitudes, 2e-3, 4)
@@ -262,7 +262,7 @@ def test_split_and_whole_propagators_agree(monkeypatch):
 
     g = Grid1D(16, 4.0)
     system = NBodySystem(g, 2, potential=gaussian_well(1.0, 1.0), omega=1.0)
-    state = random_state(g, 2, seed=6, k_filter=3.0)
+    state = random_state(g, 2, seed=6, k_filter=3.0, symmetric=True)
     split = evolve(system, state, 1e-3, 20, store_every=20)
     monkeypatch.setattr(nbody, "SPLIT_FLOOR", 1)
     whole = evolve(system, state, 1e-3, 20, store_every=20)
@@ -280,17 +280,24 @@ def test_split_factors_keep_the_norm_unbiased(nn, n, potential):
     from boselab import nbody
 
     g = Grid1D(n, 8.0)
-    state = random_state(g, nn, seed=7, k_filter=3.0)
+    state = random_state(g, nn, seed=7, k_filter=3.0, symmetric=True)
     assert state.amplitudes.size < nbody.SPLIT_FLOOR
     system = NBodySystem(g, nn, potential=potential, omega=0.5)
     traj = evolve(system, state, 2e-3, 20000, store_every=20000)
     assert traj.norm_drift < 2e-14
 
 
+def _level_rows(n, nn):
+    """Rows of the N kinetic levels: level k pairs the sorted k-tuples
+    with the sorted (N-k-1)-tuples, C(n+k-1, k) C(n+N-k-2, N-k-1)."""
+    return [math.comb(n + k - 1, k) * math.comb(n + nn - k - 2, nn - k - 1)
+            for k in range(nn)]
+
+
 @pytest.mark.parametrize("nn, n", [(3, 32), (4, 16)])
 def test_kinetic_product_blocks(monkeypatch, nn, n):
-    # every product is cut into calls of GEMM_ROWS rows, the last one
-    # shorter, so a product of fewer rows is one call
+    # every level is cut into calls of GEMM_ROWS rows, the last one
+    # shorter, so a level of fewer rows is one call
     from boselab import nbody
 
     rows = []
@@ -302,12 +309,14 @@ def test_kinetic_product_blocks(monkeypatch, nn, n):
 
     monkeypatch.setattr(nbody.np, "matmul", recording)
     g = Grid1D(n, 4.0)
-    state = random_state(g, nn, seed=2, k_filter=3.0)
+    state = random_state(g, nn, seed=2, k_filter=3.0, symmetric=True)
     evolve(NBodySystem(g, nn), state, 1e-3, 1)
     monkeypatch.undo()
-    assert sum(rows) == nn * n ** (nn - 1)
+    levels = _level_rows(n, nn)
+    # (3, 32): 528, 1024 and 528 rows; (4, 16): 816, 2176, 2176 and 816
+    assert sum(rows) == sum(levels)
     assert max(rows) <= nbody.GEMM_ROWS
-    assert len(rows) == nn * -(-n ** (nn - 1) // nbody.GEMM_ROWS)
+    assert len(rows) == sum(-(-r // nbody.GEMM_ROWS) for r in levels)
 
 
 _BLAS_RUN = """
@@ -318,15 +327,19 @@ from boselab.potentials import gaussian_well
 g = Grid1D(16, 4.0)
 system = NBodySystem(g, 4, potential=gaussian_well(1.0, 1.0), omega=1.0)
 state = random_state(g, 4, seed=3, k_filter=3.0, symmetric=True)
-traj = evolve(system, state, 1e-3, 3, store_every=3)
-print(hashlib.sha256(traj.states[-1].amplitudes.tobytes()).hexdigest())
+traj = evolve(system, state, 1e-3, 3, store_every=1)
+digest = hashlib.sha256(traj.norms.tobytes())
+for snap in traj.states:
+    digest.update(snap.amplitudes.tobytes())
+print(digest.hexdigest())
 """
 
 
 def test_kinetic_products_are_bit_identical_across_blas_threads():
-    # 16^4 amplitudes: above THREAD_FLOOR, and 4096 rows per product, so
-    # two blocks of GEMM_ROWS; a library caller may load a threaded BLAS,
-    # so every split of a product over the pool and BLAS is compared
+    # 16^4 amplitudes: levels of 816, 2176, 2176 and 816 rows, so the
+    # middle two are two blocks of GEMM_ROWS each; a library caller may
+    # load a threaded BLAS, so every split of a level over the pool and
+    # BLAS is compared, on every stored state and norm
     import os
     import subprocess
     from pathlib import Path
@@ -348,7 +361,7 @@ def test_kinetic_products_are_bit_identical_across_blas_threads():
 def test_stored_snapshots_do_not_alias_the_buffer():
     g = Grid1D(16, 4.0)
     system = NBodySystem(g, 2, potential=gaussian_well(), omega=1.0)
-    state = random_state(g, 2, seed=2, k_filter=3.0)
+    state = random_state(g, 2, seed=2, k_filter=3.0, symmetric=True)
     traj = evolve(system, state, 1e-3, 6, store_every=1)
     amps = [s.amplitudes for s in traj.states] + [state.amplitudes]
     for i in range(len(amps)):
@@ -363,9 +376,9 @@ def _threaded_run(monkeypatch, pool):
     from boselab import grid
 
     monkeypatch.setattr(grid, "_POOL_SIZE", pool)
-    g = Grid1D(16, 4.0)  # 16^4 = 65,536 amplitudes: at the thread floor
+    g = Grid1D(16, 4.0)  # 16^4 amplitudes: two middle levels of 2 blocks
     system = NBodySystem(g, 4, potential=gaussian_well(1.0, 1.0), omega=1.0)
-    state = random_state(g, 4, seed=3, k_filter=3.0)
+    state = random_state(g, 4, seed=3, k_filter=3.0, symmetric=True)
     traj = evolve(system, state, 1e-3, 3, store_every=1)
     return (traj, hamiltonian(system)(state.amplitudes),
             energy_moment(system, state))
@@ -398,7 +411,7 @@ def _split_run(monkeypatch, pool):
     from boselab import grid
 
     monkeypatch.setattr(grid, "_POOL_SIZE", pool)
-    g = Grid1D(16, 4.0)  # 16^4 = 65,536 amplitudes: at the thread floor
+    g = Grid1D(16, 4.0)  # 16^4 amplitudes: two middle levels of 2 blocks
     system = NBodySystem(g, 4, potential=mixed_sign(1.0, 1.0, r=0.25))
     state = random_state(g, 4, seed=8, k_filter=3.0, symmetric=True)
     with _CountingPool(pool) as executor:
@@ -421,14 +434,14 @@ def test_split_phase_products_are_bit_identical(monkeypatch, stress):
         split, jobs = _split_run(monkeypatch, pool)
     finally:
         sys.setswitchinterval(interval)
-    # one kick-and-norm pass before step 1 and one per step, each over the
-    # 16^4 / PASS_BLOCK = 8 blocks, split into min(pool, 8) runs of which
-    # the pool takes all but the first; and per step 4 kinetic products,
-    # each of 16^3 / GEMM_ROWS = 2 blocks, of which the pool takes the
-    # second
-    runs = min(pool, 16 ** 4 // nbody.PASS_BLOCK)
-    products = min(pool, 16 ** 3 // nbody.GEMM_ROWS)
-    assert (jobs, no_jobs) == (11 * (runs - 1) + 10 * 4 * (products - 1), 0)
+    # per step 4 kinetic levels, each split into min(pool, blocks) runs of
+    # which the pool takes all but the first: at 16^4 the middle two
+    # levels have 2 blocks of GEMM_ROWS, the outer two 1; the kicks and
+    # the norm act on the sector on the calling thread
+    blocks = [-(-r // nbody.GEMM_ROWS) for r in _level_rows(16, 4)]
+    assert blocks == [1, 2, 2, 1]
+    assert (jobs, no_jobs) == (10 * sum(min(pool, b) - 1 for b in blocks),
+                               0)
     for a, b in zip(split.states, single.states, strict=True):
         assert np.array_equal(a.amplitudes, b.amplitudes)
     assert np.array_equal(split.norms, single.norms)
@@ -454,15 +467,14 @@ def test_phase_matches_complex_exponential():
 
 
 def test_small_tensors_pass_on_one_thread(monkeypatch):
-    # 32^3 amplitudes: 4 kick-and-norm blocks, below THREAD_FLOOR, and
-    # 32^2 rows per kinetic product, one GEMM_ROWS block; so a pool of
-    # two is handed no job
+    # 32^3 amplitudes: kinetic levels of 528, 1024 and 528 rows, one
+    # GEMM_ROWS block each; so a pool of two is handed no job
     from boselab import grid, nbody
 
     g = Grid1D(32, 4.0)
-    state = random_state(g, 3, seed=1, k_filter=3.0)
-    assert state.amplitudes.size // nbody.PASS_BLOCK == 4
-    assert state.amplitudes.size < nbody.THREAD_FLOOR
+    state = random_state(g, 3, seed=1, k_filter=3.0, symmetric=True)
+    assert _level_rows(32, 3) == [528, 1024, 528]
+    assert max(_level_rows(32, 3)) <= nbody.GEMM_ROWS
     monkeypatch.setattr(grid, "_POOL_SIZE", 2)
     with _CountingPool(2) as executor:
         monkeypatch.setattr(grid, "_POOL", executor)
@@ -491,7 +503,7 @@ def test_norm_drift_covers_unstored_steps():
     g = Grid1D(16, 4.0)
     system = NBodySystem(g, 3, potential=mixed_sign(1.0, 1.0, r=0.25),
                          omega=1.0)
-    state = random_state(g, 3, seed=4, k_filter=3.0)
+    state = random_state(g, 3, seed=4, k_filter=3.0, symmetric=True)
     # the rounding drift grows with the step count, so its largest value
     # falls in steps 51..99, none of which the sparse run stores
     sparse = evolve(system, state, 1e-3, 99, store_every=50)
@@ -503,35 +515,46 @@ def test_norm_drift_covers_unstored_steps():
 
 
 def _three_pass_loop(system, state, dt, n_steps, store_every):
-    """Strang loop with a whole-tensor half kick, the per-axis products,
-    a second half kick and the norm, one pass each; returns the stored
-    states and norms."""
+    """Strang loop on the full tensor: a half kick, the per-axis products
+    (axis 0 first, each as rows @ U^T), a second half kick and the norm,
+    one pass each.  The tensor and the phase are kept at their values at
+    the sorted index tuples, as the sector route keeps them; returns the
+    stored states and norms."""
     from boselab import nbody
 
+    grid, nn = system.grid, system.n_particles
+    plan = nbody._SectorPlan.build(grid.n, nn)
+
+    def sorted_values(full):
+        return plan.expanded(full.reshape(-1)[plan.flat])
+
     split = state.amplitudes.size < nbody.SPLIT_FLOOR
-    half = (nbody._phase_minus_one if split else nbody._phase)(
-        (-0.5 * dt) * system.potential_diagonal())
-    factor_t = nbody._kinetic_factor(system.grid, dt, split)
-    weight = system.grid.h ** system.n_particles
+    half = sorted_values((nbody._phase_minus_one if split else nbody._phase)(
+        (-0.5 * dt) * system.potential_diagonal()))
+    factor_t = nbody._kinetic_factor(grid, dt, split)
+    weight = grid.h ** nn
 
     def kick(psi):
-        if split:
-            psi += psi * half
-        else:
-            psi *= half
+        return psi + psi * half if split else psi * half
+
+    def kinetic(psi):
+        for ax in range(nn):
+            rows = np.ascontiguousarray(np.moveaxis(psi, ax, -1))
+            out = rows.reshape(-1, grid.n) @ factor_t
+            if split:
+                out += rows.reshape(-1, grid.n)
+            psi = np.moveaxis(out.reshape(rows.shape), -1, ax)
+        return psi
 
     def norm(psi):
         return math.sqrt(weight * np.vdot(psi, psi).real)
 
-    psi = state.amplitudes.copy()
-    spare = np.empty_like(psi)
-    states, norms = [psi.copy()], [norm(psi)]
+    psi = plan.expanded(plan.project(state.amplitudes))
+    states, norms = [state.amplitudes.copy()], [norm(psi)]
     for step in range(1, n_steps + 1):
-        kick(psi)
-        psi, spare = nbody._apply_per_axis(psi, factor_t, spare, split)
-        kick(psi)
+        psi = sorted_values(kick(kinetic(kick(psi))))
         if step % store_every == 0:
-            states.append(psi.copy())
+            states.append(psi)
             norms.append(norm(psi))
     return states, norms
 
@@ -560,7 +583,7 @@ def test_evolve_holds_four_tensors():
 
     g = Grid1D(16, 4.0)
     system = NBodySystem(g, 4, potential=gaussian_well(1.0, 1.0), omega=1.0)
-    state = random_state(g, 4, seed=3, k_filter=3.0)
+    state = random_state(g, 4, seed=3, k_filter=3.0, symmetric=True)
     tensor = state.amplitudes.nbytes
     tracemalloc.start()
     try:
@@ -571,9 +594,10 @@ def test_evolve_holds_four_tensors():
         tracemalloc.stop()
     assert len(traj.states) == 3
     # the caller's input is allocated before tracing starts; evolve holds
-    # psi, the spare and the half-kick phase, plus the snapshots of steps
-    # 2 and 4 (the spare takes the initial snapshot once the loop ends):
-    # no potential diagonal and no energy temporaries
+    # the sector state, its phase, the level tables and buffers, and the
+    # stored sector values, and expands the snapshots once those are
+    # free: no more than the former loop's psi, spare and half-kick phase
+    # besides the snapshots, and no energy temporaries
     assert peak <= (3 + len(traj.states) - 1) * tensor + tensor // 8
 
 
@@ -582,14 +606,15 @@ def test_energies_are_computed_when_read(monkeypatch):
 
     g = Grid1D(16, 4.0)
     system = NBodySystem(g, 3, potential=gaussian_well(1.0, 1.0), omega=1.0)
-    state = random_state(g, 3, seed=5, k_filter=3.0)
+    state = random_state(g, 3, seed=5, k_filter=3.0, symmetric=True)
     calls = []
+    moment = nbody._moment
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
-        return energy_moment(*args, **kwargs)
+        calls.append(args[2])
+        return moment(*args, **kwargs)
 
-    monkeypatch.setattr(nbody, "energy_moment", counted)
+    monkeypatch.setattr(nbody, "_moment", counted)
     traj = evolve(system, state, 1e-3, 10, store_every=4)
     assert calls == []
     energies = traj.energies
@@ -599,6 +624,57 @@ def test_energies_are_computed_when_read(monkeypatch):
     assert len(calls) == 3
     eager = [energy_moment(system, s) for s in traj.states]
     assert np.array_equal(energies, np.asarray(eager))
+
+
+def test_energies_build_the_hamiltonian_once(monkeypatch):
+    # each stored state used to rebuild K and the potential diagonal
+    from boselab import nbody
+
+    g = Grid1D(16, 4.0)
+    system = NBodySystem(g, 3, potential=gaussian_well(1.0, 1.0), omega=1.0)
+    state = random_state(g, 3, seed=5, k_filter=3.0, symmetric=True)
+    traj = evolve(system, state, 1e-3, 10, store_every=2)
+    builds = []
+    build = nbody.hamiltonian
+
+    def counted(arg):
+        builds.append(arg)
+        return build(arg)
+
+    monkeypatch.setattr(nbody, "hamiltonian", counted)
+    energies = traj.energies
+    assert len(energies) == len(traj.states) == 6
+    assert builds == [system]
+    monkeypatch.undo()
+    assert np.array_equal(
+        energies, [energy_moment(system, s) for s in traj.states])
+
+
+def test_evolve_rejects_a_state_off_the_bosonic_sector():
+    from boselab import nbody
+    from boselab.marginals import SECTOR_RTOL
+
+    g = Grid1D(8, 4.0)
+    system = NBodySystem(g, 3, potential=gaussian_well(1.0, 1.0))
+    with pytest.raises(GridError, match="off the bosonic sector"):
+        evolve(system, random_state(g, 3, seed=0), 1e-3, 2)
+    # a symmetric state with one amplitude moved by 10 SECTOR_RTOL of the
+    # norm is rejected; a state symmetric to rounding is accepted
+    state = random_state(g, 3, seed=1, k_filter=3.0, symmetric=True)
+    assert 0 < symmetry_residual(state) < 1e-15
+    scale = math.sqrt(np.sum(np.abs(state.amplitudes) ** 2))
+    nudged = state.copy()
+    nudged.amplitudes[1, 2, 3] += 10 * SECTOR_RTOL * scale
+    with pytest.raises(GridError, match="off the bosonic sector"):
+        evolve(system, nudged, 1e-3, 2)
+    nudged.amplitudes[1, 2, 3] -= 9 * SECTOR_RTOL * scale
+    traj = evolve(system, nudged, 1e-3, 2)
+    # the first snapshot is the state as given, the others are projected
+    assert np.array_equal(traj.states[0].amplitudes, nudged.amplitudes)
+    assert symmetry_residual(traj.states[-1]) == 0.0
+    plan = nbody._SectorPlan.build(8, 3)
+    projected = plan.expanded(plan.project(nudged.amplitudes))
+    assert np.max(np.abs(projected - nudged.amplitudes)) < 1e-12 * scale
 
 
 def test_grid_mismatch_is_rejected():
@@ -647,7 +723,7 @@ def test_evolve_validation_and_abort(monkeypatch):
 
     g = Grid1D(16, 4.0)
     system = NBodySystem(g, 2, potential=gaussian_well())
-    state = random_state(g, 2, seed=0)
+    state = random_state(g, 2, seed=0, symmetric=True)
     with pytest.raises(GridError):
         evolve(system, random_state(g, 3, seed=0), 1e-3, 2)
     with pytest.raises(GridError):
@@ -664,7 +740,7 @@ def test_evolve_aborts_on_nan_amplitude():
     # NaN fails every comparison, so only a finiteness test can catch it
     g = Grid1D(16, 4.0)
     system = NBodySystem(g, 2, potential=gaussian_well())
-    state = random_state(g, 2, seed=0)
+    state = random_state(g, 2, seed=0, symmetric=True)
     state.amplitudes[3, 5] = np.nan
     with pytest.raises(NumericalAbort, match="nan"):
         evolve(system, state, 1e-3, 5)
@@ -678,7 +754,7 @@ def test_evolve_aborts_on_slow_norm_creep():
             return super().potential_diagonal() + 0.6e-10j / 1e-3
 
     g = Grid1D(16, 4.0)
-    state = random_state(g, 2, seed=0)
+    state = random_state(g, 2, seed=0, symmetric=True)
     system = Leaky(g, 2, potential=gaussian_well())
     with pytest.raises(NumericalAbort, match="since step 0 at step 2"):
         evolve(system, state, 1e-3, 20)
