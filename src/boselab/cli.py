@@ -936,14 +936,17 @@ def run_experiment(cfg: dict, out_dir) -> tuple[int, dict]:
                   for check in run(merged, out, rhash)]
         code = EXIT_PASS
     except Exception as err:  # propagation / numerical failures -> abort code
+        from .grid import ConvergenceError
         from .lens import LensResolutionError
         from .nbody import NumericalAbort
         from .nls import BlowupDetected
 
-        # a resolution guard (blow-up, lens boundary mass) or a float
-        # overflow stops a run the validator could not foresee
+        # a resolution guard (blow-up, lens boundary mass), a solver that
+        # did not converge or a float overflow stops a run the validator
+        # could not foresee
         if isinstance(err, (NumericalAbort, BlowupDetected, FloatingPointError,
-                            LensResolutionError, OverflowError)):
+                            LensResolutionError, OverflowError,
+                            ConvergenceError)):
             checks = [{"name": "numerical_abort", "value": str(err),
                        "passed": False}]
             code = EXIT_NUMERICAL_ABORT

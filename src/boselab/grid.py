@@ -30,7 +30,9 @@ the normalized Gaussian orbital.  DENSE_SIDE_CAP is the one cap on the
 side of a dense matrix that is built or decomposed.  sorted_tuples
 enumerates the sorted index tuples that span the bosonic sector, with
 their ranks and multiplicities, for nbody's sector propagation and the
-marginals' sector coordinates.
+marginals' sector coordinates.  lanczos_min is the one Krylov solver:
+the smallest eigenvalue of a matrix-free Hermitian operator by a
+three-term Lanczos recurrence (marginals' chaos distances use it).
 
 The package has one thread pool, defined here: its size is read once at
 import from OMP_NUM_THREADS (which ``--threads`` sets) or else from the
@@ -57,10 +59,20 @@ class GridError(ValueError):
     """Raised for inconsistent grid parameters or state payloads."""
 
 
+class ConvergenceError(ArithmeticError):
+    """Raised when an iterative solver stops without a converged value."""
+
+
 # The largest side of a dense matrix built or decomposed anywhere: the
 # N-body Hamiltonian, the pair block, marginal and sector kernels, and
 # the trap ground state's eigensolve.
 DENSE_SIDE_CAP = 4096
+
+# lanczos_min stops once the residual of its smallest Ritz pair is at
+# most LANCZOS_RTOL times the caller's bound on the operator norm, and
+# raises ConvergenceError after LANCZOS_MAX_ITER steps
+LANCZOS_RTOL = 1e-14
+LANCZOS_MAX_ITER = 200
 
 
 def _pool_size() -> int:
@@ -383,6 +395,49 @@ def symmetry_residual(state: TensorState) -> float:
             diff = state.amplitudes - np.transpose(state.amplitudes, perm)
             worst = max(worst, float(np.max(np.abs(diff))))
     return worst
+
+
+def lanczos_min(apply, start: np.ndarray, scale: float) -> float:
+    """Smallest eigenvalue of a Hermitian operator, by Lanczos from start.
+
+    apply(x) is the operator's action on a vector shaped like start, and
+    scale bounds its norm.  The three-term recurrence holds three vectors
+    and no basis, so it returns the smallest eigenvalue of the operator on
+    the Krylov space of start, which is the operator's own whenever start
+    is not orthogonal to that eigenvector.  After step m the Ritz pairs
+    of the m x m tridiagonal Lanczos matrix come from np.linalg.eigh
+    (microseconds at these sizes); it stops when the residual
+    beta_m |s_m| of the smallest (s its Ritz vector) is at most
+    LANCZOS_RTOL * scale.  A breakdown (beta_m that small: the Krylov
+    space is invariant and the Ritz value exact) is one such stop.  A
+    Ritz value then lies within that residual of an eigenvalue.  Raises
+    ConvergenceError on a non-finite coefficient or after
+    LANCZOS_MAX_ITER steps, never returning an unconverged value.
+    """
+    bound = LANCZOS_RTOL * scale
+    q = start / math.sqrt(float(np.vdot(start, start).real))
+    q_prev = np.zeros_like(q)
+    alphas, betas = [], []
+    beta = 0.0
+    for _ in range(LANCZOS_MAX_ITER):
+        w = apply(q)
+        w -= beta * q_prev
+        alpha = float(np.vdot(q, w).real)
+        w -= alpha * q
+        beta = math.sqrt(float(np.vdot(w, w).real))
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
+            raise ConvergenceError(
+                f"Lanczos coefficients alpha = {alpha}, beta = {beta}")
+        alphas.append(alpha)
+        theta, ritz = np.linalg.eigh(
+            np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        if beta * abs(ritz[-1, 0]) <= bound:
+            return float(theta[0])
+        betas.append(beta)
+        q_prev, q = q, w / beta
+    raise ConvergenceError(
+        f"Lanczos did not reach a residual of {bound:.3e} in "
+        f"{LANCZOS_MAX_ITER} steps")
 
 
 def _dft_matrix(grid: Grid1D, inverse: bool = False) -> np.ndarray:

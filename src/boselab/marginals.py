@@ -18,12 +18,15 @@ are taken on the symmetric subspace Sym^k, of dimension C(n+k-1, k)
 (528 against n^2 = 1024 at n = 32, k = 2): both operators vanish off it,
 so their difference has the same nonzero spectrum there.  A state that
 is not symmetric in its first k particles to SECTOR_RTOL is rejected.
-On the sector the difference is B W B^dagger, with B = [A, v] the sector
-coordinates of the amplitude matrix and of phi^(tensor k), and W =
-diag(h^(N-k), ..., h^(N-k), -1); its rank is at most n^(N-k) + 1.  When B
-has more rows than columns it is replaced by the R factor of its QR
-decomposition, and R W R^dagger, of that smaller side (2 at N = 2 and 33
-at N = 3 for n = 32, k = 2), has the same nonzero spectrum.
+On the sector the difference is D = h^(N-k) A A^dagger - v v^dagger,
+with A the sector coordinates of the amplitude matrix and v those of
+phi^(tensor k).  At k = 1 (side n) D is formed and its eigenvalues
+summed.  For k >= 2 D is a positive operator minus a rank-one
+projector, so it has at most one negative eigenvalue and
+Tr|D| = Tr D - 2 min(lambda_min, 0): Tr D comes from the norms of A and
+v, and lambda_min from grid.lanczos_min applied matrix-free, x ->
+h^(N-k) A (A^dagger x) - v (v^dagger x), started from v.  No kernel of
+the sector side is formed.
 
 The delta interaction of the limiting hierarchy is realized as diagonal
 pairing with weight 1/h, which is the convention under which the
@@ -98,10 +101,11 @@ class MarginalDensity:
 
 
 def _check_side(side: int):
-    """Dense eigendecompositions (occupation spectra, and the Hermitian
-    route of trace_norm and chaos_distance) are capped at the side of the
-    matrix actually decomposed: n^k for a marginal, the sector dimension
-    C(n+k-1, k) for chaos_distance."""
+    """Spectral work is capped at the side of the operator it acts on:
+    n^k for the dense eigendecompositions of a marginal (occupation
+    spectra, trace_norm), the sector dimension C(n+k-1, k) for
+    chaos_distance, whose k = 1 kernel is decomposed densely and whose
+    k >= 2 operator is applied matrix-free to vectors of that length."""
     if side > _grid.DENSE_SIDE_CAP:
         raise MarginalError(
             f"dense spectral operation of side {side} beyond kernel cap "
@@ -165,7 +169,7 @@ def _product_vector(grid: Grid1D, phi: np.ndarray, k: int) -> np.ndarray:
     if phi.shape != (grid.n,):
         raise MarginalError("phi must be a one-particle grid function")
     nrm2 = grid.h * float(np.sum(np.abs(phi) ** 2))
-    if abs(nrm2 - 1.0) > 1e-8:
+    if not abs(nrm2 - 1.0) <= 1e-8:  # NaN fails closed
         raise MarginalError(f"phi must be normalized, got ||phi||^2 = {nrm2}")
     vec = phi
     for _ in range(k - 1):
@@ -217,10 +221,14 @@ def chaos_distance(state: TensorState, k: int, phi: np.ndarray) -> float:
 
     Evaluated on the symmetric sector Sym^k of dimension C(n+k-1, k): the
     columns of the amplitude matrix (first k axes by the rest) and
-    phi^(tensor k) are mapped to sector coordinates, and the trace norm is
-    h^k * sum |eigvalsh| of h^(N-k) A A^dagger - v v^dagger on that side,
-    or, when [A, v] has more rows than columns, of the same form in the
-    columns of its R factor.
+    phi^(tensor k) are mapped to sector coordinates A and v, and the trace
+    norm is h^k Tr|D| for D = h^(N-k) A A^dagger - v v^dagger.  At k = 1
+    it is h sum |eigvalsh(D)|.  For k >= 2 it is
+    h^k max(Tr D - 2 min(lambda_min, 0), |Tr D|), with Tr D from the
+    norms of A and v and lambda_min from grid.lanczos_min started at v
+    (which is not orthogonal to the negative eigenvector u, since
+    u^dagger D u < 0 <= u^dagger (h^(N-k) A A^dagger) u); the |Tr D|
+    floor keeps rounding from taking the value below that lower bound.
     This equals the trace distance of partial_trace(state, k) to
     product_projector(phi, k) whenever the state is symmetric in its first
     k particles, so a state with ||psi - S_k psi|| / ||psi|| above
@@ -235,27 +243,49 @@ def chaos_distance(state: TensorState, k: int, phi: np.ndarray) -> float:
     _check_side(math.comb(n + k - 1, k))
     vec = _product_vector(grid, phi, k)
     amps = state.amplitudes
-    coords = amps.reshape(n ** k, -1)
-    if k > 1:  # at k = 1 the sector map is the identity
-        sym = symmetrize_leading(amps, k)
-        defect = float(np.linalg.norm(amps - sym) / np.linalg.norm(amps))
-        if not defect <= SECTOR_RTOL:
-            raise MarginalError(
-                f"state is off the bosonic sector of its first {k} particles: "
-                f"||psi - S_k psi|| / ||psi|| = {defect:.3e} > {SECTOR_RTOL}")
-        flat, root_mult = _sector_basis(n, k)
-        coords = sym.reshape(n ** k, -1)[flat]
-        coords *= root_mult[:, None]
-        vec = vec[flat] * root_mult
-    if coords.shape[0] > coords.shape[1] + 1:
-        # the kernel is B W B^dagger with B = [coords, vec]; B = QR leaves
-        # R W R^dagger, whose nonzero spectrum is the same
-        r = np.linalg.qr(np.column_stack((coords, vec)), mode="r")
-        coords, vec = r[:, :-1], r[:, -1]
-    kern = (coords @ coords.conj().T) * h ** (n_particles - k)
-    scale = max(float(np.max(np.abs(kern))), float(np.max(np.abs(vec))) ** 2)
-    kern -= np.multiply.outer(vec, vec.conj())
-    return _hermitian_trace_norm(kern, h ** k, scale)
+    norm = float(np.linalg.norm(amps))  # no warning on NaN or inf here
+    if not 0.0 < norm < math.inf:
+        raise MarginalError(f"state has ||psi|| = {norm} on the grid")
+    weight = h ** (n_particles - k)
+    if k == 1:  # the sector map is the identity
+        coords = amps.reshape(n, -1)
+        kern = (coords @ coords.conj().T) * weight
+        scale = max(float(np.max(np.abs(kern))),
+                    float(np.max(np.abs(vec))) ** 2)
+        kern -= np.multiply.outer(vec, vec.conj())
+        return _hermitian_trace_norm(kern, h, scale)
+    sym = symmetrize_leading(amps, k)
+    defect = float(np.linalg.norm(amps - sym)) / norm
+    if not defect <= SECTOR_RTOL:
+        raise MarginalError(
+            f"state is off the bosonic sector of its first {k} particles: "
+            f"||psi - S_k psi|| / ||psi|| = {defect:.3e} > {SECTOR_RTOL}")
+    flat, root_mult = _sector_basis(n, k)
+    coords = sym.reshape(n ** k, -1)[flat]
+    del sym
+    coords *= root_mult[:, None]
+    vec = vec[flat] * root_mult
+    trace_gamma = weight * _sum_sq(coords)
+    norm_v = _sum_sq(vec)
+
+    def apply(x):
+        # x^dagger A is conj(A^dagger x), so A is read in place, untransposed
+        out = coords @ (x.conj() @ coords).conj()
+        out *= weight
+        out -= vec * np.vdot(vec, x)
+        return out
+
+    lam = _grid.lanczos_min(apply, vec, trace_gamma + norm_v)
+    trace_d = trace_gamma - norm_v
+    return h ** k * max(trace_d - 2.0 * min(lam, 0.0), abs(trace_d))
+
+
+def _sum_sq(a: np.ndarray) -> float:
+    """sum |a|^2 by numpy's pairwise sum, whose rounding stays near one
+    ulp; a BLAS dot sums the 540k squares of an N = 4, k = 2 factor in
+    an order whose error reached 1e-13 of the total."""
+    flat = np.ascontiguousarray(a).reshape(-1).view(np.float64)
+    return float(np.sum(flat * flat))
 
 
 def delta_pairing_diagonal(grid: Grid1D) -> np.ndarray:

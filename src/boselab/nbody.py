@@ -25,11 +25,12 @@ numbers (52,360 at N = 4, n = 32, against n^N = 1,048,576).  The input
 is projected onto that sector once, and a state the projection would
 move by more than marginals.SECTOR_RTOL (relative) is rejected.  The
 half kicks, the multiplicity-weighted norm and the norm guards act on
-the sector values.  The kinetic factor goes in N levels: after k of
-them the tensor is symmetric in its k transformed axes and in its N - k
-others, so level k is one gather into rows (sorted (N-k-1)-tuple,
-sorted k-tuple) and one matrix product with U^T along the axis it
-transforms (_SectorPlan.level_tables).  The index tables of the gathers
+the sector values, and the half-kick phase is built from the potential
+at the sorted tuples alone (NBodySystem.potential_at).  The kinetic
+factor goes in N levels: after k of them the tensor is symmetric in its
+k transformed axes and in its N - k others, so level k is one gather
+into rows (sorted (N-k-1)-tuple, sorted k-tuple) and one matrix product
+with U^T along the axis it transforms (_SectorPlan.level_tables).  The index tables of the gathers
 are built once per call.  Besides the caller's state, evolve holds
 three level buffers, two outputs and one gathered input (at N = 4,
 n = 32: 16,896 x 32 entries, 8.7 MB each), the gather tables (11.7 MB
@@ -143,15 +144,16 @@ class _SectorPlan:
     values at the sorted index tuples; C_m = C(n+m-1, m) counts the
     sorted m-tuples.
 
-    flat locates the sorted N-tuples in the full tensor, multiplicity
-    weights the norm, and ranks[expand] is the rank of every index tuple,
-    which projects a tensor onto the sector and expands it back.
+    tuples lists the sorted N-tuples (the half kicks are evaluated at
+    them), multiplicity weights the norm, and ranks[expand] is the rank
+    of every index tuple, which projects a tensor onto the sector and
+    expands it back.
     level_tables gives the index tables of the kinetic levels.
     """
 
     n: int
     tables: tuple
-    flat: np.ndarray
+    tuples: np.ndarray
     ranks: np.ndarray
     multiplicity: np.ndarray
     expand: np.ndarray
@@ -163,8 +165,7 @@ class _SectorPlan:
         expand = np.zeros((), dtype=np.intp)
         for t in tables[:-1]:
             expand = t[1][expand]
-        return cls(n, tables, np.ravel_multi_index(tuples.T, (n,) * nn),
-                   ranks, multiplicity, expand)
+        return cls(n, tables, tuples, ranks, multiplicity, expand)
 
     def level_tables(self) -> tuple[list, np.ndarray]:
         """(gathers, final): the index tables of one kinetic step.
@@ -309,16 +310,28 @@ class NBodySystem:
 
     def potential_diagonal(self) -> np.ndarray:
         """Trap plus interaction as a diagonal tensor of shape (n,)*N."""
+        axis = np.arange(self.grid.n)
+        return self.potential_at(np.ix_(*(axis,) * self.n_particles))
+
+    def potential_at(self, index) -> np.ndarray:
+        """Trap plus interaction at the index tuples (index[0], ...,
+        index[N-1]), one integer array per particle, broadcast together.
+
+        The trap terms of the particles are added first and then the
+        pair terms (i, j) in lexicographic order, the same operations at
+        every tuple, so a gather of potential_diagonal() and the values
+        at those tuples are the same bits.
+        """
         nn = self.n_particles
         trap = trap_potential(self.grid, self.omega)
-        out = np.zeros((self.grid.n,) * nn)
-        for ax in range(nn):
-            out = out + on_axes(trap, nn, ax)
+        out = np.zeros(np.broadcast_shapes(*(np.shape(i) for i in index)))
+        for i in index:
+            out = out + trap[i]
         if self.potential is not None and nn >= 2:
             vpair = self.pair_potential_values() / nn
-            for i in range(nn):
-                for j in range(i + 1, nn):
-                    out = out + on_axes(vpair, nn, i, j)
+            for a in range(nn):
+                for b in range(a + 1, nn):
+                    out = out + vpair[index[a], index[b]]
         return out
 
 
@@ -444,9 +457,8 @@ def evolve(system: NBodySystem, state: TensorState, dt: float, n_steps: int,
     plan = _SectorPlan.build(grid.n, nn)
     closed = plan.project(state.amplitudes)
     split = system.dim < SPLIT_FLOOR
-    # the full potential diagonal is a temporary, dropped once read
     half = (_phase_minus_one if split else _phase)(
-        (-0.5 * dt) * system.potential_diagonal().reshape(-1)[plan.flat])
+        (-0.5 * dt) * system.potential_at(plan.tuples.T))
     factor_t = _kinetic_factor(grid, dt, split)
     weight = grid.h ** nn
     gathers, final = plan.level_tables()

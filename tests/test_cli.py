@@ -400,18 +400,20 @@ def _run_twice(tmp_path, *args):
 
 
 # sha256 of the two configs' output directories (see _DEFAULT_DIGESTS);
-# they pin the symmetric-sector Strang route at N = 2..4
+# they pin the symmetric-sector Strang route at N = 2..4 and the k = 2
+# chaos distances from one Lanczos eigenvalue
 _CONVERGENCE_DIGESTS = {
     "small":
-        "14b38240643adde993ebf894d0117866eb3fba93464e3628fd171b5f5e47723e",
+        "4d3813f1cf99f62b6b171bd5dd6318fd8c546b0aefff057699411b3aceafdb85",
     "one_step":
-        "d048b4ea4110b2e8e29d07a8b308517e5380172b9cc0e6ea563b97bcd8c34588",
+        "c173a43fd2b055634f4146f521495b46774fa25a4e5dd0a2c1b93e1a9941455c",
 }
 
 
 def test_convergence_reruns_byte_identical(tmp_path):
-    # the one-step config's k=2 chaos distances at N = 3, 4 come from
-    # LAPACK calls, whose last digits would move with a threaded BLAS
+    # the chaos distances come from BLAS products (the Lanczos matvecs at
+    # k = 2) and a LAPACK eigensolve (k = 1), whose last digits would
+    # move with a threaded BLAS
     for name, cfg in (("small", {"n": 16, "n_particles": [2, 3],
                                  "times": [0.0, 0.02]}),
                       ("one_step", {"n_particles": [3, 4],
@@ -505,6 +507,20 @@ def test_nan_propagation_exits_with_abort_code(tmp_path, monkeypatch, runner):
     assert report["passed"] is False
     assert report["checks"][0]["name"] == "numerical_abort"
     assert "nan" in report["checks"][0]["value"]
+
+
+def test_unconverged_lanczos_exits_with_abort_code(tmp_path, monkeypatch):
+    # the k = 2 chaos distances at t = 0.02 need more than one step
+    from boselab import cli
+
+    monkeypatch.setattr("boselab.grid.LANCZOS_MAX_ITER", 1)
+    cfg = {"experiment": "convergence", "n": 16, "n_particles": [2, 3],
+           "times": [0.0, 0.02]}
+    code, report = cli.run_experiment(cfg, tmp_path)
+    assert code == cli.EXIT_NUMERICAL_ABORT == 3
+    assert report["passed"] is False
+    assert report["checks"][0]["name"] == "numerical_abort"
+    assert "Lanczos did not reach" in report["checks"][0]["value"]
 
 
 @pytest.mark.parametrize("command, cfg, message", [

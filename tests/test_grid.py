@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from boselab import grid as grid_module
 from boselab.grid import (
+    ConvergenceError,
     Grid1D,
     GridError,
     TensorState,
@@ -17,6 +19,7 @@ from boselab.grid import (
     apply_weight_squared,
     dense_operator,
     dense_weight_squared,
+    lanczos_min,
     random_state,
     sorted_tuples,
     symmetrize,
@@ -228,3 +231,68 @@ def test_sorted_tuples_enumerate_rank_and_count_the_sector(n, k):
 def test_sorted_tuples_reject_empty_widths():
     with pytest.raises(GridError):
         sorted_tuples(4, 0)
+
+
+def _psd_minus_rank_one(shape, side, width, seed):
+    """(apply, v, dense D) for D = w A A^dagger - v v^dagger with unit Tr of
+    w A A^dagger and unit v, the form of a chaos-distance operator: A is
+    side x width, or v itself for the product state (D = 0)."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*size):
+        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+    v = draw(side)
+    v /= np.linalg.norm(v)
+    a = v[:, None].copy() if shape == "product" else draw(side, width)
+    w = 1.0 / np.linalg.norm(a) ** 2
+
+    def apply(x):
+        return w * (a @ (a.conj().T @ x)) - v * np.vdot(v, x)
+
+    return apply, v, w * (a @ a.conj().T) - np.outer(v, v.conj())
+
+
+# (shape, side, columns): a tall factor has more rows than columns + 1
+LANCZOS_CASES = st.one_of(
+    st.tuples(st.just("product"), st.integers(1, 40), st.just(1)),
+    st.tuples(st.just("rank_one"), st.integers(2, 40), st.just(1)),
+    st.integers(4, 40).flatmap(lambda m: st.tuples(
+        st.just("tall"), st.just(m), st.integers(1, m - 2))),
+    st.integers(2, 30).flatmap(lambda m: st.tuples(
+        st.just("wide"), st.just(m), st.integers(m, 2 * m))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=LANCZOS_CASES, seed=st.integers(0, 2 ** 16))
+def test_lanczos_min_matches_eigvalsh_on_psd_minus_rank_one(case, seed):
+    apply, v, dense = _psd_minus_rank_one(*case, seed)
+    ref = np.linalg.eigvalsh(dense)[0]
+    # Tr (w A A^dagger) + |v|^2 = 2 bounds the operator norm
+    assert lanczos_min(apply, v, 2.0) == pytest.approx(ref, abs=1e-13)
+
+
+def test_lanczos_min_stops_at_breakdown_without_warnings():
+    # D = 0 breaks down in the first step, a rank-one gamma in the second,
+    # and neither may divide by a vanishing beta
+    for shape in ("product", "rank_one"):
+        apply, v, dense = _psd_minus_rank_one(shape, 12, 1, seed=3)
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return apply(x)
+
+        assert lanczos_min(counted, v, 2.0) == pytest.approx(
+            np.linalg.eigvalsh(dense)[0], abs=1e-14)
+        assert len(calls) == (1 if shape == "product" else 2)
+
+
+def test_lanczos_min_raises_instead_of_returning_unconverged(monkeypatch):
+    apply, v, _ = _psd_minus_rank_one("tall", 30, 10, seed=5)
+    monkeypatch.setattr(grid_module, "LANCZOS_MAX_ITER", 2)
+    with pytest.raises(ConvergenceError, match="2 steps"):
+        lanczos_min(apply, v, 2.0)
+    with pytest.raises(ConvergenceError, match="nan"):
+        lanczos_min(lambda x: np.full_like(x, np.nan), v, 2.0)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boselab.grid import (Grid1D, TensorState, dense_weight_squared,
-                          random_state, symmetrize, weighted_norm_squared)
+from boselab.grid import (ConvergenceError, Grid1D, TensorState,
+                          dense_weight_squared, random_state, symmetrize,
+                          weighted_norm_squared)
 from boselab.marginals import (
     MarginalDensity,
     MarginalError,
@@ -232,9 +233,10 @@ def test_chaos_distance_matches_full_space_oracle(case, blend, seed):
                          product_projector(g, phi, k))
     assert chaos_distance(state, k, phi) == pytest.approx(ref, rel=1e-12,
                                                           abs=1e-13)
-    # the product state of phi itself: the distance vanishes
+    # the product state of phi itself: the distance vanishes, and
+    # rounding never takes it below zero
     same = blended_boson_state(g, nn, phi, 0.0, seed)
-    assert chaos_distance(same, k, phi) <= 1e-13
+    assert 0.0 <= chaos_distance(same, k, phi) <= 1e-13
 
 
 def _factor_is_tall(nn, n, k):
@@ -248,11 +250,12 @@ def test_sector_cases_cover_tall_and_wide_factors():
     assert shapes == {True, False}
 
 
-@pytest.mark.parametrize("nn", [2, 3])
+@pytest.mark.parametrize("nn", [2, 3, 4])
 def test_chaos_distance_on_the_mean_field_grid(nn):
-    # n = 32, k = 2: a 528-row factor with 2 (N = 2) or 33 (N = 3) columns
+    # n = 32, k = 2: a 528-row factor with 2 (N = 2), 33 (N = 3) or
+    # 1025 (N = 4) columns, against the 1024^2 kernel of the oracle
     g = Grid1D(32, 8.0)
-    assert _factor_is_tall(nn, g.n, 2)
+    assert _factor_is_tall(nn, g.n, 2) == (nn < 4)
     rng = np.random.default_rng(nn)
     phi = random_orbital(g, rng)
     state = blended_boson_state(g, nn, random_orbital(g, rng), 0.3, seed=nn)
@@ -299,6 +302,45 @@ def test_chaos_distance_rejects_states_off_the_bosonic_sector():
         chaos_distance(boson, 4, phi)
     with pytest.raises(MarginalError, match="normalized"):
         chaos_distance(boson, 1, 2.0 * phi)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_chaos_distance_fails_closed_on_non_finite_input(bad):
+    g = Grid1D(8, 4.0)
+    phi = unit_gaussian(g)
+    boson = random_state(g, 3, seed=4, k_filter=3.0, symmetric=True)
+    spoilt = boson.amplitudes.copy()
+    spoilt[1, 2, 3] = bad
+    orbital = phi.copy()
+    orbital[2] = bad
+    for k in (1, 2, 3):
+        with pytest.raises(MarginalError):
+            chaos_distance(TensorState(g, spoilt), k, phi)
+        with pytest.raises(MarginalError):
+            chaos_distance(boson, k, orbital)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_chaos_distance_keeps_the_trace_lower_bound(k):
+    # phi^N against c phi, c^2 = 1 + 4e-9 (inside the normalization check):
+    # D = (1 - c^(2k)) |phi><phi|^k is negative, Tr|D| = |Tr D|
+    g = Grid1D(8, 4.0)
+    phi = unit_gaussian(g)
+    state = TensorState(g, product_tensor(phi, 3))
+    c2 = 1.0 + 4e-9
+    value = chaos_distance(state, k, math.sqrt(c2) * phi)
+    assert value == pytest.approx(c2 ** k - 1.0, rel=1e-6)
+
+
+def test_chaos_distance_raises_when_lanczos_does_not_converge(monkeypatch):
+    g = Grid1D(16, 4.0)
+    rng = np.random.default_rng(7)
+    phi = random_orbital(g, rng)
+    state = blended_boson_state(g, 3, random_orbital(g, rng), 0.3, seed=7)
+    assert chaos_distance(state, 2, phi) > 0.1
+    monkeypatch.setattr("boselab.grid.LANCZOS_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError, match="did not reach"):
+        chaos_distance(state, 2, phi)
 
 
 def test_kernel_cap_applies_to_the_sector_side(monkeypatch):

@@ -54,6 +54,40 @@ def test_potential_diagonal_structure():
     assert np.allclose(free.pair_potential_values(), 0.0)
 
 
+@pytest.mark.parametrize("nn, n, omega, potential", [
+    (1, 16, 1.0, None),
+    (2, 16, 0.0, gaussian_well()),
+    (3, 8, 1.0, mixed_sign()),
+    (4, 32, 0.5, gaussian_well(1.0, 1.0)),
+])
+def test_potential_at_sorted_tuples_is_the_gathered_diagonal(nn, n, omega,
+                                                            potential):
+    # evolve's half kicks read the diagonal at the sorted tuples only; the
+    # same sums in the same order give the same bits as the full tensor
+    from boselab import nbody
+
+    system = NBodySystem(Grid1D(n, 4.0), nn, potential=potential,
+                         omega=omega)
+    tuples = nbody._SectorPlan.build(n, nn).tuples
+    flat = np.ravel_multi_index(tuples.T, (n,) * nn)
+    assert np.array_equal(system.potential_at(tuples.T),
+                          system.potential_diagonal().reshape(-1)[flat])
+
+
+def test_evolve_does_not_build_the_full_diagonal(monkeypatch):
+    g = Grid1D(16, 4.0)
+    system = NBodySystem(g, 3, potential=gaussian_well(), omega=1.0)
+    state = random_state(g, 3, seed=2, k_filter=3.0, symmetric=True)
+    before = evolve(system, state, 1e-3, 3).states[-1].amplitudes
+
+    def refuse(self):
+        raise AssertionError("full potential diagonal built")
+
+    monkeypatch.setattr(NBodySystem, "potential_diagonal", refuse)
+    after = evolve(system, state, 1e-3, 3).states[-1].amplitudes
+    assert np.array_equal(before, after)
+
+
 def test_apply_hamiltonian_matches_dense():
     # n = 8 at N = 3 keeps the dense matrix at 512^2
     for nn, n in ((1, 16), (2, 16), (3, 8)):
@@ -524,9 +558,10 @@ def _three_pass_loop(system, state, dt, n_steps, store_every):
 
     grid, nn = system.grid, system.n_particles
     plan = nbody._SectorPlan.build(grid.n, nn)
+    flat = np.ravel_multi_index(plan.tuples.T, (grid.n,) * nn)
 
     def sorted_values(full):
-        return plan.expanded(full.reshape(-1)[plan.flat])
+        return plan.expanded(full.reshape(-1)[flat])
 
     split = state.amplitudes.size < nbody.SPLIT_FLOOR
     half = sorted_values((nbody._phase_minus_one if split else nbody._phase)(
@@ -750,8 +785,8 @@ def test_evolve_aborts_on_slow_norm_creep():
     # an imaginary potential part grows the norm by 0.6 NORM_TOL per step:
     # no single step trips the per-step check, the step-0 check must
     class Leaky(NBodySystem):
-        def potential_diagonal(self):
-            return super().potential_diagonal() + 0.6e-10j / 1e-3
+        def potential_at(self, index):
+            return super().potential_at(index) + 0.6e-10j / 1e-3
 
     g = Grid1D(16, 4.0)
     state = random_state(g, 2, seed=0, symmetric=True)
