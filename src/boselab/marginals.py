@@ -16,10 +16,13 @@ state, a marginal carries no trap frequency; the operators that need one
 Chaos distances Tr|gamma^(k) - |phi><phi|^(tensor k)| of bosonic states
 are taken on the symmetric subspace Sym^k, of dimension C(n+k-1, k)
 (528 against n^2 = 1024 at n = 32, k = 2): both operators vanish off it,
-so their difference has the same nonzero spectrum there.  A state that
-is not symmetric in its first k particles to SECTOR_RTOL is rejected.
-On the sector the difference is D = h^(N-k) A A^dagger - v v^dagger,
-with A the sector coordinates of the amplitude matrix and v those of
+so their difference has the same nonzero spectrum there.
+sector_marginal(state, k) gives gamma^(k) there as its factor A, with
+gamma^(k) = h^(N-k) A A^dagger: read off a BosonicState's sector values
+by one cached gather (no n^N tensor), or from a TensorState's amplitude
+matrix, which at k >= 2 must be symmetric in its first k particles to
+SECTOR_RTOL.  On the sector the difference is
+D = h^(N-k) A A^dagger - v v^dagger, with v the sector coordinates of
 phi^(tensor k).  At k = 1 (side n) D is formed and its eigenvalues
 summed.  For k >= 2 D is a positive operator minus a rank-one
 projector, so it has at most one negative eigenvalue and
@@ -43,8 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid as _grid
-from .grid import (Grid1D, TensorState, pair_differences, sorted_tuples,
-                   symmetrize_leading)
+from .grid import (BosonicState, Grid1D, TensorState, pair_differences,
+                   sorted_tuples, symmetrize_leading)
 
 
 class MarginalError(ValueError):
@@ -216,14 +219,93 @@ def _sector_basis(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return flat, root_mult
 
 
-def chaos_distance(state: TensorState, k: int, phi: np.ndarray) -> float:
+@functools.lru_cache(maxsize=8)
+def _sector_fold(n: int, nn: int, k: int) -> tuple[np.ndarray, tuple]:
+    """(table, roots) that read sector_marginal's factor A off the
+    sector values of an nn-boson state (grid.sector_tables).
+
+    table[a, c] is the rank of the sorted nn-tuple made of the sorted
+    k-tuple of rank a and the sorted (nn-k)-tuple of rank c: the rank of
+    c (the empty tuple has rank 0) with a's k indices added one at a time
+    through the ranks of widths nn-k+1..nn.  roots holds sqrt(mult(a)) as
+    a column and sqrt(mult(c)) as a row, so that A = values[table] times
+    both.  The last 8 (n, nn, k) triples are cached, read-only: 2.2 MB
+    at n = 32, nn = 4, k = 2.
+    """
+    tables, _ = _grid.sector_tables(n, nn)
+    kept, _, mult_kept = tables[k - 1]
+    if k == nn:
+        rank, mult_rest = np.zeros(1, dtype=np.intp), np.ones(1)
+    else:
+        rank = np.arange(len(tables[nn - k - 1][0]))
+        mult_rest = tables[nn - k - 1][2]
+    table = np.broadcast_to(rank, (len(kept), len(rank)))
+    for p in range(k):
+        table = tables[nn - k + p][1][table, kept[:, p, None]]
+    roots = (np.sqrt(mult_kept)[:, None], np.sqrt(mult_rest))
+    for arr in (table, *roots):
+        arr.flags.writeable = False
+    return table, roots
+
+
+def sector_marginal(state: TensorState | BosonicState,
+                    k: int) -> np.ndarray:
+    """The Sym^k factor A of the k-particle marginal of a bosonic state.
+
+    h^(N-k) A A^dagger is the kernel of gamma^(k) on Sym^k, in the
+    orthonormal basis of normalized orbit sums of the sorted k-tuples
+    (_sector_basis); at k = 1 that is the grid basis itself.  A has one
+    row per sorted k-tuple.
+    - A BosonicState gives A of shape (C(n+k-1, k), C(n+N-k-1, N-k)),
+      one column per sorted (N-k)-tuple c of the traced particles: one
+      gather of its values through a cached rank table, times
+      sqrt(mult(row) mult(c)) (_sector_fold).  No n^N tensor is formed.
+    - A TensorState gives the amplitude matrix (first k axes by the
+      rest), at k = 1 a view of it; at k >= 2 its rows are the sector
+      coordinates of the state symmetrized in its first k particles, and
+      a state that moves by more than SECTOR_RTOL relative under that
+      symmetrization is rejected.  At k = 1 every state is accepted.
+    Either kind raises MarginalError if ||psi|| is not finite and
+    nonzero.
+    """
+    nn = state.n_particles
+    if not 1 <= k <= nn:
+        raise MarginalError(f"k={k} out of range for N={nn}")
+    n = state.grid.n
+    bosonic = isinstance(state, BosonicState)
+    data = state.values if bosonic else state.amplitudes
+    norm = float(np.linalg.norm(data))  # no warning on NaN or inf here
+    if not 0.0 < norm < math.inf:
+        raise MarginalError(f"state has ||psi|| = {norm} on the grid")
+    if bosonic:
+        table, roots = _sector_fold(n, nn, k)
+        coords = np.take(data, table)
+        for root in roots:
+            coords *= root
+        return coords
+    if k == 1:  # the sector map is the identity
+        return data.reshape(n, -1)
+    sym = symmetrize_leading(data, k)
+    defect = float(np.linalg.norm(data - sym)) / norm
+    if not defect <= SECTOR_RTOL:
+        raise MarginalError(
+            f"state is off the bosonic sector of its first {k} particles: "
+            f"||psi - S_k psi|| / ||psi|| = {defect:.3e} > {SECTOR_RTOL}")
+    flat, root_mult = _sector_basis(n, k)
+    coords = sym.reshape(n ** k, -1)[flat]
+    coords *= root_mult[:, None]
+    return coords
+
+
+def chaos_distance(state: TensorState | BosonicState, k: int,
+                   phi: np.ndarray) -> float:
     """Tr | gamma^(k) - |phi><phi|^k |, the k-particle chaos defect.
 
-    Evaluated on the symmetric sector Sym^k of dimension C(n+k-1, k): the
-    columns of the amplitude matrix (first k axes by the rest) and
-    phi^(tensor k) are mapped to sector coordinates A and v, and the trace
-    norm is h^k Tr|D| for D = h^(N-k) A A^dagger - v v^dagger.  At k = 1
-    it is h sum |eigvalsh(D)|.  For k >= 2 it is
+    Evaluated on the symmetric sector Sym^k of dimension C(n+k-1, k):
+    A = sector_marginal(state, k) and the sector coordinates v of
+    phi^(tensor k) give the trace norm as h^k Tr|D| for
+    D = h^(N-k) A A^dagger - v v^dagger.  At k = 1 it is
+    h sum |eigvalsh(D)|.  For k >= 2 it is
     h^k max(Tr D - 2 min(lambda_min, 0), |Tr D|), with Tr D from the
     norms of A and v and lambda_min from grid.lanczos_min started at v
     (which is not orthogonal to the negative eigenvector u, since
@@ -231,9 +313,8 @@ def chaos_distance(state: TensorState, k: int, phi: np.ndarray) -> float:
     floor keeps rounding from taking the value below that lower bound.
     This equals the trace distance of partial_trace(state, k) to
     product_projector(phi, k) whenever the state is symmetric in its first
-    k particles, so a state with ||psi - S_k psi|| / ||psi|| above
-    SECTOR_RTOL (or holding NaN) raises MarginalError.  At k = 1 the
-    sector is the whole one-particle space and every state is accepted.
+    k particles, which sector_marginal checks for a TensorState; a
+    BosonicState is symmetric by construction.
     """
     n_particles = state.n_particles
     if not 1 <= k <= n_particles:
@@ -242,28 +323,15 @@ def chaos_distance(state: TensorState, k: int, phi: np.ndarray) -> float:
     n, h = grid.n, grid.h
     _check_side(math.comb(n + k - 1, k))
     vec = _product_vector(grid, phi, k)
-    amps = state.amplitudes
-    norm = float(np.linalg.norm(amps))  # no warning on NaN or inf here
-    if not 0.0 < norm < math.inf:
-        raise MarginalError(f"state has ||psi|| = {norm} on the grid")
+    coords = sector_marginal(state, k)
     weight = h ** (n_particles - k)
-    if k == 1:  # the sector map is the identity
-        coords = amps.reshape(n, -1)
+    if k == 1:
         kern = (coords @ coords.conj().T) * weight
         scale = max(float(np.max(np.abs(kern))),
                     float(np.max(np.abs(vec))) ** 2)
         kern -= np.multiply.outer(vec, vec.conj())
         return _hermitian_trace_norm(kern, h, scale)
-    sym = symmetrize_leading(amps, k)
-    defect = float(np.linalg.norm(amps - sym)) / norm
-    if not defect <= SECTOR_RTOL:
-        raise MarginalError(
-            f"state is off the bosonic sector of its first {k} particles: "
-            f"||psi - S_k psi|| / ||psi|| = {defect:.3e} > {SECTOR_RTOL}")
     flat, root_mult = _sector_basis(n, k)
-    coords = sym.reshape(n ** k, -1)[flat]
-    del sym
-    coords *= root_mult[:, None]
     vec = vec[flat] * root_mult
     trace_gamma = weight * _sum_sq(coords)
     norm_v = _sum_sq(vec)

@@ -20,24 +20,25 @@ states when they are first read, not while it propagates, with one H_N
 built for all of them.
 
 Storage: the state is bosonic, so evolve holds it as its values at the
-sorted index tuples i_1 <= ... <= i_N (grid.sorted_tuples), C(n+N-1, N)
-numbers (52,360 at N = 4, n = 32, against n^N = 1,048,576).  The input
-is projected onto that sector once, and a state the projection would
-move by more than marginals.SECTOR_RTOL (relative) is rejected.  The
-half kicks, the multiplicity-weighted norm and the norm guards act on
-the sector values, and the half-kick phase is built from the potential
-at the sorted tuples alone (NBodySystem.potential_at).  The kinetic
-factor goes in N levels: after k of them the tensor is symmetric in its
-k transformed axes and in its N - k others, so level k is one gather
-into rows (sorted (N-k-1)-tuple, sorted k-tuple) and one matrix product
-with U^T along the axis it transforms (_SectorPlan.level_tables).  The index tables of the gathers
-are built once per call.  Besides the caller's state, evolve holds
-three level buffers, two outputs and one gathered input (at N = 4,
-n = 32: 16,896 x 32 entries, 8.7 MB each), the gather tables (11.7 MB
-there), the sector state, its half-kick phase and the sector values of
-the stored steps; once the loop ends and the tables and buffers are
-free, it expands those to full TensorStates, and the first snapshot is
-a copy of the caller's state.
+sorted index tuples i_1 <= ... <= i_N (grid.sector_tables), C(n+N-1, N)
+numbers (52,360 at N = 4, n = 32, against n^N = 1,048,576).  A
+grid.BosonicState input is propagated as it is; a TensorState input is
+projected onto that sector once, and a state the projection would move
+by more than marginals.SECTOR_RTOL (relative) is rejected.  The half
+kicks, the multiplicity-weighted norm and the norm guards act on the
+sector values, and the half-kick phase is built from the potential at
+the sorted tuples alone (NBodySystem.potential_at).  The kinetic factor
+goes in N levels: after k of them the tensor is symmetric in its k
+transformed axes and in its N - k others, so level k is one gather into
+rows (sorted (N-k-1)-tuple, sorted k-tuple) and one matrix product with
+U^T along the axis it transforms (_SectorPlan.level_tables).  The sector
+tables are cached in grid; the index tables of the gathers are built
+once per call.  Besides the caller's state, evolve holds three level
+buffers, two outputs and one gathered input (at N = 4, n = 32: 16,896 x
+32 entries, 8.7 MB each), the gather tables (11.7 MB there), the sector
+state, its half-kick phase and the stored snapshots, BosonicStates of
+the sector values that form their n^N tensor only when it is read; the
+first snapshot is the caller's state (a copy of a TensorState).
 
 Threading: the package has one thread layer, its pool (grid._POOL_SIZE,
 shared with collapse's kernel_H), sized once at import from
@@ -73,18 +74,22 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import grid as _grid
-from .grid import (Grid1D, GridError, TensorState, apply_matrix,
-                   dense_operator, fourier_matrix, kinetic_symbol, on_axes,
-                   pair_differences, sorted_tuples, trap_potential)
+from .grid import (BosonicState, Grid1D, GridError, TensorState,
+                   apply_matrix, dense_operator, fourier_matrix,
+                   kinetic_symbol, on_axes, pair_differences, sector_tables,
+                   trap_potential)
 from .marginals import SECTOR_RTOL, partial_trace
 from .potentials import PotentialSpec, scaled_potential
 
 # rows per call of a kinetic level's gather and matmul, the unit of work
 # that _kinetic_levels hands to the pool: a level of fewer rows is one
-# call on the calling thread.  Under a threaded BLAS the blocks also keep
-# its per-thread buffer small (an unblocked 32^4 product at 2 OpenBLAS
-# threads grew RSS by 16.1 MB, against 1.4 MB in blocks of this size).
-GEMM_ROWS = 2048
+# call on the calling thread.  At N = 4, n = 32 the levels have 5,984,
+# 16,896, 16,896 and 5,984 rows, 6, 17, 17 and 6 blocks, which two lanes
+# share 3:3 and 8:9 (at 2048 rows, 1:2 and 4:5).  Under a threaded BLAS
+# the blocks also keep its per-thread buffer small (an unblocked 32^4
+# product at 2 OpenBLAS threads grew RSS by 16.1 MB, against 1.4 MB in
+# blocks of 2048 rows).
+GEMM_ROWS = 1024
 
 # Tensors with fewer amplitudes apply each Strang factor P as
 # psi + (P - 1) psi, from P - 1 held to full relative precision.  A unit
@@ -141,31 +146,34 @@ def _kinetic_factor(grid: Grid1D, dt: float, split: bool) -> np.ndarray:
 @dataclass(frozen=True)
 class _SectorPlan:
     """The symmetric sector of N particles on n sites, stored as the
-    values at the sorted index tuples; C_m = C(n+m-1, m) counts the
-    sorted m-tuples.
+    values at the sorted index tuples (grid.sector_tables); C_m =
+    C(n+m-1, m) counts the sorted m-tuples.
 
     tuples lists the sorted N-tuples (the half kicks are evaluated at
     them), multiplicity weights the norm, and ranks[expand] is the rank
-    of every index tuple, which projects a tensor onto the sector and
-    expands it back.
+    of every index tuple, which projects a tensor onto the sector.
     level_tables gives the index tables of the kinetic levels.
     """
 
     n: int
     tables: tuple
-    tuples: np.ndarray
-    ranks: np.ndarray
-    multiplicity: np.ndarray
     expand: np.ndarray
 
     @classmethod
     def build(cls, n: int, nn: int) -> "_SectorPlan":
-        tables = tuple(sorted_tuples(n, m) for m in range(1, nn + 1))
-        tuples, ranks, multiplicity = tables[-1]
-        expand = np.zeros((), dtype=np.intp)
-        for t in tables[:-1]:
-            expand = t[1][expand]
-        return cls(n, tables, tuples, ranks, multiplicity, expand)
+        return cls(n, *sector_tables(n, nn))
+
+    @property
+    def tuples(self) -> np.ndarray:
+        return self.tables[-1][0]
+
+    @property
+    def ranks(self) -> np.ndarray:
+        return self.tables[-1][1]
+
+    @property
+    def multiplicity(self) -> np.ndarray:
+        return self.tables[-1][2]
 
     def level_tables(self) -> tuple[list, np.ndarray]:
         """(gathers, final): the index tables of one kinetic step.
@@ -205,26 +213,27 @@ class _SectorPlan:
     def project(self, amplitudes: np.ndarray) -> np.ndarray:
         """Sector values of a tensor, the mean over each orbit of index
         permutations; GridError if that moves it by more than SECTOR_RTOL
-        relative.  A NaN passes here and trips evolve's norm guard."""
+        relative.  The mean is taken as the value at the sorted tuple
+        plus the mean deviation of its orbit from it, so a symmetric
+        tensor (a BosonicState's amplitudes) gives back its values bit
+        for bit.  A NaN passes here and trips evolve's norm guard."""
         rank = self.ranks[self.expand].reshape(-1)
         values = amplitudes.reshape(-1)
         size = len(self.multiplicity)
-        sector = np.empty(size, dtype=np.complex128)
-        sector.real = np.bincount(rank, values.real, size)
-        sector.imag = np.bincount(rank, values.imag, size)
-        sector /= self.multiplicity
-        off = sector[rank]
-        off -= values
-        off_sq, total_sq = _norm_sq(off), _norm_sq(values)
+        rep = values[np.ravel_multi_index(self.tuples.T, amplitudes.shape)]
+        off = np.take(rep, rank)
+        np.subtract(values, off, out=off)
+        mean = np.empty(size, dtype=np.complex128)
+        mean.real = np.bincount(rank, off.real, size)
+        mean.imag = np.bincount(rank, off.imag, size)
+        mean /= self.multiplicity
+        off -= np.take(mean, rank)
+        off_sq, total_sq = _grid._norm_sq(off), _grid._norm_sq(values)
         if off_sq > SECTOR_RTOL ** 2 * total_sq:
             raise GridError(
                 f"state is off the bosonic sector: ||psi - S psi|| / ||psi||"
                 f" = {math.sqrt(off_sq / total_sq):.3e} > {SECTOR_RTOL}")
-        return sector
-
-    def expanded(self, sector: np.ndarray) -> np.ndarray:
-        """The full tensor of sector values, shape (n,)*N."""
-        return np.take(np.take(sector, self.ranks), self.expand, axis=0)
+        return rep + mean
 
 
 def _kinetic_levels(psi: np.ndarray, gathers: list, factor_t: np.ndarray,
@@ -254,18 +263,6 @@ def _kinetic_levels(psi: np.ndarray, gathers: list, factor_t: np.ndarray,
         _grid._in_blocks(blocks, -(-len(index) // GEMM_ROWS))
         src = dst.reshape(-1)
     return src
-
-
-def _norm_sq(a: np.ndarray, weights: np.ndarray | None = None) -> float:
-    """Euclidean sum |a|^2, or sum weights |a|^2, without BLAS."""
-    # a threaded BLAS dot (np.vdot) splits its sum over OpenBLAS's
-    # threads, so its last bits would depend on the thread count
-    if weights is None:
-        flat = a.reshape(-1).view(np.float64)
-        return float(np.einsum("i,i->", flat, flat))
-    sq = np.square(a.real)
-    sq += np.square(a.imag)
-    return float(np.einsum("i,i->", weights, sq))
 
 
 def _kick(src: np.ndarray, half: np.ndarray, split: bool,
@@ -335,7 +332,8 @@ class NBodySystem:
         return out
 
 
-def _check_grid(system: NBodySystem, state: TensorState) -> None:
+def _check_grid(system: NBodySystem,
+                state: TensorState | BosonicState) -> None:
     if state.n_particles != system.n_particles:
         raise GridError("state does not match the system's particle number")
     if state.grid != system.grid:
@@ -379,7 +377,7 @@ def _moment(system: NBodySystem, ham, state: TensorState, k: int = 1,
     vec = amps
     for _ in range(k):
         vec = ham(vec) + shift * vec
-    # an einsum, not np.vdot, for the reason _norm_sq gives
+    # an einsum, not np.vdot, for the reason grid._norm_sq gives
     total = np.einsum("i,i->", amps.reshape(-1).conj(), vec.reshape(-1))
     # a complex diagonal (an absorbing potential) adds an imaginary part,
     # the rate of norm loss, which is not energy; .real drops it, and the
@@ -389,7 +387,8 @@ def _moment(system: NBodySystem, ham, state: TensorState, k: int = 1,
 
 @dataclass
 class Trajectory:
-    """Stored snapshots of an N-body propagation.
+    """Stored snapshots of an N-body propagation (evolve's BosonicStates,
+    after the initial state as given).
 
     energies, <psi, H_N psi> at each stored state, is computed from the
     states the first time it is read and then kept, so a propagation
@@ -426,20 +425,22 @@ class Trajectory:
         return float(np.max(np.abs(self.energies - e0)) / scale)
 
 
-def evolve(system: NBodySystem, state: TensorState, dt: float, n_steps: int,
-           store_every: int = 1) -> Trajectory:
+def evolve(system: NBodySystem, state: TensorState | BosonicState,
+           dt: float, n_steps: int, store_every: int = 1) -> Trajectory:
     """Strang-splitting propagation of psi(t) = exp(-i t H_N) psi(0).
 
-    The state must be bosonic: it is projected onto the symmetric sector
-    once, and GridError is raised when that moves it by more than
-    SECTOR_RTOL relative.  The norm change per step and since step 0 are
-    both checked against NORM_TOL (the splitting is exactly unitary, so
-    violations indicate numerical trouble, and the step-0 check catches
-    slow drift that no single step shows), and a non-finite norm aborts
-    at once.  The largest drift since step 0 over every step is kept as
-    the trajectory's norm_drift.  Snapshots are stored every store_every
-    steps; the first is a copy of the initial state as given, and its
-    norm that of the projection.
+    The state is a BosonicState, whose sector values are propagated as
+    they are, or a TensorState, which must be bosonic: it is projected
+    onto the symmetric sector once, and GridError is raised when that
+    moves it by more than SECTOR_RTOL relative.  The norm change per step
+    and since step 0 are both checked against NORM_TOL (the splitting is
+    exactly unitary, so violations indicate numerical trouble, and the
+    step-0 check catches slow drift that no single step shows), and a
+    non-finite norm aborts at once.  The largest drift since step 0 over
+    every step is kept as the trajectory's norm_drift.  Snapshots are
+    stored every store_every steps as BosonicStates, never expanded here;
+    the first is the initial state as given (a copy of a TensorState),
+    and its norm that of the sector values.
 
     A step is N levels of gather and BLAS product with the n x n kinetic
     factor (in row blocks on the pool, _kinetic_levels), one gather of
@@ -455,7 +456,12 @@ def evolve(system: NBodySystem, state: TensorState, dt: float, n_steps: int,
 
     grid, nn = system.grid, system.n_particles
     plan = _SectorPlan.build(grid.n, nn)
-    closed = plan.project(state.amplitudes)
+    if isinstance(state, BosonicState):
+        closed = state.values.copy()
+        first = state
+    else:
+        closed = plan.project(state.amplitudes)
+        first = TensorState(grid, state.amplitudes.copy())
     split = system.dim < SPLIT_FLOOR
     half = (_phase_minus_one if split else _phase)(
         (-0.5 * dt) * system.potential_at(plan.tuples.T))
@@ -467,10 +473,10 @@ def evolve(system: NBodySystem, state: TensorState, dt: float, n_steps: int,
                     for _ in range(3))
 
     norm_prev = norm_start = math.sqrt(
-        weight * _norm_sq(closed, plan.multiplicity))
+        weight * _grid._norm_sq(closed, plan.multiplicity))
     drift = 0.0
     times = [0.0]
-    stored = []
+    states = [first]
     norms = [norm_prev]
     psi = np.empty_like(closed)
     _kick(closed, half, split, psi)
@@ -479,7 +485,8 @@ def evolve(system: NBodySystem, state: TensorState, dt: float, n_steps: int,
         levels = _kinetic_levels(psi, gathers, factor_t, split, buffers)
         np.take(levels, final, out=closed, mode="clip")
         _kick(closed, half, split, closed)
-        norm_now = math.sqrt(weight * _norm_sq(closed, plan.multiplicity))
+        norm_now = math.sqrt(
+            weight * _grid._norm_sq(closed, plan.multiplicity))
 
         if not math.isfinite(norm_now):
             raise NumericalAbort(f"norm is {norm_now} at step {step}")
@@ -497,16 +504,11 @@ def evolve(system: NBodySystem, state: TensorState, dt: float, n_steps: int,
 
         if step % store_every == 0:
             times.append(step * dt)
-            stored.append(closed.copy())
+            states.append(BosonicState(grid, nn, closed))  # a copy
             norms.append(norm_now)
         if step < n_steps:
             _kick(closed, half, split, psi)
 
-    # snapshots are expanded once the level tables and buffers are free;
-    # the first is the caller's state as given
-    del gathers, buffers, levels
-    states = [TensorState(grid, state.amplitudes.copy())]
-    states += [TensorState(grid, plan.expanded(s)) for s in stored]
     return Trajectory(system, dt, store_every, np.asarray(times), states,
                       np.asarray(norms), drift)
 

@@ -150,6 +150,9 @@ def test_bad_seed_exits_with_usage_code(tmp_path, source, value):
 
 @pytest.mark.parametrize("command,contents,fragment", [
     ("lens", '{"t_run": 1.5}', "outside the lens window"),
+    ("lens", '{"omega": 0.0}', "wrong-convention control"),
+    # the control reads 0.0998 here, just short of its 0.1 floor
+    ("lens", '{"t_run": 0.2275}', "wrong-convention control"),
     ("nls-validate", '{"t_run": 0.005}', "needs at least 8"),
     ("bbgky", '{"t_run": 1e-9}', "three snapshots"),
     ("convergence", '{"times": [0, 1e308, Infinity]}', "type 'number'"),
@@ -363,14 +366,22 @@ def test_runners_evolve_the_planned_runs(monkeypatch, tmp_path, cfg, runs):
 
 def test_plan_counts_the_lens_runs_shorter_than_two_steps(monkeypatch,
                                                           tmp_path):
-    # round(t_run / dt) = 1, but each lens flow takes at least two steps;
-    # so short a run leaves the wrong-convention control below its bound
-    cfg = {"experiment": "lens_suite", "n": 64, "t_run": 1e-3}
-    assert round(cfg["t_run"] / 1e-3) < 2
+    # round(t_run / dt) = round(tau / dt) = 1, but each lens flow takes at
+    # least two steps; two trapped steps miss the intertwining bound
+    cfg = {"experiment": "lens_suite", "n": 64, "dt": 0.3, "t_run": 0.4}
+    assert round(cfg["t_run"] / cfg["dt"]) < 2
     calls, planned, code = _evolutions(monkeypatch, tmp_path, cfg)
     assert code == 1
     assert calls == planned
     assert [steps for _, steps, _ in planned] == [2, 2, 2]
+    # a t_run this short at the default dt leaves the wrong-convention
+    # control below its floor (4.3e-4 against 0.1): a config error
+    short = tmp_path / "short.json"
+    short.write_text('{"n": 64, "t_run": 1e-3}')
+    proc = run_cli("lens", "--config", str(short), "--out",
+                   str(tmp_path / "short"))
+    assert proc.returncode == 2
+    assert "wrong-convention control" in proc.stderr
 
 
 def test_default_convergence_plan_totals():
@@ -400,13 +411,14 @@ def _run_twice(tmp_path, *args):
 
 
 # sha256 of the two configs' output directories (see _DEFAULT_DIGESTS);
-# they pin the symmetric-sector Strang route at N = 2..4 and the k = 2
-# chaos distances from one Lanczos eigenvalue
+# they pin the symmetric-sector Strang route at N = 2..4 from product
+# states built on the sorted tuples, and the chaos distances read off the
+# sector values (k = 2 from one Lanczos eigenvalue)
 _CONVERGENCE_DIGESTS = {
     "small":
-        "4d3813f1cf99f62b6b171bd5dd6318fd8c546b0aefff057699411b3aceafdb85",
+        "065c748ed4381316c6097347245e320d68a593efbc36980cdf58f13d1744223e",
     "one_step":
-        "c173a43fd2b055634f4146f521495b46774fa25a4e5dd0a2c1b93e1a9941455c",
+        "a8f5ba4ebbd9e3d06cadbbcc0220a05e5fe020e8d4dbc48b26e1651a87ee5946",
 }
 
 
@@ -425,13 +437,47 @@ def test_convergence_reruns_byte_identical(tmp_path):
         assert _directory_digest(out) == _CONVERGENCE_DIGESTS[name]
 
 
+def test_convergence_forms_no_full_tensor(monkeypatch, tmp_path):
+    # the default n = 32 and N = 2, 3, 4, one step: the initial states,
+    # the propagation and the chaos distances stay on the sorted tuples,
+    # so no (n,)^N tensor is ever formed (32^4 complex = 16.8 MB)
+    from boselab import cli, grid, marginals, nbody
+
+    formed = []
+
+    def recorded(name, original):
+        def run(*args, **kwargs):
+            formed.append(name)
+            return original(*args, **kwargs)
+        return run
+
+    expand = grid.BosonicState.amplitudes.fget
+    monkeypatch.setattr(grid.BosonicState, "amplitudes",
+                        property(recorded("expansion", expand)))
+    monkeypatch.setattr(grid.TensorState, "__post_init__", recorded(
+        "TensorState", grid.TensorState.__post_init__))
+    monkeypatch.setattr(marginals, "symmetrize_leading", recorded(
+        "symmetrize_leading", marginals.symmetrize_leading))
+    monkeypatch.setattr(nbody._SectorPlan, "project", recorded(
+        "project", nbody._SectorPlan.project))
+    monkeypatch.setattr(nbody.NBodySystem, "potential_diagonal", recorded(
+        "potential_diagonal", nbody.NBodySystem.potential_diagonal))
+    cfg = {"experiment": "convergence", "times": [0.0, 2e-3]}
+    assert cli.validate_config(cfg)["n"] == 32
+    code, report = cli.run_experiment(cfg, tmp_path)
+    assert code == 0, report["checks"]
+    assert formed == []
+    tables = sorted(tmp_path.glob("chaos_distance_*.csv"))
+    assert len(tables) == 4
+
+
 # sha256 over each default output directory's files, sorted by name;
 # a change that moves printed digits updates its value here and lists the
 # moved numbers in CHANGES.md
 _DEFAULT_DIGESTS = {
     "energy": "6b7d050385259e6dba5942bb46a92d6d308f7a190c7db33763d1a1f5ed68d7df",
     "lens": "b543d56e9af038570b355f4d5ecf515712d7521d6769e67cf08c84096a4ac3b7",
-    "bbgky": "b3c6439ff877e8b5543460db69aada1860a1a28ca81dc087581b84ea66cba2a9",
+    "bbgky": "e609426071e488a0076b93fd2e0887295a01e34a5ae776146011de004d8715b3",
     "nls-validate":
         "79f23fb9c079e32e9c7bc2c3f5de1b2291eb6cc5ba30ac1fecb5fa9bee19c7f7",
 }

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from boselab import grid as grid_module
 from boselab.grid import (
+    BosonicState,
     ConvergenceError,
     Grid1D,
     GridError,
@@ -21,6 +22,7 @@ from boselab.grid import (
     dense_weight_squared,
     lanczos_min,
     random_state,
+    sector_tables,
     sorted_tuples,
     symmetrize,
     symmetry_residual,
@@ -231,6 +233,47 @@ def test_sorted_tuples_enumerate_rank_and_count_the_sector(n, k):
 def test_sorted_tuples_reject_empty_widths():
     with pytest.raises(GridError):
         sorted_tuples(4, 0)
+
+
+@pytest.mark.parametrize("n, nn", [(8, 1), (8, 2), (4, 3), (4, 4)])
+def test_bosonic_state_expands_its_values_to_every_ordering(n, nn):
+    g = Grid1D(n, 4.0)
+    tuples = sector_tables(n, nn)[0][-1][0]
+    rng = np.random.default_rng(nn)
+    given_values = rng.standard_normal(len(tuples)) + 1j * rng.standard_normal(
+        len(tuples))
+    state = BosonicState(g, nn, given_values)
+    given_values[0] = 7.0  # the state keeps its own read-only copy
+    assert state.values[0] != 7.0 and not state.values.flags.writeable
+    full = state.amplitudes
+    assert full.shape == (n,) * nn and not full.flags.writeable
+    rank = {tuple(t): r for r, t in enumerate(tuples.tolist())}
+    for index in itertools.product(range(n), repeat=nn):
+        assert full[index] == state.values[rank[tuple(sorted(index))]]
+    # kept while a reader holds it, formed again after
+    assert state.amplitudes is full
+    del full
+    assert np.array_equal(state.amplitudes, state.amplitudes)
+    # the multiplicity-weighted norm is the tensor's
+    tensor = TensorState(g, state.amplitudes)
+    assert state.norm() == pytest.approx(tensor.norm(), rel=1e-14)
+    unit = state.normalized()
+    assert isinstance(unit, BosonicState)
+    assert unit.norm() == pytest.approx(1.0, rel=1e-14)
+    assert unit.inner(tensor) == pytest.approx(
+        TensorState(g, unit.amplitudes).inner(tensor), rel=1e-14)
+
+
+def test_bosonic_state_validation():
+    g = Grid1D(8, 4.0)
+    with pytest.raises(GridError, match="sorted 2-tuples"):
+        BosonicState(g, 2, np.ones(64))
+    with pytest.raises(GridError):
+        BosonicState(g, 0, np.ones(1))
+    with pytest.raises(GridError, match="zero state"):
+        BosonicState(g, 2, np.zeros(36)).normalized()
+    with pytest.raises(GridError, match="different tensor grids"):
+        BosonicState(g, 2, np.ones(36)).inner(random_state(g, 3, seed=0))
 
 
 def _psd_minus_rank_one(shape, side, width, seed):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boselab.grid import (ConvergenceError, Grid1D, TensorState,
-                          dense_weight_squared, random_state, symmetrize,
-                          weighted_norm_squared)
+from boselab.cli import _product_state
+from boselab.grid import (BosonicState, ConvergenceError, Grid1D,
+                          TensorState, dense_weight_squared, random_state,
+                          sorted_tuples, symmetrize, weighted_norm_squared)
 from boselab.marginals import (
     MarginalDensity,
     MarginalError,
@@ -17,6 +18,7 @@ from boselab.marginals import (
     mollifier_delta_test,
     partial_trace,
     product_projector,
+    sector_marginal,
     trace_distance,
     trace_norm,
 )
@@ -239,6 +241,45 @@ def test_chaos_distance_matches_full_space_oracle(case, blend, seed):
     assert 0.0 <= chaos_distance(same, k, phi) <= 1e-13
 
 
+def sector_values(state):
+    """A state symmetric to rounding as a BosonicState: its amplitudes at
+    the sorted index tuples."""
+    g, nn = state.grid, state.n_particles
+    tuples, _, _ = sorted_tuples(g.n, nn)
+    flat = np.ravel_multi_index(tuples.T, (g.n,) * nn)
+    return BosonicState(g, nn, state.amplitudes.reshape(-1)[flat])
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(SECTOR_CASES), blend=st.sampled_from(
+    [0.0, 1e-3, 0.3, 10.0]), seed=st.integers(0, 2 ** 16))
+def test_sector_route_matches_tensor_route_and_oracle(case, blend, seed):
+    # the factor read off the sector values against the one of the same
+    # state's full tensor, and both distances against the dense oracle
+    nn, n, k = case
+    g = Grid1D(n, 4.0)
+    rng = np.random.default_rng(seed)
+    phi = random_orbital(g, rng)
+    boson = sector_values(
+        blended_boson_state(g, nn, random_orbital(g, rng), blend, seed))
+    tensor = TensorState(g, boson.amplitudes)
+    ref = trace_distance(partial_trace(tensor, k),
+                         product_projector(g, phi, k))
+    got = chaos_distance(boson, k, phi)
+    assert got == pytest.approx(chaos_distance(tensor, k, phi), rel=1e-12,
+                                abs=1e-13)
+    assert got == pytest.approx(ref, rel=1e-12, abs=1e-13)
+    a, b = sector_marginal(boson, k), sector_marginal(tensor, k)
+    assert a.shape == (math.comb(n + k - 1, k),
+                       math.comb(n + nn - k - 1, nn - k))
+    gram = b @ b.conj().T
+    assert np.allclose(a @ a.conj().T, gram, rtol=0,
+                       atol=1e-13 * np.max(np.abs(gram)))
+    # the product state of phi, built on the sorted tuples
+    same = _product_state(g, phi, nn)
+    assert 0.0 <= chaos_distance(same, k, phi) <= 1e-13
+
+
 def _factor_is_tall(nn, n, k):
     # chaos_distance's factor [coords, phi^k] has a sector row per sorted
     # multi-index and a column per traced index, plus one
@@ -313,9 +354,13 @@ def test_chaos_distance_fails_closed_on_non_finite_input(bad):
     spoilt[1, 2, 3] = bad
     orbital = phi.copy()
     orbital[2] = bad
+    values = sector_values(boson).values.copy()
+    values[7] = bad
     for k in (1, 2, 3):
         with pytest.raises(MarginalError):
             chaos_distance(TensorState(g, spoilt), k, phi)
+        with pytest.raises(MarginalError):
+            chaos_distance(BosonicState(g, 3, values), k, phi)
         with pytest.raises(MarginalError):
             chaos_distance(boson, k, orbital)
 

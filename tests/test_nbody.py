@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from boselab.grid import (Grid1D, GridError, TensorState, dense_operator,
-                          kinetic_symbol, random_state, symmetry_residual,
-                          trap_potential)
+from boselab.grid import (BosonicState, Grid1D, GridError, TensorState,
+                          dense_operator, kinetic_symbol, random_state,
+                          symmetry_residual, trap_potential)
 from boselab.nbody import (
     NBodySystem,
     NumericalAbort,
@@ -371,7 +371,7 @@ print(digest.hexdigest())
 
 def test_kinetic_products_are_bit_identical_across_blas_threads():
     # 16^4 amplitudes: levels of 816, 2176, 2176 and 816 rows, so the
-    # middle two are two blocks of GEMM_ROWS each; a library caller may
+    # middle two are three blocks of GEMM_ROWS each; a library caller may
     # load a threaded BLAS, so every split of a level over the pool and
     # BLAS is compared, on every stored state and norm
     import os
@@ -410,7 +410,7 @@ def _threaded_run(monkeypatch, pool):
     from boselab import grid
 
     monkeypatch.setattr(grid, "_POOL_SIZE", pool)
-    g = Grid1D(16, 4.0)  # 16^4 amplitudes: two middle levels of 2 blocks
+    g = Grid1D(16, 4.0)  # 16^4 amplitudes: two middle levels of 3 blocks
     system = NBodySystem(g, 4, potential=gaussian_well(1.0, 1.0), omega=1.0)
     state = random_state(g, 4, seed=3, k_filter=3.0, symmetric=True)
     traj = evolve(system, state, 1e-3, 3, store_every=1)
@@ -445,7 +445,7 @@ def _split_run(monkeypatch, pool):
     from boselab import grid
 
     monkeypatch.setattr(grid, "_POOL_SIZE", pool)
-    g = Grid1D(16, 4.0)  # 16^4 amplitudes: two middle levels of 2 blocks
+    g = Grid1D(16, 4.0)  # 16^4 amplitudes: two middle levels of 3 blocks
     system = NBodySystem(g, 4, potential=mixed_sign(1.0, 1.0, r=0.25))
     state = random_state(g, 4, seed=8, k_filter=3.0, symmetric=True)
     with _CountingPool(pool) as executor:
@@ -470,10 +470,10 @@ def test_split_phase_products_are_bit_identical(monkeypatch, stress):
         sys.setswitchinterval(interval)
     # per step 4 kinetic levels, each split into min(pool, blocks) runs of
     # which the pool takes all but the first: at 16^4 the middle two
-    # levels have 2 blocks of GEMM_ROWS, the outer two 1; the kicks and
+    # levels have 3 blocks of GEMM_ROWS, the outer two 1; the kicks and
     # the norm act on the sector on the calling thread
     blocks = [-(-r // nbody.GEMM_ROWS) for r in _level_rows(16, 4)]
-    assert blocks == [1, 2, 2, 1]
+    assert blocks == [1, 3, 3, 1]
     assert (jobs, no_jobs) == (10 * sum(min(pool, b) - 1 for b in blocks),
                                0)
     for a, b in zip(split.states, single.states, strict=True):
@@ -561,7 +561,7 @@ def _three_pass_loop(system, state, dt, n_steps, store_every):
     flat = np.ravel_multi_index(plan.tuples.T, (grid.n,) * nn)
 
     def sorted_values(full):
-        return plan.expanded(full.reshape(-1)[flat])
+        return BosonicState(grid, nn, full.reshape(-1)[flat]).amplitudes
 
     split = state.amplitudes.size < nbody.SPLIT_FLOOR
     half = sorted_values((nbody._phase_minus_one if split else nbody._phase)(
@@ -584,7 +584,7 @@ def _three_pass_loop(system, state, dt, n_steps, store_every):
     def norm(psi):
         return math.sqrt(weight * np.vdot(psi, psi).real)
 
-    psi = plan.expanded(plan.project(state.amplitudes))
+    psi = BosonicState(grid, nn, plan.project(state.amplitudes)).amplitudes
     states, norms = [state.amplitudes.copy()], [norm(psi)]
     for step in range(1, n_steps + 1):
         psi = sorted_values(kick(kinetic(kick(psi))))
@@ -708,8 +708,32 @@ def test_evolve_rejects_a_state_off_the_bosonic_sector():
     assert np.array_equal(traj.states[0].amplitudes, nudged.amplitudes)
     assert symmetry_residual(traj.states[-1]) == 0.0
     plan = nbody._SectorPlan.build(8, 3)
-    projected = plan.expanded(plan.project(nudged.amplitudes))
+    projected = BosonicState(g, 3, plan.project(nudged.amplitudes)).amplitudes
     assert np.max(np.abs(projected - nudged.amplitudes)) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("nn, n", [(2, 16), (3, 8), (4, 16)])
+def test_evolve_on_sector_values_matches_its_expansion(nn, n):
+    # 16^2 amplitudes take the split route, 16^4 the whole one on the
+    # pool; the projection gives a symmetric tensor's values back bit for
+    # bit, so both inputs propagate the same numbers
+    from boselab import nbody
+
+    g = Grid1D(n, 4.0)
+    system = NBodySystem(g, nn, potential=gaussian_well(1.0, 1.0), omega=1.0)
+    plan = nbody._SectorPlan.build(n, nn)
+    state = random_state(g, nn, seed=nn, k_filter=3.0, symmetric=True)
+    boson = BosonicState(g, nn, plan.project(state.amplitudes))
+    sector = evolve(system, boson, 1e-3, 4, store_every=2)
+    tensor = evolve(system, TensorState(g, boson.amplitudes), 1e-3, 4,
+                    store_every=2)
+    assert sector.states[0] is boson
+    assert np.array_equal(tensor.states[0].amplitudes, boson.amplitudes)
+    for a, b in zip(sector.states[1:], tensor.states[1:], strict=True):
+        assert isinstance(a, BosonicState) and isinstance(b, BosonicState)
+        assert np.array_equal(a.values, b.values)
+    assert np.array_equal(sector.norms, tensor.norms)
+    assert sector.norm_drift == tensor.norm_drift
 
 
 def test_grid_mismatch_is_rejected():
