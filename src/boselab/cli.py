@@ -451,15 +451,12 @@ def write_csv(path: Path, columns: list[str], rows, report_hash: str) -> None:
 
 
 def _product_state(grid, phi, n_particles):
-    """phi^(tensor N) as normalized sector values: phi's product over each
-    sorted index tuple, normalized with multiplicity weights."""
-    import numpy as np
+    """phi^(tensor N) as normalized sector values (grid.sector_product),
+    normalized with multiplicity weights."""
+    from .grid import BosonicState, sector_product
 
-    from .grid import BosonicState, sector_tables
-
-    tuples = sector_tables(grid.n, n_particles)[0][-1][0]
-    values = functools.reduce(np.multiply, [phi[i] for i in tuples.T])
-    return BosonicState(grid, n_particles, values).normalized()
+    return BosonicState(grid, n_particles,
+                        sector_product(phi, n_particles)).normalized()
 
 
 def _finite(name: str, values: list) -> list:

@@ -30,11 +30,13 @@ the normalized Gaussian orbital.  DENSE_SIDE_CAP is the one cap on the
 side of a dense matrix that is built or decomposed.  sorted_tuples
 enumerates the sorted index tuples that span the bosonic sector, with
 their ranks and multiplicities, and sector_tables caches them for every
-width up to N.  A state is a TensorState, its full (n,)*N tensor, or a
-BosonicState, its C(n+N-1, N) values at the sorted N-tuples, which
-nbody propagates and marginals reduces as they are; a BosonicState
-forms its full tensor only when amplitudes is read, so every reader of
-a TensorState reads it too.  lanczos_min is the one Krylov solver:
+width up to N.  A TensorState is a general (n,)*N tensor; a bosonic
+state is a BosonicState, its C(n+N-1, N) values at the sorted N-tuples,
+the only state nbody propagates and marginals reduces on the sector.
+symmetrize projects a tensor onto it, and sector_product gives the
+values of a product state phi^(tensor k).  A BosonicState forms its full
+tensor only when amplitudes is read, so every reader of a TensorState's
+amplitudes reads it too.  lanczos_min is the one Krylov solver:
 the smallest eigenvalue of a matrix-free Hermitian operator by a
 three-term Lanczos recurrence (marginals' chaos distances use it).
 
@@ -50,7 +52,6 @@ it runs inline, so no pooled task ever waits on the pool.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 import threading
@@ -462,33 +463,41 @@ def _norm_sq(a: np.ndarray, weights: np.ndarray | None = None) -> float:
     return float(np.einsum("i,i->", weights, sq))
 
 
-def symmetrize_leading(amplitudes: np.ndarray, k: int) -> np.ndarray:
-    """Average of a tensor over the k! permutations of its first k axes."""
-    rest = tuple(range(k, amplitudes.ndim))
-    perms = itertools.permutations(range(k))
-    next(perms)  # the identity
-    acc = amplitudes.copy()
-    for perm in perms:
-        acc += np.transpose(amplitudes, perm + rest)
-    acc /= math.factorial(k)
-    return acc
+def sector_product(phi: np.ndarray, k: int) -> np.ndarray:
+    """phi's product over each sorted k-tuple (sector_tables), in rank
+    order: the sector values of phi^(tensor k), unnormalized.  Each is
+    phi[i_1] * ... * phi[i_k], multiplied left to right, so the value
+    at a tuple is the entry of the full outer product at that tuple."""
+    tuples = sector_tables(len(phi), k)[0][-1][0]
+    return functools.reduce(np.multiply, [phi[i] for i in tuples.T])
 
 
-def symmetrize(state: TensorState) -> TensorState:
-    """Project onto the bosonic (permutation-symmetric) sector.
+def symmetrize(state: TensorState) -> BosonicState:
+    """Project onto the bosonic (permutation-symmetric) sector, normalized.
 
-    Averages over all N! axis permutations and rescales the result to
-    unit norm; a projection that annihilates the state (norm below
-    1e-12) is an error.
+    The sector value at a sorted tuple is the mean of the tensor over the
+    tuple's orbit of index permutations, taken as the value at the sorted
+    tuple plus the orbit's mean deviation from it, so a symmetric tensor
+    (a BosonicState's amplitudes) gives back its values bit for bit before
+    the normalization.  A projection that annihilates the state (a norm at
+    most 1e-12 of the input's) is an error.
     """
-    ndim = state.n_particles
-    if ndim == 1:
-        return state.normalized()
-    out = TensorState(state.grid, symmetrize_leading(state.amplitudes, ndim))
-    nrm = out.norm()
-    if nrm < 1e-12:
+    grid, nn = state.grid, state.n_particles
+    tables, expand = sector_tables(grid.n, nn)
+    tuples, ranks, multiplicity = tables[-1]
+    rank = ranks[expand].reshape(-1)
+    values = state.amplitudes.reshape(-1)
+    rep = values[np.ravel_multi_index(tuples.T, state.amplitudes.shape)]
+    off = np.take(rep, rank)
+    np.subtract(values, off, out=off)
+    mean = np.empty(len(rep), dtype=np.complex128)
+    mean.real = np.bincount(rank, off.real, len(rep))
+    mean.imag = np.bincount(rank, off.imag, len(rep))
+    mean /= multiplicity
+    out = BosonicState(grid, nn, rep + mean)
+    if out.norm() <= 1e-12 * state.norm():
         raise GridError("symmetrization annihilated the state")
-    return TensorState(state.grid, out.amplitudes / nrm)
+    return out.normalized()
 
 
 def symmetry_residual(state: TensorState) -> float:
@@ -584,11 +593,13 @@ def dense_weight_squared(grid: Grid1D, kind: str, omega: float) -> np.ndarray:
 
 def random_state(grid: Grid1D, n_particles: int, seed=None,
                  k_filter: float | None = None,
-                 symmetric: bool = False) -> TensorState:
+                 symmetric: bool = False) -> TensorState | BosonicState:
     """Random normalized state, optionally band-filtered and symmetrized.
 
     k_filter applies a Gaussian factor exp(-k^2/(2 k_filter^2)) per axis so
     the draw has smooth samples; None keeps white noise across all modes.
+    symmetric returns the draw's symmetrize, a BosonicState at every N;
+    otherwise it is a TensorState.
     """
     rng = np.random.default_rng(seed)
     shape = (grid.n,) * n_particles
@@ -598,6 +609,4 @@ def random_state(grid: Grid1D, n_particles: int, seed=None,
         for ax in range(n_particles):
             a = apply_symbol(a, sym, ax)
     state = TensorState(grid, a)
-    if symmetric and n_particles > 1:
-        return symmetrize(state)
-    return state.normalized()
+    return symmetrize(state) if symmetric else state.normalized()

@@ -18,12 +18,12 @@ are taken on the symmetric subspace Sym^k, of dimension C(n+k-1, k)
 (528 against n^2 = 1024 at n = 32, k = 2): both operators vanish off it,
 so their difference has the same nonzero spectrum there.
 sector_marginal(state, k) gives gamma^(k) there as its factor A, with
-gamma^(k) = h^(N-k) A A^dagger: read off a BosonicState's sector values
-by one cached gather (no n^N tensor), or from a TensorState's amplitude
-matrix, which at k >= 2 must be symmetric in its first k particles to
-SECTOR_RTOL.  On the sector the difference is
-D = h^(N-k) A A^dagger - v v^dagger, with v the sector coordinates of
-phi^(tensor k).  At k = 1 (side n) D is formed and its eigenvalues
+gamma^(k) = h^(N-k) A A^dagger, read off a BosonicState's sector values
+by one cached gather (no n^N tensor); it takes no other state, and a
+tensor is made bosonic with grid.symmetrize.  On the sector the
+difference is D = h^(N-k) A A^dagger - v v^dagger, with v the sector
+coordinates of phi^(tensor k), sqrt(mult) times grid.sector_product.
+At k = 1 (side n) D is formed and its eigenvalues
 summed.  For k >= 2 D is a positive operator minus a rank-one
 projector, so it has at most one negative eigenvalue and
 Tr|D| = Tr D - 2 min(lambda_min, 0): Tr D comes from the norms of A and
@@ -47,7 +47,7 @@ import numpy as np
 
 from . import grid as _grid
 from .grid import (BosonicState, Grid1D, TensorState, pair_differences,
-                   sorted_tuples, symmetrize_leading)
+                   sector_product)
 
 
 class MarginalError(ValueError):
@@ -58,10 +58,6 @@ class MarginalError(ValueError):
 # whose anti-Hermitian part exceeds this share of the largest entry of the
 # operands they were formed from are rejected.
 HERMITIAN_RTOL = 1e-12
-
-# chaos_distance rejects states with ||psi - S_k psi|| / ||psi|| above this,
-# S_k the symmetrizer of the first k particles.
-SECTOR_RTOL = 1e-12
 
 
 @dataclass
@@ -166,15 +162,20 @@ def product_projector(grid: Grid1D, phi: np.ndarray, k: int) -> MarginalDensity:
     return MarginalDensity(grid, k, np.multiply.outer(vec, vec.conj()))
 
 
-def _product_vector(grid: Grid1D, phi: np.ndarray, k: int) -> np.ndarray:
-    """phi^(tensor k) flattened to length n^k, for a unit-norm grid orbital."""
+def _orbital(grid: Grid1D, phi: np.ndarray) -> np.ndarray:
+    """phi as a complex array, checked to be a unit-norm grid orbital."""
     phi = np.asarray(phi, dtype=np.complex128)
     if phi.shape != (grid.n,):
         raise MarginalError("phi must be a one-particle grid function")
     nrm2 = grid.h * float(np.sum(np.abs(phi) ** 2))
     if not abs(nrm2 - 1.0) <= 1e-8:  # NaN fails closed
         raise MarginalError(f"phi must be normalized, got ||phi||^2 = {nrm2}")
-    vec = phi
+    return phi
+
+
+def _product_vector(grid: Grid1D, phi: np.ndarray, k: int) -> np.ndarray:
+    """phi^(tensor k) flattened to length n^k, for a unit-norm grid orbital."""
+    vec = phi = _orbital(grid, phi)
     for _ in range(k - 1):
         vec = np.multiply.outer(vec, phi)
     return vec.reshape(-1)
@@ -198,25 +199,6 @@ def trace_distance(a: MarginalDensity, b: MarginalDensity) -> float:
     scale = max(float(np.max(np.abs(a.kernel))),
                 float(np.max(np.abs(b.kernel))))
     return _hermitian_trace_norm(a.kernel - b.kernel, a.weight, scale)
-
-
-@functools.lru_cache(maxsize=8)
-def _sector_basis(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted multi-indices i_1 <= ... <= i_k of Sym^k on n sites
-    (grid.sorted_tuples).
-
-    Returns their flat indices into C^(n^k) and sqrt(multiplicity), the
-    multiplicity being the number of distinct orderings of the index.
-    For a symmetric vector v the sector coordinates sqrt(mult) * v[flat]
-    are those in the orthonormal basis of normalized orbit sums.  The
-    last 8 (n, k) pairs are cached, read-only, at 16 C(n+k-1, k) bytes
-    each (8.4 KB at n = 32, k = 2).
-    """
-    tuples, _, multiplicity = sorted_tuples(n, k)
-    flat = np.ravel_multi_index(tuples.T, (n,) * k)
-    root_mult = np.sqrt(multiplicity)
-    flat.flags.writeable = root_mult.flags.writeable = False
-    return flat, root_mult
 
 
 @functools.lru_cache(maxsize=8)
@@ -248,73 +230,52 @@ def _sector_fold(n: int, nn: int, k: int) -> tuple[np.ndarray, tuple]:
     return table, roots
 
 
-def sector_marginal(state: TensorState | BosonicState,
-                    k: int) -> np.ndarray:
+def sector_marginal(state: BosonicState, k: int) -> np.ndarray:
     """The Sym^k factor A of the k-particle marginal of a bosonic state.
 
     h^(N-k) A A^dagger is the kernel of gamma^(k) on Sym^k, in the
     orthonormal basis of normalized orbit sums of the sorted k-tuples
-    (_sector_basis); at k = 1 that is the grid basis itself.  A has one
-    row per sorted k-tuple.
-    - A BosonicState gives A of shape (C(n+k-1, k), C(n+N-k-1, N-k)),
-      one column per sorted (N-k)-tuple c of the traced particles: one
-      gather of its values through a cached rank table, times
-      sqrt(mult(row) mult(c)) (_sector_fold).  No n^N tensor is formed.
-    - A TensorState gives the amplitude matrix (first k axes by the
-      rest), at k = 1 a view of it; at k >= 2 its rows are the sector
-      coordinates of the state symmetrized in its first k particles, and
-      a state that moves by more than SECTOR_RTOL relative under that
-      symmetrization is rejected.  At k = 1 every state is accepted.
-    Either kind raises MarginalError if ||psi|| is not finite and
+    (grid.sorted_tuples); at k = 1 that is the grid basis itself.  A has
+    shape (C(n+k-1, k), C(n+N-k-1, N-k)), one row per sorted k-tuple and
+    one column per sorted (N-k)-tuple c of the traced particles: one
+    gather of the state's values through a cached rank table, times
+    sqrt(mult(row) mult(c)) (_sector_fold).  No n^N tensor is formed.
+    Raises MarginalError for a state that is not a BosonicState (a
+    TensorState, symmetric or not) or whose ||psi|| is not finite and
     nonzero.
     """
+    if not isinstance(state, BosonicState):
+        raise MarginalError(f"sector marginals need a BosonicState, not a "
+                            f"{type(state).__name__}; symmetrize it first")
     nn = state.n_particles
     if not 1 <= k <= nn:
         raise MarginalError(f"k={k} out of range for N={nn}")
-    n = state.grid.n
-    bosonic = isinstance(state, BosonicState)
-    data = state.values if bosonic else state.amplitudes
-    norm = float(np.linalg.norm(data))  # no warning on NaN or inf here
+    norm = float(np.linalg.norm(state.values))  # no warning on NaN or inf
     if not 0.0 < norm < math.inf:
         raise MarginalError(f"state has ||psi|| = {norm} on the grid")
-    if bosonic:
-        table, roots = _sector_fold(n, nn, k)
-        coords = np.take(data, table)
-        for root in roots:
-            coords *= root
-        return coords
-    if k == 1:  # the sector map is the identity
-        return data.reshape(n, -1)
-    sym = symmetrize_leading(data, k)
-    defect = float(np.linalg.norm(data - sym)) / norm
-    if not defect <= SECTOR_RTOL:
-        raise MarginalError(
-            f"state is off the bosonic sector of its first {k} particles: "
-            f"||psi - S_k psi|| / ||psi|| = {defect:.3e} > {SECTOR_RTOL}")
-    flat, root_mult = _sector_basis(n, k)
-    coords = sym.reshape(n ** k, -1)[flat]
-    coords *= root_mult[:, None]
+    table, roots = _sector_fold(state.grid.n, nn, k)
+    coords = np.take(state.values, table)
+    for root in roots:
+        coords *= root
     return coords
 
 
-def chaos_distance(state: TensorState | BosonicState, k: int,
-                   phi: np.ndarray) -> float:
+def chaos_distance(state: BosonicState, k: int, phi: np.ndarray) -> float:
     """Tr | gamma^(k) - |phi><phi|^k |, the k-particle chaos defect.
 
     Evaluated on the symmetric sector Sym^k of dimension C(n+k-1, k):
-    A = sector_marginal(state, k) and the sector coordinates v of
-    phi^(tensor k) give the trace norm as h^k Tr|D| for
-    D = h^(N-k) A A^dagger - v v^dagger.  At k = 1 it is
-    h sum |eigvalsh(D)|.  For k >= 2 it is
+    A = sector_marginal(state, k) and the sector coordinates
+    v = sqrt(mult) * sector_product(phi, k) of phi^(tensor k) give the
+    trace norm as h^k Tr|D| for D = h^(N-k) A A^dagger - v v^dagger.  At
+    k = 1 it is h sum |eigvalsh(D)|.  For k >= 2 it is
     h^k max(Tr D - 2 min(lambda_min, 0), |Tr D|), with Tr D from the
     norms of A and v and lambda_min from grid.lanczos_min started at v
     (which is not orthogonal to the negative eigenvector u, since
     u^dagger D u < 0 <= u^dagger (h^(N-k) A A^dagger) u); the |Tr D|
     floor keeps rounding from taking the value below that lower bound.
     This equals the trace distance of partial_trace(state, k) to
-    product_projector(phi, k) whenever the state is symmetric in its first
-    k particles, which sector_marginal checks for a TensorState; a
-    BosonicState is symmetric by construction.
+    product_projector(phi, k).  The state must be a BosonicState
+    (sector_marginal raises MarginalError otherwise).
     """
     n_particles = state.n_particles
     if not 1 <= k <= n_particles:
@@ -322,7 +283,7 @@ def chaos_distance(state: TensorState | BosonicState, k: int,
     grid = state.grid
     n, h = grid.n, grid.h
     _check_side(math.comb(n + k - 1, k))
-    vec = _product_vector(grid, phi, k)
+    vec = sector_product(_orbital(grid, phi), k)
     coords = sector_marginal(state, k)
     weight = h ** (n_particles - k)
     if k == 1:
@@ -331,8 +292,7 @@ def chaos_distance(state: TensorState | BosonicState, k: int,
                     float(np.max(np.abs(vec))) ** 2)
         kern -= np.multiply.outer(vec, vec.conj())
         return _hermitian_trace_norm(kern, h, scale)
-    flat, root_mult = _sector_basis(n, k)
-    vec = vec[flat] * root_mult
+    vec *= np.sqrt(_grid.sector_tables(n, k)[0][-1][2])
     trace_gamma = weight * _sum_sq(coords)
     norm_v = _sum_sq(vec)
 

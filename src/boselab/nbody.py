@@ -19,26 +19,23 @@ secular drift.  A trajectory computes its energies from the stored
 states when they are first read, not while it propagates, with one H_N
 built for all of them.
 
-Storage: the state is bosonic, so evolve holds it as its values at the
+Storage: the state is bosonic, a grid.BosonicState, its values at the
 sorted index tuples i_1 <= ... <= i_N (grid.sector_tables), C(n+N-1, N)
-numbers (52,360 at N = 4, n = 32, against n^N = 1,048,576).  A
-grid.BosonicState input is propagated as it is; a TensorState input is
-projected onto that sector once, and a state the projection would move
-by more than marginals.SECTOR_RTOL (relative) is rejected.  The half
-kicks, the multiplicity-weighted norm and the norm guards act on the
-sector values, and the half-kick phase is built from the potential at
-the sorted tuples alone (NBodySystem.potential_at).  The kinetic factor
-goes in N levels: after k of them the tensor is symmetric in its k
-transformed axes and in its N - k others, so level k is one gather into
-rows (sorted (N-k-1)-tuple, sorted k-tuple) and one matrix product with
-U^T along the axis it transforms (_SectorPlan.level_tables).  The sector
-tables are cached in grid; the index tables of the gathers are built
-once per call.  Besides the caller's state, evolve holds three level
-buffers, two outputs and one gathered input (at N = 4, n = 32: 16,896 x
-32 entries, 8.7 MB each), the gather tables (11.7 MB there), the sector
-state, its half-kick phase and the stored snapshots, BosonicStates of
-the sector values that form their n^N tensor only when it is read; the
-first snapshot is the caller's state (a copy of a TensorState).
+numbers (52,360 at N = 4, n = 32, against n^N = 1,048,576); evolve takes
+no other state.  The half kicks, the multiplicity-weighted norm and the
+norm guards act on the sector values, and the half-kick phase is built
+from the potential at the sorted tuples alone (NBodySystem.potential_at).
+The kinetic factor goes in N levels: after k of them the tensor is
+symmetric in its k transformed axes and in its N - k others, so level k
+is one gather into rows (sorted (N-k-1)-tuple, sorted k-tuple) and one
+matrix product with U^T along the axis it transforms (_level_tables).
+The sector tables are cached in grid; the index tables of the gathers
+are built once per call.  Besides the caller's state, evolve holds three
+level buffers, two outputs and one gathered input (at N = 4, n = 32:
+16,896 x 32 entries, 8.7 MB each), the gather tables (11.7 MB there),
+the sector state, its half-kick phase and the stored snapshots,
+BosonicStates of the sector values that form their n^N tensor only when
+it is read; the first snapshot is the caller's state.
 
 Threading: the package has one thread layer, its pool (grid._POOL_SIZE,
 shared with collapse's kernel_H), sized once at import from
@@ -78,7 +75,7 @@ from .grid import (BosonicState, Grid1D, GridError, TensorState,
                    apply_matrix, dense_operator, fourier_matrix,
                    kinetic_symbol, on_axes, pair_differences, sector_tables,
                    trap_potential)
-from .marginals import SECTOR_RTOL, partial_trace
+from .marginals import partial_trace
 from .potentials import PotentialSpec, scaled_potential
 
 # rows per call of a kinetic level's gather and matmul, the unit of work
@@ -143,103 +140,46 @@ def _kinetic_factor(grid: Grid1D, dt: float, split: bool) -> np.ndarray:
     return np.ascontiguousarray(factor.T)
 
 
-@dataclass(frozen=True)
-class _SectorPlan:
-    """The symmetric sector of N particles on n sites, stored as the
-    values at the sorted index tuples (grid.sector_tables); C_m =
+def _level_tables(n: int, nn: int) -> tuple[list, np.ndarray]:
+    """(gathers, final): the index tables of one kinetic step on the
+    sector of nn particles on n sites (grid.sector_tables); C_m =
     C(n+m-1, m) counts the sorted m-tuples.
 
-    tuples lists the sorted N-tuples (the half kicks are evaluated at
-    them), multiplicity weights the norm, and ranks[expand] is the rank
-    of every index tuple, which projects a tensor onto the sector.
-    level_tables gives the index tables of the kinetic levels.
+    Level k (k = 0..N-1) applies U along one more axis.  Its input rows
+    are (b, c), b a sorted (N-k-1)-tuple of untransformed indices and c a
+    sorted k-tuple of transformed ones, and its columns the index j of
+    the axis it transforms.  gathers[k], shape (C_{N-k-1} C_k, n), indexes
+    the flat sector state (k = 0) or the flat output of level k-1, shape
+    (C_{N-k}, C_{k-1}, n), at (the rank of b with j, c without its last
+    index, c's last index).  The product with U^T gives level k's output
+    (C_{N-k-1}, C_k, n), whose last index is the newly transformed one,
+    and final indexes the last output at the sorted N-tuples.
+    Consecutive rows read neighbouring entries, so the gathers stream.
     """
+    tables, _ = sector_tables(n, nn)
+    dims = [1] + [len(t[0]) for t in tables]
 
-    n: int
-    tables: tuple
-    expand: np.ndarray
+    def prefix_last(m):
+        # lexicographic order lists the m-tuples by their (m-1)-prefix
+        # and then by a last index from the prefix's last up
+        before = tables[m - 2][0][:, -1] if m > 1 else np.zeros(1, int)
+        return (np.repeat(np.arange(dims[m - 1]), n - before),
+                tables[m - 1][0][:, -1])
 
-    @classmethod
-    def build(cls, n: int, nn: int) -> "_SectorPlan":
-        return cls(n, *sector_tables(n, nn))
-
-    @property
-    def tuples(self) -> np.ndarray:
-        return self.tables[-1][0]
-
-    @property
-    def ranks(self) -> np.ndarray:
-        return self.tables[-1][1]
-
-    @property
-    def multiplicity(self) -> np.ndarray:
-        return self.tables[-1][2]
-
-    def level_tables(self) -> tuple[list, np.ndarray]:
-        """(gathers, final): the index tables of one kinetic step.
-
-        Level k (k = 0..N-1) applies U along one more axis.  Its input
-        rows are (b, c), b a sorted (N-k-1)-tuple of untransformed indices
-        and c a sorted k-tuple of transformed ones, and its columns the
-        index j of the axis it transforms.  gathers[k], shape
-        (C_{N-k-1} C_k, n), indexes the flat sector state (k = 0) or the
-        flat output of level k-1, shape (C_{N-k}, C_{k-1}, n), at (the
-        rank of b with j, c without its last index, c's last index).  The
-        product with U^T gives level k's output (C_{N-k-1}, C_k, n), whose
-        last index is the newly transformed one, and final indexes the
-        last output at the sorted N-tuples.  Consecutive rows read
-        neighbouring entries, so the gathers stream.
-        """
-        n, tables = self.n, self.tables
-        nn = len(tables)
-        dims = [1] + [len(t[0]) for t in tables]
-
-        def prefix_last(m):
-            # lexicographic order lists the m-tuples by their (m-1)-prefix
-            # and then by a last index from the prefix's last up
-            before = tables[m - 2][0][:, -1] if m > 1 else np.zeros(1, int)
-            return (np.repeat(np.arange(dims[m - 1]), n - before),
-                    tables[m - 1][0][:, -1])
-
-        gathers = [tables[nn - 1][1]]
-        for k in range(1, nn):
-            prefix, last = prefix_last(k)
-            index = ((tables[nn - k - 1][1][:, None, :] * dims[k - 1]
-                      + prefix[:, None]) * n + last[:, None])
-            gathers.append(index.reshape(-1, n))
-        prefix, last = prefix_last(nn)
-        return gathers, prefix * n + last
-
-    def project(self, amplitudes: np.ndarray) -> np.ndarray:
-        """Sector values of a tensor, the mean over each orbit of index
-        permutations; GridError if that moves it by more than SECTOR_RTOL
-        relative.  The mean is taken as the value at the sorted tuple
-        plus the mean deviation of its orbit from it, so a symmetric
-        tensor (a BosonicState's amplitudes) gives back its values bit
-        for bit.  A NaN passes here and trips evolve's norm guard."""
-        rank = self.ranks[self.expand].reshape(-1)
-        values = amplitudes.reshape(-1)
-        size = len(self.multiplicity)
-        rep = values[np.ravel_multi_index(self.tuples.T, amplitudes.shape)]
-        off = np.take(rep, rank)
-        np.subtract(values, off, out=off)
-        mean = np.empty(size, dtype=np.complex128)
-        mean.real = np.bincount(rank, off.real, size)
-        mean.imag = np.bincount(rank, off.imag, size)
-        mean /= self.multiplicity
-        off -= np.take(mean, rank)
-        off_sq, total_sq = _grid._norm_sq(off), _grid._norm_sq(values)
-        if off_sq > SECTOR_RTOL ** 2 * total_sq:
-            raise GridError(
-                f"state is off the bosonic sector: ||psi - S psi|| / ||psi||"
-                f" = {math.sqrt(off_sq / total_sq):.3e} > {SECTOR_RTOL}")
-        return rep + mean
+    gathers = [tables[nn - 1][1]]
+    for k in range(1, nn):
+        prefix, last = prefix_last(k)
+        index = ((tables[nn - k - 1][1][:, None, :] * dims[k - 1]
+                  + prefix[:, None]) * n + last[:, None])
+        gathers.append(index.reshape(-1, n))
+    prefix, last = prefix_last(nn)
+    return gathers, prefix * n + last
 
 
 def _kinetic_levels(psi: np.ndarray, gathers: list, factor_t: np.ndarray,
                     split: bool, buffers: tuple) -> np.ndarray:
     """U along every axis of the sector state psi, level by level
-    (_SectorPlan.level_tables); returns the flat last level output.
+    (_level_tables); returns the flat last level output.
 
     factor_t is U^T, or (U - I)^T with split, which adds the gathered
     input to each product.  A level gathers into buffers[2] and
@@ -425,22 +365,20 @@ class Trajectory:
         return float(np.max(np.abs(self.energies - e0)) / scale)
 
 
-def evolve(system: NBodySystem, state: TensorState | BosonicState,
-           dt: float, n_steps: int, store_every: int = 1) -> Trajectory:
+def evolve(system: NBodySystem, state: BosonicState, dt: float,
+           n_steps: int, store_every: int = 1) -> Trajectory:
     """Strang-splitting propagation of psi(t) = exp(-i t H_N) psi(0).
 
     The state is a BosonicState, whose sector values are propagated as
-    they are, or a TensorState, which must be bosonic: it is projected
-    onto the symmetric sector once, and GridError is raised when that
-    moves it by more than SECTOR_RTOL relative.  The norm change per step
-    and since step 0 are both checked against NORM_TOL (the splitting is
-    exactly unitary, so violations indicate numerical trouble, and the
-    step-0 check catches slow drift that no single step shows), and a
-    non-finite norm aborts at once.  The largest drift since step 0 over
-    every step is kept as the trajectory's norm_drift.  Snapshots are
-    stored every store_every steps as BosonicStates, never expanded here;
-    the first is the initial state as given (a copy of a TensorState),
-    and its norm that of the sector values.
+    they are; any other state (a TensorState, symmetric or not) raises
+    GridError, so a caller symmetrizes with grid.symmetrize.  The norm
+    change per step and since step 0 are both checked against NORM_TOL
+    (the splitting is exactly unitary, so violations indicate numerical
+    trouble, and the step-0 check catches slow drift that no single step
+    shows), and a non-finite norm aborts at once.  The largest drift
+    since step 0 over every step is kept as the trajectory's norm_drift.
+    Snapshots are stored every store_every steps as BosonicStates, never
+    expanded here; the first is the initial state itself.
 
     A step is N levels of gather and BLAS product with the n x n kinetic
     factor (in row blocks on the pool, _kinetic_levels), one gather of
@@ -450,33 +388,31 @@ def evolve(system: NBodySystem, state: TensorState | BosonicState,
     each factor P is applied as psi + (P - 1) psi.  No energy is computed
     here (Trajectory.energies computes them when read).
     """
+    if not isinstance(state, BosonicState):
+        raise GridError(f"evolve propagates a BosonicState, not a "
+                        f"{type(state).__name__}; symmetrize it first")
     _check_grid(system, state)
     if dt <= 0 or n_steps < 1 or store_every < 1:
         raise GridError("dt, n_steps, store_every must be positive")
 
     grid, nn = system.grid, system.n_particles
-    plan = _SectorPlan.build(grid.n, nn)
-    if isinstance(state, BosonicState):
-        closed = state.values.copy()
-        first = state
-    else:
-        closed = plan.project(state.amplitudes)
-        first = TensorState(grid, state.amplitudes.copy())
+    tuples, _, multiplicity = sector_tables(grid.n, nn)[0][-1]
+    closed = state.values.copy()
     split = system.dim < SPLIT_FLOOR
     half = (_phase_minus_one if split else _phase)(
-        (-0.5 * dt) * system.potential_at(plan.tuples.T))
+        (-0.5 * dt) * system.potential_at(tuples.T))
     factor_t = _kinetic_factor(grid, dt, split)
     weight = grid.h ** nn
-    gathers, final = plan.level_tables()
+    gathers, final = _level_tables(grid.n, nn)
     rows = max(len(index) for index in gathers)
     buffers = tuple(np.empty((rows, grid.n), dtype=np.complex128)
                     for _ in range(3))
 
     norm_prev = norm_start = math.sqrt(
-        weight * _grid._norm_sq(closed, plan.multiplicity))
+        weight * _grid._norm_sq(closed, multiplicity))
     drift = 0.0
     times = [0.0]
-    states = [first]
+    states = [state]
     norms = [norm_prev]
     psi = np.empty_like(closed)
     _kick(closed, half, split, psi)
@@ -486,7 +422,7 @@ def evolve(system: NBodySystem, state: TensorState | BosonicState,
         np.take(levels, final, out=closed, mode="clip")
         _kick(closed, half, split, closed)
         norm_now = math.sqrt(
-            weight * _grid._norm_sq(closed, plan.multiplicity))
+            weight * _grid._norm_sq(closed, multiplicity))
 
         if not math.isfinite(norm_now):
             raise NumericalAbort(f"norm is {norm_now} at step {step}")

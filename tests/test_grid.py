@@ -189,6 +189,49 @@ def test_symmetrize_rejects_antisymmetric_input():
         symmetrize(TensorState(g, anti))
 
 
+def _permutation_average(amplitudes):
+    """The former symmetrizer, kept as the oracle: the average of a
+    tensor over the N! permutations of its axes."""
+    perms = itertools.permutations(range(amplitudes.ndim))
+    next(perms)  # the identity
+    acc = amplitudes.copy()
+    for perm in perms:
+        acc += np.transpose(amplitudes, perm)
+    acc /= math.factorial(amplitudes.ndim)
+    return acc
+
+
+def _permutation_sign(perm):
+    inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+    return -1 if inversions % 2 else 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(nn=st.integers(1, 4), n=st.sampled_from([2, 4, 8]),
+       seed=st.integers(0, 2 ** 16))
+def test_symmetrize_is_the_permutation_average(nn, n, seed):
+    g = Grid1D(n, 4.0)
+    rng = np.random.default_rng(seed)
+    shape = (n,) * nn
+    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    sym = symmetrize(TensorState(g, raw))
+    assert isinstance(sym, BosonicState) and sym.n_particles == nn
+    assert sym.norm() == pytest.approx(1.0, rel=1e-14)
+    ref = TensorState(g, _permutation_average(raw)).normalized().amplitudes
+    assert (np.linalg.norm(sym.amplitudes - ref)
+            <= 1e-15 * np.linalg.norm(ref))
+    # a symmetric tensor's values come back bit for bit
+    again = symmetrize(TensorState(g, sym.amplitudes))
+    assert np.array_equal(again.values, sym.normalized().values)
+    # an antisymmetric tensor has no bosonic part (and is zero unless the
+    # N particles can sit on distinct sites)
+    if 2 <= nn <= n:
+        anti = sum(_permutation_sign(p) * np.transpose(raw, p)
+                   for p in itertools.permutations(range(nn)))
+        with pytest.raises(GridError, match="annihilated"):
+            symmetrize(TensorState(g, anti))
+
+
 def test_random_state_seeding_and_symmetry():
     g = Grid1D(16, 4.0)
     a = random_state(g, 3, seed=7, k_filter=2.0, symmetric=True)
@@ -197,8 +240,13 @@ def test_random_state_seeding_and_symmetry():
     assert np.array_equal(a.amplitudes, b.amplitudes)
     assert not np.array_equal(a.amplitudes, c.amplitudes)
     assert a.norm() == pytest.approx(1.0, rel=1e-12)
-    assert symmetry_residual(a) < 1e-12
+    assert symmetry_residual(a) == 0.0
+    # a symmetric draw is a BosonicState at every N, one particle included
+    for nn in (1, 2, 3):
+        assert isinstance(random_state(g, nn, seed=1, symmetric=True),
+                          BosonicState)
     loose = random_state(g, 2, seed=1)
+    assert isinstance(loose, TensorState)
     assert loose.norm() == pytest.approx(1.0, rel=1e-12)
 
 

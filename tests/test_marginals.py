@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from boselab.cli import _product_state
 from boselab.grid import (BosonicState, ConvergenceError, Grid1D,
                           TensorState, dense_weight_squared, random_state,
-                          sorted_tuples, symmetrize, weighted_norm_squared)
+                          sector_product, sorted_tuples, symmetrize,
+                          weighted_norm_squared)
 from boselab.marginals import (
     MarginalDensity,
     MarginalError,
@@ -68,8 +69,10 @@ def test_product_state_marginal_is_projector():
     gam = partial_trace(state, 1)
     proj = product_projector(g, phi, 1)
     assert trace_distance(gam, proj) < 1e-12
-    assert chaos_distance(state, 1, phi) < 1e-12
-    assert chaos_distance(state, 2, phi) < 1e-12
+    boson = BosonicState(g, 3, sector_product(phi, 3))
+    assert np.allclose(boson.amplitudes, amp, rtol=1e-15, atol=0)
+    assert chaos_distance(boson, 1, phi) < 1e-12
+    assert chaos_distance(boson, 2, phi) < 1e-12
     # pure projector spectrum: one occupation 1, rest 0
     evals = gam.eigenvalues()
     assert evals[-1] == pytest.approx(1.0, rel=1e-12)
@@ -241,37 +244,30 @@ def test_chaos_distance_matches_full_space_oracle(case, blend, seed):
     assert 0.0 <= chaos_distance(same, k, phi) <= 1e-13
 
 
-def sector_values(state):
-    """A state symmetric to rounding as a BosonicState: its amplitudes at
-    the sorted index tuples."""
-    g, nn = state.grid, state.n_particles
-    tuples, _, _ = sorted_tuples(g.n, nn)
-    flat = np.ravel_multi_index(tuples.T, (g.n,) * nn)
-    return BosonicState(g, nn, state.amplitudes.reshape(-1)[flat])
-
-
 @settings(max_examples=40, deadline=None)
 @given(case=st.sampled_from(SECTOR_CASES), blend=st.sampled_from(
     [0.0, 1e-3, 0.3, 10.0]), seed=st.integers(0, 2 ** 16))
 def test_sector_route_matches_tensor_route_and_oracle(case, blend, seed):
-    # the factor read off the sector values against the one of the same
-    # state's full tensor, and both distances against the dense oracle
+    # the factor read off the sector values against the sector
+    # coordinates of the amplitude matrix of the same state's full tensor
+    # (rows at the sorted k-tuples times sqrt(mult)), and the distance
+    # against the dense oracle
     nn, n, k = case
     g = Grid1D(n, 4.0)
     rng = np.random.default_rng(seed)
     phi = random_orbital(g, rng)
-    boson = sector_values(
-        blended_boson_state(g, nn, random_orbital(g, rng), blend, seed))
-    tensor = TensorState(g, boson.amplitudes)
-    ref = trace_distance(partial_trace(tensor, k),
+    boson = blended_boson_state(g, nn, random_orbital(g, rng), blend, seed)
+    ref = trace_distance(partial_trace(boson, k),
                          product_projector(g, phi, k))
-    got = chaos_distance(boson, k, phi)
-    assert got == pytest.approx(chaos_distance(tensor, k, phi), rel=1e-12,
-                                abs=1e-13)
-    assert got == pytest.approx(ref, rel=1e-12, abs=1e-13)
-    a, b = sector_marginal(boson, k), sector_marginal(tensor, k)
+    assert chaos_distance(boson, k, phi) == pytest.approx(ref, rel=1e-12,
+                                                          abs=1e-13)
+    a = sector_marginal(boson, k)
     assert a.shape == (math.comb(n + k - 1, k),
                        math.comb(n + nn - k - 1, nn - k))
+    tuples, _, multiplicity = sorted_tuples(n, k)
+    rows = np.ravel_multi_index(tuples.T, (n,) * k)
+    b = boson.amplitudes.reshape(n ** k, -1)[rows] * np.sqrt(
+        multiplicity)[:, None]
     gram = b @ b.conj().T
     assert np.allclose(a @ a.conj().T, gram, rtol=0,
                        atol=1e-13 * np.max(np.abs(gram)))
@@ -319,28 +315,22 @@ def test_chaos_distance_of_all_particles_is_pure_state_distance(nn, n):
 
 
 def test_chaos_distance_rejects_states_off_the_bosonic_sector():
+    # the sector routes take BosonicStates only: a TensorState is rejected
+    # by its type at every k, even one that is symmetric to the last bit
     g = Grid1D(8, 4.0)
     phi = unit_gaussian(g)
-    state = random_state(g, 3, seed=4, k_filter=3.0, symmetric=False)
-    for k in (2, 3):
-        with pytest.raises(MarginalError, match="bosonic sector"):
-            chaos_distance(state, k, phi)
-    # every state is symmetric in one particle: k = 1 still evaluates
-    ref = trace_distance(partial_trace(state, 1), product_projector(g, phi, 1))
-    assert chaos_distance(state, 1, phi) == pytest.approx(ref, rel=1e-12)
-    # a symmetry defect just above the tolerance is caught
     boson = random_state(g, 3, seed=4, k_filter=3.0, symmetric=True)
-    nudged = boson.amplitudes.copy()
-    nudged[0, 1, 2] += 1e-11 * np.linalg.norm(nudged)
-    with pytest.raises(MarginalError, match="bosonic sector"):
-        chaos_distance(TensorState(g, nudged), 2, phi)
-    # NaN fails every comparison: both guards must still fail closed
-    nudged[0, 1, 2] = np.nan
-    for k in (1, 2):
-        with pytest.raises(MarginalError):
-            chaos_distance(TensorState(g, nudged), k, phi)
+    for state in (random_state(g, 3, seed=4, k_filter=3.0),
+                  TensorState(g, boson.amplitudes)):
+        for k in (1, 2, 3):
+            with pytest.raises(MarginalError, match="BosonicState"):
+                sector_marginal(state, k)
+            with pytest.raises(MarginalError, match="BosonicState"):
+                chaos_distance(state, k, phi)
     with pytest.raises(MarginalError, match="out of range"):
         chaos_distance(boson, 4, phi)
+    with pytest.raises(MarginalError, match="out of range"):
+        sector_marginal(boson, 0)
     with pytest.raises(MarginalError, match="normalized"):
         chaos_distance(boson, 1, 2.0 * phi)
 
@@ -350,15 +340,11 @@ def test_chaos_distance_fails_closed_on_non_finite_input(bad):
     g = Grid1D(8, 4.0)
     phi = unit_gaussian(g)
     boson = random_state(g, 3, seed=4, k_filter=3.0, symmetric=True)
-    spoilt = boson.amplitudes.copy()
-    spoilt[1, 2, 3] = bad
     orbital = phi.copy()
     orbital[2] = bad
-    values = sector_values(boson).values.copy()
+    values = boson.values.copy()
     values[7] = bad
     for k in (1, 2, 3):
-        with pytest.raises(MarginalError):
-            chaos_distance(TensorState(g, spoilt), k, phi)
         with pytest.raises(MarginalError):
             chaos_distance(BosonicState(g, 3, values), k, phi)
         with pytest.raises(MarginalError):
@@ -371,7 +357,7 @@ def test_chaos_distance_keeps_the_trace_lower_bound(k):
     # D = (1 - c^(2k)) |phi><phi|^k is negative, Tr|D| = |Tr D|
     g = Grid1D(8, 4.0)
     phi = unit_gaussian(g)
-    state = TensorState(g, product_tensor(phi, 3))
+    state = BosonicState(g, 3, sector_product(phi, 3))
     c2 = 1.0 + 4e-9
     value = chaos_distance(state, k, math.sqrt(c2) * phi)
     assert value == pytest.approx(c2 ** k - 1.0, rel=1e-6)

@@ -12,6 +12,7 @@ from scipy.linalg import expm
 
 from boselab.grid import (BosonicState, Grid1D, GridError, TensorState,
                           dense_operator, kinetic_symbol, random_state,
+                          sector_product, sector_tables, symmetrize,
                           symmetry_residual, trap_potential)
 from boselab.nbody import (
     NBodySystem,
@@ -64,11 +65,9 @@ def test_potential_at_sorted_tuples_is_the_gathered_diagonal(nn, n, omega,
                                                             potential):
     # evolve's half kicks read the diagonal at the sorted tuples only; the
     # same sums in the same order give the same bits as the full tensor
-    from boselab import nbody
-
     system = NBodySystem(Grid1D(n, 4.0), nn, potential=potential,
                          omega=omega)
-    tuples = nbody._SectorPlan.build(n, nn).tuples
+    tuples = sector_tables(n, nn)[0][-1][0]
     flat = np.ravel_multi_index(tuples.T, (n,) * nn)
     assert np.array_equal(system.potential_at(tuples.T),
                           system.potential_diagonal().reshape(-1)[flat])
@@ -189,7 +188,8 @@ def test_free_dispersion_matches_analytic_variance():
     phi = np.exp(-g.x ** 2 / (2 * s0 ** 2)).astype(np.complex128)
     phi /= math.sqrt(g.h * float(np.sum(np.abs(phi) ** 2)))
     system = NBodySystem(g, 1)
-    traj = evolve(system, TensorState(g, phi), 1e-3, 500, store_every=100)
+    traj = evolve(system, BosonicState(g, 1, phi), 1e-3, 500,
+                  store_every=100)
     for t, snap in zip(traj.times, traj.states):
         dens = np.abs(snap.amplitudes) ** 2
         var = float(g.h * np.sum(g.x ** 2 * dens))
@@ -202,7 +202,8 @@ def test_trap_ground_state_is_stationary():
     phi, _ = trap_ground_state(g, 1.0)
     pair = TensorState(g, np.multiply.outer(phi, phi))
     system = NBodySystem(g, 2, omega=1.0)
-    traj = evolve(system, pair, 1e-3, 500, store_every=500)
+    traj = evolve(system, BosonicState(g, 2, sector_product(phi, 2)), 1e-3,
+                  500, store_every=500)
     overlap = abs(traj.states[-1].inner(pair))
     assert overlap == pytest.approx(1.0, abs=1e-12)
 
@@ -397,10 +398,13 @@ def test_stored_snapshots_do_not_alias_the_buffer():
     system = NBodySystem(g, 2, potential=gaussian_well(), omega=1.0)
     state = random_state(g, 2, seed=2, k_filter=3.0, symmetric=True)
     traj = evolve(system, state, 1e-3, 6, store_every=1)
-    amps = [s.amplitudes for s in traj.states] + [state.amplitudes]
-    for i in range(len(amps)):
-        for j in range(i + 1, len(amps)):
-            assert not np.shares_memory(amps[i], amps[j])
+    # the first snapshot is the caller's (read-only) state itself
+    assert traj.states[0] is state
+    for arrays in ([s.values for s in traj.states],
+                   [s.amplitudes for s in traj.states]):
+        for i in range(len(arrays)):
+            for j in range(i + 1, len(arrays)):
+                assert not np.shares_memory(arrays[i], arrays[j])
     fresh = evolve(system, state, 1e-3, 3, store_every=3)
     np.testing.assert_array_equal(traj.states[3].amplitudes,
                                   fresh.states[-1].amplitudes)
@@ -552,13 +556,14 @@ def _three_pass_loop(system, state, dt, n_steps, store_every):
     """Strang loop on the full tensor: a half kick, the per-axis products
     (axis 0 first, each as rows @ U^T), a second half kick and the norm,
     one pass each.  The tensor and the phase are kept at their values at
-    the sorted index tuples, as the sector route keeps them; returns the
+    the sorted index tuples, as the sector route keeps them, and the norm
+    is the multiplicity-weighted sum over those values; returns the
     stored states and norms."""
     from boselab import nbody
 
     grid, nn = system.grid, system.n_particles
-    plan = nbody._SectorPlan.build(grid.n, nn)
-    flat = np.ravel_multi_index(plan.tuples.T, (grid.n,) * nn)
+    tuples, _, multiplicity = sector_tables(grid.n, nn)[0][-1]
+    flat = np.ravel_multi_index(tuples.T, (grid.n,) * nn)
 
     def sorted_values(full):
         return BosonicState(grid, nn, full.reshape(-1)[flat]).amplitudes
@@ -582,10 +587,11 @@ def _three_pass_loop(system, state, dt, n_steps, store_every):
         return psi
 
     def norm(psi):
-        return math.sqrt(weight * np.vdot(psi, psi).real)
+        return math.sqrt(weight * np.sum(
+            multiplicity * np.abs(psi.reshape(-1)[flat]) ** 2))
 
-    psi = BosonicState(grid, nn, plan.project(state.amplitudes)).amplitudes
-    states, norms = [state.amplitudes.copy()], [norm(psi)]
+    psi = state.amplitudes
+    states, norms = [psi], [norm(psi)]
     for step in range(1, n_steps + 1):
         psi = sorted_values(kick(kinetic(kick(psi))))
         if step % store_every == 0:
@@ -686,58 +692,46 @@ def test_energies_build_the_hamiltonian_once(monkeypatch):
 
 
 def test_evolve_rejects_a_state_off_the_bosonic_sector():
-    from boselab import nbody
-    from boselab.marginals import SECTOR_RTOL
-
+    # evolve takes BosonicStates only: a TensorState is rejected by its
+    # type, even one that is symmetric to the last bit
     g = Grid1D(8, 4.0)
     system = NBodySystem(g, 3, potential=gaussian_well(1.0, 1.0))
-    with pytest.raises(GridError, match="off the bosonic sector"):
-        evolve(system, random_state(g, 3, seed=0), 1e-3, 2)
-    # a symmetric state with one amplitude moved by 10 SECTOR_RTOL of the
-    # norm is rejected; a state symmetric to rounding is accepted
-    state = random_state(g, 3, seed=1, k_filter=3.0, symmetric=True)
-    assert 0 < symmetry_residual(state) < 1e-15
-    scale = math.sqrt(np.sum(np.abs(state.amplitudes) ** 2))
-    nudged = state.copy()
-    nudged.amplitudes[1, 2, 3] += 10 * SECTOR_RTOL * scale
-    with pytest.raises(GridError, match="off the bosonic sector"):
-        evolve(system, nudged, 1e-3, 2)
-    nudged.amplitudes[1, 2, 3] -= 9 * SECTOR_RTOL * scale
-    traj = evolve(system, nudged, 1e-3, 2)
-    # the first snapshot is the state as given, the others are projected
-    assert np.array_equal(traj.states[0].amplitudes, nudged.amplitudes)
+    boson = random_state(g, 3, seed=1, k_filter=3.0, symmetric=True)
+    assert isinstance(boson, BosonicState)
+    assert symmetry_residual(boson) == 0.0
+    for state in (random_state(g, 3, seed=0),
+                  TensorState(g, boson.amplitudes)):
+        with pytest.raises(GridError, match="BosonicState"):
+            evolve(system, state, 1e-3, 2)
+    traj = evolve(system, boson, 1e-3, 2)
+    assert traj.states[0] is boson
     assert symmetry_residual(traj.states[-1]) == 0.0
-    plan = nbody._SectorPlan.build(8, 3)
-    projected = BosonicState(g, 3, plan.project(nudged.amplitudes)).amplitudes
-    assert np.max(np.abs(projected - nudged.amplitudes)) < 1e-12 * scale
 
 
 @pytest.mark.parametrize("nn, n", [(2, 16), (3, 8), (4, 16)])
 def test_evolve_on_sector_values_matches_its_expansion(nn, n):
     # 16^2 amplitudes take the split route, 16^4 the whole one on the
-    # pool; the projection gives a symmetric tensor's values back bit for
-    # bit, so both inputs propagate the same numbers
-    from boselab import nbody
-
+    # pool; a tensor enters evolve through grid.symmetrize, which gives a
+    # symmetric tensor's values back bit for bit before normalizing, so
+    # the expansion of a state propagates as the state does, to the
+    # rounding of one renormalization
     g = Grid1D(n, 4.0)
     system = NBodySystem(g, nn, potential=gaussian_well(1.0, 1.0), omega=1.0)
-    plan = nbody._SectorPlan.build(n, nn)
-    state = random_state(g, nn, seed=nn, k_filter=3.0, symmetric=True)
-    boson = BosonicState(g, nn, plan.project(state.amplitudes))
+    boson = random_state(g, nn, seed=nn, k_filter=3.0, symmetric=True)
+    again = symmetrize(TensorState(g, boson.amplitudes))
+    assert np.array_equal(again.values, boson.normalized().values)
     sector = evolve(system, boson, 1e-3, 4, store_every=2)
-    tensor = evolve(system, TensorState(g, boson.amplitudes), 1e-3, 4,
-                    store_every=2)
-    assert sector.states[0] is boson
-    assert np.array_equal(tensor.states[0].amplitudes, boson.amplitudes)
-    for a, b in zip(sector.states[1:], tensor.states[1:], strict=True):
+    expanded = evolve(system, again, 1e-3, 4, store_every=2)
+    assert sector.states[0] is boson and expanded.states[0] is again
+    for a, b in zip(sector.states, expanded.states, strict=True):
         assert isinstance(a, BosonicState) and isinstance(b, BosonicState)
-        assert np.array_equal(a.values, b.values)
-    assert np.array_equal(sector.norms, tensor.norms)
-    assert sector.norm_drift == tensor.norm_drift
+        assert np.max(np.abs(a.values - b.values)) <= 1e-15 * np.max(
+            np.abs(a.values))
+    assert np.allclose(sector.norms, expanded.norms, rtol=0, atol=1e-15)
 
 
 def test_grid_mismatch_is_rejected():
-    state = random_state(Grid1D(16, 4.0), 2, seed=0)
+    state = random_state(Grid1D(16, 4.0), 2, seed=0, symmetric=True)
     system = NBodySystem(Grid1D(16, 8.0), 2, potential=gaussian_well())
     with pytest.raises(GridError, match="grid"):
         evolve(system, state, 1e-3, 2)
@@ -783,8 +777,8 @@ def test_evolve_validation_and_abort(monkeypatch):
     g = Grid1D(16, 4.0)
     system = NBodySystem(g, 2, potential=gaussian_well())
     state = random_state(g, 2, seed=0, symmetric=True)
-    with pytest.raises(GridError):
-        evolve(system, random_state(g, 3, seed=0), 1e-3, 2)
+    with pytest.raises(GridError, match="particle number"):
+        evolve(system, random_state(g, 3, seed=0, symmetric=True), 1e-3, 2)
     with pytest.raises(GridError):
         evolve(system, state, -1e-3, 2)
     with pytest.raises(GridError):
@@ -799,10 +793,10 @@ def test_evolve_aborts_on_nan_amplitude():
     # NaN fails every comparison, so only a finiteness test can catch it
     g = Grid1D(16, 4.0)
     system = NBodySystem(g, 2, potential=gaussian_well())
-    state = random_state(g, 2, seed=0, symmetric=True)
-    state.amplitudes[3, 5] = np.nan
+    values = random_state(g, 2, seed=0, symmetric=True).values.copy()
+    values[7] = np.nan
     with pytest.raises(NumericalAbort, match="nan"):
-        evolve(system, state, 1e-3, 5)
+        evolve(system, BosonicState(g, 2, values), 1e-3, 5)
 
 
 def test_evolve_aborts_on_slow_norm_creep():
