@@ -494,10 +494,12 @@ def symmetrize(state: TensorState) -> BosonicState:
     mean.real = np.bincount(rank, off.real, len(rep))
     mean.imag = np.bincount(rank, off.imag, len(rep))
     mean /= multiplicity
-    out = BosonicState(grid, nn, rep + mean)
-    if out.norm() <= 1e-12 * state.norm():
+    mean += rep
+    nrm = math.sqrt(grid.h ** nn * _norm_sq(mean, multiplicity))
+    if nrm <= 1e-12 * state.norm():
         raise GridError("symmetrization annihilated the state")
-    return out.normalized()
+    mean /= nrm
+    return BosonicState(grid, nn, mean)
 
 
 def symmetry_residual(state: TensorState) -> float:

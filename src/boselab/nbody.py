@@ -27,23 +27,33 @@ norm guards act on the sector values, and the half-kick phase is built
 from the potential at the sorted tuples alone (NBodySystem.potential_at).
 The kinetic factor goes in N levels: after k of them the tensor is
 symmetric in its k transformed axes and in its N - k others, so level k
-is one gather into rows (sorted (N-k-1)-tuple, sorted k-tuple) and one
-matrix product with U^T along the axis it transforms (_level_tables).
-The sector tables are cached in grid; the index tables of the gathers
-are built once per call.  Besides the caller's state, evolve holds three
-level buffers, two outputs and one gathered input (at N = 4, n = 32:
-16,896 x 32 entries, 8.7 MB each), the gather tables (11.7 MB there),
-the sector state, its half-kick phase and the stored snapshots,
-BosonicStates of the sector values that form their n^N tensor only when
-it is read; the first snapshot is the caller's state.
+is one gather into rows (sorted k-tuple c of transformed indices,
+sorted (N-k-1)-tuple of the others) and one product with U along the
+axis it transforms (_level_tables).  Its new index l is the largest of
+the next level's transformed tuple, so only l >= max(c) is ever read: a
+level of more than GEMM_ROWS rows is cut into bands by max(c), 4 sites
+wide, and a band computes only those l, written l outermost; at N = 4,
+n = 32 a step is 24.8M complex multiply-adds instead of the 46.9M of
+whole-width rows.  The sector tables are cached in grid; the index
+tables of the gathers are built on every call (1.5 ms at N = 4,
+n = 32) and not cached, so evolve holds them only while it runs.
+Besides the caller's state, evolve holds the index tables as
+one array (12.1 MB there), the two level outputs that alternate (8.4 MB
+there), one gather buffer of GEMM_ROWS rows per pool lane (0.5 MB each
+at n = 32), the sector state, its half-kick phase and the stored
+snapshots, BosonicStates of the sector values that form their n^N
+tensor only when it is read; the first snapshot is the caller's state.
 
 Threading: the package has one thread layer, its pool (grid._POOL_SIZE,
 shared with collapse's kernel_H), sized once at import from
 OMP_NUM_THREADS (which ``--threads`` sets) or else from the CPUs the
 process may run on; the CLI runs BLAS and LAPACK on one thread.  Each
-level's gather and product go to the pool in blocks of GEMM_ROWS rows
-(grid._in_blocks); each row is one gather and one product of length n
-whatever the split, so they give the same bits for any pool size.  The
+level's table is cut into chunks of GEMM_ROWS rows, and its chunks into
+lanes of consecutive chunks, one per pool thread (grid._in_blocks); a
+chunk is one gather and one product per band it holds.  Each product's
+rows and its band's width are the same for any split, and a band's
+product gives the bits of the whole-width one (its rows a multiple of
+4), so every pool size and BLAS thread count gives the same bits.  The
 kicks and the norm act on the sector on the calling thread.  The phases
 themselves are built once per call from sines of their real angle,
 without complex exp.
@@ -78,14 +88,17 @@ from .grid import (BosonicState, Grid1D, GridError, TensorState,
 from .marginals import partial_trace
 from .potentials import PotentialSpec, scaled_potential
 
-# rows per call of a kinetic level's gather and matmul, the unit of work
-# that _kinetic_levels hands to the pool: a level of fewer rows is one
-# call on the calling thread.  At N = 4, n = 32 the levels have 5,984,
-# 16,896, 16,896 and 5,984 rows, 6, 17, 17 and 6 blocks, which two lanes
-# share 3:3 and 8:9 (at 2048 rows, 1:2 and 4:5).  Under a threaded BLAS
-# the blocks also keep its per-thread buffer small (an unblocked 32^4
-# product at 2 OpenBLAS threads grew RSS by 16.1 MB, against 1.4 MB in
-# blocks of 2048 rows).
+# rows per chunk of a kinetic level, the unit of work of its gather and
+# products, and the size of the level above which it is cut into bands
+# (_level_tables).  At N = 4, n = 32 the levels have 5,984, 16,896,
+# 16,896 and 5,984 rows, in 1, 8, 8 and 8 bands, 6, 17, 17 and 6 chunks,
+# which two lanes share 3:3 and 8:9.  A chunk is one gather into its
+# lane's GEMM_ROWS-row buffer, which the products then read from cache.
+# A level of at most GEMM_ROWS rows (every level at N <= 3, n <= 32) is
+# one chunk and one full-width product on the calling thread.  Under a
+# threaded BLAS the chunks also keep its per-thread buffer small (an
+# unchunked 32^4 product at 2 OpenBLAS threads grew RSS by 16.1 MB,
+# against 1.4 MB in chunks of 2048 rows).
 GEMM_ROWS = 1024
 
 # Tensors with fewer amplitudes apply each Strang factor P as
@@ -141,67 +154,171 @@ def _kinetic_factor(grid: Grid1D, dt: float, split: bool) -> np.ndarray:
 
 
 def _level_tables(n: int, nn: int) -> tuple[list, np.ndarray]:
-    """(gathers, final): the index tables of one kinetic step on the
-    sector of nn particles on n sites (grid.sector_tables); C_m =
-    C(n+m-1, m) counts the sorted m-tuples.
+    """(levels, final): the index tables and row bands of one kinetic
+    step on the sector of nn particles on n sites (grid.sector_tables);
+    C_m = C(n+m-1, m) counts the sorted m-tuples.
 
-    Level k (k = 0..N-1) applies U along one more axis.  Its input rows
-    are (b, c), b a sorted (N-k-1)-tuple of untransformed indices and c a
-    sorted k-tuple of transformed ones, and its columns the index j of
-    the axis it transforms.  gathers[k], shape (C_{N-k-1} C_k, n), indexes
-    the flat sector state (k = 0) or the flat output of level k-1, shape
-    (C_{N-k}, C_{k-1}, n), at (the rank of b with j, c without its last
-    index, c's last index).  The product with U^T gives level k's output
-    (C_{N-k-1}, C_k, n), whose last index is the newly transformed one,
-    and final indexes the last output at the sorted N-tuples.
-    Consecutive rows read neighbouring entries, so the gathers stream.
+    Level k (k = 0..N-1) applies U along one more axis.  Its rows are
+    (c, b): c a sorted k-tuple of transformed indices, outermost, in
+    colexicographic order (by last index, then the one before, ...), and
+    b a sorted (N-k-1)-tuple of untransformed ones, in rank order; its
+    columns are the index j of the axis it transforms.  The index l it
+    makes is the last of the next level's transformed tuple, so row
+    (c, b) is read only at l >= max(c).  Each level is (table, outer,
+    bands), bands a list of (first row, rows, lo, output offset):
+    - a level of at most GEMM_ROWS rows is one band, lo = 0, written row
+      by row, shape (rows, n), as U^T times its rows;
+    - a larger one (outer) is cut into bands by max(c) in [lo, lo + 4),
+      lo a multiple of 4 (level 0, c empty, is one band, lo = 0), each
+      padded to a multiple of 4 rows, and a band's output holds only the
+      l >= lo, l outermost, shape (n - lo, rows): U's last n - lo rows
+      times the band's rows.
+
+    table, shape (rows, n), indexes the flat sector state (k = 0) or the
+    flat output of level k-1 at (l = c's last index, the rest of c, b
+    with j); after an outer level each row reads one contiguous run of
+    C_{N-k} values.  Pad rows read entry 0, and nothing reads their
+    outputs.  final indexes the last output at the sorted N-tuples t, at
+    l = t's last index.  The tables and final are views of one array,
+    built with a few array passes per level and band.
     """
-    tables, _ = sector_tables(n, nn)
-    dims = [1] + [len(t[0]) for t in tables]
+    sector, _ = sector_tables(n, nn)
+    tuples = [np.zeros((1, 0), np.intp)] + [t[0] for t in sector]
+    counts = [len(t) for t in tuples]
 
-    def prefix_last(m):
-        # lexicographic order lists the m-tuples by their (m-1)-prefix
-        # and then by a last index from the prefix's last up
-        before = tables[m - 2][0][:, -1] if m > 1 else np.zeros(1, int)
-        return (np.repeat(np.arange(dims[m - 1]), n - before),
-                tables[m - 1][0][:, -1])
+    def prefix(m):
+        # the rank of each sorted m-tuple's first m - 1 indices: the
+        # lexicographic order lists the m-tuples by that prefix, then by
+        # a last index from the prefix's last up
+        if m == 1:
+            return np.zeros(n, np.intp)
+        return np.repeat(np.arange(counts[m - 1]), n - tuples[m - 1][:, -1])
 
-    gathers = [tables[nn - 1][1]]
-    for k in range(1, nn):
-        prefix, last = prefix_last(k)
-        index = ((tables[nn - k - 1][1][:, None, :] * dims[k - 1]
-                  + prefix[:, None]) * n + last[:, None])
-        gathers.append(index.reshape(-1, n))
-    prefix, last = prefix_last(nn)
-    return gathers, prefix * n + last
+    plans = []
+    for k in range(nn):
+        inner = counts[nn - k - 1]
+        outer = counts[k] * inner > GEMM_ROWS
+        order = np.lexsort(tuples[k].T) if k else np.zeros(1, np.intp)
+        # c's last index runs over every site, so no band is empty
+        members = np.bincount(tuples[k][order, -1] // 4 if k and outer
+                              else np.zeros(counts[k], np.intp))
+        padded = -(-members * inner // 4) * 4 if outer else members * inner
+        plans.append((inner, outer, order, members, padded))
+
+    index = np.empty(n * sum(int(plan[-1].sum()) for plan in plans)
+                     + counts[nn], np.intp)
+    levels, at = [], 0
+    # the previous output holds c (by rank) at index l and untransformed
+    # tuple rank r at base[c] + l * stride[c] + r * step
+    base = stride = np.zeros(1, np.intp)
+    step = 1
+    for k, (inner, outer, order, members, padded) in enumerate(plans):
+        lo = 4 * np.arange(len(members))
+        first, start = np.cumsum(members) - members, np.cumsum(padded) - padded
+        offset = np.cumsum((n - lo) * padded) - (n - lo) * padded
+        table = index[at:at + n * int(padded.sum())].reshape(-1, n)
+        at += table.size
+        head = np.zeros(1, np.intp)
+        if k:
+            p = prefix(k)[order]
+            head = base[p] + tuples[k][order, -1] * stride[p]
+        reads = sector[nn - k - 1][1] * step
+        for f, m, s, pad in zip(first, members, start, padded):
+            np.add(head[f:f + m, None, None], reads,
+                   out=table[s:s + m * inner].reshape(m, inner, n))
+            table[s + m * inner:s + pad] = 0
+        levels.append((table, outer, [tuple(map(int, band)) for band in
+                                      zip(start, padded, lo, offset)]))
+        band = np.repeat(np.arange(len(lo)), members)
+        lstride, step = (padded[band], 1) if outer else (1, n)
+        base, stride = np.empty((2, counts[k]), np.intp)
+        base[order] = (offset[band] - lo[band] * lstride
+                       + (np.arange(counts[k]) - first[band]) * inner * step)
+        stride[order] = lstride
+    p = prefix(nn)
+    final = index[at:]
+    np.add(base[p], tuples[nn][:, -1] * stride[p], out=final)
+    return levels, final
 
 
-def _kinetic_levels(psi: np.ndarray, gathers: list, factor_t: np.ndarray,
-                    split: bool, buffers: tuple) -> np.ndarray:
+def _level_calls(levels: list, factor_t: np.ndarray, split: bool) -> list:
+    """The calls of one kinetic step (_level_tables' levels), on buffers
+    allocated here: per level, (lanes, output).
+
+    A level's table is cut into chunks of GEMM_ROWS padded rows, and the
+    chunks into min(pool size, chunks) lanes of consecutive chunks, one
+    pooled block each (grid._in_blocks).  A chunk is (table rows, rows of
+    its lane's gather buffer, parts): one gather, then one product per
+    band part it holds, (a, b, output, addend) for output = a @ b, to
+    which the split form adds addend.  A level written row by row has one
+    part, (rows, U^T, ...); an outer band part is (U's last n - lo rows,
+    the rows transposed, ...).  factor_t is U^T, or (U - I)^T with split,
+    and the addend is the gathered rows, laid out as the output.  Band
+    parts start at multiples of 4 rows and have a multiple of 4, so every
+    product gives the bits of the rows' whole-width product.  Each lane
+    gathers into its own GEMM_ROWS rows (0.5 MB at n = 32), the outputs
+    alternate between two, and the pool threads allocate nothing.
+    """
+    n = len(factor_t)
+    factor = np.ascontiguousarray(factor_t.T)
+    sizes = [sum((n - lo) * padded for _, padded, lo, _ in bands)
+             for _, _, bands in levels]
+    even = max(sizes[::2])
+    outputs = np.empty(even + max(sizes[1::2], default=0),
+                       dtype=np.complex128)
+    rows = [len(table) for table, _, _ in levels]
+    blocks = [-(-r // GEMM_ROWS) for r in rows]
+    gathered = np.empty((min(_grid._POOL_SIZE, max(blocks)),
+                         min(GEMM_ROWS, max(rows)), n), dtype=np.complex128)
+    calls = []
+    for k, ((table, outer, bands), size) in enumerate(zip(levels, sizes)):
+        out = outputs[k % 2 * even:][:size]
+        lanes = min(len(gathered), blocks[k])
+        calls.append(([], out))
+        for lane in range(lanes):
+            chunks = []
+            for block in range(blocks[k] * lane // lanes,
+                               blocks[k] * (lane + 1) // lanes):
+                top = block * GEMM_ROWS
+                bottom = min(top + GEMM_ROWS, rows[k])
+                into = gathered[lane, :bottom - top]
+                parts = [(into, factor_t, out.reshape(-1, n)[top:bottom],
+                          into)]
+                if outer:
+                    parts = []
+                    for start, padded, lo, offset in bands:
+                        a, b = max(start, top), min(start + padded, bottom)
+                        if a < b:
+                            band = into[a - top:b - top].T
+                            dst = out[offset:offset + (n - lo) * padded]
+                            parts.append((factor[lo:], band, dst.reshape(
+                                n - lo, padded)[:, a - start:b - start],
+                                band[lo:]))
+                chunks.append((table[top:bottom], into, parts))
+            calls[-1][0].append(chunks)
+    return calls
+
+
+def _kinetic_levels(psi: np.ndarray, calls: list, split: bool) -> np.ndarray:
     """U along every axis of the sector state psi, level by level
-    (_level_tables); returns the flat last level output.
+    (_level_tables, _level_calls); returns the flat last level output.
 
-    factor_t is U^T, or (U - I)^T with split, which adds the gathered
-    input to each product.  A level gathers into buffers[2] and
-    multiplies into buffers[0] or buffers[1], in turn, in blocks of
-    GEMM_ROWS rows on the pool (grid._in_blocks).  The buffers are
-    allocated once per evolve call, so the pool threads allocate nothing.
+    Each level's lanes go to the pool (grid._in_blocks); a lane runs its
+    chunks in turn, each a gather and its band parts' products.
     """
     src = psi
-    for level, index in enumerate(gathers):
-        dst = buffers[level % 2][:len(index)]
-        gathered = buffers[2][:len(index)]
+    for lanes, out in calls:
+        def run(lo, hi, src=src, lanes=lanes):
+            for chunks in lanes[lo:hi]:
+                for table, gathered, parts in chunks:
+                    np.take(src, table, out=gathered, mode="clip")
+                    for a, b, dst, addend in parts:
+                        np.matmul(a, b, out=dst)
+                        if split:
+                            dst += addend
 
-        def blocks(lo, hi, src=src, index=index, dst=dst, into=gathered):
-            for b in range(lo, hi):
-                rows = slice(b * GEMM_ROWS, (b + 1) * GEMM_ROWS)
-                np.take(src, index[rows], out=into[rows], mode="clip")
-                np.matmul(into[rows], factor_t, out=dst[rows])
-                if split:
-                    dst[rows] += into[rows]
-
-        _grid._in_blocks(blocks, -(-len(index) // GEMM_ROWS))
-        src = dst.reshape(-1)
+        _grid._in_blocks(run, len(lanes))
+        src = out
     return src
 
 
@@ -381,8 +498,9 @@ def evolve(system: NBodySystem, state: BosonicState, dt: float,
     expanded here; the first is the initial state itself.
 
     A step is N levels of gather and BLAS product with the n x n kinetic
-    factor (in row blocks on the pool, _kinetic_levels), one gather of
-    their result at the sorted tuples, the closing half kick, the
+    factor (in row chunks on the pool, each band computing only the
+    outputs the next level reads, _kinetic_levels), one gather of their
+    result at the sorted tuples, the closing half kick, the
     multiplicity-weighted norm, and the next step's opening half kick;
     it makes no Fourier transform.  Below SPLIT_FLOOR amplitudes (n^N)
     each factor P is applied as psi + (P - 1) psi.  No energy is computed
@@ -401,12 +519,9 @@ def evolve(system: NBodySystem, state: BosonicState, dt: float,
     split = system.dim < SPLIT_FLOOR
     half = (_phase_minus_one if split else _phase)(
         (-0.5 * dt) * system.potential_at(tuples.T))
-    factor_t = _kinetic_factor(grid, dt, split)
     weight = grid.h ** nn
-    gathers, final = _level_tables(grid.n, nn)
-    rows = max(len(index) for index in gathers)
-    buffers = tuple(np.empty((rows, grid.n), dtype=np.complex128)
-                    for _ in range(3))
+    levels, final = _level_tables(grid.n, nn)
+    calls = _level_calls(levels, _kinetic_factor(grid, dt, split), split)
 
     norm_prev = norm_start = math.sqrt(
         weight * _grid._norm_sq(closed, multiplicity))
@@ -418,8 +533,8 @@ def evolve(system: NBodySystem, state: BosonicState, dt: float,
     _kick(closed, half, split, psi)
 
     for step in range(1, n_steps + 1):
-        levels = _kinetic_levels(psi, gathers, factor_t, split, buffers)
-        np.take(levels, final, out=closed, mode="clip")
+        np.take(_kinetic_levels(psi, calls, split), final, out=closed,
+                mode="clip")
         _kick(closed, half, split, closed)
         norm_now = math.sqrt(
             weight * _grid._norm_sq(closed, multiplicity))

@@ -3,6 +3,7 @@
 import itertools
 import math
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -322,24 +323,50 @@ def test_split_factors_keep_the_norm_unbiased(nn, n, potential):
     assert traj.norm_drift < 2e-14
 
 
-def _level_rows(n, nn):
-    """Rows of the N kinetic levels: level k pairs the sorted k-tuples
-    with the sorted (N-k-1)-tuples, C(n+k-1, k) C(n+N-k-2, N-k-1)."""
-    return [math.comb(n + k - 1, k) * math.comb(n + nn - k - 2, nn - k - 1)
-            for k in range(nn)]
-
-
-@pytest.mark.parametrize("nn, n", [(3, 32), (4, 16)])
-def test_kinetic_product_blocks(monkeypatch, nn, n):
-    # every level is cut into calls of GEMM_ROWS rows, the last one
-    # shorter, so a level of fewer rows is one call
+def _band_plan(n, nn):
+    """The bands of the N kinetic levels in closed form, as lists of
+    (rows, width).  Level k pairs the C(n+k-1, k) sorted k-tuples c with
+    the C(n+N-k-2, N-k-1) sorted (N-k-1)-tuples.  A level of at most
+    GEMM_ROWS rows is one band of width n, its rows as they are; a larger
+    one past level 0 is cut by max(c) in [lo, lo + 4), C(a+k-1, k-1)
+    tuples c having max(c) = a, and a band computes only the n - lo
+    outputs l >= lo; the bands of a larger level (at level 0 one band of
+    width n) are padded to a multiple of 4 rows."""
     from boselab import nbody
 
-    rows = []
+    def pad(rows):
+        return -(-rows // 4) * 4
+
+    plan = []
+    for k in range(nn):
+        inner = math.comb(n + nn - k - 2, nn - k - 1)
+        rows = math.comb(n + k - 1, k) * inner
+        if rows <= nbody.GEMM_ROWS:
+            plan.append([(rows, n)])
+            continue
+        if k == 0:
+            plan.append([(pad(rows), n)])
+            continue
+        plan.append([(pad(inner * sum(math.comb(a + k - 1, k - 1)
+                                      for a in range(lo, lo + 4))), n - lo)
+                     for lo in range(0, n, 4)])
+    return plan
+
+
+def _record_products(monkeypatch, n, nn):
+    """(rows, width, row by row) of every kinetic product of one step;
+    a band product U[lo:] @ rows^T is the one whose right operand is a
+    transposed view."""
+    from boselab import nbody
+
+    calls = []
     matmul = np.matmul
 
     def recording(a, b, out):
-        rows.append(a.shape[0])
+        if b.flags.c_contiguous:
+            calls.append((a.shape[0], b.shape[1], True))
+        else:
+            calls.append((b.shape[1], a.shape[0], False))
         return matmul(a, b, out=out)
 
     monkeypatch.setattr(nbody.np, "matmul", recording)
@@ -347,11 +374,58 @@ def test_kinetic_product_blocks(monkeypatch, nn, n):
     state = random_state(g, nn, seed=2, k_filter=3.0, symmetric=True)
     evolve(NBodySystem(g, nn), state, 1e-3, 1)
     monkeypatch.undo()
-    levels = _level_rows(n, nn)
-    # (3, 32): 528, 1024 and 528 rows; (4, 16): 816, 2176, 2176 and 816
-    assert sum(rows) == sum(levels)
-    assert max(rows) <= nbody.GEMM_ROWS
-    assert len(rows) == sum(-(-r // nbody.GEMM_ROWS) for r in levels)
+    return calls
+
+
+@pytest.mark.parametrize("nn, n", [(3, 32), (4, 16)])
+def test_kinetic_product_blocks(monkeypatch, nn, n):
+    # a level is cut at every multiple of GEMM_ROWS rows and at its band
+    # edges, one product per piece; a level of fewer rows is one call
+    from boselab import nbody
+
+    calls = _record_products(monkeypatch, n, nn)
+    plan = _band_plan(n, nn)
+    pieces = 0
+    for bands in plan:
+        edges = np.cumsum([0] + [rows for rows, _ in bands])
+        pieces += len(set(edges) | set(range(0, edges[-1],
+                                             nbody.GEMM_ROWS))) - 1
+    # (3, 32): 528, 1024 and 528 rows, one call each; (4, 16): 816,
+    # 2176, 2176 and 816, the middle two in 4 bands over 3 blocks
+    assert len(calls) == pieces == {(3, 32): 3, (4, 16): 14}[nn, n]
+    assert max(rows for rows, _, _ in calls) <= nbody.GEMM_ROWS
+    assert (sum(rows for rows, _, _ in calls)
+            == sum(rows for bands in plan for rows, _ in bands))
+
+
+@pytest.mark.parametrize("nn, n, macs", [(4, 16, 1_032_192),
+                                         (4, 32, 24_823_808)])
+def test_band_products_compute_only_what_is_read(monkeypatch, nn, n, macs):
+    # every product has a multiple of 4 rows and a width of at least 2,
+    # where the band product gives the whole-width product's bits; a level
+    # of at most GEMM_ROWS rows is one full-width product; and a step
+    # makes the closed form's multiply-adds (whole-width rows would make
+    # 45,760 x 32^2 = 46.9M at n = 32)
+    from boselab import nbody
+
+    calls = _record_products(monkeypatch, n, nn)
+    plan = _band_plan(n, nn)
+    assert all(rows % 4 == 0 and width >= 2 for rows, width, _ in calls)
+    small = [bands for bands in plan
+             if sum(rows for rows, _ in bands) <= nbody.GEMM_ROWS]
+    assert all(len(bands) == 1 and bands[0][1] == n for bands in small)
+    assert ([(rows, width) for rows, width, by_row in calls if by_row]
+            == [bands[0] for bands in small])
+    total = sum(rows * width * n for rows, width, _ in calls)
+    assert total == macs == sum(rows * width * n for bands in plan
+                                for rows, width in bands)
+    widths, want = Counter(), Counter()
+    for rows, width, by_row in calls:
+        widths[width] += 0 if by_row else rows
+    for bands in plan:
+        for rows, width in bands:
+            want[width] += 0 if bands in small else rows
+    assert widths == want
 
 
 _BLAS_RUN = """
@@ -474,9 +548,11 @@ def test_split_phase_products_are_bit_identical(monkeypatch, stress):
         sys.setswitchinterval(interval)
     # per step 4 kinetic levels, each split into min(pool, blocks) runs of
     # which the pool takes all but the first: at 16^4 the middle two
-    # levels have 3 blocks of GEMM_ROWS, the outer two 1; the kicks and
-    # the norm act on the sector on the calling thread
-    blocks = [-(-r // nbody.GEMM_ROWS) for r in _level_rows(16, 4)]
+    # levels have 2176 padded rows in 4 bands, 3 blocks of GEMM_ROWS, the
+    # outer two 816 rows, 1; the kicks and the norm act on the sector on
+    # the calling thread
+    blocks = [-(-sum(rows for rows, _ in bands) // nbody.GEMM_ROWS)
+              for bands in _band_plan(16, 4)]
     assert blocks == [1, 3, 3, 1]
     assert (jobs, no_jobs) == (10 * sum(min(pool, b) - 1 for b in blocks),
                                0)
@@ -505,14 +581,14 @@ def test_phase_matches_complex_exponential():
 
 
 def test_small_tensors_pass_on_one_thread(monkeypatch):
-    # 32^3 amplitudes: kinetic levels of 528, 1024 and 528 rows, one
-    # GEMM_ROWS block each; so a pool of two is handed no job
+    # 32^3 amplitudes: kinetic levels of one band of 528, 1024 and 528
+    # rows, one GEMM_ROWS block each; so a pool of two is handed no job
     from boselab import grid, nbody
 
     g = Grid1D(32, 4.0)
     state = random_state(g, 3, seed=1, k_filter=3.0, symmetric=True)
-    assert _level_rows(32, 3) == [528, 1024, 528]
-    assert max(_level_rows(32, 3)) <= nbody.GEMM_ROWS
+    assert _band_plan(32, 3) == [[(528, 32)], [(1024, 32)], [(528, 32)]]
+    assert nbody.GEMM_ROWS == 1024
     monkeypatch.setattr(grid, "_POOL_SIZE", 2)
     with _CountingPool(2) as executor:
         monkeypatch.setattr(grid, "_POOL", executor)
@@ -617,6 +693,45 @@ def test_fused_pass_matches_the_three_pass_loop(nn, store_every):
     for got, want in zip(traj.states, states, strict=True):
         assert np.array_equal(got.amplitudes, want)
     assert np.allclose(traj.norms, norms, rtol=0, atol=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nn=st.integers(1, 4), n=st.sampled_from([2, 4, 8, 16]),
+       split=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_one_step_matches_the_three_pass_loop(nn, n, split, seed):
+    # split and whole factors at every size; at n = 2 and 4 a level is at
+    # most one band, and only 16^4 has banded levels (2176 rows)
+    from boselab import nbody
+
+    g = Grid1D(n, 4.0)
+    system = NBodySystem(g, nn, potential=mixed_sign(1.0, 1.0, r=0.25),
+                         omega=1.0)
+    state = random_state(g, nn, seed=seed, k_filter=3.0, symmetric=True)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nbody, "SPLIT_FLOOR", 2 ** 62 if split else 1)
+        traj = evolve(system, state, 2e-3, 1)
+        states, _ = _three_pass_loop(system, state, 2e-3, 1, 1)
+    assert np.array_equal(traj.states[-1].amplitudes, states[-1])
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_padded_bands_match_the_three_pass_loop(split):
+    # at 64^3 the last level's bands hold 16 beta + 10 sorted pairs, so
+    # every other band is padded by 2 rows
+    from boselab import nbody
+
+    plan = _band_plan(64, 3)
+    assert any(rows % 4 for rows in (16 * b + 10 for b in range(16)))
+    assert [len(bands) for bands in plan] == [1, 16, 16]
+    g = Grid1D(64, 8.0)
+    system = NBodySystem(g, 3, potential=gaussian_well(1.0, 1.0), omega=1.0)
+    state = random_state(g, 3, seed=9, k_filter=3.0, symmetric=True)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nbody, "SPLIT_FLOOR", 2 ** 62 if split else 1)
+        traj = evolve(system, state, 2e-3, 2, store_every=1)
+        states, _ = _three_pass_loop(system, state, 2e-3, 2, 1)
+    for got, want in zip(traj.states, states, strict=True):
+        assert np.array_equal(got.amplitudes, want)
 
 
 def test_evolve_holds_four_tensors():
