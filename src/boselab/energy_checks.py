@@ -21,8 +21,9 @@ states carry none, and the S weights are built at system.omega.
 One-particle checks are dense eigensolves.  The pair block and the
 smoothing bound are solved matrix-free by Lanczos from a fixed start
 vector, so neither is capped at 4096 pair-grid points and reruns give the
-same bytes; the N-body identity and the moment bound apply the
-Hamiltonian matrix-free too (nbody.hamiltonian and nbody.energy_moment).
+same bytes; the N-body identity and the moment bound take a
+BosonicState and apply H_N matrix-free to its sector values
+(nbody.hamiltonian and nbody.energy_moment).
 Each check returns a dict of margins so callers can assert or just log.
 Negative controls (alpha scaled down in the pair block, the alpha of a
 weaker potential in the K inequality) show the inequalities are not
@@ -35,7 +36,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from . import grid as _grid
-from .grid import (Grid1D, GridError, TensorState, apply_symbol,
+from .grid import (BosonicState, Grid1D, GridError, apply_symbol,
                    apply_weight_squared, bracket_squared, dense_operator,
                    dense_weight_squared, kinetic_symbol, on_axes,
                    pair_differences, weighted_norm_squared)
@@ -129,25 +130,28 @@ def check_K_inequality(spec: PotentialSpec, n_particles: int,
     return {"min_eigenvalue": lam, "alpha": alpha, "passes": lam >= -1e-6}
 
 
-def check_decomposition_identity(system: NBodySystem, state: TensorState) -> float:
+def check_decomposition_identity(system: NBodySystem, state: BosonicState) -> float:
     """Max-abs defect of the pair decomposition applied to one state.
 
     Left side: H_N psi / N + (1 + alpha) psi, via the evolution module's
-    matrix-free Hamiltonian.  Right side: the literal sum over ordered
-    pairs of H_{+ij} psi / (2N(N-1)), assembled from per-axis Sobolev
-    weights and pair-potential multiplications.  The two routes share no
-    code (a dense kinetic matrix per axis on the left, FFT round trips on
-    the right), so agreement is a genuine identity check.  A state on
-    another grid, or with another particle number, raises GridError.
+    matrix-free Hamiltonian on the sector values.  Right side: the literal
+    sum over ordered pairs of H_{+ij} psi / (2N(N-1)), assembled from
+    per-axis Sobolev weights and pair-potential multiplications on the
+    n^N tensor and read at the sorted tuples.  The two routes share no
+    code (a kinetic matrix on the left, FFT round trips on the right), so
+    agreement is a genuine identity check.  A state that is not a
+    BosonicState of the system's grid and particle number raises
+    GridError.
     """
     _check_grid(system, state)
     nn = system.n_particles
     if nn < 2:
         raise GridError("the decomposition needs at least two particles")
     alpha = system.potential.alpha() if system.potential is not None else 0.0
-    psi = state.amplitudes
-    lhs = hamiltonian(system)(psi) / nn + (1.0 + alpha) * psi
+    values = state.values
+    lhs = hamiltonian(system)(values) / nn + (1.0 + alpha) * values
 
+    psi = state.amplitudes
     vpair = system.pair_potential_values()
     s2 = {}
     for j in range(nn):
@@ -162,10 +166,11 @@ def check_decomposition_identity(system: NBodySystem, state: TensorState) -> flo
                 term = term + (1.0 - 1.0 / nn) * on_axes(vpair, nn, i, j) * psi
             rhs = rhs + term
     rhs = rhs / (2.0 * nn * (nn - 1))
-    return float(np.max(np.abs(lhs - rhs)))
+    tuples = _grid.sector_tables(system.grid.n, nn)[0][-1][0]
+    return float(np.max(np.abs(lhs - rhs[tuple(tuples.T)])))
 
 
-def check_energy_estimate(system: NBodySystem, state: TensorState, k: int = 1) -> dict:
+def check_energy_estimate(system: NBodySystem, state: BosonicState, k: int = 1) -> dict:
     """Moment bound <(H_N + N alpha + N)^k> >= 2^{-k} N^k ||S_1...S_k psi||^2.
 
     Returns lhs, rhs and margin = lhs - rhs; lhs is nbody.energy_moment

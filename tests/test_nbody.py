@@ -11,10 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
+from boselab.energy_checks import (check_decomposition_identity,
+                                   check_energy_estimate)
 from boselab.grid import (BosonicState, Grid1D, GridError, TensorState,
-                          dense_operator, kinetic_symbol, random_state,
-                          sector_product, sector_tables, symmetrize,
-                          symmetry_residual, trap_potential)
+                          apply_matrix, dense_operator, kinetic_symbol,
+                          random_state, sector_product, sector_tables,
+                          symmetrize, symmetry_residual, trap_potential)
 from boselab.nbody import (
     NBodySystem,
     NumericalAbort,
@@ -88,6 +90,47 @@ def test_evolve_does_not_build_the_full_diagonal(monkeypatch):
     assert np.array_equal(before, after)
 
 
+def _at_sorted_tuples(tensor):
+    """A tensor's entries at the sorted index tuples, in rank order."""
+    n, nn = tensor.shape[0], tensor.ndim
+    return tensor[tuple(sector_tables(n, nn)[0][-1][0].T)]
+
+
+def _tensor_hamiltonian(system, psi):
+    """The former H_N on the n^N tensor, kept as the oracle: the potential
+    diagonal times psi, then K along every axis in axis order."""
+    g = system.grid
+    kin = dense_operator(g, kinetic_symbol(g), np.zeros(g.n))
+    out = system.potential_diagonal() * psi
+    for ax in range(psi.ndim):
+        out += apply_matrix(psi, kin, ax)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([2, 4, 8, 16]), nn=st.integers(1, 4),
+       omega=st.floats(0.0, 1.5),
+       potential=st.sampled_from([None, gaussian_well(1.0, 1.0),
+                                  mixed_sign()]),
+       seed=st.integers(0, 2 ** 16))
+def test_sector_hamiltonian_is_the_tensor_route_bit_for_bit(n, nn, omega,
+                                                            potential,
+                                                            seed):
+    g = Grid1D(n, 4.0)
+    system = NBodySystem(g, nn, potential=potential, omega=omega)
+    state = random_state(g, nn, seed=seed, symmetric=True)
+    got = hamiltonian(system)(state.values)
+    oracle = _tensor_hamiltonian(system, state.amplitudes)
+    assert np.array_equal(got, _at_sorted_tuples(oracle))
+    # the dense matrix of 4096^2 entries (8^4, 16^3) takes 268 MB, and
+    # its kron build several times that, so it is checked up to 512
+    if system.dim <= 512:
+        dense = (dense_hamiltonian(system) @ state.amplitudes.reshape(-1)
+                 ).reshape(state.amplitudes.shape)
+        ref = _at_sorted_tuples(dense)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_apply_hamiltonian_matches_dense():
     # n = 8 at N = 3 keeps the dense matrix at 512^2
     for nn, n in ((1, 16), (2, 16), (3, 8)):
@@ -95,12 +138,14 @@ def test_apply_hamiltonian_matches_dense():
         for omega in (0.0, 0.5):
             system = NBodySystem(g, nn, potential=gaussian_well(1.0, 1.0),
                                  omega=omega)
-            state = random_state(g, nn, seed=1, k_filter=3.0)
-            fast = hamiltonian(system)(state.amplitudes)
+            state = random_state(g, nn, seed=1, k_filter=3.0,
+                                 symmetric=True)
+            fast = hamiltonian(system)(state.values)
             h = dense_hamiltonian(system)
             assert np.max(np.abs(h - h.conj().T)) < 1e-12
             ref = (h @ state.amplitudes.reshape(-1)).reshape((n,) * nn)
-            assert np.max(np.abs(fast - ref)) < 1e-12, (nn, omega)
+            assert np.max(np.abs(fast - _at_sorted_tuples(ref))) < 1e-12, (
+                nn, omega)
 
 
 def _fft_hamiltonian(system, psi):
@@ -122,12 +167,16 @@ def test_hamiltonian_and_energy_match_fft_reference():
         for omega in (0.0, 0.5):
             system = NBodySystem(g, nn, potential=gaussian_well(1.0, 1.0),
                                  omega=omega)
-            state = random_state(g, nn, seed=1, k_filter=3.0)
+            state = random_state(g, nn, seed=1, k_filter=3.0,
+                                 symmetric=True)
             ref = _fft_hamiltonian(system, state.amplitudes)
-            fast = hamiltonian(system)(state.amplitudes)
-            assert np.max(np.abs(fast - ref)) < 1e-12, (nn, omega)
+            fast = hamiltonian(system)(state.values)
+            assert np.max(np.abs(fast - _at_sorted_tuples(ref))) < 1e-12, (
+                nn, omega)
             e = energy_moment(system, state)
             assert isinstance(e, float)
+            # the moment sums sector values by multiplicity; the
+            # reference sums the whole tensor
             e_ref = g.h ** nn * np.vdot(state.amplitudes, ref)
             assert e == pytest.approx(e_ref.real, rel=1e-12), (nn, omega)
             # a shift s adds s ||psi||^2 to the energy
@@ -137,25 +186,64 @@ def test_hamiltonian_and_energy_match_fft_reference():
             assert energy_moment(system, state, 2) >= e ** 2
 
 
-def test_hamiltonian_builds_the_potential_diagonal_once(monkeypatch):
+def test_hamiltonian_builds_its_potential_once(monkeypatch):
+    # the potential is taken at the sorted tuples once per H_N, and the
+    # n^N diagonal is never built
     g = Grid1D(16, 4.0)
     system = NBodySystem(g, 3, potential=gaussian_well(1.0, 1.0), omega=1.0)
-    state = random_state(g, 3, seed=2, k_filter=3.0)
+    state = random_state(g, 3, seed=2, k_filter=3.0, symmetric=True)
     calls = []
-    built = NBodySystem.potential_diagonal
+    built = NBodySystem.potential_at
 
-    def counted(self):
+    def counted(self, index):
         calls.append(self)
-        return built(self)
+        return built(self, index)
 
-    monkeypatch.setattr(NBodySystem, "potential_diagonal", counted)
+    def refuse(self):
+        raise AssertionError("full potential diagonal built")
+
+    monkeypatch.setattr(NBodySystem, "potential_at", counted)
+    monkeypatch.setattr(NBodySystem, "potential_diagonal", refuse)
     ham = hamiltonian(system)
-    vec = state.amplitudes
+    vec = state.values
     for _ in range(5):
         vec = ham(vec)
     assert calls == [system]
     energy_moment(system, state, 3)
     assert len(calls) == 2
+
+
+def test_hamiltonian_forms_no_full_tensor(monkeypatch):
+    # H_N, its moments and a trajectory's energies stay on the sorted
+    # tuples at N = 4, n = 16 (16^4 amplitudes against 3,876 values)
+    from boselab import grid
+
+    g = Grid1D(16, 4.0)
+    system = NBodySystem(g, 4, potential=gaussian_well(1.0, 1.0), omega=1.0)
+    state = random_state(g, 4, seed=3, k_filter=3.0, symmetric=True)
+    traj = evolve(system, state, 1e-3, 4, store_every=2)
+    formed = []
+
+    def recorded(name, original):
+        def run(*args, **kwargs):
+            formed.append(name)
+            return original(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(grid.BosonicState, "amplitudes", property(
+        recorded("expansion", grid.BosonicState.amplitudes.fget)))
+    monkeypatch.setattr(grid.TensorState, "__post_init__", recorded(
+        "TensorState", grid.TensorState.__post_init__))
+    monkeypatch.setattr(NBodySystem, "potential_diagonal", recorded(
+        "potential_diagonal", NBodySystem.potential_diagonal))
+    hpsi = hamiltonian(system)(state.values)
+    moments = [energy_moment(system, state),
+               energy_moment(system, state, 2, shift=4.0)]
+    energies = traj.energies
+    assert formed == []
+    assert hpsi.shape == state.values.shape
+    assert len(energies) == len(traj.states) == 3
+    assert all(np.isfinite(moments))
 
 
 def test_dense_hamiltonian_dimension_cap():
@@ -431,7 +519,7 @@ def test_band_products_compute_only_what_is_read(monkeypatch, nn, n, macs):
 _BLAS_RUN = """
 import hashlib
 from boselab.grid import Grid1D, random_state
-from boselab.nbody import NBodySystem, evolve
+from boselab.nbody import NBodySystem, evolve, hamiltonian
 from boselab.potentials import gaussian_well
 g = Grid1D(16, 4.0)
 system = NBodySystem(g, 4, potential=gaussian_well(1.0, 1.0), omega=1.0)
@@ -440,6 +528,10 @@ traj = evolve(system, state, 1e-3, 3, store_every=1)
 digest = hashlib.sha256(traj.norms.tobytes())
 for snap in traj.states:
     digest.update(snap.amplitudes.tobytes())
+digest.update(traj.energies.tobytes())
+big = NBodySystem(Grid1D(32, 8.0), 4, potential=gaussian_well(1.0, 1.0))
+psi = random_state(big.grid, 4, seed=3, k_filter=3.0, symmetric=True)
+digest.update(hamiltonian(big)(psi.values).tobytes())
 print(digest.hexdigest())
 """
 
@@ -448,7 +540,8 @@ def test_kinetic_products_are_bit_identical_across_blas_threads():
     # 16^4 amplitudes: levels of 816, 2176, 2176 and 816 rows, so the
     # middle two are three blocks of GEMM_ROWS each; a library caller may
     # load a threaded BLAS, so every split of a level over the pool and
-    # BLAS is compared, on every stored state and norm
+    # BLAS is compared, on every stored state, norm and energy, and on
+    # H_N's 32 x 32 by 32 x 5,984 product at N = 4, n = 32
     import os
     import subprocess
     from pathlib import Path
@@ -492,7 +585,7 @@ def _threaded_run(monkeypatch, pool):
     system = NBodySystem(g, 4, potential=gaussian_well(1.0, 1.0), omega=1.0)
     state = random_state(g, 4, seed=3, k_filter=3.0, symmetric=True)
     traj = evolve(system, state, 1e-3, 3, store_every=1)
-    return (traj, hamiltonian(system)(state.amplitudes),
+    return (traj, hamiltonian(system)(state.values),
             energy_moment(system, state))
 
 
@@ -857,8 +950,9 @@ def _mismatched_states():
     N = 3 on its own grid."""
     g = Grid1D(16, 8.0)
     system = NBodySystem(g, 2, potential=gaussian_well())
-    return system, [random_state(Grid1D(16, 4.0), 2, seed=0),
-                    random_state(g, 3, seed=0)]
+    return system, [random_state(Grid1D(16, 4.0), 2, seed=0,
+                                 symmetric=True),
+                    random_state(g, 3, seed=0, symmetric=True)]
 
 
 def test_energy_moment_rejects_a_foreign_state():
@@ -871,11 +965,36 @@ def test_energy_moment_rejects_a_foreign_state():
 
 def test_hamiltonian_rejects_a_foreign_tensor():
     # an N = 2 tensor against the N = 3 diagonal used to broadcast into
-    # an (n,)^3 result with no error
+    # an (n,)^3 result with no error; H_N now takes sector values only,
+    # so neither another sector's values nor the system's own n^N tensor
+    # pass
     g = Grid1D(8, 4.0)
     ham = hamiltonian(NBodySystem(g, 3, potential=gaussian_well()))
-    with pytest.raises(GridError, match="do not match"):
-        ham(random_state(g, 2, seed=0).amplitudes)
+    for foreign in (random_state(g, 2, seed=0, symmetric=True).values,
+                    random_state(g, 3, seed=0, symmetric=True).amplitudes):
+        with pytest.raises(GridError, match="do not match"):
+            ham(foreign)
+
+
+@pytest.mark.parametrize("route", [
+    lambda system, state: evolve(system, state, 1e-3, 2),
+    lambda system, state: energy_moment(system, state),
+    lambda system, state: check_energy_estimate(system, state, 1),
+    lambda system, state: check_decomposition_identity(system, state),
+    lambda system, state: spectral_cutoff(system, state, 0.2),
+], ids=["evolve", "energy_moment", "check_energy_estimate",
+        "check_decomposition_identity", "spectral_cutoff"])
+def test_n_body_routes_reject_a_tensor_state(route):
+    # one guard (nbody._check_grid) for every route that applies H_N: a
+    # TensorState is rejected by its type, even its own symmetric tensor
+    g = Grid1D(8, 4.0)
+    system = NBodySystem(g, 2, potential=gaussian_well(), omega=1.0)
+    boson = random_state(g, 2, seed=0, symmetric=True)
+    route(system, boson)
+    for state in (random_state(g, 2, seed=0),
+                  TensorState(g, boson.amplitudes)):
+        with pytest.raises(GridError, match="BosonicState"):
+            route(system, state)
 
 
 def test_spectral_cutoff_rejects_a_foreign_state():
