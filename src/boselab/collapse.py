@@ -63,7 +63,7 @@ from .grid import (Grid1D, GridError, _in_blocks, bracket_squared,
                    gaussian_packet)
 
 __all__ = [
-    "CollapseProbe", "make_probe", "bump", "theta_hat_quadrature",
+    "CollapseProbe", "make_probe", "bump",
     "kernel_H", "integral_I", "lemma_F", "lemma_F_reference",
     "optimality_scan", "linear_fit",
     "SeparableKernelMember", "PairProfileMember",
@@ -105,19 +105,6 @@ def _theta_hat_table():
         raise GridError("window transform unexpectedly complex")
     keep = np.abs(xi) <= 1100.0
     return xi[keep], np.ascontiguousarray(vals.real[keep])
-
-
-def theta_hat_quadrature(xi, order: int = 400) -> np.ndarray:
-    """Independent evaluation of theta-hat by Gauss-Legendre quadrature.
-
-    Accurate while the oscillation e^{i xi tau} is resolved by the rule
-    (|xi| up to roughly 1.5x the order); used as an oracle against the
-    FFT table, not inside the production quadratures.
-    """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    nodes, weights = _gauss_legendre(order)
-    vals = bump(nodes) * weights
-    return np.cos(np.outer(xi, nodes)) @ vals
 
 
 @lru_cache(maxsize=None)

@@ -59,19 +59,6 @@ def _pair_diagonal(spec: PotentialSpec, n_particles: int, grid: Grid1D,
     return shift + (1.0 - 1.0 / n_particles) * vpair
 
 
-def dense_pair_block(spec: PotentialSpec, n_particles: int, omega: float,
-                     grid: Grid1D, alpha_scale: float = 1.0) -> np.ndarray:
-    """Dense matrix of (S_1^2+S_2^2)/2 + (1-1/N)V_N + 2 alpha on the pair
-    grid, the form whose nonnegativity is the pair positivity statement."""
-    _pair_cap(grid)
-    s2 = dense_weight_squared(grid, "S", omega)
-    eye = np.eye(grid.n)
-    mat = 0.5 * (np.kron(s2, eye) + np.kron(eye, s2)) + np.diag(
-        _pair_diagonal(spec, n_particles, grid, alpha_scale).ravel())
-    mat = 0.5 * (mat + mat.conj().T)
-    return np.ascontiguousarray(_real_part(mat, "pair block"))
-
-
 def _real_part(mat: np.ndarray, name: str) -> np.ndarray:
     # an even real symbol plus real diagonals gives a real symmetric matrix
     if np.max(np.abs(mat.imag)) > 1e-10 * max(np.max(np.abs(mat.real)), 1.0):
@@ -88,8 +75,7 @@ def check_pair_positivity(spec: PotentialSpec, n_particles: int,
     slice X, with X -> (S^2 X + X S^2)/2 + D o X for the real one-particle
     S^2 and the pair diagonal D; no n^2 x n^2 matrix is formed, so there is
     no grid cap.  The start vector is fixed and tol=0 asks for machine
-    precision, so reruns give the same bytes.  dense_pair_block is the
-    dense form of the same operator.
+    precision, so reruns give the same bytes.
     """
     n = grid.n
     s2 = _real_part(dense_weight_squared(grid, "S", omega), "S^2")
@@ -155,7 +141,7 @@ def check_decomposition_identity(system: NBodySystem, state: BosonicState) -> fl
     vpair = system.pair_potential_values()
     s2 = {}
     for j in range(nn):
-        s2[j] = apply_weight_squared(state, [j], "S", system.omega).amplitudes
+        s2[j] = apply_weight_squared(system.grid, psi, [j], "S", system.omega)
     rhs = np.zeros_like(psi)
     for i in range(nn):
         for j in range(nn):
@@ -186,7 +172,8 @@ def check_energy_estimate(system: NBodySystem, state: BosonicState, k: int = 1) 
     alpha = system.potential.alpha() if system.potential is not None else 0.0
     lhs = energy_moment(system, state, k, shift=nn * (1.0 + alpha))
     rhs = (nn ** k) * weighted_norm_squared(
-        state, list(range(k)), "S", system.omega) / (2.0 ** k)
+        system.grid, state.amplitudes, list(range(k)), "S",
+        system.omega) / (2.0 ** k)
     return {"lhs": lhs, "rhs": rhs, "margin": lhs - rhs, "k": k,
             "n_particles": nn}
 

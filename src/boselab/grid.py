@@ -30,13 +30,15 @@ the normalized Gaussian orbital.  DENSE_SIDE_CAP is the one cap on the
 side of a dense matrix that is built or decomposed.  sorted_tuples
 enumerates the sorted index tuples that span the bosonic sector, with
 their ranks and multiplicities, and sector_tables caches them for every
-width up to N.  A TensorState is a general (n,)*N tensor; a bosonic
-state is a BosonicState, its C(n+N-1, N) values at the sorted N-tuples,
-the only state nbody propagates and marginals reduces on the sector.
-symmetrize projects a tensor onto it, and sector_product gives the
-values of a product state phi^(tensor k).  A BosonicState forms its full
-tensor only when amplitudes is read, so every reader of a TensorState's
-amplitudes reads it too.  lanczos_min is the one Krylov solver:
+width up to N.  An N-particle state is a BosonicState, its
+C(n+N-1, N) values at the sorted N-tuples, the only state nbody
+propagates and marginals reduces; as_tensor checks a general (n,)*N
+array against the grid, symmetrize projects it onto the sector, and
+sector_product gives the values of a product state phi^(tensor k).
+One-particle orbitals, and the tensors the weight helpers and the lens
+map act on, are plain complex arrays passed with their Grid1D, as nls
+passes its fields.  A BosonicState forms its full tensor only when
+amplitudes is read.  lanczos_min is the one Krylov solver:
 the smallest eigenvalue of a matrix-free Hermitian operator by a
 three-term Lanczos recurrence (marginals' chaos distances use it).
 
@@ -219,48 +221,14 @@ def apply_matrix(a: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
     return out.reshape(a.shape)
 
 
-@dataclass
-class TensorState:
-    """N-particle wavefunction as a complex tensor of shape (n,)*N.
-
-    Axis j holds the coordinate of particle j+1 (row-major).  A state
-    carries no trap frequency: omega belongs to the operators (the
-    system, the lens map, the S weight) and is passed to them.
-    """
-
-    grid: Grid1D
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=np.complex128)
-        if a.ndim < 1 or any(s != self.grid.n for s in a.shape):
-            raise GridError(
-                f"amplitudes of shape {a.shape} do not match grid size {self.grid.n}"
-            )
-        self.amplitudes = a
-
-    @property
-    def n_particles(self) -> int:
-        return self.amplitudes.ndim
-
-    def norm(self) -> float:
-        w = self.grid.h ** self.n_particles
-        return math.sqrt(w * float(np.sum(np.abs(self.amplitudes) ** 2)))
-
-    def normalized(self) -> "TensorState":
-        nrm = self.norm()
-        if nrm == 0:
-            raise GridError("cannot normalize the zero state")
-        return TensorState(self.grid, self.amplitudes / nrm)
-
-    def inner(self, other: "TensorState") -> complex:
-        if other.grid != self.grid or other.n_particles != self.n_particles:
-            raise GridError("states live on different tensor grids")
-        w = self.grid.h ** self.n_particles
-        return w * complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def copy(self) -> "TensorState":
-        return TensorState(self.grid, self.amplitudes.copy())
+def as_tensor(grid: Grid1D, a) -> np.ndarray:
+    """a as a contiguous complex (n,)*N array on the grid, N >= 1;
+    GridError for any other shape."""
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    if any(s != grid.n for s in a.shape):
+        raise GridError(
+            f"amplitudes of shape {a.shape} do not match grid size {grid.n}")
+    return a
 
 
 def _weight_parts(grid: Grid1D, kind: str,
@@ -277,9 +245,10 @@ def _weight_parts(grid: Grid1D, kind: str,
     return 1.0 + kinetic_symbol(grid), trap_potential(grid, omega)
 
 
-def apply_weight_squared(state: TensorState, axes, kind: str,
-                         omega: float) -> TensorState:
-    """Apply the product of squared Sobolev weights over the given axes.
+def apply_weight_squared(grid: Grid1D, a: np.ndarray, axes, kind: str,
+                         omega: float) -> np.ndarray:
+    """Apply the product of squared Sobolev weights over the given axes
+    of a tensor a on the grid.
 
     kind 'S' is 1 + h at trap frequency omega; kind 'L' is the flat-space
     weight 1 - d^2 (callers pass omega = 0.0).  The squared operator is
@@ -287,22 +256,27 @@ def apply_weight_squared(state: TensorState, axes, kind: str,
     application realizes integer powers of S^2 without any
     eigendecomposition.
     """
-    axes = _normalize_axes(axes, state.n_particles)
-    sym, pot = _weight_parts(state.grid, kind, omega)
-    out = state.amplitudes
+    out = as_tensor(grid, a)
+    axes = _normalize_axes(axes, out.ndim)
+    sym, pot = _weight_parts(grid, kind, omega)
     for ax in axes:
         kin = apply_symbol(out, sym, ax)
         out = kin + on_axes(pot, out.ndim, ax) * out
-    return TensorState(state.grid, out)
+    return out
 
 
-def weighted_norm_squared(state: TensorState, axes, kind: str,
+def weighted_norm_squared(grid: Grid1D, a: np.ndarray, axes, kind: str,
                           omega: float) -> float:
-    """<psi, prod_j W_j^2 psi> over the given axes; always real and >= ||psi||^2
-    for kind 'S' or 'L' since both squared weights are >= 1."""
-    weighted = apply_weight_squared(state, axes, kind, omega)
-    value = state.inner(weighted)
-    return float(value.real)
+    """<psi, prod_j W_j^2 psi> over the given axes of a tensor psi; real
+    and >= ||psi||^2 for kind 'S' or 'L' since both squared weights are
+    >= 1.  The real part of the inner product is summed over float views
+    without BLAS, as _norm_sq sums, so it does not depend on the BLAS
+    thread count."""
+    a = as_tensor(grid, a)
+    weighted = apply_weight_squared(grid, a, axes, kind, omega)
+    flat = a.reshape(-1).view(np.float64)
+    return grid.h ** a.ndim * float(np.einsum(
+        "i,i->", flat, weighted.reshape(-1).view(np.float64)))
 
 
 def _normalize_axes(axes, ndim: int):
@@ -391,13 +365,13 @@ class BosonicState:
     takes C(n+N-1, N) numbers (52,360 at N = 4, n = 32, against
     n^N = 1,048,576).  values is a read-only copy of the given array.
     The full (n,)*N tensor is formed only when amplitudes is read, one
-    gather through sector_tables, so every reader of a TensorState's
-    amplitudes reads this state too.  The tensor is read-only and cached
+    gather through sector_tables.  The tensor is read-only and cached
     by weak reference: reads return the same array while any reader
     holds it, and it is formed again (about 1 ms at N = 4, n = 32) once
     none does, so stored snapshots hold no n^N tensors.  The norm
-    weights each value by its multiplicity.  Like a TensorState, it
-    carries no trap frequency.
+    weights each value by its multiplicity.  A state carries no trap
+    frequency: omega belongs to the operators (the system, the lens map,
+    the S weight) and is passed to them.
     """
 
     grid: Grid1D
@@ -444,12 +418,6 @@ class BosonicState:
             raise GridError("cannot normalize the zero state")
         return BosonicState(self.grid, self.n_particles, self.values / nrm)
 
-    def inner(self, other) -> complex:
-        if other.grid != self.grid or other.n_particles != self.n_particles:
-            raise GridError("states live on different tensor grids")
-        w = self.grid.h ** self.n_particles
-        return w * complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 def _norm_sq(a: np.ndarray, weights: np.ndarray | None = None) -> float:
     """Euclidean sum |a|^2, or sum weights |a|^2, without BLAS."""
@@ -472,8 +440,9 @@ def sector_product(phi: np.ndarray, k: int) -> np.ndarray:
     return functools.reduce(np.multiply, [phi[i] for i in tuples.T])
 
 
-def symmetrize(state: TensorState) -> BosonicState:
-    """Project onto the bosonic (permutation-symmetric) sector, normalized.
+def symmetrize(grid: Grid1D, tensor) -> BosonicState:
+    """Project an (n,)*N tensor onto the bosonic (permutation-symmetric)
+    sector, normalized.
 
     The sector value at a sorted tuple is the mean of the tensor over the
     tuple's orbit of index permutations, taken as the value at the sorted
@@ -482,12 +451,13 @@ def symmetrize(state: TensorState) -> BosonicState:
     the normalization.  A projection that annihilates the state (a norm at
     most 1e-12 of the input's) is an error.
     """
-    grid, nn = state.grid, state.n_particles
+    tensor = as_tensor(grid, tensor)
+    nn = tensor.ndim
     tables, expand = sector_tables(grid.n, nn)
     tuples, ranks, multiplicity = tables[-1]
     rank = ranks[expand].reshape(-1)
-    values = state.amplitudes.reshape(-1)
-    rep = values[np.ravel_multi_index(tuples.T, state.amplitudes.shape)]
+    values = tensor.reshape(-1)
+    rep = values[np.ravel_multi_index(tuples.T, tensor.shape)]
     off = np.take(rep, rank)
     np.subtract(values, off, out=off)
     mean = np.empty(len(rep), dtype=np.complex128)
@@ -496,23 +466,10 @@ def symmetrize(state: TensorState) -> BosonicState:
     mean /= multiplicity
     mean += rep
     nrm = math.sqrt(grid.h ** nn * _norm_sq(mean, multiplicity))
-    if nrm <= 1e-12 * state.norm():
+    if nrm <= 1e-12 * math.sqrt(grid.h ** nn * _norm_sq(tensor)):
         raise GridError("symmetrization annihilated the state")
     mean /= nrm
     return BosonicState(grid, nn, mean)
-
-
-def symmetry_residual(state: TensorState) -> float:
-    """Max-abs deviation from bosonic symmetry over all transpositions."""
-    ndim = state.n_particles
-    worst = 0.0
-    for i in range(ndim):
-        for j in range(i + 1, ndim):
-            perm = list(range(ndim))
-            perm[i], perm[j] = perm[j], perm[i]
-            diff = state.amplitudes - np.transpose(state.amplitudes, perm)
-            worst = max(worst, float(np.max(np.abs(diff))))
-    return worst
 
 
 def lanczos_min(apply, start: np.ndarray, scale: float) -> float:
@@ -594,14 +551,12 @@ def dense_weight_squared(grid: Grid1D, kind: str, omega: float) -> np.ndarray:
 
 
 def random_state(grid: Grid1D, n_particles: int, seed=None,
-                 k_filter: float | None = None,
-                 symmetric: bool = False) -> TensorState | BosonicState:
-    """Random normalized state, optionally band-filtered and symmetrized.
+                 k_filter: float | None = None) -> BosonicState:
+    """Random normalized bosonic state: the symmetrize of a complex
+    Gaussian tensor, optionally band-filtered.
 
     k_filter applies a Gaussian factor exp(-k^2/(2 k_filter^2)) per axis so
     the draw has smooth samples; None keeps white noise across all modes.
-    symmetric returns the draw's symmetrize, a BosonicState at every N;
-    otherwise it is a TensorState.
     """
     rng = np.random.default_rng(seed)
     shape = (grid.n,) * n_particles
@@ -610,5 +565,4 @@ def random_state(grid: Grid1D, n_particles: int, seed=None,
         sym = np.exp(-grid.k ** 2 / (2.0 * k_filter ** 2))
         for ax in range(n_particles):
             a = apply_symbol(a, sym, ax)
-    state = TensorState(grid, a)
-    return symmetrize(state) if symmetric else state.normalized()
+    return symmetrize(grid, a)

@@ -19,11 +19,14 @@ outward stretch samples the periodic continuation beyond the box, which
 is only meaningful when the state carries negligible mass near the
 boundary; that is guarded explicitly.  omega = 0 is the identity map.
 
-The map is unitary in the continuum; on the grid it is unitary up to
-the interpolation error, which is spectrally small for smooth decaying
-states.  Composed with the free half-Laplacian flow it reproduces the
-trapped linear flow exactly (checked), while a full-Laplacian flat flow
-leaves an order-one defect (negative control for the kinetic convention).
+States and orbitals are plain complex arrays on the grid, (n,)*N for
+N particles (grid.as_tensor checks them), and kernels are
+MarginalDensity objects.  The map is unitary in the continuum; on the
+grid it is unitary up to the interpolation error, which is spectrally
+small for smooth decaying states.  Composed with the free
+half-Laplacian flow it reproduces the trapped linear flow exactly
+(checked), while a full-Laplacian flat flow leaves an order-one defect
+(negative control for the kinetic convention).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Grid1D, GridError, TensorState, apply_matrix,
+from .grid import (Grid1D, GridError, apply_matrix, as_tensor,
                    interpolation_matrix, weighted_norm_squared)
 from .marginals import MarginalDensity
 from .nls import NLSProblem, evolve_nls
@@ -83,8 +86,11 @@ class LensMap:
 
 def boundary_mass_fraction(density: np.ndarray, grid: Grid1D) -> float:
     """Largest share of a density on (n,)*d that lies beyond
-    |x| > BOUNDARY_FRACTION * L along one axis."""
+    |x| > BOUNDARY_FRACTION * L along one axis; NaN unless the total
+    mass is finite."""
     total = float(np.sum(density))
+    if not math.isfinite(total):
+        return math.nan
     if total == 0.0:
         return 0.0
     outside = np.abs(grid.x) > BOUNDARY_FRACTION * grid.length
@@ -94,10 +100,10 @@ def boundary_mass_fraction(density: np.ndarray, grid: Grid1D) -> float:
 
 def _check_boundary(density: np.ndarray, grid: Grid1D):
     frac = boundary_mass_fraction(density, grid)
-    if frac > BOUNDARY_MASS_TOL:
+    if not frac <= BOUNDARY_MASS_TOL:  # a NaN density fails closed
         raise LensResolutionError(
-            f"boundary mass fraction {frac:.2e} exceeds {BOUNDARY_MASS_TOL:.0e}; "
-            "the stretched support would wrap the box"
+            f"boundary mass fraction {frac:.2e} exceeds {BOUNDARY_MASS_TOL:.0e} "
+            "or is not finite; the stretched support would wrap the box"
         )
 
 
@@ -122,20 +128,23 @@ def one_particle_matrix(grid: Grid1D, omega: float, t: float,
     return phase[:, None] * interpolation_matrix(grid, targets)
 
 
-def lens_function(lmap: LensMap, u: TensorState, tau: float):
-    """Map a flat-time state u(tau) to the trapped-frame state at t(tau).
+def lens_function(lmap: LensMap, grid: Grid1D, u: np.ndarray, tau: float):
+    """Map a flat-time state u(tau), an (n,)*N array on the grid, to the
+    trapped-frame state at t(tau).
 
-    Returns (psi, t).  omega = 0 returns a copy (exact identity).
+    Returns (psi, t), psi an array like u.  omega = 0 returns a copy
+    (exact identity).
     """
+    u = as_tensor(grid, u)
     if lmap.omega == 0.0:
         return u.copy(), tau
     t = lmap.t_of_tau(tau)
-    _check_boundary(np.abs(u.amplitudes) ** 2, u.grid)
-    fwd = one_particle_matrix(u.grid, lmap.omega, t)
-    out = u.amplitudes
-    for ax in range(u.n_particles):
+    _check_boundary(np.abs(u) ** 2, grid)
+    fwd = one_particle_matrix(grid, lmap.omega, t)
+    out = u
+    for ax in range(u.ndim):
         out = apply_matrix(out, fwd, ax)
-    return TensorState(u.grid, out), t
+    return out, t
 
 
 def lens_kernel(lmap: LensMap, marginal: MarginalDensity, time: float,
@@ -191,22 +200,21 @@ def intertwine_linear_check(lmap: LensMap, grid: Grid1D, phi0: np.ndarray,
         free = NLSProblem(grid, b0=0.0, omega=0.0, side="lens", half_kinetic=half)
         traj_f = evolve_nls(free, phi0, tau_run / m_steps, m_steps,
                             store_every=m_steps)
-        u_state = TensorState(grid, traj_f.fields[-1])
-        psi_pred, _ = lens_function(lmap, u_state, tau_run)
-        diff = psi_pred.amplitudes - psi_ref
+        psi_pred, _ = lens_function(lmap, grid, traj_f.fields[-1], tau_run)
+        diff = psi_pred - psi_ref
         defects[label] = float(math.sqrt(grid.h * np.sum(np.abs(diff) ** 2)))
     return defects
 
 
-def intertwine_energy_check(lmap: LensMap, u: TensorState, tau: float,
-                            k: int = 1) -> dict:
+def intertwine_energy_check(lmap: LensMap, grid: Grid1D, u: np.ndarray,
+                            tau: float, k: int = 1) -> dict:
     """Compare flat L-weights on u with trapped S-weights on its lens image.
 
     Returns both quadratic forms and their ratio; the comparison constant
     of the continuum statement is the departure of the ratio from 1.
     """
     axes = list(range(k))
-    lhs = weighted_norm_squared(u, axes, "L", 0.0)
-    psi, t = lens_function(lmap, u, tau)
-    rhs = weighted_norm_squared(psi, axes, "S", lmap.omega)
+    lhs = weighted_norm_squared(grid, u, axes, "L", 0.0)
+    psi, t = lens_function(lmap, grid, u, tau)
+    rhs = weighted_norm_squared(grid, psi, axes, "S", lmap.omega)
     return {"flat": lhs, "trapped": rhs, "ratio": lhs / rhs, "t": t}

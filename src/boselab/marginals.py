@@ -1,4 +1,4 @@
-"""Reduced density matrices of tensor states and distances between them.
+"""Reduced density matrices of bosonic states and distances between them.
 
 The k-particle marginal of an N-particle wavefunction is the kernel
 
@@ -19,8 +19,10 @@ are taken on the symmetric subspace Sym^k, of dimension C(n+k-1, k)
 so their difference has the same nonzero spectrum there.
 sector_marginal(state, k) gives gamma^(k) there as its factor A, with
 gamma^(k) = h^(N-k) A A^dagger, read off a BosonicState's sector values
-by one cached gather (no n^N tensor); it takes no other state, and a
-tensor is made bosonic with grid.symmetrize.  On the sector the
+by one cached gather (no n^N tensor).  partial_trace gives the full
+n^k x n^k kernel from the state's n^N tensor.  Both take a BosonicState,
+the package's one N-particle state (a tensor becomes one through
+grid.symmetrize).  On the sector the
 difference is D = h^(N-k) A A^dagger - v v^dagger, with v the sector
 coordinates of phi^(tensor k), sqrt(mult) times grid.sector_product.
 At k = 1 (side n) D is formed and its eigenvalues
@@ -46,8 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid as _grid
-from .grid import (BosonicState, Grid1D, TensorState, pair_differences,
-                   sector_product)
+from .grid import BosonicState, Grid1D, pair_differences, sector_product
 
 
 class MarginalError(ValueError):
@@ -81,17 +82,8 @@ class MarginalDensity:
     def weight(self) -> float:
         return self.grid.h ** self.k
 
-    def matrix(self) -> np.ndarray:
-        """Weighted matrix h^k * kernel: unit trace, occupation eigenvalues."""
-        return self.weight * self.kernel
-
     def trace(self) -> complex:
         return self.weight * complex(np.trace(self.kernel))
-
-    def eigenvalues(self) -> np.ndarray:
-        """Occupation spectrum, ascending (Hermitian part of the kernel)."""
-        _check_side(self.kernel.shape[0])
-        return np.linalg.eigvalsh(self.matrix())
 
     def tensor(self) -> np.ndarray:
         """Kernel reshaped to (n,)*2k: unprimed axes first, then primed."""
@@ -101,10 +93,10 @@ class MarginalDensity:
 
 def _check_side(side: int):
     """Spectral work is capped at the side of the operator it acts on:
-    n^k for the dense eigendecompositions of a marginal (occupation
-    spectra, trace_norm), the sector dimension C(n+k-1, k) for
-    chaos_distance, whose k = 1 kernel is decomposed densely and whose
-    k >= 2 operator is applied matrix-free to vectors of that length."""
+    n^k for the dense eigendecomposition of a marginal (trace_norm), the
+    sector dimension C(n+k-1, k) for chaos_distance, whose k = 1 kernel
+    is decomposed densely and whose k >= 2 operator is applied
+    matrix-free to vectors of that length."""
     if side > _grid.DENSE_SIDE_CAP:
         raise MarginalError(
             f"dense spectral operation of side {side} beyond kernel cap "
@@ -145,8 +137,17 @@ def _hermitian_trace_norm(kern: np.ndarray, weight: float,
     return weight * float(np.sum(np.abs(np.linalg.eigvalsh(kern))))
 
 
-def partial_trace(state: TensorState, k: int) -> MarginalDensity:
-    """Marginal of the first k particles of a tensor state."""
+def _check_bosonic(state) -> None:
+    """MarginalError unless state is a BosonicState."""
+    if not isinstance(state, BosonicState):
+        raise MarginalError(f"marginals need a BosonicState, not a "
+                            f"{type(state).__name__}; symmetrize it first")
+
+
+def partial_trace(state: BosonicState, k: int) -> MarginalDensity:
+    """Marginal of the first k particles of a bosonic state, from its n^N
+    tensor; MarginalError for anything but a BosonicState."""
+    _check_bosonic(state)
     n_particles = state.n_particles
     if not 1 <= k <= n_particles:
         raise MarginalError(f"k={k} out of range for N={n_particles}")
@@ -154,12 +155,6 @@ def partial_trace(state: TensorState, k: int) -> MarginalDensity:
     a = state.amplitudes.reshape(n ** k, n ** (n_particles - k))
     kern = (a @ a.conj().T) * state.grid.h ** (n_particles - k)
     return MarginalDensity(state.grid, k, kern)
-
-
-def product_projector(grid: Grid1D, phi: np.ndarray, k: int) -> MarginalDensity:
-    """Kernel of |phi><phi|^(tensor k) for a unit-norm one-particle phi."""
-    vec = _product_vector(grid, phi, k)
-    return MarginalDensity(grid, k, np.multiply.outer(vec, vec.conj()))
 
 
 def _orbital(grid: Grid1D, phi: np.ndarray) -> np.ndarray:
@@ -173,14 +168,6 @@ def _orbital(grid: Grid1D, phi: np.ndarray) -> np.ndarray:
     return phi
 
 
-def _product_vector(grid: Grid1D, phi: np.ndarray, k: int) -> np.ndarray:
-    """phi^(tensor k) flattened to length n^k, for a unit-norm grid orbital."""
-    vec = phi = _orbital(grid, phi)
-    for _ in range(k - 1):
-        vec = np.multiply.outer(vec, phi)
-    return vec.reshape(-1)
-
-
 def trace_norm(marginal: MarginalDensity) -> float:
     """Tr|.| of the weighted matrix as the sum of |eigenvalues|.
 
@@ -190,15 +177,6 @@ def trace_norm(marginal: MarginalDensity) -> float:
     to HERMITIAN_RTOL of its largest entry (or holds NaN) is rejected.
     """
     return _hermitian_trace_norm(marginal.kernel, marginal.weight)
-
-
-def trace_distance(a: MarginalDensity, b: MarginalDensity) -> float:
-    """Tr|a - b| of two marginals on the same grid and particle count."""
-    if a.k != b.k or a.grid != b.grid:
-        raise MarginalError("marginals are not comparable")
-    scale = max(float(np.max(np.abs(a.kernel))),
-                float(np.max(np.abs(b.kernel))))
-    return _hermitian_trace_norm(a.kernel - b.kernel, a.weight, scale)
 
 
 @functools.lru_cache(maxsize=8)
@@ -240,13 +218,10 @@ def sector_marginal(state: BosonicState, k: int) -> np.ndarray:
     one column per sorted (N-k)-tuple c of the traced particles: one
     gather of the state's values through a cached rank table, times
     sqrt(mult(row) mult(c)) (_sector_fold).  No n^N tensor is formed.
-    Raises MarginalError for a state that is not a BosonicState (a
-    TensorState, symmetric or not) or whose ||psi|| is not finite and
-    nonzero.
+    Raises MarginalError for a state that is not a BosonicState (a bare
+    tensor, symmetric or not) or whose ||psi|| is not finite and nonzero.
     """
-    if not isinstance(state, BosonicState):
-        raise MarginalError(f"sector marginals need a BosonicState, not a "
-                            f"{type(state).__name__}; symmetrize it first")
+    _check_bosonic(state)
     nn = state.n_particles
     if not 1 <= k <= nn:
         raise MarginalError(f"k={k} out of range for N={nn}")
@@ -273,10 +248,11 @@ def chaos_distance(state: BosonicState, k: int, phi: np.ndarray) -> float:
     (which is not orthogonal to the negative eigenvector u, since
     u^dagger D u < 0 <= u^dagger (h^(N-k) A A^dagger) u); the |Tr D|
     floor keeps rounding from taking the value below that lower bound.
-    This equals the trace distance of partial_trace(state, k) to
-    product_projector(phi, k).  The state must be a BosonicState
-    (sector_marginal raises MarginalError otherwise).
+    This equals the trace distance of partial_trace(state, k) to the
+    projector |phi><phi|^(tensor k).  The state must be a BosonicState
+    (MarginalError otherwise).
     """
+    _check_bosonic(state)
     n_particles = state.n_particles
     if not 1 <= k <= n_particles:
         raise MarginalError(f"k={k} out of range for N={n_particles}")

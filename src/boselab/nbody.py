@@ -85,8 +85,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import grid as _grid
-from .grid import (BosonicState, Grid1D, GridError, TensorState,
-                   apply_matrix, dense_operator, fourier_matrix,
+from .grid import (BosonicState, Grid1D, GridError, apply_matrix, dense_operator, fourier_matrix,
                    kinetic_symbol, on_axes, pair_differences, sector_tables,
                    trap_potential)
 from .marginals import _sector_fold, partial_trace
@@ -395,10 +394,11 @@ class NBodySystem:
 
 def _check_grid(system: NBodySystem, state: BosonicState) -> None:
     """GridError unless state is a BosonicState of the system's grid and
-    particle number (grid.symmetrize makes a TensorState bosonic)."""
+    particle number (grid.symmetrize makes a tensor one)."""
     if not isinstance(state, BosonicState):
         raise GridError(f"the N-body routes take a BosonicState, not a "
-                        f"{type(state).__name__}; symmetrize it first")
+                        f"{type(state).__name__}; make one with "
+                        f"grid.symmetrize")
     if state.n_particles != system.n_particles:
         raise GridError("state does not match the system's particle number")
     if state.grid != system.grid:
@@ -524,7 +524,7 @@ def evolve(system: NBodySystem, state: BosonicState, dt: float,
     """Strang-splitting propagation of psi(t) = exp(-i t H_N) psi(0).
 
     The state is a BosonicState, whose sector values are propagated as
-    they are; any other state (a TensorState, symmetric or not) raises
+    they are; anything else (a bare tensor, symmetric or not) raises
     GridError, so a caller symmetrizes with grid.symmetrize.  The norm
     change per step and since step 0 are both checked against NORM_TOL
     (the splitting is exactly unitary, so violations indicate numerical
@@ -655,8 +655,8 @@ def spectral_cutoff(system: NBodySystem, state: BosonicState,
     vec = evecs @ (factors * coeffs)
     if float(np.vdot(vec, vec).real) * w <= 1e-28:
         raise NumericalAbort("spectral cutoff annihilated the state")
-    return _grid.symmetrize(TensorState(system.grid, vec.reshape(
-        state.amplitudes.shape)))
+    return _grid.symmetrize(system.grid,
+                            vec.reshape(state.amplitudes.shape))
 
 
 # -- BBGKY residual ----------------------------------------------------------
@@ -676,7 +676,7 @@ def _commutator_one_body(marg_tensor: np.ndarray, k: int,
     return out
 
 
-def _collision_term(state: TensorState, k: int, vpair: np.ndarray) -> np.ndarray:
+def _collision_term(state: BosonicState, k: int, vpair: np.ndarray) -> np.ndarray:
     """sum_{j<=k} Tr_{k+1} [V(x_j - x_{k+1}), gamma^(k+1)] without
     materializing gamma^(k+1); returns an (n^k, n^k) kernel."""
     n = state.grid.n

@@ -34,20 +34,6 @@ class PotentialError(ValueError):
     """Raised for inadmissible potential parameters."""
 
 
-# Fixed quadrature for the coupling constants: the shapes decay like
-# exp(-x^2/s^2), so a uniform Riemann sum over [-R, R] with R = 30*s and
-# a few thousand points is exact to far below the 1e-10 contract.
-_QUAD_POINTS = 2 ** 14
-_QUAD_RADIUS_SCALES = 30.0
-
-
-def _uniform_quadrature(s: float):
-    r = _QUAD_RADIUS_SCALES * max(s, 1.0)
-    x = np.linspace(-r, r, _QUAD_POINTS, endpoint=False)
-    w = 2.0 * r / _QUAD_POINTS
-    return x, w
-
-
 @dataclass(frozen=True)
 class PotentialSpec:
     """Shape family plus the mean-field exponent beta in (0, 1)."""
@@ -83,11 +69,6 @@ class PotentialSpec:
         if self.shape == "gaussian_well":
             return -self.a * self.s * math.sqrt(math.pi)
         return self.a * self.s * math.sqrt(math.pi) * (self.r - 0.5)
-
-    def integral_quadrature(self) -> float:
-        """Signed integral by uniform quadrature (cross-check path)."""
-        x, w = _uniform_quadrature(self.s)
-        return float(np.sum(self(x)) * w)
 
     def b0(self) -> float:
         """Unsigned coupling |int V| of the focusing cubic limit."""

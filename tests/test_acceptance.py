@@ -17,10 +17,11 @@ import time
 import numpy as np
 
 from boselab import cli, collapse
-from boselab.grid import Grid1D, TensorState, random_state, symmetry_residual
+from boselab.grid import BosonicState, Grid1D, random_state, sector_product
 from boselab.marginals import mollifier_delta_test, partial_trace
 from boselab.nbody import NBodySystem, energy_moment, evolve, spectral_cutoff
 from boselab.potentials import gaussian_well
+from oracles import symmetry_residual
 
 
 @contextlib.contextmanager
@@ -93,12 +94,12 @@ def test_criterion_06_solver_invariants():
         grid = Grid1D(32, 8.0)
         system = NBodySystem(grid, 3, potential=gaussian_well(1.0, 1.0),
                              omega=1.0)
-        psi0 = random_state(grid, 3, seed=2, k_filter=2.0,
-                            symmetric=True)
+        psi0 = random_state(grid, 3, seed=2, k_filter=2.0)
         traj = evolve(system, psi0, 1e-3, 1000, store_every=100)
         assert traj.norm_drift <= 1e-10
         assert traj.max_energy_drift() <= 1e-6
-        assert all(symmetry_residual(s) <= 1e-9 for s in traj.states)
+        assert all(symmetry_residual(s.amplitudes) <= 1e-9
+                   for s in traj.states)
 
 
 def test_criterion_07_bbgky_second_order_residual(tmp_path):
@@ -139,7 +140,7 @@ def test_criterion_12_spectral_cutoff_moments():
         grid = Grid1D(16, 8.0)
         system = NBodySystem(grid, 2, potential=gaussian_well(1.0, 1.0),
                              omega=1.0)
-        state = random_state(grid, 2, seed=11, symmetric=True)
+        state = random_state(grid, 2, seed=11)
         kappas = [0.4, 0.2, 0.1, 0.05]
         dists = []
         psi = state.normalized()
@@ -161,7 +162,7 @@ def test_criterion_13_mollifier_exponent():
         grid = Grid1D(64, 8.0)
         phi = unit_gaussian(grid)
         gamma2 = partial_trace(
-            TensorState(grid, np.multiply.outer(phi, phi)), 2)
+            BosonicState(grid, 2, sector_product(phi, 2)), 2)
 
         def rho(t):
             return np.exp(-(t ** 2) / 2) / math.sqrt(2 * math.pi)

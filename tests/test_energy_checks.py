@@ -16,8 +16,8 @@ from boselab.energy_checks import (
     check_energy_estimate,
     check_pair_positivity,
     check_sobolev_operator_bound,
-    dense_pair_block,
 )
+from oracles import dense_pair_block
 
 GAUSSIAN = gaussian_well(1.0, 1.0)
 MIXED = mixed_sign(1.0, 1.0, r=0.25)
@@ -28,8 +28,7 @@ MIXED = mixed_sign(1.0, 1.0, r=0.25)
 def test_decomposition_identity(n_particles, spec):
     g = Grid1D(16, 8.0)
     system = NBodySystem(g, n_particles, potential=spec, omega=1.0)
-    state = random_state(g, n_particles, seed=0, k_filter=3.0,
-                         symmetric=True)
+    state = random_state(g, n_particles, seed=0, k_filter=3.0)
     assert check_decomposition_identity(system, state) < 1e-10
 
 
@@ -43,7 +42,7 @@ def test_decomposition_identity_property(nn, n, omega, key, seed):
     g = Grid1D(n, 8.0)
     spec = PotentialSpec(**DEFAULTS["energy_suite"][key])
     system = NBodySystem(g, nn, potential=spec, omega=omega)
-    state = random_state(g, nn, seed=seed, symmetric=True)
+    state = random_state(g, nn, seed=seed)
     assert check_decomposition_identity(system, state) <= 1e-10
 
 
@@ -51,8 +50,7 @@ def test_decomposition_identity_validation():
     g = Grid1D(16, 8.0)
     with pytest.raises(GridError, match="two particles"):
         check_decomposition_identity(NBodySystem(g, 1, potential=GAUSSIAN),
-                                     random_state(g, 1, seed=0,
-                                                  symmetric=True))
+                                     random_state(g, 1, seed=0))
 
 
 def test_decomposition_identity_rejects_a_foreign_state():
@@ -60,10 +58,9 @@ def test_decomposition_identity_rejects_a_foreign_state():
     g = Grid1D(16, 8.0)
     system = NBodySystem(g, 2, potential=GAUSSIAN)
     assert check_decomposition_identity(
-        system, random_state(g, 2, seed=0, symmetric=True)) < 1e-12
-    for state, match in ((random_state(Grid1D(16, 4.0), 2, seed=0,
-                                       symmetric=True), "grid"),
-                         (random_state(g, 3, seed=0, symmetric=True),
+        system, random_state(g, 2, seed=0)) < 1e-12
+    for state, match in ((random_state(Grid1D(16, 4.0), 2, seed=0), "grid"),
+                         (random_state(g, 3, seed=0),
                           "particle number")):
         with pytest.raises(GridError, match=match):
             check_decomposition_identity(system, state)
@@ -136,7 +133,7 @@ def test_energy_estimate_first_moment(n_particles):
     system = NBodySystem(g, n_particles, potential=GAUSSIAN, omega=1.0)
     for seed in range(10):
         state = random_state(g, n_particles, seed=seed,
-                             k_filter=3.0, symmetric=True)
+                             k_filter=3.0)
         res = check_energy_estimate(system, state, 1)
         assert res["margin"] >= -1e-8
         assert res["lhs"] >= res["rhs"] - 1e-8
@@ -145,8 +142,7 @@ def test_energy_estimate_first_moment(n_particles):
 def test_energy_estimate_second_moment_reported():
     g = Grid1D(16, 8.0)
     system = NBodySystem(g, 3, potential=GAUSSIAN, omega=1.0)
-    state = random_state(g, 3, seed=0, k_filter=3.0,
-                         symmetric=True)
+    state = random_state(g, 3, seed=0, k_filter=3.0)
     res = check_energy_estimate(system, state, 2)
     assert res["k"] == 2
     assert math.isfinite(res["margin"])
@@ -157,8 +153,7 @@ def test_energy_estimate_second_moment_reported():
 def test_energy_estimate_lhs_is_the_shifted_moment(n_particles, k):
     g = Grid1D(16, 8.0)
     system = NBodySystem(g, n_particles, potential=GAUSSIAN, omega=1.0)
-    state = random_state(g, n_particles, seed=4, k_filter=3.0,
-                         symmetric=True)
+    state = random_state(g, n_particles, seed=4, k_filter=3.0)
     shift = n_particles * (1.0 + GAUSSIAN.alpha())
     lhs = check_energy_estimate(system, state, k)["lhs"]
     assert lhs == energy_moment(system, state, k, shift=shift)
@@ -170,10 +165,48 @@ def test_energy_estimate_lhs_is_the_shifted_moment(n_particles, k):
     assert lhs == pytest.approx(expansion, rel=1e-12)
 
 
+_WEIGHTED_NORM_RUN = """
+from boselab.cli import DEFAULTS
+from boselab.energy_checks import check_energy_estimate
+from boselab.grid import Grid1D, random_state
+from boselab.nbody import NBodySystem
+from boselab.potentials import PotentialSpec
+cfg = DEFAULTS["energy_suite"]
+g = Grid1D(16, cfg["length"])
+system = NBodySystem(g, 4, potential=PotentialSpec(**cfg["potential"]),
+                     omega=1.0)
+state = random_state(g, 4, seed=5, k_filter=4.0)
+print(check_energy_estimate(system, state, 1)["rhs"].hex())
+"""
+
+
+def test_energy_estimate_rhs_is_bit_identical_across_blas_threads():
+    # the weighted norm was a BLAS dot over the 16^4 tensor, and this
+    # draw's rhs read 0x1.a59e9f749bbb3p+4 at one OpenBLAS thread and
+    # 0x1.a59e9f749bbb7p+4 at two
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    values = []
+    for blas in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", _WEIGHTED_NORM_RUN],
+                             env=env, capture_output=True, text=True,
+                             check=True)
+        values.append(out.stdout.strip())
+    assert values[0].startswith("0x1.a59e9f749bbb")
+    assert values[0] == values[1]
+
+
 def test_energy_estimate_validation():
     g = Grid1D(16, 8.0)
     system = NBodySystem(g, 2, potential=GAUSSIAN)
-    state = random_state(g, 2, seed=0, symmetric=True)
+    state = random_state(g, 2, seed=0)
     with pytest.raises(GridError):
         check_energy_estimate(system, state, 3)
     with pytest.raises(GridError, match="k < N"):

@@ -14,7 +14,6 @@ from boselab.grid import (
     ConvergenceError,
     Grid1D,
     GridError,
-    TensorState,
     apply_matrix,
     apply_symbol,
     apply_weight_squared,
@@ -25,9 +24,10 @@ from boselab.grid import (
     sector_tables,
     sorted_tuples,
     symmetrize,
-    symmetry_residual,
     weighted_norm_squared,
 )
+
+from oracles import symmetry_residual
 
 
 def test_grid_geometry():
@@ -59,29 +59,17 @@ def test_apply_symbol_on_plane_wave():
     assert np.max(np.abs(out - k0 ** 2 * wave)) < 1e-12
 
 
-def test_tensor_state_norm_and_inner():
+def test_bosonic_state_norm_of_a_constant_tensor():
     g = Grid1D(32, 4.0)
     amp = np.full((32, 32), 1.0 / (2 * g.length), dtype=np.complex128)
-    state = TensorState(g, amp)
-    assert state.n_particles == 2
     # |amp|^2 summed with h^2 weight: (2L)^{-2} * n^2 * h^2 = 1
+    state = BosonicState(g, 2, symmetrize(g, amp).values)
+    assert state.n_particles == 2
     assert state.norm() == pytest.approx(1.0, rel=1e-12)
-    other = TensorState(g, 1j * amp)
-    val = state.inner(other)
-    assert val == pytest.approx(1j, rel=1e-12)
-    unit = state.normalized()
-    assert unit.norm() == pytest.approx(1.0, rel=1e-14)
-
-
-def test_inner_rejects_a_state_on_another_grid():
-    # same shape, different box: the sum used to run with self's weight
-    a = random_state(Grid1D(16, 4.0), 2, seed=0)
-    b = random_state(Grid1D(16, 8.0), 2, seed=0)
-    for left, right in ((a, b), (b, a)):
-        with pytest.raises(GridError, match="different tensor grids"):
-            left.inner(right)
-    with pytest.raises(GridError, match="different tensor grids"):
-        a.inner(random_state(Grid1D(16, 4.0), 3, seed=0))
+    assert np.allclose(state.amplitudes, amp, rtol=1e-12, atol=0.0)
+    half = BosonicState(g, 2, 0.5 * state.values)
+    assert half.norm() == pytest.approx(0.5, rel=1e-12)
+    assert half.normalized().norm() == pytest.approx(1.0, rel=1e-14)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -97,14 +85,6 @@ def test_apply_matrix_matches_tensordot(ndim, n, data, seed):
     out = apply_matrix(a, mat, axis)
     assert out.shape == a.shape
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
-
-
-def test_tensor_state_copy_is_independent():
-    g = Grid1D(16, 4.0)
-    state = random_state(g, 2, seed=0)
-    dup = state.copy()
-    dup.amplitudes[0, 0] += 1.0
-    assert state.amplitudes[0, 0] != dup.amplitudes[0, 0]
 
 
 def test_sobolev_weight_symbols():
@@ -124,13 +104,12 @@ def test_weighted_norm_on_plane_wave():
     g = Grid1D(64, 8.0)
     k0 = g.k[3]
     amp = np.exp(1j * k0 * g.x) / math.sqrt(2 * g.length)
-    state = TensorState(g, amp)
-    assert weighted_norm_squared(state, [0], "L", 0.0) == pytest.approx(
+    assert weighted_norm_squared(g, amp, [0], "L", 0.0) == pytest.approx(
         1.0 + k0 ** 2, rel=1e-12)
-    assert weighted_norm_squared(state, [0], "S", 0.0) == pytest.approx(
+    assert weighted_norm_squared(g, amp, [0], "S", 0.0) == pytest.approx(
         1.0 + 0.5 * k0 ** 2, rel=1e-12)
     x2_mean = float(g.h * np.sum(g.x ** 2 * np.abs(amp) ** 2))
-    assert weighted_norm_squared(state, [0], "S", 1.0) == pytest.approx(
+    assert weighted_norm_squared(g, amp, [0], "S", 1.0) == pytest.approx(
         1.0 + 0.5 * k0 ** 2 + 0.5 * x2_mean, rel=1e-12)
 
 
@@ -139,39 +118,40 @@ def test_weighted_norm_multi_axis_is_product_on_product_state():
     g = Grid1D(32, 6.0)
     phi = np.exp(-g.x ** 2).astype(np.complex128)
     phi /= math.sqrt(g.h * np.sum(np.abs(phi) ** 2))
-    pair = TensorState(g, np.multiply.outer(phi, phi))
-    one = TensorState(g, phi)
-    single = weighted_norm_squared(one, [0], "S", 1.0)
-    both = weighted_norm_squared(pair, [0, 1], "S", 1.0)
+    pair = np.multiply.outer(phi, phi)
+    single = weighted_norm_squared(g, phi, [0], "S", 1.0)
+    both = weighted_norm_squared(g, pair, [0, 1], "S", 1.0)
     assert both == pytest.approx(single ** 2, rel=1e-12)
 
 
 def test_apply_weight_squared_matches_dense_operator():
     g = Grid1D(32, 4.0)
-    state = random_state(g, 1, seed=4)
+    phi = random_state(g, 1, seed=4).amplitudes
     for kind, omega in (("S", 1.5), ("L", 0.0)):
         dense = dense_weight_squared(g, kind, omega)
-        fast = apply_weight_squared(state, [0], kind, omega).amplitudes
-        ref = dense @ state.amplitudes
+        fast = apply_weight_squared(g, phi, [0], kind, omega)
+        ref = dense @ phi
         assert np.max(np.abs(fast - ref)) < 1e-12
 
 
 def test_weight_axis_validation():
     g = Grid1D(16, 4.0)
-    state = random_state(g, 2, seed=0)
+    psi = random_state(g, 2, seed=0).amplitudes
     with pytest.raises(GridError):
-        apply_weight_squared(state, [2], "S", 0.0)
+        apply_weight_squared(g, psi, [2], "S", 0.0)
     with pytest.raises(GridError):
-        apply_weight_squared(state, [0, 0], "S", 0.0)
+        apply_weight_squared(g, psi, [0, 0], "S", 0.0)
+    # a tensor off the grid is rejected, not broadcast
+    with pytest.raises(GridError, match="do not match grid size"):
+        weighted_norm_squared(g, np.ones((16, 8)), [0], "S", 0.0)
 
 
 def test_symmetrize_product_pair():
     g = Grid1D(32, 6.0)
     f = np.exp(-(g.x - 1.0) ** 2).astype(np.complex128)
     h = np.exp(-(g.x + 1.0) ** 2).astype(np.complex128)
-    state = TensorState(g, np.multiply.outer(f, h))
-    sym = symmetrize(state)
-    assert symmetry_residual(sym) < 1e-14
+    sym = symmetrize(g, np.multiply.outer(f, h))
+    assert symmetry_residual(sym.amplitudes) < 1e-14
     assert sym.norm() == pytest.approx(1.0, rel=1e-13)
     # projection direction: (f x h + h x f) up to scale
     manual = np.multiply.outer(f, h) + np.multiply.outer(h, f)
@@ -186,7 +166,7 @@ def test_symmetrize_rejects_antisymmetric_input():
     h = np.exp(-(g.x + 1.0) ** 2).astype(np.complex128)
     anti = np.multiply.outer(f, h) - np.multiply.outer(h, f)
     with pytest.raises(GridError, match="annihilated"):
-        symmetrize(TensorState(g, anti))
+        symmetrize(g, anti)
 
 
 def _permutation_average(amplitudes):
@@ -214,10 +194,11 @@ def test_symmetrize_is_the_permutation_average(nn, n, seed):
     rng = np.random.default_rng(seed)
     shape = (n,) * nn
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    sym = symmetrize(TensorState(g, raw))
+    sym = symmetrize(g, raw)
     assert isinstance(sym, BosonicState) and sym.n_particles == nn
     assert sym.norm() == pytest.approx(1.0, rel=1e-14)
-    ref = TensorState(g, _permutation_average(raw)).normalized().amplitudes
+    ref = _permutation_average(raw)
+    ref /= math.sqrt(g.h ** nn * float(np.sum(np.abs(ref) ** 2)))
     # each route rounds a mean, of the N! permuted entries or of up to N!
     # deviations from the sorted tuple's value (symmetrize's bincount),
     # and one normalization.  The roundings of a sum of m random terms
@@ -233,7 +214,7 @@ def test_symmetrize_is_the_permutation_average(nn, n, seed):
     assert (np.linalg.norm(sym.amplitudes - ref)
             <= bound * np.linalg.norm(ref))
     # a symmetric tensor's values come back bit for bit
-    again = symmetrize(TensorState(g, sym.amplitudes))
+    again = symmetrize(g, sym.amplitudes)
     assert np.array_equal(again.values, sym.normalized().values)
     # an antisymmetric tensor has no bosonic part (and is zero unless the
     # N particles can sit on distinct sites)
@@ -241,25 +222,21 @@ def test_symmetrize_is_the_permutation_average(nn, n, seed):
         anti = sum(_permutation_sign(p) * np.transpose(raw, p)
                    for p in itertools.permutations(range(nn)))
         with pytest.raises(GridError, match="annihilated"):
-            symmetrize(TensorState(g, anti))
+            symmetrize(g, anti)
 
 
 def test_random_state_seeding_and_symmetry():
     g = Grid1D(16, 4.0)
-    a = random_state(g, 3, seed=7, k_filter=2.0, symmetric=True)
-    b = random_state(g, 3, seed=7, k_filter=2.0, symmetric=True)
-    c = random_state(g, 3, seed=8, k_filter=2.0, symmetric=True)
+    a = random_state(g, 3, seed=7, k_filter=2.0)
+    b = random_state(g, 3, seed=7, k_filter=2.0)
+    c = random_state(g, 3, seed=8, k_filter=2.0)
     assert np.array_equal(a.amplitudes, b.amplitudes)
     assert not np.array_equal(a.amplitudes, c.amplitudes)
     assert a.norm() == pytest.approx(1.0, rel=1e-12)
-    assert symmetry_residual(a) == 0.0
-    # a symmetric draw is a BosonicState at every N, one particle included
+    assert symmetry_residual(a.amplitudes) == 0.0
+    # a draw is a BosonicState at every N, one particle included
     for nn in (1, 2, 3):
-        assert isinstance(random_state(g, nn, seed=1, symmetric=True),
-                          BosonicState)
-    loose = random_state(g, 2, seed=1)
-    assert isinstance(loose, TensorState)
-    assert loose.norm() == pytest.approx(1.0, rel=1e-12)
+        assert isinstance(random_state(g, nn, seed=1), BosonicState)
 
 
 @pytest.mark.parametrize("n, k", [(1, 3), (2, 1), (3, 4), (5, 2), (8, 3),
@@ -315,13 +292,12 @@ def test_bosonic_state_expands_its_values_to_every_ordering(n, nn):
     del full
     assert np.array_equal(state.amplitudes, state.amplitudes)
     # the multiplicity-weighted norm is the tensor's
-    tensor = TensorState(g, state.amplitudes)
-    assert state.norm() == pytest.approx(tensor.norm(), rel=1e-14)
+    tensor_norm = math.sqrt(g.h ** nn * float(np.sum(np.abs(
+        state.amplitudes) ** 2)))
+    assert state.norm() == pytest.approx(tensor_norm, rel=1e-14)
     unit = state.normalized()
     assert isinstance(unit, BosonicState)
     assert unit.norm() == pytest.approx(1.0, rel=1e-14)
-    assert unit.inner(tensor) == pytest.approx(
-        TensorState(g, unit.amplitudes).inner(tensor), rel=1e-14)
 
 
 def test_bosonic_state_validation():
@@ -332,8 +308,9 @@ def test_bosonic_state_validation():
         BosonicState(g, 0, np.ones(1))
     with pytest.raises(GridError, match="zero state"):
         BosonicState(g, 2, np.zeros(36)).normalized()
-    with pytest.raises(GridError, match="different tensor grids"):
-        BosonicState(g, 2, np.ones(36)).inner(random_state(g, 3, seed=0))
+    # a tensor off the grid is rejected before it is symmetrized
+    with pytest.raises(GridError, match="do not match grid size"):
+        symmetrize(g, np.ones((8, 4)))
 
 
 def _psd_minus_rank_one(shape, side, width, seed):

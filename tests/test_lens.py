@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boselab.grid import Grid1D, GridError, TensorState
+from boselab.grid import BosonicState, Grid1D, GridError, sector_product
 from boselab.lens import (
     LensMap,
     LensResolutionError,
@@ -17,7 +17,7 @@ from boselab.lens import (
     lens_function,
     lens_kernel,
 )
-from boselab.marginals import partial_trace, trace_norm
+from boselab.marginals import MarginalDensity, partial_trace, trace_norm
 from boselab.nls import trap_ground_state
 
 GRID = Grid1D(64, 8.0)
@@ -26,6 +26,11 @@ GRID = Grid1D(64, 8.0)
 def ground_pair():
     phi, _ = trap_ground_state(GRID, 1.0)
     return phi
+
+
+def pair_marginal(phi):
+    """gamma^(1) of the two-boson product state phi x phi."""
+    return partial_trace(BosonicState(GRID, 2, sector_product(phi, 2)), 1)
 
 
 def test_time_dictionary_inverse_pair():
@@ -59,27 +64,26 @@ def test_window_rejects_an_overflowing_trap_time():
 
 def test_flat_frequency_is_identity():
     phi = ground_pair()
-    u = TensorState(GRID, phi)
-    psi, t = lens_function(LensMap(0.0), u, 0.7)
+    psi, t = lens_function(LensMap(0.0), GRID, phi, 0.7)
     assert t == 0.7
-    assert np.max(np.abs(psi.amplitudes - u.amplitudes)) == 0.0
+    assert np.max(np.abs(psi - phi)) == 0.0
+    assert psi is not phi
 
 
 @pytest.mark.parametrize("n_particles", [1, 2])
 def test_unitarity_and_round_trip(n_particles):
     phi = ground_pair()
     amp = phi if n_particles == 1 else np.multiply.outer(phi, phi)
-    u = TensorState(GRID, amp)
     lmap = LensMap(1.0)
-    psi, t = lens_function(lmap, u, 0.3)
+    psi, t = lens_function(lmap, GRID, amp, 0.3)
     assert t == pytest.approx(math.atan(0.3))
-    assert abs(psi.norm() - 1.0) < 1e-7
+    assert psi.shape == amp.shape
+    norm = math.sqrt(GRID.h ** n_particles * float(np.sum(np.abs(psi) ** 2)))
+    assert abs(norm - 1.0) < 1e-7
 
 
 def test_kernel_transform_preserves_trace_norm():
-    phi = ground_pair()
-    u = TensorState(GRID, np.multiply.outer(phi, phi))
-    marg = partial_trace(u, 1)
+    marg = pair_marginal(ground_pair())
     lmap = LensMap(1.0)
     lensed, t = lens_kernel(lmap, marg, 0.3)
     assert abs(trace_norm(lensed) - trace_norm(marg)) < 1e-7
@@ -94,8 +98,7 @@ def test_kernel_transform_preserves_trace_norm():
 def test_kernel_round_trip_property(omega, tau):
     # the inverse kernel map undoes the forward one across the window; the
     # interpolation error peaks near 5e-10 at omega = 1.5, |tau| = 0.5
-    phi = ground_pair()
-    marg = partial_trace(TensorState(GRID, np.multiply.outer(phi, phi)), 1)
+    marg = pair_marginal(ground_pair())
     lmap = LensMap(omega)
     lensed, t = lens_kernel(lmap, marg, tau)
     back, tau_back = lens_kernel(lmap, lensed, t, inverse=True)
@@ -106,12 +109,33 @@ def test_kernel_round_trip_property(omega, tau):
 def test_boundary_guard_rejects_underresolved_stretch():
     wide = np.exp(-GRID.x ** 2 / (2 * 4.0 ** 2)).astype(np.complex128)
     wide /= math.sqrt(GRID.h * float(np.sum(np.abs(wide) ** 2)))
-    state = TensorState(GRID, wide)
     assert boundary_mass_fraction(np.abs(wide) ** 2, GRID) > 1e-6
     with pytest.raises(LensResolutionError, match="boundary mass"):
-        lens_function(LensMap(1.0), state, 4.0)
+        lens_function(LensMap(1.0), GRID, wide, 4.0)
     with pytest.raises(LensResolutionError, match="boundary mass"):
-        lens_kernel(LensMap(1.0), partial_trace(state, 1), 4.0)
+        lens_kernel(LensMap(1.0),
+                    MarginalDensity(GRID, 1, np.outer(wide, wide.conj())), 4.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_boundary_guard_fails_closed_on_non_finite_input(bad):
+    # a NaN boundary fraction fails every comparison, so the guard must
+    # raise unless the fraction is known to be small
+    phi = ground_pair()
+    kernel = np.outer(phi, phi.conj())
+    mid = GRID.n // 2
+    kernel[mid, mid] = bad
+    phi = phi.copy()
+    phi[mid] = bad
+    with pytest.raises(LensResolutionError, match="boundary mass"):
+        lens_function(LensMap(1.0), GRID, phi, 0.3)
+    with pytest.raises(LensResolutionError, match="boundary mass"):
+        lens_kernel(LensMap(1.0), MarginalDensity(GRID, 1, kernel), 0.3)
+
+
+def test_lens_function_rejects_a_state_off_the_grid():
+    with pytest.raises(GridError, match="do not match grid size"):
+        lens_function(LensMap(1.0), GRID, np.ones(GRID.n // 2), 0.3)
 
 
 def test_intertwine_linear_flows():
@@ -141,11 +165,10 @@ def test_intertwine_small_frequency_limit():
 
 def test_intertwine_energy_comparability():
     phi = ground_pair()
-    flat = intertwine_energy_check(LensMap(0.0), TensorState(GRID, phi), 0.3)
+    flat = intertwine_energy_check(LensMap(0.0), GRID, phi, 0.3)
     # identity lens: the ratio is pinned between the two symbol envelopes
     assert 1.0 <= flat["ratio"] <= 2.0
     assert flat["t"] == 0.3
-    trapped = intertwine_energy_check(
-        LensMap(1.0), TensorState(GRID, phi), 0.3)
+    trapped = intertwine_energy_check(LensMap(1.0), GRID, phi, 0.3)
     assert 0.5 <= trapped["ratio"] <= 2.0
     assert trapped["flat"] > 0 and trapped["trapped"] > 0

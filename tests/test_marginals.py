@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from boselab.cli import _product_state
 from boselab.grid import (BosonicState, ConvergenceError, Grid1D,
-                          TensorState, dense_weight_squared, random_state,
+                          dense_weight_squared, random_state,
                           sector_product, sorted_tuples, symmetrize,
                           weighted_norm_squared)
 from boselab.marginals import (
@@ -18,11 +18,10 @@ from boselab.marginals import (
     delta_pairing_diagonal,
     mollifier_delta_test,
     partial_trace,
-    product_projector,
     sector_marginal,
-    trace_distance,
     trace_norm,
 )
+from oracles import eigenvalues, matrix, product_projector, trace_distance
 
 
 def unit_gaussian(grid, width=1.0, center=0.0):
@@ -45,18 +44,17 @@ def product_tensor(phi, n_particles):
 def blended_boson_state(grid, n_particles, phi, blend, seed):
     """Symmetrized phi^N + blend * (random state): near and far from chaos."""
     noise = random_state(grid, n_particles, seed=seed).amplitudes
-    return symmetrize(TensorState(
-        grid, product_tensor(phi, n_particles) + blend * noise))
+    return symmetrize(grid, product_tensor(phi, n_particles) + blend * noise)
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_unit_trace_hermitian_nonnegative(k):
     g = Grid1D(16, 4.0)
-    state = random_state(g, 3, seed=2, k_filter=3.0, symmetric=True)
+    state = random_state(g, 3, seed=2, k_filter=3.0)
     gam = partial_trace(state, k)
     assert gam.trace() == pytest.approx(1.0, rel=1e-12)
     assert np.max(np.abs(gam.kernel - gam.kernel.conj().T)) < 1e-13
-    evals = gam.eigenvalues()
+    evals = eigenvalues(gam)
     assert evals.min() > -1e-12
     assert float(np.sum(evals)) == pytest.approx(1.0, rel=1e-12)
 
@@ -65,27 +63,26 @@ def test_product_state_marginal_is_projector():
     g = Grid1D(32, 6.0)
     phi = unit_gaussian(g)
     amp = np.multiply.outer(np.multiply.outer(phi, phi), phi)
-    state = TensorState(g, amp)
-    gam = partial_trace(state, 1)
-    proj = product_projector(g, phi, 1)
-    assert trace_distance(gam, proj) < 1e-12
     boson = BosonicState(g, 3, sector_product(phi, 3))
     assert np.allclose(boson.amplitudes, amp, rtol=1e-15, atol=0)
+    gam = partial_trace(boson, 1)
+    proj = product_projector(g, phi, 1)
+    assert trace_distance(gam, proj) < 1e-12
     assert chaos_distance(boson, 1, phi) < 1e-12
     assert chaos_distance(boson, 2, phi) < 1e-12
     # pure projector spectrum: one occupation 1, rest 0
-    evals = gam.eigenvalues()
+    evals = eigenvalues(gam)
     assert evals[-1] == pytest.approx(1.0, rel=1e-12)
     assert abs(evals[:-1]).max() < 1e-12
 
 
 @settings(max_examples=30, deadline=None)
 @given(n_particles=st.sampled_from([2, 3]), n=st.sampled_from([4, 8, 16]),
-       seed=st.integers(0, 2 ** 32 - 1), symmetric=st.booleans())
-def test_tower_property(n_particles, n, seed, symmetric):
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_tower_property(n_particles, n, seed):
     # Tr_2 gamma^(2) = gamma^(1), the trace over particle 2 taken here
     g = Grid1D(n, 4.0)
-    state = random_state(g, n_particles, seed=seed, symmetric=symmetric)
+    state = random_state(g, n_particles, seed=seed)
     via_two = g.h * np.trace(partial_trace(state, 2).tensor(),
                              axis1=1, axis2=3)
     direct = partial_trace(state, 1).kernel
@@ -99,7 +96,7 @@ def test_trace_norm_against_eigendecomposition():
     a = partial_trace(random_state(g, 2, seed=0, k_filter=3.0), 1)
     b = partial_trace(random_state(g, 2, seed=1, k_filter=3.0), 1)
     diff = MarginalDensity(g, 1, a.kernel - b.kernel)
-    ref = float(np.sum(np.linalg.svd(diff.matrix(), compute_uv=False)))
+    ref = float(np.sum(np.linalg.svd(matrix(diff), compute_uv=False)))
     assert trace_distance(a, b) == pytest.approx(ref, rel=1e-12)
 
 
@@ -153,7 +150,7 @@ def test_trace_distance_of_densities_equal_to_rounding():
     # their rounding-sized difference
     g = Grid1D(8, 4.0)
     phi = random_orbital(g, np.random.default_rng(0))
-    state = symmetrize(TensorState(g, np.multiply.outer(phi, phi)))
+    state = symmetrize(g, np.multiply.outer(phi, phi))
     for k in (1, 2):
         dist = trace_distance(partial_trace(state, k),
                               product_projector(g, phi, k))
@@ -166,26 +163,26 @@ def weighted_trace(gam, kind, omega):
     op = w2
     for _ in range(gam.k - 1):
         op = np.kron(op, w2)
-    return float(np.trace(op @ gam.matrix()).real)
+    return float(np.trace(op @ matrix(gam)).real)
 
 
 def test_weighted_trace_equals_state_expectation():
     # Tr(W^2 gamma^(1)) = <psi, W_1^2 psi>: two routes through different code
     g = Grid1D(16, 4.0)
-    state = random_state(g, 3, seed=9, k_filter=3.0, symmetric=True)
+    state = random_state(g, 3, seed=9, k_filter=3.0)
     gam = partial_trace(state, 1)
     for kind, omega in (("S", 1.0), ("L", 0.0)):
         lhs = weighted_trace(gam, kind, omega)
-        rhs = weighted_norm_squared(state, [0], kind, omega)
+        rhs = weighted_norm_squared(g, state.amplitudes, [0], kind, omega)
         assert lhs == pytest.approx(rhs, rel=1e-12)
         assert lhs >= gam.trace().real - 1e-12
 
 
 def test_weighted_trace_two_particle():
     g = Grid1D(16, 4.0)
-    state = random_state(g, 3, seed=3, k_filter=3.0, symmetric=True)
+    state = random_state(g, 3, seed=3, k_filter=3.0)
     lhs = weighted_trace(partial_trace(state, 2), "S", 0.5)
-    rhs = weighted_norm_squared(state, [0, 1], "S", 0.5)
+    rhs = weighted_norm_squared(g, state.amplitudes, [0, 1], "S", 0.5)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -204,6 +201,8 @@ def test_partial_trace_range_and_kernel_shape_validation():
         partial_trace(state, 0)
     with pytest.raises(MarginalError):
         partial_trace(state, 3)
+    with pytest.raises(MarginalError, match="BosonicState"):
+        partial_trace(state.amplitudes, 1)
     with pytest.raises(MarginalError, match="kernel shape"):
         MarginalDensity(g, 2, np.eye(g.n))
 
@@ -213,7 +212,7 @@ def test_dense_spectral_cap_guards_eigendecompositions(monkeypatch):
     gam = partial_trace(random_state(g, 2, seed=0), 1)
     monkeypatch.setattr("boselab.grid.DENSE_SIDE_CAP", 8)
     with pytest.raises(MarginalError, match="cap"):
-        gam.eigenvalues()
+        eigenvalues(gam)
     with pytest.raises(MarginalError, match="cap"):
         trace_norm(gam)
 
@@ -309,19 +308,21 @@ def test_chaos_distance_of_all_particles_is_pure_state_distance(nn, n):
     rng = np.random.default_rng(nn * n)
     phi = random_orbital(g, rng)
     state = blended_boson_state(g, nn, phi, 0.5, seed=nn)
-    overlap = abs(TensorState(g, product_tensor(phi, nn)).inner(state))
+    overlap = abs(g.h ** nn * np.vdot(product_tensor(phi, nn),
+                                      state.amplitudes))
     ref = 2.0 * math.sqrt(1.0 - overlap ** 2)
     assert chaos_distance(state, nn, phi) == pytest.approx(ref, rel=1e-12)
 
 
 def test_chaos_distance_rejects_states_off_the_bosonic_sector():
-    # the sector routes take BosonicStates only: a TensorState is rejected
+    # the sector routes take BosonicStates only: a bare tensor is rejected
     # by its type at every k, even one that is symmetric to the last bit
     g = Grid1D(8, 4.0)
     phi = unit_gaussian(g)
-    boson = random_state(g, 3, seed=4, k_filter=3.0, symmetric=True)
-    for state in (random_state(g, 3, seed=4, k_filter=3.0),
-                  TensorState(g, boson.amplitudes)):
+    boson = random_state(g, 3, seed=4, k_filter=3.0)
+    rng = np.random.default_rng(4)
+    for state in (rng.standard_normal((g.n,) * 3).astype(np.complex128),
+                  boson.amplitudes):
         for k in (1, 2, 3):
             with pytest.raises(MarginalError, match="BosonicState"):
                 sector_marginal(state, k)
@@ -339,7 +340,7 @@ def test_chaos_distance_rejects_states_off_the_bosonic_sector():
 def test_chaos_distance_fails_closed_on_non_finite_input(bad):
     g = Grid1D(8, 4.0)
     phi = unit_gaussian(g)
-    boson = random_state(g, 3, seed=4, k_filter=3.0, symmetric=True)
+    boson = random_state(g, 3, seed=4, k_filter=3.0)
     orbital = phi.copy()
     orbital[2] = bad
     values = boson.values.copy()
@@ -377,7 +378,7 @@ def test_chaos_distance_raises_when_lanczos_does_not_converge(monkeypatch):
 def test_kernel_cap_applies_to_the_sector_side(monkeypatch):
     # n = 16, k = 2: the sector side is 136, the full side n^2 = 256
     g = Grid1D(16, 4.0)
-    state = random_state(g, 2, seed=0, k_filter=3.0, symmetric=True)
+    state = random_state(g, 2, seed=0, k_filter=3.0)
     phi = unit_gaussian(g)
     monkeypatch.setattr("boselab.grid.DENSE_SIDE_CAP", 200)
     assert 0.0 <= chaos_distance(state, 2, phi) <= 2.0
@@ -401,7 +402,8 @@ class TestMollifierDelta:
 
     def gamma2(self):
         phi = unit_gaussian(self.GRID)
-        return partial_trace(TensorState(self.GRID, np.multiply.outer(phi, phi)), 2)
+        return partial_trace(BosonicState(self.GRID, 2,
+                                          sector_product(phi, 2)), 2)
 
     @staticmethod
     def rho(t):

@@ -13,10 +13,10 @@ from scipy.linalg import expm
 
 from boselab.energy_checks import (check_decomposition_identity,
                                    check_energy_estimate)
-from boselab.grid import (BosonicState, Grid1D, GridError, TensorState,
-                          apply_matrix, dense_operator, kinetic_symbol,
-                          random_state, sector_product, sector_tables,
-                          symmetrize, symmetry_residual, trap_potential)
+from boselab.grid import (BosonicState, Grid1D, GridError, apply_matrix,
+                          dense_operator, kinetic_symbol, random_state,
+                          sector_product, sector_tables, symmetrize,
+                          trap_potential)
 from boselab.nbody import (
     NBodySystem,
     NumericalAbort,
@@ -31,6 +31,7 @@ from boselab.nbody import (
 )
 from boselab.nls import trap_ground_state
 from boselab.potentials import gaussian_well, mixed_sign
+from oracles import symmetry_residual
 
 
 def test_system_validation():
@@ -79,7 +80,7 @@ def test_potential_at_sorted_tuples_is_the_gathered_diagonal(nn, n, omega,
 def test_evolve_does_not_build_the_full_diagonal(monkeypatch):
     g = Grid1D(16, 4.0)
     system = NBodySystem(g, 3, potential=gaussian_well(), omega=1.0)
-    state = random_state(g, 3, seed=2, k_filter=3.0, symmetric=True)
+    state = random_state(g, 3, seed=2, k_filter=3.0)
     before = evolve(system, state, 1e-3, 3).states[-1].amplitudes
 
     def refuse(self):
@@ -118,7 +119,7 @@ def test_sector_hamiltonian_is_the_tensor_route_bit_for_bit(n, nn, omega,
                                                             seed):
     g = Grid1D(n, 4.0)
     system = NBodySystem(g, nn, potential=potential, omega=omega)
-    state = random_state(g, nn, seed=seed, symmetric=True)
+    state = random_state(g, nn, seed=seed)
     got = hamiltonian(system)(state.values)
     oracle = _tensor_hamiltonian(system, state.amplitudes)
     assert np.array_equal(got, _at_sorted_tuples(oracle))
@@ -138,8 +139,7 @@ def test_apply_hamiltonian_matches_dense():
         for omega in (0.0, 0.5):
             system = NBodySystem(g, nn, potential=gaussian_well(1.0, 1.0),
                                  omega=omega)
-            state = random_state(g, nn, seed=1, k_filter=3.0,
-                                 symmetric=True)
+            state = random_state(g, nn, seed=1, k_filter=3.0)
             fast = hamiltonian(system)(state.values)
             h = dense_hamiltonian(system)
             assert np.max(np.abs(h - h.conj().T)) < 1e-12
@@ -167,8 +167,7 @@ def test_hamiltonian_and_energy_match_fft_reference():
         for omega in (0.0, 0.5):
             system = NBodySystem(g, nn, potential=gaussian_well(1.0, 1.0),
                                  omega=omega)
-            state = random_state(g, nn, seed=1, k_filter=3.0,
-                                 symmetric=True)
+            state = random_state(g, nn, seed=1, k_filter=3.0)
             ref = _fft_hamiltonian(system, state.amplitudes)
             fast = hamiltonian(system)(state.values)
             assert np.max(np.abs(fast - _at_sorted_tuples(ref))) < 1e-12, (
@@ -191,7 +190,7 @@ def test_hamiltonian_builds_its_potential_once(monkeypatch):
     # n^N diagonal is never built
     g = Grid1D(16, 4.0)
     system = NBodySystem(g, 3, potential=gaussian_well(1.0, 1.0), omega=1.0)
-    state = random_state(g, 3, seed=2, k_filter=3.0, symmetric=True)
+    state = random_state(g, 3, seed=2, k_filter=3.0)
     calls = []
     built = NBodySystem.potential_at
 
@@ -220,7 +219,7 @@ def test_hamiltonian_forms_no_full_tensor(monkeypatch):
 
     g = Grid1D(16, 4.0)
     system = NBodySystem(g, 4, potential=gaussian_well(1.0, 1.0), omega=1.0)
-    state = random_state(g, 4, seed=3, k_filter=3.0, symmetric=True)
+    state = random_state(g, 4, seed=3, k_filter=3.0)
     traj = evolve(system, state, 1e-3, 4, store_every=2)
     formed = []
 
@@ -232,8 +231,6 @@ def test_hamiltonian_forms_no_full_tensor(monkeypatch):
 
     monkeypatch.setattr(grid.BosonicState, "amplitudes", property(
         recorded("expansion", grid.BosonicState.amplitudes.fget)))
-    monkeypatch.setattr(grid.TensorState, "__post_init__", recorded(
-        "TensorState", grid.TensorState.__post_init__))
     monkeypatch.setattr(NBodySystem, "potential_diagonal", recorded(
         "potential_diagonal", NBodySystem.potential_diagonal))
     hpsi = hamiltonian(system)(state.values)
@@ -257,7 +254,7 @@ def test_propagator_against_dense_exponential():
     # Strang error at fixed horizon must shrink by ~4x when dt halves
     g = Grid1D(8, 4.0)
     system = NBodySystem(g, 2, potential=gaussian_well(1.0, 1.0), omega=1.0)
-    state = random_state(g, 2, seed=3, k_filter=2.0, symmetric=True)
+    state = random_state(g, 2, seed=3, k_filter=2.0)
     t_final = 0.2
     ref = expm(-1j * t_final * dense_hamiltonian(system)) \
         @ state.amplitudes.reshape(-1)
@@ -289,11 +286,11 @@ def test_free_dispersion_matches_analytic_variance():
 def test_trap_ground_state_is_stationary():
     g = Grid1D(64, 8.0)
     phi, _ = trap_ground_state(g, 1.0)
-    pair = TensorState(g, np.multiply.outer(phi, phi))
+    pair = np.multiply.outer(phi, phi)
     system = NBodySystem(g, 2, omega=1.0)
     traj = evolve(system, BosonicState(g, 2, sector_product(phi, 2)), 1e-3,
                   500, store_every=500)
-    overlap = abs(traj.states[-1].inner(pair))
+    overlap = abs(g.h ** 2 * np.vdot(traj.states[-1].amplitudes, pair))
     assert overlap == pytest.approx(1.0, abs=1e-12)
 
 
@@ -301,12 +298,11 @@ def test_evolve_conservation_and_symmetry():
     g = Grid1D(16, 4.0)
     system = NBodySystem(g, 3, potential=mixed_sign(1.0, 1.0, r=0.25),
                          omega=1.0)
-    state = random_state(g, 3, seed=4, k_filter=3.0,
-                         symmetric=True)
+    state = random_state(g, 3, seed=4, k_filter=3.0)
     traj = evolve(system, state, 1e-3, 200, store_every=20)
     assert traj.norm_drift < 1e-10
     assert traj.max_energy_drift() < 1e-6
-    assert all(symmetry_residual(s) < 1e-9 for s in traj.states)
+    assert all(symmetry_residual(s.amplitudes) < 1e-9 for s in traj.states)
     assert traj.store_dt == pytest.approx(0.02)
     assert np.allclose(np.diff(traj.times), 0.02)
     assert len(traj.states) == len(traj.times) == 11
@@ -324,12 +320,11 @@ def test_evolution_keeps_bosonic_symmetry(nn, n, omega, interacting, dt,
     system = NBodySystem(g, nn, omega=omega,
                          potential=gaussian_well(1.0, 1.0) if interacting
                          else None)
-    state = random_state(g, nn, seed=seed, k_filter=3.0,
-                         symmetric=True)
+    state = random_state(g, nn, seed=seed, k_filter=3.0)
     traj = evolve(system, state, dt, 100, store_every=20)
     for snap in traj.states:
         amps = snap.amplitudes
-        assert symmetry_residual(snap) <= 1e-13 * np.max(np.abs(amps))
+        assert symmetry_residual(amps) <= 1e-13 * np.max(np.abs(amps))
 
 
 def _per_axis_strang(system, psi, dt, n_steps):
@@ -357,7 +352,7 @@ def test_in_place_step_matches_per_axis_reference(nn, n, omega, interacting,
     system = NBodySystem(g, nn, omega=omega,
                          potential=gaussian_well(1.0, 1.0) if interacting
                          else None)
-    state = random_state(g, nn, seed=seed, k_filter=3.0, symmetric=True)
+    state = random_state(g, nn, seed=seed, k_filter=3.0)
     traj = evolve(system, state, dt, 6, store_every=6)
     ref = _per_axis_strang(system, state.amplitudes, dt, 6)
     got = traj.states[-1].amplitudes
@@ -373,7 +368,7 @@ def test_whole_propagator_matches_per_axis_reference(nn, n):
 
     g = Grid1D(n, 8.0)
     system = NBodySystem(g, nn, potential=gaussian_well(1.0, 1.0), omega=1.0)
-    state = random_state(g, nn, seed=5, k_filter=3.0, symmetric=True)
+    state = random_state(g, nn, seed=5, k_filter=3.0)
     assert state.amplitudes.size >= nbody.SPLIT_FLOOR
     traj = evolve(system, state, 2e-3, 4, store_every=4)
     ref = _per_axis_strang(system, state.amplitudes, 2e-3, 4)
@@ -386,7 +381,7 @@ def test_split_and_whole_propagators_agree(monkeypatch):
 
     g = Grid1D(16, 4.0)
     system = NBodySystem(g, 2, potential=gaussian_well(1.0, 1.0), omega=1.0)
-    state = random_state(g, 2, seed=6, k_filter=3.0, symmetric=True)
+    state = random_state(g, 2, seed=6, k_filter=3.0)
     split = evolve(system, state, 1e-3, 20, store_every=20)
     monkeypatch.setattr(nbody, "SPLIT_FLOOR", 1)
     whole = evolve(system, state, 1e-3, 20, store_every=20)
@@ -404,7 +399,7 @@ def test_split_factors_keep_the_norm_unbiased(nn, n, potential):
     from boselab import nbody
 
     g = Grid1D(n, 8.0)
-    state = random_state(g, nn, seed=7, k_filter=3.0, symmetric=True)
+    state = random_state(g, nn, seed=7, k_filter=3.0)
     assert state.amplitudes.size < nbody.SPLIT_FLOOR
     system = NBodySystem(g, nn, potential=potential, omega=0.5)
     traj = evolve(system, state, 2e-3, 20000, store_every=20000)
@@ -459,7 +454,7 @@ def _record_products(monkeypatch, n, nn):
 
     monkeypatch.setattr(nbody.np, "matmul", recording)
     g = Grid1D(n, 4.0)
-    state = random_state(g, nn, seed=2, k_filter=3.0, symmetric=True)
+    state = random_state(g, nn, seed=2, k_filter=3.0)
     evolve(NBodySystem(g, nn), state, 1e-3, 1)
     monkeypatch.undo()
     return calls
@@ -523,14 +518,14 @@ from boselab.nbody import NBodySystem, evolve, hamiltonian
 from boselab.potentials import gaussian_well
 g = Grid1D(16, 4.0)
 system = NBodySystem(g, 4, potential=gaussian_well(1.0, 1.0), omega=1.0)
-state = random_state(g, 4, seed=3, k_filter=3.0, symmetric=True)
+state = random_state(g, 4, seed=3, k_filter=3.0)
 traj = evolve(system, state, 1e-3, 3, store_every=1)
 digest = hashlib.sha256(traj.norms.tobytes())
 for snap in traj.states:
     digest.update(snap.amplitudes.tobytes())
 digest.update(traj.energies.tobytes())
 big = NBodySystem(Grid1D(32, 8.0), 4, potential=gaussian_well(1.0, 1.0))
-psi = random_state(big.grid, 4, seed=3, k_filter=3.0, symmetric=True)
+psi = random_state(big.grid, 4, seed=3, k_filter=3.0)
 digest.update(hamiltonian(big)(psi.values).tobytes())
 print(digest.hexdigest())
 """
@@ -563,7 +558,7 @@ def test_kinetic_products_are_bit_identical_across_blas_threads():
 def test_stored_snapshots_do_not_alias_the_buffer():
     g = Grid1D(16, 4.0)
     system = NBodySystem(g, 2, potential=gaussian_well(), omega=1.0)
-    state = random_state(g, 2, seed=2, k_filter=3.0, symmetric=True)
+    state = random_state(g, 2, seed=2, k_filter=3.0)
     traj = evolve(system, state, 1e-3, 6, store_every=1)
     # the first snapshot is the caller's (read-only) state itself
     assert traj.states[0] is state
@@ -583,7 +578,7 @@ def _threaded_run(monkeypatch, pool):
     monkeypatch.setattr(grid, "_POOL_SIZE", pool)
     g = Grid1D(16, 4.0)  # 16^4 amplitudes: two middle levels of 3 blocks
     system = NBodySystem(g, 4, potential=gaussian_well(1.0, 1.0), omega=1.0)
-    state = random_state(g, 4, seed=3, k_filter=3.0, symmetric=True)
+    state = random_state(g, 4, seed=3, k_filter=3.0)
     traj = evolve(system, state, 1e-3, 3, store_every=1)
     return (traj, hamiltonian(system)(state.values),
             energy_moment(system, state))
@@ -618,7 +613,7 @@ def _split_run(monkeypatch, pool):
     monkeypatch.setattr(grid, "_POOL_SIZE", pool)
     g = Grid1D(16, 4.0)  # 16^4 amplitudes: two middle levels of 3 blocks
     system = NBodySystem(g, 4, potential=mixed_sign(1.0, 1.0, r=0.25))
-    state = random_state(g, 4, seed=8, k_filter=3.0, symmetric=True)
+    state = random_state(g, 4, seed=8, k_filter=3.0)
     with _CountingPool(pool) as executor:
         monkeypatch.setattr(grid, "_POOL", executor)
         traj = evolve(system, state, 2e-3, 10, store_every=1)
@@ -679,7 +674,7 @@ def test_small_tensors_pass_on_one_thread(monkeypatch):
     from boselab import grid, nbody
 
     g = Grid1D(32, 4.0)
-    state = random_state(g, 3, seed=1, k_filter=3.0, symmetric=True)
+    state = random_state(g, 3, seed=1, k_filter=3.0)
     assert _band_plan(32, 3) == [[(528, 32)], [(1024, 32)], [(528, 32)]]
     assert nbody.GEMM_ROWS == 1024
     monkeypatch.setattr(grid, "_POOL_SIZE", 2)
@@ -710,7 +705,7 @@ def test_norm_drift_covers_unstored_steps():
     g = Grid1D(16, 4.0)
     system = NBodySystem(g, 3, potential=mixed_sign(1.0, 1.0, r=0.25),
                          omega=1.0)
-    state = random_state(g, 3, seed=4, k_filter=3.0, symmetric=True)
+    state = random_state(g, 3, seed=4, k_filter=3.0)
     # the rounding drift grows with the step count, so its largest value
     # falls in steps 51..99, none of which the sparse run stores
     sparse = evolve(system, state, 1e-3, 99, store_every=50)
@@ -778,7 +773,7 @@ def test_fused_pass_matches_the_three_pass_loop(nn, store_every):
     g = Grid1D(16, 4.0)
     system = NBodySystem(g, nn, potential=mixed_sign(1.0, 1.0, r=0.25),
                          omega=1.0)
-    state = random_state(g, nn, seed=6, k_filter=3.0, symmetric=True)
+    state = random_state(g, nn, seed=6, k_filter=3.0)
     assert (state.amplitudes.size < nbody.SPLIT_FLOOR) == (nn == 2)
     traj = evolve(system, state, 2e-3, 7, store_every=store_every)
     states, norms = _three_pass_loop(system, state, 2e-3, 7, store_every)
@@ -799,7 +794,7 @@ def test_one_step_matches_the_three_pass_loop(nn, n, split, seed):
     g = Grid1D(n, 4.0)
     system = NBodySystem(g, nn, potential=mixed_sign(1.0, 1.0, r=0.25),
                          omega=1.0)
-    state = random_state(g, nn, seed=seed, k_filter=3.0, symmetric=True)
+    state = random_state(g, nn, seed=seed, k_filter=3.0)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(nbody, "SPLIT_FLOOR", 2 ** 62 if split else 1)
         traj = evolve(system, state, 2e-3, 1)
@@ -818,7 +813,7 @@ def test_padded_bands_match_the_three_pass_loop(split):
     assert [len(bands) for bands in plan] == [1, 16, 16]
     g = Grid1D(64, 8.0)
     system = NBodySystem(g, 3, potential=gaussian_well(1.0, 1.0), omega=1.0)
-    state = random_state(g, 3, seed=9, k_filter=3.0, symmetric=True)
+    state = random_state(g, 3, seed=9, k_filter=3.0)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(nbody, "SPLIT_FLOOR", 2 ** 62 if split else 1)
         traj = evolve(system, state, 2e-3, 2, store_every=1)
@@ -832,7 +827,7 @@ def test_evolve_holds_four_tensors():
 
     g = Grid1D(16, 4.0)
     system = NBodySystem(g, 4, potential=gaussian_well(1.0, 1.0), omega=1.0)
-    state = random_state(g, 4, seed=3, k_filter=3.0, symmetric=True)
+    state = random_state(g, 4, seed=3, k_filter=3.0)
     tensor = state.amplitudes.nbytes
     tracemalloc.start()
     try:
@@ -855,7 +850,7 @@ def test_energies_are_computed_when_read(monkeypatch):
 
     g = Grid1D(16, 4.0)
     system = NBodySystem(g, 3, potential=gaussian_well(1.0, 1.0), omega=1.0)
-    state = random_state(g, 3, seed=5, k_filter=3.0, symmetric=True)
+    state = random_state(g, 3, seed=5, k_filter=3.0)
     calls = []
     moment = nbody._moment
 
@@ -881,7 +876,7 @@ def test_energies_build_the_hamiltonian_once(monkeypatch):
 
     g = Grid1D(16, 4.0)
     system = NBodySystem(g, 3, potential=gaussian_well(1.0, 1.0), omega=1.0)
-    state = random_state(g, 3, seed=5, k_filter=3.0, symmetric=True)
+    state = random_state(g, 3, seed=5, k_filter=3.0)
     traj = evolve(system, state, 1e-3, 10, store_every=2)
     builds = []
     build = nbody.hamiltonian
@@ -900,20 +895,21 @@ def test_energies_build_the_hamiltonian_once(monkeypatch):
 
 
 def test_evolve_rejects_a_state_off_the_bosonic_sector():
-    # evolve takes BosonicStates only: a TensorState is rejected by its
+    # evolve takes BosonicStates only: a bare tensor is rejected by its
     # type, even one that is symmetric to the last bit
     g = Grid1D(8, 4.0)
     system = NBodySystem(g, 3, potential=gaussian_well(1.0, 1.0))
-    boson = random_state(g, 3, seed=1, k_filter=3.0, symmetric=True)
+    boson = random_state(g, 3, seed=1, k_filter=3.0)
     assert isinstance(boson, BosonicState)
-    assert symmetry_residual(boson) == 0.0
-    for state in (random_state(g, 3, seed=0),
-                  TensorState(g, boson.amplitudes)):
+    assert symmetry_residual(boson.amplitudes) == 0.0
+    rng = np.random.default_rng(0)
+    for state in (rng.standard_normal((g.n,) * 3).astype(np.complex128),
+                  boson.amplitudes):
         with pytest.raises(GridError, match="BosonicState"):
             evolve(system, state, 1e-3, 2)
     traj = evolve(system, boson, 1e-3, 2)
     assert traj.states[0] is boson
-    assert symmetry_residual(traj.states[-1]) == 0.0
+    assert symmetry_residual(traj.states[-1].amplitudes) == 0.0
 
 
 @pytest.mark.parametrize("nn, n", [(2, 16), (3, 8), (4, 16)])
@@ -925,8 +921,8 @@ def test_evolve_on_sector_values_matches_its_expansion(nn, n):
     # rounding of one renormalization
     g = Grid1D(n, 4.0)
     system = NBodySystem(g, nn, potential=gaussian_well(1.0, 1.0), omega=1.0)
-    boson = random_state(g, nn, seed=nn, k_filter=3.0, symmetric=True)
-    again = symmetrize(TensorState(g, boson.amplitudes))
+    boson = random_state(g, nn, seed=nn, k_filter=3.0)
+    again = symmetrize(g, boson.amplitudes)
     assert np.array_equal(again.values, boson.normalized().values)
     sector = evolve(system, boson, 1e-3, 4, store_every=2)
     expanded = evolve(system, again, 1e-3, 4, store_every=2)
@@ -939,7 +935,7 @@ def test_evolve_on_sector_values_matches_its_expansion(nn, n):
 
 
 def test_grid_mismatch_is_rejected():
-    state = random_state(Grid1D(16, 4.0), 2, seed=0, symmetric=True)
+    state = random_state(Grid1D(16, 4.0), 2, seed=0)
     system = NBodySystem(Grid1D(16, 8.0), 2, potential=gaussian_well())
     with pytest.raises(GridError, match="grid"):
         evolve(system, state, 1e-3, 2)
@@ -950,9 +946,8 @@ def _mismatched_states():
     N = 3 on its own grid."""
     g = Grid1D(16, 8.0)
     system = NBodySystem(g, 2, potential=gaussian_well())
-    return system, [random_state(Grid1D(16, 4.0), 2, seed=0,
-                                 symmetric=True),
-                    random_state(g, 3, seed=0, symmetric=True)]
+    return system, [random_state(Grid1D(16, 4.0), 2, seed=0),
+                    random_state(g, 3, seed=0)]
 
 
 def test_energy_moment_rejects_a_foreign_state():
@@ -970,8 +965,8 @@ def test_hamiltonian_rejects_a_foreign_tensor():
     # pass
     g = Grid1D(8, 4.0)
     ham = hamiltonian(NBodySystem(g, 3, potential=gaussian_well()))
-    for foreign in (random_state(g, 2, seed=0, symmetric=True).values,
-                    random_state(g, 3, seed=0, symmetric=True).amplitudes):
+    for foreign in (random_state(g, 2, seed=0).values,
+                    random_state(g, 3, seed=0).amplitudes):
         with pytest.raises(GridError, match="do not match"):
             ham(foreign)
 
@@ -986,13 +981,14 @@ def test_hamiltonian_rejects_a_foreign_tensor():
         "check_decomposition_identity", "spectral_cutoff"])
 def test_n_body_routes_reject_a_tensor_state(route):
     # one guard (nbody._check_grid) for every route that applies H_N: a
-    # TensorState is rejected by its type, even its own symmetric tensor
+    # bare tensor is rejected by its type, even its own symmetric tensor
     g = Grid1D(8, 4.0)
     system = NBodySystem(g, 2, potential=gaussian_well(), omega=1.0)
-    boson = random_state(g, 2, seed=0, symmetric=True)
+    boson = random_state(g, 2, seed=0)
     route(system, boson)
-    for state in (random_state(g, 2, seed=0),
-                  TensorState(g, boson.amplitudes)):
+    rng = np.random.default_rng(0)
+    for state in (rng.standard_normal((g.n,) * 2).astype(np.complex128),
+                  boson.amplitudes):
         with pytest.raises(GridError, match="BosonicState"):
             route(system, state)
 
@@ -1010,9 +1006,9 @@ def test_evolve_validation_and_abort(monkeypatch):
 
     g = Grid1D(16, 4.0)
     system = NBodySystem(g, 2, potential=gaussian_well())
-    state = random_state(g, 2, seed=0, symmetric=True)
+    state = random_state(g, 2, seed=0)
     with pytest.raises(GridError, match="particle number"):
-        evolve(system, random_state(g, 3, seed=0, symmetric=True), 1e-3, 2)
+        evolve(system, random_state(g, 3, seed=0), 1e-3, 2)
     with pytest.raises(GridError):
         evolve(system, state, -1e-3, 2)
     with pytest.raises(GridError):
@@ -1027,7 +1023,7 @@ def test_evolve_aborts_on_nan_amplitude():
     # NaN fails every comparison, so only a finiteness test can catch it
     g = Grid1D(16, 4.0)
     system = NBodySystem(g, 2, potential=gaussian_well())
-    values = random_state(g, 2, seed=0, symmetric=True).values.copy()
+    values = random_state(g, 2, seed=0).values.copy()
     values[7] = np.nan
     with pytest.raises(NumericalAbort, match="nan"):
         evolve(system, BosonicState(g, 2, values), 1e-3, 5)
@@ -1041,7 +1037,7 @@ def test_evolve_aborts_on_slow_norm_creep():
             return super().potential_at(index) + 0.6e-10j / 1e-3
 
     g = Grid1D(16, 4.0)
-    state = random_state(g, 2, seed=0, symmetric=True)
+    state = random_state(g, 2, seed=0)
     system = Leaky(g, 2, potential=gaussian_well())
     with pytest.raises(NumericalAbort, match="since step 0 at step 2"):
         evolve(system, state, 1e-3, 20)
@@ -1064,8 +1060,7 @@ class TestSpectralCutoff:
         self.system = NBodySystem(self.GRID, 2,
                                   potential=gaussian_well(1.0, 1.0),
                                   omega=1.0)
-        self.state = random_state(self.GRID, 2, seed=11,
-                                  symmetric=True)
+        self.state = random_state(self.GRID, 2, seed=11)
 
     def test_moment_bounds(self):
         for kappa in (0.4, 0.2, 0.1):
@@ -1101,8 +1096,7 @@ class TestBBGKYResidual:
         g = Grid1D(n, 4.0)
         system = NBodySystem(g, 2, potential=gaussian_well(1.0, 1.0),
                              omega=0.5)
-        state = random_state(g, 2, seed=1, k_filter=3.0,
-                             symmetric=True)
+        state = random_state(g, 2, seed=1, k_filter=3.0)
         return evolve(system, state, dt, int(round(t_final / dt)),
                       store_every=store_every)
 
@@ -1116,7 +1110,7 @@ class TestBBGKYResidual:
         # starts from a product state
         g = Grid1D(16, 8.0)
         system = NBodySystem(g, 3, potential=gaussian_well(1.0, 1.0))
-        psi0 = random_state(g, 3, seed=0, k_filter=3.0, symmetric=True)
+        psi0 = random_state(g, 3, seed=0, k_filter=3.0)
         errs = [bbgky_residual(evolve(system, psi0, dt, int(round(0.2 / dt)),
                                       store_every=5), 1)["hs_norm"]
                 for dt in (2e-3, 1e-3)]

@@ -15,6 +15,7 @@ from boselab.potentials import (
     mixed_sign,
     scaled_potential,
 )
+from oracles import integral_quadrature
 
 
 def test_gaussian_well_values_and_integral():
@@ -42,7 +43,7 @@ def test_mixed_sign_values_and_integral():
 
 def test_integral_closed_form_against_quadrature():
     for spec in (gaussian_well(1.7, 0.8), mixed_sign(2.0, 1.3, r=0.1)):
-        assert spec.integral_quadrature() == pytest.approx(
+        assert integral_quadrature(spec) == pytest.approx(
             spec.integral(), rel=1e-12, abs=1e-12)
 
 
