@@ -23,7 +23,9 @@ smoothing bound are solved matrix-free by Lanczos from a fixed start
 vector, so neither is capped at 4096 pair-grid points and reruns give the
 same bytes; the N-body identity and the moment bound take a
 BosonicState and apply H_N matrix-free to its sector values
-(nbody.hamiltonian and nbody.energy_moment).
+(nbody.hamiltonian and nbody.energy_moment); their other sides act on
+the state's n^N tensor (BosonicState.amplitudes), the package's only
+tensor routes on an N-body state, kept as independent second routes.
 Each check returns a dict of margins so callers can assert or just log.
 Negative controls (alpha scaled down in the pair block, the alpha of a
 weaker potential in the K inequality) show the inequalities are not
@@ -42,12 +44,6 @@ from .grid import (BosonicState, Grid1D, GridError, apply_symbol,
                    pair_differences, weighted_norm_squared)
 from .nbody import NBodySystem, _check_grid, energy_moment, hamiltonian
 from .potentials import PotentialSpec, scaled_potential
-
-
-def _pair_cap(grid: Grid1D):
-    if grid.n ** 2 > _grid.DENSE_SIDE_CAP:
-        raise GridError(f"two-particle dense form {grid.n}^2 exceeds the cap "
-                        f"{_grid.DENSE_SIDE_CAP}")
 
 
 def _pair_diagonal(spec: PotentialSpec, n_particles: int, grid: Grid1D,
@@ -193,29 +189,21 @@ def _smoothed_pair_action(grid: Grid1D, vdiag: np.ndarray):
     return apply
 
 
-def check_sobolev_operator_bound(spec: PotentialSpec, grid: Grid1D,
-                                 dense: bool = False) -> dict:
+def check_sobolev_operator_bound(spec: PotentialSpec, grid: Grid1D) -> dict:
     """Largest singular value of L1^-1 L2^-1 V(x1-x2) L1^-1 L2^-1.
 
     The potential is unscaled; the mean-field rescaling preserves the L1
-    norm, hence the bound.  dense=True builds the full matrix and takes
-    exact singular values (small grids only); otherwise the extreme
-    eigenvalue of the Hermitian operator is found matrix-free.
+    norm, hence the bound.  The operator is Hermitian, so its largest
+    singular value is the extreme eigenvalue, found matrix-free.
     """
     apply = _smoothed_pair_action(grid, spec(pair_differences(grid)))
     dim = grid.n ** 2
-    if dense:
-        _pair_cap(grid)
-        cols = [apply(e) for e in np.eye(dim)]
-        mat = np.array(cols).T
-        sigma = float(np.linalg.svd(mat, compute_uv=False)[0])
-    else:
-        op = LinearOperator((dim, dim),
-                            matvec=lambda v: apply(np.asarray(v, dtype=np.complex128)),
-                            dtype=np.complex128)
-        vals = eigsh(op, k=1, which="LM", v0=np.ones(dim),
-                     return_eigenvectors=False, tol=1e-10, maxiter=5000)
-        sigma = float(np.max(np.abs(vals)))
+    op = LinearOperator((dim, dim),
+                        matvec=lambda v: apply(np.asarray(v, dtype=np.complex128)),
+                        dtype=np.complex128)
+    vals = eigsh(op, k=1, which="LM", v0=np.ones(dim),
+                 return_eigenvectors=False, tol=1e-10, maxiter=5000)
+    sigma = float(np.max(np.abs(vals)))
     bound = spec.l1_norm()
     return {"sigma_max": sigma, "bound": bound,
             "passes": sigma <= bound + 1e-4}

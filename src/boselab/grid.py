@@ -37,8 +37,10 @@ array against the grid, symmetrize projects it onto the sector, and
 sector_product gives the values of a product state phi^(tensor k).
 One-particle orbitals, and the tensors the weight helpers and the lens
 map act on, are plain complex arrays passed with their Grid1D, as nls
-passes its fields.  A BosonicState forms its full tensor only when
-amplitudes is read.  lanczos_min is the one Krylov solver:
+passes its fields.  A BosonicState forms its full tensor on each read
+of amplitudes and keeps none; in the package only energy_checks reads
+it, for the tensor sides of its two dual routes.  lanczos_min is the
+one Krylov solver:
 the smallest eigenvalue of a matrix-free Hermitian operator by a
 three-term Lanczos recurrence (marginals' chaos distances use it).
 
@@ -57,9 +59,8 @@ import functools
 import math
 import os
 import threading
-import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,8 +74,8 @@ class ConvergenceError(ArithmeticError):
 
 
 # The largest side of a dense matrix built or decomposed anywhere: the
-# N-body Hamiltonian, the pair block, marginal and sector kernels, and
-# the trap ground state's eigensolve.
+# sector N-body Hamiltonian of the spectral cutoff, marginal and sector
+# kernels, and the trap ground state's eigensolve.
 DENSE_SIDE_CAP = 4096
 
 # lanczos_min stops once the residual of its smallest Ritz pair is at
@@ -364,12 +365,10 @@ class BosonicState:
     (sorted_tuples(grid.n, N)) and at each of its orderings, so the state
     takes C(n+N-1, N) numbers (52,360 at N = 4, n = 32, against
     n^N = 1,048,576).  values is a read-only copy of the given array.
-    The full (n,)*N tensor is formed only when amplitudes is read, one
-    gather through sector_tables.  The tensor is read-only and cached
-    by weak reference: reads return the same array while any reader
-    holds it, and it is formed again (about 1 ms at N = 4, n = 32) once
-    none does, so stored snapshots hold no n^N tensors.  The norm
-    weights each value by its multiplicity.  A state carries no trap
+    The full (n,)*N tensor is formed, read-only, on every read of
+    amplitudes, one gather through sector_tables (about 1 ms at N = 4,
+    n = 32), and not kept, so stored snapshots hold no n^N tensors.  The
+    norm weights each value by its multiplicity.  A state carries no trap
     frequency: omega belongs to the operators (the system, the lens map,
     the S weight) and is passed to them.
     """
@@ -377,8 +376,6 @@ class BosonicState:
     grid: Grid1D
     n_particles: int
     values: np.ndarray
-    _amplitudes: weakref.ref | None = field(default=None, init=False,
-                                            repr=False)
 
     def __post_init__(self):
         v = np.array(self.values, dtype=np.complex128)
@@ -398,14 +395,9 @@ class BosonicState:
 
     @property
     def amplitudes(self) -> np.ndarray:
-        ref = self._amplitudes
-        full = ref() if ref is not None else None
-        if full is None:
-            tables, expand = sector_tables(self.grid.n, self.n_particles)
-            full = np.take(np.take(self.values, tables[-1][1]), expand,
-                           axis=0)
-            full.flags.writeable = False
-            self._amplitudes = weakref.ref(full)
+        tables, expand = sector_tables(self.grid.n, self.n_particles)
+        full = np.take(np.take(self.values, tables[-1][1]), expand, axis=0)
+        full.flags.writeable = False
         return full
 
     def norm(self) -> float:

@@ -153,12 +153,16 @@ def lens_kernel(lmap: LensMap, marginal: MarginalDensity, time: float,
 
     Forward: time is the flat time tau; returns (kernel at t(tau), t).
     inverse=True: time is the trap time t; returns (flat kernel, tau(t)).
-    omega = 0 returns a copy (exact identity).
+    omega = 0 returns a copy (exact identity).  LensResolutionError for
+    a diagonal with boundary mass (forward) or not finite (inverse, which
+    contracts the support and so cannot wrap the box).
     """
     grid, k = marginal.grid, marginal.k
     if lmap.omega == 0.0:
         return MarginalDensity(grid, k, marginal.kernel.copy()), time
     if inverse:
+        if not np.all(np.isfinite(np.diagonal(marginal.kernel))):
+            raise LensResolutionError("kernel diagonal is not finite")
         t, image_time = time, lmap.tau_of_t(time)
     else:
         diagonal = np.abs(np.real(np.diagonal(marginal.kernel)))

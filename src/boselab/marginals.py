@@ -20,9 +20,11 @@ so their difference has the same nonzero spectrum there.
 sector_marginal(state, k) gives gamma^(k) there as its factor A, with
 gamma^(k) = h^(N-k) A A^dagger, read off a BosonicState's sector values
 by one cached gather (no n^N tensor).  partial_trace gives the full
-n^k x n^k kernel from the state's n^N tensor.  Both take a BosonicState,
-the package's one N-particle state (a tensor becomes one through
-grid.symmetrize).  On the sector the
+n^k x n^k kernel as h^(N-k) F F^dagger, F the same fold with a row for
+every k-index tuple (_full_fold), so it forms no n^N tensor either; the
+BBGKY collision term (nbody) reads F at k + 1.  All of them take a
+BosonicState, the package's one N-particle state (a tensor becomes one
+through grid.symmetrize).  On the sector the
 difference is D = h^(N-k) A A^dagger - v v^dagger, with v the sector
 coordinates of phi^(tensor k), sqrt(mult) times grid.sector_product.
 At k = 1 (side n) D is formed and its eigenvalues
@@ -81,9 +83,6 @@ class MarginalDensity:
     @property
     def weight(self) -> float:
         return self.grid.h ** self.k
-
-    def trace(self) -> complex:
-        return self.weight * complex(np.trace(self.kernel))
 
     def tensor(self) -> np.ndarray:
         """Kernel reshaped to (n,)*2k: unprimed axes first, then primed."""
@@ -145,14 +144,14 @@ def _check_bosonic(state) -> None:
 
 
 def partial_trace(state: BosonicState, k: int) -> MarginalDensity:
-    """Marginal of the first k particles of a bosonic state, from its n^N
-    tensor; MarginalError for anything but a BosonicState."""
+    """Marginal of the first k particles of a bosonic state,
+    h^(N-k) F F^dagger for F = _full_fold(state, k), so no n^N tensor is
+    formed; MarginalError for anything but a BosonicState."""
     _check_bosonic(state)
     n_particles = state.n_particles
     if not 1 <= k <= n_particles:
         raise MarginalError(f"k={k} out of range for N={n_particles}")
-    n = state.grid.n
-    a = state.amplitudes.reshape(n ** k, n ** (n_particles - k))
+    a = _full_fold(state, k)
     kern = (a @ a.conj().T) * state.grid.h ** (n_particles - k)
     return MarginalDensity(state.grid, k, kern)
 
@@ -206,6 +205,22 @@ def _sector_fold(n: int, nn: int, k: int) -> tuple[np.ndarray, tuple]:
     for arr in (table, *roots):
         arr.flags.writeable = False
     return table, roots
+
+
+def _full_fold(state: BosonicState, k: int) -> np.ndarray:
+    """F[i, c] = psi(sort(i + c)) sqrt(mult(c)), of shape
+    (n^k, C(n+N-k-1, N-k)): a row per k-index tuple i, in C order, and a
+    column per sorted (N-k)-tuple c of the traced particles, so that
+    F F^dagger sums psi(i, z) conj(psi(i', z)) over every traced tuple z.
+    The rows are _sector_fold's table at the rank of each i's sorted
+    tuple; no n^N tensor is formed.  The caller checks state and k."""
+    n = state.grid.n
+    table, roots = _sector_fold(n, state.n_particles, k)
+    tables, expand = _grid.sector_tables(n, k)
+    rows = np.take(table, tables[-1][1][expand].reshape(-1), axis=0)
+    fold = np.take(state.values, rows)
+    fold *= roots[1]
+    return fold
 
 
 def sector_marginal(state: BosonicState, k: int) -> np.ndarray:

@@ -67,20 +67,20 @@ for K along every axis of the 32^4 tensor).  energy_moment,
 with no shift is the energy.  Every route here that takes a state takes
 a BosonicState of the system (_check_grid).
 
-Also here: the dense Hamiltonian for small tensor grids (the oracle of
-the matrix-free routes), the smooth spectral cutoff used to regularize
-rough initial data, which diagonalizes that dense Hamiltonian afresh on
-every call (n^N = 256 in its uses, where eigh takes milliseconds), and
-the residual of the trapped BBGKY hierarchy evaluated on stored
-trajectories, whose one-body commutator applies the dense one-particle
-h along the kernel's axes.  No state is Fourier transformed here.
+Also here: the smooth spectral cutoff used to regularize rough initial
+data, an eigh of H_N as a dense matrix on the sector, and the residual
+of the trapped BBGKY hierarchy evaluated on stored trajectories, whose
+marginals and collision term read the sector values through one fold
+(marginals._full_fold) and whose one-body commutator applies the dense
+one-particle h along the kernel's axes.  No route here forms a state's
+n^N tensor or makes a Fourier transform.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,7 +88,7 @@ from . import grid as _grid
 from .grid import (BosonicState, Grid1D, GridError, apply_matrix, dense_operator, fourier_matrix,
                    kinetic_symbol, on_axes, pair_differences, sector_tables,
                    trap_potential)
-from .marginals import _sector_fold, partial_trace
+from .marginals import _full_fold, _sector_fold, partial_trace
 from .potentials import PotentialSpec, scaled_potential
 
 # rows per chunk of a kinetic level, the unit of work of its gather and
@@ -365,19 +365,14 @@ class NBodySystem:
             return np.zeros_like(diff)
         return scaled_potential(self.potential, self.n_particles, diff)
 
-    def potential_diagonal(self) -> np.ndarray:
-        """Trap plus interaction as a diagonal tensor of shape (n,)*N."""
-        axis = np.arange(self.grid.n)
-        return self.potential_at(np.ix_(*(axis,) * self.n_particles))
-
     def potential_at(self, index) -> np.ndarray:
         """Trap plus interaction at the index tuples (index[0], ...,
         index[N-1]), one integer array per particle, broadcast together.
 
         The trap terms of the particles are added first and then the
         pair terms (i, j) in lexicographic order, the same operations at
-        every tuple, so a gather of potential_diagonal() and the values
-        at those tuples are the same bits.
+        every tuple, so the values at the sorted tuples are the bits of
+        the full diagonal (np.ix_ of every axis) gathered there.
         """
         nn = self.n_particles
         trap = trap_potential(self.grid, self.omega)
@@ -598,27 +593,7 @@ def evolve(system: NBodySystem, state: BosonicState, dt: float,
                       np.asarray(norms), drift)
 
 
-# -- dense Hamiltonian and spectral cutoff ----------------------------------
-
-def dense_hamiltonian(system: NBodySystem) -> np.ndarray:
-    """Full H_N as an (n^N, n^N) Hermitian matrix; capped at 4096."""
-    if system.dim > _grid.DENSE_SIDE_CAP:
-        raise GridError(f"dense Hamiltonian dimension {system.dim} exceeds "
-                        f"cap {_grid.DENSE_SIDE_CAP}")
-    grid, nn = system.grid, system.n_particles
-    h1 = dense_operator(grid, kinetic_symbol(grid),
-                        trap_potential(grid, system.omega))
-    ham = np.zeros((system.dim, system.dim), dtype=np.complex128)
-    for j in range(nn):
-        op = np.eye(1)
-        for ax in range(nn):
-            op = np.kron(op, h1 if ax == j else np.eye(grid.n))
-        ham += op
-    # the pair part alone: the same system without its trap
-    pair = replace(system, omega=0.0).potential_diagonal()
-    ham += np.diag(pair.reshape(-1))
-    return 0.5 * (ham + ham.conj().T)
-
+# -- spectral cutoff ---------------------------------------------------------
 
 def cutoff_chi(s) -> np.ndarray:
     """Smooth cutoff: 1 for s <= 1, 0 for s >= 2, C-infinity in between."""
@@ -641,22 +616,41 @@ def spectral_cutoff(system: NBodySystem, state: BosonicState,
     chi = cutoff_chi is 1 below s = 1 and 0 above s = 2 (and 1 for negative arguments),
     so the result has energy moments <H^k> <= (2N/kappa)^k while staying
     kappa^(1/2)-close to psi when psi has bounded energy per particle.
-    chi(H_N) commutes with particle permutations, so the filtered state
-    is bosonic up to rounding; it is returned through grid.symmetrize.
+    H_N is taken on the bosonic sector, in its orthonormal basis of
+    normalized orbit sums, whose coordinates are sqrt(mult) times the
+    sector values: a dense Hermitian matrix of side C(n+N-1, N), its
+    column c hamiltonian(system) applied to the values 1/sqrt(mult(c))
+    at c, its rows times sqrt(mult), Hermitized as (M + M^dagger)/2.  The
+    side is capped at grid.DENSE_SIDE_CAP (GridError), and the matrix is
+    built and diagonalized afresh on every call (side 136 in criterion
+    12's uses, where eigh takes milliseconds).
     """
     _check_grid(system, state)
     if kappa <= 0:
         raise GridError("cutoff parameter kappa must be positive")
-    evals, evecs = np.linalg.eigh(dense_hamiltonian(system))
-    w = system.grid.h ** state.n_particles
-    # eigenvectors are Euclidean-unitary, so plain coefficients suffice
-    coeffs = evecs.conj().T @ state.amplitudes.reshape(-1)
-    factors = cutoff_chi(kappa * evals / system.n_particles)
-    vec = evecs @ (factors * coeffs)
-    if float(np.vdot(vec, vec).real) * w <= 1e-28:
-        raise NumericalAbort("spectral cutoff annihilated the state")
-    return _grid.symmetrize(system.grid,
-                            vec.reshape(state.amplitudes.shape))
+    nn, root = system.n_particles, np.sqrt(state.multiplicity)
+    side = len(root)
+    if side > _grid.DENSE_SIDE_CAP:
+        raise GridError(f"sector Hamiltonian side {side} exceeds cap "
+                        f"{_grid.DENSE_SIDE_CAP}")
+    ham = hamiltonian(system)
+    mat = np.empty((side, side), dtype=np.complex128)
+    unit = np.zeros(side, dtype=np.complex128)
+    for c in range(side):
+        unit[c] = 1.0 / root[c]
+        mat[:, c] = ham(unit)
+        unit[c] = 0.0
+    mat *= root[:, None]
+    evals, evecs = np.linalg.eigh(0.5 * (mat + mat.conj().T))
+    coeffs = evecs.conj().T @ (root * state.values)
+    vec = evecs @ (cutoff_chi(kappa * evals / nn) * coeffs)
+    # the basis is orthonormal, so the Euclidean norm is the state's; a
+    # NaN fails closed
+    norm_sq = float(np.vdot(vec, vec).real) * system.grid.h ** nn
+    if not norm_sq > 1e-28:
+        raise NumericalAbort(f"spectral cutoff annihilated the state "
+                             f"(norm^2 {norm_sq:.3e})")
+    return BosonicState(system.grid, nn, vec / root).normalized()
 
 
 # -- BBGKY residual ----------------------------------------------------------
@@ -678,10 +672,12 @@ def _commutator_one_body(marg_tensor: np.ndarray, k: int,
 
 def _collision_term(state: BosonicState, k: int, vpair: np.ndarray) -> np.ndarray:
     """sum_{j<=k} Tr_{k+1} [V(x_j - x_{k+1}), gamma^(k+1)] without
-    materializing gamma^(k+1); returns an (n^k, n^k) kernel."""
+    materializing gamma^(k+1), from the fold of its factor
+    (marginals._full_fold) with the (k+1)-th index split off; returns an
+    (n^k, n^k) kernel."""
     n = state.grid.n
     nn = state.n_particles
-    a = state.amplitudes.reshape(n ** k, n, n ** (nn - k - 1))
+    a = _full_fold(state, k + 1).reshape(n ** k, n, -1)
     weight = state.grid.h ** (nn - k)
     block_shape = (n,) * k
     out = np.zeros((n ** k, n ** k), dtype=np.complex128)

@@ -441,6 +441,8 @@ def test_convergence_forms_no_full_tensor(monkeypatch, tmp_path):
     # the default n = 32 and N = 2, 3, 4, one step: the initial states,
     # the propagation and the chaos distances stay on the sorted tuples,
     # so no (n,)^N tensor is ever formed (32^4 complex = 16.8 MB)
+    import numpy as np
+
     from boselab import cli, grid, nbody
 
     formed = []
@@ -458,8 +460,14 @@ def test_convergence_forms_no_full_tensor(monkeypatch, tmp_path):
         "as_tensor", grid.as_tensor))
     monkeypatch.setattr(grid, "symmetrize", recorded(
         "symmetrize", grid.symmetrize))
-    monkeypatch.setattr(nbody.NBodySystem, "potential_diagonal", recorded(
-        "potential_diagonal", nbody.NBodySystem.potential_diagonal))
+    potential_at = nbody.NBodySystem.potential_at
+
+    def sector_only(self, index):
+        if any(np.ndim(i) != 1 for i in index):
+            formed.append("potential diagonal")
+        return potential_at(self, index)
+
+    monkeypatch.setattr(nbody.NBodySystem, "potential_at", sector_only)
     cfg = {"experiment": "convergence", "times": [0.0, 2e-3]}
     assert cli.validate_config(cfg)["n"] == 32
     code, report = cli.run_experiment(cfg, tmp_path)
@@ -467,6 +475,27 @@ def test_convergence_forms_no_full_tensor(monkeypatch, tmp_path):
     assert formed == []
     tables = sorted(tmp_path.glob("chaos_distance_*.csv"))
     assert len(tables) == 4
+
+
+def test_bbgky_reads_no_full_tensor(monkeypatch, tmp_path):
+    # the default bbgky suite (N = 3 on 16 sites): its marginals and
+    # collision terms read the sector values through one fold, so no
+    # state's n^N tensor is ever read
+    from boselab import cli, grid
+
+    reads = []
+    expand = grid.BosonicState.amplitudes.fget
+
+    def recorded(state):
+        reads.append(state.n_particles)
+        return expand(state)
+
+    monkeypatch.setattr(grid.BosonicState, "amplitudes", property(recorded))
+    code, report = cli.run_experiment({"experiment": "bbgky_residual"},
+                                      tmp_path)
+    assert code == 0, report["checks"]
+    assert reads == []
+    assert (tmp_path / "bbgky_residuals.csv").is_file()
 
 
 # sha256 over each default output directory's files, sorted by name;
@@ -478,7 +507,10 @@ _DEFAULT_DIGESTS = {
     # order moved the last digits of the k = 1 and k = 2 margins
     "energy": "2723779fa3dfe4ae239d7a2c2218aba19c78a142b6565abcb1d0d7e334c5f376",
     "lens": "b543d56e9af038570b355f4d5ecf515712d7521d6769e67cf08c84096a4ac3b7",
-    "bbgky": "e609426071e488a0076b93fd2e0887295a01e34a5ae776146011de004d8715b3",
+    # bbgky: the marginals and the collision term sum over the sorted
+    # traced tuples by multiplicity (one fold of the sector values), not
+    # over the n^N tensor, so the residuals' last digits moved
+    "bbgky": "bf85c59789d2af150dff73536810159ebaa7cdc81592c4923704f7bf82bec077",
     "nls-validate":
         "79f23fb9c079e32e9c7bc2c3f5de1b2291eb6cc5ba30ac1fecb5fa9bee19c7f7",
 }

@@ -287,10 +287,8 @@ def test_bosonic_state_expands_its_values_to_every_ordering(n, nn):
     rank = {tuple(t): r for r, t in enumerate(tuples.tolist())}
     for index in itertools.product(range(n), repeat=nn):
         assert full[index] == state.values[rank[tuple(sorted(index))]]
-    # kept while a reader holds it, formed again after
-    assert state.amplitudes is full
-    del full
-    assert np.array_equal(state.amplitudes, state.amplitudes)
+    # formed again on every read, and not kept
+    assert np.array_equal(state.amplitudes, full)
     # the multiplicity-weighted norm is the tensor's
     tensor_norm = math.sqrt(g.h ** nn * float(np.sum(np.abs(
         state.amplitudes) ** 2)))

@@ -87,7 +87,8 @@ def test_kernel_transform_preserves_trace_norm():
     lmap = LensMap(1.0)
     lensed, t = lens_kernel(lmap, marg, 0.3)
     assert abs(trace_norm(lensed) - trace_norm(marg)) < 1e-7
-    assert lensed.trace().real == pytest.approx(1.0, abs=1e-7)
+    assert (GRID.h * np.trace(lensed.kernel)).real == pytest.approx(
+        1.0, abs=1e-7)
     back, tau = lens_kernel(lmap, lensed, t, inverse=True)
     assert tau == pytest.approx(0.3, abs=1e-12)
     assert np.max(np.abs(back.kernel - marg.kernel)) < 1e-12
@@ -131,6 +132,19 @@ def test_boundary_guard_fails_closed_on_non_finite_input(bad):
         lens_function(LensMap(1.0), GRID, phi, 0.3)
     with pytest.raises(LensResolutionError, match="boundary mass"):
         lens_kernel(LensMap(1.0), MarginalDensity(GRID, 1, kernel), 0.3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_inverse_kernel_map_fails_closed_on_a_non_finite_diagonal(bad):
+    # one NaN on the diagonal used to come back as an all-NaN flat kernel
+    # (4,096 of 4,096 entries at n = 64) with no error; the contraction
+    # cannot wrap the box, so the inverse map checks finiteness only
+    phi = ground_pair()
+    kernel = np.outer(phi, phi.conj())
+    kernel[GRID.n // 2, GRID.n // 2] = bad
+    with pytest.raises(LensResolutionError, match="not finite"):
+        lens_kernel(LensMap(1.0), MarginalDensity(GRID, 1, kernel), 0.3,
+                    inverse=True)
 
 
 def test_lens_function_rejects_a_state_off_the_grid():

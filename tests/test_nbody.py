@@ -20,18 +20,21 @@ from boselab.grid import (BosonicState, Grid1D, GridError, apply_matrix,
 from boselab.nbody import (
     NBodySystem,
     NumericalAbort,
+    _collision_term,
     _commutator_one_body,
     bbgky_residual,
     cutoff_chi,
-    dense_hamiltonian,
     energy_moment,
     evolve,
     hamiltonian,
     spectral_cutoff,
 )
+from boselab.marginals import partial_trace
 from boselab.nls import trap_ground_state
 from boselab.potentials import gaussian_well, mixed_sign
-from oracles import symmetry_residual
+from oracles import (dense_cutoff, dense_hamiltonian, potential_diagonal,
+                     symmetry_residual, tensor_collision_term,
+                     tensor_partial_trace)
 
 
 def test_system_validation():
@@ -53,7 +56,7 @@ def test_potential_diagonal_structure():
                        * spec(math.sqrt(2.0) * (x[:, None] - x[None, :])))
     expected = (0.5 * 4.0 * (x[:, None] ** 2 + x[None, :] ** 2)
                 + vpair / 2.0)
-    assert np.allclose(system.potential_diagonal(), expected)
+    assert np.allclose(potential_diagonal(system), expected)
     # without interaction: pure trap
     free = NBodySystem(g, 2, omega=2.0)
     assert np.allclose(free.pair_potential_values(), 0.0)
@@ -74,21 +77,36 @@ def test_potential_at_sorted_tuples_is_the_gathered_diagonal(nn, n, omega,
     tuples = sector_tables(n, nn)[0][-1][0]
     flat = np.ravel_multi_index(tuples.T, (n,) * nn)
     assert np.array_equal(system.potential_at(tuples.T),
-                          system.potential_diagonal().reshape(-1)[flat])
+                          potential_diagonal(system).reshape(-1)[flat])
+
+
+def _refuse_the_full_diagonal(monkeypatch):
+    """Patch NBodySystem.potential_at to fail on any index but the sorted
+    tuples' (one array of C(n+N-1, N) entries per particle), and return
+    the list of systems it was called on."""
+    calls = []
+    built = NBodySystem.potential_at
+
+    def sector_only(self, index):
+        side = math.comb(self.grid.n + self.n_particles - 1, self.n_particles)
+        if any(np.shape(i) != (side,) for i in index):
+            raise AssertionError("full potential diagonal built")
+        calls.append(self)
+        return built(self, index)
+
+    monkeypatch.setattr(NBodySystem, "potential_at", sector_only)
+    return calls
 
 
 def test_evolve_does_not_build_the_full_diagonal(monkeypatch):
     g = Grid1D(16, 4.0)
     system = NBodySystem(g, 3, potential=gaussian_well(), omega=1.0)
     state = random_state(g, 3, seed=2, k_filter=3.0)
-    before = evolve(system, state, 1e-3, 3).states[-1].amplitudes
-
-    def refuse(self):
-        raise AssertionError("full potential diagonal built")
-
-    monkeypatch.setattr(NBodySystem, "potential_diagonal", refuse)
-    after = evolve(system, state, 1e-3, 3).states[-1].amplitudes
+    before = evolve(system, state, 1e-3, 3).states[-1].values
+    calls = _refuse_the_full_diagonal(monkeypatch)
+    after = evolve(system, state, 1e-3, 3).states[-1].values
     assert np.array_equal(before, after)
+    assert calls == [system]
 
 
 def _at_sorted_tuples(tensor):
@@ -102,7 +120,7 @@ def _tensor_hamiltonian(system, psi):
     diagonal times psi, then K along every axis in axis order."""
     g = system.grid
     kin = dense_operator(g, kinetic_symbol(g), np.zeros(g.n))
-    out = system.potential_diagonal() * psi
+    out = potential_diagonal(system) * psi
     for ax in range(psi.ndim):
         out += apply_matrix(psi, kin, ax)
     return out
@@ -156,7 +174,7 @@ def _fft_hamiltonian(system, psi):
     symbol = sum(k2.reshape([-1 if ax == j else 1 for ax in range(nn)])
                  for j in range(nn))
     return (np.fft.ifftn(symbol * np.fft.fftn(psi))
-            + system.potential_diagonal() * psi)
+            + potential_diagonal(system) * psi)
 
 
 def test_hamiltonian_and_energy_match_fft_reference():
@@ -191,18 +209,7 @@ def test_hamiltonian_builds_its_potential_once(monkeypatch):
     g = Grid1D(16, 4.0)
     system = NBodySystem(g, 3, potential=gaussian_well(1.0, 1.0), omega=1.0)
     state = random_state(g, 3, seed=2, k_filter=3.0)
-    calls = []
-    built = NBodySystem.potential_at
-
-    def counted(self, index):
-        calls.append(self)
-        return built(self, index)
-
-    def refuse(self):
-        raise AssertionError("full potential diagonal built")
-
-    monkeypatch.setattr(NBodySystem, "potential_at", counted)
-    monkeypatch.setattr(NBodySystem, "potential_diagonal", refuse)
+    calls = _refuse_the_full_diagonal(monkeypatch)
     ham = hamiltonian(system)
     vec = state.values
     for _ in range(5):
@@ -231,8 +238,7 @@ def test_hamiltonian_forms_no_full_tensor(monkeypatch):
 
     monkeypatch.setattr(grid.BosonicState, "amplitudes", property(
         recorded("expansion", grid.BosonicState.amplitudes.fget)))
-    monkeypatch.setattr(NBodySystem, "potential_diagonal", recorded(
-        "potential_diagonal", NBodySystem.potential_diagonal))
+    _refuse_the_full_diagonal(monkeypatch)
     hpsi = hamiltonian(system)(state.values)
     moments = [energy_moment(system, state),
                energy_moment(system, state, 2, shift=4.0)]
@@ -243,10 +249,14 @@ def test_hamiltonian_forms_no_full_tensor(monkeypatch):
     assert all(np.isfinite(moments))
 
 
-def test_dense_hamiltonian_dimension_cap():
-    with pytest.raises(GridError, match="cap"):
-        dense_hamiltonian(NBodySystem(Grid1D(32, 8.0), 3,
-                                      potential=gaussian_well()))
+def test_spectral_cutoff_sector_side_cap():
+    # 5,984 sorted triples on 32 sites, past the 4096 side of a dense
+    # matrix (the 32^3 Kronecker matrix was refused the same way)
+    g = Grid1D(32, 8.0)
+    system = NBodySystem(g, 3, potential=gaussian_well())
+    state = BosonicState(g, 3, np.ones(5984))
+    with pytest.raises(GridError, match="side 5984 exceeds cap"):
+        spectral_cutoff(system, state, 0.2)
 
 
 def test_propagator_against_dense_exponential():
@@ -329,7 +339,7 @@ def test_evolution_keeps_bosonic_symmetry(nn, n, omega, interacting, dt,
 
 def _per_axis_strang(system, psi, dt, n_steps):
     """Reference loop: numpy FFTs and the kinetic phase axis by axis."""
-    half = np.exp(-0.5j * dt * system.potential_diagonal())
+    half = np.exp(-0.5j * dt * potential_diagonal(system))
     kin = np.exp(-1j * dt * 0.5 * system.grid.k ** 2)
     nn, n = system.n_particles, system.grid.n
     for _ in range(n_steps):
@@ -734,7 +744,7 @@ def _three_pass_loop(system, state, dt, n_steps, store_every):
 
     split = state.amplitudes.size < nbody.SPLIT_FLOOR
     half = sorted_values((nbody._phase_minus_one if split else nbody._phase)(
-        (-0.5 * dt) * system.potential_diagonal()))
+        (-0.5 * dt) * potential_diagonal(system)))
     factor_t = nbody._kinetic_factor(grid, dt, split)
     weight = grid.h ** nn
 
@@ -1089,6 +1099,44 @@ class TestSpectralCutoff:
             spectral_cutoff(self.system, self.state, 0.0)
         with pytest.raises(NumericalAbort, match="annihilated"):
             spectral_cutoff(self.system, self.state, 1e6)
+        # one NaN value used to come back as an all-NaN state
+        values = self.state.values.copy()
+        values[5] = np.nan
+        with pytest.raises(NumericalAbort, match="norm\\^2 nan"):
+            spectral_cutoff(self.system, BosonicState(self.GRID, 2, values),
+                            0.2)
+
+    @pytest.mark.parametrize("nn", [2, 3])
+    def test_sector_matrix_matches_the_dense_oracle(self, nn):
+        # the sector H_N (side 136 and 816) against the Kronecker H_N on
+        # 16^N tensors restricted to the sector (tests/oracles.py)
+        system = NBodySystem(self.GRID, nn, potential=gaussian_well(1.0, 1.0),
+                             omega=1.0)
+        state = random_state(self.GRID, nn, seed=11)
+        for kappa in (0.4, 0.1):
+            got = spectral_cutoff(system, state, kappa)
+            assert isinstance(got, BosonicState)
+            want = dense_cutoff(system, state, kappa)
+            assert np.max(np.abs(got.values - want.values)) <= 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([2, 4, 8]), nn=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 16))
+def test_folds_match_the_tensor_contractions(n, nn, seed):
+    # partial_trace and the collision term read the sector values through
+    # one fold; the oracles contract the n^N tensor
+    g = Grid1D(n, 4.0)
+    state = random_state(g, nn, seed=seed)
+    vpair = NBodySystem(g, nn, potential=mixed_sign()).pair_potential_values()
+    for k in range(1, nn + 1):
+        got = partial_trace(state, k).kernel
+        want = tensor_partial_trace(state, k).kernel
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        if k < nn:
+            got = _collision_term(state, k, vpair)
+            want = tensor_collision_term(state, k, vpair)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestBBGKYResidual:

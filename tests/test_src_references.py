@@ -8,10 +8,13 @@ methods and properties of those classes, with ast, and fails for a name
 that no src/ module references anywhere but at its own definition.  The
 exceptions are listed in ALLOWED.
 
-A reference is matched by its bare name, so a name that src/ also reads
-on another object is invisible to the walk: a method called trace or
-copy counts as called wherever numpy's np.trace or an array's .copy()
-is.
+A reference is matched by its bare name.  Attribute reads rooted at a
+module bound by ``import`` (np.trace, np.linalg.eigh, math.comb) name
+that module's functions, not the package's, so they do not count; a
+package module imported with ``from . import`` (_grid.sector_tables)
+does.  A name that src/ also reads on another object is still invisible
+to the walk: a method called copy counts as called wherever an array's
+.copy() is.
 """
 
 import ast
@@ -34,13 +37,29 @@ ALLOWED = {
 }
 
 
-def _names(node):
-    """The names a node reads: bare names, attributes and imports."""
+def _modules(tree):
+    """The names that ``import x`` and ``import x as y`` bind in a module."""
+    return {alias.asname or alias.name.split(".")[0]
+            for sub in ast.walk(tree) if isinstance(sub, ast.Import)
+            for alias in sub.names}
+
+
+def _root(node):
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node
+
+
+def _names(node, modules):
+    """The names a node reads: bare names, attributes not rooted at one
+    of the imported modules, and imports."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             yield sub.id
         elif isinstance(sub, ast.Attribute):
-            yield sub.attr
+            root = _root(sub)
+            if not (isinstance(root, ast.Name) and root.id in modules):
+                yield sub.attr
         elif isinstance(sub, ast.ImportFrom):
             yield from (alias.name for alias in sub.names)
 
@@ -65,11 +84,14 @@ def _unreferenced():
     outside the definition itself."""
     trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(SRC.glob("*.py"))}
-    counts = Counter(name for tree in trees.values() for name in _names(tree))
+    modules = {stem: _modules(tree) for stem, tree in trees.items()}
+    counts = Counter(name for stem, tree in trees.items()
+                     for name in _names(tree, modules[stem]))
     return sorted(
         f"{module}.{name}" for module, tree in trees.items()
         for name, node in _definitions(tree)
-        if counts[node.name] == Counter(_names(node))[node.name])
+        if counts[node.name]
+        == Counter(_names(node, modules[module]))[node.name])
 
 
 def test_every_public_name_has_a_caller_in_src():
@@ -81,3 +103,15 @@ def test_the_allowlist_holds_no_stale_entry():
     # an entry whose name gained a caller, or left src/, is dropped here
     assert sorted(ALLOWED) == [name for name in _unreferenced()
                                if name in ALLOWED]
+
+
+def test_module_attributes_are_not_references():
+    # np.trace names numpy's function, and _grid.trace the package's
+    tree = ast.parse("import numpy as np\nimport os.path\n"
+                     "from . import grid as _grid\n"
+                     "np.trace(a)\nnp.linalg.trace(a)\nos.path.join(b)\n"
+                     "_grid.trace(a)\nstate.copy()\n")
+    names = Counter(_names(tree, _modules(tree)))
+    assert _modules(tree) == {"np", "os"}
+    assert names["trace"] == 1 and names["copy"] == 1
+    assert names["linalg"] == names["join"] == 0
