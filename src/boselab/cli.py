@@ -122,7 +122,8 @@ CONFIG_SCHEMA = {
                      "items": {"type": "number", "minimum": 0,
                                "maximum": 0.25}},
         "deltas": {"type": "array", "minItems": 2,
-                   "items": {"type": "number", "exclusiveMinimum": 0}},
+                   "items": {"type": "number", "exclusiveMinimum": 0,
+                             "exclusiveMaximum": 1}},
         "lambdas": {"type": "array", "minItems": 1,
                     "items": {"type": "number", "exclusiveMinimum": 0}},
         "grid_step": {"type": "number", "exclusiveMinimum": 0},

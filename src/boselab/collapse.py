@@ -31,22 +31,24 @@ Two independent routes are implemented:
 All quadratures are built from explicit panel decompositions (graded at
 the singular/feature points) so that a refined probe (doubled rule
 orders, finer grading) gives an honest node-doubling stability gate.
-Each Gauss-Legendre order is built once per process and shared
-read-only.  The hot loops are batched: kernel_H integrates a block of u
-values per numpy pass (the graded windows of the whole block in one
-padded breakpoint table), and direct_operator_test evaluates separable
-members over blocks of tau samples.  The block sizes are fixed and
-bound the peak memory.
+Each Gauss-Legendre order, and the spline of the window transform, is
+built once per process and shared read-only.  The hot loops are
+batched: kernel_H integrates the smooth panels on blocks of _U_CHUNK = 32
+u values per numpy pass, then re-integrates the graded windows of up to
+_WINDOW_ROWS = 64 small-|u| rows per pass (one padded breakpoint table
+each), and direct_operator_test evaluates separable members over blocks
+of tau samples.  The block sizes are fixed and bound the peak memory.
 
-Threading: kernel_H hands its u-blocks to the package's one thread pool
-(grid._in_blocks), every pool-size-th block to one thread, so the
-window-heavy small-|u| blocks at one end of each sign's nodes are shared
-out; each block writes its own slice of the output.  A block's value
-does not depend on the thread it falls to, so H, I and the scans are
-bit-identical for every pool size.  The bracket's numpy passes release
-the GIL, which lets the (eta, xi1) scan, the node-doubling probe and the
-control scan use every core.  A pooled block calls no public function of
-the package.
+Threading: kernel_H splits its u-blocks into lanes on the package's one
+thread pool (grid._in_blocks), every pool-size-th block to one lane, so
+the window-heavy small-|u| blocks at one end of each sign's nodes are
+shared out.  A lane runs the smooth pass on its blocks, then the window
+passes on the rows they left, and writes only its blocks' slices of the
+output.  Each row's value does not depend on its lane or on the rows it
+shares a pass with, so H, I and the scans are bit-identical for every
+pool size.  The numpy passes release the GIL, which lets the (eta, xi1)
+scan, the node-doubling probe and the control scan use every core.  A
+pooled lane calls only the private _smooth_chunk and _window_sums.
 """
 
 from __future__ import annotations
@@ -89,7 +91,11 @@ def bump(t) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _theta_hat_table():
-    """Fine table of theta-hat by one long FFT; returns (xi, values)."""
+    """Fine table of theta-hat by one long FFT, built once per process.
+
+    Returns (xi, values, spline): the cubic spline through the table is
+    shared read-only by every probe.
+    """
     m = 1 << 17
     dxi = 0.02
     period = 2.0 * math.pi / dxi
@@ -104,7 +110,8 @@ def _theta_hat_table():
     if np.max(np.abs(vals.imag)) > 1e-12:
         raise GridError("window transform unexpectedly complex")
     keep = np.abs(xi) <= 1100.0
-    return xi[keep], np.ascontiguousarray(vals.real[keep])
+    xi, vals = xi[keep], np.ascontiguousarray(vals.real[keep])
+    return xi, vals, CubicSpline(xi, vals)
 
 
 @lru_cache(maxsize=None)
@@ -138,6 +145,8 @@ def _ladder(start: float, stop: float, refine: int) -> list[float]:
     """The grading rule of every panel set: start, then start * r^k for
     k = 1, 2, ... by repeated multiplication, r = 2^(1/refine), while the
     previous point is below stop; the last point is clamped to stop."""
+    if not 0.0 < start < math.inf:
+        raise GridError(f"ladder needs a finite start > 0, got {start!r}")
     ratio = 2.0 ** (1.0 / refine)
     pts = [start]
     s = start
@@ -230,11 +239,12 @@ class CollapseProbe:
 
 def make_probe(epsilon: float, refine: int = 1) -> CollapseProbe:
     """Build a probe for one eps: transform table, panels, invariants."""
-    if epsilon < 0:
-        raise GridError("epsilon must be nonnegative")
+    if not 0.0 <= epsilon < math.inf:
+        raise GridError(f"epsilon must be finite and nonnegative, "
+                        f"got {epsilon!r}")
     if refine < 1:
         raise GridError("refine must be a positive integer")
-    xi, vals = _theta_hat_table()
+    xi, vals, spline = _theta_hat_table()
     peak = float(np.max(np.abs(vals)))
     if peak <= 0:
         raise GridError("window transform vanished")
@@ -250,7 +260,6 @@ def make_probe(epsilon: float, refine: int = 1) -> CollapseProbe:
     if edge_level > 1e-12 * peak:
         raise GridError("window transform does not decay on the table")
 
-    spline = CubicSpline(xi, vals)
     # effective support: beyond xi_eff the transform is below 1e-13 peak
     big = np.abs(vals) >= 1e-13 * peak
     xi_eff = float(np.max(np.abs(xi[big])))
@@ -283,6 +292,11 @@ def make_probe(epsilon: float, refine: int = 1) -> CollapseProbe:
 # inner kernel H and the dual integral I
 
 
+def _check_point(eta: float, xi1: float) -> None:
+    if not (math.isfinite(eta) and math.isfinite(xi1)):
+        raise GridError(f"(eta, xi1) must be finite, got ({eta!r}, {xi1!r})")
+
+
 def _bracket_pair(s, u, us, epsilon):
     """<(s - us)/u>^{-2e} <(s - us - 2u^2)/u>^{-2e} (vectorized).
 
@@ -302,8 +316,12 @@ def _bracket_pair(s, u, us, epsilon):
     return np.power(t1, -epsilon, out=t1)
 
 
-# u values per pass of kernel_H; bounds the size of its node arrays
+# u values per smooth pass of kernel_H; its two bracket buffers of
+# _U_CHUNK x (panel nodes) values set each lane's memory
 _U_CHUNK = 32
+# window rows per _window_sums pass of a kernel_H lane; a pass has a
+# fixed cost (its breakpoint table, sort and dedupe) on top of its rows
+_WINDOW_ROWS = 64
 
 
 def _window_sums(probe: CollapseProbe, u: np.ndarray, us: np.ndarray,
@@ -364,9 +382,12 @@ def _window_sums(probe: CollapseProbe, u: np.ndarray, us: np.ndarray,
     return np.bincount(prow, weights=panel, minlength=u.size)
 
 
-def _kernel_H_chunk(probe: CollapseProbe, u: np.ndarray,
-                    us: np.ndarray) -> np.ndarray:
-    """H on one block of u: smooth panels for all, windows where needed."""
+def _smooth_chunk(probe: CollapseProbe, u: np.ndarray, us: np.ndarray):
+    """|u| H on one block of u from the smooth panels alone.
+
+    Rows with |u| <= _WINDOW_REACH lose the panels [il, ih) that their
+    window re-integrates; returns the values with those rows and ranges.
+    """
     edges = probe.panel_edges
     n_panels = edges.size - 1
     btil = _bracket_pair(probe.s_nodes[None, :, :], u[:, None, None],
@@ -383,11 +404,9 @@ def _kernel_H_chunk(probe: CollapseProbe, u: np.ndarray,
     il = np.maximum(np.searchsorted(edges, w_lo, side="right") - 1, 0)
     ih = np.minimum(np.searchsorted(edges, w_hi, side="left"), n_panels)
     rows = np.flatnonzero((au <= _WINDOW_REACH) & (ih > il))
-    if rows.size:
-        il, ih = il[rows], ih[rows]
-        val[rows] -= cums[rows, ih] - cums[rows, il]
-        val[rows] += _window_sums(probe, u[rows], us[rows], il, ih)
-    return val / au
+    il, ih = il[rows], ih[rows]
+    val[rows] -= cums[rows, ih] - cums[rows, il]
+    return val, rows, il, ih
 
 
 def kernel_H(probe: CollapseProbe, eta: float, xi1: float, u):
@@ -397,10 +416,13 @@ def kernel_H(probe: CollapseProbe, eta: float, xi1: float, u):
     fixed support: smooth panels between the transform's sign changes
     carry precomputed nodes, and for |u| <= _WINDOW_REACH the
     width-|u| bracket features around s = u*sigma are re-integrated on
-    graded sub-panels.  Both passes run on blocks of u at once (one
-    padded breakpoint table per block, no loop over single u).  u = 0
-    is rejected (the change of variables degenerates there).
+    graded sub-panels.  Both passes run on blocks of u at once, no loop
+    over single u: _U_CHUNK values per smooth pass, then up to
+    _WINDOW_ROWS of a lane's window rows per window pass (one padded
+    breakpoint table each).  u = 0 is rejected (the change of variables
+    degenerates there), and so is a non-finite (eta, xi1).
     """
+    _check_point(eta, xi1)
     scalar = np.isscalar(u) or getattr(u, "ndim", 1) == 0
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(u == 0.0):
@@ -413,13 +435,23 @@ def kernel_H(probe: CollapseProbe, eta: float, xi1: float, u):
     # each sign's nodes, and contiguous runs would give them to one thread
     lanes = min(_grid._POOL_SIZE, len(starts))
 
-    def chunks(lo, hi):
+    def lane_sums(lo, hi):
         for lane in range(lo, hi):
+            found = []
             for start in starts[lane::lanes]:
                 sl = slice(start, start + _U_CHUNK)
-                out[sl] = _kernel_H_chunk(probe, u[sl], us_all[sl])
+                out[sl], rows, il, ih = _smooth_chunk(probe, u[sl],
+                                                      us_all[sl])
+                found.append((rows + start, il, ih))
+            rows, il, ih = (np.concatenate(part) for part in zip(*found))
+            for w in range(0, rows.size, _WINDOW_ROWS):
+                at = slice(w, w + _WINDOW_ROWS)
+                r = rows[at]
+                out[r] += _window_sums(probe, u[r], us_all[r], il[at],
+                                       ih[at])
 
-    _in_blocks(chunks, lanes)
+    _in_blocks(lane_sums, lanes)
+    out /= np.abs(u)
     return float(out[0]) if scalar else out
 
 
@@ -452,6 +484,7 @@ def integral_I(probe: CollapseProbe, eta: float, xi1: float) -> dict:
     features where the large-u envelope of H peaks.  Returns the value,
     the split parts, and an analytic tail estimate (flagging truncation).
     """
+    _check_point(eta, xi1)
     eps = probe.epsilon
     base = _u_edges(probe)
     extra = []
@@ -602,6 +635,7 @@ def optimality_scan(probe: CollapseProbe, mode: str, deltas,
     """
     if mode not in ("T_infinite", "epsilon_zero", "control"):
         raise GridError(f"unknown optimality mode {mode!r}")
+    _check_point(eta, xi1)
     deltas = sorted(float(d) for d in deltas)
     eps = probe.epsilon
     values = []
@@ -765,6 +799,13 @@ def direct_operator_test(grid: Grid1D, members, epsilon: float,
     """
     from scipy.integrate import simpson
 
+    if not math.isfinite(epsilon):
+        raise GridError(f"epsilon must be finite, got {epsilon!r}")
+    if not 0.0 < t_window < math.inf:
+        raise GridError(f"t_window must be finite and positive, "
+                        f"got {t_window!r}")
+    if n_tau < 3:
+        raise GridError(f"n_tau must be at least 3, got {n_tau!r}")
     if n_tau % 2 == 0:
         n_tau += 1
     taus = np.linspace(-t_window, t_window, n_tau)

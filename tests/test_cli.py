@@ -92,7 +92,7 @@ def test_bbgky_reports_second_order_ratio(tmp_path):
 # the potential and times guards run under a suite that reads those keys;
 # nls_validate rejects both keys as unread
 _BAD_CONFIG_COMMAND = {"bad_r": "convergence", "bad_control_r": "energy",
-                       "bad_times": "convergence"}
+                       "bad_times": "convergence", "bad_delta": "collapse"}
 
 
 @pytest.mark.parametrize("name,contents,fragment", [
@@ -107,6 +107,8 @@ _BAD_CONFIG_COMMAND = {"bad_r": "convergence", "bad_control_r": "energy",
     ("not_json", "{oops", "config error"),
     ("kappas", '{"kappas": [0.1]}', "'kappas' was unexpected"),
     ("alphas", '{"alphas": [0.5]}', "'alphas' was unexpected"),
+    # a cutoff shell delta <= |u| <= 1 that is empty
+    ("bad_delta", '{"deltas": [2.0, 1e-2, 1e-3]}', "maximum of 1"),
 ])
 def test_bad_config_exits_with_usage_code(tmp_path, name, contents, fragment):
     cfg = tmp_path / f"{name}.json"
@@ -525,6 +527,22 @@ def _directory_digest(directory):
         digest.update(f"{path.name}\0{len(data)}\0".encode())
         digest.update(data)
     return digest.hexdigest()
+
+
+# sha256 of a collapse run on a 3 x 2 (eta, xi1) scan, every other key at
+# its default: the dual integrals, the node-doubling probe, the control
+# scan and the operator, lemma_F and trace tables
+_COLLAPSE_DIGEST = (
+    "21463b94ba26ffa3ea55a0aea731566039c3730286deace0a825eee6ad056b5b")
+
+
+def test_collapse_reruns_byte_identical(tmp_path):
+    path = tmp_path / "coarse.json"
+    path.write_text(json.dumps({"grid_step": 45.0, "grid_extent": 45.0}))
+    out = _run_twice(tmp_path, "collapse", "--config", str(path))
+    table = (out / "integral_I.csv").read_text().splitlines()
+    assert len([line for line in table if line[0] != "#"]) == 1 + 3 * 2
+    assert _directory_digest(out) == _COLLAPSE_DIGEST
 
 
 @pytest.mark.parametrize("command", ["energy", "lens", "bbgky",

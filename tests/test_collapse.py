@@ -44,6 +44,15 @@ class TestProbe:
         with pytest.raises(GridError, match="positive integer"):
             C.make_probe(0.1, refine=0)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_rejects_non_finite_epsilon(self, eps):
+        # nan used to give I = nan and inf I = 0
+        with pytest.raises(GridError, match="finite and nonnegative"):
+            C.make_probe(eps)
+
+    def test_spline_is_built_once_per_process(self):
+        assert C.make_probe(0.25).spline is C.make_probe(0.1).spline
+
 
 class TestKernelH:
     def test_eps_zero_reduces_to_pure_singularity(self):
@@ -59,6 +68,18 @@ class TestKernelH:
     def test_rejects_u_zero(self):
         with pytest.raises(GridError, match="undefined at u = 0"):
             C.kernel_H(C.make_probe(0.1), 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("eta,xi1", [(math.inf, 1.0), (0.0, math.nan),
+                                         (-math.inf, 0.0)])
+    def test_rejects_non_finite_point(self, eta, xi1):
+        # integral_I(probe, inf, 1.0) used to return 0.0
+        probe = C.make_probe(0.25)
+        for call in (lambda: C.kernel_H(probe, eta, xi1, 1.0),
+                     lambda: C.integral_I(probe, eta, xi1),
+                     lambda: C.optimality_scan(probe, "T_infinite",
+                                               [1e-2, 1e-3], eta, xi1)):
+            with pytest.raises(GridError, match="must be finite"):
+                call()
 
     @pytest.mark.parametrize("eps,expected", [
         (0.05, -0.8000261833064866),
@@ -222,6 +243,16 @@ def _bracket_oracle(s, u, us, epsilon):
     return ((1.0 + t1 * t1) * (1.0 + t2 * t2)) ** (-epsilon)
 
 
+# _pooled_outputs() as recorded with one _window_sums pass per 32-u
+# chunk; every block split must give these bits
+_POOLED_HEX = [
+    "0x1.b7206d8a9f35cp+2", "0x1.45463a1342d54p+1", "0x1.147d5080fdcb2p+2",
+    "0x1.f8f5e7bc25b91p-10", "0x1.c00d1b1ee8b3fp+2", "0x1.2468b893ca2f9p-1",
+    "0x1.9b80040c6f6e0p+2", "0x1.fbb854c57dee3p-10", "0x1.a96e5f4099db6p+3",
+    "0x1.de363808cdb29p+1", "0x1.d877881625c44p+1",
+]
+
+
 def _pooled_outputs():
     """float.hex of I at two scan points, of the refined I at one, and of
     the control scan: every kernel_H caller of the collapse suite."""
@@ -279,7 +310,33 @@ class TestPooledKernelH:
                 stressed = _pooled_outputs()
             finally:
                 sys.setswitchinterval(interval)
-        assert as_is == single == stressed
+        assert as_is == single == stressed == _POOLED_HEX
+
+    def test_outputs_do_not_depend_on_the_block_sizes(self, monkeypatch):
+        # small odd blocks: partial last chunks, and window passes that
+        # split one chunk's rows and join rows of different chunks
+        monkeypatch.setattr(C, "_U_CHUNK", 5)
+        monkeypatch.setattr(C, "_WINDOW_ROWS", 7)
+        assert _pooled_outputs() == _POOLED_HEX
+
+    def test_integral_I_peak_memory(self, monkeypatch):
+        import tracemalloc
+
+        from boselab import grid
+
+        # one lane: the peak of each further lane adds to it
+        monkeypatch.setattr(grid, "_POOL_SIZE", 1)
+        probe = C.make_probe(0.25)
+        C.integral_I(probe, 0.0, 0.0)
+        tracemalloc.start()
+        try:
+            C.integral_I(probe, 0.0, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 2,167,951 bytes with one _window_sums pass per 32-u chunk; the
+        # bound leaves a 15 % margin over that
+        assert peak < 2_500_000
 
     def test_pooled_block_runs_kernel_H_inline(self, monkeypatch):
         from concurrent.futures import ThreadPoolExecutor
@@ -426,6 +483,15 @@ class TestOptimalityScan:
     def test_unknown_mode(self):
         with pytest.raises(GridError, match="unknown optimality mode"):
             C.optimality_scan(C.make_probe(0.25), "bogus", self.DELTAS)
+
+    @pytest.mark.parametrize("start", [0.0, -1e-3, math.nan, math.inf])
+    def test_rejects_cutoff_without_a_ladder(self, start):
+        # a start of 0 used to grow the ladder until MemoryError
+        with pytest.raises(GridError, match="finite start > 0"):
+            C.optimality_scan(C.make_probe(0.0), "epsilon_zero",
+                              [start, 1e-2])
+        with pytest.raises(GridError, match="finite start > 0"):
+            C._ladder(start, 1.0, 1)
 
 
 class TestFrozenQuadratureRules:
@@ -653,6 +719,21 @@ class TestOperatorFamilies:
                     g, eps, *member.contraction_pieces(g, float(t)))
                     for t in taus]
                 assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("kwargs,fragment", [
+        ({"n_tau": 1}, "n_tau must be at least 3"),
+        ({"n_tau": 2}, "n_tau must be at least 3"),
+        ({"t_window": 0.0}, "t_window must be finite and positive"),
+        ({"t_window": -1.0}, "t_window must be finite and positive"),
+        ({"t_window": math.inf}, "t_window must be finite and positive"),
+        ({"epsilon": math.nan}, "epsilon must be finite"),
+    ])
+    def test_rejects_degenerate_tau_rule(self, kwargs, fragment):
+        # n_tau = 1 used to give lhs = ratio = 0, t_window = 0 a nan
+        g = Grid1D(32, 4.0)
+        args = {"epsilon": 0.25, "t_window": 0.5, "n_tau": 17, **kwargs}
+        with pytest.raises(GridError, match=fragment):
+            C.direct_operator_test(g, [C.make_baseline_member(g)], **args)
 
     def test_rejects_zero_member(self):
         g = Grid1D(32, 4.0)
