@@ -332,17 +332,17 @@ def _check_envelope(merged: dict) -> None:
                     f"n_particles: N={nn} with n={n} exceeds the desk-scale "
                     "envelope (N <= 5 with n <= 16, or N <= 4 with n <= 32)")
     elif kind == "energy_suite":
-        # the energy estimate draws 16^N states; pair positivity works on
-        # the n x n pair slice
+        # the energy estimate draws 16^N states; pair positivity's Lanczos
+        # on the n x n pair slice takes about 4n steps
         worst = max(merged["n_particles"])
         if worst > 5:
             raise ConfigError(
                 f"n_particles: N={worst} draws 16^N amplitudes, beyond the "
                 f"envelope of {_MAX_AMPLITUDES} (N <= 5)")
-        if n * n > _MAX_AMPLITUDES:
+        if n > 256:
             raise ConfigError(
                 f"n: the {n} x {n} pair slice exceeds the envelope of "
-                f"{_MAX_AMPLITUDES} amplitudes (n <= 1024)")
+                "n <= 256")
     elif kind in ("nls_validate", "lens_suite"):
         from .grid import DENSE_SIDE_CAP
 

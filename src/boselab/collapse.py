@@ -242,8 +242,8 @@ def make_probe(epsilon: float, refine: int = 1) -> CollapseProbe:
     if not 0.0 <= epsilon < math.inf:
         raise GridError(f"epsilon must be finite and nonnegative, "
                         f"got {epsilon!r}")
-    if refine < 1:
-        raise GridError("refine must be a positive integer")
+    if not isinstance(refine, (int, np.integer)) or refine < 1:
+        raise GridError(f"refine must be a positive integer, got {refine!r}")
     xi, vals, spline = _theta_hat_table()
     peak = float(np.max(np.abs(vals)))
     if peak <= 0:
@@ -420,11 +420,13 @@ def kernel_H(probe: CollapseProbe, eta: float, xi1: float, u):
     over single u: _U_CHUNK values per smooth pass, then up to
     _WINDOW_ROWS of a lane's window rows per window pass (one padded
     breakpoint table each).  u = 0 is rejected (the change of variables
-    degenerates there), and so is a non-finite (eta, xi1).
+    degenerates there), and so are a non-finite u and (eta, xi1).
     """
     _check_point(eta, xi1)
     scalar = np.isscalar(u) or getattr(u, "ndim", 1) == 0
     u = np.atleast_1d(np.asarray(u, dtype=float))
+    if not np.isfinite(u).all():
+        raise GridError("kernel_H needs finite u")
     if np.any(u == 0.0):
         raise GridError("kernel_H is undefined at u = 0")
     us_all = eta - 2.0 * xi1 * u  # u * sigma, computed without cancellation
@@ -558,6 +560,8 @@ def lemma_F(probe: CollapseProbe, e: float) -> float:
     eps = probe.epsilon
     if not 0.0 < eps < 0.125:
         raise GridError("lemma_F needs 0 < epsilon < 1/8")
+    if not math.isfinite(e):
+        raise GridError(f"lemma_F needs a finite e, got {e!r}")
     scale = max(1.0, abs(e))
     r0 = 1e-3 * scale / probe.refine
     big = max(4e6, 100.0 * abs(e))

@@ -19,9 +19,9 @@ here verifies this split and the positivity facts that power it:
 The trap frequency is the system's (or, for the pair block, an argument):
 states carry none, and the S weights are built at system.omega.
 One-particle checks are dense eigensolves.  The pair block and the
-smoothing bound are solved matrix-free by Lanczos from a fixed start
-vector, so neither is capped at 4096 pair-grid points and reruns give the
-same bytes; the N-body identity and the moment bound take a
+smoothing bound are solved matrix-free by grid.lanczos_min from a
+fixed start vector, so neither forms an n^2 x n^2 matrix and reruns
+give the same bytes; the N-body identity and the moment bound take a
 BosonicState and apply H_N matrix-free to its sector values
 (nbody.hamiltonian and nbody.energy_moment); their other sides act on
 the state's n^N tensor (BosonicState.amplitudes), the package's only
@@ -35,7 +35,6 @@ vacuously loose.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from . import grid as _grid
 from .grid import (BosonicState, Grid1D, GridError, apply_symbol,
@@ -46,13 +45,12 @@ from .nbody import NBodySystem, _check_grid, energy_moment, hamiltonian
 from .potentials import PotentialSpec, scaled_potential
 
 
-def _pair_diagonal(spec: PotentialSpec, n_particles: int, grid: Grid1D,
-                   alpha_scale: float) -> np.ndarray:
-    """2 alpha + (1-1/N)V_N on the pair grid, the multiplication part of
-    the pair block."""
+def _pair_diagonal(spec: PotentialSpec, n_particles: int,
+                   grid: Grid1D) -> np.ndarray:
+    """(1-1/N)V_N on the pair grid: the multiplication part of the pair
+    block less its constant 2 alpha."""
     vpair = scaled_potential(spec, n_particles, pair_differences(grid))
-    shift = np.full((grid.n, grid.n), 2.0 * spec.alpha() * alpha_scale)
-    return shift + (1.0 - 1.0 / n_particles) * vpair
+    return (1.0 - 1.0 / n_particles) * vpair
 
 
 def _real_part(mat: np.ndarray, name: str) -> np.ndarray:
@@ -67,24 +65,25 @@ def check_pair_positivity(spec: PotentialSpec, n_particles: int,
                           alpha_scale: float = 1.0) -> dict:
     """Minimum eigenvalue of (S_1^2+S_2^2)/2 + (1-1/N)V_N + 2 alpha.
 
-    Matrix-free Lanczos (ARPACK, smallest algebraic) on the n x n pair
-    slice X, with X -> (S^2 X + X S^2)/2 + D o X for the real one-particle
-    S^2 and the pair diagonal D; no n^2 x n^2 matrix is formed, so there is
-    no grid cap.  The start vector is fixed and tol=0 asks for machine
-    precision, so reruns give the same bytes.
+    grid.lanczos_min on the n x n pair slice X, flattened, with
+    X -> (S^2 X + X S^2)/2 + D o X for the real one-particle S^2 and
+    D = (1-1/N)V_N (norm bound: S^2's largest absolute row sum plus
+    max |D|).  2 alpha is added after: as a shift it only adds rounding
+    (a deep well's took 3248 steps at n = 256, against 464).  The steps
+    grow like n, so cli caps n.  The start vector is fixed, so reruns
+    give the same bytes.
     """
     n = grid.n
     s2 = _real_part(dense_weight_squared(grid, "S", omega), "S^2")
-    diag = _pair_diagonal(spec, n_particles, grid, alpha_scale)
+    diag = _pair_diagonal(spec, n_particles, grid)
 
     def apply(vec: np.ndarray) -> np.ndarray:
         a = vec.reshape(n, n)
         return (0.5 * (s2 @ a + a @ s2.T) + diag * a).ravel()
 
-    op = LinearOperator((n * n, n * n), matvec=apply, dtype=np.float64)
-    vals = eigsh(op, k=1, which="SA", v0=np.ones(n * n), tol=0,
-                 return_eigenvectors=False)
-    lam = float(vals[0])
+    scale = float(np.abs(s2).sum(1).max() + np.abs(diag).max())
+    lam = (_grid.lanczos_min(apply, np.ones(n * n), scale)
+           + 2.0 * spec.alpha() * alpha_scale)
     return {
         "min_eigenvalue": lam,
         "alpha": spec.alpha(),
@@ -190,20 +189,18 @@ def _smoothed_pair_action(grid: Grid1D, vdiag: np.ndarray):
 
 
 def check_sobolev_operator_bound(spec: PotentialSpec, grid: Grid1D) -> dict:
-    """Largest singular value of L1^-1 L2^-1 V(x1-x2) L1^-1 L2^-1.
+    """Largest singular value of A = L1^-1 L2^-1 V(x1-x2) L1^-1 L2^-1.
 
     The potential is unscaled; the mean-field rescaling preserves the L1
-    norm, hence the bound.  The operator is Hermitian, so its largest
-    singular value is the extreme eigenvalue, found matrix-free.
+    norm, hence the bound.  A is Hermitian, so sigma_max =
+    sqrt(lambda_max(A^dagger A)) = sqrt(-lambda_min(-A^2)), found by
+    grid.lanczos_min with the norm bound max |V|^2.
     """
-    apply = _smoothed_pair_action(grid, spec(pair_differences(grid)))
-    dim = grid.n ** 2
-    op = LinearOperator((dim, dim),
-                        matvec=lambda v: apply(np.asarray(v, dtype=np.complex128)),
-                        dtype=np.complex128)
-    vals = eigsh(op, k=1, which="LM", v0=np.ones(dim),
-                 return_eigenvectors=False, tol=1e-10, maxiter=5000)
-    sigma = float(np.max(np.abs(vals)))
+    vdiag = spec(pair_differences(grid))
+    apply = _smoothed_pair_action(grid, vdiag)
+    lam = _grid.lanczos_min(lambda v: -apply(apply(v)), np.ones(grid.n ** 2),
+                            float(np.max(np.abs(vdiag))) ** 2)
+    sigma = float(np.sqrt(-lam))
     bound = spec.l1_norm()
     return {"sigma_max": sigma, "bound": bound,
             "passes": sigma <= bound + 1e-4}

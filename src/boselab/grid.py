@@ -40,9 +40,9 @@ map act on, are plain complex arrays passed with their Grid1D, as nls
 passes its fields.  A BosonicState forms its full tensor on each read
 of amplitudes and keeps none; in the package only energy_checks reads
 it, for the tensor sides of its two dual routes.  lanczos_min is the
-one Krylov solver:
-the smallest eigenvalue of a matrix-free Hermitian operator by a
-three-term Lanczos recurrence (marginals' chaos distances use it).
+one Krylov solver, for the chaos distances, the pair block and the
+smoothing bound: the smallest eigenvalue of a matrix-free Hermitian
+operator by a three-term Lanczos recurrence.
 
 The package has one thread pool, defined here: its size is read once at
 import from OMP_NUM_THREADS (which ``--threads`` sets) or else from the
@@ -78,11 +78,12 @@ class ConvergenceError(ArithmeticError):
 # kernels, and the trap ground state's eigensolve.
 DENSE_SIDE_CAP = 4096
 
-# lanczos_min stops once the residual of its smallest Ritz pair is at
-# most LANCZOS_RTOL times the caller's bound on the operator norm, and
-# raises ConvergenceError after LANCZOS_MAX_ITER steps
+# lanczos_min stops once its smallest Ritz pair's residual is at most
+# LANCZOS_RTOL times the caller's operator-norm bound, and raises
+# ConvergenceError after LANCZOS_MAX_ITER steps (energy's pair block: ~4n)
 LANCZOS_RTOL = 1e-14
-LANCZOS_MAX_ITER = 200
+LANCZOS_MAX_ITER = 2048
+_RITZ_EVERY = 16
 
 
 def _pool_size() -> int:
@@ -471,22 +472,22 @@ def lanczos_min(apply, start: np.ndarray, scale: float) -> float:
     scale bounds its norm.  The three-term recurrence holds three vectors
     and no basis, so it returns the smallest eigenvalue of the operator on
     the Krylov space of start, which is the operator's own whenever start
-    is not orthogonal to that eigenvector.  After step m the Ritz pairs
-    of the m x m tridiagonal Lanczos matrix come from np.linalg.eigh
-    (microseconds at these sizes); it stops when the residual
-    beta_m |s_m| of the smallest (s its Ritz vector) is at most
-    LANCZOS_RTOL * scale.  A breakdown (beta_m that small: the Krylov
-    space is invariant and the Ritz value exact) is one such stop.  A
-    Ritz value then lies within that residual of an eigenvalue.  Raises
-    ConvergenceError on a non-finite coefficient or after
-    LANCZOS_MAX_ITER steps, never returning an unconverged value.
+    is not orthogonal to that eigenvector.  After each step m below
+    _RITZ_EVERY, at its multiples, at a breakdown and at the last step,
+    np.linalg.eigh of the m x m tridiagonal gives the Ritz pairs; it
+    stops when the residual beta_m |s_m| of the smallest (s its Ritz
+    vector) is at most LANCZOS_RTOL * scale, as at a breakdown (the
+    Krylov space is invariant and the Ritz value exact).  A Ritz value
+    lies within that residual of an eigenvalue.  Raises ConvergenceError
+    on a non-finite coefficient or after LANCZOS_MAX_ITER steps, never
+    returning an unconverged value.
     """
     bound = LANCZOS_RTOL * scale
     q = start / math.sqrt(float(np.vdot(start, start).real))
     q_prev = np.zeros_like(q)
     alphas, betas = [], []
     beta = 0.0
-    for _ in range(LANCZOS_MAX_ITER):
+    for m in range(1, LANCZOS_MAX_ITER + 1):
         w = apply(q)
         w -= beta * q_prev
         alpha = float(np.vdot(q, w).real)
@@ -496,10 +497,12 @@ def lanczos_min(apply, start: np.ndarray, scale: float) -> float:
             raise ConvergenceError(
                 f"Lanczos coefficients alpha = {alpha}, beta = {beta}")
         alphas.append(alpha)
-        theta, ritz = np.linalg.eigh(
-            np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
-        if beta * abs(ritz[-1, 0]) <= bound:
-            return float(theta[0])
+        if (m < _RITZ_EVERY or m % _RITZ_EVERY == 0 or beta <= bound
+                or m == LANCZOS_MAX_ITER):
+            theta, ritz = np.linalg.eigh(
+                np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+            if beta * abs(ritz[-1, 0]) <= bound:
+                return float(theta[0])
         betas.append(beta)
         q_prev, q = q, w / beta
     raise ConvergenceError(

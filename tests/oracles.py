@@ -48,9 +48,9 @@ def dense_pair_block(spec: PotentialSpec, n_particles: int, omega: float,
     _pair_cap(grid)
     s2 = dense_weight_squared(grid, "S", omega)
     eye = np.eye(grid.n)
-    mat = 0.5 * (np.kron(s2, eye) + np.kron(eye, s2)) + np.diag(
-        energy_checks._pair_diagonal(spec, n_particles, grid,
-                                     alpha_scale).ravel())
+    diag = (energy_checks._pair_diagonal(spec, n_particles, grid)
+            + 2.0 * spec.alpha() * alpha_scale)
+    mat = 0.5 * (np.kron(s2, eye) + np.kron(eye, s2)) + np.diag(diag.ravel())
     mat = 0.5 * (mat + mat.conj().T)
     return np.ascontiguousarray(energy_checks._real_part(mat, "pair block"))
 

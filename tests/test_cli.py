@@ -284,6 +284,7 @@ def test_extreme_potential_is_rejected_without_warnings():
       "grid_extent": 1e308}, "dual integrals"),
     ({"experiment": "nls_validate", "n": 2 ** 40}, "eigensolve side"),
     ({"experiment": "lens_suite", "n": 8192}, "eigensolve side"),
+    ({"experiment": "energy_suite", "n": 512}, "pair slice"),
 ])
 def test_size_envelope_rejects_oversized_suites(cfg, fragment):
     from boselab.cli import ConfigError, validate_config
@@ -305,7 +306,7 @@ def test_size_envelope_admits_defaults_and_benchmark_configs():
     validate_config({"experiment": "collapse_suite", "grid_step": 15.0,
                      "grid_extent": 45.0})
     # the largest admitted sizes
-    validate_config({"experiment": "energy_suite", "n": 1024,
+    validate_config({"experiment": "energy_suite", "n": 256,
                      "n_particles": [5]})
     validate_config({"experiment": "nls_validate", "n": 4096})
 
@@ -504,10 +505,14 @@ def test_bbgky_reads_no_full_tensor(monkeypatch, tmp_path):
 # a change that moves printed digits updates its value here and lists the
 # moved numbers in CHANGES.md
 _DEFAULT_DIGESTS = {
-    # energy: the weighted norm on the right of the moment bound is summed
-    # over float views without BLAS, not by a BLAS dot, so its rounding
-    # order moved the last digits of the k = 1 and k = 2 margins
-    "energy": "2723779fa3dfe4ae239d7a2c2218aba19c78a142b6565abcb1d0d7e334c5f376",
+    # energy: the pair block (without its constant 2 alpha, added after)
+    # and the smoothing bound come from grid.lanczos_min (the latter as
+    # sqrt(-lambda_min(-A^2))), not from ARPACK, so their last digits
+    # moved: 7.077918952366422 to 7.077918952366405 and 7.42646190467649
+    # to 7.426461904676512 (pair), 0.3548274709575164 to
+    # 0.3548274709575166 and 0.06992089630292148 to 0.06992089630292153
+    # (smoothing)
+    "energy": "7a59c04a831039ca498cd0eff6441d227a2934c363922b9b96e3207fe7bd37da",
     "lens": "b543d56e9af038570b355f4d5ecf515712d7521d6769e67cf08c84096a4ac3b7",
     # bbgky: the marginals and the collision term sum over the sorted
     # traced tuples by multiplicity (one fold of the sector values), not
@@ -621,17 +626,20 @@ def test_nan_propagation_exits_with_abort_code(tmp_path, monkeypatch, runner):
 
 
 def test_unconverged_lanczos_exits_with_abort_code(tmp_path, monkeypatch):
-    # the k = 2 chaos distances at t = 0.02 need more than one step
+    # the k = 2 chaos distances at t = 0.02, the pair block and the
+    # smoothing bound all need more than one step
     from boselab import cli
 
     monkeypatch.setattr("boselab.grid.LANCZOS_MAX_ITER", 1)
-    cfg = {"experiment": "convergence", "n": 16, "n_particles": [2, 3],
-           "times": [0.0, 0.02]}
-    code, report = cli.run_experiment(cfg, tmp_path)
-    assert code == cli.EXIT_NUMERICAL_ABORT == 3
-    assert report["passed"] is False
-    assert report["checks"][0]["name"] == "numerical_abort"
-    assert "Lanczos did not reach" in report["checks"][0]["value"]
+    for cfg in ({"experiment": "convergence", "n": 16,
+                 "n_particles": [2, 3], "times": [0.0, 0.02]},
+                {"experiment": "energy_suite", "n": 16, "draws": 2,
+                 "n_particles": [2]}):
+        code, report = cli.run_experiment(cfg, tmp_path / cfg["experiment"])
+        assert code == cli.EXIT_NUMERICAL_ABORT == 3
+        assert report["passed"] is False
+        assert report["checks"][0]["name"] == "numerical_abort"
+        assert "Lanczos did not reach" in report["checks"][0]["value"]
 
 
 @pytest.mark.parametrize("command, cfg, message", [
@@ -748,6 +756,19 @@ def test_benchmark_imports_every_package_module():
     modules = {path.stem for path in (root / "src" / "boselab").glob("*.py")}
     assert len(listed) == len(set(listed))
     assert set(listed) == modules - {"__init__", "__main__"}
+
+
+def test_energy_run_imports_no_scipy(tmp_path):
+    # both energy eigenvalues come from grid.lanczos_min, so the suite
+    # imports no scipy at all
+    code = ("import sys; from boselab import cli; "
+            "code, _ = cli.run_experiment({'experiment': 'energy_suite', "
+            "'n': 16, 'draws': 2, 'n_particles': [2]}, sys.argv[1]); "
+            "assert code == 0, code; "
+            "assert 'scipy' not in sys.modules, 'scipy imported'")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_package_import_stays_light():

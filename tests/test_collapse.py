@@ -50,6 +50,11 @@ class TestProbe:
         with pytest.raises(GridError, match="finite and nonnegative"):
             C.make_probe(eps)
 
+    def test_rejects_fractional_refine(self):
+        # refine = 1.5 used to fail inside numpy with a TypeError
+        with pytest.raises(GridError, match="positive integer"):
+            C.make_probe(0.25, refine=1.5)
+
     def test_spline_is_built_once_per_process(self):
         assert C.make_probe(0.25).spline is C.make_probe(0.1).spline
 
@@ -68,6 +73,12 @@ class TestKernelH:
     def test_rejects_u_zero(self):
         with pytest.raises(GridError, match="undefined at u = 0"):
             C.kernel_H(C.make_probe(0.1), 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_u(self, bad):
+        # a NaN row used to come back, with a RuntimeWarning at inf
+        with pytest.raises(GridError, match="finite u"):
+            C.kernel_H(C.make_probe(0.25), 0.0, 0.0, [bad, 1.0])
 
     @pytest.mark.parametrize("eta,xi1", [(math.inf, 1.0), (0.0, math.nan),
                                          (-math.inf, 0.0)])
@@ -441,6 +452,11 @@ class TestLemmaF:
         coarse = C.lemma_F(probe, 10.0)
         fine = C.lemma_F(probe.refined(), 10.0)
         assert abs(fine - coarse) / coarse < 1e-6
+
+    def test_rejects_non_finite_e(self):
+        # lemma_F(probe, nan) used to return nan
+        with pytest.raises(GridError, match="finite e"):
+            C.lemma_F(C.make_probe(0.1), math.nan)
 
     def test_domain_restriction(self):
         for eps in (0.0, 0.125, 0.25):

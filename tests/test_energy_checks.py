@@ -78,6 +78,15 @@ def test_pair_positivity_reference_values():
                                                     rel=1e-10)
 
 
+def test_pair_positivity_at_the_largest_admitted_grid():
+    # n = 256 is the energy envelope's largest pair side; at length 4 and
+    # omega = 0 its Lanczos takes 1072 steps, within LANCZOS_MAX_ITER.
+    # The reference is ARPACK's (eigsh, tol=0) on the same operator.
+    res = check_pair_positivity(GAUSSIAN, 2, 0.0, Grid1D(256, 4.0))
+    assert res["min_eigenvalue"] == pytest.approx(7.078314465147352,
+                                                  rel=1e-12)
+
+
 @pytest.mark.parametrize("omega", [0.0, 1.0])
 @pytest.mark.parametrize("alpha_scale", [1.0, 0.0])
 def test_pair_positivity_matches_dense_oracle(omega, alpha_scale):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -365,6 +366,74 @@ def test_lanczos_min_stops_at_breakdown_without_warnings():
         assert lanczos_min(counted, v, 2.0) == pytest.approx(
             np.linalg.eigvalsh(dense)[0], abs=1e-14)
         assert len(calls) == (1 if shape == "product" else 2)
+
+
+def _counted_diagonal(values):
+    calls = []
+
+    def apply(x):
+        calls.append(1)
+        return values * x
+
+    return apply, calls
+
+
+@settings(max_examples=30, deadline=None)
+@given(size=st.integers(100, 300), seed=st.integers(0, 2 ** 16))
+def test_lanczos_min_on_a_wide_spectrum(size, seed):
+    # distinct values on [-1, 1] spaced 1/size or more, shuffled: the
+    # smallest needs many more steps than the first _RITZ_EVERY
+    rng = np.random.default_rng(seed)
+    spacing = 2.0 / size
+    values = rng.permutation(np.linspace(-1.0, 1.0, size)
+                             + rng.uniform(-0.25, 0.25, size) * spacing)
+    apply, calls = _counted_diagonal(values)
+    start = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    ref = np.linalg.eigvalsh(np.diag(values))[0]
+    assert lanczos_min(apply, start, 1.5) == pytest.approx(ref, abs=1e-13)
+    assert len(calls) > 2 * grid_module._RITZ_EVERY
+
+
+def test_lanczos_min_tests_the_last_allowed_step(monkeypatch):
+    # an isolated bottom value converges at step 21 (tested every step);
+    # caps of 20 and 21 are off the every-_RITZ_EVERY schedule, so only
+    # the last-step test makes the cap of 20 raise and that of 21 return
+    values = np.concatenate(([-1.0], np.linspace(0.0, 1.0, 100)))
+    monkeypatch.setattr(grid_module, "LANCZOS_MAX_ITER", 20)
+    apply, calls = _counted_diagonal(values)
+    with pytest.raises(ConvergenceError, match="in 20 steps"):
+        lanczos_min(apply, np.ones(101), 2.0)
+    assert len(calls) == 20
+    monkeypatch.setattr(grid_module, "LANCZOS_MAX_ITER", 21)
+    apply, calls = _counted_diagonal(values)
+    assert lanczos_min(apply, np.ones(101), 2.0) == pytest.approx(-1.0,
+                                                                  abs=1e-14)
+    assert len(calls) == 21
+
+
+def test_lanczos_min_stops_at_an_unscheduled_breakdown():
+    # 20 Chebyshev nodes: the Krylov space of the all-ones start is the
+    # whole space, so beta vanishes at step 20, between two scheduled
+    # Ritz tests, and the loop must stop there, not divide by it
+    values = np.cos(np.pi * (np.arange(20) + 0.5) / 20)
+    apply, calls = _counted_diagonal(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam = lanczos_min(apply, np.ones(20), 1.0)
+    assert lam == pytest.approx(values.min(), abs=1e-14)
+    assert len(calls) == 20
+
+
+def test_lanczos_min_overshoots_a_ghost_by_at_most_its_schedule():
+    # tested every step, the isolated -1 converges at step 21; without
+    # reorthogonalization a ghost copy of it makes the scheduled tests at
+    # 32 miss (two Ritz values at -1, residuals 2e-10 and 2e-6), and the
+    # loop stops at the next one, 48
+    values = np.concatenate(([-1.0], np.linspace(0.0, 1.0, 100)))
+    apply, calls = _counted_diagonal(values)
+    assert lanczos_min(apply, np.ones(101), 2.0) == pytest.approx(-1.0,
+                                                                  abs=1e-14)
+    assert len(calls) <= 48
 
 
 def test_lanczos_min_raises_instead_of_returning_unconverged(monkeypatch):
