@@ -165,15 +165,19 @@ def _graded_about(center: float, inner: float, outer: float,
     return pts
 
 
-def _keep_mask(values: np.ndarray, starts: np.ndarray,
-               rel: float = 1e-12) -> np.ndarray:
+# relative gap below which two breakpoints merge: a panel narrower than
+# this adds nodes but no accuracy
+_DEDUPE_RTOL = 1e-12
+
+
+def _keep_mask(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """The dedupe rule on ascending runs laid end to end.
 
     starts marks the first value of each run (values[0] included).  A
     value is kept when it exceeds the last kept value of its run by more
-    than rel * max(1, |value|).
+    than _DEDUPE_RTOL * max(1, |value|).
     """
-    thr = rel * np.maximum(1.0, np.abs(values))
+    thr = _DEDUPE_RTOL * np.maximum(1.0, np.abs(values))
     keep = starts.copy()
     keep[1:] |= values[1:] - values[:-1] > thr[1:]
     # a value dropped against its neighbour can still clear the last kept
@@ -190,11 +194,11 @@ def _keep_mask(values: np.ndarray, starts: np.ndarray,
     return keep
 
 
-def _dedupe(values: np.ndarray, rel: float = 1e-12) -> np.ndarray:
+def _dedupe(values: np.ndarray) -> np.ndarray:
     values = np.sort(np.asarray(values, dtype=float))
     starts = np.zeros(values.size, dtype=bool)
     starts[0] = True
-    return values[_keep_mask(values, starts, rel)]
+    return values[_keep_mask(values, starts)]
 
 
 # outer radius of the u-integral of integral_I (its tail is estimated)
@@ -205,7 +209,8 @@ _WINDOW_REACH = 4.0
 
 @dataclass
 class CollapseProbe:
-    """Bump window, cached transform, and quadrature controls.
+    """Bump window, cached transform, and quadrature controls, every
+    field set by make_probe.
 
     refine = 1 is the production rule set; refine = 2 doubles every
     Gauss-Legendre order and halves every grading ratio, providing the
@@ -213,18 +218,18 @@ class CollapseProbe:
     """
 
     epsilon: float
-    refine: int = 1
-    spline: CubicSpline = field(repr=False, default=None)
-    panel_edges: np.ndarray = field(repr=False, default=None)
-    s_nodes: np.ndarray = field(repr=False, default=None)
-    s_weights: np.ndarray = field(repr=False, default=None)
-    theta_abs: np.ndarray = field(repr=False, default=None)
-    gl_order: int = 8
-    window_order: int = 6
-    xi_eff: float = 0.0
-    theta_l1: float = 0.0
-    theta_mass: float = 0.0
-    u_min: float = 1e-6
+    refine: int
+    spline: CubicSpline = field(repr=False)
+    panel_edges: np.ndarray = field(repr=False)
+    s_nodes: np.ndarray = field(repr=False)
+    s_weights: np.ndarray = field(repr=False)
+    theta_abs: np.ndarray = field(repr=False)
+    gl_order: int
+    window_order: int
+    xi_eff: float
+    theta_l1: float
+    theta_mass: float
+    u_min: float
 
     def refined(self) -> "CollapseProbe":
         return make_probe(self.epsilon, refine=self.refine * 2)
@@ -622,24 +627,23 @@ def _shell_quadrature(delta: float, order: int, refine: int):
     return nodes.ravel(), weights.ravel()
 
 
-def optimality_scan(probe: CollapseProbe, mode: str, deltas,
-                    eta: float = 0.0, xi1: float = 0.0) -> dict:
-    """Cutoff scan of the u-integral for one failure mode.
+def optimality_scan(probe: CollapseProbe, mode: str, deltas) -> dict:
+    """Cutoff scan of the u-integral for one failure mode, at the origin
+    (eta, xi1) = (0, 0) of the dual variables.
 
     mode 'T_infinite': the global-in-time reduction
-        <xi1>^{2e} / (<xi1-u>^{2e} <u-q>^{2e} <u+q>^{2e} |u|),
-        q = (eta + (xi1-u)^2)/u   (at eta = xi1 = 0 this is the
-        1/(<u>^{2e} <2u>^{2e} |u|) divergence);
+        1 / (<u>^{2e} <u-q>^{2e} <u+q>^{2e} |u|),  q = u^2/u
+        (the form of (eta + (xi1-u)^2)/u at the origin, u up to
+        rounding: the 1/(<u>^{2e} <2u>^{2e} |u|) divergence);
     mode 'epsilon_zero': the windowed no-derivative reduction 1/|u|;
-    mode 'control': the actual windowed integrand with kernel_H at the
-        probe's eps (converges; its slope is the negative control).
+    mode 'control': the actual windowed integrand <u>^{-2e} H(0, 0, u)
+        at the probe's eps (converges; its slope is the negative control).
 
     Integrates over delta <= |u| <= 1 for each cutoff and fits the
     value against ln(1/delta).
     """
     if mode not in ("T_infinite", "epsilon_zero", "control"):
         raise GridError(f"unknown optimality mode {mode!r}")
-    _check_point(eta, xi1)
     deltas = sorted(float(d) for d in deltas)
     eps = probe.epsilon
     values = []
@@ -651,16 +655,14 @@ def optimality_scan(probe: CollapseProbe, mode: str, deltas,
             if mode == "epsilon_zero":
                 g = 1.0 / np.abs(u)
             elif mode == "T_infinite":
-                q = (eta + (xi1 - u) ** 2) / u
-                g = (1.0 + xi1 * xi1) ** eps / (
-                    (1.0 + (xi1 - u) ** 2) ** eps
-                    * (1.0 + (u - q) ** 2) ** eps
-                    * (1.0 + (u + q) ** 2) ** eps
-                    * np.abs(u))
+                q = u ** 2 / u
+                g = 1.0 / ((1.0 + u ** 2) ** eps
+                           * (1.0 + (u - q) ** 2) ** eps
+                           * (1.0 + (u + q) ** 2) ** eps
+                           * np.abs(u))
             else:
-                h = kernel_H(probe, eta, xi1, u)
-                g = (1.0 + xi1 * xi1) ** eps / (
-                    1.0 + (xi1 - u) ** 2) ** eps * h
+                g = (1.0 / (1.0 + u ** 2) ** eps
+                     * kernel_H(probe, 0.0, 0.0, u))
             total += float(np.sum(wn * g))
         values.append(total)
     fit = linear_fit(np.log(1.0 / np.array(deltas)), np.array(values))
@@ -791,11 +793,12 @@ class PairProfileMember:
 
 
 def direct_operator_test(grid: Grid1D, members, epsilon: float,
-                         t_window: float = 2.0, n_tau: int = 257) -> list[dict]:
+                         t_window: float, n_tau: int) -> list[dict]:
     """Windowed space-time norm of the contraction vs the weighted input.
 
     For each member: lhs^2 = int theta(tau/T)^2 ||R_eps^(1) B_tau||^2 dtau
-    by Simpson on n_tau points over [-T, T], with the rank-two Gram
+    by Simpson on n_tau points over [-T, T] (T = t_window; n_tau odd and
+    at least 3, so the rule has whole panels), with the rank-two Gram
     shortcut for the weighted kernel norm; rhs = ||R_eps^(2) phi||.
     Members are separable; each evaluates the tau series in blocks of tau
     samples (four evolutions, four transforms and six Grams as row sums
@@ -811,7 +814,7 @@ def direct_operator_test(grid: Grid1D, members, epsilon: float,
     if n_tau < 3:
         raise GridError(f"n_tau must be at least 3, got {n_tau!r}")
     if n_tau % 2 == 0:
-        n_tau += 1
+        raise GridError(f"n_tau must be odd, got {n_tau!r}")
     taus = np.linspace(-t_window, t_window, n_tau)
     win2 = bump(taus / t_window) ** 2
     out = []

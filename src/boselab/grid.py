@@ -152,8 +152,9 @@ class Grid1D:
     def __post_init__(self):
         if not _is_power_of_two(self.n):
             raise GridError(f"grid size must be a power of two, got {self.n}")
-        if self.length <= 0:
-            raise GridError(f"grid half-width must be positive, got {self.length}")
+        if not 0 < self.length < math.inf:
+            raise GridError(f"grid half-width must be finite and positive, "
+                            f"got {self.length}")
 
     @property
     def h(self) -> float:
@@ -242,8 +243,8 @@ def _weight_parts(grid: Grid1D, kind: str,
         return bracket_squared(grid), np.zeros(grid.n)
     if kind != "S":
         raise GridError(f"unknown weight kind {kind!r}")
-    if omega < 0:
-        raise GridError("trap frequency must be nonnegative")
+    if not 0 <= omega < math.inf:
+        raise GridError("trap frequency must be finite and nonnegative")
     return 1.0 + kinetic_symbol(grid), trap_potential(grid, omega)
 
 
@@ -545,10 +546,11 @@ def dense_weight_squared(grid: Grid1D, kind: str, omega: float) -> np.ndarray:
     return dense_operator(grid, *_weight_parts(grid, kind, omega))
 
 
-def random_state(grid: Grid1D, n_particles: int, seed=None,
+def random_state(grid: Grid1D, n_particles: int, seed: int,
                  k_filter: float | None = None) -> BosonicState:
     """Random normalized bosonic state: the symmetrize of a complex
-    Gaussian tensor, optionally band-filtered.
+    Gaussian tensor drawn by np.random.default_rng(seed), optionally
+    band-filtered.
 
     k_filter applies a Gaussian factor exp(-k^2/(2 k_filter^2)) per axis so
     the draw has smooth samples; None keeps white noise across all modes.

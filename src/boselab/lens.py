@@ -62,8 +62,8 @@ class LensMap:
     omega: float
 
     def __post_init__(self):
-        if self.omega < 0:
-            raise GridError("trap frequency must be nonnegative")
+        if not 0 <= self.omega < math.inf:
+            raise GridError("trap frequency must be finite and nonnegative")
 
     def tau_of_t(self, t: float) -> float:
         if self.omega == 0.0:

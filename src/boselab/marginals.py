@@ -91,11 +91,11 @@ class MarginalDensity:
 
 
 def _check_side(side: int):
-    """Spectral work is capped at the side of the operator it acts on:
-    n^k for the dense eigendecomposition of a marginal (trace_norm), the
-    sector dimension C(n+k-1, k) for chaos_distance, whose k = 1 kernel
-    is decomposed densely and whose k >= 2 operator is applied
-    matrix-free to vectors of that length."""
+    """Dense spectral work is capped at the side of the matrix it
+    decomposes: n^k for the eigendecomposition of a marginal
+    (trace_norm) and n for chaos_distance's k = 1 kernel.  Its k >= 2
+    route applies the sector operator matrix-free and forms no matrix,
+    so it takes no cap."""
     if side > _grid.DENSE_SIDE_CAP:
         raise MarginalError(
             f"dense spectral operation of side {side} beyond kernel cap "
@@ -273,11 +273,11 @@ def chaos_distance(state: BosonicState, k: int, phi: np.ndarray) -> float:
         raise MarginalError(f"k={k} out of range for N={n_particles}")
     grid = state.grid
     n, h = grid.n, grid.h
-    _check_side(math.comb(n + k - 1, k))
     vec = sector_product(_orbital(grid, phi), k)
     coords = sector_marginal(state, k)
     weight = h ** (n_particles - k)
     if k == 1:
+        _check_side(n)  # before the n x n kernel is formed
         kern = (coords @ coords.conj().T) * weight
         scale = max(float(np.max(np.abs(kern))),
                     float(np.max(np.abs(vec))) ** 2)

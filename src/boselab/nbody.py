@@ -351,8 +351,8 @@ class NBodySystem:
     def __post_init__(self):
         if self.n_particles < 1:
             raise GridError("need at least one particle")
-        if self.omega < 0:
-            raise GridError("trap frequency must be nonnegative")
+        if not 0 <= self.omega < math.inf:
+            raise GridError("trap frequency must be finite and nonnegative")
 
     @property
     def dim(self) -> int:

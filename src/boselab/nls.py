@@ -60,10 +60,11 @@ class NLSProblem:
     half_kinetic: bool = True  # False gives the full-Laplacian negative control
 
     def __post_init__(self):
-        if self.b0 < 0:
-            raise GridError("focusing coupling b0 must be nonnegative")
-        if self.omega < 0:
-            raise GridError("trap frequency must be nonnegative")
+        if not 0 <= self.b0 < math.inf:
+            raise GridError("focusing coupling b0 must be finite and "
+                            "nonnegative")
+        if not 0 <= self.omega < math.inf:
+            raise GridError("trap frequency must be finite and nonnegative")
         if self.side not in ("trapped", "lens"):
             raise GridError(f"unknown side {self.side!r}")
 

@@ -47,8 +47,11 @@ class PotentialSpec:
     def __post_init__(self):
         if self.shape not in ("gaussian_well", "mixed_sign"):
             raise PotentialError(f"unknown potential shape {self.shape!r}")
-        if self.a <= 0 or self.s <= 0:
-            raise PotentialError("amplitude and width must be positive")
+        if not (0 < self.a < math.inf and 0 < self.s < math.inf):
+            raise PotentialError("amplitude and width must be finite and "
+                                 "positive")
+        if not math.isfinite(self.r):
+            raise PotentialError(f"r must be finite, got {self.r}")
         if not 0.0 < self.beta < 1.0:
             raise PotentialError(f"beta must lie in (0, 1), got {self.beta}")
         if self.shape == "mixed_sign" and self.integral() > 1e-12:

@@ -86,9 +86,7 @@ class TestKernelH:
         # integral_I(probe, inf, 1.0) used to return 0.0
         probe = C.make_probe(0.25)
         for call in (lambda: C.kernel_H(probe, eta, xi1, 1.0),
-                     lambda: C.integral_I(probe, eta, xi1),
-                     lambda: C.optimality_scan(probe, "T_infinite",
-                                               [1e-2, 1e-3], eta, xi1)):
+                     lambda: C.integral_I(probe, eta, xi1)):
             with pytest.raises(GridError, match="must be finite"):
                 call()
 
@@ -255,12 +253,13 @@ def _bracket_oracle(s, u, us, epsilon):
 
 
 # _pooled_outputs() as recorded with one _window_sums pass per 32-u
-# chunk; every block split must give these bits
+# chunk; every block split must give these bits.  The last two, the
+# control scan, were recorded at the origin, where optimality_scan runs
 _POOLED_HEX = [
     "0x1.b7206d8a9f35cp+2", "0x1.45463a1342d54p+1", "0x1.147d5080fdcb2p+2",
     "0x1.f8f5e7bc25b91p-10", "0x1.c00d1b1ee8b3fp+2", "0x1.2468b893ca2f9p-1",
     "0x1.9b80040c6f6e0p+2", "0x1.fbb854c57dee3p-10", "0x1.a96e5f4099db6p+3",
-    "0x1.de363808cdb29p+1", "0x1.d877881625c44p+1",
+    "0x1.7d0445d6c9508p+3", "0x1.734d8e415fb44p+3",
 ]
 
 
@@ -273,8 +272,7 @@ def _pooled_outputs():
         res = C.integral_I(probe, eta, xi1)
         values += [res["value"], res["I1"], res["I2"], res["tail_estimate"]]
     values.append(C.integral_I(probe.refined(), 7.0, 3.0)["value"])
-    values += C.optimality_scan(probe, "control", [1e-2, 1e-3], 7.0,
-                                3.0)["values"]
+    values += C.optimality_scan(probe, "control", [1e-2, 1e-3])["values"]
     return [float(v).hex() for v in values]
 
 
@@ -743,9 +741,11 @@ class TestOperatorFamilies:
         ({"t_window": -1.0}, "t_window must be finite and positive"),
         ({"t_window": math.inf}, "t_window must be finite and positive"),
         ({"epsilon": math.nan}, "epsilon must be finite"),
+        ({"n_tau": 16}, "odd"),
     ])
     def test_rejects_degenerate_tau_rule(self, kwargs, fragment):
-        # n_tau = 1 used to give lhs = ratio = 0, t_window = 0 a nan
+        # n_tau = 1 used to give lhs = ratio = 0, t_window = 0 a nan, and
+        # an even n_tau was run as n_tau + 1 samples
         g = Grid1D(32, 4.0)
         args = {"epsilon": 0.25, "t_window": 0.5, "n_tau": 17, **kwargs}
         with pytest.raises(GridError, match=fragment):

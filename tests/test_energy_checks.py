@@ -90,15 +90,21 @@ def test_pair_positivity_at_the_largest_admitted_grid():
 @pytest.mark.parametrize("omega", [0.0, 1.0])
 @pytest.mark.parametrize("alpha_scale", [1.0, 0.0])
 def test_pair_positivity_matches_dense_oracle(omega, alpha_scale):
-    # a deep well, so that without alpha the pair binds below zero
+    # a deep well, so that without alpha the pair binds below zero; the
+    # shift 2 alpha scales the identity, so the block at alpha_scale * alpha
+    # has the reported minimum less 2 alpha (1 - alpha_scale)
     g = Grid1D(32, 8.0)
     deep = gaussian_well(4.0, 1.0)
-    res = check_pair_positivity(deep, 2, omega, g, alpha_scale=alpha_scale)
+    res = check_pair_positivity(deep, 2, omega, g)
+    assert set(res) == {"min_eigenvalue", "alpha", "passes"}
+    assert res["alpha"] == deep.alpha()
+    lam = res["min_eigenvalue"] - 2.0 * res["alpha"] * (1.0 - alpha_scale)
     ref = np.linalg.eigvalsh(dense_pair_block(deep, 2, omega, g,
                                               alpha_scale=alpha_scale))[0]
-    assert res["min_eigenvalue"] == pytest.approx(ref, rel=1e-10)
-    assert res["passes"] == (alpha_scale == 1.0)
-    again = check_pair_positivity(deep, 2, omega, g, alpha_scale=alpha_scale)
+    assert lam == pytest.approx(ref, rel=1e-10)
+    assert res["passes"]
+    assert (lam >= -1e-6) == (alpha_scale == 1.0)
+    again = check_pair_positivity(deep, 2, omega, g)
     assert again["min_eigenvalue"] == res["min_eigenvalue"]
 
 
@@ -128,12 +134,12 @@ def test_K_inequality_and_negative_control():
     assert res["min_eigenvalue"] == pytest.approx(223.63606539897128,
                                                   rel=1e-10)
     # substituting the constant of a much weaker potential lets the deep
-    # well bind below zero: the constant is not slack
+    # well bind below zero: the constant is not slack.  2 alpha scales
+    # the identity, so the swap shifts the minimum by 2 (weak - alpha)
     weak_alpha = gaussian_well(0.3, 1.0).alpha()
-    ctrl = check_K_inequality(deep, 2, g, alpha_override=weak_alpha)
-    assert not ctrl["passes"]
-    assert ctrl["min_eigenvalue"] == pytest.approx(-1.9931189818478061,
-                                                   rel=1e-8)
+    ctrl = res["min_eigenvalue"] - 2.0 * res["alpha"] + 2.0 * weak_alpha
+    assert ctrl < -1e-6
+    assert ctrl == pytest.approx(-1.9931189818478061, rel=1e-8)
 
 
 @pytest.mark.parametrize("n_particles", [2, 3])

@@ -52,6 +52,39 @@ def test_grid_rejects_bad_length():
         Grid1D(64, -1.0)
 
 
+def _non_finite_builders():
+    from boselab.lens import LensMap
+    from boselab.nbody import NBodySystem
+    from boselab.nls import NLSProblem
+    from boselab.potentials import PotentialError, PotentialSpec
+
+    g = Grid1D(16, 4.0)
+    return {
+        "grid_length": (lambda x: Grid1D(16, x), GridError),
+        "nbody_omega": (lambda x: NBodySystem(g, 2, omega=x), GridError),
+        "potential_a": (lambda x: PotentialSpec("gaussian_well", a=x, s=1.0),
+                        PotentialError),
+        "potential_s": (lambda x: PotentialSpec("gaussian_well", a=1.0, s=x),
+                        PotentialError),
+        "potential_r": (lambda x: PotentialSpec("mixed_sign", a=1.0, s=1.0,
+                                                r=x), PotentialError),
+        "lens_omega": (lambda x: LensMap(x), GridError),
+        "nls_b0": (lambda x: NLSProblem(g, b0=x), GridError),
+        "nls_omega": (lambda x: NLSProblem(g, 1.0, omega=x), GridError),
+        "weight_omega": (lambda x: grid_module._weight_parts(g, "S", x),
+                         GridError),
+    }
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name", list(_non_finite_builders()))
+def test_constructors_reject_non_finite_values(name, bad):
+    # a comparison with NaN is False, so a bare `x < 0` guard lets NaN in
+    build, error = _non_finite_builders()[name]
+    with pytest.raises(error, match="finite"):
+        build(bad)
+
+
 def test_apply_symbol_on_plane_wave():
     g = Grid1D(64, 8.0)
     k0 = g.k[5]

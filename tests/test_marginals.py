@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boselab.cli import _product_state
-from boselab.grid import (BosonicState, ConvergenceError, Grid1D,
-                          dense_weight_squared, random_state,
+from boselab.grid import (DENSE_SIDE_CAP, BosonicState, ConvergenceError,
+                          Grid1D, dense_weight_squared, random_state,
                           sector_product, sorted_tuples, symmetrize,
                           weighted_norm_squared)
 from boselab.marginals import (
@@ -376,7 +376,10 @@ def test_chaos_distance_raises_when_lanczos_does_not_converge(monkeypatch):
 
 
 def test_kernel_cap_applies_to_the_sector_side(monkeypatch):
-    # n = 16, k = 2: the sector side is 136, the full side n^2 = 256
+    # n = 16: the k = 1 sector side is n = 16, decomposed densely, so the
+    # cap applies; at k = 2 (sector side 136, full side n^2 = 256) only
+    # the full marginal is decomposed densely, and chaos_distance's
+    # matrix-free route forms no matrix of either side
     g = Grid1D(16, 4.0)
     state = random_state(g, 2, seed=0, k_filter=3.0)
     phi = unit_gaussian(g)
@@ -384,9 +387,28 @@ def test_kernel_cap_applies_to_the_sector_side(monkeypatch):
     assert 0.0 <= chaos_distance(state, 2, phi) <= 2.0
     with pytest.raises(MarginalError, match="cap"):
         trace_norm(partial_trace(state, 2))
-    monkeypatch.setattr("boselab.grid.DENSE_SIDE_CAP", 100)
+    monkeypatch.setattr("boselab.grid.DENSE_SIDE_CAP", 8)
+    assert 0.0 <= chaos_distance(state, 2, phi) <= 2.0
     with pytest.raises(MarginalError, match="cap"):
-        chaos_distance(state, 2, phi)
+        chaos_distance(state, 1, phi)
+
+
+@pytest.mark.parametrize("nn,k", [(3, 3), (4, 4), (4, 3)])
+def test_chaos_distance_beyond_the_dense_cap(nn, k):
+    # n = 32: sector sides C(34, 3) = 5984 and C(35, 4) = 52360 exceed
+    # DENSE_SIDE_CAP, but the k >= 2 route forms no matrix.  On the
+    # product state psi^N the k-marginal is |psi><psi|^k, whose trace
+    # distance to |phi><phi|^k is 2 sqrt(1 - |<phi, psi>|^(2k))
+    g = Grid1D(32, 8.0)
+    assert math.comb(g.n + k - 1, k) > DENSE_SIDE_CAP
+    rng = np.random.default_rng(nn + k)
+    phi = random_orbital(g, rng)
+    psi = phi + 0.5 * random_orbital(g, rng)
+    psi /= math.sqrt(g.h * float(np.sum(np.abs(psi) ** 2)))
+    overlap = abs(g.h * np.vdot(phi, psi))
+    ref = 2.0 * math.sqrt(1.0 - overlap ** (2 * k))
+    got = chaos_distance(_product_state(g, psi, nn), k, phi)
+    assert got == pytest.approx(ref, rel=1e-12)
 
 
 def test_delta_pairing_diagonal_has_unit_mass_rows():

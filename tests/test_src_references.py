@@ -1,4 +1,5 @@
-"""Every public name of src/boselab has a caller in src/boselab.
+"""Every public name of src/boselab has a caller in src/boselab, and
+every defaulted parameter is set by one.
 
 The package keeps in src/ only what a runner reaches; a function, class
 or method that only tests call belongs next to the tests (reference
@@ -15,9 +16,18 @@ package module imported with ``from . import`` (_grid.sector_tables)
 does.  A name that src/ also reads on another object is still invisible
 to the walk: a method called copy counts as called wherever an array's
 .copy() is.
+
+The parameter guard applies the same rule to options: a defaulted
+parameter of a module-level function or of a method of a module-level
+class (nested closures are left out) must be set, by position or by
+keyword, at some src/ call of its function's bare name; otherwise only
+tests set it, and it belongs in the tests.  A call that unpacks *args
+or **kwargs sets every parameter it could reach.  The exceptions are
+listed in ALLOWED_PARAMETERS.
 """
 
 import ast
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -34,6 +44,26 @@ ALLOWED = {
     "nbody.spectral_cutoff",
     "potentials.lens_damped_potential",
     "lens.intertwine_energy_check",
+}
+
+# defaulted parameters that no src/ call sets, grouped by the reason
+# each stays
+ALLOWED_PARAMETERS = {
+    # the console entry point reads sys.argv when argv is None
+    "cli.main.argv",
+    # entry points of library callers: the potential constructors
+    "potentials.gaussian_well.a",
+    "potentials.gaussian_well.s",
+    "potentials.gaussian_well.beta",
+    "potentials.mixed_sign.a",
+    "potentials.mixed_sign.s",
+    "potentials.mixed_sign.r",
+    "potentials.mixed_sign.beta",
+    # paper statements that no runner checks yet (ROADMAP items 3 and 8
+    # wire them): the lens energy's moment order and the mollifier's
+    # cutoff exponent
+    "lens.intertwine_energy_check.k",
+    "marginals.mollifier_delta_test.kappa",
 }
 
 
@@ -79,12 +109,17 @@ def _definitions(tree):
                 yield f"{node.name}.{method.name}", method
 
 
+def _parse():
+    """The ast of each src/ module, and the modules each imports."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    return trees, {stem: _modules(tree) for stem, tree in trees.items()}
+
+
 def _unreferenced():
     """module.name of every public definition that no src/ module reads
     outside the definition itself."""
-    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
-             for path in sorted(SRC.glob("*.py"))}
-    modules = {stem: _modules(tree) for stem, tree in trees.items()}
+    trees, modules = _parse()
     counts = Counter(name for stem, tree in trees.items()
                      for name in _names(tree, modules[stem]))
     return sorted(
@@ -92,6 +127,93 @@ def _unreferenced():
         for name, node in _definitions(tree)
         if counts[node.name]
         == Counter(_names(node, modules[module]))[node.name])
+
+
+def _functions(tree):
+    """(qualified name, call name, node, is_method) of each module-level
+    function and of each method of a module-level class; a constructor
+    is called by its class's name."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node.name, node, False
+        elif isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef):
+                    static = any(isinstance(d, ast.Name)
+                                 and d.id == "staticmethod"
+                                 for d in method.decorator_list)
+                    call = (node.name if method.name == "__init__"
+                            else method.name)
+                    yield (f"{node.name}.{method.name}", call, method,
+                           not static)
+
+
+def _defaulted(node, is_method):
+    """(position or None, name) of each defaulted parameter; a
+    keyword-only parameter has no position."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    if is_method:
+        positional = positional[1:]
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional):
+        if i >= first:
+            yield i, arg.arg
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def _call_name(call, modules):
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        root = _root(func)
+        if not (isinstance(root, ast.Name) and root.id in modules):
+            return func.attr
+    return None
+
+
+def _calls(trees, modules):
+    """Per bare call name: the largest positional count (inf once a call
+    unpacks *args) and the keywords set (None once a call unpacks
+    **kwargs)."""
+    positions, keywords = Counter(), {}
+    for stem, tree in trees.items():
+        for sub in ast.walk(tree):
+            if not isinstance(sub, ast.Call):
+                continue
+            name = _call_name(sub, modules[stem])
+            if name is None:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in sub.args)
+            positions[name] = max(positions[name],
+                                  math.inf if starred else len(sub.args))
+            kw = keywords.setdefault(name, set())
+            if kw is not None:
+                if any(k.arg is None for k in sub.keywords):
+                    keywords[name] = None
+                else:
+                    kw.update(k.arg for k in sub.keywords)
+    return positions, keywords
+
+
+def _unset_parameters():
+    """module.function.parameter of every defaulted parameter that no
+    src/ call sets."""
+    trees, modules = _parse()
+    positions, keywords = _calls(trees, modules)
+    unset = []
+    for module, tree in trees.items():
+        for qualified, call, node, is_method in _functions(tree):
+            kw = keywords.get(call, set())
+            for position, name in _defaulted(node, is_method):
+                by_position = (position is not None
+                               and positions[call] > position)
+                if not (by_position or kw is None or name in kw):
+                    unset.append(f"{module}.{qualified}.{name}")
+    return sorted(unset)
 
 
 def test_every_public_name_has_a_caller_in_src():
@@ -103,6 +225,14 @@ def test_the_allowlist_holds_no_stale_entry():
     # an entry whose name gained a caller, or left src/, is dropped here
     assert sorted(ALLOWED) == [name for name in _unreferenced()
                                if name in ALLOWED]
+
+
+def test_every_defaulted_parameter_is_set_in_src():
+    unset = _unset_parameters()
+    assert [name for name in unset if name not in ALLOWED_PARAMETERS] == []
+    # an entry whose parameter gained a setter, or left src/, is dropped
+    assert sorted(ALLOWED_PARAMETERS) == [name for name in unset
+                                          if name in ALLOWED_PARAMETERS]
 
 
 def test_module_attributes_are_not_references():
