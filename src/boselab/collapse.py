@@ -32,7 +32,10 @@ All quadratures are built from explicit panel decompositions (graded at
 the singular/feature points) so that a refined probe (doubled rule
 orders, finer grading) gives an honest node-doubling stability gate.
 Each Gauss-Legendre order, and the spline of the window transform, is
-built once per process and shared read-only.  The hot loops are
+built once per process and shared read-only.  That spline and the
+Simpson rule of the tau integral are numpy forms of scipy's CubicSpline
+and simpson in the same arithmetic, so their values are the same bit for
+bit and the module imports no scipy.  The hot loops are
 batched: kernel_H integrates the smooth panels on blocks of _U_CHUNK = 32
 u values per numpy pass, then re-integrates the graded windows of up to
 _WINDOW_ROWS = 64 small-|u| rows per pass (one padded breakpoint table
@@ -58,7 +61,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import grid as _grid
 from .grid import (Grid1D, GridError, _in_blocks, bracket_squared,
@@ -89,6 +91,100 @@ def bump(t) -> np.ndarray:
     return out
 
 
+def _tridiagonal_solve(dl, d, du, b) -> np.ndarray:
+    """Solve the tridiagonal system (sub dl, diagonal d, super du) for b.
+
+    LAPACK dgtsv's elimination and back substitution for one right-hand
+    side, on Python floats in its order of operations.  dgtsv swaps rows
+    i and i + 1 when |d_i| < |dl_i|; a system that needs that swap (or
+    meets a zero pivot) raises GridError instead.
+    """
+    dk, bk = d[0], b[0]
+    ds, bs = [dk], [bk]
+    for lo, up, dn, bn in zip(dl, du, d[1:], b[1:]):
+        if not abs(dk) >= abs(lo) or dk == 0.0:
+            raise GridError("spline system needs a row interchange")
+        fact = lo / dk
+        dk = dn - fact * up
+        bk = bn - fact * bk
+        ds.append(dk)
+        bs.append(bk)
+    if dk == 0.0:
+        raise GridError("spline system is singular")
+    x = bk / dk
+    xs = [x]
+    for up, dk, bk in zip(reversed(du), reversed(ds[:-1]), reversed(bs[:-1])):
+        x = (bk - up * x) / dk
+        xs.append(x)
+    return np.array(xs[::-1])
+
+
+# values per evaluation pass of _NotAKnotSpline; bounds its temporaries
+_SPLINE_BLOCK = 4096
+
+
+class _NotAKnotSpline:
+    """The not-a-knot cubic spline through (x, y) on a uniform grid.
+
+    Bit for bit the spline of scipy.interpolate.CubicSpline(x, y): the
+    same right-hand side and not-a-knot end rows, the same elimination
+    (_tridiagonal_solve), the same four coefficient formulas, stored as
+    c[k, i] for the power 3 - k on [x_i, x_i+1].  A value v is evaluated
+    on the interval x_i <= v < x_i+1, clipped to the table, as the power
+    sum ((c3 + c2 s) + c1 s^2) + c0 (s^2 s) with s = v - x_i.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        n = x.size
+        # the interval of v is floor((v - x_0) / step) off by at most one,
+        # which one comparison on each side corrects, if every knot lands
+        # on its own index or the one below
+        self._x0 = float(x[0])
+        self._step = float((x[-1] - x[0]) / (n - 1))
+        lag = np.arange(n) - np.floor((x - self._x0) / self._step)
+        if not np.all((lag == 0) | (lag == 1)):
+            raise GridError("spline knots are not uniformly spaced")
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        rhs = np.empty(n)
+        rhs[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0]
+                  + dx[0] ** 2 * slope[1]) / d0
+        rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        rhs[-1] = (dx[-1] ** 2 * slope[-2]
+                   + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+        diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
+        s = _tridiagonal_solve(
+            np.append(dx[1:], d1).tolist(), diag.tolist(),
+            np.insert(dx[:-1], 0, d0).tolist(), rhs.tolist())
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.x = x
+        self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+    def __call__(self, v) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        flat = v.ravel()
+        out = np.empty(flat.size)
+        x, (c0, c1, c2, c3) = self.x, self.c
+        top = x.size - 2
+        for start in range(0, flat.size, _SPLINE_BLOCK):
+            s = flat[start:start + _SPLINE_BLOCK]
+            i = np.clip((s - self._x0) / self._step, 0, top).astype(np.intp)
+            i -= s < x[i]
+            i += s >= x[i + 1]
+            np.clip(i, 0, top, out=i)
+            ds = s - x[i]
+            ds2 = ds * ds
+            val = c2[i] * ds
+            val += c3[i]
+            val += c1[i] * ds2
+            ds2 *= ds
+            ds2 *= c0[i]
+            val += ds2
+            out[start:start + _SPLINE_BLOCK] = val
+        return out.reshape(v.shape)
+
+
 @lru_cache(maxsize=1)
 def _theta_hat_table():
     """Fine table of theta-hat by one long FFT, built once per process.
@@ -111,7 +207,7 @@ def _theta_hat_table():
         raise GridError("window transform unexpectedly complex")
     keep = np.abs(xi) <= 1100.0
     xi, vals = xi[keep], np.ascontiguousarray(vals.real[keep])
-    return xi, vals, CubicSpline(xi, vals)
+    return xi, vals, _NotAKnotSpline(xi, vals)
 
 
 @lru_cache(maxsize=None)
@@ -219,7 +315,7 @@ class CollapseProbe:
 
     epsilon: float
     refine: int
-    spline: CubicSpline = field(repr=False)
+    spline: _NotAKnotSpline = field(repr=False)
     panel_edges: np.ndarray = field(repr=False)
     s_nodes: np.ndarray = field(repr=False)
     s_weights: np.ndarray = field(repr=False)
@@ -714,6 +810,23 @@ def _rank2_norm_sq(grid: Grid1D, eps: float, a1, b1, a2, b2):
 _TAU_BLOCK = 128
 
 
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson rule over an odd number of samples y(x).
+
+    The unequal-spacing panel formula of scipy.integrate.simpson, term
+    for term, so the sum is the same bit for bit.
+    """
+    h = np.diff(x)
+    h0, h1 = h[0::2], h[1::2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = h0 / h1
+    tmp = hsum / 6.0 * (y[0:-2:2] * (2.0 - 1.0 / h0divh1)
+                        + y[1:-1:2] * (hsum * (hsum / hprod))
+                        + y[2::2] * (2.0 - h0divh1))
+    return float(np.sum(tmp))
+
+
 @dataclass
 class SeparableKernelMember:
     """phi^(2) = f(y1) g(y2) conj(p(y1')) conj(q(y2'))."""
@@ -722,7 +835,7 @@ class SeparableKernelMember:
     g: np.ndarray
     p: np.ndarray
     q: np.ndarray
-    label: str = "separable"
+    label: str
 
     def contraction_pieces(self, grid: Grid1D, tau: float):
         phase = _free_phase(grid, tau)
@@ -769,7 +882,7 @@ class PairProfileMember:
     g: np.ndarray
     lam: float
     p: np.ndarray
-    label: str = "pair-profile"
+    label: str
 
     def _diag(self, grid: Grid1D, phase: np.ndarray) -> np.ndarray:
         left = np.fft.ifft(phase * self.g)
@@ -804,8 +917,6 @@ def direct_operator_test(grid: Grid1D, members, epsilon: float,
     samples (four evolutions, four transforms and six Grams as row sums
     per block).
     """
-    from scipy.integrate import simpson
-
     if not math.isfinite(epsilon):
         raise GridError(f"epsilon must be finite, got {epsilon!r}")
     if not 0.0 < t_window < math.inf:
@@ -823,7 +934,7 @@ def direct_operator_test(grid: Grid1D, members, epsilon: float,
         if rhs <= 0:
             raise GridError(f"member {member.label!r} is not normalizable")
         series = member.contraction_norm_sq(grid, epsilon, taus)
-        lhs = math.sqrt(max(float(simpson(win2 * series, x=taus)), 0.0))
+        lhs = math.sqrt(max(_simpson(win2 * series, taus), 0.0))
         out.append({"label": member.label, "lhs": lhs, "rhs": rhs,
                     "ratio": lhs / rhs, "epsilon": epsilon})
     return out

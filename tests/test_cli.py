@@ -741,21 +741,47 @@ def test_help_exits_cleanly():
         assert sub in proc.stdout
 
 
-def test_benchmark_imports_every_package_module():
-    # the benchmark worker imports the package's modules by name, so a
-    # renamed, added or deleted module must be named there too
+def _benchmark_modules():
+    """PACKAGE_MODULES of perfbench/worker.py: the modules the benchmark
+    worker imports during set-up."""
     import ast
     from pathlib import Path
 
     root = Path(__file__).resolve().parents[1]
     tree = ast.parse((root / "perfbench" / "worker.py").read_text())
-    listed = next(ast.literal_eval(node.value) for node in tree.body
-                  if isinstance(node, ast.Assign)
-                  and any(getattr(t, "id", None) == "PACKAGE_MODULES"
-                          for t in node.targets))
-    modules = {path.stem for path in (root / "src" / "boselab").glob("*.py")}
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "PACKAGE_MODULES"
+                        for t in node.targets))
+
+
+def test_benchmark_imports_every_package_module():
+    # the benchmark worker imports the package's modules by name, so a
+    # renamed, added or deleted module must be named there too
+    from pathlib import Path
+
+    listed = _benchmark_modules()
+    src = Path(__file__).resolve().parents[1] / "src" / "boselab"
+    modules = {path.stem for path in src.glob("*.py")}
     assert len(listed) == len(set(listed))
     assert set(listed) == modules - {"__init__", "__main__"}
+
+
+def test_package_and_collapse_run_import_no_scipy(tmp_path):
+    # collapse's window spline and tau Simpson rule are numpy forms of
+    # scipy's, so no module of the package imports scipy, and neither
+    # does a collapse run (the 3 x 2 scan of the rerun test)
+    code = ("import importlib, sys; "
+            f"[importlib.import_module('boselab.' + m) "
+            f"for m in {_benchmark_modules()!r}]; "
+            "from boselab import cli; "
+            "code, _ = cli.run_experiment({'experiment': 'collapse_suite', "
+            "'grid_step': 45.0, 'grid_extent': 45.0}, sys.argv[1]); "
+            "assert code == 0, code; "
+            "assert 'scipy' not in sys.modules, 'scipy imported'")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_energy_run_imports_no_scipy(tmp_path):

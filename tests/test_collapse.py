@@ -59,6 +59,66 @@ class TestProbe:
         assert C.make_probe(0.25).spline is C.make_probe(0.1).spline
 
 
+class TestScipyFreeRules:
+    """The window spline and the tau Simpson rule against scipy's, bit
+    for bit; scipy is the oracle here and is not imported by the package."""
+
+    def test_spline_coefficients_match_scipy(self):
+        from scipy.interpolate import CubicSpline
+
+        xi, vals, spline = C._theta_hat_table()
+        assert xi.size == 110_001
+        assert np.array_equal(spline.c, CubicSpline(xi, vals).c)
+
+    @pytest.mark.parametrize("refine", [1, 2])
+    def test_spline_values_at_probe_nodes(self, refine):
+        from scipy.interpolate import CubicSpline
+
+        xi, vals, spline = C._theta_hat_table()
+        nodes = C.make_probe(0.1, refine=refine).s_nodes
+        assert np.array_equal(spline(nodes), CubicSpline(xi, vals)(nodes))
+
+    def test_spline_values_at_knots_and_table_ends(self):
+        from scipy.interpolate import CubicSpline
+
+        xi, vals, spline = C._theta_hat_table()
+        pts = np.concatenate([xi, np.nextafter(xi, -np.inf),
+                              np.nextafter(xi, np.inf),
+                              [xi[0] - 50.0, xi[-1] + 50.0]])
+        assert np.array_equal(spline(pts), CubicSpline(xi, vals)(pts))
+        # every knot but the last starts its own interval
+        assert np.array_equal(spline(xi[:-1]), vals[:-1])
+
+    @pytest.mark.parametrize("n_tau", [3, 17, 257, 1025, 3847])
+    def test_simpson_matches_scipy(self, n_tau):
+        from scipy.integrate import simpson
+
+        taus = np.linspace(-0.5, 0.5, n_tau)
+        y = C.bump(taus / 0.5) ** 2 * np.cos(7.0 * taus) + taus ** 3
+        assert C._simpson(y, taus) == float(simpson(y, x=taus))
+
+    def test_solver_refuses_a_row_interchange(self):
+        # after the first elimination the pivot is 1 against a subdiagonal
+        # 3, where dgtsv would swap the rows
+        with pytest.raises(GridError, match="row interchange"):
+            C._tridiagonal_solve([1.0, 3.0], [2.0, 1.5, 1.0], [1.0, 1.0],
+                                 [1.0, 1.0, 1.0])
+
+    def test_solver_matches_a_dense_solve(self):
+        a = np.diag([4.0, 5.0, 6.0, 5.0]) + np.diag([1.0, 2.0, 1.0], 1) \
+            + np.diag([2.0, 1.0, 3.0], -1)
+        b = np.array([1.0, -2.0, 0.5, 3.0])
+        x = C._tridiagonal_solve(np.diag(a, -1).tolist(), np.diag(a).tolist(),
+                                 np.diag(a, 1).tolist(), b.tolist())
+        assert np.allclose(a @ x, b, rtol=0, atol=1e-14)
+
+    def test_spline_needs_uniform_knots(self):
+        # the interval lookup corrects the arithmetic guess by one place
+        x = np.array([0.0, 0.5, 0.6, 0.7, 4.0, 5.0, 6.0, 7.0])
+        with pytest.raises(GridError, match="uniformly spaced"):
+            C._NotAKnotSpline(x, np.sin(x))
+
+
 class TestKernelH:
     def test_eps_zero_reduces_to_pure_singularity(self):
         # at epsilon = 0 both brackets collapse and H = |u|^{-1} int|theta^|
@@ -343,8 +403,9 @@ class TestPooledKernelH:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 2,167,951 bytes with one _window_sums pass per 32-u chunk; the
-        # bound leaves a 15 % margin over that
+        # 2,113,287 bytes with one _window_sums pass per 32-u chunk and
+        # the window spline evaluated in _SPLINE_BLOCK values per pass;
+        # the bound leaves an 18 % margin over that
         assert peak < 2_500_000
 
     def test_pooled_block_runs_kernel_H_inline(self, monkeypatch):
@@ -754,7 +815,8 @@ class TestOperatorFamilies:
     def test_rejects_zero_member(self):
         g = Grid1D(32, 4.0)
         zero = np.zeros(g.n, complex)
-        member = C.SeparableKernelMember(f=zero, g=zero, p=zero, q=zero)
+        member = C.SeparableKernelMember(f=zero, g=zero, p=zero, q=zero,
+                                         label="zero")
         with pytest.raises(GridError, match="not normalizable"):
             C.direct_operator_test(g, [member], epsilon=0.1,
                                    t_window=0.5, n_tau=17)

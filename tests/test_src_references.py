@@ -21,7 +21,9 @@ The parameter guard applies the same rule to options: a defaulted
 parameter of a module-level function or of a method of a module-level
 class (nested closures are left out) must be set, by position or by
 keyword, at some src/ call of its function's bare name; otherwise only
-tests set it, and it belongs in the tests.  A call that unpacks *args
+tests set it, and it belongs in the tests.  The default of a dataclass
+field is a defaulted parameter of the class's generated constructor,
+called by the class's name.  A call that unpacks *args
 or **kwargs sets every parameter it could reach.  The exceptions are
 listed in ALLOWED_PARAMETERS.
 """
@@ -130,22 +132,56 @@ def _unreferenced():
 
 
 def _functions(tree):
-    """(qualified name, call name, node, is_method) of each module-level
-    function and of each method of a module-level class; a constructor
-    is called by its class's name."""
+    """(qualified name, call name, defaulted parameters) of each
+    module-level function, of each method of a module-level class, and
+    of the generated constructor of each module-level dataclass; a
+    constructor is called by its class's name."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
-            yield node.name, node.name, node, False
+            yield node.name, node.name, _defaulted(node, False)
         elif isinstance(node, ast.ClassDef):
+            if any(_bare_name(d) == "dataclass"
+                   for d in node.decorator_list):
+                yield node.name, node.name, _field_defaults(node)
             for method in node.body:
                 if isinstance(method, ast.FunctionDef):
-                    static = any(isinstance(d, ast.Name)
-                                 and d.id == "staticmethod"
+                    static = any(_bare_name(d) == "staticmethod"
                                  for d in method.decorator_list)
                     call = (node.name if method.name == "__init__"
                             else method.name)
-                    yield (f"{node.name}.{method.name}", call, method,
-                           not static)
+                    yield (f"{node.name}.{method.name}", call,
+                           _defaulted(method, not static))
+
+
+def _bare_name(node):
+    """The bare name of a name or of a call of one: dataclass for both
+    @dataclass and @dataclass(frozen=True), field for field(...)."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _field_defaults(node):
+    """(position, name) of each dataclass field with a default, the
+    position counted among the constructor's fields; a field(...) sets
+    a default only with default= or default_factory=, and init=False
+    leaves the field out of the constructor."""
+    position = 0
+    for stmt in node.body:
+        if not (isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)):
+            continue
+        value = stmt.value
+        if isinstance(value, ast.Call) and _bare_name(value) == "field":
+            keywords = {k.arg: k.value for k in value.keywords}
+            init = keywords.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            if not {"default", "default_factory"} & keywords.keys():
+                value = None
+        if value is not None:
+            yield position, stmt.target.id
+        position += 1
 
 
 def _defaulted(node, is_method):
@@ -206,9 +242,9 @@ def _unset_parameters():
     positions, keywords = _calls(trees, modules)
     unset = []
     for module, tree in trees.items():
-        for qualified, call, node, is_method in _functions(tree):
+        for qualified, call, defaulted in _functions(tree):
             kw = keywords.get(call, set())
-            for position, name in _defaulted(node, is_method):
+            for position, name in defaulted:
                 by_position = (position is not None
                                and positions[call] > position)
                 if not (by_position or kw is None or name in kw):
@@ -245,3 +281,16 @@ def test_module_attributes_are_not_references():
     assert _modules(tree) == {"np", "os"}
     assert names["trace"] == 1 and names["copy"] == 1
     assert names["linalg"] == names["join"] == 0
+
+
+def test_dataclass_fields_are_constructor_parameters():
+    # a field's default is a parameter default of the generated
+    # constructor, at the field's place among the constructor's fields
+    tree = ast.parse("@dataclass(frozen=True)\nclass A:\n"
+                     "    x: int\n    y: int = 0\n"
+                     "    z: list = field(default_factory=list)\n"
+                     "    w: int = field(init=False, default=1)\n"
+                     "    v: int = field(repr=False)\n    u: str = 'u'\n")
+    [(qualified, call, defaulted)] = _functions(tree)
+    assert (qualified, call) == ("A", "A")
+    assert list(defaulted) == [(1, "y"), (2, "z"), (4, "u")]
