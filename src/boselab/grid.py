@@ -408,8 +408,9 @@ class BosonicState:
 
     def normalized(self) -> "BosonicState":
         nrm = self.norm()
-        if nrm == 0:
-            raise GridError("cannot normalize the zero state")
+        if not 0 < nrm < math.inf:  # NaN fails closed
+            raise GridError(f"cannot normalize a state of norm {nrm} (the "
+                            f"zero state or a non-finite value)")
         return BosonicState(self.grid, self.n_particles, self.values / nrm)
 
 
@@ -443,7 +444,7 @@ def symmetrize(grid: Grid1D, tensor) -> BosonicState:
     tuple plus the orbit's mean deviation from it, so a symmetric tensor
     (a BosonicState's amplitudes) gives back its values bit for bit before
     the normalization.  A projection that annihilates the state (a norm at
-    most 1e-12 of the input's) is an error.
+    most 1e-12 of the input's) is an error, and so is a non-finite value.
     """
     tensor = as_tensor(grid, tensor)
     nn = tensor.ndim
@@ -460,8 +461,10 @@ def symmetrize(grid: Grid1D, tensor) -> BosonicState:
     mean /= multiplicity
     mean += rep
     nrm = math.sqrt(grid.h ** nn * _norm_sq(mean, multiplicity))
-    if nrm <= 1e-12 * math.sqrt(grid.h ** nn * _norm_sq(tensor)):
-        raise GridError("symmetrization annihilated the state")
+    # NaN fails closed, and an infinite value makes the mean NaN
+    if not nrm > 1e-12 * math.sqrt(grid.h ** nn * _norm_sq(tensor)):
+        raise GridError(f"symmetrization annihilated the state or met a "
+                        f"non-finite value (norm {nrm})")
     mean /= nrm
     return BosonicState(grid, nn, mean)
 
@@ -554,7 +557,11 @@ def random_state(grid: Grid1D, n_particles: int, seed: int,
 
     k_filter applies a Gaussian factor exp(-k^2/(2 k_filter^2)) per axis so
     the draw has smooth samples; None keeps white noise across all modes.
+    A k_filter that is not finite and positive is a GridError.
     """
+    if k_filter is not None and not 0 < k_filter < math.inf:
+        raise GridError(f"k_filter must be finite and positive, got "
+                        f"{k_filter}")
     rng = np.random.default_rng(seed)
     shape = (grid.n,) * n_particles
     a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

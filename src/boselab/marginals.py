@@ -38,7 +38,10 @@ the sector side is formed.
 The delta interaction of the limiting hierarchy is realized as diagonal
 pairing with weight 1/h, which is the convention under which the
 mollifier consistency test below converges as the mollifier width
-shrinks (while staying above the grid resolution).
+shrinks (while staying above the grid resolution).  The test pairs a
+multiplication observable with gamma^(2), so it reads only the pair
+density, the diagonal of gamma^(2), as row sums of |F|^2 for the fold
+F at k = 2; it forms no n^2 x n^2 kernel.
 """
 
 from __future__ import annotations
@@ -314,67 +317,54 @@ def delta_pairing_diagonal(grid: Grid1D) -> np.ndarray:
     return d
 
 
-def mollifier_delta_test(gamma2: MarginalDensity, j_op, rho, alphas,
-                         kappa: float = 0.5) -> dict:
+def mollifier_delta_test(state: BosonicState, j_diag, rho, alphas) -> dict:
     """Convergence of Tr J (rho_alpha(x1-x2) - delta(x1-x2)) gamma^(2).
 
     rho is a unit-mass mollifier shape; rho_alpha(x) = rho(x/alpha)/alpha.
-    j_op is a bounded one-particle observable on particle 1, given either
-    as a vector of multiplication samples or an (n, n) matrix.  Returns
-    the sampled values and the fitted log-log exponent of |value| against
-    alpha, to be compared with the requested kappa in (0, 1).
+    j_diag is a bounded multiplication observable on particle 1, given by
+    its n real samples.  A multiplication observable pairs gamma^(2) only
+    on its diagonal, the pair density
+    rho_2(x1, x2) = h^(N-2) sum_c |F[(x1, x2), c]|^2 of the fold
+    F = _full_fold(state, 2), so no n^2 x n^2 kernel is formed; h^2 rho_2
+    is the diagonal of the weighted matrix, and each pairing sums
+    j(x1) d(x1, x2) h^2 rho_2(x1, x2) over the pair grid.  Returns the
+    widths, the real values and the fitted log-log exponent of |value|
+    against alpha.
 
-    Widths below twice the grid spacing are not resolvable and widths
-    beyond L/4 wrap around the periodic box; both are rejected.
+    The state must be a BosonicState of two or more particles.  Widths
+    below twice the grid spacing are not resolvable and widths beyond L/4
+    wrap around the periodic box; both are rejected.
     """
-    if gamma2.k != 2:
-        raise MarginalError("mollifier test needs a two-particle marginal")
-    grid = gamma2.grid
-    if not 0.0 < kappa < 1.0:
-        raise MarginalError(f"kappa must lie in (0, 1), got {kappa}")
+    _check_bosonic(state)
+    if state.n_particles < 2:
+        raise MarginalError(f"mollifier test needs a two-particle pair "
+                            f"density, got N = {state.n_particles}")
+    grid = state.grid
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     if np.any(alphas < 2.0 * grid.h):
         raise MarginalError("mollifier width below grid resolution")
     if np.any(alphas > grid.length / 4.0):
         raise MarginalError("mollifier width would wrap the periodic box")
-
     n = grid.n
-    j_op = np.asarray(j_op, dtype=np.complex128)
-    if j_op.ndim == 1:
-        j_mat = None
-        j_diag = j_op
-    elif j_op.shape == (n, n):
-        j_mat = j_op
-        j_diag = None
-    else:
-        raise MarginalError("j_op must be a vector or an (n, n) matrix")
+    j_diag = np.asarray(j_diag, dtype=float)
+    if j_diag.shape != (n,):
+        raise MarginalError(f"j_diag must hold {n} samples, got shape "
+                            f"{j_diag.shape}")
 
-    g4 = gamma2.weight * gamma2.tensor()  # plain-matrix convention
+    fold = _full_fold(state, 2)
+    density = np.sum(fold.real ** 2 + fold.imag ** 2, axis=1).reshape(n, n)
+    density *= grid.h ** state.n_particles  # h^2 rho_2
     diff = pair_differences(grid)
-    d_delta = delta_pairing_diagonal(grid)
 
-    def pairing(dvals: np.ndarray) -> complex:
-        if j_mat is None:
-            diag = np.einsum("abab->ab", g4)
-            return complex(np.sum(j_diag[:, None] * dvals * diag))
-        m = np.einsum("pb,pbxb->px", dvals, g4)
-        return complex(np.trace(j_mat @ m))
+    def pairing(dvals: np.ndarray) -> float:
+        return float(np.sum(j_diag[:, None] * dvals * density))
 
-    base = pairing(d_delta)
-    values = []
-    for alpha in alphas:
-        rho_a = rho(diff / alpha) / alpha
-        values.append(pairing(rho_a) - base)
-    values = np.asarray(values)
+    base = pairing(delta_pairing_diagonal(grid))
+    values = np.array([pairing(rho(diff / alpha) / alpha) - base
+                       for alpha in alphas])
 
     mags = np.abs(values)
     slope = float("nan")
     if len(alphas) >= 2 and np.all(mags > 0):
         slope = float(np.polyfit(np.log(alphas), np.log(mags), 1)[0])
-    return {
-        "alphas": alphas,
-        "values": values,
-        "slope": slope,
-        "kappa": kappa,
-        "passes": bool(slope >= kappa - 0.1) if math.isfinite(slope) else False,
-    }
+    return {"alphas": alphas, "values": values, "slope": slope}

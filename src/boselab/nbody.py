@@ -622,12 +622,13 @@ def spectral_cutoff(system: NBodySystem, state: BosonicState,
     column c hamiltonian(system) applied to the values 1/sqrt(mult(c))
     at c, its rows times sqrt(mult), Hermitized as (M + M^dagger)/2.  The
     side is capped at grid.DENSE_SIDE_CAP (GridError), and the matrix is
-    built and diagonalized afresh on every call (side 136 in criterion
-    12's uses, where eigh takes milliseconds).
+    built and diagonalized afresh on every call (side 136 in
+    cli.energy_spectral_cutoff, where eigh takes milliseconds).
     """
     _check_grid(system, state)
-    if kappa <= 0:
-        raise GridError("cutoff parameter kappa must be positive")
+    if not 0 < kappa < math.inf:  # NaN fails closed
+        raise GridError(f"cutoff parameter kappa must be finite and "
+                        f"positive, got {kappa}")
     nn, root = system.n_particles, np.sqrt(state.multiplicity)
     side = len(root)
     if side > _grid.DENSE_SIDE_CAP:

@@ -4,22 +4,24 @@ One test per headline guarantee, each with a wall-clock budget.  Run with
 ``pytest -v tests/test_acceptance.py`` to get one PASS/FAIL line per
 criterion.
 
-Criteria 01-05 and 07-11 call the CLI check functions behind their
+Every criterion but 06 calls the CLI check functions behind its
 statement (``boselab.cli``) on the default config of its experiment, so
-their inputs and thresholds are defined once, in the CLI.  Criteria 06,
-12 and 13 have no CLI counterpart and carry their own tolerances.
+its inputs and thresholds are defined once, in the CLI.  Criterion 06
+has no CLI counterpart and carries its own tolerances: its 1e-6 bound on
+the relative energy drift holds for its own trapped N = 3 run, but not
+on the trajectories that the suites already evolve (3.4e-5 on the bbgky
+run at dt = 2e-3, 9.0e-6 on the convergence run at N = 4), and a run of
+its own, about half a second, would take as long as the energy, lens,
+bbgky and nls-validate suites together.
 """
 
 import contextlib
 import math
 import time
 
-import numpy as np
-
-from boselab import cli, collapse
-from boselab.grid import BosonicState, Grid1D, random_state, sector_product
-from boselab.marginals import mollifier_delta_test, partial_trace
-from boselab.nbody import NBodySystem, energy_moment, evolve, spectral_cutoff
+from boselab import cli
+from boselab.grid import Grid1D, random_state
+from boselab.nbody import NBodySystem, evolve
 from boselab.potentials import gaussian_well
 from oracles import symmetry_residual
 
@@ -51,11 +53,6 @@ def run_checks(tmp_path, experiment, seconds, *functions):
         else:
             assert check["passed"], check
     return checks
-
-
-def unit_gaussian(grid):
-    phi = np.exp(-grid.x ** 2 / 2).astype(np.complex128)
-    return phi / math.sqrt(grid.h * float(np.sum(np.abs(phi) ** 2)))
 
 
 def test_criterion_01_decomposition_identity(tmp_path):
@@ -133,41 +130,13 @@ def test_criterion_11_shifted_weight_uniformity(tmp_path):
     run_checks(tmp_path, "collapse_suite", 60.0, cli.collapse_lemma_F)
 
 
-def test_criterion_12_spectral_cutoff_moments():
+def test_criterion_12_spectral_cutoff_moments(tmp_path):
     # cutoff states satisfy the moment bound exactly; the cutoff error
     # shrinks at least like kappa^0.4
-    with budget(60.0):
-        grid = Grid1D(16, 8.0)
-        system = NBodySystem(grid, 2, potential=gaussian_well(1.0, 1.0),
-                             omega=1.0)
-        state = random_state(grid, 2, seed=11)
-        kappas = [0.4, 0.2, 0.1, 0.05]
-        dists = []
-        psi = state.normalized()
-        for kappa in kappas:
-            cut = spectral_cutoff(system, state, kappa)
-            for k in (1, 2):
-                moment = energy_moment(system, cut, k)
-                assert moment <= (2 * 2 / kappa) ** k * (1 + 1e-12)
-            dists.append(float(np.sqrt(grid.h ** 2 * np.sum(
-                np.abs(cut.amplitudes - psi.amplitudes) ** 2))))
-        fit = collapse.linear_fit(np.log(kappas), np.log(dists))
-        assert fit["slope"] >= 0.4
+    run_checks(tmp_path, "energy_suite", 60.0, cli.energy_spectral_cutoff)
 
 
-def test_criterion_13_mollifier_exponent():
+def test_criterion_13_mollifier_exponent(tmp_path):
     # pair observables mollified at width alpha converge to the contact
     # value at rate better than alpha^0.4
-    with budget(60.0):
-        grid = Grid1D(64, 8.0)
-        phi = unit_gaussian(grid)
-        gamma2 = partial_trace(
-            BosonicState(grid, 2, sector_product(phi, 2)), 2)
-
-        def rho(t):
-            return np.exp(-(t ** 2) / 2) / math.sqrt(2 * math.pi)
-
-        res = mollifier_delta_test(gamma2, np.ones(grid.n), rho,
-                                   [0.5, 1.0, 2.0], kappa=0.5)
-        assert res["passes"]
-        assert res["slope"] >= 0.4
+    run_checks(tmp_path, "bbgky_residual", 60.0, cli.bbgky_mollifier_delta)

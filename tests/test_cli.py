@@ -499,25 +499,40 @@ def test_bbgky_reads_no_full_tensor(monkeypatch, tmp_path):
     assert code == 0, report["checks"]
     assert reads == []
     assert (tmp_path / "bbgky_residuals.csv").is_file()
+    assert (tmp_path / "mollifier_delta.csv").is_file()
+
+
+def test_mollifier_check_forms_no_pair_kernel(tmp_path):
+    # the pair density, not gamma^(2): its 4096^2 kernel alone would take
+    # 268 MB.  About 0.27 MB once the sector tables are cached.
+    import tracemalloc
+
+    from boselab import cli
+
+    cfg = cli.validate_config({"experiment": "bbgky_residual"})
+    cli.bbgky_mollifier_delta(cfg, tmp_path, "0")
+    tracemalloc.start()
+    try:
+        checks = cli.bbgky_mollifier_delta(cfg, tmp_path, "0")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert checks[0]["passed"]
+    assert peak < 1_000_000
 
 
 # sha256 over each default output directory's files, sorted by name;
 # a change that moves printed digits updates its value here and lists the
 # moved numbers in CHANGES.md
 _DEFAULT_DIGESTS = {
-    # energy: the pair block (without its constant 2 alpha, added after)
-    # and the smoothing bound come from grid.lanczos_min (the latter as
-    # sqrt(-lambda_min(-A^2))), not from ARPACK, so their last digits
-    # moved: 7.077918952366422 to 7.077918952366405 and 7.42646190467649
-    # to 7.426461904676512 (pair), 0.3548274709575164 to
-    # 0.3548274709575166 and 0.06992089630292148 to 0.06992089630292153
-    # (smoothing)
-    "energy": "7a59c04a831039ca498cd0eff6441d227a2934c363922b9b96e3207fe7bd37da",
+    # energy and bbgky end with the checks of criteria 12 and 13:
+    # energy_spectral_cutoff (spectral_cutoff_moments and
+    # spectral_cutoff_kappa_slope, spectral_cutoff.csv) and
+    # bbgky_mollifier_delta (mollifier_delta_exponent,
+    # mollifier_delta.csv)
+    "energy": "eb88a77290904d9afb42d3ed0f2ce36f44d0b4b68140fc296d15b6361a80c3e2",
     "lens": "b543d56e9af038570b355f4d5ecf515712d7521d6769e67cf08c84096a4ac3b7",
-    # bbgky: the marginals and the collision term sum over the sorted
-    # traced tuples by multiplicity (one fold of the sector values), not
-    # over the n^N tensor, so the residuals' last digits moved
-    "bbgky": "bf85c59789d2af150dff73536810159ebaa7cdc81592c4923704f7bf82bec077",
+    "bbgky": "d4569e83413a5273b925a1b3fc6da114d618b4456b3225d4224a9044c034de88",
     "nls-validate":
         "79f23fb9c079e32e9c7bc2c3f5de1b2291eb6cc5ba30ac1fecb5fa9bee19c7f7",
 }

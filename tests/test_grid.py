@@ -73,6 +73,10 @@ def _non_finite_builders():
         "nls_omega": (lambda x: NLSProblem(g, 1.0, omega=x), GridError),
         "weight_omega": (lambda x: grid_module._weight_parts(g, "S", x),
                          GridError),
+        "state_values": (lambda x: BosonicState(
+            g, 2, np.full(136, x, dtype=complex)).normalized(), GridError),
+        "random_state_k_filter": (
+            lambda x: random_state(g, 2, seed=0, k_filter=x), GridError),
     }
 
 
@@ -201,6 +205,11 @@ def test_symmetrize_rejects_antisymmetric_input():
     anti = np.multiply.outer(f, h) - np.multiply.outer(h, f)
     with pytest.raises(GridError, match="annihilated"):
         symmetrize(g, anti)
+    # one NaN used to come back as NaN sector values
+    product = np.multiply.outer(f, h)
+    product[2, 5] = np.nan
+    with pytest.raises(GridError, match="non-finite"):
+        symmetrize(g, product)
 
 
 def _permutation_average(amplitudes):
@@ -271,6 +280,9 @@ def test_random_state_seeding_and_symmetry():
     # a draw is a BosonicState at every N, one particle included
     for nn in (1, 2, 3):
         assert isinstance(random_state(g, nn, seed=1), BosonicState)
+    # k_filter = 0 used to return an all-NaN state
+    with pytest.raises(GridError, match="k_filter"):
+        random_state(g, 2, seed=0, k_filter=0.0)
 
 
 @pytest.mark.parametrize("n, k", [(1, 3), (2, 1), (3, 4), (5, 2), (8, 3),

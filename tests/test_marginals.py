@@ -422,19 +422,17 @@ def test_delta_pairing_diagonal_has_unit_mass_rows():
 class TestMollifierDelta:
     GRID = Grid1D(64, 8.0)
 
-    def gamma2(self):
+    def product(self):
         phi = unit_gaussian(self.GRID)
-        return partial_trace(BosonicState(self.GRID, 2,
-                                          sector_product(phi, 2)), 2)
+        return BosonicState(self.GRID, 2, sector_product(phi, 2))
 
     @staticmethod
     def rho(t):
         return np.exp(-(t ** 2) / 2) / math.sqrt(2 * math.pi)
 
     def test_convergence_exponent(self):
-        res = mollifier_delta_test(self.gamma2(), np.ones(self.GRID.n),
-                                   self.rho, [0.5, 1.0, 2.0], kappa=0.5)
-        assert res["passes"]
+        res = mollifier_delta_test(self.product(), np.ones(self.GRID.n),
+                                   self.rho, [0.5, 1.0, 2.0])
         assert res["slope"] == pytest.approx(1.194241913630618, rel=1e-8)
         assert res["slope"] >= 0.4
         mags = np.abs(res["values"])
@@ -443,35 +441,44 @@ class TestMollifierDelta:
     def test_identity_observable_matches_direct_quadrature(self):
         g = self.GRID
         phi = unit_gaussian(g)
-        res = mollifier_delta_test(self.gamma2(), np.ones(g.n),
-                                   self.rho, [1.0], kappa=0.5)
+        res = mollifier_delta_test(self.product(), np.ones(g.n),
+                                   self.rho, [1.0])
         dens = np.abs(phi) ** 2
         diff = g.x[:, None] - g.x[None, :]
         pair_rho = float(np.sum((self.rho(diff / 1.0) / 1.0)
                                 * np.outer(dens, dens)) * g.h ** 2)
         pair_delta = float(np.sum(dens ** 2) * g.h)
-        assert res["values"][0].real == pytest.approx(
+        assert res["values"].dtype == np.float64
+        assert res["values"][0] == pytest.approx(
             pair_rho - pair_delta, abs=1e-15)
 
-    def test_vector_and_matrix_observables_agree(self):
-        g = self.GRID
-        res_vec = mollifier_delta_test(self.gamma2(), g.x ** 2,
-                                       self.rho, [1.0])
-        res_mat = mollifier_delta_test(self.gamma2(),
-                                       np.diag((g.x ** 2).astype(complex)),
-                                       self.rho, [1.0])
-        assert abs(res_vec["values"][0] - res_mat["values"][0]) < 1e-14
+    def test_pair_density_is_the_marginal_diagonal(self):
+        # N = 3: the fold's row sums, weighted h^(N-2), against the
+        # diagonal of the full n^2 x n^2 kernel of gamma^(2)
+        g = Grid1D(32, 8.0)
+        state = random_state(g, 3, seed=4, k_filter=3.0)
+        kern = partial_trace(state, 2).kernel
+        diag = g.h ** 2 * np.diagonal(kern).real.reshape(g.n, g.n)
+        diff = g.x[:, None] - g.x[None, :]
+        res = mollifier_delta_test(state, g.x ** 2, self.rho, [1.0, 2.0])
+        for alpha, got in zip(res["alphas"], res["values"]):
+            pair = self.rho(diff / alpha) / alpha - np.eye(g.n) / g.h
+            want = float(np.sum((g.x ** 2)[:, None] * pair * diag))
+            assert got == pytest.approx(want, rel=1e-12)
 
-    def test_window_and_kappa_rejections(self):
-        gam = self.gamma2()
+    def test_window_and_input_rejections(self):
+        state = self.product()
         ones = np.ones(self.GRID.n)
         with pytest.raises(MarginalError, match="resolution"):
-            mollifier_delta_test(gam, ones, self.rho, [0.1])
+            mollifier_delta_test(state, ones, self.rho, [0.1])
         with pytest.raises(MarginalError, match="wrap"):
-            mollifier_delta_test(gam, ones, self.rho, [3.0])
-        with pytest.raises(MarginalError, match="kappa"):
-            mollifier_delta_test(gam, ones, self.rho, [1.0], kappa=1.5)
-        one_particle = partial_trace(
-            random_state(self.GRID, 2, seed=0, k_filter=3.0), 1)
+            mollifier_delta_test(state, ones, self.rho, [3.0])
+        with pytest.raises(MarginalError, match="samples"):
+            mollifier_delta_test(state, np.ones((2, self.GRID.n)),
+                                 self.rho, [1.0])
+        one_particle = BosonicState(self.GRID, 1, unit_gaussian(self.GRID))
         with pytest.raises(MarginalError, match="two-particle"):
             mollifier_delta_test(one_particle, ones, self.rho, [1.0])
+        with pytest.raises(MarginalError, match="BosonicState"):
+            mollifier_delta_test(partial_trace(state, 2), ones, self.rho,
+                                 [1.0])

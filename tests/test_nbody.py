@@ -1095,8 +1095,10 @@ class TestSpectralCutoff:
         assert dist(tiny) < 1e-12
 
     def test_rejections(self):
-        with pytest.raises(GridError):
-            spectral_cutoff(self.system, self.state, 0.0)
+        # a non-finite kappa used to end in "annihilated the state"
+        for kappa in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(GridError, match="finite and positive"):
+                spectral_cutoff(self.system, self.state, kappa)
         with pytest.raises(NumericalAbort, match="annihilated"):
             spectral_cutoff(self.system, self.state, 1e6)
         # one NaN value used to come back as an all-NaN state

@@ -40,10 +40,7 @@ ALLOWED = {
     # entry points of library callers: the potential constructors
     "potentials.gaussian_well",
     "potentials.mixed_sign",
-    # paper statements that no runner checks yet (criteria 12 and 13,
-    # the lens energy)
-    "marginals.mollifier_delta_test",
-    "nbody.spectral_cutoff",
+    # paper statements that no runner checks yet (the lens energy)
     "potentials.lens_damped_potential",
     "lens.intertwine_energy_check",
 }
@@ -61,11 +58,9 @@ ALLOWED_PARAMETERS = {
     "potentials.mixed_sign.s",
     "potentials.mixed_sign.r",
     "potentials.mixed_sign.beta",
-    # paper statements that no runner checks yet (ROADMAP items 3 and 8
-    # wire them): the lens energy's moment order and the mollifier's
-    # cutoff exponent
+    # a paper statement that no runner checks yet: the lens energy's
+    # moment order
     "lens.intertwine_energy_check.k",
-    "marginals.mollifier_delta_test.kappa",
 }
 
 
