@@ -618,13 +618,12 @@ def energy_estimate(cfg: dict, out: Path, report_hash: str) -> list[dict]:
     margins = {1: [], 2: []}
     for nn in cfg["n_particles"]:
         system = NBodySystem(est_grid, nn, potential=pot, omega=1.0)
-        for d in range(cfg["draws"]):
-            state = random_state(est_grid, nn, k_filter=4.0,
-                                 seed=cfg["seed"] + 1000 * nn + d)
-            for k in (1, 2):
-                if k < nn:
-                    res = check_energy_estimate(system, state, k)
-                    margins[k].append(res["margin"])
+        states = [random_state(est_grid, nn, k_filter=4.0,
+                               seed=cfg["seed"] + 1000 * nn + d)
+                  for d in range(cfg["draws"])]
+        for k in range(1, min(nn, 3)):
+            margins[k] += [res["margin"] for res in
+                           check_energy_estimate(system, states, k)]
     for k, v in margins.items():
         _finite(f"energy_estimate_k{k}_margin", v)
     write_csv(out / "energy_estimate_margins.csv",
@@ -668,7 +667,7 @@ def energy_spectral_cutoff(cfg: dict, out: Path,
     the cutoff error ||chi psi - psi|| shrinks at least like kappa^0.4."""
     from .collapse import linear_fit
     from .grid import BosonicState, Grid1D, random_state
-    from .nbody import NBodySystem, energy_moment, spectral_cutoff
+    from .nbody import NBodySystem, _moment, hamiltonian, spectral_cutoff
     from .potentials import PotentialSpec
 
     grid = Grid1D(16, cfg["length"])
@@ -676,12 +675,12 @@ def energy_spectral_cutoff(cfg: dict, out: Path,
     system = NBodySystem(grid, nn, potential=PotentialSpec(**cfg["potential"]),
                          omega=1.0)
     state = random_state(grid, nn, seed=cfg["seed"] + 11)
-    rows = []
-    for kappa in (0.4, 0.2, 0.1, 0.05):
-        cut = spectral_cutoff(system, state, kappa)
-        rows.append([kappa, energy_moment(system, cut, 1),
-                     energy_moment(system, cut, 2),
-                     BosonicState(grid, nn, cut.values - state.values).norm()])
+    kappas = (0.4, 0.2, 0.1, 0.05)
+    ham = hamiltonian(system)
+    rows = [[kappa, _moment(system, ham, cut, 1), _moment(system, ham, cut, 2),
+             BosonicState(grid, nn, cut.values - state.values).norm()]
+            for kappa, cut in zip(kappas,
+                                  spectral_cutoff(system, state, kappas))]
     moments = _finite("spectral_cutoff_moments",
                       [row[k] for row in rows for k in (1, 2)])
     bounds = [(2 * nn / row[0]) ** k for row in rows for k in (1, 2)]

@@ -323,8 +323,6 @@ class CollapseProbe:
     gl_order: int
     window_order: int
     xi_eff: float
-    theta_l1: float
-    theta_mass: float
     u_min: float
 
     def refined(self) -> "CollapseProbe":
@@ -378,15 +376,11 @@ def make_probe(epsilon: float, refine: int = 1) -> CollapseProbe:
     nodes, weights = _gl_panels(edges, gl_order)
     theta_abs = np.abs(spline(nodes))
 
-    probe = CollapseProbe(
+    return CollapseProbe(
         epsilon=float(epsilon), refine=refine, spline=spline,
         panel_edges=edges, s_nodes=nodes, s_weights=weights,
         theta_abs=theta_abs, gl_order=gl_order, window_order=6 * refine,
-        xi_eff=xi_eff, theta_l1=float(np.sum(weights * theta_abs)),
-        theta_mass=mass,
-        u_min=1e-6 if epsilon >= 0.2 else 1e-10,
-    )
-    return probe
+        xi_eff=xi_eff, u_min=1e-6 if epsilon >= 0.2 else 1e-10)
 
 
 # ----------------------------------------------------------------------
@@ -511,7 +505,7 @@ def _smooth_chunk(probe: CollapseProbe, u: np.ndarray, us: np.ndarray):
 
 
 def kernel_H(probe: CollapseProbe, eta: float, xi1: float, u):
-    """The inner w-integral H(eta, xi1, u), vectorized over u.
+    """The inner w-integral H(eta, xi1, u) at each u of a 1-D array.
 
     Evaluated in the scaled variable s = u w, where |theta-hat(s)| has
     fixed support: smooth panels between the transform's sign changes
@@ -521,13 +515,14 @@ def kernel_H(probe: CollapseProbe, eta: float, xi1: float, u):
     over single u: _U_CHUNK values per smooth pass, then up to
     _WINDOW_ROWS of a lane's window rows per window pass (one padded
     breakpoint table each).  u = 0 is rejected (the change of variables
-    degenerates there), and so are a non-finite u and (eta, xi1).
+    degenerates there), and so are a u that is not finite or not 1-D and
+    a non-finite (eta, xi1).
     """
     _check_point(eta, xi1)
-    scalar = np.isscalar(u) or getattr(u, "ndim", 1) == 0
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if not np.isfinite(u).all():
-        raise GridError("kernel_H needs finite u")
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 1 or not np.isfinite(u).all():
+        raise GridError(f"kernel_H needs finite u in a 1-D array (shape "
+                        f"{u.shape})")
     if np.any(u == 0.0):
         raise GridError("kernel_H is undefined at u = 0")
     us_all = eta - 2.0 * xi1 * u  # u * sigma, computed without cancellation
@@ -555,7 +550,7 @@ def kernel_H(probe: CollapseProbe, eta: float, xi1: float, u):
 
     _in_blocks(lane_sums, lanes)
     out /= np.abs(u)
-    return float(out[0]) if scalar else out
+    return out
 
 
 def _feature_points(eta: float, xi1: float):

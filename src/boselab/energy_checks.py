@@ -21,19 +21,23 @@ states carry none, and the S weights are built at system.omega.
 One-particle checks are dense eigensolves.  The pair block and the
 smoothing bound are solved matrix-free by grid.lanczos_min from a
 fixed start vector, so neither forms an n^2 x n^2 matrix and reruns
-give the same bytes; the N-body identity and the moment bound take a
-BosonicState and apply H_N matrix-free to its sector values
-(nbody.hamiltonian and nbody.energy_moment); their other sides act on
-the state's n^N tensor (BosonicState.amplitudes), the package's only
-tensor routes on an N-body state, kept as independent second routes.
-Each check returns a dict of margins so callers can assert or just log.
-The negative controls that show the inequalities are not vacuously loose
-(the pair block without its 2 alpha, the K inequality at the alpha of a
-weaker potential) live in the tests: each shifts the reported minimum
-eigenvalue by a multiple of the identity.
+give the same bytes.  The N-body identity and the moment bound apply
+H_N matrix-free to BosonicState sector values (nbody.hamiltonian); the
+moment bound reads its right side off them too, through the one-body
+power sums sum_j S_j^2 and sum_j S_j^4 (nbody.one_body_sum).  The
+identity's right side acts on the state's n^N tensor
+(BosonicState.amplitudes), the package's only tensor route on an N-body
+state, kept as an independent second route.  Each check returns a dict
+of margins (the moment bound one per state) so callers can assert or
+just log.  The negative controls that show the inequalities are not
+vacuously loose (the pair block without its 2 alpha, the K inequality
+at the alpha of a weaker potential) live in the tests: each shifts the
+reported minimum eigenvalue by a multiple of the identity.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -41,8 +45,9 @@ from . import grid as _grid
 from .grid import (BosonicState, Grid1D, GridError, apply_symbol,
                    apply_weight_squared, bracket_squared, dense_operator,
                    dense_weight_squared, kinetic_symbol, on_axes,
-                   pair_differences, weighted_norm_squared)
-from .nbody import NBodySystem, _check_grid, energy_moment, hamiltonian
+                   pair_differences)
+from .nbody import (NBodySystem, _check_grid, _moment, hamiltonian,
+                    one_body_sum)
 from .potentials import PotentialSpec, scaled_potential
 
 
@@ -122,43 +127,59 @@ def check_decomposition_identity(system: NBodySystem, state: BosonicState) -> fl
 
     psi = state.amplitudes
     vpair = system.pair_potential_values()
-    s2 = {}
-    for j in range(nn):
-        s2[j] = apply_weight_squared(system.grid, psi, [j], "S", system.omega)
+    s2 = [apply_weight_squared(system.grid, psi, [j], "S", system.omega)
+          for j in range(nn)]
     rhs = np.zeros_like(psi)
-    for i in range(nn):
-        for j in range(nn):
-            if i == j:
-                continue
-            term = s2[i] + s2[j] + (2.0 * alpha) * psi
-            if system.potential is not None:
-                term = term + (1.0 - 1.0 / nn) * on_axes(vpair, nn, i, j) * psi
-            rhs = rhs + term
+    for i, j in itertools.permutations(range(nn), 2):
+        term = s2[i] + s2[j] + (2.0 * alpha) * psi
+        if system.potential is not None:
+            term = term + (1.0 - 1.0 / nn) * on_axes(vpair, nn, i, j) * psi
+        rhs = rhs + term
     rhs = rhs / (2.0 * nn * (nn - 1))
     tuples = _grid.sector_tables(system.grid.n, nn)[0][-1][0]
     return float(np.max(np.abs(lhs - rhs[tuple(tuples.T)])))
 
 
-def check_energy_estimate(system: NBodySystem, state: BosonicState, k: int = 1) -> dict:
-    """Moment bound <(H_N + N alpha + N)^k> >= 2^{-k} N^k ||S_1...S_k psi||^2.
+def check_energy_estimate(system: NBodySystem, states: list, k: int) -> list:
+    """Moment bound <(H_N + N alpha + N)^k> >= 2^{-k} N^k ||S_1...S_k psi||^2:
+    one dict of lhs, rhs and margin = lhs - rhs per BosonicState in states.
 
-    Returns lhs, rhs and margin = lhs - rhs; lhs is nbody.energy_moment
-    at shift N(1 + alpha).  k = 1 holds for every N >= 2; the k = 2
-    version carries an unquantified particle-number threshold, so callers
-    should treat its margin as a measurement.
+    lhs is the moment at shift N(1 + alpha); rhs is read off the sector
+    values through the power sums p_m = sum_j S_j^{2m} (one_body_sum),
+    N ||S_1 psi||^2 = <psi, p_1 psi> and N(N-1) ||S_1 S_2 psi||^2 =
+    ||p_1 psi||^2 - <psi, p_2 psi>, as multiplicity-weighted einsums.  H_N
+    and the power sums are built once for all the states.  k = 1 holds
+    for every N >= 2; the k = 2 margin, with an unquantified
+    particle-number threshold, is a measurement.
     """
     if k < 1 or k > 2:
         raise GridError("moment order limited to k in {1, 2}")
     nn = system.n_particles
     if k >= nn:
         raise GridError("need k < N so that S_1..S_k acts on distinct particles")
+    for state in states:
+        _check_grid(system, state)
     alpha = system.potential.alpha() if system.potential is not None else 0.0
-    lhs = energy_moment(system, state, k, shift=nn * (1.0 + alpha))
-    rhs = (nn ** k) * weighted_norm_squared(
-        system.grid, state.amplitudes, list(range(k)), "S",
-        system.omega) / (2.0 ** k)
-    return {"lhs": lhs, "rhs": rhs, "margin": lhs - rhs, "k": k,
-            "n_particles": nn}
+    ham = hamiltonian(system)
+    s2 = dense_weight_squared(system.grid, "S", system.omega)
+    sums = [one_body_sum(system, mat) for mat in (s2, s2 @ s2)[:k]]
+    results = []
+    for state in states:
+        values, mult = state.values, state.multiplicity
+
+        def inner(a, b):
+            return float(np.einsum("i,i->", mult * a.conj(), b).real)
+
+        p1psi, *p2psi = [p(values, np.zeros_like(values)) for p in sums]
+        if k == 1:
+            rhs = inner(values, p1psi) / 2.0
+        else:
+            rhs = nn * (inner(p1psi, p1psi) - inner(values, p2psi[0])) / (
+                4.0 * (nn - 1))
+        rhs *= system.grid.h ** nn
+        lhs = _moment(system, ham, state, k, nn * (1.0 + alpha))
+        results.append({"lhs": lhs, "rhs": rhs, "margin": lhs - rhs})
+    return results
 
 
 def _smoothed_pair_action(grid: Grid1D, vdiag: np.ndarray):

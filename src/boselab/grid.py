@@ -38,8 +38,8 @@ sector_product gives the values of a product state phi^(tensor k).
 One-particle orbitals, and the tensors the weight helpers and the lens
 map act on, are plain complex arrays passed with their Grid1D, as nls
 passes its fields.  A BosonicState forms its full tensor on each read
-of amplitudes and keeps none; in the package only energy_checks reads
-it, for the tensor sides of its two dual routes.  lanczos_min is the
+of amplitudes and keeps none; in the package only the right side of
+energy_checks' decomposition identity reads it.  lanczos_min is the
 one Krylov solver, for the chaos distances, the pair block and the
 smoothing bound: the smallest eigenvalue of a matrix-free Hermitian
 operator by a three-term Lanczos recurrence.
@@ -443,10 +443,15 @@ def symmetrize(grid: Grid1D, tensor) -> BosonicState:
     tuple's orbit of index permutations, taken as the value at the sorted
     tuple plus the orbit's mean deviation from it, so a symmetric tensor
     (a BosonicState's amplitudes) gives back its values bit for bit before
-    the normalization.  A projection that annihilates the state (a norm at
-    most 1e-12 of the input's) is an error, and so is a non-finite value.
+    the normalization.  A non-finite value or squared norm is an error
+    before the projection, and so is a projection that annihilates the
+    state (a norm at most 1e-12 of the input's).
     """
     tensor = as_tensor(grid, tensor)
+    norm_sq = _norm_sq(tensor)
+    if not math.isfinite(norm_sq):
+        raise GridError(f"cannot symmetrize a tensor with a non-finite "
+                        f"value or norm (squared norm {norm_sq})")
     nn = tensor.ndim
     tables, expand = sector_tables(grid.n, nn)
     tuples, ranks, multiplicity = tables[-1]
@@ -461,10 +466,8 @@ def symmetrize(grid: Grid1D, tensor) -> BosonicState:
     mean /= multiplicity
     mean += rep
     nrm = math.sqrt(grid.h ** nn * _norm_sq(mean, multiplicity))
-    # NaN fails closed, and an infinite value makes the mean NaN
-    if not nrm > 1e-12 * math.sqrt(grid.h ** nn * _norm_sq(tensor)):
-        raise GridError(f"symmetrization annihilated the state or met a "
-                        f"non-finite value (norm {nrm})")
+    if not nrm > 1e-12 * math.sqrt(grid.h ** nn * norm_sq):
+        raise GridError(f"symmetrization annihilated the state (norm {nrm})")
     mean /= nrm
     return BosonicState(grid, nn, mean)
 

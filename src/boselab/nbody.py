@@ -15,9 +15,7 @@ transform.  Tensors below SPLIT_FLOOR amplitudes apply each factor P as
 psi + (P - 1) psi, which keeps the norm free of rounding bias.  Each
 factor is exactly unitary, so the discrete norm is conserved to
 rounding; the energy expectation oscillates within O(dt^2) without
-secular drift.  A trajectory computes its energies from the stored
-states when they are first read, not while it propagates, with one H_N
-built for all of them.
+secular drift.  A trajectory stores states, not energies.
 
 Storage: the state is bosonic, a grid.BosonicState, its values at the
 sorted index tuples i_1 <= ... <= i_N (grid.sector_tables), C(n+N-1, N)
@@ -58,29 +56,31 @@ kicks and the norm act on the sector on the calling thread.  The phases
 themselves are built once per call from sines of their real angle,
 without complex exp.
 
-The matrix-free H_N (hamiltonian) acts on sector values too, with K,
-the n x n matrix of k^2/2, and the potential at the sorted tuples built
-once: one product of K with the values gathered by site, then one gather
-per axis (about 2 ms at N = 4, n = 32 on one BLAS thread, against 30 ms
-for K along every axis of the 32^4 tensor).  energy_moment,
-<psi, (H_N + shift)^k psi>, is the one moment sum built on it; k = 1
-with no shift is the energy.  Every route here that takes a state takes
-a BosonicState of the system (_check_grid).
+The matrix-free one-body sum (one_body_sum), psi -> sum_j M_j psi for
+an n x n one-particle matrix M, acts on sector values: one product of M
+with the values gathered by site, then one gather per axis.  H_N
+(hamiltonian) is the one-body sum of K, the n x n matrix of k^2/2,
+added onto the potential at the sorted tuples (about 2 ms at N = 4,
+n = 32 on one BLAS thread, against 30 ms for K along every axis of the
+32^4 tensor).  _moment, <psi, (H_N + shift)^k psi> given one built H_N,
+is the one moment sum; k = 1 with no shift is the energy.  Every route
+here that takes a state takes a BosonicState of the system (_check_grid).
 
 Also here: the smooth spectral cutoff used to regularize rough initial
-data, an eigh of H_N as a dense matrix on the sector, and the residual
-of the trapped BBGKY hierarchy evaluated on stored trajectories, whose
-marginals and collision term read the sector values through one fold
-(marginals._full_fold) and whose one-body commutator applies the dense
-one-particle h along the kernel's axes.  No route here forms a state's
-n^N tensor or makes a Fourier transform.
+data, one eigh of H_N as a dense matrix on the sector for all its
+cutoff parameters, and the residual of the trapped BBGKY hierarchy
+evaluated on stored trajectories, whose marginals and collision term
+read the sector values through one fold (marginals._full_fold) and
+whose one-body commutator applies the dense one-particle h along the
+kernel's axes.  No route here forms a state's n^N tensor or makes a
+Fourier transform.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -403,10 +403,10 @@ def _check_grid(system: NBodySystem, state: BosonicState) -> None:
 
 @functools.lru_cache(maxsize=8)
 def _drop_one(n: int, nn: int) -> np.ndarray:
-    """[j, r]: the flat index (t_j, rank of t without t_j) into hamiltonian's
-    K B, shape (n, C(n+nn-2, nn-1)), for the sorted nn-tuple t of rank r
-    (grid.sector_tables).  The last 8 (n, nn) pairs are cached,
-    read-only: 1.7 MB at n = 32, nn = 4.
+    """[j, r]: the flat index (t_j, rank of t without t_j) into
+    one_body_sum's M B, shape (n, C(n+nn-2, nn-1)), for the sorted
+    nn-tuple t of rank r (grid.sector_tables).  The last 8 (n, nn) pairs
+    are cached, read-only: 1.7 MB at n = 32, nn = 4.
     """
     tables, _ = sector_tables(n, nn)
     tuples = tables[-1][0]
@@ -421,27 +421,21 @@ def _drop_one(n: int, nn: int) -> np.ndarray:
     return out
 
 
-def hamiltonian(system: NBodySystem):
-    """The matrix-free action psi -> H_N psi on BosonicState.values.
-
-    B[l, c] = psi(sort(c + (l,))) (marginals._sector_fold(n, N, 1)) for
-    each site l and sorted (N-1)-tuple c, and the kinetic term of axis j
-    at a sorted tuple t is (K B)[t_j, rank of t without t_j] (_drop_one).
-    The N terms are added to V psi in axis order, as V psi + sum_j K_j psi
-    is on the n^N tensor, so the result is its bits at the sorted tuples.
+def one_body_sum(system: NBodySystem, mat: np.ndarray):
+    """The matrix-free action (values, out) -> out + sum_j M_j psi on
+    BosonicState.values for an n x n one-particle matrix M; out is added
+    to in place and returned.  B[l, c] = psi(sort(c + (l,)))
+    (marginals._sector_fold(n, N, 1)) for each site l and sorted
+    (N-1)-tuple c, and the term of axis j at a sorted tuple t is
+    (M B)[t_j, rank of t without t_j] (_drop_one).  The N terms are added
+    in axis order, as on the n^N tensor, so the result is its bits at the
+    sorted tuples.
     """
-    grid, nn = system.grid, system.n_particles
-    kin = dense_operator(grid, kinetic_symbol(grid), np.zeros(grid.n))
-    pot = system.potential_at(sector_tables(grid.n, nn)[0][-1][0].T)
-    fold = _sector_fold(grid.n, nn, 1)[0]
-    drop = _drop_one(grid.n, nn)
+    fold = _sector_fold(system.grid.n, system.n_particles, 1)[0]
+    drop = _drop_one(system.grid.n, system.n_particles)
 
-    def apply(values: np.ndarray) -> np.ndarray:
-        if values.shape != pot.shape:
-            raise GridError(f"values of shape {values.shape} do not match "
-                            f"the system's {pot.shape}")
-        terms = (kin @ np.take(values, fold)).reshape(-1)
-        out = pot * values
+    def apply(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        terms = (mat @ np.take(values, fold)).reshape(-1)
         for index in drop:
             out += np.take(terms, index)
         return out
@@ -449,20 +443,30 @@ def hamiltonian(system: NBodySystem):
     return apply
 
 
-def energy_moment(system: NBodySystem, state: BosonicState, k: int = 1,
-                  shift: float = 0.0) -> float:
-    """<psi, (H_N + shift)^k psi> with the h^N quadrature weight, by
-    repeated matrix-free application; k = 1 with no shift is the energy."""
-    _check_grid(system, state)
-    if k < 1:
-        raise GridError("moment order must be >= 1")
-    return _moment(system, hamiltonian(system), state, k, shift)
+def hamiltonian(system: NBodySystem):
+    """The matrix-free action psi -> H_N psi on BosonicState.values: the
+    one_body_sum of K added onto V psi, so the result is the bits of
+    V psi + sum_j K_j psi on the n^N tensor at the sorted tuples."""
+    grid, nn = system.grid, system.n_particles
+    kin = one_body_sum(system, dense_operator(grid, kinetic_symbol(grid),
+                                              np.zeros(grid.n)))
+    pot = system.potential_at(sector_tables(grid.n, nn)[0][-1][0].T)
+
+    def apply(values: np.ndarray) -> np.ndarray:
+        if values.shape != pot.shape:
+            raise GridError(f"values of shape {values.shape} do not match "
+                            f"the system's {pot.shape}")
+        return kin(values, pot * values)
+
+    return apply
 
 
-def _moment(system: NBodySystem, ham, state: BosonicState, k: int = 1,
+def _moment(system: NBodySystem, ham, state: BosonicState, k: int,
             shift: float = 0.0) -> float:
-    """energy_moment's sum, given ham = hamiltonian(system), each sorted
-    tuple's term weighted by its multiplicity."""
+    """<psi, (H_N + shift)^k psi> with the h^N quadrature weight, given
+    ham = hamiltonian(system), by repeated matrix-free application, each
+    sorted tuple's term weighted by its multiplicity; k = 1 with no shift
+    is the energy."""
     vec = values = state.values
     for _ in range(k):
         vec = ham(vec) + shift * vec
@@ -477,41 +481,19 @@ def _moment(system: NBodySystem, ham, state: BosonicState, k: int = 1,
 @dataclass
 class Trajectory:
     """Stored snapshots of an N-body propagation (evolve's BosonicStates,
-    after the initial state as given).
-
-    energies, <psi, H_N psi> at each stored state, is computed from the
-    states the first time it is read and then kept, so a propagation
-    whose energies are never read does not compute them; one H_N is built
-    for all of them.
-    """
+    after the initial state as given)."""
 
     system: NBodySystem
     dt: float
     store_every: int
     times: np.ndarray
     states: list
-    norms: np.ndarray
     # largest |norm - norm at step 0| over every step, stored or not
     norm_drift: float
-    _energies: np.ndarray | None = field(default=None, init=False,
-                                         repr=False, compare=False)
 
     @property
     def store_dt(self) -> float:
         return self.dt * self.store_every
-
-    @property
-    def energies(self) -> np.ndarray:
-        if self._energies is None:
-            ham = hamiltonian(self.system)
-            self._energies = np.asarray(
-                [_moment(self.system, ham, s) for s in self.states])
-        return self._energies
-
-    def max_energy_drift(self) -> float:
-        e0 = self.energies[0]
-        scale = max(abs(e0), 1e-30)
-        return float(np.max(np.abs(self.energies - e0)) / scale)
 
 
 def evolve(system: NBodySystem, state: BosonicState, dt: float,
@@ -535,8 +517,7 @@ def evolve(system: NBodySystem, state: BosonicState, dt: float,
     result at the sorted tuples, the closing half kick, the
     multiplicity-weighted norm, and the next step's opening half kick;
     it makes no Fourier transform.  Below SPLIT_FLOOR amplitudes (n^N)
-    each factor P is applied as psi + (P - 1) psi.  No energy is computed
-    here (Trajectory.energies computes them when read).
+    each factor P is applied as psi + (P - 1) psi.
     """
     _check_grid(system, state)
     if dt <= 0 or n_steps < 1 or store_every < 1:
@@ -557,7 +538,6 @@ def evolve(system: NBodySystem, state: BosonicState, dt: float,
     drift = 0.0
     times = [0.0]
     states = [state]
-    norms = [norm_prev]
     psi = np.empty_like(closed)
     _kick(closed, half, split, psi)
 
@@ -585,12 +565,11 @@ def evolve(system: NBodySystem, state: BosonicState, dt: float,
         if step % store_every == 0:
             times.append(step * dt)
             states.append(BosonicState(grid, nn, closed))  # a copy
-            norms.append(norm_now)
         if step < n_steps:
             _kick(closed, half, split, psi)
 
     return Trajectory(system, dt, store_every, np.asarray(times), states,
-                      np.asarray(norms), drift)
+                      drift)
 
 
 # -- spectral cutoff ---------------------------------------------------------
@@ -610,25 +589,25 @@ def cutoff_chi(s) -> np.ndarray:
 
 
 def spectral_cutoff(system: NBodySystem, state: BosonicState,
-                    kappa: float) -> BosonicState:
-    """Regularized state chi(kappa H_N / N) psi, renormalized.
+                    kappas) -> list:
+    """chi(kappa H_N / N) psi, renormalized, for each kappa in kappas.
 
-    chi = cutoff_chi is 1 below s = 1 and 0 above s = 2 (and 1 for negative arguments),
-    so the result has energy moments <H^k> <= (2N/kappa)^k while staying
+    chi = cutoff_chi is 1 below s = 1 and 0 above s = 2, so each result has energy moments <H^k> <= (2N/kappa)^k while staying
     kappa^(1/2)-close to psi when psi has bounded energy per particle.
     H_N is taken on the bosonic sector, in its orthonormal basis of
     normalized orbit sums, whose coordinates are sqrt(mult) times the
     sector values: a dense Hermitian matrix of side C(n+N-1, N), its
     column c hamiltonian(system) applied to the values 1/sqrt(mult(c))
     at c, its rows times sqrt(mult), Hermitized as (M + M^dagger)/2.  The
-    side is capped at grid.DENSE_SIDE_CAP (GridError), and the matrix is
-    built and diagonalized afresh on every call (side 136 in
-    cli.energy_spectral_cutoff, where eigh takes milliseconds).
+    side is capped at grid.DENSE_SIDE_CAP, and every kappa must be finite
+    and positive (GridError before the build).  The matrix is built and
+    diagonalized once for all the kappas.
     """
     _check_grid(system, state)
-    if not 0 < kappa < math.inf:  # NaN fails closed
-        raise GridError(f"cutoff parameter kappa must be finite and "
-                        f"positive, got {kappa}")
+    for kappa in kappas:
+        if not 0 < kappa < math.inf:  # NaN fails closed
+            raise GridError(f"cutoff parameter kappa must be finite and "
+                            f"positive, got {kappa}")
     nn, root = system.n_particles, np.sqrt(state.multiplicity)
     side = len(root)
     if side > _grid.DENSE_SIDE_CAP:
@@ -644,14 +623,17 @@ def spectral_cutoff(system: NBodySystem, state: BosonicState,
     mat *= root[:, None]
     evals, evecs = np.linalg.eigh(0.5 * (mat + mat.conj().T))
     coeffs = evecs.conj().T @ (root * state.values)
-    vec = evecs @ (cutoff_chi(kappa * evals / nn) * coeffs)
-    # the basis is orthonormal, so the Euclidean norm is the state's; a
-    # NaN fails closed
-    norm_sq = float(np.vdot(vec, vec).real) * system.grid.h ** nn
-    if not norm_sq > 1e-28:
-        raise NumericalAbort(f"spectral cutoff annihilated the state "
-                             f"(norm^2 {norm_sq:.3e})")
-    return BosonicState(system.grid, nn, vec / root).normalized()
+    cuts = []
+    for kappa in kappas:
+        vec = evecs @ (cutoff_chi(kappa * evals / nn) * coeffs)
+        # the basis is orthonormal, so the Euclidean norm is the state's;
+        # a NaN fails closed
+        norm_sq = float(np.vdot(vec, vec).real) * system.grid.h ** nn
+        if not norm_sq > 1e-28:
+            raise NumericalAbort(f"spectral cutoff annihilated the state "
+                                 f"(norm^2 {norm_sq:.3e})")
+        cuts.append(BosonicState(system.grid, nn, vec / root).normalized())
+    return cuts
 
 
 # -- BBGKY residual ----------------------------------------------------------

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from boselab import collapse, energy_checks, marginals
+from boselab import collapse, energy_checks, marginals, nbody
 from boselab.grid import (DENSE_SIDE_CAP, Grid1D, GridError, dense_operator,
                           dense_weight_squared, kinetic_symbol, on_axes,
                           pair_differences, sector_tables, symmetrize,
@@ -171,6 +171,25 @@ def dense_hamiltonian(system: NBodySystem) -> np.ndarray:
     pair = potential_diagonal(replace(system, omega=0.0))
     ham.reshape(-1)[::system.dim + 1] += pair.reshape(-1)
     return ham
+
+
+def energy_moment(system: NBodySystem, state, k: int = 1,
+                  shift: float = 0.0) -> float:
+    """<psi, (H_N + shift)^k psi> with a fresh H_N, through the state guard
+    of the N-body routes: nbody's moment sum for one state, where the
+    energy checks build H_N once for all of theirs."""
+    nbody._check_grid(system, state)
+    if k < 1:
+        raise GridError("moment order must be >= 1")
+    return nbody._moment(system, nbody.hamiltonian(system), state, k, shift)
+
+
+def energy_drift(traj) -> float:
+    """Largest |E(t) - E(0)| / |E(0)| over a trajectory's stored states,
+    E = energy_moment (the scale floored at 1e-30)."""
+    energies = np.array([energy_moment(traj.system, s) for s in traj.states])
+    return float(np.max(np.abs(energies - energies[0]))
+                 / max(abs(energies[0]), 1e-30))
 
 
 def dense_cutoff(system: NBodySystem, state, kappa: float):

@@ -23,7 +23,7 @@ from boselab import cli
 from boselab.grid import Grid1D, random_state
 from boselab.nbody import NBodySystem, evolve
 from boselab.potentials import gaussian_well
-from oracles import symmetry_residual
+from oracles import energy_drift, symmetry_residual
 
 
 @contextlib.contextmanager
@@ -94,7 +94,7 @@ def test_criterion_06_solver_invariants():
         psi0 = random_state(grid, 3, seed=2, k_filter=2.0)
         traj = evolve(system, psi0, 1e-3, 1000, store_every=100)
         assert traj.norm_drift <= 1e-10
-        assert traj.max_energy_drift() <= 1e-6
+        assert energy_drift(traj) <= 1e-6
         assert all(symmetry_residual(s.amplitudes) <= 1e-9
                    for s in traj.states)
 

@@ -14,16 +14,26 @@ from boselab import collapse as C
 from oracles import theta_hat_quadrature
 
 
+def _theta_l1(probe):
+    """int |theta-hat| by the probe's own panel rule: at epsilon = 0,
+    |u| H(eta, xi1, u)."""
+    return float(np.sum(probe.s_weights * probe.theta_abs))
+
+
 class TestProbe:
     def test_theta_constants(self):
         probe = C.make_probe(0.25)
-        assert probe.theta_l1 == pytest.approx(7.719684800738541, rel=1e-12)
-        assert probe.theta_mass == pytest.approx(1.206900322437876, rel=1e-12)
+        assert _theta_l1(probe) == pytest.approx(7.719684800738541,
+                                                 rel=1e-12)
+        # the trapezoid mass that make_probe requires to be positive
+        sample = np.linspace(-2.0, 2.0, 4001)
+        mass = float(np.trapezoid(C.bump(sample), sample))
+        assert mass == pytest.approx(1.206900322437876, rel=1e-12)
         # mass oracle: the window transform at zero frequency is the
         # plain integral of the bump
         oracle = 2.0 * quad(lambda t: math.exp(1.0 - 1.0 / (1.0 - t * t)),
                             0.0, 1.0, limit=200)[0]
-        assert probe.theta_mass == pytest.approx(oracle, rel=1e-12)
+        assert mass == pytest.approx(oracle, rel=1e-12)
 
     def test_window_transform_table_vs_quadrature(self):
         probe = C.make_probe(0.25)
@@ -123,16 +133,22 @@ class TestKernelH:
     def test_eps_zero_reduces_to_pure_singularity(self):
         # at epsilon = 0 both brackets collapse and H = |u|^{-1} int|theta^|
         p0 = C.make_probe(0.0)
-        vals = [C.kernel_H(p0, e, x, 1.0)
+        vals = [C.kernel_H(p0, e, x, np.array([1.0]))[0]
                 for (e, x) in [(0.0, 0.0), (11.0, -3.0), (-5.0, 40.0)]]
         assert max(vals) - min(vals) < 1e-8
-        assert vals[0] == pytest.approx(p0.theta_l1, rel=1e-8)
-        assert C.kernel_H(p0, 2.0, 1.0, -3.0) * 3.0 == pytest.approx(
-            p0.theta_l1, rel=1e-8)
+        assert vals[0] == pytest.approx(_theta_l1(p0), rel=1e-8)
+        assert C.kernel_H(p0, 2.0, 1.0, np.array([-3.0]))[0] * 3.0 == (
+            pytest.approx(_theta_l1(p0), rel=1e-8))
 
     def test_rejects_u_zero(self):
         with pytest.raises(GridError, match="undefined at u = 0"):
-            C.kernel_H(C.make_probe(0.1), 0.0, 0.0, 0.0)
+            C.kernel_H(C.make_probe(0.1), 0.0, 0.0, np.array([0.0]))
+
+    def test_rejects_u_that_is_not_1d(self):
+        probe = C.make_probe(0.1)
+        for u in (1.0, np.ones((2, 2))):
+            with pytest.raises(GridError, match="1-D array"):
+                C.kernel_H(probe, 0.0, 0.0, u)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_u(self, bad):
@@ -145,7 +161,7 @@ class TestKernelH:
     def test_rejects_non_finite_point(self, eta, xi1):
         # integral_I(probe, inf, 1.0) used to return 0.0
         probe = C.make_probe(0.25)
-        for call in (lambda: C.kernel_H(probe, eta, xi1, 1.0),
+        for call in (lambda: C.kernel_H(probe, eta, xi1, np.array([1.0])),
                      lambda: C.integral_I(probe, eta, xi1)):
             with pytest.raises(GridError, match="must be finite"):
                 call()
@@ -177,7 +193,7 @@ class TestKernelH:
             if abs(u) < 1e-3:
                 continue
             sig = eta / u - 2.0 * xi1
-            env = (C.kernel_H(probe, eta, xi1, u) * abs(u)
+            env = (C.kernel_H(probe, eta, xi1, np.array([u]))[0] * abs(u)
                    * (1.0 + sig ** 2) ** 0.25
                    * (1.0 + (sig + 2.0 * u) ** 2) ** 0.25)
             worst = max(worst, env)
@@ -186,7 +202,7 @@ class TestKernelH:
 
     def test_monotone_in_epsilon(self):
         for (eta, xi1, u) in [(0.0, 0.0, 0.3), (7.0, -2.0, 1.7)]:
-            hs = [C.kernel_H(C.make_probe(e), eta, xi1, u)
+            hs = [C.kernel_H(C.make_probe(e), eta, xi1, np.array([u]))[0]
                   for e in (0.0, 0.05, 0.15, 0.25)]
             assert all(a >= b - 1e-12 for a, b in zip(hs, hs[1:]))
 

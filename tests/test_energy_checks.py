@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boselab.cli import DEFAULTS
-from boselab.grid import Grid1D, GridError, random_state
-from boselab.nbody import NBodySystem, energy_moment
+from boselab import energy_checks
+from boselab.grid import Grid1D, GridError, random_state, weighted_norm_squared
+from boselab.nbody import NBodySystem
 from boselab.potentials import PotentialSpec, gaussian_well, mixed_sign
 from boselab.energy_checks import (
     check_K_inequality,
@@ -17,7 +18,7 @@ from boselab.energy_checks import (
     check_pair_positivity,
     check_sobolev_operator_bound,
 )
-from oracles import dense_pair_block, dense_sobolev_sigma
+from oracles import dense_pair_block, dense_sobolev_sigma, energy_moment
 
 GAUSSIAN = gaussian_well(1.0, 1.0)
 MIXED = mixed_sign(1.0, 1.0, r=0.25)
@@ -146,10 +147,9 @@ def test_K_inequality_and_negative_control():
 def test_energy_estimate_first_moment(n_particles):
     g = Grid1D(16, 8.0)
     system = NBodySystem(g, n_particles, potential=GAUSSIAN, omega=1.0)
-    for seed in range(10):
-        state = random_state(g, n_particles, seed=seed,
-                             k_filter=3.0)
-        res = check_energy_estimate(system, state, 1)
+    states = [random_state(g, n_particles, seed=seed, k_filter=3.0)
+              for seed in range(10)]
+    for res in check_energy_estimate(system, states, 1):
         assert res["margin"] >= -1e-8
         assert res["lhs"] >= res["rhs"] - 1e-8
 
@@ -158,8 +158,8 @@ def test_energy_estimate_second_moment_reported():
     g = Grid1D(16, 8.0)
     system = NBodySystem(g, 3, potential=GAUSSIAN, omega=1.0)
     state = random_state(g, 3, seed=0, k_filter=3.0)
-    res = check_energy_estimate(system, state, 2)
-    assert res["k"] == 2
+    [res] = check_energy_estimate(system, [state], 2)
+    assert sorted(res) == ["lhs", "margin", "rhs"]
     assert math.isfinite(res["margin"])
     assert res["lhs"] == pytest.approx(2726.8496021873807, rel=1e-8)
 
@@ -170,7 +170,8 @@ def test_energy_estimate_lhs_is_the_shifted_moment(n_particles, k):
     system = NBodySystem(g, n_particles, potential=GAUSSIAN, omega=1.0)
     state = random_state(g, n_particles, seed=4, k_filter=3.0)
     shift = n_particles * (1.0 + GAUSSIAN.alpha())
-    lhs = check_energy_estimate(system, state, k)["lhs"]
+    [res] = check_energy_estimate(system, [state], k)
+    lhs = res["lhs"]
     assert lhs == energy_moment(system, state, k, shift=shift)
     # <(H + s)^k> = sum_j C(k, j) s^(k-j) <H^j>, with <H^0> = ||psi||^2
     moments = [state.norm() ** 2] + [energy_moment(system, state, j)
@@ -191,14 +192,15 @@ g = Grid1D(16, cfg["length"])
 system = NBodySystem(g, 4, potential=PotentialSpec(**cfg["potential"]),
                      omega=1.0)
 state = random_state(g, 4, seed=5, k_filter=4.0)
-print(check_energy_estimate(system, state, 1)["rhs"].hex())
+print(check_energy_estimate(system, [state], 1)[0]["rhs"].hex())
 """
 
 
 def test_energy_estimate_rhs_is_bit_identical_across_blas_threads():
     # the weighted norm was a BLAS dot over the 16^4 tensor, and this
     # draw's rhs read 0x1.a59e9f749bbb3p+4 at one OpenBLAS thread and
-    # 0x1.a59e9f749bbb7p+4 at two
+    # 0x1.a59e9f749bbb7p+4 at two; the power sum on the sector reads
+    # 0x1.a59e9f749bba4p+4 at both
     import os
     import subprocess
     import sys
@@ -214,7 +216,7 @@ def test_energy_estimate_rhs_is_bit_identical_across_blas_threads():
                              env=env, capture_output=True, text=True,
                              check=True)
         values.append(out.stdout.strip())
-    assert values[0].startswith("0x1.a59e9f749bbb")
+    assert values[0].startswith("0x1.a59e9f749bba")
     assert values[0] == values[1]
 
 
@@ -223,9 +225,58 @@ def test_energy_estimate_validation():
     system = NBodySystem(g, 2, potential=GAUSSIAN)
     state = random_state(g, 2, seed=0)
     with pytest.raises(GridError):
-        check_energy_estimate(system, state, 3)
+        check_energy_estimate(system, [state], 3)
     with pytest.raises(GridError, match="k < N"):
-        check_energy_estimate(system, state, 2)
+        check_energy_estimate(system, [state], 2)
+    # every state passes the guard of the N-body routes
+    for foreign, match in ((random_state(Grid1D(16, 4.0), 2, seed=0), "grid"),
+                           (state.amplitudes, "BosonicState")):
+        with pytest.raises(GridError, match=match):
+            check_energy_estimate(system, [state, foreign], 1)
+
+
+@pytest.mark.parametrize("n_particles,k", [(2, 1), (3, 1), (3, 2), (4, 1),
+                                           (4, 2)])
+def test_energy_estimate_rhs_is_the_tensor_weighted_norm(n_particles, k):
+    # the power sums on the sector against ||S_1..S_k psi||^2 by FFTs on
+    # the n^N tensor (grid.weighted_norm_squared), the former right side
+    cfg = DEFAULTS["energy_suite"]
+    g = Grid1D(16, cfg["length"])
+    system = NBodySystem(g, n_particles,
+                         potential=PotentialSpec(**cfg["potential"]),
+                         omega=1.0)
+    states = [random_state(g, n_particles, seed=seed, k_filter=4.0)
+              for seed in range(4)]
+    for state, res in zip(states, check_energy_estimate(system, states, k),
+                          strict=True):
+        want = n_particles ** k * weighted_norm_squared(
+            g, state.amplitudes, list(range(k)), "S", 1.0) / 2.0 ** k
+        assert res["rhs"] == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("k,sums", [(1, 1), (2, 2)])
+def test_energy_estimate_builds_its_operators_once(monkeypatch, k, sums):
+    # one H_N and one power sum per order, whatever the number of states;
+    # each state's result is the one it gets alone
+    g = Grid1D(16, 8.0)
+    system = NBodySystem(g, 3, potential=GAUSSIAN, omega=1.0)
+    states = [random_state(g, 3, seed=seed, k_filter=3.0)
+              for seed in range(5)]
+    alone = [check_energy_estimate(system, [s], k)[0] for s in states]
+    builds = []
+
+    def counted(name, build):
+        def run(*args):
+            builds.append(name)
+            return build(*args)
+        return run
+
+    for name in ("hamiltonian", "one_body_sum"):
+        monkeypatch.setattr(energy_checks, name,
+                            counted(name, getattr(energy_checks, name)))
+    results = check_energy_estimate(system, states, k)
+    assert sorted(builds) == ["hamiltonian"] + ["one_body_sum"] * sums
+    assert results == alone
 
 
 def test_sobolev_operator_bound_dual_route():

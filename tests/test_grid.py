@@ -210,6 +210,13 @@ def test_symmetrize_rejects_antisymmetric_input():
     product[2, 5] = np.nan
     with pytest.raises(GridError, match="non-finite"):
         symmetrize(g, product)
+    # one inf used to warn of inf - inf in the projection first, which
+    # the suite's error::RuntimeWarning filter raises in place of the
+    # GridError
+    infinite = np.ones((8, 8), dtype=np.complex128)
+    infinite[3, 6] = np.inf
+    with pytest.raises(GridError, match="non-finite"):
+        symmetrize(Grid1D(8, 4.0), infinite)
 
 
 def _permutation_average(amplitudes):

@@ -26,6 +26,12 @@ field is a defaulted parameter of the class's generated constructor,
 called by the class's name.  A call that unpacks *args
 or **kwargs sets every parameter it could reach.  The exceptions are
 listed in ALLOWED_PARAMETERS.
+
+The field guard applies the rule to data: a public annotated field of a
+public src/ class must be read as an attribute (x.field, in load
+context, not rooted at an imported module) somewhere in src/; a field
+that only tests read is test data.  The exceptions are listed in
+ALLOWED_FIELDS.
 """
 
 import ast
@@ -61,6 +67,13 @@ ALLOWED_PARAMETERS = {
     # a paper statement that no runner checks yet: the lens energy's
     # moment order
     "lens.intertwine_energy_check.k",
+}
+
+# public fields that no src/ code reads, grouped by the reason each stays
+ALLOWED_FIELDS = {
+    # the only record of the norm over the steps evolve does not store;
+    # criterion 06 reads it, and a run report is to show it
+    "nbody.Trajectory.norm_drift",
 }
 
 
@@ -247,6 +260,26 @@ def _unset_parameters():
     return sorted(unset)
 
 
+def _unread_fields():
+    """module.Class.field of every public annotated field of a public
+    class that no src/ module reads as an attribute."""
+    trees, modules = _parse()
+    reads = Counter(
+        sub.attr for stem, tree in trees.items() for sub in ast.walk(tree)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+        and not (isinstance(_root(sub), ast.Name)
+                 and _root(sub).id in modules[stem]))
+    return sorted(
+        f"{module}.{node.name}.{stmt.target.id}"
+        for module, tree in trees.items()
+        for node in _public(tree.body, ast.ClassDef)
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign)
+        and isinstance(stmt.target, ast.Name)
+        and not stmt.target.id.startswith("_")
+        and not reads[stmt.target.id])
+
+
 def test_every_public_name_has_a_caller_in_src():
     unreferenced = _unreferenced()
     assert [name for name in unreferenced if name not in ALLOWED] == []
@@ -289,3 +322,11 @@ def test_dataclass_fields_are_constructor_parameters():
     [(qualified, call, defaulted)] = _functions(tree)
     assert (qualified, call) == ("A", "A")
     assert list(defaulted) == [(1, "y"), (2, "z"), (4, "u")]
+
+
+def test_every_public_field_is_read_in_src():
+    unread = _unread_fields()
+    assert [name for name in unread if name not in ALLOWED_FIELDS] == []
+    # an entry whose field gained a reader, or left src/, is dropped
+    assert sorted(ALLOWED_FIELDS) == [name for name in unread
+                                      if name in ALLOWED_FIELDS]
