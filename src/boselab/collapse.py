@@ -42,6 +42,16 @@ _WINDOW_ROWS = 64 small-|u| rows per pass (one padded breakpoint table
 each), and direct_operator_test evaluates separable members over blocks
 of tau samples.  The block sizes are fixed and bound the peak memory.
 
+No quadrature value is computed twice, and each shortcut keeps the bits
+of the value it replaces.  H(eta, xi1, -u) = H(eta, -xi1, u) bit for bit
+(u sigma = eta - 2 xi1 u is the same, and the brackets see u only through
+squares), and the u < 0 nodes are the u > 0 nodes negated in reverse, so
+at xi1 = 0 integral_I and the control scan take one H for both signs.  The smooth panels' nodes are stored
+node-major and summed per panel by one array add per node in numpy's
+pairwise order (_node_sum), which equals np.sum of each panel's nodes.
+direct_operator_test makes one free phase per tau block and evolves each
+distinct factor array once in it.
+
 Threading: kernel_H splits its u-blocks into lanes on the package's one
 thread pool (grid._in_blocks), every pool-size-th block to one lane, so
 the window-heavy small-|u| blocks at one end of each sign's nodes are
@@ -317,9 +327,10 @@ class CollapseProbe:
     refine: int
     spline: _NotAKnotSpline = field(repr=False)
     panel_edges: np.ndarray = field(repr=False)
+    # the smooth panels' Gauss-Legendre nodes and their weights times
+    # |theta-hat| there, node-major: row j holds node j of every panel
     s_nodes: np.ndarray = field(repr=False)
-    s_weights: np.ndarray = field(repr=False)
-    theta_abs: np.ndarray = field(repr=False)
+    theta_weights: np.ndarray = field(repr=False)
     gl_order: int
     window_order: int
     xi_eff: float
@@ -341,7 +352,8 @@ def make_probe(epsilon: float, refine: int = 1) -> CollapseProbe:
     if not 0.0 <= epsilon < math.inf:
         raise GridError(f"epsilon must be finite and nonnegative, "
                         f"got {epsilon!r}")
-    if not isinstance(refine, (int, np.integer)) or refine < 1:
+    if (isinstance(refine, bool) or not isinstance(refine, (int, np.integer))
+            or refine < 1):
         raise GridError(f"refine must be a positive integer, got {refine!r}")
     xi, vals, spline = _theta_hat_table()
     peak = float(np.max(np.abs(vals)))
@@ -373,14 +385,15 @@ def make_probe(epsilon: float, refine: int = 1) -> CollapseProbe:
     edges = _dedupe(np.concatenate(([-xi_eff], zeros, [xi_eff])))
 
     gl_order = 8 * refine
-    nodes, weights = _gl_panels(edges, gl_order)
-    theta_abs = np.abs(spline(nodes))
+    nodes, weights = (np.ascontiguousarray(a.T)
+                      for a in _gl_panels(edges, gl_order))
 
     return CollapseProbe(
         epsilon=float(epsilon), refine=refine, spline=spline,
-        panel_edges=edges, s_nodes=nodes, s_weights=weights,
-        theta_abs=theta_abs, gl_order=gl_order, window_order=6 * refine,
-        xi_eff=xi_eff, u_min=1e-6 if epsilon >= 0.2 else 1e-10)
+        panel_edges=edges, s_nodes=nodes,
+        theta_weights=weights * np.abs(spline(nodes)), gl_order=gl_order,
+        window_order=6 * refine, xi_eff=xi_eff,
+        u_min=1e-6 if epsilon >= 0.2 else 1e-10)
 
 
 # ----------------------------------------------------------------------
@@ -477,6 +490,44 @@ def _window_sums(probe: CollapseProbe, u: np.ndarray, us: np.ndarray,
     return np.bincount(prow, weights=panel, minlength=u.size)
 
 
+# values up to which numpy's pairwise sum keeps 8 running sums
+_PAIRWISE_BLOCK = 128
+
+
+def _node_sum(terms: np.ndarray, lo: int, n: int) -> np.ndarray:
+    """Sum of terms[:, lo:lo + n] over axis 1, left in terms[:, lo];
+    returns that view.
+
+    Bit for bit np.sum of each run terms[i, lo:lo + n, j] laid out
+    contiguously: numpy's pairwise sum adds fewer than 8 values in order;
+    up to _PAIRWISE_BLOCK values it keeps 8 running sums r0..r7 over the
+    multiple-of-8 part, adds them as ((r0 + r1) + (r2 + r3)) +
+    ((r4 + r5) + (r6 + r7)), then the rest in order; a longer run is
+    summed as two halves split at a multiple of 8.  Here each add is one
+    array operation over every (i, j) at once.  (numpy starts from +0.0,
+    so only a run of -0.0 alone differs, in the sign of its zero.)
+    """
+    acc = terms[:, lo]
+    if n > _PAIRWISE_BLOCK:
+        half = n // 2 - (n // 2) % 8
+        _node_sum(terms, lo, half)
+        acc += _node_sum(terms, lo + half, n - half)
+    elif n < 8:
+        for k in range(lo + 1, lo + n):
+            acc += terms[:, k]
+    else:
+        run = terms[:, lo:lo + 8]
+        top = lo + n - n % 8
+        for k in range(lo + 8, top, 8):
+            run += terms[:, k:k + 8]
+        run[:, 0::2] += run[:, 1::2]
+        run[:, 0::4] += run[:, 2::4]
+        acc += run[:, 4]
+        for k in range(top, lo + n):
+            acc += terms[:, k]
+    return acc
+
+
 def _smooth_chunk(probe: CollapseProbe, u: np.ndarray, us: np.ndarray):
     """|u| H on one block of u from the smooth panels alone.
 
@@ -487,8 +538,8 @@ def _smooth_chunk(probe: CollapseProbe, u: np.ndarray, us: np.ndarray):
     n_panels = edges.size - 1
     btil = _bracket_pair(probe.s_nodes[None, :, :], u[:, None, None],
                          us[:, None, None], probe.epsilon)
-    btil *= probe.s_weights * probe.theta_abs
-    panel_sums = np.sum(btil, axis=2)
+    btil *= probe.theta_weights
+    panel_sums = _node_sum(btil, 0, probe.gl_order)
     val = np.sum(panel_sums, axis=1)
     cums = np.concatenate(
         [np.zeros((u.size, 1)), np.cumsum(panel_sums, axis=1)], axis=1)
@@ -579,8 +630,11 @@ def integral_I(probe: CollapseProbe, eta: float, xi1: float) -> dict:
 
     Panels: dyadic grading into u = 0 from probe.u_min, geometric tails
     to _U_TAIL, with extra graded breakpoints at the quadratic-root
-    features where the large-u envelope of H peaks.  Returns the value,
-    the split parts, and an analytic tail estimate (flagging truncation).
+    features where the large-u envelope of H peaks.  At xi1 = 0 the
+    u < 0 side reads H off the u > 0 side in reverse, with no second
+    kernel_H call; each side is still summed in its own node order.
+    Returns the value, the split parts, and an analytic tail estimate
+    (flagging truncation).
     """
     _check_point(eta, xi1)
     eps = probe.epsilon
@@ -600,13 +654,19 @@ def integral_I(probe: CollapseProbe, eta: float, xi1: float) -> dict:
     i1 = i2 = 0.0
     tail = 0.0
     n_nodes = 0
+    hvals = None
     for sign in (1.0, -1.0):
         edges = sign * mags if sign > 0 else -mags[::-1]
         nodes, weights = _gl_panels(edges, probe.gl_order)
         un = nodes.ravel()
         wn = weights.ravel()
         n_nodes += un.size
-        hvals = kernel_H(probe, eta, xi1, un)
+        if hvals is not None and xi1 == 0.0:
+            # the u < 0 nodes are the u > 0 nodes negated in reverse, and
+            # H(eta, 0, -u) = H(eta, 0, u) bit for bit
+            hvals = hvals[::-1]
+        else:
+            hvals = kernel_H(probe, eta, xi1, un)
         outer = (1.0 + xi1 * xi1) ** eps / (1.0 + (xi1 - un) ** 2) ** eps
         contrib = wn * outer * hvals
         inner = np.abs(un) <= 1.0
@@ -731,7 +791,8 @@ def optimality_scan(probe: CollapseProbe, mode: str, deltas) -> dict:
         at the probe's eps (converges; its slope is the negative control).
 
     Integrates over delta <= |u| <= 1 for each cutoff and fits the
-    value against ln(1/delta).
+    value against ln(1/delta).  The control mode evaluates H once per
+    cutoff and uses it for both signs of u.
     """
     if mode not in ("T_infinite", "epsilon_zero", "control"):
         raise GridError(f"unknown optimality mode {mode!r}")
@@ -740,6 +801,8 @@ def optimality_scan(probe: CollapseProbe, mode: str, deltas) -> dict:
     values = []
     for delta in deltas:
         un, wn = _shell_quadrature(delta, 16 * probe.refine, probe.refine)
+        # H(0, 0, -u) = H(0, 0, u) bit for bit: one H serves both signs
+        hvals = kernel_H(probe, 0.0, 0.0, un) if mode == "control" else None
         total = 0.0
         for sign in (1.0, -1.0):
             u = sign * un
@@ -752,8 +815,7 @@ def optimality_scan(probe: CollapseProbe, mode: str, deltas) -> dict:
                            * (1.0 + (u + q) ** 2) ** eps
                            * np.abs(u))
             else:
-                g = (1.0 / (1.0 + u ** 2) ** eps
-                     * kernel_H(probe, 0.0, 0.0, u))
+                g = 1.0 / (1.0 + u ** 2) ** eps * hvals
             total += float(np.sum(wn * g))
         values.append(total)
     fit = linear_fit(np.log(1.0 / np.array(deltas)), np.array(values))
@@ -773,30 +835,50 @@ def _evolve(phase: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.fft.ifft(phase * np.fft.fft(f))
 
 
+class _FreeFlow:
+    """The free flow at tau (a scalar or a column of tau samples): each
+    distinct factor array is evolved once, however many members share it.
+    """
+
+    def __init__(self, grid: Grid1D, tau):
+        self.phase = _free_phase(grid, tau)
+        # id -> (array, its evolution); holding the array keeps its id
+        self._evolved = {}
+
+    def __call__(self, f: np.ndarray) -> np.ndarray:
+        key = id(f)
+        if key not in self._evolved:
+            self._evolved[key] = (f, _evolve(self.phase, f))
+        return self._evolved[key][1]
+
+
 def _weight_sq(grid: Grid1D, eps: float) -> np.ndarray:
     return bracket_squared(grid) ** eps
 
 
-def _gram_hat(grid: Grid1D, eps: float, xa: np.ndarray, xb: np.ndarray):
-    """<R fa, R fb> from the transforms xa, xb, along the last axis."""
-    w2 = _weight_sq(grid, eps)
-    return grid.h / grid.n * np.sum(w2 * np.conj(xa) * xb, axis=-1)
+def _gram_hat(grid: Grid1D, wxa: np.ndarray, xb: np.ndarray):
+    """<R fa, R fb> from wxa = w2 conj(xa) and the transforms xa, xb,
+    along the last axis."""
+    return grid.h / grid.n * np.sum(wxa * xb, axis=-1)
 
 
 def _gram(grid: Grid1D, eps: float, fa: np.ndarray, fb: np.ndarray) -> complex:
     """<R fa, R fb> with the grid quadrature weight."""
-    return complex(_gram_hat(grid, eps, np.fft.fft(fa), np.fft.fft(fb)))
+    wxa = _weight_sq(grid, eps) * np.conj(np.fft.fft(fa))
+    return complex(_gram_hat(grid, wxa, np.fft.fft(fb)))
 
 
 def _rank2_norm_sq(grid: Grid1D, eps: float, a1, b1, a2, b2):
     """||R (a1 x b1 - a2 x b2)||^2 from 2x2 Grams, along the last axis."""
     x1, y1, x2, y2 = (np.fft.fft(v, axis=-1) for v in (a1, b1, a2, b2))
-    ga11 = _gram_hat(grid, eps, x1, x1).real
-    ga22 = _gram_hat(grid, eps, x2, x2).real
-    ga12 = _gram_hat(grid, eps, x1, x2)
-    gb11 = _gram_hat(grid, eps, y1, y1).real
-    gb22 = _gram_hat(grid, eps, y2, y2).real
-    gb12 = _gram_hat(grid, eps, y1, y2)
+    w2 = _weight_sq(grid, eps)
+    wx1, wy1 = w2 * np.conj(x1), w2 * np.conj(y1)
+    ga11 = _gram_hat(grid, wx1, x1).real
+    ga22 = _gram_hat(grid, w2 * np.conj(x2), x2).real
+    ga12 = _gram_hat(grid, wx1, x2)
+    gb11 = _gram_hat(grid, wy1, y1).real
+    gb22 = _gram_hat(grid, w2 * np.conj(y2), y2).real
+    gb12 = _gram_hat(grid, wy1, y2)
     val = ga11 * gb11 + ga22 * gb22 - 2.0 * (ga12 * gb12).real
     return np.maximum(val, 0.0)
 
@@ -832,29 +914,13 @@ class SeparableKernelMember:
     q: np.ndarray
     label: str
 
-    def contraction_pieces(self, grid: Grid1D, tau: float):
-        phase = _free_phase(grid, tau)
-        ft, gt, pt, qt = (_evolve(phase, v)
-                          for v in (self.f, self.g, self.p, self.q))
+    def contraction_pieces(self, grid: Grid1D, flow: _FreeFlow):
+        ft, gt, pt, qt = (flow(v) for v in (self.f, self.g, self.p, self.q))
         a1 = ft * gt * np.conj(qt)
         b1 = np.conj(pt)
         a2 = ft
         b2 = gt * np.conj(pt) * np.conj(qt)
         return a1, b1, a2, b2
-
-    def contraction_norm_sq(self, grid: Grid1D, eps: float,
-                            taus: np.ndarray) -> np.ndarray:
-        """||R_eps^(1) B_tau||^2 at every tau, in blocks of tau at once.
-
-        contraction_pieces is elementwise in tau, so a column of taus
-        evolves the four factors of a whole block together.
-        """
-        out = np.empty(taus.size)
-        for start in range(0, taus.size, _TAU_BLOCK):
-            block = taus[start:start + _TAU_BLOCK, None]
-            out[start:start + _TAU_BLOCK] = _rank2_norm_sq(
-                grid, eps, *self.contraction_pieces(grid, block))
-        return out
 
     def weighted_input_norm(self, grid: Grid1D, eps: float) -> float:
         out = 1.0
@@ -884,11 +950,10 @@ class PairProfileMember:
         right = np.fft.fft(self.g * np.conj(phase))
         return left * right / (self.lam * grid.n)
 
-    def contraction_pieces(self, grid: Grid1D, tau: float):
-        phase = _free_phase(grid, tau)
-        ft = _evolve(phase, self.f)
-        pt = _evolve(phase, self.p)
-        d = self._diag(grid, phase)
+    def contraction_pieces(self, grid: Grid1D, flow: _FreeFlow):
+        ft = flow(self.f)
+        pt = flow(self.p)
+        d = self._diag(grid, flow.phase)
         return ft * d, np.conj(pt), ft, d * np.conj(pt)
 
     def weighted_input_norm(self, grid: Grid1D, eps: float) -> float:
@@ -908,10 +973,16 @@ def direct_operator_test(grid: Grid1D, members, epsilon: float,
     by Simpson on n_tau points over [-T, T] (T = t_window; n_tau odd and
     at least 3, so the rule has whole panels), with the rank-two Gram
     shortcut for the weighted kernel norm; rhs = ||R_eps^(2) phi||.
-    Members are separable; each evaluates the tau series in blocks of tau
-    samples (four evolutions, four transforms and six Grams as row sums
-    per block).
+    Members must be SeparableKernelMember.  The tau series run in blocks
+    of tau samples: one free phase per block, one evolution per distinct
+    factor array (members that share f, p and q share their evolutions),
+    then four transforms and six Grams as row sums per member.
     """
+    members = list(members)
+    for member in members:
+        if not isinstance(member, SeparableKernelMember):
+            raise GridError(f"direct_operator_test needs separable members, "
+                            f"got {type(member).__name__}")
     if not math.isfinite(epsilon):
         raise GridError(f"epsilon must be finite, got {epsilon!r}")
     if not 0.0 < t_window < math.inf:
@@ -921,17 +992,25 @@ def direct_operator_test(grid: Grid1D, members, epsilon: float,
         raise GridError(f"n_tau must be at least 3, got {n_tau!r}")
     if n_tau % 2 == 0:
         raise GridError(f"n_tau must be odd, got {n_tau!r}")
+    rhs = [member.weighted_input_norm(grid, epsilon) for member in members]
+    for member, r in zip(members, rhs):
+        if r <= 0:
+            raise GridError(f"member {member.label!r} is not normalizable")
     taus = np.linspace(-t_window, t_window, n_tau)
     win2 = bump(taus / t_window) ** 2
+    # ||R_eps^(1) B_tau||^2, one row per member
+    series = np.empty((len(members), n_tau))
+    for start in range(0, n_tau, _TAU_BLOCK):
+        at = slice(start, start + _TAU_BLOCK)
+        flow = _FreeFlow(grid, taus[at, None])
+        for member, row in zip(members, series):
+            row[at] = _rank2_norm_sq(grid, epsilon,
+                                     *member.contraction_pieces(grid, flow))
     out = []
-    for member in members:
-        rhs = member.weighted_input_norm(grid, epsilon)
-        if rhs <= 0:
-            raise GridError(f"member {member.label!r} is not normalizable")
-        series = member.contraction_norm_sq(grid, epsilon, taus)
-        lhs = math.sqrt(max(_simpson(win2 * series, taus), 0.0))
-        out.append({"label": member.label, "lhs": lhs, "rhs": rhs,
-                    "ratio": lhs / rhs, "epsilon": epsilon})
+    for member, r, row in zip(members, rhs, series):
+        lhs = math.sqrt(max(_simpson(win2 * row, taus), 0.0))
+        out.append({"label": member.label, "lhs": lhs, "rhs": r,
+                    "ratio": lhs / r, "epsilon": epsilon})
     return out
 
 
@@ -942,7 +1021,8 @@ def trace_lemma_check(grid: Grid1D, members, alpha: float) -> list[dict]:
         rhs = member.weighted_input_norm(grid, alpha)
         if rhs <= 0:
             raise GridError(f"member {member.label!r} is not normalizable")
-        a1, b1, a2, b2 = member.contraction_pieces(grid, 0.0)
+        a1, b1, a2, b2 = member.contraction_pieces(grid,
+                                                   _FreeFlow(grid, 0.0))
         lhs = math.sqrt(_rank2_norm_sq(grid, alpha, a1, b1, a2, b2))
         out.append({"label": member.label, "lhs": lhs, "rhs": rhs,
                     "ratio": lhs / rhs, "alpha": alpha})

@@ -17,7 +17,7 @@ from oracles import theta_hat_quadrature
 def _theta_l1(probe):
     """int |theta-hat| by the probe's own panel rule: at epsilon = 0,
     |u| H(eta, xi1, u)."""
-    return float(np.sum(probe.s_weights * probe.theta_abs))
+    return float(np.sum(probe.theta_weights))
 
 
 class TestProbe:
@@ -64,6 +64,11 @@ class TestProbe:
         # refine = 1.5 used to fail inside numpy with a TypeError
         with pytest.raises(GridError, match="positive integer"):
             C.make_probe(0.25, refine=1.5)
+
+    def test_rejects_bool_refine(self):
+        # refine = True passed the int check and ran as refine 1
+        with pytest.raises(GridError, match="positive integer"):
+            C.make_probe(0.25, refine=True)
 
     def test_spline_is_built_once_per_process(self):
         assert C.make_probe(0.25).spline is C.make_probe(0.1).spline
@@ -232,8 +237,9 @@ def _kernel_H_loop(probe, eta, xi1, u):
     out = []
     for uj in np.atleast_1d(np.asarray(u, dtype=float)):
         usj = eta - 2.0 * xi1 * uj
-        sums = np.sum(probe.s_weights * probe.theta_abs * C._bracket_pair(
-            probe.s_nodes, uj, usj, eps), axis=1)
+        # the probe's node rows hold node j of every panel
+        sums = np.sum(probe.theta_weights * C._bracket_pair(
+            probe.s_nodes, uj, usj, eps), axis=0)
         val = np.sum(sums)
         cums = np.concatenate([[0.0], np.cumsum(sums)])
         if abs(uj) <= C._WINDOW_REACH:
@@ -321,6 +327,56 @@ class TestBatchedKernelH:
         assert np.max(diff) < 1e-12
 
 
+class TestSharedSums:
+    """The two identities the quadrature's shortcuts rest on, bit for bit."""
+
+    @pytest.mark.parametrize("refine", [1, 2])
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.25])
+    def test_kernel_H_mirror(self, eps, refine):
+        # H(eta, xi1, -u) = H(eta, -xi1, u): the nodes of u < 0 are those of
+        # u > 0 negated, and H sees u only through us and squares
+        probe = C.make_probe(eps, refine=refine)
+        nodes, _ = C._gl_panels(C._u_edges(probe), probe.gl_order)
+        u = nodes.ravel()[::7]
+        for xi1 in (0.0, -0.0, 15.0):
+            for eta in (-45.0, -15.0, -0.0, 0.0, 15.0, 45.0):
+                assert np.array_equal(C.kernel_H(probe, eta, xi1, -u),
+                                      C.kernel_H(probe, eta, -xi1, u))
+
+    def test_u_nodes_of_the_two_signs_mirror(self):
+        probe = C.make_probe(0.25, refine=2)
+        mags = C._u_edges(probe)
+        pos = C._gl_panels(mags, probe.gl_order)
+        neg = C._gl_panels(-mags[::-1], probe.gl_order)
+        assert np.array_equal(neg[0].ravel(), -pos[0].ravel()[::-1])
+        assert np.array_equal(neg[1].ravel(), pos[1].ravel()[::-1])
+
+    @pytest.mark.parametrize("n", [6, 8, 12, 16, 136])
+    def test_node_sum_matches_numpy_sum(self, n):
+        # the smooth pass sums nodes in numpy's private pairwise order;
+        # 136 nodes take the split into two halves
+        rng = np.random.default_rng(n)
+        terms = rng.uniform(0.0, 1.0, (5, n, 9)) * 10.0 ** rng.uniform(
+            -8.0, 8.0, (5, n, 9))
+        want = np.sum(np.ascontiguousarray(terms.transpose(0, 2, 1)), axis=2)
+        assert np.array_equal(C._node_sum(terms.copy(), 0, n), want)
+
+    @pytest.mark.parametrize("refine", [1, 2])
+    def test_smooth_pass_matches_panel_major_sums(self, refine):
+        # oracle: the panel-major layout summed per panel by np.sum, at u
+        # beyond the window reach, where the smooth pass is all of |u| H
+        probe = C.make_probe(0.25, refine=refine)
+        u = np.array([4.5, -5.0, 6.0, 40.0])
+        us = 7.0 - 2.0 * 3.0 * u
+        nodes, weights = (np.ascontiguousarray(a.T) for a in
+                          (probe.s_nodes, probe.theta_weights))
+        terms = C._bracket_pair(nodes[None], u[:, None, None],
+                                us[:, None, None], probe.epsilon)
+        terms *= weights
+        want = np.sum(np.sum(terms, axis=2), axis=1)
+        assert np.array_equal(C._smooth_chunk(probe, u, us)[0], want)
+
+
 def _bracket_oracle(s, u, us, epsilon):
     """The bracket pair as first written, one temporary per operation."""
     t1 = (s - us) / u
@@ -329,26 +385,37 @@ def _bracket_oracle(s, u, us, epsilon):
 
 
 # _pooled_outputs() as recorded with one _window_sums pass per 32-u
-# chunk; every block split must give these bits.  The last two, the
-# control scan, were recorded at the origin, where optimality_scan runs
+# chunk; every block split must give these bits.  The control scan was
+# recorded at the origin, where optimality_scan runs.  The two xi1 = 0
+# points were recorded with one kernel_H call per sign of u
 _POOLED_HEX = [
     "0x1.b7206d8a9f35cp+2", "0x1.45463a1342d54p+1", "0x1.147d5080fdcb2p+2",
     "0x1.f8f5e7bc25b91p-10", "0x1.c00d1b1ee8b3fp+2", "0x1.2468b893ca2f9p-1",
     "0x1.9b80040c6f6e0p+2", "0x1.fbb854c57dee3p-10", "0x1.a96e5f4099db6p+3",
     "0x1.7d0445d6c9508p+3", "0x1.734d8e415fb44p+3",
+    # I(15, 0) at refine 1 and I(0, 0) at refine 2
+    "0x1.22c468a17f59ep+2", "0x1.1e11bdb3e3ee8p+0", "0x1.b67ff2690cbc9p+1",
+    "0x1.6464891101551p-9", "0x1.48e0114c1d52bp+4", "0x1.7e7d1b333e829p+3",
+    "0x1.13430764fc22dp+3", "0x1.5e70a22e551ebp-9",
 ]
 
 
+def _parts(res):
+    return [res["value"], res["I1"], res["I2"], res["tail_estimate"]]
+
+
 def _pooled_outputs():
-    """float.hex of I at two scan points, of the refined I at one, and of
-    the control scan: every kernel_H caller of the collapse suite."""
+    """float.hex of I at two scan points, of the refined I at one, of the
+    control scan and of I at two xi1 = 0 points: every kernel_H caller of
+    the collapse suite."""
     probe = C.make_probe(0.25)
     values = []
     for eta, xi1 in [(-15.0, 10.0), (30.0, -5.0)]:
-        res = C.integral_I(probe, eta, xi1)
-        values += [res["value"], res["I1"], res["I2"], res["tail_estimate"]]
+        values += _parts(C.integral_I(probe, eta, xi1))
     values.append(C.integral_I(probe.refined(), 7.0, 3.0)["value"])
     values += C.optimality_scan(probe, "control", [1e-2, 1e-3])["values"]
+    values += _parts(C.integral_I(probe, 15.0, 0.0))
+    values += _parts(C.integral_I(probe.refined(), 0.0, 0.0))
     return [float(v).hex() for v in values]
 
 
@@ -798,18 +865,37 @@ class TestOperatorFamilies:
     @pytest.mark.parametrize("family,t_window", [
         ("modulation", 2.0), ("counter_rotating", 0.1)])
     def test_tau_batches_match_per_tau_series(self, family, t_window, n_tau):
-        # oracle: contraction pieces and Gram norm one tau at a time; 1025
-        # samples leave a partial last block
+        # oracle: each factor evolved and the rank-two Gram norm taken one
+        # tau at a time, for each member on its own; 1025 samples leave a
+        # partial last block, and the members share f, p and q
         g = Grid1D(256, 8.0)
-        make = getattr(C, f"make_{family}_family")
+        members = getattr(C, f"make_{family}_family")(g, [4.0, 64.0])
         taus = np.linspace(-t_window, t_window, n_tau)
-        for member in make(g, [4.0, 64.0]):
-            for eps in (0.05, 0.25):
-                got = member.contraction_norm_sq(g, eps, taus)
-                want = [C._rank2_norm_sq(
-                    g, eps, *member.contraction_pieces(g, float(t)))
-                    for t in taus]
-                assert got == pytest.approx(want, rel=1e-12)
+        win2 = C.bump(taus / t_window) ** 2
+        for eps in (0.05, 0.25):
+            got = C.direct_operator_test(g, members, epsilon=eps,
+                                         t_window=t_window, n_tau=n_tau)
+            for member, res in zip(members, got):
+                series = []
+                for t in taus:
+                    phase = np.exp(-1j * t * g.k ** 2)
+                    ft, gt, pt, qt = (np.fft.ifft(phase * np.fft.fft(v))
+                                      for v in (member.f, member.g,
+                                                member.p, member.q))
+                    series.append(C._rank2_norm_sq(
+                        g, eps, ft * gt * np.conj(qt), np.conj(pt), ft,
+                        gt * np.conj(pt) * np.conj(qt)))
+                lhs = math.sqrt(C._simpson(win2 * np.array(series), taus))
+                assert res["lhs"] == pytest.approx(lhs, rel=1e-12)
+
+    def test_rejects_pair_profile_members(self):
+        # a pair profile used to fail with an AttributeError in the tau loop
+        g = Grid1D(32, 4.0)
+        members = [C.make_baseline_member(g),
+                   *C.make_dilation_family(g, [4.0])]
+        with pytest.raises(GridError, match="PairProfileMember"):
+            C.direct_operator_test(g, members, epsilon=0.25,
+                                   t_window=0.5, n_tau=17)
 
     @pytest.mark.parametrize("kwargs,fragment", [
         ({"n_tau": 1}, "n_tau must be at least 3"),
