@@ -25,16 +25,18 @@ Configs are JSON validated against CONFIG_SCHEMA, whose numbers must be
 finite and whose integers must be ints, and then against what the
 runners need: only the keys of the experiment's DEFAULTS plus
 output_dir, at least two particles, strictly increasing particle numbers
-for convergence, the Strang step budget and each suite's size envelope.
-A suite's run plan (``_plan``) lists its evolutions with their dt, step
-counts and strides and rejects run lengths the runners cannot use (a
-lens t_run at which the wrong-convention control cannot reach its floor
-among them); the runners evolve exactly those runs, and the validator
-sums the plan for the run-length envelope.  The convergence suite keeps
-its N-body states as sector values (grid.BosonicState) from the product
-state on: evolve propagates them and chaos_distance reads its Sym^k
-factors off them, so the suite forms no n^N tensor.  Every output file
-embeds the config hash, the sign/direction conventions, and the package
+for convergence, and each suite's size envelope.  A suite's run plan
+(``_plan``) lists its evolutions with their dt, step counts and strides
+and rejects run lengths the runners cannot use (a lens t_run at which
+the wrong-convention control cannot reach its floor among them); the
+runners evolve exactly those runs, and the validator sums the plan for
+the run-length envelope.  An orbital run takes Strang steps of dt; an
+N-body run is the exact flow (nbody.propagate) to the times it stores,
+every store_every steps of dt.  The convergence suite keeps its N-body
+states as sector values (grid.BosonicState) from the product state on:
+propagate evolves them and chaos_distance reads its Sym^k factors off
+them, so the suite forms no n^N tensor.  Every output file embeds the
+config hash, the sign/direction conventions, and the package
 version, and identical config + seed gives byte-identical outputs.  Exit
 codes: 0 all checks pass, 1 at least one check failed, 2 config error (a
 config that cannot run), 3 numerical abort (a non-finite value during
@@ -45,10 +47,9 @@ Flags may also come from environment variables with the BOSELAB_ prefix
 flags win.  --seed must be an integer >= 0 and --threads an integer
 >= 1, else exit code 2.  main runs BLAS and LAPACK on one thread, and
 --threads sizes the package's one thread pool (through OMP_NUM_THREADS),
-which runs the Strang step's kinetic levels and the collapse kernel's
-u-blocks; every output is the same at any --threads.  Both must be set
-before heavy imports, which is why the numerical modules are imported
-lazily inside the check functions.
+which runs the collapse kernel's u-blocks; every output is the same at
+any --threads.  Both must be set before heavy imports, which is why the
+numerical modules are imported lazily inside the check functions.
 """
 
 from __future__ import annotations
@@ -235,11 +236,20 @@ def _n_steps(key: str, span: float, dt: float) -> int:
 _Run = collections.namedtuple("_Run", "label particles dt steps store_every")
 
 
+def _stored_times(run: _Run) -> list[float]:
+    """The times at which a run stores a state: every store_every steps
+    of dt, from 0 to the last stored step."""
+    every = run.dt * run.store_every
+    return [i * every for i in range(run.steps // run.store_every + 1)]
+
+
 def _plan(merged: dict) -> list[_Run]:
     """Every evolution of the suite, in the order its runners take them:
     the one place a step count or a stride (store_every) is worked out.
-    particles = 1 is an NLS orbital.  Run lengths the runners cannot use
-    raise ConfigError."""
+    particles = 1 is an NLS orbital, evolved in steps of dt; an N-body run
+    is the exact flow to the times it stores (_stored_times; convergence's
+    are its config times).  Run lengths the runners cannot use raise
+    ConfigError."""
     kind, dt, t_run = (merged["experiment"], merged.get("dt"),
                        merged.get("t_run"))
     if kind == "convergence":
@@ -361,13 +371,58 @@ def _check_envelope(merged: dict) -> None:
                 f"integrals, beyond the envelope of {_MAX_SCAN_POINTS}")
 
 
-# The run-length envelope: no suite takes more than 2^22 time steps in
-# all, nor more than 2^33 amplitude-steps (each step weighted by the n^N
-# amplitudes of its tensor, which bound the sector values it advances).
-# The default convergence suite takes 2,000 steps (eight runs of 250) and
-# 5.4e8 amplitude-steps.
+# The run-length envelope: no suite takes more than 2^22 orbital steps
+# and H_N applications in all, nor more than 2^33 value updates (an
+# orbital step updates its n values, an H_N application the C(n+N-1, N)
+# sector values).  The default convergence suite takes about 1,020 (two
+# orbitals of 250 steps, and about 520 applications by _flow_terms) and
+# 1.1e7.
 _MAX_STEPS = 2 ** 22
-_MAX_AMPLITUDE_STEPS = 2 ** 33
+_MAX_WORK = 2 ** 33
+
+
+def _flow_terms(x: float) -> float:
+    """An upper bound on the Chebyshev terms of one segment of the exact
+    flow, radius times span x (nbody._bessel_j's count, which is at most
+    13 above x for x <= 1 and about 10 x^(1/3) above it at large x)."""
+    return x + 11.0 * x ** (1.0 / 3.0) + 14.0
+
+
+def _radius_bound(merged: dict, spec, nn: int) -> float:
+    """Half the width of nbody.propagate's spectral interval, from above:
+    half of N max(k^2/2) for the kinetic part, N omega^2 L^2 / 2 for the
+    trap and (N - 1) ||V_N||_inf (PotentialSpec.phase_rate) for the pair
+    part."""
+    import numpy as np
+
+    k_max = math.pi * merged["n"] / (2.0 * merged["length"])
+    trap = merged["omega"] * merged["length"]
+    # extreme shapes sample to NaN, which fails the envelope
+    with np.errstate(all="ignore"):
+        pair = spec.phase_rate(nn)
+    return 0.25 * nn * (k_max * k_max + trap * trap) + 0.5 * (nn - 1) * pair
+
+
+def _run_length(merged: dict, specs: dict) -> tuple[float, float]:
+    """(orbital steps plus H_N applications, value updates) of the run
+    plan; floats, so that a count beyond the float range reads inf."""
+    count = work = 0.0
+    for run in _plan(merged):
+        if run.particles == 1:
+            count += run.steps
+            work += float(run.steps) * merged["n"]
+            continue
+        key = "control_potential" if run.label == "control" else "potential"
+        radius = _radius_bound(merged, specs[key], run.particles)
+        if not math.isfinite(radius):
+            raise ConfigError(f"{key}: the bound on H_N's spectral radius "
+                              f"is {radius}, not finite")
+        terms = (run.steps // run.store_every) * _flow_terms(
+            radius * run.dt * run.store_every)
+        count += terms
+        work += terms * math.comb(merged["n"] + run.particles - 1,
+                                  run.particles)
+    return count, work
 
 
 def validate_config(cfg: dict) -> dict:
@@ -406,30 +461,13 @@ def validate_config(cfg: dict) -> dict:
         except PotentialError as err:
             raise ConfigError(f"{key}: {err}") from None
     _check_envelope(merged)
-    if kind in ("convergence", "bbgky_residual"):
-        import numpy as np
-
-        # the budget of the N-body Strang step; other suites evolve no pair
-        dt, n_max = merged["dt"], max(merged["n_particles"])
-        for key, spec in specs.items():
-            # extreme shapes sample to NaN, which fails the budget below
-            with np.errstate(all="ignore"):
-                budget = dt * spec.phase_rate(n_max)
-            if not budget <= 0.1:  # a NaN budget fails too
-                raise ConfigError(
-                    f"{key}: dt {dt} violates the splitting stability budget "
-                    f"N^beta * |V|_inf * dt <= 0.1 (got {budget:.3g})")
-    runs = _plan(merged)
-    # floats, so that a count beyond the float range reads inf
-    total = sum(float(run.steps) for run in runs)
-    work = sum(float(run.steps) * merged["n"] ** run.particles
-               for run in runs)
-    if not (total <= _MAX_STEPS and work <= _MAX_AMPLITUDE_STEPS):
+    total, work = _run_length(merged, specs)
+    if not (total <= _MAX_STEPS and work <= _MAX_WORK):  # NaN fails too
         key = "times" if kind == "convergence" else "t_run"
         raise ConfigError(
-            f"{key}: the suite would take {total:.3g} steps and {work:.3g} "
-            f"amplitude-steps, beyond the run-length envelope of "
-            f"{_MAX_STEPS} steps and {_MAX_AMPLITUDE_STEPS} amplitude-steps")
+            f"{key}: the suite would take {total:.3g} steps and H_N "
+            f"applications and {work:.3g} value updates, beyond the "
+            f"run-length envelope of {_MAX_STEPS} and {_MAX_WORK}")
     return merged
 
 
@@ -484,14 +522,14 @@ def _convergence_block(cfg: dict, out: Path, report_hash: str, tag: str,
     """Chaos distances of one pair potential against the cubic NLS.
 
     Factorized initial data (sector values, _product_state) evolves
-    under the N-body flow; the reference orbital evolves under the
-    focusing cubic equation with the matched coupling b0.  Writes the
-    k = 1, 2 tables over time and particle number; returns the t = 0
-    check and the final k = 1, 2 distances.
+    under the exact N-body flow to the config's times; the reference
+    orbital evolves under the focusing cubic equation with the matched
+    coupling b0.  Writes the k = 1, 2 tables over time and particle
+    number; returns the t = 0 check and the final k = 1, 2 distances.
     """
     from .grid import Grid1D, gaussian_packet
     from .marginals import chaos_distance
-    from .nbody import NBodySystem, evolve
+    from .nbody import NBodySystem, propagate
     from .nls import NLSProblem, evolve_nls
     from .potentials import PotentialSpec
 
@@ -507,8 +545,7 @@ def _convergence_block(cfg: dict, out: Path, report_hash: str, tag: str,
     for run in bodies:
         nn = run.particles
         system = NBodySystem(grid, nn, potential=pot, omega=cfg["omega"])
-        traj = evolve(system, _product_state(grid, phi0, nn), run.dt,
-                      run.steps, store_every=run.store_every)
+        traj = propagate(system, _product_state(grid, phi0, nn), times)
         for k in (1, 2):
             col = [chaos_distance(traj.states[i], k, nls.fields[i])
                    for i in range(len(times))]
@@ -896,9 +933,11 @@ def run_lens(cfg: dict, out: Path, report_hash: str) -> list[dict]:
 
 
 def run_bbgky(cfg: dict, out: Path, report_hash: str) -> list[dict]:
-    """Hierarchy residual second-order decay under dt halving."""
+    """Hierarchy residual second-order decay under dt halving: the exact
+    flow stores a state every store_every steps of dt, so the residual's
+    O(dt^2) is its central difference's."""
     from .grid import Grid1D, gaussian_packet
-    from .nbody import NBodySystem, bbgky_residual, evolve
+    from .nbody import NBodySystem, bbgky_residual, propagate
     from .potentials import PotentialSpec
 
     grid = Grid1D(cfg["n"], cfg["length"])
@@ -914,8 +953,7 @@ def run_bbgky(cfg: dict, out: Path, report_hash: str) -> list[dict]:
         state = _product_state(grid, phi0, nn)
         per_n = []
         for run in pair:
-            traj = evolve(system, state, run.dt, run.steps,
-                          store_every=run.store_every)
+            traj = propagate(system, state, _stored_times(run))
             res = bbgky_residual(traj, k=1)
             per_n.append(res["hs_norm"])
             rows.append([nn, run.dt, res["hs_norm"], res["max_abs"]])

@@ -46,8 +46,8 @@ operator by a three-term Lanczos recurrence.
 
 The package has one thread pool, defined here: its size is read once at
 import from OMP_NUM_THREADS (which ``--threads`` sets) or else from the
-CPUs the process may run on.  nbody's Strang kinetic levels and
-collapse's kernel_H blocks run on it.  _in_blocks splits range(n) into
+CPUs the process may run on.  collapse's kernel_H blocks run on it;
+nbody's flow runs on the calling thread.  _in_blocks splits range(n) into
 contiguous blocks, keeps the first block on the calling thread and
 hands the others to the pool; called from one of the pool's own tasks
 it runs inline, so no pooled task ever waits on the pool.

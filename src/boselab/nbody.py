@@ -6,55 +6,32 @@ The Hamiltonian on the periodic grid is
           + (1/N) sum_{i<j} V_N(x_i - x_j),     V_N(x) = N^beta V(N^beta x),
 
 with the time convention i d/dt psi = H_N psi, i.e. psi(t) = exp(-i t H_N)
-psi(0).  Propagation is Strang splitting: half potential phase, full
-kinetic factor, half potential phase.  The kinetic factor
-exp(-i dt sum_j k_j^2 / 2) is a product of N copies of one n x n unitary
-U = F^-1 diag(exp(-i dt k^2 / 2)) F, built once per call, so a step
-applies it as matrix products, one level per axis, with no Fourier
-transform.  Tensors below SPLIT_FLOOR amplitudes apply each factor P as
-psi + (P - 1) psi, which keeps the norm free of rounding bias.  Each
-factor is exactly unitary, so the discrete norm is conserved to
-rounding; the energy expectation oscillates within O(dt^2) without
-secular drift.  A trajectory stores states, not energies.
+psi(0).  propagate computes that flow itself, not a splitting of it: each
+output segment is one Chebyshev expansion of exp(-i Delta H_N) (Tal-Ezer
+and Kosloff, J. Chem. Phys. 81, 3967 (1984)) with the sector H_N below
+as its only operator, its weights the Bessel values J_m(r Delta) from
+Miller's backward recurrence (_bessel_j) and its spectral interval from
+closed-form bounds.  The sum is cut where its weights fall below 1e-15,
+so the stored states carry no time-step error, and the norm is kept to
+rounding.  A trajectory stores states, not energies.
 
 Storage: the state is bosonic, a grid.BosonicState, its values at the
 sorted index tuples i_1 <= ... <= i_N (grid.sector_tables), C(n+N-1, N)
-numbers (52,360 at N = 4, n = 32, against n^N = 1,048,576); evolve takes
-no other state.  The half kicks, the multiplicity-weighted norm and the
-norm guards act on the sector values, and the half-kick phase is built
-from the potential at the sorted tuples alone (NBodySystem.potential_at).
-The kinetic factor goes in N levels: after k of them the tensor is
-symmetric in its k transformed axes and in its N - k others, so level k
-is one gather into rows (sorted k-tuple c of transformed indices,
-sorted (N-k-1)-tuple of the others) and one product with U along the
-axis it transforms (_level_tables).  Its new index l is the largest of
-the next level's transformed tuple, so only l >= max(c) is ever read: a
-level of more than GEMM_ROWS rows is cut into bands by max(c), 4 sites
-wide, and a band computes only those l, written l outermost; at N = 4,
-n = 32 a step is 24.8M complex multiply-adds instead of the 46.9M of
-whole-width rows.  The sector tables are cached in grid; the index
-tables of the gathers are built on every call (1.5 ms at N = 4,
-n = 32) and not cached, so evolve holds them only while it runs.
-Besides the caller's state, evolve holds the index tables as
-one array (12.1 MB there), the two level outputs that alternate (8.4 MB
-there), one gather buffer of GEMM_ROWS rows per pool lane (0.5 MB each
-at n = 32), the sector state, its half-kick phase and the stored
-snapshots, BosonicStates of the sector values that form their n^N
-tensor only when it is read; the first snapshot is the caller's state.
+numbers (52,360 at N = 4, n = 32, against n^N = 1,048,576); propagate
+takes no other state.  Besides the caller's state it holds the sum and
+three terms of the recurrence, sector vectors, one H_N application's
+gathers and the stored states, BosonicStates of the sector values that
+form their n^N tensor only when it is read; a stored time 0 is the
+caller's state.  Each term is one H_N application (about 2 ms at N = 4,
+n = 32 on one BLAS thread) and a few passes over the sector values;
+N = 4, n = 32 reaches t = 0.5 in two segments of 0.25 with 68
+applications.
 
 Threading: the package has one thread layer, its pool (grid._POOL_SIZE,
-shared with collapse's kernel_H), sized once at import from
-OMP_NUM_THREADS (which ``--threads`` sets) or else from the CPUs the
-process may run on; the CLI runs BLAS and LAPACK on one thread.  Each
-level's table is cut into chunks of GEMM_ROWS rows, and its chunks into
-lanes of consecutive chunks, one per pool thread (grid._in_blocks); a
-chunk is one gather and one product per band it holds.  Each product's
-rows and its band's width are the same for any split, and a band's
-product gives the bits of the whole-width one (its rows a multiple of
-4), so every pool size and BLAS thread count gives the same bits.  The
-kicks and the norm act on the sector on the calling thread.  The phases
-themselves are built once per call from sines of their real angle,
-without complex exp.
+shared with collapse's kernel_H), and the flow runs on the calling
+thread, so it gives the same bits at every pool size; the CLI runs BLAS
+and LAPACK on one thread.  H_N's one n x n product rounds each entry
+along one row of length n, so a threaded BLAS gives the same bits too.
 
 The matrix-free one-body sum (one_body_sum), psi -> sum_j M_j psi for
 an n x n one-particle matrix M, acts on sector values: one product of M
@@ -85,254 +62,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid as _grid
-from .grid import (BosonicState, Grid1D, GridError, apply_matrix, dense_operator, fourier_matrix,
-                   kinetic_symbol, on_axes, pair_differences, sector_tables,
-                   trap_potential)
+from .grid import (BosonicState, Grid1D, GridError, apply_matrix,
+                   dense_operator, kinetic_symbol, on_axes, pair_differences,
+                   sector_tables, trap_potential)
 from .marginals import _full_fold, _sector_fold, partial_trace
 from .potentials import PotentialSpec, scaled_potential
 
-# rows per chunk of a kinetic level, the unit of work of its gather and
-# products, and the size of the level above which it is cut into bands
-# (_level_tables).  At N = 4, n = 32 the levels have 5,984, 16,896,
-# 16,896 and 5,984 rows, in 1, 8, 8 and 8 bands, 6, 17, 17 and 6 chunks,
-# which two lanes share 3:3 and 8:9.  A chunk is one gather into its
-# lane's GEMM_ROWS-row buffer, which the products then read from cache.
-# A level of at most GEMM_ROWS rows (every level at N <= 3, n <= 32) is
-# one chunk and one full-width product on the calling thread.  Under a
-# threaded BLAS the chunks also keep its per-thread buffer small (an
-# unchunked 32^4 product at 2 OpenBLAS threads grew RSS by 16.1 MB,
-# against 1.4 MB in chunks of 2048 rows).
-GEMM_ROWS = 1024
-
-# Tensors with fewer amplitudes apply each Strang factor P as
-# psi + (P - 1) psi, from P - 1 held to full relative precision.  A unit
-# factor rounded to doubles is off modulus 1 by up to ~1e-16 at each entry,
-# the same every step, so the norm drifts by up to ~1e-16 per step with
-# one sign; the CLI's run-length envelope admits 2.8M steps below 2^15
-# amplitudes, and that could reach NORM_TOL.  The split form rounds only
-# the sum, which changes with the state every step, and drifts ~1e-19 per
-# step.  It costs one more pass per factor; from 2^15 amplitudes up the
-# envelope admits at most 175k steps, and the factors are applied whole.
-SPLIT_FLOOR = 2 ** 15
-
-# evolve aborts when the norm moves by more than this in one step or
-# since step 0; the splitting is exactly unitary
+# propagate aborts when the norm moves by more than this over one output
+# segment or since t = 0; the exact flow is unitary
 NORM_TOL = 1e-10
-
-
-def _phase_minus_one(theta: np.ndarray) -> np.ndarray:
-    """exp(i theta) - 1 to full relative precision, without complex exp.
-
-    The real part of exp(i Re theta) - 1 is formed as -2 sin^2(theta/2),
-    without the cancellation of cos(theta) - 1; a complex theta (a
-    potential with an imaginary part) adds expm1(-Im theta) exp(i Re theta).
-    """
-    out = np.empty(theta.shape, dtype=np.complex128)
-    np.multiply(theta.real, 0.5, out=out.real)
-    np.sin(out.real, out=out.real)
-    np.square(out.real, out=out.real)
-    out.real *= -2.0
-    np.sin(theta.real, out=out.imag)
-    if np.iscomplexobj(theta):
-        out += np.expm1(-theta.imag) * (out + 1.0)
-    return out
-
-
-def _phase(theta: np.ndarray) -> np.ndarray:
-    """exp(i theta)."""
-    out = _phase_minus_one(theta)
-    out += 1.0
-    return out
-
-
-def _kinetic_factor(grid: Grid1D, dt: float, split: bool) -> np.ndarray:
-    """U^T for U = F^-1 diag(exp(-i dt k^2 / 2)) F, one particle's kinetic
-    factor; with split, (U - I)^T, which keeps U's small departure from
-    the identity to full relative precision."""
-    factor = fourier_matrix(grid,
-                            _phase_minus_one(-dt * kinetic_symbol(grid)))
-    if not split:
-        factor += np.eye(grid.n)
-    return np.ascontiguousarray(factor.T)
-
-
-def _level_tables(n: int, nn: int) -> tuple[list, np.ndarray]:
-    """(levels, final): the index tables and row bands of one kinetic
-    step on the sector of nn particles on n sites (grid.sector_tables);
-    C_m = C(n+m-1, m) counts the sorted m-tuples.
-
-    Level k (k = 0..N-1) applies U along one more axis.  Its rows are
-    (c, b): c a sorted k-tuple of transformed indices, outermost, in
-    colexicographic order (by last index, then the one before, ...), and
-    b a sorted (N-k-1)-tuple of untransformed ones, in rank order; its
-    columns are the index j of the axis it transforms.  The index l it
-    makes is the last of the next level's transformed tuple, so row
-    (c, b) is read only at l >= max(c).  Each level is (table, outer,
-    bands), bands a list of (first row, rows, lo, output offset):
-    - a level of at most GEMM_ROWS rows is one band, lo = 0, written row
-      by row, shape (rows, n), as U^T times its rows;
-    - a larger one (outer) is cut into bands by max(c) in [lo, lo + 4),
-      lo a multiple of 4 (level 0, c empty, is one band, lo = 0), each
-      padded to a multiple of 4 rows, and a band's output holds only the
-      l >= lo, l outermost, shape (n - lo, rows): U's last n - lo rows
-      times the band's rows.
-
-    table, shape (rows, n), indexes the flat sector state (k = 0) or the
-    flat output of level k-1 at (l = c's last index, the rest of c, b
-    with j); after an outer level each row reads one contiguous run of
-    C_{N-k} values.  Pad rows read entry 0, and nothing reads their
-    outputs.  final indexes the last output at the sorted N-tuples t, at
-    l = t's last index.  The tables and final are views of one array,
-    built with a few array passes per level and band.
-    """
-    sector, _ = sector_tables(n, nn)
-    tuples = [np.zeros((1, 0), np.intp)] + [t[0] for t in sector]
-    counts = [len(t) for t in tuples]
-
-    def prefix(m):
-        # the rank of each sorted m-tuple's first m - 1 indices: the
-        # lexicographic order lists the m-tuples by that prefix, then by
-        # a last index from the prefix's last up
-        if m == 1:
-            return np.zeros(n, np.intp)
-        return np.repeat(np.arange(counts[m - 1]), n - tuples[m - 1][:, -1])
-
-    plans = []
-    for k in range(nn):
-        inner = counts[nn - k - 1]
-        outer = counts[k] * inner > GEMM_ROWS
-        order = np.lexsort(tuples[k].T) if k else np.zeros(1, np.intp)
-        # c's last index runs over every site, so no band is empty
-        members = np.bincount(tuples[k][order, -1] // 4 if k and outer
-                              else np.zeros(counts[k], np.intp))
-        padded = -(-members * inner // 4) * 4 if outer else members * inner
-        plans.append((inner, outer, order, members, padded))
-
-    index = np.empty(n * sum(int(plan[-1].sum()) for plan in plans)
-                     + counts[nn], np.intp)
-    levels, at = [], 0
-    # the previous output holds c (by rank) at index l and untransformed
-    # tuple rank r at base[c] + l * stride[c] + r * step
-    base = stride = np.zeros(1, np.intp)
-    step = 1
-    for k, (inner, outer, order, members, padded) in enumerate(plans):
-        lo = 4 * np.arange(len(members))
-        first, start = np.cumsum(members) - members, np.cumsum(padded) - padded
-        offset = np.cumsum((n - lo) * padded) - (n - lo) * padded
-        table = index[at:at + n * int(padded.sum())].reshape(-1, n)
-        at += table.size
-        head = np.zeros(1, np.intp)
-        if k:
-            p = prefix(k)[order]
-            head = base[p] + tuples[k][order, -1] * stride[p]
-        reads = sector[nn - k - 1][1] * step
-        for f, m, s, pad in zip(first, members, start, padded):
-            np.add(head[f:f + m, None, None], reads,
-                   out=table[s:s + m * inner].reshape(m, inner, n))
-            table[s + m * inner:s + pad] = 0
-        levels.append((table, outer, [tuple(map(int, band)) for band in
-                                      zip(start, padded, lo, offset)]))
-        band = np.repeat(np.arange(len(lo)), members)
-        lstride, step = (padded[band], 1) if outer else (1, n)
-        base, stride = np.empty((2, counts[k]), np.intp)
-        base[order] = (offset[band] - lo[band] * lstride
-                       + (np.arange(counts[k]) - first[band]) * inner * step)
-        stride[order] = lstride
-    p = prefix(nn)
-    final = index[at:]
-    np.add(base[p], tuples[nn][:, -1] * stride[p], out=final)
-    return levels, final
-
-
-def _level_calls(levels: list, factor_t: np.ndarray, split: bool) -> list:
-    """The calls of one kinetic step (_level_tables' levels), on buffers
-    allocated here: per level, (lanes, output).
-
-    A level's table is cut into chunks of GEMM_ROWS padded rows, and the
-    chunks into min(pool size, chunks) lanes of consecutive chunks, one
-    pooled block each (grid._in_blocks).  A chunk is (table rows, rows of
-    its lane's gather buffer, parts): one gather, then one product per
-    band part it holds, (a, b, output, addend) for output = a @ b, to
-    which the split form adds addend.  A level written row by row has one
-    part, (rows, U^T, ...); an outer band part is (U's last n - lo rows,
-    the rows transposed, ...).  factor_t is U^T, or (U - I)^T with split,
-    and the addend is the gathered rows, laid out as the output.  Band
-    parts start at multiples of 4 rows and have a multiple of 4, so every
-    product gives the bits of the rows' whole-width product.  Each lane
-    gathers into its own GEMM_ROWS rows (0.5 MB at n = 32), the outputs
-    alternate between two, and the pool threads allocate nothing.
-    """
-    n = len(factor_t)
-    factor = np.ascontiguousarray(factor_t.T)
-    sizes = [sum((n - lo) * padded for _, padded, lo, _ in bands)
-             for _, _, bands in levels]
-    even = max(sizes[::2])
-    outputs = np.empty(even + max(sizes[1::2], default=0),
-                       dtype=np.complex128)
-    rows = [len(table) for table, _, _ in levels]
-    blocks = [-(-r // GEMM_ROWS) for r in rows]
-    gathered = np.empty((min(_grid._POOL_SIZE, max(blocks)),
-                         min(GEMM_ROWS, max(rows)), n), dtype=np.complex128)
-    calls = []
-    for k, ((table, outer, bands), size) in enumerate(zip(levels, sizes)):
-        out = outputs[k % 2 * even:][:size]
-        lanes = min(len(gathered), blocks[k])
-        calls.append(([], out))
-        for lane in range(lanes):
-            chunks = []
-            for block in range(blocks[k] * lane // lanes,
-                               blocks[k] * (lane + 1) // lanes):
-                top = block * GEMM_ROWS
-                bottom = min(top + GEMM_ROWS, rows[k])
-                into = gathered[lane, :bottom - top]
-                parts = [(into, factor_t, out.reshape(-1, n)[top:bottom],
-                          into)]
-                if outer:
-                    parts = []
-                    for start, padded, lo, offset in bands:
-                        a, b = max(start, top), min(start + padded, bottom)
-                        if a < b:
-                            band = into[a - top:b - top].T
-                            dst = out[offset:offset + (n - lo) * padded]
-                            parts.append((factor[lo:], band, dst.reshape(
-                                n - lo, padded)[:, a - start:b - start],
-                                band[lo:]))
-                chunks.append((table[top:bottom], into, parts))
-            calls[-1][0].append(chunks)
-    return calls
-
-
-def _kinetic_levels(psi: np.ndarray, calls: list, split: bool) -> np.ndarray:
-    """U along every axis of the sector state psi, level by level
-    (_level_tables, _level_calls); returns the flat last level output.
-
-    Each level's lanes go to the pool (grid._in_blocks); a lane runs its
-    chunks in turn, each a gather and its band parts' products.
-    """
-    src = psi
-    for lanes, out in calls:
-        def run(lo, hi, src=src, lanes=lanes):
-            for chunks in lanes[lo:hi]:
-                for table, gathered, parts in chunks:
-                    np.take(src, table, out=gathered, mode="clip")
-                    for a, b, dst, addend in parts:
-                        np.matmul(a, b, out=dst)
-                        if split:
-                            dst += addend
-
-        _grid._in_blocks(run, len(lanes))
-        src = out
-    return src
-
-
-def _kick(src: np.ndarray, half: np.ndarray, split: bool,
-          out: np.ndarray) -> None:
-    """out = src exp(i theta), given half = exp(i theta), or
-    exp(i theta) - 1 with split; out may be src."""
-    if split:
-        np.add(src, src * half, out=out)
-    else:
-        np.multiply(src, half, out=out)
 
 
 class NumericalAbort(RuntimeError):
@@ -353,10 +91,6 @@ class NBodySystem:
             raise GridError("need at least one particle")
         if not 0 <= self.omega < math.inf:
             raise GridError("trap frequency must be finite and nonnegative")
-
-    @property
-    def dim(self) -> int:
-        return self.grid.n ** self.n_particles
 
     def pair_potential_values(self) -> np.ndarray:
         """V_N on the (x_i - x_j) difference grid, shape (n, n)."""
@@ -480,96 +214,142 @@ def _moment(system: NBodySystem, ham, state: BosonicState, k: int,
 
 @dataclass
 class Trajectory:
-    """Stored snapshots of an N-body propagation (evolve's BosonicStates,
-    after the initial state as given)."""
+    """Stored states of an N-body flow: propagate's BosonicStates at
+    times, the first the initial state itself when times start at 0."""
 
     system: NBodySystem
-    dt: float
-    store_every: int
     times: np.ndarray
     states: list
-    # largest |norm - norm at step 0| over every step, stored or not
+    # largest |norm - norm at t = 0| over the stored states
     norm_drift: float
 
-    @property
-    def store_dt(self) -> float:
-        return self.dt * self.store_every
+
+def _bessel_j(x: float) -> np.ndarray:
+    """J_0(x), ..., J_{M-1}(x) for x >= 0, M the first order above x with
+    |J_M(x)| < 1e-15: the Chebyshev weights of one segment of the flow.
+
+    Miller's backward recurrence J_{m-1} = (2m / x) J_m - J_{m+1} runs
+    down from J_top = 1, J_{top+1} = 0, rescaled before it overflows, and
+    is normalized by J_0 + 2 (J_2 + J_4 + ...) = 1.  top = x + 16 x^(1/3)
+    + 40 lies past the cut, which is at most 13 orders above x for x <= 1
+    and about 10 x^(1/3) above it at large x.  Below x = 2e-15 the cut is
+    M = 1: J_1(x) = x/2 is under 1e-15 and J_0(x) rounds to 1.
+    """
+    if x < 2e-15:
+        return np.ones(1)
+    top = int(x + 16.0 * x ** (1.0 / 3.0)) + 40
+    j = np.zeros(top + 2)
+    j[top] = 1.0
+    for m in range(top, 0, -1):
+        j[m - 1] = (2.0 * m / x) * j[m] - j[m + 1]
+        if abs(j[m - 1]) > 1e250:
+            j[m - 1:] *= 1e-250
+    j = j[:-1] / (j[0] + 2.0 * j[2::2].sum())
+    cut = np.flatnonzero((np.arange(top + 1) > x) & (np.abs(j) < 1e-15))
+    return j[:cut[0]]
 
 
-def evolve(system: NBodySystem, state: BosonicState, dt: float,
-           n_steps: int, store_every: int = 1) -> Trajectory:
-    """Strang-splitting propagation of psi(t) = exp(-i t H_N) psi(0).
+def _chebyshev_segment(ham, values: np.ndarray, center: float,
+                       radius: float, span: float) -> np.ndarray:
+    """exp(-i span H) values for H = ham with its spectrum in
+    [center - radius, center + radius] (propagate's expansion)."""
+    coeffs = _bessel_j(radius * span)
+    # 2 (-i)^m J_m, with exact powers of -i
+    weights = 2.0 * coeffs * np.array([1, -1j, -1, 1j])[
+        np.arange(len(coeffs)) % 4]
+    out = coeffs[0] * values
+    prev = cur = values
+    for m in range(1, len(coeffs)):
+        # T_1 = H~ v and T_{m+1} = 2 H~ T_m - T_{m-1}, H~ = (H - c) / r
+        nxt = ham(cur)
+        nxt -= center * cur
+        if m == 1:
+            nxt /= radius
+        else:
+            nxt *= 2.0 / radius
+            nxt -= prev
+        out += weights[m] * nxt
+        prev, cur = cur, nxt
+    out *= np.exp(-1j * center * span)
+    return out
 
-    The state is a BosonicState, whose sector values are propagated as
-    they are; anything else (a bare tensor, symmetric or not) raises
-    GridError, so a caller symmetrizes with grid.symmetrize.  The norm
-    change per step and since step 0 are both checked against NORM_TOL
-    (the splitting is exactly unitary, so violations indicate numerical
-    trouble, and the step-0 check catches slow drift that no single step
-    shows), and a non-finite norm aborts at once.  The largest drift
-    since step 0 over every step is kept as the trajectory's norm_drift.
-    Snapshots are stored every store_every steps as BosonicStates, never
-    expanded here; the first is the initial state itself.
 
-    A step is N levels of gather and BLAS product with the n x n kinetic
-    factor (in row chunks on the pool, each band computing only the
-    outputs the next level reads, _kinetic_levels), one gather of their
-    result at the sorted tuples, the closing half kick, the
-    multiplicity-weighted norm, and the next step's opening half kick;
-    it makes no Fourier transform.  Below SPLIT_FLOOR amplitudes (n^N)
-    each factor P is applied as psi + (P - 1) psi.
+def propagate(system: NBodySystem, state: BosonicState,
+              times) -> Trajectory:
+    """The exact flow psi(t) = exp(-i t H_N) psi(0) at each of times.
+
+    state is psi(0), a BosonicState of the system (_check_grid; a bare
+    tensor raises GridError, so a caller symmetrizes with
+    grid.symmetrize), and times must be finite, nonnegative and strictly
+    increasing, else GridError.  Each output segment Delta, from the
+    previous time (or 0) to the next, applies exp(-i Delta H_N) to the
+    sector values as the Chebyshev expansion of Tal-Ezer and Kosloff
+    (J. Chem. Phys. 81, 3967 (1984)),
+
+        exp(-i c Delta) sum_m (2 - delta_m0) (-i)^m J_m(r Delta) T_m(H~) v,
+
+    H~ = (H_N - c) / r, with hamiltonian(system) its only operator and the
+    T_m v from the recurrence T_{m+1} = 2 H~ T_m - T_{m-1}.  The spectrum
+    lies in [lo, hi]: lo is the least potential at the sorted tuples (the
+    kinetic part is positive semidefinite) and hi = N max(k^2/2) plus the
+    greatest; c and r are their midpoint and half-width.  The sum stops at
+    the first m > r Delta with |J_m(r Delta)| < 1e-15 (_bessel_j).  A
+    potential with an imaginary part has no real spectrum to expand on,
+    and raises GridError.
+
+    The norm change over each segment and since t = 0 are checked against
+    NORM_TOL, and a non-finite norm raises NumericalAbort at once; the
+    largest drift since t = 0 is the trajectory's norm_drift.  A time 0
+    stores the given state itself, and every later time a new
+    BosonicState.
     """
     _check_grid(system, state)
-    if dt <= 0 or n_steps < 1 or store_every < 1:
-        raise GridError("dt, n_steps, store_every must be positive")
-
+    times = np.asarray(times, dtype=float)
+    if not (times.ndim == 1 and len(times) and np.all(np.isfinite(times))
+            and times[0] >= 0 and np.all(np.diff(times) > 0)):
+        raise GridError(f"times must be finite, nonnegative and strictly "
+                        f"increasing, got {times}")
     grid, nn = system.grid, system.n_particles
     tuples, _, multiplicity = sector_tables(grid.n, nn)[0][-1]
-    closed = state.values.copy()
-    split = system.dim < SPLIT_FLOOR
-    half = (_phase_minus_one if split else _phase)(
-        (-0.5 * dt) * system.potential_at(tuples.T))
+    pot = system.potential_at(tuples.T)
+    if np.iscomplexobj(pot):
+        raise GridError("the exact flow needs a real potential; this one "
+                        "has an imaginary part")
+    lo = float(np.min(pot))
+    hi = nn * float(np.max(kinetic_symbol(grid))) + float(np.max(pot))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise GridError(f"spectral bounds [{lo}, {hi}] of H_N are not finite")
+    center, radius = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    ham = hamiltonian(system)
     weight = grid.h ** nn
-    levels, final = _level_tables(grid.n, nn)
-    calls = _level_calls(levels, _kinetic_factor(grid, dt, split), split)
 
-    norm_prev = norm_start = math.sqrt(
-        weight * _grid._norm_sq(closed, multiplicity))
-    drift = 0.0
-    times = [0.0]
-    states = [state]
-    psi = np.empty_like(closed)
-    _kick(closed, half, split, psi)
+    def norm(values, at):
+        value = math.sqrt(weight * _grid._norm_sq(values, multiplicity))
+        if not math.isfinite(value):
+            raise NumericalAbort(f"norm is {value} at t = {at}")
+        return value
 
-    for step in range(1, n_steps + 1):
-        np.take(_kinetic_levels(psi, calls, split), final, out=closed,
-                mode="clip")
-        _kick(closed, half, split, closed)
-        norm_now = math.sqrt(
-            weight * _grid._norm_sq(closed, multiplicity))
-
-        if not math.isfinite(norm_now):
-            raise NumericalAbort(f"norm is {norm_now} at step {step}")
+    values, now = state.values, 0.0
+    norm_prev = norm_start = norm(values, now)
+    drift, states = 0.0, []
+    for t in times:
+        if t == 0.0:
+            states.append(state)
+            continue
+        values = _chebyshev_segment(ham, values, center, radius, t - now)
+        norm_now = norm(values, t)
         if abs(norm_now - norm_prev) > NORM_TOL:
-            raise NumericalAbort(
-                f"norm drifted by {abs(norm_now - norm_prev):.3e} at step {step}"
-            )
+            raise NumericalAbort(f"norm drifted by "
+                                 f"{abs(norm_now - norm_prev):.3e} from "
+                                 f"t = {now} to t = {t}")
         since_start = abs(norm_now - norm_start)
         if since_start > NORM_TOL:
-            raise NumericalAbort(
-                f"norm drifted by {since_start:.3e} since step 0 at step {step}"
-            )
-        norm_prev = norm_now
+            raise NumericalAbort(f"norm drifted by {since_start:.3e} since "
+                                 f"t = 0 at t = {t}")
+        norm_prev, now = norm_now, t
         drift = max(drift, since_start)
-
-        if step % store_every == 0:
-            times.append(step * dt)
-            states.append(BosonicState(grid, nn, closed))  # a copy
-        if step < n_steps:
-            _kick(closed, half, split, psi)
-
-    return Trajectory(system, dt, store_every, np.asarray(times), states,
-                      drift)
+        states.append(BosonicState(grid, nn, values))
+    return Trajectory(system, times, states, drift)
 
 
 # -- spectral cutoff ---------------------------------------------------------
@@ -675,13 +455,16 @@ def _collision_term(state: BosonicState, k: int, vpair: np.ndarray) -> np.ndarra
 
 def bbgky_residual(traj: Trajectory, k: int) -> dict:
     """Central-difference residual of the trapped BBGKY hierarchy at level k,
-    at the middle stored snapshot.
+    at the middle stored state.
 
-    Checks i d/dt gamma^(k) against the one-body commutator, the in-block
-    pair term, and the (N-k)/N weighted collision contraction of
-    gamma^(k+1), all built from the same discrete operators that generated
-    the trajectory.  The residual is O(dt^2): central differencing and
-    Strang splitting both contribute at second order.
+    Checks i d/dt gamma^(k), the central difference of the two stored
+    states around it, against the one-body commutator, the in-block pair
+    term, and the (N-k)/N weighted collision contraction of gamma^(k+1),
+    all built from the same discrete operators as H_N.  The trajectory is
+    the exact flow (propagate), so the residual is O(s^2) from the central
+    difference alone, s the spacing of the stored times, which must be
+    even around the middle state (GridError otherwise); the result's "dt"
+    is s.
     """
     system = traj.system
     nn = system.n_particles
@@ -693,12 +476,16 @@ def bbgky_residual(traj: Trajectory, k: int) -> dict:
 
     n = system.grid.n
     grid = system.grid
-    dt_s = traj.store_dt
+    before, now, after = (float(t) for t in traj.times[index - 1:index + 2])
+    spacing = after - now
+    if not math.isclose(now - before, spacing, rel_tol=1e-9):
+        raise GridError(f"the central difference needs evenly spaced "
+                        f"states, not t = {before}, {now}, {after}")
     gm = partial_trace(traj.states[index - 1], k)
     g0 = partial_trace(traj.states[index], k)
     gp = partial_trace(traj.states[index + 1], k)
 
-    lhs = 1j * (gp.kernel - gm.kernel) / (2.0 * dt_s)
+    lhs = 1j * (gp.kernel - gm.kernel) / (after - before)
 
     tens = g0.tensor()
     rhs = _commutator_one_body(tens, k, dense_operator(
@@ -725,7 +512,7 @@ def bbgky_residual(traj: Trajectory, k: int) -> dict:
         "kernel": residual,
         "hs_norm": hs,
         "max_abs": float(np.max(np.abs(residual))),
-        "time": float(traj.times[index]),
+        "time": now,
         "k": k,
-        "dt": traj.dt,
+        "dt": spacing,
     }

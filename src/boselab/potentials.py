@@ -105,8 +105,8 @@ class PotentialSpec:
         return float(np.max(np.abs(self(x))))
 
     def phase_rate(self, n_particles: int) -> float:
-        """N^beta ||V||_inf = ||V_N||_inf; the splitting stays stable while
-        phase_rate * dt <= 0.1."""
+        """N^beta ||V||_inf = ||V_N||_inf, the pair part of the bound on
+        H_N's spectral radius that the CLI's run-length envelope takes."""
         return float(n_particles) ** self.beta * self.linf_norm()
 
 

@@ -159,6 +159,11 @@ def test_bad_seed_exits_with_usage_code(tmp_path, source, value):
     ("bbgky", '{"t_run": 1e-9}', "three snapshots"),
     ("convergence", '{"times": [0, 1e308, Infinity]}', "type 'number'"),
     ("convergence", '{"times": [0, 1e308]}', "finite number of steps"),
+    # 5e6 orbital steps, and 4.2e5 H_N applications at N = 4
+    ("convergence", '{"times": [0, 1e4]}', "run-length envelope"),
+    # the well samples to NaN, so H_N has no finite spectral bound
+    ("convergence", '{"potential": {"shape": "mixed_sign", "a": 1.0,'
+     ' "s": 1e308}}', "spectral radius"),
     ("energy", '{"omegas": [NaN]}', "type 'number'"),
     ("nls-validate", '{"n": 256.0}', "type 'integer'"),
     # one particle: no k = 2 chaos distance, no hierarchy level, no margin
@@ -254,14 +259,20 @@ def test_validator_fails_closed_on_any_number():
     check()
 
 
-def test_control_potential_obeys_the_dt_budget():
+def test_control_potential_enters_the_run_length_envelope():
+    # the control runs are counted with the control potential's bound
     from boselab.cli import ConfigError, validate_config
 
+    wide = {"shape": "mixed_sign", "a": 1.0, "s": 1e308}
+    with pytest.raises(ConfigError, match="control_potential: "):
+        validate_config({"experiment": "convergence",
+                         "control_potential": wide})
+    # a well the Strang step could not take at dt = 2e-3 (N^beta |V| dt
+    # = 0.3) is one the exact flow takes in 81 terms per segment
     strong = {"shape": "mixed_sign", "a": 200.0, "s": 1.0, "r": 0.5,
               "beta": 0.3}
-    with pytest.raises(ConfigError, match="control_potential"):
-        validate_config({"experiment": "convergence",
-                         "control_potential": strong})
+    validate_config({"experiment": "convergence",
+                     "control_potential": strong})
 
 
 def test_extreme_potential_is_rejected_without_warnings():
@@ -272,7 +283,7 @@ def test_extreme_potential_is_rejected_without_warnings():
     wide = {"shape": "mixed_sign", "a": 1.0, "s": 1e308}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ConfigError, match="stability budget"):
+        with pytest.raises(ConfigError, match="spectral radius"):
             validate_config({"experiment": "convergence", "potential": wide})
 
 
@@ -312,7 +323,8 @@ def test_size_envelope_admits_defaults_and_benchmark_configs():
 
 
 @pytest.mark.parametrize("cfg", [
-    # 5e6 Strang steps of the N=4 tensor per potential
+    # 5e6 orbital steps per potential, and 4.2e5 H_N applications on the
+    # 52,360 values of N = 4
     {"experiment": "convergence", "times": [0.0, 1e4]},
     {"experiment": "nls_validate", "t_run": 1e5, "dt": 1e-6},
     {"experiment": "bbgky_residual", "t_run": 1e4},
@@ -326,9 +338,10 @@ def test_run_length_envelope_rejects_long_runs(cfg):
 
 
 def _evolutions(monkeypatch, tmp_path, cfg):
-    """(dt, n_steps, store_every) of every evolve and evolve_nls call a
-    suite makes and of every run of its plan, in order; and the suite's
-    exit code."""
+    """(dt, n_steps, store_every) of every evolve_nls call a suite makes,
+    and ("flow", times) of every propagate call, rounded to 1e-12, in
+    order; the same of every run of its plan; and the suite's exit
+    code."""
     from boselab import cli, lens, nbody, nls
 
     calls = []
@@ -340,11 +353,21 @@ def _evolutions(monkeypatch, tmp_path, cfg):
                             store_every=store_every)
         return recorded
 
-    monkeypatch.setattr(nbody, "evolve", recorder(nbody.evolve))
+    def flow(times):
+        return ("flow", [round(float(t), 12) for t in times])
+
+    propagate = nbody.propagate
+
+    def recorded_flow(system, state, times):
+        calls.append(flow(times))
+        return propagate(system, state, times)
+
+    monkeypatch.setattr(nbody, "propagate", recorded_flow)
     # lens binds evolve_nls at import
     monkeypatch.setattr(nls, "evolve_nls", recorder(nls.evolve_nls))
     monkeypatch.setattr(lens, "evolve_nls", nls.evolve_nls)
-    planned = [(run.dt, run.steps, run.store_every)
+    planned = [(run.dt, run.steps, run.store_every) if run.particles == 1
+               else flow(cli._stored_times(run))
                for run in cli._plan(cli.validate_config(cfg))]
     code, _ = cli.run_experiment(cfg, tmp_path)
     return calls, planned, code
@@ -388,14 +411,70 @@ def test_plan_counts_the_lens_runs_shorter_than_two_steps(monkeypatch,
 
 
 def test_default_convergence_plan_totals():
-    # the totals the README and the run-length envelope's comment state
-    from boselab.cli import _plan, validate_config
+    # the totals the README and the run-length envelope's comment state:
+    # two orbitals of 250 steps and, per potential, two segments of 0.25
+    # at N = 2, 3, 4
+    from boselab.cli import _run_length, validate_config
+    from boselab.potentials import PotentialSpec
 
     merged = validate_config({"experiment": "convergence"})
-    runs = _plan(merged)
-    assert sum(run.steps for run in runs) == 2000
-    assert sum(run.steps * merged["n"] ** run.particles
-               for run in runs) == 541_200_000
+    specs = {key: PotentialSpec(**merged[key])
+             for key in ("potential", "control_potential")}
+    count, work = _run_length(merged, specs)
+    assert 1_000 <= count <= 1_050
+    assert 1.1e7 <= work <= 1.2e7
+
+
+def test_flow_terms_bound_the_bessel_count():
+    # the envelope's closed form against the terms the flow takes
+    import numpy as np
+
+    from boselab.cli import _flow_terms
+    from boselab.nbody import _bessel_j
+
+    for x in [0.0, *np.logspace(-16, 3.5, 300)]:
+        assert len(_bessel_j(x)) <= _flow_terms(x)
+
+
+def test_envelope_bounds_the_applications_the_flow_takes(monkeypatch,
+                                                          tmp_path):
+    # every H_N application of a convergence and a bbgky run, counted
+    # with its sector values, against the validator's count
+    import math
+
+    from boselab import cli, nbody
+    from boselab.potentials import PotentialSpec
+
+    build = nbody.hamiltonian
+    counted = []
+
+    def counting(system):
+        ham = build(system)
+        size = math.comb(system.grid.n + system.n_particles - 1,
+                         system.n_particles)
+
+        def apply(values):
+            counted.append(size)
+            return ham(values)
+        return apply
+
+    monkeypatch.setattr(nbody, "hamiltonian", counting)
+    for cfg in ({"experiment": "convergence", "n": 16,
+                 "n_particles": [2, 3], "times": [0.0, 0.1, 0.2]},
+                {"experiment": "bbgky_residual", "t_run": 0.04}):
+        counted.clear()
+        merged = cli.validate_config(cfg)
+        specs = {key: PotentialSpec(**merged[key])
+                 for key in ("potential", "control_potential")
+                 if key in merged}
+        runs = cli._plan(merged)
+        orbital = sum(run.steps for run in runs if run.particles == 1)
+        count, work = cli._run_length(merged, specs)
+        code, _ = cli.run_experiment(cfg, tmp_path / cfg["experiment"])
+        assert code == 0
+        orbital_work = orbital * merged["n"]
+        assert len(counted) <= count - orbital <= 3 * len(counted)
+        assert sum(counted) <= work - orbital_work <= 3 * sum(counted)
 
 
 def _run_twice(tmp_path, *args):
@@ -414,14 +493,16 @@ def _run_twice(tmp_path, *args):
 
 
 # sha256 of the two configs' output directories (see _DEFAULT_DIGESTS);
-# they pin the symmetric-sector Strang route at N = 2..4 from product
+# they pin the exact flow (nbody.propagate) at N = 2..4 from product
 # states built on the sorted tuples, and the chaos distances read off the
-# sector values (k = 2 from one Lanczos eigenvalue)
+# sector values (k = 2 from one Lanczos eigenvalue).  Re-frozen when the
+# Chebyshev flow replaced the Strang steps, which moved the distances by
+# the Strang error (CHANGES.md lists the digits)
 _CONVERGENCE_DIGESTS = {
     "small":
-        "065c748ed4381316c6097347245e320d68a593efbc36980cdf58f13d1744223e",
-    "one_step":
-        "a8f5ba4ebbd9e3d06cadbbcc0220a05e5fe020e8d4dbc48b26e1651a87ee5946",
+        "28df4933dc561e36a793fd9d31ad62fb8d9b25069353d936c81c33440829b36a",
+    "one_segment":
+        "4a53ffc26a16555e242d4cb41241bddcbae786ba292e1315175695be6293660e",
 }
 
 
@@ -431,7 +512,7 @@ def test_convergence_reruns_byte_identical(tmp_path):
     # move with a threaded BLAS
     for name, cfg in (("small", {"n": 16, "n_particles": [2, 3],
                                  "times": [0.0, 0.02]}),
-                      ("one_step", {"n_particles": [3, 4],
+                      ("one_segment", {"n_particles": [3, 4],
                                     "times": [0.0, 0.01]})):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(cfg))
@@ -441,7 +522,7 @@ def test_convergence_reruns_byte_identical(tmp_path):
 
 
 def test_convergence_forms_no_full_tensor(monkeypatch, tmp_path):
-    # the default n = 32 and N = 2, 3, 4, one step: the initial states,
+    # the default n = 32 and N = 2, 3, 4, one segment: the initial states,
     # the propagation and the chaos distances stay on the sorted tuples,
     # so no (n,)^N tensor is ever formed (32^4 complex = 16.8 MB)
     import numpy as np
@@ -560,7 +641,12 @@ _DEFAULT_DIGESTS = {
     # its two margins
     "energy": "6a040727ffa166df420feb3360d2a0fd054440e1d442e4bdaa47284beb1b5615",
     "lens": "b543d56e9af038570b355f4d5ecf515712d7521d6769e67cf08c84096a4ac3b7",
-    "bbgky": "d4569e83413a5273b925a1b3fc6da114d618b4456b3225d4224a9044c034de88",
+    # convergence and bbgky run the exact flow (nbody.propagate): the
+    # chaos distances and the bbgky residuals lost the Strang error when
+    # it replaced the Strang steps, and bbgky was re-frozen then
+    "convergence":
+        "65380d7e110860ae1e2c59ec25f9a28590d42b76a0b49060051b4f978c0e7e46",
+    "bbgky": "dddd6381bf1972404ef605c1fdbcc6affb03ec6736f497193eef048a8a32c66b",
     "nls-validate":
         "79f23fb9c079e32e9c7bc2c3f5de1b2291eb6cc5ba30ac1fecb5fa9bee19c7f7",
 }
@@ -594,7 +680,7 @@ def test_collapse_reruns_byte_identical(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["energy", "lens", "bbgky",
-                                     "nls-validate"])
+                                     "nls-validate", "convergence"])
 def test_default_run_reruns_byte_identical(tmp_path, command):
     out = _run_twice(tmp_path, command)
     assert (out / "summary.json").is_file()
@@ -621,12 +707,12 @@ def test_failed_check_exits_with_failure_code(tmp_path):
 
 def _nan_amplitude_run(cfg, out, rhash):
     from boselab.grid import BosonicState, Grid1D, random_state
-    from boselab.nbody import NBodySystem, evolve
+    from boselab.nbody import NBodySystem, propagate
 
     g = Grid1D(16, 4.0)
     values = random_state(g, 2, seed=0).values.copy()
     values[7] = float("nan")
-    evolve(NBodySystem(g, 2), BosonicState(g, 2, values), 1e-3, 5)
+    propagate(NBodySystem(g, 2), BosonicState(g, 2, values), [1e-3, 5e-3])
     return []
 
 

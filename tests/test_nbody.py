@@ -3,7 +3,6 @@
 import itertools
 import math
 import sys
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -24,18 +23,20 @@ from boselab.nbody import (
     _collision_term,
     _commutator_one_body,
     bbgky_residual,
+    _bessel_j,
     cutoff_chi,
-    evolve,
     hamiltonian,
     one_body_sum,
+    propagate,
     spectral_cutoff,
 )
 from boselab.marginals import partial_trace
 from boselab.nls import trap_ground_state
 from boselab.potentials import gaussian_well, mixed_sign
 from oracles import (dense_cutoff, dense_hamiltonian, energy_drift,
-                     energy_moment, potential_diagonal, symmetry_residual,
-                     tensor_collision_term, tensor_partial_trace)
+                     energy_moment, potential_diagonal, strang_flow,
+                     symmetry_residual, tensor_collision_term,
+                     tensor_partial_trace)
 
 
 def test_system_validation():
@@ -44,7 +45,6 @@ def test_system_validation():
         NBodySystem(g, 0)
     with pytest.raises(GridError):
         NBodySystem(g, 2, omega=-1.0)
-    assert NBodySystem(g, 3).dim == 512
 
 
 def test_potential_diagonal_structure():
@@ -71,8 +71,9 @@ def test_potential_diagonal_structure():
 ])
 def test_potential_at_sorted_tuples_is_the_gathered_diagonal(nn, n, omega,
                                                             potential):
-    # evolve's half kicks read the diagonal at the sorted tuples only; the
-    # same sums in the same order give the same bits as the full tensor
+    # H_N and the flow's spectral bounds read the diagonal at the sorted
+    # tuples only; the same sums in the same order give the same bits as
+    # the full tensor
     system = NBodySystem(Grid1D(n, 4.0), nn, potential=potential,
                          omega=omega)
     tuples = sector_tables(n, nn)[0][-1][0]
@@ -103,11 +104,12 @@ def test_evolve_does_not_build_the_full_diagonal(monkeypatch):
     g = Grid1D(16, 4.0)
     system = NBodySystem(g, 3, potential=gaussian_well(), omega=1.0)
     state = random_state(g, 3, seed=2, k_filter=3.0)
-    before = evolve(system, state, 1e-3, 3).states[-1].values
+    before = propagate(system, state, [3e-3]).states[-1].values
     calls = _refuse_the_full_diagonal(monkeypatch)
-    after = evolve(system, state, 1e-3, 3).states[-1].values
+    after = propagate(system, state, [3e-3]).states[-1].values
     assert np.array_equal(before, after)
-    assert calls == [system]
+    # once for the spectral bounds and once in H_N
+    assert calls == [system, system]
 
 
 def _at_sorted_tuples(tensor):
@@ -144,7 +146,7 @@ def test_sector_hamiltonian_is_the_tensor_route_bit_for_bit(n, nn, omega,
     assert np.array_equal(got, _at_sorted_tuples(oracle))
     # the dense matrix of 4096^2 entries (8^4, 16^3) takes 268 MB, and
     # its kron build several times that, so it is checked up to 512
-    if system.dim <= 512:
+    if n ** nn <= 512:
         dense = (dense_hamiltonian(system) @ state.amplitudes.reshape(-1)
                  ).reshape(state.amplitudes.shape)
         ref = _at_sorted_tuples(dense)
@@ -266,7 +268,7 @@ def test_hamiltonian_forms_no_full_tensor(monkeypatch):
     g = Grid1D(16, 4.0)
     system = NBodySystem(g, 4, potential=gaussian_well(1.0, 1.0), omega=1.0)
     state = random_state(g, 4, seed=3, k_filter=3.0)
-    traj = evolve(system, state, 1e-3, 4, store_every=2)
+    traj = propagate(system, state, [0.0, 2e-3, 4e-3])
     formed = []
 
     def recorded(name, original):
@@ -299,21 +301,58 @@ def test_spectral_cutoff_sector_side_cap():
 
 
 def test_propagator_against_dense_exponential():
-    # independent reference: scipy expm of the dense Hamiltonian; the
-    # Strang error at fixed horizon must shrink by ~4x when dt halves
-    g = Grid1D(8, 4.0)
-    system = NBodySystem(g, 2, potential=gaussian_well(1.0, 1.0), omega=1.0)
-    state = random_state(g, 2, seed=3, k_filter=2.0)
-    t_final = 0.2
-    ref = expm(-1j * t_final * dense_hamiltonian(system)) \
-        @ state.amplitudes.reshape(-1)
-    errs = []
-    for dt in (0.02, 0.01):
-        traj = evolve(system, state, dt, int(round(t_final / dt)))
-        got = traj.states[-1].amplitudes.reshape(-1)
-        errs.append(float(np.max(np.abs(got - ref))))
-    assert errs[0] < 1e-3
-    assert 3.5 <= errs[0] / errs[1] <= 4.5
+    # independent reference: scipy's expm of the dense H_N on the n^N
+    # tensor, at every stored time; n = 8 at N = 3 keeps it at 512^2
+    for (n, nn), omega, potential in itertools.product(
+            [(8, 2), (8, 3), (16, 2)], [0.0, 1.0],
+            [None, gaussian_well(1.0, 1.0)]):
+        g = Grid1D(n, 4.0)
+        system = NBodySystem(g, nn, potential=potential, omega=omega)
+        state = random_state(g, nn, seed=3, k_filter=2.0)
+        times = [0.0, 0.05, 0.2, 0.7]
+        ham = dense_hamiltonian(system)
+        traj = propagate(system, state, times)
+        for t, got in zip(times, traj.states, strict=True):
+            ref = expm(-1j * t * ham) @ state.amplitudes.reshape(-1)
+            err = np.max(np.abs(got.amplitudes.reshape(-1) - ref))
+            assert err <= 1e-12 * np.max(np.abs(ref)), (n, nn, omega, t)
+
+
+@pytest.mark.parametrize("nn", [2, 3, 4])
+def test_strang_steps_converge_to_the_exact_flow(nn):
+    # the full-tensor FFT Strang step (tests/oracles.py) on the trapped
+    # product state of the mean-field well: its error against propagate
+    # falls by 4 per dt halving (4.0005 at dt = 0.01, 4.0001 at 0.005)
+    from boselab.potentials import PotentialSpec
+
+    g = Grid1D(16, 8.0)
+    system = NBodySystem(g, nn, omega=1.0, potential=PotentialSpec(
+        "gaussian_well", 1.0, 1.0, beta=0.3))
+    phi = np.exp(-g.x ** 2 / 2).astype(np.complex128)
+    state = BosonicState(g, nn, sector_product(phi, nn)).normalized()
+    exact = propagate(system, state, [0.2]).states[-1].amplitudes
+    errs = [math.sqrt(g.h ** nn * np.sum(np.abs(
+        strang_flow(system, state.amplitudes, 0.2 / steps, steps) - exact)
+        ** 2)) for steps in (20, 40)]
+    assert errs[1] < 1e-5
+    assert abs(errs[0] / errs[1] - 4.0) <= 0.05
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-16, 1e-8, 0.09, 0.3, 1.0, 2.5, 10.0,
+                               10.44, 42.5])
+def test_bessel_coefficients_match_scipy(x):
+    # Miller's recurrence against scipy.special.jv, and the cut: the
+    # first order above x with |J_m(x)| < 1e-15
+    from scipy.special import jv
+
+    got = _bessel_j(x)
+    orders = np.arange(len(got) + 1)
+    want = jv(orders, x)
+    assert np.max(np.abs(got - want[:-1])) <= 1e-15
+    small = (orders > x) & (np.abs(want) < 1e-15)
+    assert np.flatnonzero(small)[0] == len(got)
+    if x == 0.0:
+        assert got.tolist() == [1.0]
 
 
 def test_free_dispersion_matches_analytic_variance():
@@ -323,8 +362,8 @@ def test_free_dispersion_matches_analytic_variance():
     phi = np.exp(-g.x ** 2 / (2 * s0 ** 2)).astype(np.complex128)
     phi /= math.sqrt(g.h * float(np.sum(np.abs(phi) ** 2)))
     system = NBodySystem(g, 1)
-    traj = evolve(system, BosonicState(g, 1, phi), 1e-3, 500,
-                  store_every=100)
+    traj = propagate(system, BosonicState(g, 1, phi),
+                     [0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
     for t, snap in zip(traj.times, traj.states):
         dens = np.abs(snap.amplitudes) ** 2
         var = float(g.h * np.sum(g.x ** 2 * dens))
@@ -337,24 +376,50 @@ def test_trap_ground_state_is_stationary():
     phi, _ = trap_ground_state(g, 1.0)
     pair = np.multiply.outer(phi, phi)
     system = NBodySystem(g, 2, omega=1.0)
-    traj = evolve(system, BosonicState(g, 2, sector_product(phi, 2)), 1e-3,
-                  500, store_every=500)
+    traj = propagate(system, BosonicState(g, 2, sector_product(phi, 2)),
+                     [0.5])
     overlap = abs(g.h ** 2 * np.vdot(traj.states[-1].amplitudes, pair))
     assert overlap == pytest.approx(1.0, abs=1e-12)
 
 
 def test_evolve_conservation_and_symmetry():
+    # the exact flow keeps the energy to rounding, not to O(dt^2)
     g = Grid1D(16, 4.0)
     system = NBodySystem(g, 3, potential=mixed_sign(1.0, 1.0, r=0.25),
                          omega=1.0)
     state = random_state(g, 3, seed=4, k_filter=3.0)
-    traj = evolve(system, state, 1e-3, 200, store_every=20)
-    assert traj.norm_drift < 1e-10
-    assert energy_drift(traj) < 1e-6
+    traj = propagate(system, state, 0.02 * np.arange(11))
+    assert traj.norm_drift < 1e-13
+    assert energy_drift(traj) < 1e-12
     assert all(symmetry_residual(s.amplitudes) < 1e-9 for s in traj.states)
-    assert traj.store_dt == pytest.approx(0.02)
     assert np.allclose(np.diff(traj.times), 0.02)
     assert len(traj.states) == len(traj.times) == 11
+
+
+@settings(max_examples=30, deadline=None)
+@given(nn=st.sampled_from([1, 2, 3]), n=st.sampled_from([8, 16]),
+       omega=st.sampled_from([0.0, 1.0]), interacting=st.booleans(),
+       t2=st.floats(1e-6, 1.0), fraction=st.floats(0.01, 0.99),
+       seed=st.integers(0, 2 ** 16))
+def test_flow_keeps_the_norm_and_composes(nn, n, omega, interacting, t2,
+                                          fraction, seed):
+    # the group law: 0 -> t1 -> t2 in one call, and in two calls, equals
+    # 0 -> t2 to 1e-12, and every stored state keeps the norm
+    g = Grid1D(n, 4.0)
+    system = NBodySystem(g, nn, omega=omega,
+                         potential=gaussian_well(1.0, 1.0) if interacting
+                         else None)
+    state = random_state(g, nn, seed=seed, k_filter=3.0)
+    t1 = fraction * t2
+    both = propagate(system, state, [t1, t2])
+    direct = propagate(system, state, [t2]).states[-1].values
+    again = propagate(system, both.states[0], [t2 - t1]).states[-1].values
+    scale = np.max(np.abs(direct))
+    for got in (both.states[1].values, again):
+        assert np.max(np.abs(got - direct)) <= 1e-12 * scale
+    for snap in both.states:
+        assert abs(snap.norm() - 1.0) <= 1e-12
+    assert both.norm_drift <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -370,206 +435,22 @@ def test_evolution_keeps_bosonic_symmetry(nn, n, omega, interacting, dt,
                          potential=gaussian_well(1.0, 1.0) if interacting
                          else None)
     state = random_state(g, nn, seed=seed, k_filter=3.0)
-    traj = evolve(system, state, dt, 100, store_every=20)
+    traj = propagate(system, state, 20 * dt * np.arange(6))
     for snap in traj.states:
         amps = snap.amplitudes
         assert symmetry_residual(amps) <= 1e-13 * np.max(np.abs(amps))
-
-
-def _per_axis_strang(system, psi, dt, n_steps):
-    """Reference loop: numpy FFTs and the kinetic phase axis by axis."""
-    half = np.exp(-0.5j * dt * potential_diagonal(system))
-    kin = np.exp(-1j * dt * 0.5 * system.grid.k ** 2)
-    nn, n = system.n_particles, system.grid.n
-    for _ in range(n_steps):
-        psi = np.fft.fftn(half * psi)
-        for ax in range(nn):
-            shape = [1] * nn
-            shape[ax] = n
-            psi = psi * kin.reshape(shape)
-        psi = half * np.fft.ifftn(psi)
-    return psi
-
-
-@settings(max_examples=30, deadline=None)
-@given(nn=st.sampled_from([1, 2, 3, 4]), n=st.sampled_from([8, 16]),
-       omega=st.sampled_from([0.0, 1.0]), interacting=st.booleans(),
-       dt=st.floats(1e-4, 2e-2), seed=st.integers(0, 2 ** 16))
-def test_in_place_step_matches_per_axis_reference(nn, n, omega, interacting,
-                                                  dt, seed):
-    g = Grid1D(n, 4.0)
-    system = NBodySystem(g, nn, omega=omega,
-                         potential=gaussian_well(1.0, 1.0) if interacting
-                         else None)
-    state = random_state(g, nn, seed=seed, k_filter=3.0)
-    traj = evolve(system, state, dt, 6, store_every=6)
-    ref = _per_axis_strang(system, state.amplitudes, dt, 6)
-    got = traj.states[-1].amplitudes
-    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-    assert abs(traj.states[-1].norm() - state.norm()) < 1e-12
-    assert traj.norm_drift < 1e-12
-
-
-@pytest.mark.parametrize("nn, n", [(3, 32), (4, 16)])
-def test_whole_propagator_matches_per_axis_reference(nn, n):
-    # tensors from SPLIT_FLOOR up apply U whole rather than I + D
-    from boselab import nbody
-
-    g = Grid1D(n, 8.0)
-    system = NBodySystem(g, nn, potential=gaussian_well(1.0, 1.0), omega=1.0)
-    state = random_state(g, nn, seed=5, k_filter=3.0)
-    assert state.amplitudes.size >= nbody.SPLIT_FLOOR
-    traj = evolve(system, state, 2e-3, 4, store_every=4)
-    ref = _per_axis_strang(system, state.amplitudes, 2e-3, 4)
-    got = traj.states[-1].amplitudes
-    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-
-def test_split_and_whole_propagators_agree(monkeypatch):
-    from boselab import nbody
-
-    g = Grid1D(16, 4.0)
-    system = NBodySystem(g, 2, potential=gaussian_well(1.0, 1.0), omega=1.0)
-    state = random_state(g, 2, seed=6, k_filter=3.0)
-    split = evolve(system, state, 1e-3, 20, store_every=20)
-    monkeypatch.setattr(nbody, "SPLIT_FLOOR", 1)
-    whole = evolve(system, state, 1e-3, 20, store_every=20)
-    a, b = split.states[-1].amplitudes, whole.states[-1].amplitudes
-    assert not np.array_equal(a, b)
-    assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(a))
-
-
-@pytest.mark.parametrize("nn, n, potential", [
-    (2, 32, None), (3, 8, gaussian_well(1.0, 1.0))])
-def test_split_factors_keep_the_norm_unbiased(nn, n, potential):
-    # rounded unit factors would drift the norm by ~1e-17 to 1e-16 per
-    # step with one sign (1e-13 or more over this run); the split form
-    # only rounds sums, which random-walk
-    from boselab import nbody
-
-    g = Grid1D(n, 8.0)
-    state = random_state(g, nn, seed=7, k_filter=3.0)
-    assert state.amplitudes.size < nbody.SPLIT_FLOOR
-    system = NBodySystem(g, nn, potential=potential, omega=0.5)
-    traj = evolve(system, state, 2e-3, 20000, store_every=20000)
-    assert traj.norm_drift < 2e-14
-
-
-def _band_plan(n, nn):
-    """The bands of the N kinetic levels in closed form, as lists of
-    (rows, width).  Level k pairs the C(n+k-1, k) sorted k-tuples c with
-    the C(n+N-k-2, N-k-1) sorted (N-k-1)-tuples.  A level of at most
-    GEMM_ROWS rows is one band of width n, its rows as they are; a larger
-    one past level 0 is cut by max(c) in [lo, lo + 4), C(a+k-1, k-1)
-    tuples c having max(c) = a, and a band computes only the n - lo
-    outputs l >= lo; the bands of a larger level (at level 0 one band of
-    width n) are padded to a multiple of 4 rows."""
-    from boselab import nbody
-
-    def pad(rows):
-        return -(-rows // 4) * 4
-
-    plan = []
-    for k in range(nn):
-        inner = math.comb(n + nn - k - 2, nn - k - 1)
-        rows = math.comb(n + k - 1, k) * inner
-        if rows <= nbody.GEMM_ROWS:
-            plan.append([(rows, n)])
-            continue
-        if k == 0:
-            plan.append([(pad(rows), n)])
-            continue
-        plan.append([(pad(inner * sum(math.comb(a + k - 1, k - 1)
-                                      for a in range(lo, lo + 4))), n - lo)
-                     for lo in range(0, n, 4)])
-    return plan
-
-
-def _record_products(monkeypatch, n, nn):
-    """(rows, width, row by row) of every kinetic product of one step;
-    a band product U[lo:] @ rows^T is the one whose right operand is a
-    transposed view."""
-    from boselab import nbody
-
-    calls = []
-    matmul = np.matmul
-
-    def recording(a, b, out):
-        if b.flags.c_contiguous:
-            calls.append((a.shape[0], b.shape[1], True))
-        else:
-            calls.append((b.shape[1], a.shape[0], False))
-        return matmul(a, b, out=out)
-
-    monkeypatch.setattr(nbody.np, "matmul", recording)
-    g = Grid1D(n, 4.0)
-    state = random_state(g, nn, seed=2, k_filter=3.0)
-    evolve(NBodySystem(g, nn), state, 1e-3, 1)
-    monkeypatch.undo()
-    return calls
-
-
-@pytest.mark.parametrize("nn, n", [(3, 32), (4, 16)])
-def test_kinetic_product_blocks(monkeypatch, nn, n):
-    # a level is cut at every multiple of GEMM_ROWS rows and at its band
-    # edges, one product per piece; a level of fewer rows is one call
-    from boselab import nbody
-
-    calls = _record_products(monkeypatch, n, nn)
-    plan = _band_plan(n, nn)
-    pieces = 0
-    for bands in plan:
-        edges = np.cumsum([0] + [rows for rows, _ in bands])
-        pieces += len(set(edges) | set(range(0, edges[-1],
-                                             nbody.GEMM_ROWS))) - 1
-    # (3, 32): 528, 1024 and 528 rows, one call each; (4, 16): 816,
-    # 2176, 2176 and 816, the middle two in 4 bands over 3 blocks
-    assert len(calls) == pieces == {(3, 32): 3, (4, 16): 14}[nn, n]
-    assert max(rows for rows, _, _ in calls) <= nbody.GEMM_ROWS
-    assert (sum(rows for rows, _, _ in calls)
-            == sum(rows for bands in plan for rows, _ in bands))
-
-
-@pytest.mark.parametrize("nn, n, macs", [(4, 16, 1_032_192),
-                                         (4, 32, 24_823_808)])
-def test_band_products_compute_only_what_is_read(monkeypatch, nn, n, macs):
-    # every product has a multiple of 4 rows and a width of at least 2,
-    # where the band product gives the whole-width product's bits; a level
-    # of at most GEMM_ROWS rows is one full-width product; and a step
-    # makes the closed form's multiply-adds (whole-width rows would make
-    # 45,760 x 32^2 = 46.9M at n = 32)
-    from boselab import nbody
-
-    calls = _record_products(monkeypatch, n, nn)
-    plan = _band_plan(n, nn)
-    assert all(rows % 4 == 0 and width >= 2 for rows, width, _ in calls)
-    small = [bands for bands in plan
-             if sum(rows for rows, _ in bands) <= nbody.GEMM_ROWS]
-    assert all(len(bands) == 1 and bands[0][1] == n for bands in small)
-    assert ([(rows, width) for rows, width, by_row in calls if by_row]
-            == [bands[0] for bands in small])
-    total = sum(rows * width * n for rows, width, _ in calls)
-    assert total == macs == sum(rows * width * n for bands in plan
-                                for rows, width in bands)
-    widths, want = Counter(), Counter()
-    for rows, width, by_row in calls:
-        widths[width] += 0 if by_row else rows
-    for bands in plan:
-        for rows, width in bands:
-            want[width] += 0 if bands in small else rows
-    assert widths == want
 
 
 _BLAS_RUN = """
 import hashlib
 from boselab.grid import Grid1D, random_state
 import numpy as np
-from boselab.nbody import NBodySystem, _moment, evolve, hamiltonian
+from boselab.nbody import NBodySystem, _moment, hamiltonian, propagate
 from boselab.potentials import gaussian_well
 g = Grid1D(16, 4.0)
 system = NBodySystem(g, 4, potential=gaussian_well(1.0, 1.0), omega=1.0)
 state = random_state(g, 4, seed=3, k_filter=3.0)
-traj = evolve(system, state, 1e-3, 3, store_every=1)
+traj = propagate(system, state, [0.0, 1e-3, 2e-3, 0.1])
 digest = hashlib.sha256(np.array([s.norm() for s in traj.states]).tobytes())
 for snap in traj.states:
     digest.update(snap.amplitudes.tobytes())
@@ -584,11 +465,10 @@ print(digest.hexdigest())
 
 
 def test_kinetic_products_are_bit_identical_across_blas_threads():
-    # 16^4 amplitudes: levels of 816, 2176, 2176 and 816 rows, so the
-    # middle two are three blocks of GEMM_ROWS each; a library caller may
-    # load a threaded BLAS, so every split of a level over the pool and
-    # BLAS is compared, on every stored state, norm and energy, and on
-    # H_N's 32 x 32 by 32 x 5,984 product at N = 4, n = 32
+    # a library caller may load a threaded BLAS, so every pool size and
+    # BLAS thread count is compared on the flow's stored states, norms
+    # and energies at N = 4, n = 16, and on H_N's 32 x 32 by 32 x 5,984
+    # product at N = 4, n = 32
     import os
     import subprocess
     from pathlib import Path
@@ -611,7 +491,8 @@ def test_stored_snapshots_do_not_alias_the_buffer():
     g = Grid1D(16, 4.0)
     system = NBodySystem(g, 2, potential=gaussian_well(), omega=1.0)
     state = random_state(g, 2, seed=2, k_filter=3.0)
-    traj = evolve(system, state, 1e-3, 6, store_every=1)
+    times = 1e-3 * np.arange(7)
+    traj = propagate(system, state, times)
     # the first snapshot is the caller's (read-only) state itself
     assert traj.states[0] is state
     for arrays in ([s.values for s in traj.states],
@@ -619,13 +500,14 @@ def test_stored_snapshots_do_not_alias_the_buffer():
         for i in range(len(arrays)):
             for j in range(i + 1, len(arrays)):
                 assert not np.shares_memory(arrays[i], arrays[j])
-    fresh = evolve(system, state, 1e-3, 3, store_every=3)
+    # a shorter run over the same segments stores the same bits
+    fresh = propagate(system, state, times[:4])
     np.testing.assert_array_equal(traj.states[3].amplitudes,
                                   fresh.states[-1].amplitudes)
 
 
 def _norms(traj):
-    """The norm of each stored state, as evolve's norm guards take it."""
+    """The norm of each stored state, as propagate's norm guards take it."""
     return [s.norm() for s in traj.states]
 
 
@@ -633,10 +515,10 @@ def _threaded_run(monkeypatch, pool):
     from boselab import grid
 
     monkeypatch.setattr(grid, "_POOL_SIZE", pool)
-    g = Grid1D(16, 4.0)  # 16^4 amplitudes: two middle levels of 3 blocks
+    g = Grid1D(16, 4.0)
     system = NBodySystem(g, 4, potential=gaussian_well(1.0, 1.0), omega=1.0)
     state = random_state(g, 4, seed=3, k_filter=3.0)
-    traj = evolve(system, state, 1e-3, 3, store_every=1)
+    traj = propagate(system, state, [0.0, 1e-3, 2e-3, 3e-3])
     return (traj, hamiltonian(system)(state.values),
             energy_moment(system, state))
 
@@ -665,80 +547,19 @@ class _CountingPool(ThreadPoolExecutor):
         return super().submit(*args, **kwargs)
 
 
-def _split_run(monkeypatch, pool):
+def test_small_tensors_pass_on_one_thread(monkeypatch):
+    # the flow runs on the calling thread at every size, so a pool of two
+    # is handed no job at 32^3 or at 16^4 amplitudes
     from boselab import grid
 
-    monkeypatch.setattr(grid, "_POOL_SIZE", pool)
-    g = Grid1D(16, 4.0)  # 16^4 amplitudes: two middle levels of 3 blocks
-    system = NBodySystem(g, 4, potential=mixed_sign(1.0, 1.0, r=0.25))
-    state = random_state(g, 4, seed=8, k_filter=3.0)
-    with _CountingPool(pool) as executor:
-        monkeypatch.setattr(grid, "_POOL", executor)
-        traj = evolve(system, state, 2e-3, 10, store_every=1)
-    return traj, executor.jobs
-
-
-@pytest.mark.parametrize("stress", [False, True])
-def test_split_phase_products_are_bit_identical(monkeypatch, stress):
-    from boselab import grid, nbody
-
-    single, no_jobs = _split_run(monkeypatch, 1)
-    # the stress case runs more threads than cores with a short switch
-    # interval, where a lost or misplaced block write would show
-    pool = 7 if stress else max(grid._POOL_SIZE, 2)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6 if stress else interval)
-    try:
-        split, jobs = _split_run(monkeypatch, pool)
-    finally:
-        sys.setswitchinterval(interval)
-    # per step 4 kinetic levels, each split into min(pool, blocks) runs of
-    # which the pool takes all but the first: at 16^4 the middle two
-    # levels have 2176 padded rows in 4 bands, 3 blocks of GEMM_ROWS, the
-    # outer two 816 rows, 1; the kicks and the norm act on the sector on
-    # the calling thread
-    blocks = [-(-sum(rows for rows, _ in bands) // nbody.GEMM_ROWS)
-              for bands in _band_plan(16, 4)]
-    assert blocks == [1, 3, 3, 1]
-    assert (jobs, no_jobs) == (10 * sum(min(pool, b) - 1 for b in blocks),
-                               0)
-    for a, b in zip(split.states, single.states, strict=True):
-        assert np.array_equal(a.amplitudes, b.amplitudes)
-    assert _norms(split) == _norms(single)
-
-
-def test_phase_matches_complex_exponential():
-    from boselab.nbody import _phase, _phase_minus_one
-
-    rng = np.random.default_rng(5)
-    theta = rng.uniform(-40.0, 40.0, (8, 8))
-    assert np.allclose(_phase(theta), np.exp(1j * theta), rtol=0,
-                       atol=1e-15)
-    leaky = theta + 1j * rng.uniform(-0.1, 0.1, (8, 8))
-    assert np.allclose(_phase(leaky), np.exp(1j * leaky), rtol=1e-15,
-                       atol=0)
-    # exp(i t) - 1 keeps full relative precision in both parts for small
-    # t, where cos(t) - 1 would lose the real part to cancellation
-    t = rng.uniform(-1e-3, 1e-3, 64)
-    taylor = 1j * t - t ** 2 / 2 - 1j * t ** 3 / 6 + t ** 4 / 24
-    small = _phase_minus_one(t)
-    assert np.allclose(small.real, taylor.real, rtol=1e-14, atol=0)
-    assert np.allclose(small.imag, taylor.imag, rtol=1e-14, atol=0)
-
-
-def test_small_tensors_pass_on_one_thread(monkeypatch):
-    # 32^3 amplitudes: kinetic levels of one band of 528, 1024 and 528
-    # rows, one GEMM_ROWS block each; so a pool of two is handed no job
-    from boselab import grid, nbody
-
-    g = Grid1D(32, 4.0)
-    state = random_state(g, 3, seed=1, k_filter=3.0)
-    assert _band_plan(32, 3) == [[(528, 32)], [(1024, 32)], [(528, 32)]]
-    assert nbody.GEMM_ROWS == 1024
     monkeypatch.setattr(grid, "_POOL_SIZE", 2)
     with _CountingPool(2) as executor:
         monkeypatch.setattr(grid, "_POOL", executor)
-        evolve(NBodySystem(g, 3, potential=gaussian_well()), state, 1e-3, 3)
+        for n, nn in ((32, 3), (16, 4)):
+            g = Grid1D(n, 4.0)
+            state = random_state(g, nn, seed=1, k_filter=3.0)
+            propagate(NBodySystem(g, nn, potential=gaussian_well()), state,
+                      [1e-3, 3e-3])
     assert executor.jobs == 0
 
 
@@ -759,152 +580,32 @@ def test_pool_size_falls_back_to_affinity(monkeypatch, value):
     assert grid._pool_size() == 3
 
 
-def test_norm_drift_covers_unstored_steps():
-    g = Grid1D(16, 4.0)
-    system = NBodySystem(g, 3, potential=mixed_sign(1.0, 1.0, r=0.25),
-                         omega=1.0)
-    state = random_state(g, 3, seed=4, k_filter=3.0)
-    # the rounding drift grows with the step count, so its largest value
-    # falls in steps 51..99, none of which the sparse run stores
-    sparse = evolve(system, state, 1e-3, 99, store_every=50)
-    dense = evolve(system, state, 1e-3, 99, store_every=1)
-    assert len(sparse.states) == 2
-    assert sparse.norm_drift == dense.norm_drift
-    norms = np.array(_norms(dense))
-    assert dense.norm_drift == float(np.max(np.abs(norms - norms[0])))
-
-
-def _three_pass_loop(system, state, dt, n_steps, store_every):
-    """Strang loop on the full tensor: a half kick, the per-axis products
-    (axis 0 first, each as rows @ U^T), a second half kick and the norm,
-    one pass each.  The tensor and the phase are kept at their values at
-    the sorted index tuples, as the sector route keeps them, and the norm
-    is the multiplicity-weighted sum over those values; returns the
-    stored states and norms."""
-    from boselab import nbody
-
-    grid, nn = system.grid, system.n_particles
-    tuples, _, multiplicity = sector_tables(grid.n, nn)[0][-1]
-    flat = np.ravel_multi_index(tuples.T, (grid.n,) * nn)
-
-    def sorted_values(full):
-        return BosonicState(grid, nn, full.reshape(-1)[flat]).amplitudes
-
-    split = state.amplitudes.size < nbody.SPLIT_FLOOR
-    half = sorted_values((nbody._phase_minus_one if split else nbody._phase)(
-        (-0.5 * dt) * potential_diagonal(system)))
-    factor_t = nbody._kinetic_factor(grid, dt, split)
-    weight = grid.h ** nn
-
-    def kick(psi):
-        return psi + psi * half if split else psi * half
-
-    def kinetic(psi):
-        for ax in range(nn):
-            rows = np.ascontiguousarray(np.moveaxis(psi, ax, -1))
-            out = rows.reshape(-1, grid.n) @ factor_t
-            if split:
-                out += rows.reshape(-1, grid.n)
-            psi = np.moveaxis(out.reshape(rows.shape), -1, ax)
-        return psi
-
-    def norm(psi):
-        return math.sqrt(weight * np.sum(
-            multiplicity * np.abs(psi.reshape(-1)[flat]) ** 2))
-
-    psi = state.amplitudes
-    states, norms = [psi], [norm(psi)]
-    for step in range(1, n_steps + 1):
-        psi = sorted_values(kick(kinetic(kick(psi))))
-        if step % store_every == 0:
-            states.append(psi)
-            norms.append(norm(psi))
-    return states, norms
-
-
-@pytest.mark.parametrize("nn", [2, 4])
-@pytest.mark.parametrize("store_every", [1, 3])
-def test_fused_pass_matches_the_three_pass_loop(nn, store_every):
-    from boselab import nbody
-
-    # 16^2 amplitudes take the split route, 16^4 the whole one on the pool
-    g = Grid1D(16, 4.0)
-    system = NBodySystem(g, nn, potential=mixed_sign(1.0, 1.0, r=0.25),
-                         omega=1.0)
-    state = random_state(g, nn, seed=6, k_filter=3.0)
-    assert (state.amplitudes.size < nbody.SPLIT_FLOOR) == (nn == 2)
-    traj = evolve(system, state, 2e-3, 7, store_every=store_every)
-    states, norms = _three_pass_loop(system, state, 2e-3, 7, store_every)
-    assert len(traj.states) == len(states) == 7 // store_every + 1
-    for got, want in zip(traj.states, states, strict=True):
-        assert np.array_equal(got.amplitudes, want)
-    assert np.allclose(_norms(traj), norms, rtol=0, atol=1e-15)
-
-
-@settings(max_examples=40, deadline=None)
-@given(nn=st.integers(1, 4), n=st.sampled_from([2, 4, 8, 16]),
-       split=st.booleans(), seed=st.integers(0, 2 ** 16))
-def test_one_step_matches_the_three_pass_loop(nn, n, split, seed):
-    # split and whole factors at every size; at n = 2 and 4 a level is at
-    # most one band, and only 16^4 has banded levels (2176 rows)
-    from boselab import nbody
-
-    g = Grid1D(n, 4.0)
-    system = NBodySystem(g, nn, potential=mixed_sign(1.0, 1.0, r=0.25),
-                         omega=1.0)
-    state = random_state(g, nn, seed=seed, k_filter=3.0)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(nbody, "SPLIT_FLOOR", 2 ** 62 if split else 1)
-        traj = evolve(system, state, 2e-3, 1)
-        states, _ = _three_pass_loop(system, state, 2e-3, 1, 1)
-    assert np.array_equal(traj.states[-1].amplitudes, states[-1])
-
-
-@pytest.mark.parametrize("split", [False, True])
-def test_padded_bands_match_the_three_pass_loop(split):
-    # at 64^3 the last level's bands hold 16 beta + 10 sorted pairs, so
-    # every other band is padded by 2 rows
-    from boselab import nbody
-
-    plan = _band_plan(64, 3)
-    assert any(rows % 4 for rows in (16 * b + 10 for b in range(16)))
-    assert [len(bands) for bands in plan] == [1, 16, 16]
-    g = Grid1D(64, 8.0)
-    system = NBodySystem(g, 3, potential=gaussian_well(1.0, 1.0), omega=1.0)
-    state = random_state(g, 3, seed=9, k_filter=3.0)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(nbody, "SPLIT_FLOOR", 2 ** 62 if split else 1)
-        traj = evolve(system, state, 2e-3, 2, store_every=1)
-        states, _ = _three_pass_loop(system, state, 2e-3, 2, 1)
-    for got, want in zip(traj.states, states, strict=True):
-        assert np.array_equal(got.amplitudes, want)
-
-
 def test_evolve_holds_four_tensors():
     import tracemalloc
 
     g = Grid1D(16, 4.0)
     system = NBodySystem(g, 4, potential=gaussian_well(1.0, 1.0), omega=1.0)
     state = random_state(g, 4, seed=3, k_filter=3.0)
-    tensor = state.amplitudes.nbytes
+    vector = state.values.nbytes
+    # H_N's gather by site, 16 x 816 values, and its product with K
+    fold = 16 * math.comb(18, 3) * 16
+    propagate(system, state, [1e-3])  # builds the cached index tables
     tracemalloc.start()
     try:
-        # step 4 is stored with a step left, so a new spare is made then
-        traj = evolve(system, state, 1e-3, 5, store_every=2)
+        traj = propagate(system, state, [0.0, 2e-3, 4e-3])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(traj.states) == 3
-    # the caller's input is allocated before tracing starts; evolve holds
-    # the sector state, its phase, the level tables and buffers, and the
-    # stored sector values, and expands the snapshots once those are
-    # free: no more than the former loop's psi, spare and half-kick phase
-    # besides the snapshots, and no energy temporaries
-    assert peak <= (3 + len(traj.states) - 1) * tensor + tensor // 8
+    # the caller's input is allocated before tracing starts; propagate
+    # holds the sum and three terms of the recurrence, one temporary, the
+    # real potential, one H_N application's gathers and the stored
+    # values (7.1 vectors besides the gathers here), never a 16^4 tensor
+    assert peak <= 2 * fold + (6 + len(traj.states) - 1) * vector
 
 
 def test_evolve_rejects_a_state_off_the_bosonic_sector():
-    # evolve takes BosonicStates only: a bare tensor is rejected by its
+    # propagate takes BosonicStates only: a bare tensor is rejected by its
     # type, even one that is symmetric to the last bit
     g = Grid1D(8, 4.0)
     system = NBodySystem(g, 3, potential=gaussian_well(1.0, 1.0))
@@ -915,16 +616,15 @@ def test_evolve_rejects_a_state_off_the_bosonic_sector():
     for state in (rng.standard_normal((g.n,) * 3).astype(np.complex128),
                   boson.amplitudes):
         with pytest.raises(GridError, match="BosonicState"):
-            evolve(system, state, 1e-3, 2)
-    traj = evolve(system, boson, 1e-3, 2)
+            propagate(system, state, [1e-3, 2e-3])
+    traj = propagate(system, boson, [0.0, 1e-3, 2e-3])
     assert traj.states[0] is boson
     assert symmetry_residual(traj.states[-1].amplitudes) == 0.0
 
 
 @pytest.mark.parametrize("nn, n", [(2, 16), (3, 8), (4, 16)])
 def test_evolve_on_sector_values_matches_its_expansion(nn, n):
-    # 16^2 amplitudes take the split route, 16^4 the whole one on the
-    # pool; a tensor enters evolve through grid.symmetrize, which gives a
+    # a tensor enters propagate through grid.symmetrize, which gives a
     # symmetric tensor's values back bit for bit before normalizing, so
     # the expansion of a state propagates as the state does, to the
     # rounding of one renormalization
@@ -933,8 +633,8 @@ def test_evolve_on_sector_values_matches_its_expansion(nn, n):
     boson = random_state(g, nn, seed=nn, k_filter=3.0)
     again = symmetrize(g, boson.amplitudes)
     assert np.array_equal(again.values, boson.normalized().values)
-    sector = evolve(system, boson, 1e-3, 4, store_every=2)
-    expanded = evolve(system, again, 1e-3, 4, store_every=2)
+    sector = propagate(system, boson, [0.0, 2e-3, 4e-3])
+    expanded = propagate(system, again, [0.0, 2e-3, 4e-3])
     assert sector.states[0] is boson and expanded.states[0] is again
     for a, b in zip(sector.states, expanded.states, strict=True):
         assert isinstance(a, BosonicState) and isinstance(b, BosonicState)
@@ -947,7 +647,7 @@ def test_grid_mismatch_is_rejected():
     state = random_state(Grid1D(16, 4.0), 2, seed=0)
     system = NBodySystem(Grid1D(16, 8.0), 2, potential=gaussian_well())
     with pytest.raises(GridError, match="grid"):
-        evolve(system, state, 1e-3, 2)
+        propagate(system, state, [1e-3])
 
 
 def _mismatched_states():
@@ -981,12 +681,12 @@ def test_hamiltonian_rejects_a_foreign_tensor():
 
 
 @pytest.mark.parametrize("route", [
-    lambda system, state: evolve(system, state, 1e-3, 2),
+    lambda system, state: propagate(system, state, [1e-3]),
     lambda system, state: energy_moment(system, state),
     lambda system, state: check_energy_estimate(system, [state], 1),
     lambda system, state: check_decomposition_identity(system, state),
     lambda system, state: spectral_cutoff(system, state, [0.2]),
-], ids=["evolve", "energy_moment", "check_energy_estimate",
+], ids=["propagate", "energy_moment", "check_energy_estimate",
         "check_decomposition_identity", "spectral_cutoff"])
 def test_n_body_routes_reject_a_tensor_state(route):
     # one guard (nbody._check_grid) for every route that applies H_N: a
@@ -1017,39 +717,68 @@ def test_evolve_validation_and_abort(monkeypatch):
     system = NBodySystem(g, 2, potential=gaussian_well())
     state = random_state(g, 2, seed=0)
     with pytest.raises(GridError, match="particle number"):
-        evolve(system, random_state(g, 3, seed=0), 1e-3, 2)
-    with pytest.raises(GridError):
-        evolve(system, state, -1e-3, 2)
-    with pytest.raises(GridError):
-        evolve(system, state, 1e-3, 0)
+        propagate(system, random_state(g, 3, seed=0), [1e-3])
+    for times in ([], [-1e-3], [1e-3, 1e-3], [2e-3, 1e-3], [0.0, math.nan],
+                  [0.0, math.inf], [[1e-3]]):
+        with pytest.raises(GridError, match="times must be"):
+            propagate(system, state, times)
     # an impossible tolerance must abort rather than silently continue
     monkeypatch.setattr(nbody, "NORM_TOL", -1.0)
     with pytest.raises(NumericalAbort, match="norm"):
-        evolve(system, state, 1e-3, 5)
+        propagate(system, state, [1e-3, 2e-3])
 
 
-def test_evolve_aborts_on_nan_amplitude():
-    # NaN fails every comparison, so only a finiteness test can catch it
+def test_evolve_aborts_on_nan_amplitude(monkeypatch):
+    # NaN fails every comparison, so only a finiteness test can catch it,
+    # in the initial state or in one the flow makes
+    from boselab import nbody
+
     g = Grid1D(16, 4.0)
     system = NBodySystem(g, 2, potential=gaussian_well())
-    values = random_state(g, 2, seed=0).values.copy()
+    state = random_state(g, 2, seed=0)
+    values = state.values.copy()
     values[7] = np.nan
-    with pytest.raises(NumericalAbort, match="nan"):
-        evolve(system, BosonicState(g, 2, values), 1e-3, 5)
+    with pytest.raises(NumericalAbort, match="nan at t = 0"):
+        propagate(system, BosonicState(g, 2, values), [1e-3, 2e-3])
+    build = nbody.hamiltonian
+
+    def poisoned(system):
+        ham = build(system)
+        return lambda values: ham(values) * np.nan
+    monkeypatch.setattr(nbody, "hamiltonian", poisoned)
+    with pytest.raises(NumericalAbort, match="nan at t = 0.001"):
+        propagate(system, state, [1e-3, 2e-3])
 
 
-def test_evolve_aborts_on_slow_norm_creep():
-    # an imaginary potential part grows the norm by 0.6 NORM_TOL per step:
-    # no single step trips the per-step check, the step-0 check must
+def test_evolve_aborts_on_slow_norm_creep(monkeypatch):
+    # H_N - i gamma shrinks the norm by gamma Delta, 0.6 NORM_TOL per
+    # segment of 1e-3: no single segment trips the per-segment check, the
+    # check since t = 0 must
+    from boselab import nbody
+
+    build = nbody.hamiltonian
+
+    def leaky(system):
+        ham = build(system)
+        return lambda values: ham(values) - 0.6e-7j * values
+    monkeypatch.setattr(nbody, "hamiltonian", leaky)
+    g = Grid1D(16, 4.0)
+    state = random_state(g, 2, seed=0)
+    system = NBodySystem(g, 2, potential=gaussian_well())
+    with pytest.raises(NumericalAbort, match="since t = 0 at t = 0.002"):
+        propagate(system, state, 1e-3 * np.arange(1, 21))
+
+
+def test_propagate_rejects_an_imaginary_potential():
+    # an absorbing potential has no real spectrum for the expansion
     class Leaky(NBodySystem):
         def potential_at(self, index):
-            return super().potential_at(index) + 0.6e-10j / 1e-3
+            return super().potential_at(index) + 1e-3j
 
     g = Grid1D(16, 4.0)
     state = random_state(g, 2, seed=0)
-    system = Leaky(g, 2, potential=gaussian_well())
-    with pytest.raises(NumericalAbort, match="since step 0 at step 2"):
-        evolve(system, state, 1e-3, 20)
+    with pytest.raises(GridError, match="imaginary part"):
+        propagate(Leaky(g, 2, potential=gaussian_well()), state, [1e-3])
 
 
 def test_cutoff_chi_profile():
@@ -1168,14 +897,20 @@ def test_folds_match_the_tensor_contractions(n, nn, seed):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def _stored(dt, every, t_final):
+    """The times a run of steps of dt to t_final stores, every every
+    steps (cli._stored_times)."""
+    span = dt * every
+    return span * np.arange(int(round(t_final / span)) + 1)
+
+
 class TestBBGKYResidual:
     def make(self, dt, store_every=5, n=16, t_final=0.1):
         g = Grid1D(n, 4.0)
         system = NBodySystem(g, 2, potential=gaussian_well(1.0, 1.0),
                              omega=0.5)
         state = random_state(g, 2, seed=1, k_filter=3.0)
-        return evolve(system, state, dt, int(round(t_final / dt)),
-                      store_every=store_every)
+        return propagate(system, state, _stored(dt, store_every, t_final))
 
     def test_residual_is_second_order_in_dt(self):
         errs = [bbgky_residual(self.make(dt), 1)["max_abs"]
@@ -1188,8 +923,8 @@ class TestBBGKYResidual:
         g = Grid1D(16, 8.0)
         system = NBodySystem(g, 3, potential=gaussian_well(1.0, 1.0))
         psi0 = random_state(g, 3, seed=0, k_filter=3.0)
-        errs = [bbgky_residual(evolve(system, psi0, dt, int(round(0.2 / dt)),
-                                      store_every=5), 1)["hs_norm"]
+        errs = [bbgky_residual(propagate(system, psi0, _stored(dt, 5, 0.2)),
+                               1)["hs_norm"]
                 for dt in (2e-3, 1e-3)]
         assert 3.5 <= errs[0] / errs[1] <= 4.5
 
@@ -1219,6 +954,8 @@ class TestBBGKYResidual:
         assert sorted(res) == ["dt", "hs_norm", "k", "kernel", "max_abs",
                                "time", ]
         assert res["k"] == 1
+        assert res["dt"] == pytest.approx(0.01)
+        assert res["time"] == pytest.approx(0.05)
         assert res["kernel"].shape == (16, 16)
         assert res["hs_norm"] >= 0
         assert res["max_abs"] >= 0
@@ -1229,3 +966,7 @@ class TestBBGKYResidual:
         short = self.make(2e-3, store_every=5, t_final=0.01)
         with pytest.raises(GridError):
             bbgky_residual(short, 1)
+        # a central difference needs the middle state midway
+        uneven = propagate(short.system, short.states[0], [0.0, 0.01, 0.03])
+        with pytest.raises(GridError, match="evenly spaced"):
+            bbgky_residual(uneven, 1)

@@ -71,8 +71,8 @@ ALLOWED_PARAMETERS = {
 
 # public fields that no src/ code reads, grouped by the reason each stays
 ALLOWED_FIELDS = {
-    # the only record of the norm over the steps evolve does not store;
-    # criterion 06 reads it, and a run report is to show it
+    # the largest norm drift propagate's guard saw; criterion 06 reads
+    # it, and a run report is to show it
     "nbody.Trajectory.norm_drift",
 }
 
