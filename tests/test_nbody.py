@@ -191,6 +191,41 @@ def test_one_body_sum_is_the_tensor_route_bit_for_bit(n, nn, omega, kind,
         assert np.array_equal(got, want)
 
 
+class _RecordingMatrix(np.ndarray):
+    """An n x n matrix that records the operand shapes of each product
+    it is the left factor of."""
+
+    calls: list = []
+
+    def __matmul__(self, other):
+        type(self).calls.append((self.shape, other.shape))
+        return np.asarray(self) @ other
+
+
+@pytest.mark.parametrize("nn, n", [(3, 32), (4, 16)])
+def test_kinetic_product_blocks(monkeypatch, nn, n):
+    # the kinetic part of H_N is one product of K with the values folded
+    # by site, n x C(n+N-2, N-1) (32 x 528 and 16 x 816), whose N drop-one
+    # gathers give the FFT kinetic energy of the n^N tensor at the sorted
+    # tuples; H_N with no potential gives the same bits
+    g = Grid1D(n, 8.0)
+    system = NBodySystem(g, nn)
+    state = random_state(g, nn, seed=2, k_filter=3.0)
+    kin = dense_operator(g, kinetic_symbol(g), np.zeros(n))
+    monkeypatch.setattr(_RecordingMatrix, "calls", [])
+    got = one_body_sum(system, kin.view(_RecordingMatrix))(
+        state.values, np.zeros_like(state.values))
+    assert _RecordingMatrix.calls == [((n, n), (n, math.comb(n + nn - 2,
+                                                             nn - 1)))]
+    k2 = 0.5 * g.k ** 2
+    symbol = sum(k2.reshape([-1 if ax == j else 1 for ax in range(nn)])
+                 for j in range(nn))
+    ref = _at_sorted_tuples(np.fft.ifftn(symbol
+                                         * np.fft.fftn(state.amplitudes)))
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.array_equal(hamiltonian(system)(state.values), got)
+
+
 def test_apply_hamiltonian_matches_dense():
     # n = 8 at N = 3 keeps the dense matrix at 512^2
     for nn, n in ((1, 16), (2, 16), (3, 8)):
@@ -336,6 +371,139 @@ def test_strang_steps_converge_to_the_exact_flow(nn):
         ** 2)) for steps in (20, 40)]
     assert errs[1] < 1e-5
     assert abs(errs[0] / errs[1] - 4.0) <= 0.05
+
+
+def _extrapolated_strang(system, psi, t, steps):
+    """The full-tensor FFT Strang flow (tests/oracles.py) to t, in steps
+    and in 2 steps, extrapolated: Strang is symmetric, so its error is
+    even in dt and (4 fine - coarse) / 3 is fourth order; returns the
+    extrapolation and fine - coarse, the size of the removed error."""
+    coarse = strang_flow(system, psi, t / steps, steps)
+    fine = strang_flow(system, psi, t / (2 * steps), 2 * steps)
+    return (4.0 * fine - coarse) / 3.0, fine - coarse
+
+
+@settings(max_examples=30, deadline=None)
+@given(nn=st.sampled_from([1, 2, 3, 4]), n=st.sampled_from([8, 16]),
+       omega=st.sampled_from([0.0, 1.0]), interacting=st.booleans(),
+       dt=st.floats(1e-4, 2e-2), seed=st.integers(0, 2 ** 16))
+def test_in_place_step_matches_per_axis_reference(nn, n, omega, interacting,
+                                                  dt, seed):
+    # the segment's recurrence updates its terms in place; one segment of
+    # 6 dt against the per-axis FFT Strang flow of 6 and 12 steps, whose
+    # extrapolation must remove 99 % of Strang's dt^2 error (its dt^4
+    # remainder is below 0.2 % of it at dt = 2e-2); the free flow is
+    # Strang's to rounding
+    g = Grid1D(n, 4.0)
+    system = NBodySystem(g, nn, omega=omega,
+                         potential=gaussian_well(1.0, 1.0) if interacting
+                         else None)
+    state = random_state(g, nn, seed=seed, k_filter=3.0)
+    traj = propagate(system, state, [6 * dt])
+    got = traj.states[-1].amplitudes
+    ref, removed = _extrapolated_strang(system, state.amplitudes, 6 * dt, 6)
+    scale = np.max(np.abs(ref))
+    assert (np.max(np.abs(got - ref))
+            <= 1e-13 * scale + 1e-2 * np.max(np.abs(removed)))
+    assert abs(traj.states[-1].norm() - state.norm()) < 1e-12
+    assert traj.norm_drift < 1e-12
+
+
+@pytest.mark.parametrize("nn, n", [(3, 32), (4, 16)])
+def test_whole_propagator_matches_per_axis_reference(nn, n):
+    # 32^3 and 16^4 amplitudes, the sizes of the mean-field runs: one
+    # segment of 8e-3 against the per-axis FFT Strang flow of 8 and 16
+    # steps, extrapolated (2.5e-13 and 1.5e-13 relative); Strang alone is
+    # off by 4.8e-8 and 1.1e-8
+    g = Grid1D(n, 8.0)
+    system = NBodySystem(g, nn, potential=gaussian_well(1.0, 1.0), omega=1.0)
+    state = random_state(g, nn, seed=5, k_filter=3.0)
+    got = propagate(system, state, [8e-3]).states[-1].amplitudes
+    ref, removed = _extrapolated_strang(system, state.amplitudes, 8e-3, 8)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(removed)) > 1e-8 * scale
+    assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+
+
+def test_split_and_whole_propagators_agree():
+    # 20 segments of 1e-3 and one of 0.02 take different sums (6 H_N
+    # applications per short segment, 11 for the long one) and round
+    # differently, but give the same flow
+    g = Grid1D(16, 4.0)
+    system = NBodySystem(g, 2, potential=gaussian_well(1.0, 1.0), omega=1.0)
+    state = random_state(g, 2, seed=6, k_filter=3.0)
+    split = propagate(system, state, 1e-3 * np.arange(1, 21))
+    whole = propagate(system, state, [0.02])
+    a, b = split.states[-1].amplitudes, whole.states[-1].amplitudes
+    assert not np.array_equal(a, b)
+    assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(a))
+
+
+def _three_pass_segment(system, values, span):
+    """exp(-i span H_N) values as the plain Chebyshev sum: the spectral
+    interval from the potential at the sorted tuples and N max(k^2/2),
+    the weights 2 (-i)^m J_m(r span) from scipy.special.jv up to the
+    first m > r span with |J_m| < 1e-15, and per term three passes
+    (apply H_N, shift and scale, add the weighted term) that make new
+    arrays."""
+    from scipy.special import jv
+
+    g, nn = system.grid, system.n_particles
+    pot = system.potential_at(sector_tables(g.n, nn)[0][-1][0].T)
+    lo = np.min(pot)
+    hi = nn * np.max(0.5 * g.k ** 2) + np.max(pot)
+    center, radius = (hi + lo) / 2, (hi - lo) / 2
+    x = radius * span
+    orders = np.arange(int(x) + 80)
+    coeffs = jv(orders, x)
+    cut = np.flatnonzero((orders > x) & (np.abs(coeffs) < 1e-15))[0]
+    ham = hamiltonian(system)
+    terms = [values, (ham(values) - center * values) / radius]
+    while len(terms) < cut:
+        shifted = ham(terms[-1]) - center * terms[-1]
+        terms.append(2.0 * shifted / radius - terms[-2])
+    total = coeffs[0] * values
+    for m in range(1, cut):
+        total = total + 2.0 * (-1j) ** m * coeffs[m] * terms[m]
+    return np.exp(-1j * center * span) * total
+
+
+@settings(max_examples=40, deadline=None)
+@given(nn=st.integers(1, 4), n=st.sampled_from([2, 4, 8, 16]),
+       split=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_one_step_matches_the_three_pass_loop(nn, n, split, seed):
+    # one segment of propagate, whose recurrence runs in place on three
+    # buffers with Miller's weights, against the plain three-pass sum;
+    # split takes it as two segments, the second from the stored state
+    g = Grid1D(n, 4.0)
+    system = NBodySystem(g, nn, potential=mixed_sign(1.0, 1.0, r=0.25),
+                         omega=1.0)
+    state = random_state(g, nn, seed=seed, k_filter=3.0)
+    times = [0.01, 0.03] if split else [0.03]
+    got = propagate(system, state, times).states[-1].values
+    want = state.values
+    for span in np.diff([0.0, *times]):
+        want = _three_pass_segment(system, want, span)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_phase_matches_complex_exponential():
+    # one segment on a diagonal H is the phase exp(-i span d) of each
+    # entry: the weights' powers of -i, the recurrence and the centre's
+    # phase, for r span from 0 to 42.5 and c span up to 40
+    from boselab.nbody import _chebyshev_segment
+
+    rng = np.random.default_rng(5)
+    for center, radius, span in [(0.0, 1.0, 0.0), (0.0, 1.0, 1e-16),
+                                 (3.0, 2.0, 0.01), (-5.0, 40.0, 1.0),
+                                 (20.0, 7.0, 2.0), (0.5, 1.0, 42.5)]:
+        d = center + radius * rng.uniform(-1.0, 1.0, 64)
+        d[:2] = center - radius, center + radius
+        v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        got = _chebyshev_segment(lambda x: d * x, v, center, radius, span)
+        want = np.exp(-1j * span * d) * v
+        assert np.max(np.abs(got - want) / np.abs(v)) <= 1e-14, (
+            center, radius, span)
 
 
 @pytest.mark.parametrize("x", [0.0, 1e-16, 1e-8, 0.09, 0.3, 1.0, 2.5, 10.0,
@@ -545,6 +713,43 @@ class _CountingPool(ThreadPoolExecutor):
     def submit(self, *args, **kwargs):
         self.jobs += 1
         return super().submit(*args, **kwargs)
+
+
+def _split_run(monkeypatch, pool):
+    from boselab import grid
+
+    monkeypatch.setattr(grid, "_POOL_SIZE", pool)
+    g = Grid1D(16, 4.0)
+    system = NBodySystem(g, 4, potential=mixed_sign(1.0, 1.0, r=0.25))
+    state = random_state(g, 4, seed=8, k_filter=3.0)
+    with _CountingPool(pool) as executor:
+        monkeypatch.setattr(grid, "_POOL", executor)
+        traj = propagate(system, state, 2e-3 * np.arange(11))
+    return traj, executor.jobs
+
+
+@pytest.mark.parametrize("stress", [False, True])
+def test_split_phase_products_are_bit_identical(monkeypatch, stress):
+    # the flow's products and its centre phase run on the calling thread
+    # at every pool size; the stress case runs more threads than cores
+    # with a short switch interval, where a job handed to the pool would
+    # show as a count or as a changed bit
+    from boselab import grid
+
+    single, no_jobs = _split_run(monkeypatch, 1)
+    pool = 7 if stress else max(grid._POOL_SIZE, 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6 if stress else interval)
+    try:
+        split, jobs = _split_run(monkeypatch, pool)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (jobs, no_jobs) == (0, 0)
+    assert len(split.states) == len(single.states) == 11
+    for a, b in zip(split.states, single.states, strict=True):
+        assert np.array_equal(a.amplitudes, b.amplitudes)
+    assert _norms(split) == _norms(single)
+    assert split.norm_drift == single.norm_drift
 
 
 def test_small_tensors_pass_on_one_thread(monkeypatch):
