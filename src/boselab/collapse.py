@@ -40,7 +40,12 @@ batched: kernel_H integrates the smooth panels on blocks of _U_CHUNK = 32
 u values per numpy pass, then re-integrates the graded windows of up to
 _WINDOW_ROWS = 64 small-|u| rows per pass (one padded breakpoint table
 each), and direct_operator_test evaluates separable members over blocks
-of tau samples.  The block sizes are fixed and bound the peak memory.
+of _TAU_BLOCK = 32 tau samples.  The spline's tridiagonal solve sweeps,
+and its evaluation passes, take _SPLINE_BLOCK values at a time, and the
+long FFT of the window is freed before the spline is built.  These block
+sizes are fixed and bound the peak memory.  A smooth block whose u all
+lie beyond _WINDOW_REACH takes no running panel sums, since no window
+reads them.
 
 No quadrature value is computed twice, and each shortcut keeps the bits
 of the value it replaces.  H(eta, xi1, -u) = H(eta, -xi1, u) bit for bit
@@ -107,29 +112,51 @@ def _tridiagonal_solve(dl, d, du, b) -> np.ndarray:
     LAPACK dgtsv's elimination and back substitution for one right-hand
     side, on Python floats in its order of operations.  dgtsv swaps rows
     i and i + 1 when |d_i| < |dl_i|; a system that needs that swap (or
-    meets a zero pivot) raises GridError instead.
+    meets a zero pivot) raises GridError instead, and so do off-diagonals
+    and a right-hand side whose lengths do not fit the diagonal.  Both
+    sweeps read and write _SPLINE_BLOCK rows at a time, so no Python list
+    spans the system.
     """
-    dk, bk = d[0], b[0]
-    ds, bs = [dk], [bk]
-    for lo, up, dn, bn in zip(dl, du, d[1:], b[1:]):
-        if not abs(dk) >= abs(lo) or dk == 0.0:
-            raise GridError("spline system needs a row interchange")
-        fact = lo / dk
-        dk = dn - fact * up
-        bk = bn - fact * bk
-        ds.append(dk)
-        bs.append(bk)
+    dl, d, du, b = (np.asarray(v, dtype=float) for v in (dl, d, du, b))
+    n = d.size
+    if (d.ndim != 1 or n == 0 or b.shape != (n,)
+            or dl.shape != (n - 1,) or du.shape != (n - 1,)):
+        raise GridError(f"tridiagonal system of sizes {dl.shape}, {d.shape}, "
+                        f"{du.shape} and {b.shape} does not fit")
+    # the eliminated diagonal and right-hand side, then the solution
+    ds, bs, x = np.empty(n), np.empty(n), np.empty(n)
+    dk, bk = ds[0], bs[0] = float(d[0]), float(b[0])
+    for start in range(0, n - 1, _SPLINE_BLOCK):
+        at = slice(start, start + _SPLINE_BLOCK)
+        below = slice(start + 1, start + 1 + _SPLINE_BLOCK)
+        dks, bks = [], []
+        for lo, up, dn, bn in zip(dl[at].tolist(), du[at].tolist(),
+                                  d[below].tolist(), b[below].tolist()):
+            if not abs(dk) >= abs(lo) or dk == 0.0:
+                raise GridError("spline system needs a row interchange")
+            fact = lo / dk
+            dk = dn - fact * up
+            bk = bn - fact * bk
+            dks.append(dk)
+            bks.append(bk)
+        ds[below], bs[below] = dks, bks
     if dk == 0.0:
         raise GridError("spline system is singular")
-    x = bk / dk
-    xs = [x]
-    for up, dk, bk in zip(reversed(du), reversed(ds[:-1]), reversed(bs[:-1])):
-        x = (bk - up * x) / dk
-        xs.append(x)
-    return np.array(xs[::-1])
+    xk = x[-1] = bk / dk
+    for stop in range(n - 1, 0, -_SPLINE_BLOCK):
+        at = slice(max(stop - _SPLINE_BLOCK, 0), stop)
+        xs = []
+        for up, dk, bk in zip(reversed(du[at].tolist()),
+                              reversed(ds[at].tolist()),
+                              reversed(bs[at].tolist())):
+            xk = (bk - up * xk) / dk
+            xs.append(xk)
+        x[at] = xs[::-1]
+    return x
 
 
-# values per evaluation pass of _NotAKnotSpline; bounds its temporaries
+# values per sweep block of _tridiagonal_solve and per evaluation pass of
+# _NotAKnotSpline; bounds their temporaries
 _SPLINE_BLOCK = 4096
 
 
@@ -164,9 +191,8 @@ class _NotAKnotSpline:
         rhs[-1] = (dx[-1] ** 2 * slope[-2]
                    + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
         diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
-        s = _tridiagonal_solve(
-            np.append(dx[1:], d1).tolist(), diag.tolist(),
-            np.insert(dx[:-1], 0, d0).tolist(), rhs.tolist())
+        s = _tridiagonal_solve(np.append(dx[1:], d1), diag,
+                               np.insert(dx[:-1], 0, d0), rhs)
         t = (s[:-1] + s[1:] - 2 * slope) / dx
         self.x = x
         self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
@@ -195,12 +221,11 @@ class _NotAKnotSpline:
         return out.reshape(v.shape)
 
 
-@lru_cache(maxsize=1)
-def _theta_hat_table():
-    """Fine table of theta-hat by one long FFT, built once per process.
+def _theta_hat_samples():
+    """theta-hat on |xi| <= 1100 by one long FFT: returns (xi, values).
 
-    Returns (xi, values, spline): the cubic spline through the table is
-    shared read-only by every probe.
+    Only the kept samples leave this frame, so the m-point transform and
+    its temporaries are freed before the spline is built.
     """
     m = 1 << 17
     dxi = 0.02
@@ -216,7 +241,17 @@ def _theta_hat_table():
     if np.max(np.abs(vals.imag)) > 1e-12:
         raise GridError("window transform unexpectedly complex")
     keep = np.abs(xi) <= 1100.0
-    xi, vals = xi[keep], np.ascontiguousarray(vals.real[keep])
+    return xi[keep], np.ascontiguousarray(vals.real[keep])
+
+
+@lru_cache(maxsize=1)
+def _theta_hat_table():
+    """Fine table of theta-hat and its spline, built once per process.
+
+    Returns (xi, values, spline): the cubic spline through the table is
+    shared read-only by every probe.
+    """
+    xi, vals = _theta_hat_samples()
     return xi, vals, _NotAKnotSpline(xi, vals)
 
 
@@ -541,8 +576,6 @@ def _smooth_chunk(probe: CollapseProbe, u: np.ndarray, us: np.ndarray):
     btil *= probe.theta_weights
     panel_sums = _node_sum(btil, 0, probe.gl_order)
     val = np.sum(panel_sums, axis=1)
-    cums = np.concatenate(
-        [np.zeros((u.size, 1)), np.cumsum(panel_sums, axis=1)], axis=1)
 
     au = np.abs(u)
     reach = 4.0 + 4.0 * au + 2.0 * u * u
@@ -551,7 +584,12 @@ def _smooth_chunk(probe: CollapseProbe, u: np.ndarray, us: np.ndarray):
     ih = np.minimum(np.searchsorted(edges, w_hi, side="left"), n_panels)
     rows = np.flatnonzero((au <= _WINDOW_REACH) & (ih > il))
     il, ih = il[rows], ih[rows]
-    val[rows] -= cums[rows, ih] - cums[rows, il]
+    # running panel sums of the window rows alone (cumsum adds along each
+    # row in order, so a row's sums do not depend on the others)
+    cums = np.concatenate([np.zeros((rows.size, 1)),
+                           np.cumsum(panel_sums[rows], axis=1)], axis=1)
+    at = np.arange(rows.size)
+    val[rows] -= cums[at, ih] - cums[at, il]
     return val, rows, il, ih
 
 
@@ -884,7 +922,7 @@ def _rank2_norm_sq(grid: Grid1D, eps: float, a1, b1, a2, b2):
 
 
 # tau samples per batched pass of direct_operator_test; bounds its memory
-_TAU_BLOCK = 128
+_TAU_BLOCK = 32
 
 
 def _simpson(y: np.ndarray, x: np.ndarray) -> float:

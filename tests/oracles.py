@@ -34,6 +34,33 @@ def theta_hat_quadrature(xi, order: int = 400) -> np.ndarray:
     return np.cos(np.outer(xi, nodes)) @ vals
 
 
+
+def tridiagonal_solve(dl, d, du, b) -> np.ndarray:
+    """LAPACK dgtsv's sweeps for one right-hand side, on whole lists.
+
+    The single-pass form of collapse._tridiagonal_solve: the elimination
+    and back substitution over Python lists that span the system, in the
+    same order of operations; the oracle of the blockwise sweeps.
+    """
+    dk, bk = d[0], b[0]
+    ds, bs = [dk], [bk]
+    for lo, up, dn, bn in zip(dl, du, d[1:], b[1:]):
+        if not abs(dk) >= abs(lo) or dk == 0.0:
+            raise GridError("spline system needs a row interchange")
+        fact = lo / dk
+        dk = dn - fact * up
+        bk = bn - fact * bk
+        ds.append(dk)
+        bs.append(bk)
+    if dk == 0.0:
+        raise GridError("spline system is singular")
+    x = bk / dk
+    xs = [x]
+    for up, dk, bk in zip(reversed(du), reversed(ds[:-1]), reversed(bs[:-1])):
+        x = (bk - up * x) / dk
+        xs.append(x)
+    return np.array(xs[::-1])
+
 def _pair_cap(grid: Grid1D):
     if grid.n ** 2 > DENSE_SIDE_CAP:
         raise GridError(f"two-particle dense form {grid.n}^2 exceeds the cap "

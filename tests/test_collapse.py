@@ -11,7 +11,7 @@ from scipy.integrate import quad
 
 from boselab.grid import Grid1D, GridError
 from boselab import collapse as C
-from oracles import theta_hat_quadrature
+from oracles import theta_hat_quadrature, tridiagonal_solve
 
 
 def _theta_l1(probe):
@@ -126,6 +126,60 @@ class TestScipyFreeRules:
         x = C._tridiagonal_solve(np.diag(a, -1).tolist(), np.diag(a).tolist(),
                                  np.diag(a, 1).tolist(), b.tolist())
         assert np.allclose(a @ x, b, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("sizes", [
+        (1, 3, 2, 3),  # a short subdiagonal used to truncate the solution
+        (2, 3, 1, 3),
+        (2, 3, 2, 2),
+        (2, 3, 2, 4),
+        (0, 0, 0, 0),
+    ])
+    def test_solver_rejects_mismatched_lengths(self, sizes):
+        dl, d, du, b = ([1.0] * k for k in sizes)
+        with pytest.raises(GridError, match="does not fit"):
+            C._tridiagonal_solve(dl, [4.0 * v for v in d], du, b)
+
+    @staticmethod
+    def _dominant_system(n, seed):
+        rng = np.random.default_rng(seed)
+        return (rng.uniform(-1.0, 1.0, n - 1), rng.uniform(3.0, 4.0, n),
+                rng.uniform(-1.0, 1.0, n - 1), rng.uniform(-1.0, 1.0, n))
+
+    @pytest.mark.parametrize("blocks,rest", [
+        (0, 2), (0, 3), (1, -1), (1, 0), (1, 1), (2, 3)])
+    def test_blockwise_solve_matches_whole_list_sweeps(self, blocks, rest):
+        # n = blocks * _SPLINE_BLOCK + rest: the smallest systems, a
+        # partial, an exact and a spilled first block, a partial third
+        n = blocks * C._SPLINE_BLOCK + rest
+        system = self._dominant_system(n, seed=n)
+        want = tridiagonal_solve(*(v.tolist() for v in system))
+        got = C._tridiagonal_solve(*system)
+        assert got.shape == (n,)
+        assert got.tobytes() == want.tobytes()
+
+    def test_row_interchange_in_the_second_block_raises(self):
+        block = C._SPLINE_BLOCK
+        dl, d, du, b = self._dominant_system(2 * block + 3, seed=7)
+        dl[block + 2] = 10.0
+        for solve, args in ((tridiagonal_solve, [v.tolist() for v in
+                                                 (dl, d, du, b)]),
+                            (C._tridiagonal_solve, (dl, d, du, b))):
+            with pytest.raises(GridError, match="row interchange"):
+                solve(*args)
+
+    def test_table_build_peak_memory(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            C._theta_hat_table.__wrapped__()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 13.3 MB with the FFT temporaries freed before the spline and
+        # the solve swept in _SPLINE_BLOCK rows; whole-table lists beside
+        # the live transform take 38.1 MB.  The bound leaves a 20 % margin
+        assert peak < 16_000_000
 
     def test_spline_needs_uniform_knots(self):
         # the interval lookup corrects the arithmetic guess by one place
@@ -887,6 +941,39 @@ class TestOperatorFamilies:
                         gt * np.conj(pt) * np.conj(qt)))
                 lhs = math.sqrt(C._simpson(win2 * np.array(series), taus))
                 assert res["lhs"] == pytest.approx(lhs, rel=1e-12)
+
+    @pytest.mark.parametrize("block", [1, 7, 32, 128])
+    @pytest.mark.parametrize("family,t_window", [
+        ("modulation", 2.0), ("counter_rotating", 0.1)])
+    def test_tau_block_keeps_the_bits(self, monkeypatch, block, family,
+                                      t_window):
+        # each tau row is computed on its own, so the block size (one
+        # sample, a partial last block, the default and a large block)
+        # moves no bit of lhs
+        g = Grid1D(256, 8.0)
+        members = getattr(C, f"make_{family}_family")(g, [4.0, 64.0])
+        args = {"epsilon": 0.25, "t_window": t_window, "n_tau": 257}
+        want = [r["lhs"] for r in C.direct_operator_test(g, members, **args)]
+        monkeypatch.setattr(C, "_TAU_BLOCK", block)
+        got = [r["lhs"] for r in C.direct_operator_test(g, members, **args)]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_modulation_peak_memory(self):
+        import tracemalloc
+
+        # the CLI's modulation config
+        g = Grid1D(512, 8.0)
+        members = C.make_modulation_family(g, [4.0, 16.0, 64.0])
+        tracemalloc.start()
+        try:
+            C.direct_operator_test(g, members, epsilon=0.25, t_window=2.0,
+                                   n_tau=1025)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 4.9 MB with 32-sample tau blocks, 19.1 MB with 128; the bound
+        # leaves a 22 % margin
+        assert peak < 6_000_000
 
     def test_rejects_pair_profile_members(self):
         # a pair profile used to fail with an AttributeError in the tau loop
