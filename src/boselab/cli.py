@@ -31,12 +31,13 @@ and rejects run lengths the runners cannot use (a lens t_run at which
 the wrong-convention control cannot reach its floor among them); the
 runners evolve exactly those runs, and the validator sums the plan for
 the run-length envelope.  An orbital run takes Strang steps of dt; an
-N-body run is the exact flow (nbody.propagate) to the times it stores,
-every store_every steps of dt.  The convergence suite keeps its N-body
-states as sector values (grid.BosonicState) from the product state on:
-propagate evolves them and chaos_distance reads its Sym^k factors off
-them, so the suite forms no n^N tensor.  Every output file embeds the
-config hash, the sign/direction conventions, and the package
+N-body run is the exact flow (nbody.propagate) to the times it stores:
+the config times in convergence, and in bbgky the three around the
+middle of its store_every steps of dt.  The convergence suite keeps its
+N-body states as sector values (grid.BosonicState) from the product
+state on: propagate evolves them and chaos_distance reads its Sym^k
+factors off them, so the suite forms no n^N tensor.  Every output file
+embeds the config hash, the sign/direction conventions, and the package
 version, and identical config + seed gives byte-identical outputs.  Exit
 codes: 0 all checks pass, 1 at least one check failed, 2 config error (a
 config that cannot run), 3 numerical abort (a non-finite value during
@@ -237,19 +238,21 @@ _Run = collections.namedtuple("_Run", "label particles dt steps store_every")
 
 
 def _stored_times(run: _Run) -> list[float]:
-    """The times at which a run stores a state: every store_every steps
-    of dt, from 0 to the last stored step."""
+    """The three times at which a bbgky run stores a state: the middle of
+    the grid of store_every steps of dt from 0 to the last stored step,
+    the state bbgky_residual reads, and one stride on each side of it."""
     every = run.dt * run.store_every
-    return [i * every for i in range(run.steps // run.store_every + 1)]
+    middle = (run.steps // run.store_every + 1) // 2
+    return [i * every for i in (middle - 1, middle, middle + 1)]
 
 
 def _plan(merged: dict) -> list[_Run]:
     """Every evolution of the suite, in the order its runners take them:
     the one place a step count or a stride (store_every) is worked out.
     particles = 1 is an NLS orbital, evolved in steps of dt; an N-body run
-    is the exact flow to the times it stores (_stored_times; convergence's
-    are its config times).  Run lengths the runners cannot use raise
-    ConfigError."""
+    is the exact flow to the times it stores (bbgky's _stored_times;
+    convergence's are its config times).  Run lengths the runners cannot
+    use raise ConfigError."""
     kind, dt, t_run = (merged["experiment"], merged.get("dt"),
                        merged.get("t_run"))
     if kind == "convergence":
@@ -293,8 +296,9 @@ def _plan(merged: dict) -> list[_Run]:
     if kind == "lens_suite":
         from .lens import LensMap, LensWindowError
 
-        # the trapped flow to t_run, then the free flows to tau(t_run) with
-        # the half and the full Laplacian; each in at least two steps
+        # the trapped flow to t_run, then the free flow to tau(t_run) and,
+        # as the full-Laplacian control, to 2 tau(t_run) in as many steps;
+        # each in at least two steps
         steps = max(2, _n_steps("t_run", t_run, dt))
         try:
             tau = LensMap(merged["omega"]).tau_of_t(t_run)
@@ -308,8 +312,9 @@ def _plan(merged: dict) -> list[_Run]:
                 f"t_run: the wrong-convention control reaches {reach:.3g} "
                 f"at omega = {merged['omega']}, t_run = {t_run}, below its "
                 f"floor of {_LENS_CONTROL_FLOOR} (omega t_run >= 0.228)")
-        return ([_Run("trapped", 1, t_run / steps, steps, steps)]
-                + 2 * [_Run("free", 1, tau / free, free, free)])
+        return [_Run("trapped", 1, t_run / steps, steps, steps),
+                _Run("free", 1, tau / free, free, free),
+                _Run("free", 1, 2.0 * tau / free, free, free)]
     return []
 
 
@@ -934,8 +939,9 @@ def run_lens(cfg: dict, out: Path, report_hash: str) -> list[dict]:
 
 def run_bbgky(cfg: dict, out: Path, report_hash: str) -> list[dict]:
     """Hierarchy residual second-order decay under dt halving: the exact
-    flow stores a state every store_every steps of dt, so the residual's
-    O(dt^2) is its central difference's."""
+    flow stores the middle state and one stride of store_every steps of
+    dt on each side (_stored_times), so the residual's O(dt^2) is its
+    central difference's."""
     from .grid import Grid1D, gaussian_packet
     from .nbody import NBodySystem, bbgky_residual, propagate
     from .potentials import PotentialSpec

@@ -26,7 +26,9 @@ grid it is unitary up to the interpolation error, which is spectrally
 small for smooth decaying states.  Composed with the free
 half-Laplacian flow it reproduces the trapped linear flow exactly
 (checked), while a full-Laplacian flat flow leaves an order-one defect
-(negative control for the kinetic convention).
+(negative control for the kinetic convention).  Both free flows are
+nls.evolve_nls at b0 = 0 and omega = 0: the full-Laplacian flow to tau
+is the half-Laplacian flow to 2 tau.
 """
 
 from __future__ import annotations
@@ -186,23 +188,27 @@ def intertwine_linear_check(lmap: LensMap, grid: Grid1D, phi0: np.ndarray,
     equal steps, and under the free half-Laplacian flow to tau(t_run) in
     m_steps, then compares the lensed free solution against the trapped
     one.  The same comparison with the full-Laplacian free flow (wrong
-    kinetic convention, also m_steps) is returned as a negative control;
-    it should be order one.
+    kinetic convention) is returned as a negative control; it should be
+    order one.  That flow to tau is the half-Laplacian flow to 2 tau, run
+    here in m_steps of 2 tau / m_steps: its kinetic phase
+    exp(-i (2 dt)(k^2/2)) rounds to the bits of exp(-i dt k^2), since the
+    two products differ only by exact powers of two.
     """
     tau_run = lmap.tau_of_t(t_run)
     if t_run == 0.0:
         return {"defect": 0.0, "defect_wrong_convention": 0.0}
 
-    trapped = NLSProblem(grid, b0=0.0, omega=lmap.omega, side="trapped")
+    trapped = NLSProblem(grid, b0=0.0, omega=lmap.omega)
     # only the final field is read, so store just the first and the last
     traj_t = evolve_nls(trapped, phi0, t_run / n_steps, n_steps,
                         store_every=n_steps)
     psi_ref = traj_t.fields[-1]
 
+    free = NLSProblem(grid, b0=0.0)
     defects = {}
-    for label, half in (("defect", True), ("defect_wrong_convention", False)):
-        free = NLSProblem(grid, b0=0.0, omega=0.0, side="lens", half_kinetic=half)
-        traj_f = evolve_nls(free, phi0, tau_run / m_steps, m_steps,
+    for label, span in (("defect", tau_run),
+                        ("defect_wrong_convention", 2.0 * tau_run)):
+        traj_f = evolve_nls(free, phi0, span / m_steps, m_steps,
                             store_every=m_steps)
         psi_pred, _ = lens_function(lmap, grid, traj_f.fields[-1], tau_run)
         diff = psi_pred - psi_ref

@@ -69,7 +69,12 @@ from .marginals import _full_fold, _sector_fold, partial_trace
 from .potentials import PotentialSpec, scaled_potential
 
 # propagate aborts when the norm moves by more than this over one output
-# segment or since t = 0; the exact flow is unitary
+# segment or since t = 0; the exact flow is unitary.  Equal segments reuse
+# the same rounded Bessel weights, so the norm drifts with one sign: at
+# worst 5.9e-16 per segment of 2e-3 as measured (n = 8, L = 4, N = 3, a
+# product Gaussian in gaussian_well, beta 0.5), 6.8e-11 after the 1.2e5
+# segments the run-length envelope admits there (a convergence run at
+# N = 3), a margin of about 1.5 to this tolerance
 NORM_TOL = 1e-10
 
 

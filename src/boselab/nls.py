@@ -1,28 +1,18 @@
-"""Focusing cubic NLS solvers: trapped target equation and its lens gauge.
-
-Trapped side:
+"""Focusing cubic NLS solver for the trapped target equation
 
     i d/dt phi = (-d^2/2 + omega^2 x^2 / 2) phi - b0 |phi|^2 phi,
 
 whose conserved energy is E[phi] = int |phi'|^2/2 + omega^2 x^2 |phi|^2 / 2
-- (b0/2) |phi|^4 dx.  Lens side (flat space, damped coupling):
+- (b0/2) |phi|^4 dx.  The kinetic symbol k^2/2 and the trap are those of
+grid (kinetic_symbol, trap_potential).  The flat lens-side flow is this
+equation at omega = 0, and at b0 = 0 it is the free flow that the lens
+suite maps onto the trapped linear flow (boselab.lens).
 
-    i d/dtau phi = -(1/2) d^2/dy^2 phi - g(tau) b0 |phi|^2 phi,
-    g(tau) = (1 + omega^2 tau^2)^(-1/2).
+The solver is Strang splitting from time 0.  The nonlinear/potential
+phase is exact within each substep because the modulus is invariant
+under a pure phase multiplication.
 
-The half-factor on the lens-side kinetic term is the convention under
-which the lens change of variables exactly intertwines the two flows;
-the solver for the alternative full-Laplacian convention is provided as
-a negative control (see boselab.lens).
-
-Both solvers are Strang splitting from time 0 (on the lens side tau = 0,
-where g = 1).  The nonlinear/potential phase is exact within each
-substep because the modulus is invariant under a pure phase
-multiplication; the time-dependent coupling g is integrated in closed
-form (int g dtau = arcsinh(omega tau)/omega), which preserves the
-second-order accuracy of the composition.
-
-For omega = 0 both sides reduce to i d/dt phi = -phi''/2 - b0 |phi|^2 phi
+For omega = 0 the equation is i d/dt phi = -phi''/2 - b0 |phi|^2 phi,
 with the normalized soliton
 
     phi(t, x) = A sech(sqrt(b0) A x) exp(i b0 A^2 t / 2),  A = sqrt(b0)/2.
@@ -37,7 +27,6 @@ import numpy as np
 
 from .grid import (Grid1D, GridError, apply_symbol, dense_operator,
                    kinetic_symbol, trap_potential)
-from .potentials import lens_damping
 
 
 class BlowupDetected(RuntimeError):
@@ -51,13 +40,11 @@ DENSITY_CEILING = 1e3
 
 @dataclass(frozen=True)
 class NLSProblem:
-    """One-particle cubic problem; side is 'trapped' or 'lens'."""
+    """The trapped cubic problem: coupling b0 and trap frequency omega."""
 
     grid: Grid1D
     b0: float
     omega: float = 0.0
-    side: str = "trapped"
-    half_kinetic: bool = True  # False gives the full-Laplacian negative control
 
     def __post_init__(self):
         if not 0 <= self.b0 < math.inf:
@@ -65,44 +52,20 @@ class NLSProblem:
                             "nonnegative")
         if not 0 <= self.omega < math.inf:
             raise GridError("trap frequency must be finite and nonnegative")
-        if self.side not in ("trapped", "lens"):
-            raise GridError(f"unknown side {self.side!r}")
-
-    def kinetic_symbol(self) -> np.ndarray:
-        if self.half_kinetic:
-            return kinetic_symbol(self.grid)
-        return self.grid.k ** 2
-
-    def coupling_integral(self, t0: float, t1: float) -> float:
-        """Integral of the coupling weight over [t0, t1].
-
-        Trapped side: the coupling is constant.  Lens side: the damping
-        g(tau) integrates to arcsinh(omega tau)/omega.
-        """
-        if self.side == "trapped" or self.omega == 0.0:
-            return t1 - t0
-        w = self.omega
-        return (math.asinh(w * t1) - math.asinh(w * t0)) / w
-
-    def trap_values(self) -> np.ndarray:
-        if self.side == "trapped":
-            return trap_potential(self.grid, self.omega)
-        return np.zeros(self.grid.n)
 
 
 def mass(grid: Grid1D, phi: np.ndarray) -> float:
     return float(grid.h * np.sum(np.abs(phi) ** 2))
 
 
-def nls_energy(problem: NLSProblem, phi: np.ndarray, tau: float = 0.0) -> float:
-    """Instantaneous energy functional (conserved on the trapped side)."""
+def nls_energy(problem: NLSProblem, phi: np.ndarray) -> float:
+    """The conserved energy functional E[phi]."""
     grid = problem.grid
     dphi = apply_symbol(phi, 1j * grid.k, 0)
-    kin_weight = 0.5 if problem.half_kinetic else 1.0
-    kin = kin_weight * grid.h * float(np.sum(np.abs(dphi) ** 2))
-    pot = grid.h * float(np.sum(problem.trap_values() * np.abs(phi) ** 2))
-    g = 1.0 if problem.side == "trapped" else float(lens_damping(problem.omega, tau))
-    quart = -0.5 * g * problem.b0 * grid.h * float(np.sum(np.abs(phi) ** 4))
+    kin = 0.5 * grid.h * float(np.sum(np.abs(dphi) ** 2))
+    trap = trap_potential(grid, problem.omega)
+    pot = grid.h * float(np.sum(trap * np.abs(phi) ** 2))
+    quart = -0.5 * problem.b0 * grid.h * float(np.sum(np.abs(phi) ** 4))
     return kin + pot + quart
 
 
@@ -142,8 +105,8 @@ def evolve_nls(problem: NLSProblem, phi0: np.ndarray, dt: float, n_steps: int,
     if dt <= 0 or n_steps < 1 or store_every < 1:
         raise GridError("dt, n_steps, store_every must be positive")
 
-    kin_phase = np.exp(-1j * dt * problem.kinetic_symbol())
-    trap = problem.trap_values()
+    kin_phase = np.exp(-1j * dt * kinetic_symbol(grid))
+    trap = trap_potential(grid, problem.omega)
 
     times = [0.0]
     fields = [phi.copy()]
@@ -152,11 +115,14 @@ def evolve_nls(problem: NLSProblem, phi0: np.ndarray, dt: float, n_steps: int,
 
     t = 0.0
     for step in range(n_steps):
-        g_first = problem.coupling_integral(t, t + 0.5 * dt)
-        phi = np.exp(-1j * (0.5 * dt * trap - problem.b0 * g_first * np.abs(phi) ** 2)) * phi
+        # the coupling lengths of the two half steps, rounded as the
+        # differences of the step's times; the frozen output digests pin
+        # these bits, which a plain 0.5 * dt moves
+        first = (t + 0.5 * dt) - t
+        phi = np.exp(-1j * (0.5 * dt * trap - problem.b0 * first * np.abs(phi) ** 2)) * phi
         phi = apply_symbol(phi, kin_phase, 0)
-        g_second = problem.coupling_integral(t + 0.5 * dt, t + dt)
-        phi = np.exp(-1j * (0.5 * dt * trap - problem.b0 * g_second * np.abs(phi) ** 2)) * phi
+        second = (t + dt) - (t + 0.5 * dt)
+        phi = np.exp(-1j * (0.5 * dt * trap - problem.b0 * second * np.abs(phi) ** 2)) * phi
         t = (step + 1) * dt
 
         peak = float(np.max(np.abs(phi) ** 2))
@@ -171,7 +137,7 @@ def evolve_nls(problem: NLSProblem, phi0: np.ndarray, dt: float, n_steps: int,
             times.append(t)
             fields.append(phi.copy())
             masses.append(mass(grid, phi))
-            energies.append(nls_energy(problem, phi, t))
+            energies.append(nls_energy(problem, phi))
 
     return NLSTrajectory(problem, dt, store_every, np.asarray(times),
                          np.asarray(fields), np.asarray(masses),
@@ -185,16 +151,14 @@ def nls_residual(traj: NLSTrajectory) -> float:
         raise GridError("need at least three stored fields")
     problem = traj.problem
     grid = problem.grid
-    sym = problem.kinetic_symbol()
-    trap = problem.trap_values()
+    sym = kinetic_symbol(grid)
+    trap = trap_potential(grid, problem.omega)
     worst = 0.0
     for m in range(1, len(traj.times) - 1):
         phi = traj.fields[m]
         dphi_dt = (traj.fields[m + 1] - traj.fields[m - 1]) / (2.0 * traj.store_dt)
         kin = apply_symbol(phi, sym, 0)
-        g = 1.0 if problem.side == "trapped" else float(
-            lens_damping(problem.omega, traj.times[m]))
-        rhs = kin + trap * phi - g * problem.b0 * np.abs(phi) ** 2 * phi
+        rhs = kin + trap * phi - problem.b0 * np.abs(phi) ** 2 * phi
         worst = max(worst, float(np.max(np.abs(1j * dphi_dt - rhs))))
     return worst
 

@@ -366,9 +366,13 @@ def _evolutions(monkeypatch, tmp_path, cfg):
     # lens binds evolve_nls at import
     monkeypatch.setattr(nls, "evolve_nls", recorder(nls.evolve_nls))
     monkeypatch.setattr(lens, "evolve_nls", nls.evolve_nls)
+    # an N-body run flows to the config times in convergence and to the
+    # three stored times around the middle in bbgky
+    merged = cli.validate_config(cfg)
     planned = [(run.dt, run.steps, run.store_every) if run.particles == 1
-               else flow(cli._stored_times(run))
-               for run in cli._plan(cli.validate_config(cfg))]
+               else flow(cli._stored_times(run)) if run.label == "bbgky"
+               else flow(merged["times"])
+               for run in cli._plan(merged)]
     code, _ = cli.run_experiment(cfg, tmp_path)
     return calls, planned, code
 
@@ -439,7 +443,11 @@ def test_flow_terms_bound_the_bessel_count():
 def test_envelope_bounds_the_applications_the_flow_takes(monkeypatch,
                                                           tmp_path):
     # every H_N application of a convergence and a bbgky run, counted
-    # with its sector values, against the validator's count
+    # with its sector values, against the validator's count.  bbgky
+    # propagates only the three states its residual reads, while the
+    # envelope counts the flow through every stride, an upper bound that
+    # leaves each config's verdict as it was; the count must stay close
+    # to that stride flow, rerun here with every stride stored
     import math
 
     from boselab import cli, nbody
@@ -472,9 +480,24 @@ def test_envelope_bounds_the_applications_the_flow_takes(monkeypatch,
         count, work = cli._run_length(merged, specs)
         code, _ = cli.run_experiment(cfg, tmp_path / cfg["experiment"])
         assert code == 0
+        ran = list(counted)
+        if cfg["experiment"] == "bbgky_residual":
+            counted.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_stored_times", _every_stride)
+                code, _ = cli.run_experiment(cfg, tmp_path / "strides")
+            assert code == 0
+            assert len(ran) < len(counted) and sum(ran) < sum(counted)
         orbital_work = orbital * merged["n"]
         assert len(counted) <= count - orbital <= 3 * len(counted)
         assert sum(counted) <= work - orbital_work <= 3 * sum(counted)
+
+
+def _every_stride(run):
+    """Every time a run of run.steps steps of run.dt reaches at its
+    stride of run.store_every steps."""
+    span = run.dt * run.store_every
+    return [i * span for i in range(run.steps // run.store_every + 1)]
 
 
 def _run_twice(tmp_path, *args):
@@ -643,10 +666,12 @@ _DEFAULT_DIGESTS = {
     "lens": "b543d56e9af038570b355f4d5ecf515712d7521d6769e67cf08c84096a4ac3b7",
     # convergence and bbgky run the exact flow (nbody.propagate): the
     # chaos distances and the bbgky residuals lost the Strang error when
-    # it replaced the Strang steps, and bbgky was re-frozen then
+    # it replaced the Strang steps, and bbgky was re-frozen then; bbgky
+    # again when it came to propagate only the three states its residual
+    # reads, which moved the N = 3 rows at rounding level
     "convergence":
         "65380d7e110860ae1e2c59ec25f9a28590d42b76a0b49060051b4f978c0e7e46",
-    "bbgky": "dddd6381bf1972404ef605c1fdbcc6affb03ec6736f497193eef048a8a32c66b",
+    "bbgky": "def49a47c1872ddac57bf517d09f76c55c666a1cbd95e8429454be05c9b8b1f0",
     "nls-validate":
         "79f23fb9c079e32e9c7bc2c3f5de1b2291eb6cc5ba30ac1fecb5fa9bee19c7f7",
 }
@@ -893,6 +918,42 @@ def test_benchmark_imports_every_package_module():
     modules = {path.stem for path in src.glob("*.py")}
     assert len(listed) == len(set(listed))
     assert set(listed) == modules - {"__init__", "__main__"}
+
+
+def test_benchmark_evidence_hooks_record(monkeypatch, tmp_path):
+    # the worker's hooks wrap nls.evolve_nls(problem, phi0, dt, n_steps,
+    # ...) and marginals.chaos_distance(state, k, phi), and read
+    # problem.grid.x, problem.b0, traj.times, traj.fields and
+    # state.amplitudes; a change to any of them must fail here before the
+    # benchmark reads its evidence as missing
+    import importlib.util
+    from pathlib import Path
+
+    from boselab import marginals, nls
+    from boselab.cli import run_experiment
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+    spec = importlib.util.spec_from_file_location("benchmark_worker", path)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    evidence = worker.Evidence()
+    # the hooks assign the module attributes; these restore them
+    monkeypatch.setattr(nls, "evolve_nls", nls.evolve_nls)
+    monkeypatch.setattr(marginals, "chaos_distance", marginals.chaos_distance)
+    evidence.hook_soliton(nls)
+    evidence.hook_chaos_distance(marginals)
+
+    code, _ = run_experiment({"experiment": "nls_validate"}, tmp_path / "nls")
+    assert code == 0
+    assert evidence.soliton["error"] <= 1e-6
+    code, _ = run_experiment({"experiment": "convergence", "n": 16,
+                              "n_particles": [2, 3], "times": [0.0, 0.02]},
+                             tmp_path / "convergence")
+    assert code == 0
+    # two potentials, k = 1 and 2, N = 2 and 3, two times
+    assert len(evidence.chaos) == 16
+    assert all(abs(value - recomputed) <= 1e-10
+               for _, _, value, recomputed in evidence.chaos)
 
 
 def test_package_and_collapse_run_import_no_scipy(tmp_path):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boselab.grid import BosonicState, Grid1D, GridError, sector_product
+from boselab.grid import (BosonicState, Grid1D, GridError, apply_symbol,
+                          sector_product)
 from boselab.lens import (
     LensMap,
     LensResolutionError,
@@ -18,7 +19,7 @@ from boselab.lens import (
     lens_kernel,
 )
 from boselab.marginals import MarginalDensity, partial_trace, trace_norm
-from boselab.nls import trap_ground_state
+from boselab.nls import NLSProblem, evolve_nls, trap_ground_state
 
 GRID = Grid1D(64, 8.0)
 
@@ -160,6 +161,24 @@ def test_intertwine_linear_flows():
     # the full-Laplacian control misses by an order-one margin
     assert res["defect"] < 1e-5
     assert res["defect_wrong_convention"] > 1e-1
+
+
+def test_wrong_convention_control_is_the_full_laplacian_product():
+    # the control runs the half-Laplacian flow to 2 tau; it must give the
+    # bits of m full-Laplacian steps exp(-i (tau/m) k^2) to tau
+    phi, lmap, m = ground_pair(), LensMap(1.0), 423
+    res = intertwine_linear_check(lmap, GRID, phi, 0.4, 400, m)
+    tau = lmap.tau_of_t(0.4)
+    step = np.exp(-1j * (tau / m) * GRID.k ** 2)
+    free = phi.copy()
+    for _ in range(m):
+        free = apply_symbol(free, step, 0)
+    trapped = evolve_nls(NLSProblem(GRID, b0=0.0, omega=1.0), phi, 0.4 / 400,
+                         400, store_every=400).fields[-1]
+    lensed, _ = lens_function(lmap, GRID, free, tau)
+    diff = lensed - trapped
+    control = float(math.sqrt(GRID.h * np.sum(np.abs(diff) ** 2)))
+    assert res["defect_wrong_convention"] == control
 
 
 def test_intertwine_zero_run_is_exact():

@@ -1,13 +1,13 @@
 """One-particle cubic solver: exact solutions, conservation, hierarchy."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from boselab import nls
-from boselab.grid import Grid1D, GridError
+from boselab.grid import Grid1D, GridError, kinetic_symbol, trap_potential
 from boselab.nls import (
     BlowupDetected,
     NLSProblem,
@@ -18,7 +18,6 @@ from boselab.nls import (
     soliton,
     trap_ground_state,
 )
-from boselab.potentials import lens_damping
 
 
 def test_problem_validation():
@@ -27,31 +26,17 @@ def test_problem_validation():
         NLSProblem(g, b0=-1.0)
     with pytest.raises(GridError):
         NLSProblem(g, b0=1.0, omega=-1.0)
-    with pytest.raises(GridError):
-        NLSProblem(g, b0=1.0, side="chair")
+    # the trapped cubic equation only: no lens side, no kinetic switch
+    assert [f.name for f in dataclasses.fields(NLSProblem)] == [
+        "grid", "b0", "omega"]
 
 
 def test_kinetic_symbol_convention():
+    # the solver's one-particle operator is -d^2/2 + omega^2 x^2/2
     g = Grid1D(16, 4.0)
-    assert np.allclose(NLSProblem(g, 1.0).kinetic_symbol(), 0.5 * g.k ** 2)
-    assert np.allclose(
-        NLSProblem(g, 1.0, half_kinetic=False).kinetic_symbol(), g.k ** 2)
-    # trap multiplies only on the trapped side
-    assert np.allclose(NLSProblem(g, 1.0, omega=2.0).trap_values(),
-                       2.0 * g.x ** 2)
-    assert np.allclose(
-        NLSProblem(g, 1.0, omega=2.0, side="lens").trap_values(), 0.0)
-
-
-def test_coupling_integral_closed_form():
-    g = Grid1D(16, 4.0)
-    lensed = NLSProblem(g, b0=1.0, omega=1.3, side="lens")
-    ref, err = quad(lambda t: lens_damping(1.3, t), 0.2, 1.7)
-    assert err < 1e-12
-    assert lensed.coupling_integral(0.2, 1.7) == pytest.approx(ref, rel=1e-12)
-    # trapped side integrates the constant weight
-    trapped = NLSProblem(g, b0=1.0, omega=1.3)
-    assert trapped.coupling_integral(0.2, 1.7) == pytest.approx(1.5)
+    assert np.allclose(kinetic_symbol(g), 0.5 * g.k ** 2)
+    assert np.allclose(trap_potential(g, 2.0), 2.0 * g.x ** 2)
+    assert np.all(trap_potential(g, 0.0) == 0.0)
 
 
 def test_soliton_profile_and_validation():
